@@ -16,7 +16,7 @@
 //!   and minutes beyond that — which is the point.
 //! * `audit_recovery` — a real 20k-instance WAL directory (written by a
 //!   certified banking run) replayed end to end through `wal::recover`,
-//!   whose audit is the streaming path. Snapshot: `BENCH_audit.json`.
+//!   whose audit is the streaming path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddlf_engine::{Engine, EngineConfig};

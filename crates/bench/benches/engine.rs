@@ -1,122 +1,14 @@
-//! E12: engine throughput — certified no-detector execution vs the
-//! wait-die fallback, on the banking and warehouse workloads.
-//!
-//! The interesting comparison is the same *certified* workload run (a)
-//! trusting the certificate (no detector, no timeouts, no aborts) and
-//! (b) distrusting it (wait-die anyway): the delta is the pure runtime
-//! cost of not doing the paper's static analysis. The greedy variant
-//! shows the additional price of a workload that *cannot* certify.
-//!
 //! E13 (`engine_inflation`): the payoff of certified k-inflation — the
 //! same Theorem 5-certifiable single-template workload behind a k = 1
 //! gate, behind a certified k = 4 gate, and on wait-die at the same
-//! multiprogramming level.
-//!
-//! E14 (`engine_wal`): the write-ahead-durability tax — the certified
-//! banking workload with no WAL (the default hot path, which must not
-//! regress) against the same run logging every write, commit decision,
-//! and history event to per-shard log files (snapshot: BENCH_wal.json).
-//!
-//! E15 (`engine_group_commit`): the amortization matrix — the
-//! WAL-logging pipelined banking run (Theorem 5 certifies unbounded
-//! copies, so k = 32 gives the leader a real cohort) with per-commit
-//! decisions vs leader-flushed group commit (batched admission riding
-//! along), in buffered mode and in fsync-per-decision sync mode. The
-//! sync column is the headline: one fsync per *group* instead of per
-//! commit (snapshot: BENCH_group.json).
+//! multiprogramming level. In-process and gate-bound: no wire workload
+//! of `harness/` reaches it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, TemplateRegistry};
-use ddlf_model::{EntityId, TransactionSystem};
-use ddlf_workloads::{bank_greedy_pair, bank_ordered_pair, bank_uniform_transfer, Warehouse};
+use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation};
+use ddlf_model::TransactionSystem;
+use ddlf_workloads::bank_uniform_transfer;
 use std::time::Duration;
-
-fn quick_cfg(instances: usize, force_fallback: bool) -> EngineConfig {
-    EngineConfig {
-        threads: 4,
-        instances,
-        force_fallback,
-        ..Default::default()
-    }
-}
-
-fn bench_banking(c: &mut Criterion) {
-    let (_, ordered) = bank_ordered_pair();
-    let (_, greedy) = bank_greedy_pair();
-    let mut g = c.benchmark_group("engine_banking");
-    g.sample_size(10);
-    for &n in &[16usize, 64] {
-        g.bench_with_input(
-            BenchmarkId::new("certified_no_detector", n),
-            &(&ordered, n),
-            |b, (sys, n)| {
-                b.iter(|| {
-                    Engine::new((*sys).clone(), quick_cfg(*n, false))
-                        .run()
-                        .committed
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("certified_but_wait_die", n),
-            &(&ordered, n),
-            |b, (sys, n)| {
-                b.iter(|| {
-                    Engine::new((*sys).clone(), quick_cfg(*n, true))
-                        .run()
-                        .committed
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("uncertified_wait_die", n),
-            &(&greedy, n),
-            |b, (sys, n)| {
-                b.iter(|| {
-                    Engine::new((*sys).clone(), quick_cfg(*n, false))
-                        .run()
-                        .committed
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-fn warehouse_system() -> TransactionSystem {
-    let wh = Warehouse::new(3, 2);
-    let t1 = wh.order_with_ticket("order_a", &[(0, 0), (1, 1)]);
-    let t2 = wh.order_with_ticket("order_b", &[(1, 0), (2, 1)]);
-    let t3 = wh.order_with_ticket("order_c", &[(0, 1), (2, 0)]);
-    TransactionSystem::new(wh.db.clone(), vec![t1, t2, t3]).unwrap()
-}
-
-fn bench_warehouse(c: &mut Criterion) {
-    let sys = warehouse_system();
-    let reg = TemplateRegistry::register(sys.clone());
-    assert!(
-        reg.verdict().is_certified(),
-        "ticketed orders must certify: {}",
-        reg.verdict()
-    );
-    let mut g = c.benchmark_group("engine_warehouse");
-    g.sample_size(10);
-    for &n in &[24usize, 96] {
-        g.bench_with_input(BenchmarkId::new("certified_no_detector", n), &n, |b, &n| {
-            b.iter(|| {
-                Engine::new(sys.clone(), quick_cfg(n, false))
-                    .run()
-                    .committed
-            })
-        });
-        g.bench_with_input(
-            BenchmarkId::new("certified_but_wait_die", n),
-            &n,
-            |b, &n| b.iter(|| Engine::new(sys.clone(), quick_cfg(n, true)).run().committed),
-        );
-    }
-    g.finish();
-}
 
 /// Runs the single-template pipelined-transfer workload once under the
 /// given inflation request / fallback switch and returns commits.
@@ -158,169 +50,5 @@ fn bench_inflation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wal(c: &mut Criterion) {
-    let (_, ordered) = bank_ordered_pair();
-    let mut g = c.benchmark_group("engine_wal");
-    g.sample_size(10);
-    let n = 64usize;
-    g.bench_with_input(BenchmarkId::new("wal_off", n), &n, |b, &n| {
-        b.iter(|| {
-            Engine::new(ordered.clone(), quick_cfg(n, false))
-                .run()
-                .committed
-        })
-    });
-    let dir = std::env::temp_dir().join("ddlf-bench-wal");
-    g.bench_with_input(BenchmarkId::new("wal_on", n), &n, |b, &n| {
-        b.iter(|| {
-            // Engine construction rotates the directory, so every
-            // iteration logs a fresh generation.
-            Engine::new(
-                ordered.clone(),
-                EngineConfig {
-                    wal_dir: Some(dir.clone()),
-                    ..quick_cfg(n, false)
-                },
-            )
-            .run()
-            .committed
-        })
-    });
-    g.finish();
-    let _ = std::fs::remove_dir_all(std::env::temp_dir().join("ddlf-bench-wal"));
-}
-
-fn bench_group_commit(c: &mut Criterion) {
-    // The single-template pipelined transfer certifies unbounded copies
-    // (Theorem 5), so a high certified k gives the group committer real
-    // company: with per-commit fsync every committer serializes on the
-    // shared history/decision files, while the leader amortizes one
-    // data-sync + one decision fsync over the whole parked cohort. The
-    // worker count deliberately exceeds the cores — commits here are
-    // fsync-latency-bound, not CPU-bound.
-    let (_, sys) = bank_uniform_transfer();
-    let mut g = c.benchmark_group("engine_group_commit");
-    g.sample_size(10);
-    let n = 256usize;
-    let dir = std::env::temp_dir().join("ddlf-bench-group");
-    // (label, fsync every decision?, group commit + batched admission?)
-    let variants = [
-        ("nosync_per_commit", false, false),
-        ("nosync_group", false, true),
-        ("sync_per_commit", true, false),
-        ("sync_group", true, true),
-    ];
-    for (label, sync, group) in variants {
-        g.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-            b.iter(|| {
-                Engine::with_admission(
-                    sys.clone(),
-                    AdmissionOptions {
-                        inflate: Inflation::Uniform(32),
-                        ..Default::default()
-                    },
-                    EngineConfig {
-                        threads: 32,
-                        instances: n,
-                        wal_dir: Some(dir.clone()),
-                        wal_sync: sync,
-                        group_commit: group.then_some(64),
-                        admission_batch: if group { 4 } else { 1 },
-                        ..Default::default()
-                    },
-                )
-                .run()
-                .committed
-            })
-        });
-    }
-    g.finish();
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-fn bench_ro_snapshot(c: &mut Criterion) {
-    // E16 (`ro_snapshot`): read scalability of the multiversion path —
-    // a fixed budget of whole-database snapshot reads split across R
-    // reader threads against a chain-populated store. The lock-free
-    // rows should show wall time *dropping* as R grows (readers share
-    // nothing but atomics); the locked-oracle rows read the same cut
-    // through the `store.mvcc` mutex, so they serialize and cannot
-    // scale. The database is deliberately wide (256 entities): the
-    // scan itself must be the work, not reader-slot registration, and
-    // the mutex hold time must be long enough that serializing on it
-    // is visible. Snapshot: BENCH_snapshot.json.
-    use ddlf_model::{Database, Op, Transaction};
-    let db = Database::one_entity_per_site(256);
-    let (x, y) = (EntityId(0), EntityId(1));
-    let ops = [Op::lock(x), Op::lock(y), Op::unlock(y), Op::unlock(x)];
-    let txns = vec![
-        Transaction::from_total_order("T1", &ops, &db).unwrap(),
-        Transaction::from_total_order("T2", &ops, &db).unwrap(),
-    ];
-    let sys = TransactionSystem::new(db, txns).unwrap();
-    let engine = Engine::new(sys, quick_cfg(64, false));
-    assert_eq!(engine.run().committed, 64, "populate the version chains");
-    let entities: Vec<EntityId> = engine.store().db().entities().collect();
-
-    const TOTAL_SCANS: usize = 2_048;
-    let mut g = c.benchmark_group("ro_snapshot");
-    g.sample_size(10);
-    for &readers in &[1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("lock_free", readers),
-            &readers,
-            |b, &readers| {
-                b.iter(|| {
-                    std::thread::scope(|s| {
-                        for _ in 0..readers {
-                            s.spawn(|| {
-                                let mut sum = 0u128;
-                                for _ in 0..TOTAL_SCANS / readers {
-                                    sum += engine.run_read_only(&entities).sum_int();
-                                }
-                                sum
-                            });
-                        }
-                    })
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("locked_oracle", readers),
-            &readers,
-            |b, &readers| {
-                b.iter(|| {
-                    std::thread::scope(|s| {
-                        for _ in 0..readers {
-                            s.spawn(|| {
-                                let mut sum = 0u128;
-                                for _ in 0..TOTAL_SCANS / readers {
-                                    sum += engine
-                                        .store()
-                                        .snapshot()
-                                        .iter()
-                                        .filter_map(|(_, v)| v.datum.as_int())
-                                        .map(u128::from)
-                                        .sum::<u128>();
-                                }
-                                sum
-                            });
-                        }
-                    })
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_banking,
-    bench_warehouse,
-    bench_inflation,
-    bench_wal,
-    bench_group_commit,
-    bench_ro_snapshot
-);
+criterion_group!(benches, bench_inflation);
 criterion_main!(benches);

@@ -7,9 +7,9 @@
 //! cargo run --release -p ddlf-bench --bin audit-oneshot -- 20480 [--skip-batch]
 //! ```
 //!
-//! Prints one line per path with wall-clock seconds; the numbers behind
-//! `BENCH_audit.json` come from here (batch) and from `cargo bench --
-//! audit` (incremental + recovery medians).
+//! Prints one line per path with wall-clock seconds: the batch sizes too
+//! slow to repeat under criterion (`cargo bench -- audit` covers the
+//! incremental + recovery medians).
 
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{Database, EntityId, NodeId, Op, Transaction, TransactionSystem, TxnId};

@@ -8,7 +8,7 @@ use ddlf_core::{
     many_safe_df, pairwise_safe_df, pairwise_safe_df_minimal_prefix, tirri_two_entity_pattern,
     CertifyOptions, Explorer, ManyOptions, SatReduction,
 };
-use ddlf_model::{linear_extensions, Schedule, TransactionSystem, TxnId};
+use ddlf_model::{linear_extensions, TransactionSystem, TxnId};
 use ddlf_sat::{generate_batch, solve, Cnf};
 use ddlf_sim::{run as sim_run, DeadlockPolicy, SimConfig};
 use ddlf_workloads as wl;
@@ -777,51 +777,6 @@ pub fn all_experiments(quick: bool) -> Vec<Table> {
         e10_scaling(),
         e11_local_detection(if quick { 5 } else { 20 }),
     ]
-}
-
-/// Validates the witness structures of a Theorem 4 violation end to end
-/// (helper shared by tests).
-pub fn verify_cycle_witness(sys: &TransactionSystem, w: &ddlf_core::CycleWitness) -> bool {
-    let Ok(v) = w.schedule.validate(sys) else {
-        return false;
-    };
-    let cg: ddlf_model::ConflictGraph = w.schedule.conflict_digraph(sys, &v);
-    !cg.is_acyclic()
-}
-
-/// Convenience used in docs/tests: the classic two-transaction deadlock.
-pub fn classic_pair() -> TransactionSystem {
-    let db = ddlf_model::Database::one_entity_per_site(2);
-    let (x, y) = (ddlf_model::EntityId(0), ddlf_model::EntityId(1));
-    let t1 = ddlf_model::Transaction::from_total_order(
-        "T1",
-        &[
-            ddlf_model::Op::lock(x),
-            ddlf_model::Op::lock(y),
-            ddlf_model::Op::unlock(x),
-            ddlf_model::Op::unlock(y),
-        ],
-        &db,
-    )
-    .unwrap();
-    let t2 = ddlf_model::Transaction::from_total_order(
-        "T2",
-        &[
-            ddlf_model::Op::lock(y),
-            ddlf_model::Op::lock(x),
-            ddlf_model::Op::unlock(y),
-            ddlf_model::Op::unlock(x),
-        ],
-        &db,
-    )
-    .unwrap();
-    TransactionSystem::new(db, vec![t1, t2]).unwrap()
-}
-
-/// A complete serial schedule of `sys` (helper for benches).
-pub fn any_serial_schedule(sys: &TransactionSystem) -> Schedule {
-    let order: Vec<TxnId> = (0..sys.len()).map(TxnId::from_index).collect();
-    Schedule::serial(sys, &order)
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
 //! Exhaustive state-space analyses — the `[SM]`-style ground truth.
 //!
-//! The scheduler's state is the tuple of executed prefixes; lock ownership
-//! is a function of the state, so deadlock-freedom can be decided by
-//! exploring reachable states. For safety we additionally carry the arc
-//! set of the partial-schedule conflict digraph `D(S')` (Lemma 1), which
-//! *is* path-dependent and therefore part of the search state.
+//! Deadlock-freedom is decided by exploring the reachable scheduler
+//! states of [`ddlf_model::search`]. For safety we additionally carry the
+//! arc set of the partial-schedule conflict digraph `D(S')` (Lemma 1),
+//! which *is* path-dependent and therefore part of the search state.
 //!
 //! Everything here is exponential in the worst case — deadlock-freedom is
 //! coNP-complete (Theorem 2) — and is used as the oracle the polynomial
 //! algorithms (`pairwise`, `many`, `copies`) are validated against, and as
 //! the honest baseline in the E10 scaling experiment.
 
-use crate::reduction::{DeadlockPrefix, ReductionGraph};
-use ddlf_model::{EntityId, GlobalNode, NodeId, Schedule, SystemPrefix, TransactionSystem, TxnId};
-use std::collections::{HashMap, HashSet};
+use crate::reduction::{complete_schedule, DeadlockPrefix, ReductionGraph};
+use ddlf_model::search::{Budget, Dfs, Next, Pruning, SchedulerState, Step, Visitor};
+use ddlf_model::{BitSet, Schedule, TransactionSystem};
 
 /// Result of an exhaustive search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,28 +49,12 @@ impl<T> Verdict<T> {
     }
 }
 
-/// Exhaustive explorer over the scheduler state space of one system.
+/// Exhaustive explorer over the scheduler state space of one system: the
+/// memoised-state [`Dfs`] under four goal visitors.
 #[derive(Debug, Clone)]
 pub struct Explorer<'a> {
     sys: &'a TransactionSystem,
     max_states: usize,
-}
-
-/// What the explorer should look for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Goal {
-    /// A reachable stuck state with an unfinished transaction
-    /// (operational deadlock).
-    Deadlock,
-    /// A reachable state whose reduction graph is cyclic
-    /// (a deadlock prefix — Theorem 1's characterization).
-    DeadlockPrefix,
-    /// A reachable state whose conflict digraph `D(S')` is cyclic
-    /// (Lemma 1: the system is not safe-and-deadlock-free).
-    ConflictCycle,
-    /// A reachable *complete* schedule whose `D(S)` is cyclic
-    /// (the system is not safe).
-    UnserializableComplete,
 }
 
 /// Statistics of a finished search.
@@ -93,7 +76,7 @@ impl<'a> Explorer<'a> {
     /// transaction is unfinished and *no* legal move exists. `Holds` means
     /// the system is deadlock-free.
     pub fn find_deadlock(&self) -> (Verdict<Schedule>, SearchStats) {
-        self.run(Goal::Deadlock).map_counterexample(|w| w.schedule)
+        self.run(Stuck)
     }
 
     /// Searches for a deadlock prefix by testing the reduction graph of
@@ -101,57 +84,37 @@ impl<'a> Explorer<'a> {
     /// search path). `Holds` means no deadlock prefix exists — by Theorem 1
     /// this must agree with [`Explorer::find_deadlock`].
     pub fn find_deadlock_prefix(&self) -> (Verdict<DeadlockPrefix>, SearchStats) {
-        let (v, s) = self.run(Goal::DeadlockPrefix);
-        let v = match v {
-            Verdict::Holds => Verdict::Holds,
-            Verdict::Inconclusive { states } => Verdict::Inconclusive { states },
-            Verdict::CounterExample(w) => {
-                let prefix = w.prefix.expect("deadlock-prefix goal returns the prefix");
-                let cycle = w.cycle.expect("deadlock-prefix goal returns the cycle");
-                Verdict::CounterExample(DeadlockPrefix {
-                    prefix,
-                    schedule: w.schedule,
-                    cycle,
-                })
-            }
-        };
-        (v, s)
+        self.run(CyclicReduction)
     }
 
     /// Lemma 1 ground truth: searches for a reachable partial schedule
     /// whose conflict digraph is cyclic. `Holds` means the system is both
     /// safe and deadlock-free.
     pub fn find_conflict_cycle(&self) -> (Verdict<Schedule>, SearchStats) {
-        self.run(Goal::ConflictCycle)
-            .map_counterexample(|w| w.schedule)
+        self.run(Conflicts::new(self.sys, None))
     }
 
     /// Safety-only ground truth: searches for a complete, legal,
     /// non-serializable schedule. `Holds` means the system is safe.
     pub fn find_unserializable(&self) -> (Verdict<Schedule>, SearchStats) {
-        self.run(Goal::UnserializableComplete)
-            .map_counterexample(|w| w.schedule)
+        self.run(Conflicts::new(self.sys, Some(self.max_states)))
     }
 
-    fn run(&self, goal: Goal) -> (Verdict<Witness>, SearchStats) {
-        let mut search = Search {
-            sys: self.sys,
-            goal,
-            track_conflicts: matches!(goal, Goal::ConflictCycle | Goal::UnserializableComplete),
-            max_states: self.max_states,
-            cur: SystemPrefix::empty(self.sys.txns()),
-            holders: HashMap::new(),
-            path: Vec::new(),
-            d_arcs: ConflictArcs::new(self.sys.len()),
-            visited: HashSet::new(),
-            stats: SearchStats::default(),
-            truncated: false,
+    fn run<V: Visitor>(&self, goal: V) -> (Verdict<V::Found>, SearchStats) {
+        let budget = Budget {
+            states: self.max_states,
+            steps: u64::MAX,
         };
-        let found = search.dfs();
-        let stats = search.stats;
+        let start = SchedulerState::initial(self.sys);
+        let mut dfs = Dfs::new(start, goal, Pruning::Memo, budget);
+        let found = dfs.run();
+        let stats = SearchStats {
+            states: dfs.stats.states,
+            moves: dfs.stats.steps as usize,
+        };
         let verdict = match found {
             Some(w) => Verdict::CounterExample(w),
-            None if search.truncated => Verdict::Inconclusive {
+            None if dfs.truncated => Verdict::Inconclusive {
                 states: stats.states,
             },
             None => Verdict::Holds,
@@ -160,319 +123,201 @@ impl<'a> Explorer<'a> {
     }
 }
 
-trait MapCounterexample<T> {
-    fn map_counterexample<U>(self, f: impl FnOnce(T) -> U) -> (Verdict<U>, SearchStats);
+fn witness(st: &SchedulerState<'_>) -> Schedule {
+    Schedule::from_steps(st.trace().to_vec())
 }
 
-impl<T> MapCounterexample<T> for (Verdict<T>, SearchStats) {
-    fn map_counterexample<U>(self, f: impl FnOnce(T) -> U) -> (Verdict<U>, SearchStats) {
-        let v = match self.0 {
-            Verdict::Holds => Verdict::Holds,
-            Verdict::Inconclusive { states } => Verdict::Inconclusive { states },
-            Verdict::CounterExample(t) => Verdict::CounterExample(f(t)),
-        };
-        (v, self.1)
+/// Goal: a reachable stuck state with an unfinished transaction
+/// (operational deadlock).
+struct Stuck;
+
+impl Visitor for Stuck {
+    type Found = Schedule;
+
+    fn enter(&mut self, st: &SchedulerState<'_>, enabled: &[Step]) -> Option<Schedule> {
+        (enabled.is_empty() && !st.is_complete()).then(|| witness(st))
     }
 }
 
-#[derive(Debug)]
-struct Witness {
-    schedule: Schedule,
-    prefix: Option<SystemPrefix>,
-    cycle: Option<Vec<GlobalNode>>,
+/// Goal: a reachable state whose reduction graph is cyclic (a deadlock
+/// prefix — Theorem 1's characterization).
+struct CyclicReduction;
+
+impl Visitor for CyclicReduction {
+    type Found = DeadlockPrefix;
+
+    fn enter(&mut self, st: &SchedulerState<'_>, _: &[Step]) -> Option<DeadlockPrefix> {
+        let cycle = ReductionGraph::build(st.sys(), st.prefix()).cycle(st.sys())?;
+        Some(DeadlockPrefix {
+            prefix: st.prefix().clone(),
+            schedule: witness(st),
+            cycle,
+        })
+    }
 }
 
-/// Dense arc matrix of the conflict digraph over ≤ 64 transactions, with
-/// incremental cycle detection.
+/// Goal: a reachable state whose conflict digraph `D(S')` is cyclic
+/// (Lemma 1: the system is not safe-and-deadlock-free) — or, with a
+/// completion budget, such a state that also extends to a *complete*
+/// schedule (the system is not safe). The arcs are path-dependent, so
+/// they are part of the search state.
+struct Conflicts {
+    arcs: ConflictArcs,
+    /// Arcs added along the current path, and where each step's begin.
+    added: Vec<(usize, usize)>,
+    frames: Vec<usize>,
+    /// `Some(budget)`: only a completable cyclic state counts.
+    complete_within: Option<usize>,
+}
+
+impl Conflicts {
+    fn new(sys: &TransactionSystem, complete_within: Option<usize>) -> Self {
+        Self {
+            arcs: ConflictArcs::new(sys.len()),
+            added: Vec::new(),
+            frames: Vec::new(),
+            complete_within,
+        }
+    }
+}
+
+impl Visitor for Conflicts {
+    type Found = Schedule;
+
+    fn key_extra(&self, key: &mut Vec<u64>) {
+        for row in &self.arcs.rows {
+            key.extend_from_slice(row.words());
+        }
+    }
+
+    fn applied(&mut self, st: &SchedulerState<'_>, step: &Step) -> Next<Schedule> {
+        self.frames.push(self.added.len());
+        if !step.is_lock {
+            return Next::Descend;
+        }
+        // New arcs t → k for accessors k that have not yet locked this
+        // entity (Lemma 1's D(S') definition).
+        let t = step.txn.index();
+        let mut cyclic = false;
+        for (k, txn_k) in st.sys().iter() {
+            if k == step.txn || !txn_k.accesses(step.entity) {
+                continue;
+            }
+            let lk = txn_k.lock_node_of(step.entity).expect("accesses");
+            if !st.prefix().of(k).contains(lk) {
+                cyclic |= self.arcs.reaches(k.index(), t);
+                if self.arcs.add(t, k.index()) {
+                    self.added.push((t, k.index()));
+                }
+            }
+        }
+        match (cyclic, self.complete_within) {
+            (false, _) => Next::Descend,
+            (true, None) => Next::Found(witness(st)),
+            // D is cyclic; any completion of this partial schedule is
+            // non-serializable. Try to complete it.
+            (true, Some(budget)) => match complete_schedule(st.sys(), &witness(st), budget) {
+                Some(full) => Next::Found(full),
+                None => Next::Skip,
+            },
+        }
+    }
+
+    fn undoing(&mut self, _: &Step) {
+        let mark = self.frames.pop().expect("undo pairs with apply");
+        for (a, b) in self.added.drain(mark..) {
+            self.arcs.remove(a, b);
+        }
+    }
+}
+
+/// Dense arc matrix of the conflict digraph, with incremental cycle
+/// detection.
 #[derive(Debug, Clone)]
 struct ConflictArcs {
-    rows: Vec<u64>,
+    rows: Vec<BitSet>,
+    /// Scratch of [`ConflictArcs::reaches`], kept to spare the inner
+    /// loop two allocations per probe.
+    seen: BitSet,
+    stack: Vec<usize>,
 }
 
 impl ConflictArcs {
     fn new(d: usize) -> Self {
-        assert!(
-            d <= 64,
-            "exhaustive explorer supports at most 64 transactions"
-        );
-        Self { rows: vec![0; d] }
-    }
-
-    fn has(&self, a: usize, b: usize) -> bool {
-        self.rows[a] & (1 << b) != 0
+        Self {
+            rows: vec![BitSet::new(d); d],
+            seen: BitSet::new(d),
+            stack: Vec::new(),
+        }
     }
 
     fn add(&mut self, a: usize, b: usize) -> bool {
-        let fresh = !self.has(a, b);
-        self.rows[a] |= 1 << b;
-        fresh
+        self.rows[a].insert(b)
     }
 
     fn remove(&mut self, a: usize, b: usize) {
-        self.rows[a] &= !(1 << b);
+        self.rows[a].remove(b);
     }
 
-    /// Whether `to` can reach `from` — i.e. whether adding `from → to`
+    /// Whether `src` can reach `dst` — i.e. whether adding `dst → src`
     /// would close (or has closed) a cycle.
-    fn reaches(&self, src: usize, dst: usize) -> bool {
+    fn reaches(&mut self, src: usize, dst: usize) -> bool {
         if src == dst {
             return true;
         }
-        let mut seen: u64 = 1 << src;
-        let mut frontier: u64 = self.rows[src];
-        while frontier != 0 {
-            if frontier & (1 << dst) != 0 {
-                return true;
+        self.seen.clear();
+        self.seen.insert(src);
+        self.stack.clear();
+        self.stack.push(src);
+        while let Some(v) = self.stack.pop() {
+            for w in self.rows[v].iter() {
+                if w == dst {
+                    return true;
+                }
+                if self.seen.insert(w) {
+                    self.stack.push(w);
+                }
             }
-            let mut new = 0u64;
-            let mut f = frontier & !seen;
-            seen |= frontier;
-            while f != 0 {
-                let v = f.trailing_zeros() as usize;
-                f &= f - 1;
-                new |= self.rows[v];
-            }
-            frontier = new & !seen;
         }
         false
-    }
-
-    fn words(&self) -> &[u64] {
-        &self.rows
-    }
-}
-
-struct Search<'a> {
-    sys: &'a TransactionSystem,
-    goal: Goal,
-    track_conflicts: bool,
-    max_states: usize,
-    cur: SystemPrefix,
-    holders: HashMap<EntityId, TxnId>,
-    path: Vec<GlobalNode>,
-    d_arcs: ConflictArcs,
-    visited: HashSet<Box<[u64]>>,
-    stats: SearchStats,
-    truncated: bool,
-}
-
-impl Search<'_> {
-    fn encode(&self) -> Box<[u64]> {
-        let mut v = Vec::new();
-        for (_, p) in self.cur.iter() {
-            v.extend_from_slice(p.executed().words());
-        }
-        if self.track_conflicts {
-            v.extend_from_slice(self.d_arcs.words());
-        }
-        v.into_boxed_slice()
-    }
-
-    fn dfs(&mut self) -> Option<Witness> {
-        if self.stats.states >= self.max_states {
-            self.truncated = true;
-            return None;
-        }
-        if !self.visited.insert(self.encode()) {
-            return None;
-        }
-        self.stats.states += 1;
-
-        let complete = self.cur.is_complete(self.sys.txns());
-
-        // Goal checks at the current state.
-        match self.goal {
-            Goal::DeadlockPrefix => {
-                let rg = ReductionGraph::build(self.sys, &self.cur);
-                if let Some(cycle) = rg.cycle(self.sys) {
-                    return Some(Witness {
-                        schedule: Schedule::from_steps(self.path.clone()),
-                        prefix: Some(self.cur.clone()),
-                        cycle: Some(cycle),
-                    });
-                }
-            }
-            Goal::UnserializableComplete if complete => {
-                // Cyclicity was checked incrementally on each lock; a
-                // complete state is only interesting if its D is cyclic,
-                // which would have been detected at arc-add time below.
-            }
-            _ => {}
-        }
-        if complete {
-            return None;
-        }
-
-        // Enumerate legal moves.
-        let mut any_move = false;
-        for ti in 0..self.sys.len() {
-            let t = TxnId::from_index(ti);
-            let txn = self.sys.txn(t);
-            let ready: Vec<NodeId> = self.cur.of(t).ready_nodes(txn);
-            for n in ready {
-                let op = txn.op(n);
-                if op.is_lock() && self.holders.contains_key(&op.entity) {
-                    continue;
-                }
-                any_move = true;
-                self.stats.moves += 1;
-
-                // Apply.
-                let mut released: Option<TxnId> = None;
-                let mut added_arcs: Vec<(usize, usize)> = Vec::new();
-                let mut cyclic_now = false;
-                if op.is_lock() {
-                    self.holders.insert(op.entity, t);
-                    if self.track_conflicts {
-                        // New arcs t → k for accessors k that have not yet
-                        // locked this entity (Lemma 1's D(S') definition).
-                        for (k, txn_k) in self.sys.iter() {
-                            if k == t || !txn_k.accesses(op.entity) {
-                                continue;
-                            }
-                            let lk = txn_k.lock_node_of(op.entity).expect("accesses");
-                            if !self.cur.of(k).contains(lk) {
-                                if self.d_arcs.reaches(k.index(), t.index()) {
-                                    cyclic_now = true;
-                                }
-                                if self.d_arcs.add(t.index(), k.index()) {
-                                    added_arcs.push((t.index(), k.index()));
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    released = self.holders.remove(&op.entity);
-                }
-                self.cur.of_mut(t).push(n);
-                self.path.push(GlobalNode::new(t, n));
-
-                let result = if cyclic_now && matches!(self.goal, Goal::ConflictCycle) {
-                    Some(Witness {
-                        schedule: Schedule::from_steps(self.path.clone()),
-                        prefix: None,
-                        cycle: None,
-                    })
-                } else if cyclic_now && matches!(self.goal, Goal::UnserializableComplete) {
-                    // D is cyclic; any completion of this partial schedule
-                    // is non-serializable. Try to complete it.
-                    self.try_complete().map(|s| Witness {
-                        schedule: s,
-                        prefix: None,
-                        cycle: None,
-                    })
-                } else {
-                    self.dfs()
-                };
-
-                // Undo.
-                self.path.pop();
-                self.cur.of_mut(t).unpush(n);
-                for (a, b) in added_arcs {
-                    self.d_arcs.remove(a, b);
-                }
-                if op.is_lock() {
-                    self.holders.remove(&op.entity);
-                } else if let Some(h) = released {
-                    self.holders.insert(op.entity, h);
-                }
-
-                if let Some(w) = result {
-                    return Some(w);
-                }
-            }
-        }
-
-        if !any_move && matches!(self.goal, Goal::Deadlock) {
-            // Stuck and incomplete: operational deadlock.
-            return Some(Witness {
-                schedule: Schedule::from_steps(self.path.clone()),
-                prefix: Some(self.cur.clone()),
-                cycle: None,
-            });
-        }
-        None
-    }
-
-    /// From the current (cyclic-D) state, search for any completion,
-    /// ignoring conflict tracking. Returns the full schedule if found.
-    fn try_complete(&mut self) -> Option<Schedule> {
-        let target = SystemPrefix::new(
-            self.sys
-                .txns()
-                .iter()
-                .map(ddlf_model::Prefix::full)
-                .collect(),
-        );
-        // Complete from the current state greedily with backtracking.
-        let mut sub = crate::reduction::find_schedule_for_prefix_from(
-            self.sys,
-            &target,
-            &self.cur,
-            &self.holders,
-            self.max_states,
-        )?;
-        let mut full = self.path.clone();
-        full.append(&mut sub);
-        Some(Schedule::from_steps(full))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ddlf_model::{Database, Op, Transaction};
+    use ddlf_model::{Database, EntityId, Op, Transaction};
 
-    fn pair(
-        t1_order: &[(bool, u32)],
-        t2_order: &[(bool, u32)],
-        n_entities: usize,
-    ) -> TransactionSystem {
-        let db = Database::one_entity_per_site(n_entities);
-        let mk = |name: &str, ops: &[(bool, u32)]| {
-            let ops: Vec<Op> = ops
-                .iter()
-                .map(|&(lock, e)| {
-                    if lock {
-                        Op::lock(EntityId(e))
-                    } else {
-                        Op::unlock(EntityId(e))
-                    }
-                })
-                .collect();
-            Transaction::from_total_order(name, &ops, &db).unwrap()
-        };
-        let t1 = mk("T1", t1_order);
-        let t2 = mk("T2", t2_order);
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
+    const X: EntityId = EntityId(0);
+    const Y: EntityId = EntityId(1);
+
+    /// Two total-order transactions over two entities on two sites.
+    fn pair(t1: [Op; 4], t2: [Op; 4]) -> TransactionSystem {
+        let db = Database::one_entity_per_site(2);
+        let mk = |name, ops: [Op; 4]| Transaction::from_total_order(name, &ops, &db).unwrap();
+        let txns = vec![mk("T1", t1), mk("T2", t2)];
+        TransactionSystem::new(db, txns).unwrap()
     }
 
     /// T1 = Lx Ly Ux Uy, T2 = Ly Lx Uy Ux: the classic deadlock.
-    fn deadlocky() -> TransactionSystem {
+    pub(crate) fn deadlocky() -> TransactionSystem {
         pair(
-            &[(true, 0), (true, 1), (false, 0), (false, 1)],
-            &[(true, 1), (true, 0), (false, 1), (false, 0)],
-            2,
+            [Op::lock(X), Op::lock(Y), Op::unlock(X), Op::unlock(Y)],
+            [Op::lock(Y), Op::lock(X), Op::unlock(Y), Op::unlock(X)],
         )
     }
 
     /// Both transactions lock x then y (same order): deadlock-free, safe.
     fn same_order() -> TransactionSystem {
-        pair(
-            &[(true, 0), (true, 1), (false, 0), (false, 1)],
-            &[(true, 0), (true, 1), (false, 0), (false, 1)],
-            2,
-        )
+        let ops = [Op::lock(X), Op::lock(Y), Op::unlock(X), Op::unlock(Y)];
+        pair(ops, ops)
     }
 
     /// Non-two-phase, non-safe but deadlock-free pair:
     /// T1 = Lx Ux Ly Uy ; T2 = Lx Ux Ly Uy (sequential lock/unlock).
     fn unsafe_df() -> TransactionSystem {
-        pair(
-            &[(true, 0), (false, 0), (true, 1), (false, 1)],
-            &[(true, 0), (false, 0), (true, 1), (false, 1)],
-            2,
-        )
+        let ops = [Op::lock(X), Op::unlock(X), Op::lock(Y), Op::unlock(Y)];
+        pair(ops, ops)
     }
 
     #[test]
@@ -562,6 +407,23 @@ mod tests {
         assert!(ex.find_conflict_cycle().0.holds());
         assert!(ex.find_unserializable().0.holds());
         assert!(ex.find_deadlock_prefix().0.holds());
+    }
+
+    /// The conflict-tracking goals have no transaction-count limit: 33
+    /// copies of the classic pair (66 transactions, two arc words per
+    /// row) still yield a witness.
+    #[test]
+    fn conflict_goals_work_past_64_transactions() {
+        let base = deadlocky();
+        let txns = (0..66)
+            .map(|i| base.txn(ddlf_model::TxnId(i % 2)).clone())
+            .collect();
+        let sys = TransactionSystem::new(base.db().clone(), txns).unwrap();
+        let ex = Explorer::new(&sys, 100_000);
+        let (v, _) = ex.find_conflict_cycle();
+        let w = v.counterexample().expect("crossed copies close a D cycle");
+        w.validate(&sys).unwrap();
+        assert!(!ex.find_deadlock().0.holds());
     }
 
     #[test]

@@ -487,6 +487,27 @@ mod tests {
         assert!(err.to_string().contains("rejected"), "{err}");
     }
 
+    /// `ddlf-audit run fixtures/classic_opposite_order.json --inflate 33`:
+    /// 2 × 33 = 66 instances used to trip the explorer's 64-transaction
+    /// `assert!` inside the deadlock-freedom fallback (which never tracks
+    /// conflict arcs). Past 64 the search must answer, not panic.
+    #[test]
+    fn inflation_past_64_instances_is_answered_not_panicked() {
+        let db = Database::one_entity_per_site(2);
+        let t1 = strict_2pl(&db, "A", &[0, 1]);
+        let t2 = strict_2pl(&db, "B", &[1, 0]);
+        let sys = TransactionSystem::new(db, vec![t1, t2]).unwrap();
+        let opts = InflateOptions {
+            explore_states: 10_000,
+            ..Default::default()
+        };
+        let err = certify_inflated(&sys, &[33, 33], opts).unwrap_err();
+        assert!(
+            matches!(err, InflationViolation::Rejected { .. }),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn bad_vectors_are_model_errors() {
         let db = Database::one_entity_per_site(2);

@@ -17,7 +17,8 @@
 //! operational deadlock state is reached, and — crucially for partial
 //! orders — acyclicity does **not** imply completability.
 
-use ddlf_model::{DiGraph, GlobalNode, NodeId, Schedule, SystemPrefix, TransactionSystem, TxnId};
+use ddlf_model::search::{Budget, Dfs, Next, Pruning, SchedulerState, Step, Visitor};
+use ddlf_model::{DiGraph, GlobalNode, Prefix, Schedule, SystemPrefix, TransactionSystem};
 
 /// The reduction graph of a system prefix.
 #[derive(Debug, Clone)]
@@ -187,9 +188,7 @@ pub fn find_schedule_for_prefix(
     target: &SystemPrefix,
     budget: usize,
 ) -> Option<Schedule> {
-    let start = SystemPrefix::empty(sys.txns());
-    let holders = std::collections::HashMap::new();
-    find_schedule_for_prefix_from(sys, target, &start, &holders, budget).map(Schedule::from_steps)
+    steps_to(sys, SystemPrefix::empty(sys.txns()), target, budget).map(Schedule::from_steps)
 }
 
 /// Attempts to extend a legal partial schedule to a complete one
@@ -202,155 +201,69 @@ pub fn complete_schedule(
     budget: usize,
 ) -> Option<Schedule> {
     let v = partial.validate(sys).ok()?;
-    let holders: std::collections::HashMap<ddlf_model::EntityId, TxnId> = sys
-        .iter()
-        .flat_map(|(t, txn)| {
-            v.prefix
-                .of(t)
-                .held_entities(txn)
-                .into_iter()
-                .map(move |e| (e, t))
-        })
-        .collect();
-    let target = SystemPrefix::new(sys.txns().iter().map(ddlf_model::Prefix::full).collect());
+    let everything = SystemPrefix::new(sys.txns().iter().map(Prefix::full).collect());
     let mut steps = partial.steps().to_vec();
-    let continuation = find_schedule_for_prefix_from(sys, &target, &v.prefix, &holders, budget)?;
-    steps.extend(continuation);
+    steps.extend(steps_to(sys, v.prefix, &everything, budget)?);
     Some(Schedule::from_steps(steps))
 }
 
-/// Like [`find_schedule_for_prefix`], but resuming from an intermediate
-/// state (`start` prefixes with `holders` currently holding locks);
-/// returns only the continuation steps. Used by the exhaustive explorer
-/// to complete a schedule from mid-search.
-pub(crate) fn find_schedule_for_prefix_from(
+/// The steps of a legal schedule leading from the state `start` to
+/// exactly `target`, if the memoised search finds one within `budget`
+/// states.
+fn steps_to(
     sys: &TransactionSystem,
+    start: SystemPrefix,
     target: &SystemPrefix,
-    start: &SystemPrefix,
-    holders: &std::collections::HashMap<ddlf_model::EntityId, TxnId>,
     budget: usize,
 ) -> Option<Vec<GlobalNode>> {
-    use std::collections::{HashMap, HashSet};
-
-    struct Ctx<'a> {
-        sys: &'a TransactionSystem,
-        target: &'a SystemPrefix,
-        visited: HashSet<Box<[u64]>>,
-        states: usize,
-        budget: usize,
-        total_target: usize,
-    }
-
-    fn encode(cur: &SystemPrefix) -> Box<[u64]> {
-        let mut v = Vec::new();
-        for (_, p) in cur.iter() {
-            v.extend_from_slice(p.executed().words());
-        }
-        v.into_boxed_slice()
-    }
-
-    fn dfs(
-        ctx: &mut Ctx<'_>,
-        cur: &mut SystemPrefix,
-        holders: &mut HashMap<ddlf_model::EntityId, TxnId>,
-        path: &mut Vec<GlobalNode>,
-    ) -> bool {
-        if cur.total_len() == ctx.total_target {
-            return true;
-        }
-        if ctx.states >= ctx.budget {
-            return false;
-        }
-        ctx.states += 1;
-        if !ctx.visited.insert(encode(cur)) {
-            return false;
-        }
-        for ti in 0..ctx.sys.len() {
-            let t = TxnId::from_index(ti);
-            let txn = ctx.sys.txn(t);
-            let ready: Vec<NodeId> = cur
-                .of(t)
-                .ready_nodes(txn)
-                .into_iter()
-                .filter(|&n| ctx.target.of(t).contains(n))
-                .collect();
-            for n in ready {
-                let op = txn.op(n);
-                let mut released = None;
-                if op.is_lock() {
-                    if holders.contains_key(&op.entity) {
-                        continue;
-                    }
-                    holders.insert(op.entity, t);
-                } else {
-                    released = holders.remove(&op.entity);
-                }
-                cur.of_mut(t).push(n);
-                path.push(GlobalNode::new(t, n));
-                if dfs(ctx, cur, holders, path) {
-                    return true;
-                }
-                path.pop();
-                cur.of_mut(t).unpush(n);
-                if op.is_lock() {
-                    holders.remove(&op.entity);
-                } else if let Some(h) = released {
-                    holders.insert(op.entity, h);
-                }
-            }
-        }
-        false
-    }
-
     // The start state must be consistent with the target.
     for (t, p) in start.iter() {
         if !p.executed().is_subset(target.of(t).executed()) {
             return None;
         }
     }
-
-    let mut ctx = Ctx {
-        sys,
+    let goal = Reach {
         target,
-        visited: HashSet::new(),
-        states: 0,
-        budget,
-        total_target: target.total_len(),
+        len: target.total_len(),
     };
-    let mut cur = start.clone();
-    let mut holders = holders.clone();
-    let mut path = Vec::new();
-    if dfs(&mut ctx, &mut cur, &mut holders, &mut path) {
-        Some(path)
-    } else {
-        None
+    if start.total_len() == goal.len {
+        return Some(Vec::new());
+    }
+    let budget = Budget {
+        states: budget,
+        steps: u64::MAX,
+    };
+    Dfs::new(SchedulerState::at(sys, start), goal, Pruning::Memo, budget).run()
+}
+
+/// Goal: every node of `target` executed, taking no step outside it.
+struct Reach<'t> {
+    target: &'t SystemPrefix,
+    len: usize,
+}
+
+impl Visitor for Reach<'_> {
+    type Found = Vec<GlobalNode>;
+
+    fn select(&mut self, steps: &mut Vec<Step>) {
+        steps.retain(|s| self.target.of(s.txn).contains(s.node));
+    }
+
+    fn applied(&mut self, st: &SchedulerState<'_>, _: &Step) -> Next<Vec<GlobalNode>> {
+        if st.prefix().total_len() == self.len {
+            Next::Found(st.trace().to_vec())
+        } else {
+            Next::Descend
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddlf_model::{Database, EntityId, Op, Prefix, Transaction};
-
-    /// Classic 2-transaction, 2-entity deadlock on total orders:
-    /// T1 = Lx Ly Ux Uy ; T2 = Ly Lx Uy Ux.
-    fn classic_pair() -> TransactionSystem {
-        let db = Database::one_entity_per_site(2);
-        let (x, y) = (EntityId(0), EntityId(1));
-        let t1 = Transaction::from_total_order(
-            "T1",
-            &[Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)],
-            &db,
-        )
-        .unwrap();
-        let t2 = Transaction::from_total_order(
-            "T2",
-            &[Op::lock(y), Op::lock(x), Op::unlock(y), Op::unlock(x)],
-            &db,
-        )
-        .unwrap();
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
-    }
+    // T1 = Lx Ly Ux Uy ; T2 = Ly Lx Uy Ux.
+    use crate::explore::tests::deadlocky as classic_pair;
+    use ddlf_model::{Database, EntityId, NodeId, Op, Transaction, TxnId};
 
     #[test]
     fn classic_deadlock_prefix_detected() {

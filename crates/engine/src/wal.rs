@@ -1232,7 +1232,7 @@ fn read_log(path: &Path, torn: &mut usize) -> Result<Vec<WalRecord>, WalError> {
 /// through the incremental `D(S)` auditor — commit decisions are known
 /// up front, so every event merges on arrival and recovery is linear in
 /// log size (the old path rebuilt the quadratic batch conflict graph; a
-/// 20k-instance recovery took minutes, see `BENCH_audit.json`).
+/// 20k-instance recovery took minutes).
 /// Uncommitted instances — in-flight at the crash, or wait-die victims —
 /// contribute nothing: commit is decided solely by the decision log.
 pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {

@@ -38,11 +38,11 @@
 //! disables the hooks at runtime.
 //!
 //! Without the `enabled` cargo feature every entry point is an inline
-//! no-op — the default build pays nothing (BENCH_lockdep.json holds the
-//! receipts). The intended global lock hierarchy the order graph checks
-//! against is documented in ARCHITECTURE.md ("Lock discipline"); the
-//! class names registered at construction sites are the executable form
-//! of that table.
+//! no-op — the default build, which is what every benchmark row
+//! measures, pays nothing. The intended global lock hierarchy the order
+//! graph checks against is documented in ARCHITECTURE.md ("Lock
+//! discipline"); the class names registered at construction sites are
+//! the executable form of that table.
 
 use std::fmt;
 

@@ -2,12 +2,9 @@
 //! [`TransactionSystem`] with DFS + sleep-set (DPOR-style) pruning and
 //! validate every maximal schedule against the batch `D(S)` oracle.
 //!
-//! The explorer is a deterministic scheduler-in-a-loop: it drives the
-//! system's transactions through an in-memory lock model one step at a
-//! time. A *step* executes one ready node of one transaction — a `Lock e`
-//! step is enabled only while no other transaction holds `e`, an
-//! `Unlock e` step is always enabled (its own `Lock e` preceded it).
-//! Every maximal path of the resulting tree is either
+//! The explorer is a goal visitor on the scheduler-state search of
+//! [`crate::search`] (which defines the step model). Every maximal path
+//! of the search tree is either
 //!
 //! * a **complete schedule** — validated with [`Schedule::validate`] and
 //!   checked for a `D(S)` cycle via [`Schedule::conflict_digraph`] (the
@@ -49,9 +46,10 @@
 //! state is [`AnomalyKind::Deadlock`]. The classification is a report
 //! label — the *finding* is always the cycle or stuck state itself.
 
-use crate::ids::{EntityId, GlobalNode, NodeId, TxnId};
-use crate::prefix::SystemPrefix;
+use crate::ids::{EntityId, GlobalNode, TxnId};
 use crate::schedule::Schedule;
+pub use crate::search::WaitEdge;
+use crate::search::{Budget, Dfs, Pruning, SchedulerState, Step, Visitor};
 use crate::system::TransactionSystem;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -123,18 +121,6 @@ impl fmt::Display for AnomalyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// One wait-for edge of a deadlock witness: `waiter`'s next lock on
-/// `entity` is blocked by `holder`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitEdge {
-    /// The blocked transaction.
-    pub waiter: TxnId,
-    /// The entity it needs next.
-    pub entity: EntityId,
-    /// The transaction holding that entity.
-    pub holder: TxnId,
 }
 
 /// A concrete counterexample: the schedule that exhibits it, replayable
@@ -230,268 +216,165 @@ pub fn instances_of(
 /// Explores the schedule space of `sys` under `cfg`. See the module
 /// docs for the step model, pruning, and oracle.
 pub fn explore(sys: &TransactionSystem, cfg: &ExploreConfig) -> ExploreOutcome {
-    let mut dfs = Dfs {
+    let pruning = if cfg.sleep_sets {
+        Pruning::SleepSets
+    } else {
+        Pruning::None
+    };
+    let budget = Budget {
+        states: usize::MAX,
+        steps: cfg.max_steps,
+    };
+    let oracle = Oracle {
         sys,
         cfg,
-        prefix: SystemPrefix::empty(sys.txns()),
-        holders: HashMap::new(),
-        trace: Vec::with_capacity(sys.total_nodes()),
         counterexamples: Vec::new(),
         stats: ExploreStats::default(),
         sets: ExploreSets::default(),
-        truncated: false,
-        stop: false,
         rng: cfg.seed,
     };
-    dfs.visit(&[]);
-    let exhausted = !dfs.truncated && !dfs.stop;
+    let mut dfs = Dfs::new(SchedulerState::initial(sys), oracle, pruning, budget);
+    let stopped = dfs.run().is_some();
+    let mut stats = dfs.visitor.stats;
+    stats.steps = dfs.stats.steps;
+    stats.sleep_skips = dfs.stats.sleep_skips;
     ExploreOutcome {
-        counterexamples: dfs.counterexamples,
-        stats: dfs.stats,
-        exhausted,
-        sets: dfs.sets,
+        counterexamples: dfs.visitor.counterexamples,
+        stats,
+        exhausted: !dfs.truncated && !stopped,
+        sets: dfs.visitor.sets,
     }
 }
 
-/// One enabled step: a ready node of one transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Move {
-    txn: TxnId,
-    node: NodeId,
-    entity: EntityId,
-    is_lock: bool,
-}
-
-/// Steps commute iff they belong to different transactions and touch
-/// different entities (same-transaction steps are program-ordered;
-/// same-entity steps race for the lock or order its holders).
-fn independent(a: &Move, b: &Move) -> bool {
-    a.txn != b.txn && a.entity != b.entity
-}
-
-struct Dfs<'a> {
+/// The [`Visitor`] behind [`explore`]: judges every maximal path — a
+/// complete schedule by the batch `D(S)` oracle, a stuck state as a
+/// deadlock witness — and stops the search (`Found`) at the
+/// counterexample cap.
+struct Oracle<'a> {
     sys: &'a TransactionSystem,
     cfg: &'a ExploreConfig,
-    prefix: SystemPrefix,
-    holders: HashMap<EntityId, TxnId>,
-    trace: Vec<GlobalNode>,
     counterexamples: Vec<Counterexample>,
     stats: ExploreStats,
     sets: ExploreSets,
-    truncated: bool,
-    stop: bool,
     rng: u64,
 }
 
-impl Dfs<'_> {
-    /// Enabled steps at the current state, in canonical (txn, node)
-    /// order.
-    fn enabled(&self) -> Vec<Move> {
-        let mut out = Vec::new();
-        for (t, txn) in self.sys.iter() {
-            for n in self.prefix.of(t).ready_nodes(txn) {
-                let op = txn.op(n);
-                let free = !self.holders.contains_key(&op.entity);
-                if op.is_lock() && !free {
-                    continue; // blocked behind the holder
-                }
-                out.push(Move {
-                    txn: t,
-                    node: n,
-                    entity: op.entity,
-                    is_lock: op.is_lock(),
-                });
-            }
-        }
-        out
-    }
+impl Visitor for Oracle<'_> {
+    type Found = ();
 
-    fn apply(&mut self, m: &Move) {
-        if m.is_lock {
-            self.holders.insert(m.entity, m.txn);
-        } else {
-            self.holders.remove(&m.entity);
+    fn enter(&mut self, st: &SchedulerState<'_>, enabled: &[Step]) -> Option<()> {
+        if !enabled.is_empty() {
+            return None;
         }
-        self.prefix.of_mut(m.txn).push(m.node);
-        self.trace.push(GlobalNode::new(m.txn, m.node));
-        self.stats.steps += 1;
-    }
-
-    fn undo(&mut self, m: &Move) {
-        if m.is_lock {
-            self.holders.remove(&m.entity);
-        } else {
-            self.holders.insert(m.entity, m.txn);
-        }
-        self.prefix.of_mut(m.txn).unpush(m.node);
-        self.trace.pop();
-    }
-
-    fn visit(&mut self, sleep: &[Move]) {
-        if self.stop || self.truncated {
-            return;
-        }
-        let enabled = self.enabled();
-        if enabled.is_empty() {
-            self.leaf();
-            return;
-        }
-        let mut explorable: Vec<Move> = if self.cfg.sleep_sets {
-            let awake: Vec<Move> = enabled
-                .iter()
-                .filter(|m| !sleep.iter().any(|s| s.txn == m.txn && s.node == m.node))
-                .copied()
-                .collect();
-            self.stats.sleep_skips += (enabled.len() - awake.len()) as u64;
-            awake
-        } else {
-            enabled
-        };
-        self.shuffle(&mut explorable);
-        let mut done: Vec<Move> = Vec::new();
-        for m in explorable {
-            if self.stop || self.truncated {
-                return;
-            }
-            if self.stats.steps >= self.cfg.max_steps {
-                self.truncated = true;
-                return;
-            }
-            // The child's sleep set: everything asleep here that stays
-            // independent of `m`, plus the already-explored siblings
-            // independent of `m` (their subtrees cover every schedule in
-            // which they precede `m` up to commutation).
-            let child_sleep: Vec<Move> = sleep
-                .iter()
-                .chain(done.iter())
-                .filter(|s| independent(s, &m))
-                .copied()
-                .collect();
-            self.apply(&m);
-            self.visit(&child_sleep);
-            self.undo(&m);
-            done.push(m);
-        }
-    }
-
-    /// A maximal path: a complete schedule (run the oracle) or a stuck
-    /// state (a deadlock witness).
-    fn leaf(&mut self) {
-        if self.prefix.is_complete(self.sys.txns()) {
+        let ce = if st.is_complete() {
             self.stats.complete_schedules += 1;
-            self.complete_leaf();
+            self.complete_leaf(st.trace())?
         } else {
             self.stats.deadlocks += 1;
-            self.deadlock_leaf();
+            self.deadlock_leaf(st)
+        };
+        if self.counterexamples.len() < self.cfg.max_counterexamples {
+            self.counterexamples.push(ce);
         }
+        (self.counterexamples.len() >= self.cfg.max_counterexamples).then_some(())
     }
 
-    fn complete_leaf(&mut self) {
-        let sched = Schedule::from_steps(self.trace.clone());
-        // The explorer only ever takes legal steps, so validation cannot
+    /// Deterministic Fisher–Yates keyed by the running xorshift state;
+    /// seed 0 keeps the canonical order.
+    fn select(&mut self, steps: &mut Vec<Step>) {
+        if self.cfg.seed == 0 {
+            return;
+        }
+        for i in (1..steps.len()).rev() {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let j = (self.rng % (i as u64 + 1)) as usize;
+            steps.swap(i, j);
+        }
+    }
+}
+
+impl Oracle<'_> {
+    /// Runs the oracle on a complete schedule; a cyclic `D(S)` is a
+    /// counterexample.
+    fn complete_leaf(&mut self, trace: &[GlobalNode]) -> Option<Counterexample> {
+        let sched = Schedule::from_steps(trace.to_vec());
+        // The search only ever takes legal steps, so validation cannot
         // fail; going through it keeps the batch oracle — not the
-        // explorer's own bookkeeping — the arbiter of the verdict.
+        // search's own bookkeeping — the arbiter of the verdict.
         let valid = sched
             .validate(self.sys)
             .expect("explorer produced an illegal schedule");
         let graph = sched.conflict_digraph(self.sys, &valid);
-        let footprint = self.cfg.collect_sets.then(|| {
+        let cycle = graph.cycle();
+        if self.cfg.collect_sets {
             let map: BTreeMap<u32, Vec<u32>> = valid
                 .lock_order
                 .iter()
                 .map(|(e, order)| (e.0, order.iter().map(|t| t.0).collect()))
                 .collect();
-            map.into_iter().collect::<Vec<_>>()
-        });
-        let cycle = graph.cycle();
-        if let Some(fp) = &footprint {
-            self.sets.complete.insert(fp.clone());
+            let footprint: Vec<_> = map.into_iter().collect();
             if cycle.is_some() {
-                self.sets.cyclic.insert(fp.clone());
+                self.sets.cyclic.insert(footprint.clone());
             }
+            self.sets.complete.insert(footprint);
         }
-        let Some(cycle) = cycle else { return };
+        let cycle = cycle?;
         self.stats.cyclic_schedules += 1;
-        let kind = self.classify(&cycle);
+        let kind = self.classify(trace, &cycle);
         if self.cfg.collect_sets {
             self.sets.kinds.insert(kind);
         }
-        let cycle_entities = self.cycle_labels(&cycle);
-        self.record(Counterexample {
+        let cycle_entities = self.cycle_labels(trace, &cycle);
+        Some(Counterexample {
             kind,
-            steps: self.trace.clone(),
+            steps: trace.to_vec(),
             cycle,
             cycle_entities,
             stuck: Vec::new(),
             waits_for: Vec::new(),
-        });
+        })
     }
 
-    fn deadlock_leaf(&mut self) {
+    fn deadlock_leaf(&mut self, st: &SchedulerState<'_>) -> Counterexample {
         if self.cfg.collect_sets {
-            let state: Vec<Vec<u32>> = self
-                .prefix
+            let state: Vec<Vec<u32>> = st
+                .prefix()
                 .iter()
                 .map(|(_, p)| p.iter().map(|n| n.0).collect())
                 .collect();
             self.sets.deadlocks.insert(state);
             self.sets.kinds.insert(AnomalyKind::Deadlock);
         }
-        let mut stuck = Vec::new();
-        let mut waits_for = Vec::new();
-        for (t, txn) in self.sys.iter() {
-            if self.prefix.of(t).is_complete(txn) {
-                continue;
-            }
-            stuck.push(t);
-            for n in self.prefix.of(t).ready_nodes(txn) {
-                let op = txn.op(n);
-                if let Some(&holder) = self.holders.get(&op.entity) {
-                    if op.is_lock() {
-                        waits_for.push(WaitEdge {
-                            waiter: t,
-                            entity: op.entity,
-                            holder,
-                        });
-                    }
-                }
-            }
-        }
-        self.record(Counterexample {
+        let stuck = self
+            .sys
+            .iter()
+            .filter(|&(t, txn)| !st.prefix().of(t).is_complete(txn))
+            .map(|(t, _)| t)
+            .collect();
+        Counterexample {
             kind: AnomalyKind::Deadlock,
-            steps: self.trace.clone(),
+            steps: st.trace().to_vec(),
             cycle: Vec::new(),
             cycle_entities: Vec::new(),
             stuck,
-            waits_for,
-        });
+            waits_for: st.waits_for(),
+        }
     }
 
     /// See the module docs: 2-cycles are classified by the two
     /// transactions' lock sequences (from the witness), restricted to
     /// their common entities.
-    fn classify(&self, cycle: &[TxnId]) -> AnomalyKind {
+    fn classify(&self, trace: &[GlobalNode], cycle: &[TxnId]) -> AnomalyKind {
         if cycle.len() != 2 {
             return AnomalyKind::ConflictCycle;
         }
         let (a, b) = (cycle[0], cycle[1]);
-        let seq_a = self.lock_sequence(a);
-        let seq_b = self.lock_sequence(b);
-        let common: BTreeSet<EntityId> = seq_a
-            .iter()
-            .copied()
-            .filter(|e| seq_b.contains(e))
-            .collect();
-        let ca: Vec<EntityId> = seq_a
-            .iter()
-            .copied()
-            .filter(|e| common.contains(e))
-            .collect();
-        let cb: Vec<EntityId> = seq_b
-            .iter()
-            .copied()
-            .filter(|e| common.contains(e))
-            .collect();
+        let seq_a = self.lock_sequence(trace, a);
+        let seq_b = self.lock_sequence(trace, b);
+        let ca: Vec<&EntityId> = seq_a.iter().filter(|e| seq_b.contains(e)).collect();
+        let cb: Vec<&EntityId> = seq_b.iter().filter(|e| seq_a.contains(e)).collect();
         if ca.is_empty() {
             AnomalyKind::ConflictCycle
         } else if ca == cb {
@@ -501,10 +384,10 @@ impl Dfs<'_> {
         }
     }
 
-    /// The order `t` locked its entities in the current trace.
-    fn lock_sequence(&self, t: TxnId) -> Vec<EntityId> {
+    /// The order `t` locked its entities in `trace`.
+    fn lock_sequence(&self, trace: &[GlobalNode], t: TxnId) -> Vec<EntityId> {
         let txn = self.sys.txn(t);
-        self.trace
+        trace
             .iter()
             .filter(|g| g.txn == t)
             .filter_map(|g| {
@@ -517,10 +400,10 @@ impl Dfs<'_> {
     /// One representative entity per consecutive cycle arc: for the arc
     /// `cycle[i] → cycle[i+1]`, an entity both access where `cycle[i]`
     /// locked first.
-    fn cycle_labels(&self, cycle: &[TxnId]) -> Vec<EntityId> {
+    fn cycle_labels(&self, trace: &[GlobalNode], cycle: &[TxnId]) -> Vec<EntityId> {
         // First-lock position of (txn, entity) in the trace.
         let mut first_lock: HashMap<(TxnId, EntityId), usize> = HashMap::new();
-        for (i, g) in self.trace.iter().enumerate() {
+        for (i, g) in trace.iter().enumerate() {
             let op = self.sys.txn(g.txn).op(g.node);
             if op.is_lock() {
                 first_lock.entry((g.txn, op.entity)).or_insert(i);
@@ -549,30 +432,6 @@ impl Dfs<'_> {
             })
             .collect()
     }
-
-    fn record(&mut self, ce: Counterexample) {
-        if self.counterexamples.len() < self.cfg.max_counterexamples {
-            self.counterexamples.push(ce);
-        }
-        if self.counterexamples.len() >= self.cfg.max_counterexamples {
-            self.stop = true;
-        }
-    }
-
-    /// Deterministic Fisher–Yates keyed by the running xorshift state;
-    /// seed 0 keeps the canonical order.
-    fn shuffle(&mut self, moves: &mut [Move]) {
-        if self.cfg.seed == 0 {
-            return;
-        }
-        for i in (1..moves.len()).rev() {
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            let j = (self.rng % (i as u64 + 1)) as usize;
-            moves.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -582,77 +441,55 @@ mod tests {
     use crate::op::Op;
     use crate::txn::Transaction;
 
-    fn db2(names: [&str; 2]) -> Database {
-        let mut b = Database::builder();
-        let s0 = b.add_site();
-        let s1 = b.add_site();
-        b.add_entity(names[0], s0);
-        b.add_entity(names[1], s1);
-        b.build()
+    const X: EntityId = EntityId(0);
+    const Y: EntityId = EntityId(1);
+
+    /// Two total-order transactions over two entities on two sites.
+    fn pair(t1: (&str, [Op; 4]), t2: (&str, [Op; 4])) -> TransactionSystem {
+        let db = Database::one_entity_per_site(2);
+        let txns = [t1, t2].map(|(n, ops)| Transaction::from_total_order(n, &ops, &db).unwrap());
+        TransactionSystem::new(db, txns.to_vec()).unwrap()
     }
 
-    fn total(name: &str, db: &Database, ops: &[Op]) -> Transaction {
-        Transaction::from_total_order(name, ops, db).unwrap()
-    }
-
-    /// Both transactions read `snap` (first critical section) and then
-    /// update `val` (second) — the lost-update shape.
+    /// Both transactions read `X` (first critical section) and then
+    /// update `Y` (second) — the lost-update shape.
     fn lost_update_system() -> TransactionSystem {
-        let db = db2(["snap", "val"]);
-        let (snap, val) = (EntityId(0), EntityId(1));
-        let ops = [
-            Op::lock(snap),
-            Op::unlock(snap),
-            Op::lock(val),
-            Op::unlock(val),
-        ];
-        let t1 = total("rmw_1", &db, &ops);
-        let t2 = total("rmw_2", &db, &ops);
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
+        let ops = [Op::lock(X), Op::unlock(X), Op::lock(Y), Op::unlock(Y)];
+        pair(("rmw_1", ops), ("rmw_2", ops))
     }
 
     /// T1 reads y then writes x; T2 reads x then writes y — write skew.
     fn write_skew_system() -> TransactionSystem {
-        let db = db2(["x", "y"]);
-        let (x, y) = (EntityId(0), EntityId(1));
-        let t1 = total(
-            "check_y_write_x",
-            &db,
-            &[Op::lock(y), Op::unlock(y), Op::lock(x), Op::unlock(x)],
-        );
-        let t2 = total(
-            "check_x_write_y",
-            &db,
-            &[Op::lock(x), Op::unlock(x), Op::lock(y), Op::unlock(y)],
-        );
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
+        pair(
+            (
+                "check_y_write_x",
+                [Op::lock(Y), Op::unlock(Y), Op::lock(X), Op::unlock(X)],
+            ),
+            (
+                "check_x_write_y",
+                [Op::lock(X), Op::unlock(X), Op::lock(Y), Op::unlock(Y)],
+            ),
+        )
     }
 
     /// Opposite-order 2PL pair: the classic deadlock.
     fn deadlock_system() -> TransactionSystem {
-        let db = db2(["x", "y"]);
-        let (x, y) = (EntityId(0), EntityId(1));
-        let t1 = total(
-            "T1",
-            &db,
-            &[Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)],
-        );
-        let t2 = total(
-            "T2",
-            &db,
-            &[Op::lock(y), Op::lock(x), Op::unlock(y), Op::unlock(x)],
-        );
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
+        pair(
+            (
+                "T1",
+                [Op::lock(X), Op::lock(Y), Op::unlock(X), Op::unlock(Y)],
+            ),
+            (
+                "T2",
+                [Op::lock(Y), Op::lock(X), Op::unlock(Y), Op::unlock(X)],
+            ),
+        )
     }
 
     /// Same-order 2PL pair: certified, no anomaly reachable.
     fn certified_system() -> TransactionSystem {
-        let db = db2(["x", "y"]);
-        let (x, y) = (EntityId(0), EntityId(1));
-        let ops = [Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)];
-        let t1 = total("T1", &db, &ops);
-        let t2 = total("T2", &db, &ops);
-        TransactionSystem::new(db, vec![t1, t2]).unwrap()
+        let ops = [Op::lock(X), Op::lock(Y), Op::unlock(X), Op::unlock(Y)];
+        pair(("T1", ops), ("T2", ops))
     }
 
     fn all(cfg_tweak: impl FnOnce(&mut ExploreConfig)) -> ExploreConfig {

@@ -69,6 +69,7 @@ pub mod linext;
 pub mod op;
 pub mod prefix;
 pub mod schedule;
+pub mod search;
 pub mod spec;
 pub mod system;
 pub mod txn;

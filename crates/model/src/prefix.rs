@@ -102,9 +102,14 @@ impl Prefix {
     /// Nodes of `txn` outside the prefix whose predecessors are all inside:
     /// the candidates for execution next.
     pub fn ready_nodes(&self, txn: &Transaction) -> Vec<NodeId> {
-        txn.nodes()
-            .filter(|&n| !self.contains(n) && txn.predecessors(n).iter().all(|&p| self.contains(p)))
-            .collect()
+        self.ready(txn).collect()
+    }
+
+    /// [`Prefix::ready_nodes`] without the allocation, in node order.
+    pub fn ready<'a>(&'a self, txn: &'a Transaction) -> impl Iterator<Item = NodeId> + 'a {
+        txn.nodes().filter(move |&n| {
+            !self.contains(n) && txn.predecessors(n).iter().all(|&p| self.contains(p))
+        })
     }
 
     /// Entities locked but not unlocked by this prefix — the locks held

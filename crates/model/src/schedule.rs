@@ -6,6 +6,7 @@ use crate::error::ModelError;
 use crate::graph::DiGraph;
 use crate::ids::{EntityId, GlobalNode, TxnId};
 use crate::prefix::SystemPrefix;
+use crate::search::SchedulerState;
 use crate::system::TransactionSystem;
 use std::collections::{HashMap, HashSet};
 
@@ -273,45 +274,12 @@ impl ConflictGraph {
 /// greedy execution; returns `None` if the executor gets stuck before
 /// reaching the prefix (should not happen for prefixes produced by search).
 pub fn replay_prefix(sys: &TransactionSystem, target: &SystemPrefix) -> Option<Schedule> {
-    let mut sched = Schedule::new();
-    let mut cur = SystemPrefix::empty(sys.txns());
-    let mut holder: HashMap<EntityId, TxnId> = HashMap::new();
-    loop {
-        if (0..sys.len()).all(|i| {
-            let t = TxnId::from_index(i);
-            cur.of(t).len() == target.of(t).len()
-        }) {
-            return Some(sched);
-        }
-        let mut progressed = false;
-        for (t, txn) in sys.iter() {
-            let ready: Vec<_> = cur
-                .of(t)
-                .ready_nodes(txn)
-                .into_iter()
-                .filter(|&n| target.of(t).contains(n))
-                .collect();
-            for n in ready {
-                let op = txn.op(n);
-                if op.is_lock() {
-                    match holder.get(&op.entity) {
-                        Some(&h) if h != t => continue,
-                        _ => {
-                            holder.insert(op.entity, t);
-                        }
-                    }
-                } else {
-                    holder.remove(&op.entity);
-                }
-                cur.of_mut(t).push(n);
-                sched.push(GlobalNode::new(t, n));
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return None;
-        }
+    let mut st = SchedulerState::initial(sys);
+    while st.prefix().total_len() < target.total_len() {
+        let mut enabled = st.enabled().into_iter();
+        st.apply(&enabled.find(|s| target.of(s.txn).contains(s.node))?);
     }
+    Some(Schedule::from_steps(st.trace().to_vec()))
 }
 
 #[cfg(test)]

@@ -121,9 +121,9 @@ impl History {
 
 /// A thread-shared [`History`] with logical timestamps.
 ///
-/// Concurrent runtimes (the threaded simulator, the engine's worker
-/// pool) append through [`record`](Self::record), which stamps each
-/// event with the event count *inside* the history critical section —
+/// Concurrent runtimes (the engine's worker pool) append through
+/// [`record`](Self::record), which stamps each event with the event
+/// count *inside* the history critical section —
 /// the subtle part: deriving the timestamp outside the lock lets two
 /// threads append out of timestamp order, violating
 /// [`History::record`]'s monotonicity contract.

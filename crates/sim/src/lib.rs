@@ -9,8 +9,6 @@
 //!   FIFO exclusive lock tables, message passing with seeded latency,
 //!   coordinators walking transaction partial orders, and four deadlock
 //!   policies (nothing / periodic detection / wound-wait / wait-die);
-//! * [`threaded`] — the same protocol on real OS threads with crossbeam
-//!   channels and lock-wait timeouts;
 //! * [`history`] — every run records the effective lock/unlock order and
 //!   replays its committed projection through the model's `D(S)`
 //!   serializability audit;
@@ -32,7 +30,6 @@ pub mod history;
 pub mod lockmgr;
 pub mod metrics;
 pub mod msg;
-pub mod threaded;
 pub mod time;
 
 pub use des::{run, DeadlockPolicy, SimConfig, Simulator};
@@ -40,5 +37,4 @@ pub use history::{EventSink, History, HistoryEvent, SharedHistory};
 pub use lockmgr::{Acquire, LockTable};
 pub use metrics::SimReport;
 pub use msg::Message;
-pub use threaded::{run_threaded, ThreadedConfig, ThreadedReport};
 pub use time::{EventQueue, SimTime};

@@ -15,7 +15,7 @@
 //!   many-transaction / copies certifiers, Tirri baseline, SAT gadget
 //!   (§3–§5);
 //! * [`sat`] — 3SAT′ formulas and a DPLL solver;
-//! * [`sim`] — discrete-event and threaded runtimes with deadlock
+//! * [`sim`] — the discrete-event runtime with deadlock
 //!   detection/prevention policies;
 //! * [`engine`] — a sharded transactional key-value execution engine
 //!   whose admission control is the certifier: certified systems run

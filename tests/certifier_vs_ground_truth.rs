@@ -3,7 +3,8 @@
 //! truth, and a certificate really implies both safety and
 //! deadlock-freedom separately.
 
-use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions, Explorer};
+use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions, Explorer, Verdict};
+use ddlf::model::{explore, ExploreConfig};
 use ddlf::workloads::{LockDiscipline, SystemGen};
 use proptest::prelude::*;
 
@@ -70,6 +71,49 @@ proptest! {
                 "certified system has a non-serializable schedule"
             );
         }
+    }
+
+    /// The two prunings of the one search core agree: the memoised-state
+    /// search (`Explorer`) and the sleep-set search (`explore`) share a
+    /// stepper but not a visited rule, so on systems small enough to
+    /// exhaust (the ≤ 3 × ≤ 3 envelope of `explore_dpor.rs`) they must
+    /// give the same answers to "is a deadlock reachable" and "does a
+    /// non-serializable complete schedule exist" — which also guards the
+    /// stepper both stand on.
+    #[test]
+    fn memoised_and_sleep_set_searches_agree(
+        seed in 0u64..10_000,
+        d in 2usize..4,
+        n_e in 2usize..4,
+        disc in arb_discipline(),
+    ) {
+        let sys = SystemGen {
+            n_sites: n_e,
+            entities_per_site: 1,
+            n_txns: d,
+            // Three transactions on all three entities outgrow the step
+            // budget; two entities each keeps every case exhaustible.
+            entities_per_txn: if d == 3 { 2 } else { n_e },
+            discipline: disc,
+            seed,
+        }
+        .generate();
+        let cfg = ExploreConfig {
+            max_steps: 5_000_000,
+            max_counterexamples: usize::MAX,
+            ..ExploreConfig::default()
+        };
+        let sleep = explore(&sys, &cfg);
+        prop_assert!(sleep.exhausted, "sleep-set search must exhaust the space");
+        let memo = Explorer::new(&sys, 5_000_000);
+        let (deadlock, unsafe_) = (memo.find_deadlock().0, memo.find_unserializable().0);
+        prop_assert!(
+            !matches!(deadlock, Verdict::Inconclusive { .. })
+                && !matches!(unsafe_, Verdict::Inconclusive { .. }),
+            "memoised search must exhaust the space"
+        );
+        prop_assert_eq!(deadlock.violated(), sleep.stats.deadlocks > 0, "{:?}", sleep.stats);
+        prop_assert_eq!(unsafe_.violated(), sleep.stats.cyclic_schedules > 0, "{:?}", sleep.stats);
     }
 
     /// Ordered two-phase locking (global lock order, hold till end) is

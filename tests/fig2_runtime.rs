@@ -87,7 +87,15 @@ fn fig2_policies_restore_liveness_but_not_safety() {
 #[test]
 fn fig2_threaded_runtime_commits() {
     let (sys, _) = fig2();
-    let r = ddlf::sim::run_threaded(&sys, ddlf::sim::ThreadedConfig::default());
+    let r = ddlf::engine::run_system(
+        &sys,
+        ddlf::engine::EngineConfig {
+            threads: 2,
+            instances: 2,
+            work: std::time::Duration::from_micros(200),
+            ..Default::default()
+        },
+    );
     assert_eq!(r.committed, 2, "{r:?}");
     // Serializability is NOT guaranteed for this non-2PL pair; the audit
     // result is recorded either way.

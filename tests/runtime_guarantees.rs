@@ -1,9 +1,10 @@
 //! Runtime/theory contract: certified systems run deadlock-free with no
 //! runtime machinery; every policy preserves serializability of committed
-//! histories; the threaded runtime honours the same contract.
+//! histories; the threaded runtime (the engine) honours the same contract.
 
 use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions};
-use ddlf::sim::{run, run_threaded, DeadlockPolicy, SimConfig, ThreadedConfig};
+use ddlf::engine::{run_system, EngineConfig};
+use ddlf::sim::{run, DeadlockPolicy, SimConfig};
 use ddlf::workloads::{LockDiscipline, SystemGen};
 use proptest::prelude::*;
 
@@ -192,35 +193,34 @@ fn uncertified_systems_hit_deadlocks_and_detector_repairs() {
     );
 }
 
-/// The threaded runtime commits and audits serializable on certified and
-/// deadlock-prone workloads alike.
+/// The threaded runtime — the engine, one instance per transaction on
+/// its own worker — commits and audits serializable on a certified
+/// workload and on a deadlock-prone one (random 2PL) alike.
 #[test]
 fn threaded_runtime_contract() {
-    // Certified workload.
-    let sys = SystemGen {
-        n_sites: 3,
-        entities_per_site: 1,
-        n_txns: 4,
-        entities_per_txn: 3,
-        discipline: LockDiscipline::OrderedTwoPhase,
-        seed: 5,
+    for (discipline, seed) in [
+        (LockDiscipline::OrderedTwoPhase, 5),
+        (LockDiscipline::RandomTwoPhase, 17),
+    ] {
+        let sys = SystemGen {
+            n_sites: 3,
+            entities_per_site: 1,
+            n_txns: 4,
+            entities_per_txn: 3,
+            discipline,
+            seed,
+        }
+        .generate();
+        let r = run_system(
+            &sys,
+            EngineConfig {
+                threads: 4,
+                instances: 4,
+                work: std::time::Duration::from_micros(200),
+                ..Default::default()
+            },
+        );
+        assert_eq!(r.committed, 4, "{discipline:?}: {r:?}");
+        assert_eq!(r.serializable, Some(true), "{discipline:?}: {r:?}");
     }
-    .generate();
-    let r = run_threaded(&sys, ThreadedConfig::default());
-    assert_eq!(r.committed, 4, "{r:?}");
-    assert_eq!(r.serializable, Some(true));
-
-    // Deadlock-prone workload (random 2PL).
-    let sys = SystemGen {
-        n_sites: 3,
-        entities_per_site: 1,
-        n_txns: 4,
-        entities_per_txn: 3,
-        discipline: LockDiscipline::RandomTwoPhase,
-        seed: 17,
-    }
-    .generate();
-    let r = run_threaded(&sys, ThreadedConfig::default());
-    assert_eq!(r.committed, 4, "{r:?}");
-    assert_eq!(r.serializable, Some(true), "{r:?}");
 }

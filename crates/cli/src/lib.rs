@@ -179,7 +179,7 @@ pub enum Command {
         /// Write the captured trace as JSON lines to this file.
         trace_out: Option<String>,
         /// Concurrent read-only scanner threads: each loops full-store
-        /// snapshot reads on the lock-free multiversion path while the
+        /// snapshot reads on the read-only multiversion path while the
         /// writers run, asserting the observed timestamps never run
         /// backwards. Reader throughput is reported alongside the run.
         readers: usize,
@@ -1277,7 +1277,7 @@ pub fn run_stats(addr: &str, json: bool, prom: bool) -> (String, i32) {
 }
 
 /// `read`: runs one read-only transaction against a running server —
-/// a committed multiversion cut served off the lock-free snapshot path,
+/// a committed multiversion cut served off the read-only snapshot path,
 /// so it answers even while another connection's `Submit` holds the
 /// engine. `--expect-total` asserts an exact Σint; `--conserve-step
 /// B:S` asserts the step-quantum identity `(Σint − B) % S == 0`, which
@@ -1403,9 +1403,10 @@ pub fn run_lockgraph(dot: bool) -> (String, i32) {
         Ok(s) => s,
         Err(e) => return (format!("built-in lockgraph spec failed to load: {e}\n"), 2),
     };
-    // Engine leg: slot_gate, shard.state, history.shared, engine.* and
-    // the wal.* classes (fsync regions via `wal_sync`, the group path
-    // via `group_commit`, the timestamp section via admission batching).
+    // Engine leg: slot_gate, shard.state, store.clock, history.shared,
+    // engine.* and the wal.* classes (fsync regions via `wal_sync`, the
+    // group path via `group_commit`, the timestamp section via admission
+    // batching).
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
     let engine = match ddlf_engine::Engine::try_with_admission(
         sys.clone(),
@@ -2077,7 +2078,7 @@ pub fn execute(cmd: &Command, sys: &TransactionSystem) -> (String, i32) {
                 let _ = write!(out, "{}", engine.registry().plan().render(sys));
             }
             // `--readers R`: R scanner threads loop full-store
-            // read-only transactions on the lock-free snapshot path
+            // read-only transactions on the snapshot path
             // while the writers run. Each asserts its observed
             // timestamps never run backwards; the joined scan count
             // reports reader throughput next to the write report.
@@ -2161,7 +2162,7 @@ pub fn execute(cmd: &Command, sys: &TransactionSystem) -> (String, i32) {
                 if *readers > 0 {
                     let _ = writeln!(
                         out,
-                        "readers: {} threads, {} lock-free scans ({:.0} scans/s)",
+                        "readers: {} threads, {} snapshot scans ({:.0} scans/s)",
                         readers,
                         ro_scans,
                         ro_scans as f64 / ro_elapsed.as_secs_f64().max(1e-9),
@@ -2641,7 +2642,7 @@ mod tests {
         let (out, code) = execute(&cmd, &sys);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("readers: 2 threads"), "{out}");
-        assert!(out.contains("lock-free scans"), "{out}");
+        assert!(out.contains("snapshot scans"), "{out}");
     }
 
     #[test]

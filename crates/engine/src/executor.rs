@@ -27,9 +27,10 @@
 //! projection); the batch [`ddlf_sim::History::audit`] remains the
 //! oracle and cross-checks every run in debug builds.
 
+use crate::mvcc::UndoOutcome;
 use crate::report::{LatencyStats, Report, TemplateReport};
-use crate::store::{LockOutcome, Store, UndoOutcome, WriteCtx};
-use crate::template::{AdmissionOptions, Template, TemplateRegistry};
+use crate::store::{LockOutcome, Store, WriteCtx};
+use crate::template::{AdmissionOptions, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ddlf_model::incremental::StreamingAuditor;
@@ -39,7 +40,6 @@ use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
 use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -88,7 +88,7 @@ pub struct EngineConfig {
     /// Write-ahead log directory: every write, commit decision, and
     /// history event is appended durably (one value log per shard; see
     /// [`crate::wal`]) so [`crate::wal::recover`] can replay the store
-    /// after a crash. `None` = in-memory only (the undo log still runs).
+    /// after a crash. `None` = in-memory only (rollback still works).
     pub wal_dir: Option<PathBuf>,
     /// `fsync` the commit decision log on every commit (see
     /// [`WalOptions::sync`]).
@@ -141,7 +141,7 @@ impl Default for EngineConfig {
 /// the versioned store, and a worker pool.
 pub struct Engine {
     registry: TemplateRegistry,
-    /// Shared so the lock-free read-only snapshot path (wire `ReadOnly`
+    /// Shared so the read-only snapshot path (wire `ReadOnly`
     /// requests, `run --readers` scanner threads) can read concurrently
     /// with a run without holding any engine reference.
     store: Arc<Store>,
@@ -181,10 +181,10 @@ enum AttemptResult {
         writes_skipped: u64,
     },
     Died {
-        /// Exposed writes rolled back via the shard undo logs.
+        /// Exposed writes rolled back out of their value chains.
         rolled_back: u32,
-        /// Exposed writes that could *not* be rolled back (clobbered
-        /// absolute writes) — the only aborts still counted dirty.
+        /// Exposed writes that could *not* be rolled back cleanly —
+        /// the only aborts still counted dirty.
         unrecovered: u32,
     },
 }
@@ -336,8 +336,8 @@ impl Engine {
 
     /// Runs one **read-only transaction**: claims a snapshot timestamp
     /// and reads every entity in `entities` at that single committed
-    /// cut, without acquiring any lock class, writing any WAL record,
-    /// or touching the write path. Duration lands in the
+    /// cut — no lock-table entry, no WAL record, leaf shard mutexes
+    /// only (one brief acquisition per entity). Duration lands in the
     /// `snapshot_read` phase histogram. See
     /// [`Store::read_only_snapshot`] / [`crate::mvcc`].
     pub fn run_read_only(&self, entities: &[EntityId]) -> crate::mvcc::RoSnapshot {
@@ -514,26 +514,6 @@ impl Engine {
             w.flush_all();
         }
 
-        // Quiescent cross-check: with every worker joined, the
-        // committed-chain tips must agree with the live shard values
-        // whenever the registered workload is delta-only (deltas
-        // commute, so a commit-ts/lock-order inversion cannot change
-        // the tip). With absolute writes the representations may
-        // legitimately diverge — see the `crate::mvcc` module docs.
-        #[cfg(debug_assertions)]
-        if (0..self.registry.len()).all(|t| {
-            self.registry
-                .template(TxnId::from_index(t))
-                .program
-                .is_delta_only()
-        }) {
-            let diverged = self.store.chain_divergence();
-            debug_assert!(
-                diverged.is_empty(),
-                "delta-only run left chain tips diverged from live values: {diverged:?}"
-            );
-        }
-
         let mut outcomes: Vec<Outcome> = vec![Outcome::default(); instances.len()];
         for (id, out) in done_rx.iter() {
             outcomes[id as usize] = out;
@@ -675,10 +655,6 @@ impl Engine {
                 instance: TxnId(inst.id),
                 gid: base + inst.id,
                 attempt,
-                // The certified path cannot abort, so it skips undo
-                // bookkeeping entirely (the no-WAL hot path stays
-                // unchanged).
-                track_undo: !certified,
             };
             if let Some(w) = &self.wal {
                 // A pre-admitted first attempt was already begun by the
@@ -794,43 +770,28 @@ impl Engine {
         out
     }
 
-    /// Seals a committed attempt: drops its undo entries shard by shard
-    /// (its writes are now permanent), appends the durable commit
-    /// decision, and publishes the write-set into the multiversion
-    /// chains. Ordered after every `Write`/`Event` record of the
-    /// attempt, so a recovered `Commit` implies a complete instance —
-    /// and publication happens only after `log_commit` returns, so any
-    /// version a live read-only snapshot can observe is already durable
-    /// (modulo a whole torn commit group).
+    /// Seals a committed attempt: appends the durable commit decision,
+    /// then stamps the reserved timestamp on the attempt's chain entries
+    /// and closes it on the commit clock. Ordered after every
+    /// `Write`/`Event` record of the attempt, so a recovered `Commit`
+    /// implies a complete instance — and the stamp happens only after
+    /// `log_commit` returns, so any version a live read-only snapshot
+    /// can observe is already durable (modulo a whole torn commit
+    /// group).
     fn commit_instance(&self, inst: Instance, t: &Transaction, ctx: &WriteCtx) {
         let tmpl = self.registry.template(inst.template);
-        if ctx.track_undo {
-            let mut cleared = HashSet::new();
-            for &e in t.entities() {
-                if tmpl.program.write_for(e).is_some() {
-                    let site = self.store.db().site_of(e);
-                    if cleared.insert(site) {
-                        self.store.shard_of(e).commit_clear(ctx.instance);
-                    }
-                }
-            }
-        }
         // The commit timestamp is reserved *before* durability so the
-        // durable record carries it; publication (visibility to the
-        // zero-lock readers) waits until the decision is durable. The
-        // reservation is unwind-safe: if `log_commit` panics, its drop
-        // publishes an empty write-set so the closed clock skips the
-        // gap instead of stalling all later commits' visibility.
+        // durable record carries it. The reservation is unwind-safe: if
+        // `log_commit` panics, its drop closes the timestamp so the
+        // closed clock skips the gap instead of stalling all later
+        // commits' visibility.
         let ts = self.store.reserve_commit_ts();
         if let Some(w) = &self.wal {
             w.log_commit(ctx.gid, inst.template, ctx.attempt, ts.ts());
         }
-        let writes: Vec<(EntityId, crate::template::WriteOp)> = t
-            .entities()
-            .iter()
-            .filter_map(|&e| tmpl.program.write_for(e).map(|op| (e, op.clone())))
-            .collect();
-        self.store.publish_commit(ts, writes);
+        let written = t.entities().iter().copied();
+        let written = written.filter(|&e| tmpl.program.write_for(e).is_some());
+        self.store.publish_commit(ts, ctx.gid, written);
     }
 
     /// The `Nothing`-policy attempt: issue every ready lock, park on the
@@ -984,6 +945,8 @@ impl Engine {
         let tmpl = self.registry.template(inst.template);
         let (grant_tx, _grant_rx) = unbounded::<EntityId>();
         let mut executed = Prefix::empty(t);
+        // Entities whose unlock applied a write: what a death must undo.
+        let mut exposed: Vec<EntityId> = Vec::new();
         let (mut reads, mut writes, mut writes_skipped) = (0u64, 0u64, 0u64);
         let span = |kind: SpanKind, entity: EntityId, dur_ns: u64| SpanEvent {
             ts_ns: tel.now_ns(),
@@ -1052,7 +1015,7 @@ impl Engine {
                                 std::thread::sleep(self.cfg.poll);
                             } else {
                                 let (rolled_back, unrecovered) =
-                                    self.abort_attempt(ctx, t, tmpl, &executed);
+                                    self.abort_attempt(ctx, t, &executed, &exposed);
                                 return AttemptResult::Died {
                                     rolled_back,
                                     unrecovered,
@@ -1064,11 +1027,12 @@ impl Engine {
             } else {
                 shared.record(me, attempt, next);
                 executed.push(next);
-                Self::count_write(
-                    shard.write_and_release(ctx, op.entity, tmpl.program.write_for(op.entity)),
-                    &mut writes,
-                    &mut writes_skipped,
-                );
+                let applied =
+                    shard.write_and_release(ctx, op.entity, tmpl.program.write_for(op.entity));
+                if applied == Ok(true) {
+                    exposed.push(op.entity);
+                }
+                Self::count_write(applied, &mut writes, &mut writes_skipped);
                 if sampled {
                     tel.trace(span(SpanKind::Write, op.entity, 0));
                 }
@@ -1089,8 +1053,8 @@ impl Engine {
 
     /// Unwinds a dying attempt. Held locks are released (their writes
     /// were never applied — writes happen at unlock), then every write
-    /// an earlier unlock already exposed is rolled back through the
-    /// shard undo logs (non-two-phase templates can die after their
+    /// an earlier unlock already `exposed` is rolled back by removing
+    /// its chain entry (non-two-phase templates can die after their
     /// first unlock; two-phase ones die before it and have nothing to
     /// undo). Returns `(rolled_back, unrecovered)` write counts — an
     /// abort is only *dirty* if some write could not be undone.
@@ -1098,8 +1062,8 @@ impl Engine {
         &self,
         ctx: &WriteCtx,
         t: &Transaction,
-        tmpl: &Template,
         executed: &Prefix,
+        exposed: &[EntityId],
     ) -> (u32, u32) {
         // One undo sample per dying attempt: lock release plus every
         // exposed-write rollback.
@@ -1108,20 +1072,15 @@ impl Engine {
             self.store.shard_of(e).release(ctx.instance, e);
         }
         let (mut rolled_back, mut unrecovered) = (0u32, 0u32);
-        // Exposed writes: entities whose unlock executed and whose
-        // program has a write. Each entity is written at most once per
-        // attempt and rollback is per-entity image/compensation, so
-        // reverse execution order is not required.
-        for n in executed.iter() {
-            let op = t.op(n);
-            if op.is_lock() || tmpl.program.write_for(op.entity).is_none() {
-                continue;
-            }
-            match self.store.shard_of(op.entity).undo_write(ctx, op.entity) {
-                out if out.rolled_back() => rolled_back += 1,
-                UndoOutcome::Unrecoverable => unrecovered += 1,
-                // A skipped (mistyped) write left nothing to undo.
-                _ => {}
+        // Each entity is written at most once per attempt and removal
+        // re-folds per entity, so no undo order is required.
+        for &e in exposed {
+            match self.store.shard_of(e).undo_write(ctx, e) {
+                UndoOutcome::RolledBack => rolled_back += 1,
+                // `None`: the `CHAIN_CAP` trim already folded the
+                // still-undecided entry into its base — it cannot be
+                // taken back any more.
+                UndoOutcome::None | UndoOutcome::Unrecoverable => unrecovered += 1,
             }
         }
         self.cfg.telemetry.record_since(Phase::Undo, t_undo);
@@ -1155,7 +1114,7 @@ impl Engine {
         // aborts are clean — their writes were
         // undone, so dropping their buffered events is sound — and
         // wait-die runs audit like certified ones. Only an *unrecovered*
-        // dirty abort (a write the undo log could not take back) still
+        // dirty abort (a write the rollback could not take back) still
         // voids the audit's premise, reporting `None` rather than a
         // verdict over the wrong schedule.
         let serializable = if failed.is_empty() && !instances.is_empty() && dirty_aborts == 0 {

@@ -26,14 +26,14 @@
 //!        block on FIFO grants,            poll, re-check rule,
 //!        no detector, no timeout,         younger dies, backoff;
 //!        zero aborts possible             a victim's exposed writes
-//!              │                          roll back via the undo log
+//!              │                          leave their value chains
 //!              └──────────────┬────────────────────┘
 //!                        Executor (worker pool)
 //!                             │ SlotGate.acquire() ⇒ in-flight mix is a
 //!                             │ subsystem of the certified inflated system
 //!                             │ partial-order-respecting lock acquisition
 //!                          Store: one Shard per SiteId
-//!                          { values + LockTable + undo log } per mutex
+//!                          { value chains + LockTable } per mutex
 //!                             │                  │
 //!                             │   Wal (optional file sink, framed records)
 //!                             │     shard-<k>.wal   Write/Undo per shard
@@ -62,7 +62,8 @@
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
-//! `history.shared` ▷ the `wal.*` classes — documented in the "Lock
+//! `history.shared` ▷ the `wal.*` classes, with `store.clock` a leaf
+//! never held with any of them — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -75,6 +76,10 @@
 //!   by [`ddlf_model::SiteId`]; each shard owns its values *and* its
 //!   [`ddlf_sim::LockTable`] behind one `parking_lot` mutex, so a grant
 //!   and the read it authorizes are a single critical section.
+//! * [`mvcc`] — the one value representation: per-entity write-order
+//!   chains (live value, in-flight writes, rollback and committed cuts
+//!   are all views of the same chain), the commit clock, and the
+//!   registry of live snapshot cuts behind read-only transactions.
 //! * [`template`] — transaction shapes are registered once; the verdict
 //!   of [`ddlf_core::certify_inflated`] (or the plain certifier when no
 //!   inflation is requested) is cached as an [`AdmissionPlan`] of
@@ -92,11 +97,10 @@
 //!   run drains (debug builds cross-check it against the batch oracle).
 //! * [`report`] — throughput / latency / abort metrics following the
 //!   `ddlf_sim::metrics` conventions.
-//! * [`wal`] — the per-shard value/undo log behind both the wait-die
-//!   rollback (no more dirty aborts: the audit covers non-two-phase
-//!   fallback runs too) and the optional write-ahead file sink whose
-//!   [`wal::recover`] replays committed operations into a fresh store
-//!   and re-audits the recovered history after a crash.
+//! * [`wal`] — the optional write-ahead file sink: per-shard value
+//!   logs in chain order plus the durable decision log, whose
+//!   [`wal::recover`] rebuilds the committed chains in one pass and
+//!   re-audits the recovered history after a crash.
 //!
 //! Concurrency is a *certified quantity*: each template's [`SlotGate`]
 //! admits at most its certified `k_t` live instances (∞ under Theorem 5,

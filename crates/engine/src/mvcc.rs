@@ -1,139 +1,73 @@
-//! Multiversion concurrency state: bounded per-entity version chains,
-//! the commit clock, and the **zero-lock** read-only snapshot path.
+//! The one versioned value store: per-entity **write-order chains**,
+//! the commit clock, and the registry of live snapshot cuts.
 //!
-//! Writers keep competing in the per-shard lock tables exactly as
-//! before — this module only changes what happens at *commit*: each
-//! committed transaction is assigned a commit timestamp from a global
-//! clock and its write-set is re-applied, in timestamp order, to a
-//! per-entity chain of committed `(commit_ts, VersionedValue)`
-//! versions. Read-only transactions never touch a lock table, a shard
-//! mutex, or the WAL: they sample the *closed* prefix of the commit
-//! clock and read the newest version `≤` their snapshot ts from a
-//! lock-free atomic mirror of each chain, so a full-bank scan observes
-//! one committed cut even while writers churn. See the "Multiversion
-//! snapshot reads" section of `ARCHITECTURE.md` for the protocol
-//! walk-through and its correctness argument.
+//! The paper's transactions are non-two-phase — an entity is unlocked
+//! long before its transaction ends — and `D(S)` orders conflicting
+//! transactions by the *per-entity lock order*. That order is therefore
+//! the only one in which an entity's versions mean anything, and it is
+//! the order a `Chain` keeps: `base + [entry{gid, op, commit_ts}]`,
+//! appended under the shard mutex at `write_and_release` time. The
+//! chain is the only copy of the value:
 //!
-//! Two representations per entity, deliberately redundant:
+//! * the **live value** is the fold of every entry (cached as the tip);
+//! * an **in-flight write** is simply an entry with no commit stamp;
+//! * **commit** stamps the reserved timestamp on the writer's entries
+//!   (after the decision is durable) and then closes that timestamp on
+//!   the `Clock`, whose `closed` prefix only advances contiguously;
+//! * a **wait-die rollback** removes the victim's entry and re-folds
+//!   its successors, so the result is the committed-only replay that
+//!   [`crate::wal::recover`] computes — by construction, not by case
+//!   analysis;
+//! * the **value at cut `s`** is the fold, in chain order, of the
+//!   entries stamped `≤ s`;
+//! * **GC** folds a decided prefix `≤` the low-watermark of registered
+//!   cuts into `base`; the [`CHAIN_CAP`] bound folds the front entry in
+//!   regardless, so no reader and no undecided writer can pin a chain.
 //!
-//! * the **master chain** (full [`VersionedValue`] fidelity, byte
-//!   payloads included) lives under the `store.mvcc` mutex and serves
-//!   the locked helpers [`crate::Store::snapshot`] /
-//!   [`crate::Store::snapshot_at`] plus GC truncation;
-//! * the **ring** — a fixed array of atomic slots packing
-//!   `(commit_ts, version, kind, u64 payload)` — is what the zero-lock
-//!   reader scans. Byte payloads cannot ride in a `u64`, so the ring
-//!   carries their `(ts, version)` identity and the byte length; a
-//!   read-only scan reports such entries with `value: None`.
+//! **Single-cut argument.** A reader's cut `s` is a `closed` sample. A
+//! committer stamps every one of its entries *before* it closes its
+//! timestamp, and `closed ≥ ts` implies `ts` and every earlier
+//! timestamp were closed — so at `closed ≥ s` every entry of every
+//! commit `≤ s` is already stamped, and any entry stamped later carries
+//! a timestamp `> s`. The fold at `s` therefore reflects whole
+//! committed transactions only, on every entity, while writers churn.
+//! A cut that [`CHAIN_CAP`] trimmed past reads as `None`; the scan then
+//! restarts at a fresh `closed` — always one cut, just a newer one.
 //!
-//! Publication order: the committer allocates `ts`, makes the commit
-//! durable (WAL), then publishes under the `store.mvcc` mutex; the
-//! `closed` clock only advances to `ts` after every write of commit
-//! `ts` (and of every earlier commit) is visible in both
-//! representations. A reader's snapshot ts is a `closed` load, so
-//! `s = closed` implies every commit `≤ s` is fully readable — the
-//! single-cut guarantee needs no reader-side locks at all.
-//!
-//! **Commit-ts order vs live write order — the delta-only caveat.**
-//! Chains apply whole write-sets in commit-timestamp order, but the
-//! live shards apply each write at `write_and_release` time, and the
-//! engine releases entity locks *before* the transaction commits — so
-//! two conflicting transactions can obtain commit timestamps in the
-//! opposite order of their writes to a shared entity. For **delta**
-//! writes ([`WriteOp::Add`]) this is harmless: wrapping adds commute,
-//! so the chain tip equals the live committed value at quiescence no
-//! matter how the orders interleave, and the conservation identity
-//! (Σint constant under transfers) holds at *every* cut.
-//! [`crate::Store::chain_divergence`] cross-checks the two
-//! representations and the engine debug-asserts it empty at the end of
-//! every delta-only run. For **absolute** writes (`Put`/`PutBytes`) an
-//! inversion makes the chain tip — and therefore
-//! [`crate::Store::snapshot`], [`crate::Store::total_int`], and
-//! read-only cuts — legitimately differ from the live shard value:
-//! early lock release means no clean transaction-aligned cut exists in
-//! that case. Assertions about mixed/absolute workloads should compare
-//! against [`crate::Store::live_snapshot`] at quiescence instead.
-//!
-//! Reclamation is the scheme's only subtlety, solved twice over:
-//!
-//! * **GC (master chains + rings)** truncates each chain to
-//!   "watermark + latest": the newest entry `≤` the low-watermark of
-//!   live read-only snapshots survives, everything older goes. The
-//!   watermark is a lock-free min over a fixed pool of reader slots;
-//!   the announce-then-validate handshake (`Mvcc::register` vs
-//!   `Mvcc::gc`'s `gc_floor` publication and re-scan) closes the
-//!   race between a registering reader and a concurrent truncation.
-//! * **Ring capacity eviction** (the ring is fixed-size; a 17th
-//!   version overwrites the oldest slot) can outrun even a registered
-//!   reader. Each slot is a seqlock keyed on its `ts` word (cleared
-//!   before a rewrite, republished after, never reused), so a reader
-//!   re-checks `ts` around its field loads and discards torn tuples;
-//!   every slot rewrite also bumps the ring's eviction counter, so a
-//!   reader that scanned across a rewrite detects it and rescans; and
-//!   a reader whose needed version was evicted outright finds *no*
-//!   entry `≤ s` (eviction is strictly oldest-first, so retained
-//!   timestamps are a suffix) and restarts the whole scan at a fresh
-//!   `closed` — the snapshot stays a single cut, just a newer one.
+//! Lock discipline: chains live under their shard's `shard.state`
+//! mutex; the clock and the cut registry share the leaf `store.clock`
+//! mutex. Neither is ever held with the other or with a second shard.
 
-use crate::store::{apply_op, Datum, VersionedValue};
+use crate::store::{apply_op, VersionedValue, WriteError};
 use crate::template::WriteOp;
-use ddlf_model::{Database, EntityId};
-use ddlf_telemetry::Telemetry;
+use ddlf_model::EntityId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-/// Hard per-entity bound on retained committed versions, GC watermark
-/// notwithstanding: the chain is *bounded* even when a reader pins the
-/// watermark forever.
+/// Hard per-entity bound on retained versions (base included), GC
+/// watermark and undecided writers notwithstanding.
 pub const CHAIN_CAP: usize = 64;
 
-/// Atomic mirror slots per entity (the zero-lock reader's view).
-const RING_CAP: usize = 16;
-
-/// Fixed pool of concurrent registered read-only snapshots.
-const RO_SLOTS: usize = 64;
-
-/// Auto-GC cadence: one watermark truncation pass per this many
-/// published commits (plus any explicit [`Mvcc::gc`] call). Keeping the
-/// cadence coarse means short test runs retain their full history for
-/// snapshot-at-ts assertions.
+/// Auto-GC cadence: one watermark pass per this many closed commits
+/// (plus any explicit [`crate::Store::gc_versions`] call). Coarse, so
+/// short test runs retain their full history for snapshot-at-ts
+/// assertions.
 const GC_EVERY: u64 = 256;
-
-/// Ring slot `ts` encoding: stored value is `commit_ts + 1`; `0` means
-/// the slot is empty. Commit timestamps start at 1 (0 is the seeded
-/// initial version), so the encoding never overflows in practice.
-const RING_EMPTY: u64 = 0;
-
-/// Reader-slot sentinel: no snapshot registered in this slot.
-const SLOT_FREE: u64 = u64::MAX;
-
-/// Ring payload kinds.
-const KIND_INT: u64 = 0;
-const KIND_BYTES: u64 = 1;
-
-/// One committed version in a master chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ChainEntry {
-    /// Commit timestamp that published this version.
-    pub ts: u64,
-    /// The full-fidelity committed value.
-    pub value: VersionedValue,
-}
 
 /// One entity in a read-only snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoEntry {
     /// The entity read.
     pub entity: EntityId,
-    /// Commit timestamp of the version observed (0 = the seeded
-    /// initial value, never written).
+    /// Newest commit timestamp `≤` the cut that wrote the entity
+    /// (0 = the seeded initial value, never written).
     pub commit_ts: u64,
     /// The version counter of the observed value.
     pub version: u64,
     /// Integer payload, or `None` when the committed payload at this
-    /// version is a byte string (bytes don't fit the lock-free ring;
-    /// use the locked [`crate::Store::snapshot_at`] for full fidelity).
+    /// cut is a byte string (use [`crate::Store::snapshot_at`] for the
+    /// bytes themselves).
     pub value: Option<u64>,
 }
 
@@ -169,565 +103,286 @@ impl RoSnapshot {
     }
 }
 
-/// One lock-free mirror slot: `(ts+1 | 0=empty, version, kind,
-/// payload)`. The slot is a seqlock keyed on `ts`: every rewrite
-/// clears `ts` to [`RING_EMPTY`] *before* touching the fields and
-/// publishes the new `ts` *after* them, and commit timestamps are
-/// never reused — so a reader that observes the same non-empty `ts`
-/// on both sides of its field loads has read a consistent tuple.
-struct RingSlot {
-    ts: AtomicU64,
-    version: AtomicU64,
-    kind: AtomicU64,
-    payload: AtomicU64,
+/// How one exposed write of a dying attempt was rolled back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UndoOutcome {
+    /// The attempt has no undecided entry on the entity (never wrote
+    /// it, already committed, or the entry was folded by [`CHAIN_CAP`]).
+    None,
+    /// The entry is gone and every surviving op still types: the value
+    /// is exactly the replay of the survivors.
+    RolledBack,
+    /// The entry is gone, but a surviving op no longer types without it
+    /// (an `Add` that rode on a dead `Put` over a byte payload) and now
+    /// folds as a skip: the abort stays dirty and voids the audit.
+    Unrecoverable,
 }
 
-impl RingSlot {
-    fn empty() -> Self {
-        RingSlot {
-            ts: AtomicU64::new(RING_EMPTY),
-            version: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            payload: AtomicU64::new(0),
-        }
+impl UndoOutcome {
+    /// Whether the dead write's effect is fully gone from the store.
+    pub(crate) fn rolled_back(self) -> bool {
+        self == UndoOutcome::RolledBack
     }
 }
 
-/// The lock-free mirror of one entity's version chain.
-struct Ring {
-    slots: Vec<RingSlot>,
-    /// Bumped *before* any occupied slot is rewritten (capacity
-    /// eviction or GC truncation). Readers diff it around a scan.
-    evictions: AtomicU64,
+/// One write in a chain.
+struct Entry {
+    /// Global id of the writing instance.
+    gid: u32,
+    op: WriteOp,
+    /// `None` while the writer is undecided.
+    commit_ts: Option<u64>,
 }
 
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            slots: (0..RING_CAP).map(|_| RingSlot::empty()).collect(),
-            evictions: AtomicU64::new(0),
+/// One entity's value: a folded `base` plus the retained writes in
+/// write (lock) order. Guarded by the owning shard's mutex.
+pub(crate) struct Chain {
+    entity: EntityId,
+    base: VersionedValue,
+    /// Newest commit timestamp folded into `base`: cuts below it are no
+    /// longer answerable.
+    base_ts: u64,
+    entries: VecDeque<Entry>,
+    /// Cached fold of `base` and every entry — the live value.
+    tip: VersionedValue,
+}
+
+impl Chain {
+    pub(crate) fn new(entity: EntityId, seed: VersionedValue) -> Self {
+        Chain {
+            entity,
+            tip: seed.clone(),
+            base: seed,
+            base_ts: 0,
+            entries: VecDeque::new(),
         }
     }
 
-    /// Appends `(ts, v)`, evicting the oldest slot when full. Callers
-    /// are serialized by the `store.mvcc` mutex; readers are not.
-    fn append(&self, ts: u64, v: &VersionedValue) {
-        let slot = match self.slots.iter().find(|s| s.ts.load(SeqCst) == RING_EMPTY) {
-            Some(s) => s,
-            None => {
-                // Evict the minimum-ts slot, so retained timestamps
-                // always form a suffix (the reader's aging detection
-                // depends on exactly this).
-                let victim = self
-                    .slots
-                    .iter()
-                    .min_by_key(|s| s.ts.load(SeqCst))
-                    .expect("ring has slots");
-                self.evictions.fetch_add(1, SeqCst);
-                victim.ts.store(RING_EMPTY, SeqCst);
-                victim
-            }
+    /// The entity this chain holds.
+    pub(crate) fn entity(&self) -> EntityId {
+        self.entity
+    }
+
+    /// The live value: every write applied, decided or not.
+    pub(crate) fn tip(&self) -> &VersionedValue {
+        &self.tip
+    }
+
+    /// The op applied to the live value — what [`Chain::push`] takes as
+    /// `after`, computed first so a mistyped op never enters a chain
+    /// (and the WAL record can be written ahead of the push).
+    pub(crate) fn apply(&self, op: &WriteOp) -> Result<VersionedValue, WriteError> {
+        apply_op(self.entity, &self.tip, op)
+    }
+
+    /// Retained versions: the base plus one per entry.
+    pub(crate) fn len(&self) -> usize {
+        1 + self.entries.len()
+    }
+
+    /// Appends a write whose after-image is `after` (see
+    /// [`Chain::apply`]). Beyond [`CHAIN_CAP`] the front entry folds
+    /// into `base` whether or not it is decided — bounded state beats a
+    /// cut nobody can request.
+    pub(crate) fn push(
+        &mut self,
+        gid: u32,
+        op: WriteOp,
+        commit_ts: Option<u64>,
+        after: VersionedValue,
+    ) {
+        self.tip = after;
+        self.entries.push_back(Entry { gid, op, commit_ts });
+        if self.len() > CHAIN_CAP {
+            self.fold_front();
+        }
+    }
+
+    fn fold_front(&mut self) {
+        let e = self.entries.pop_front().expect("caller checked non-empty");
+        if let Ok(v) = apply_op(self.entity, &self.base, &e.op) {
+            self.base = v;
+        }
+        self.base_ts = self.base_ts.max(e.commit_ts.unwrap_or(0));
+    }
+
+    /// Commit: stamps `ts` on the undecided entry of `gid`, if any.
+    pub(crate) fn stamp(&mut self, gid: u32, ts: u64) {
+        if let Some(e) = self.undecided(gid) {
+            self.entries[e].commit_ts = Some(ts);
+        }
+    }
+
+    fn undecided(&self, gid: u32) -> Option<usize> {
+        self.entries
+            .iter()
+            .rposition(|e| e.gid == gid && e.commit_ts.is_none())
+    }
+
+    /// Rollback: removes the undecided entry of `gid` and re-folds the
+    /// tip over the survivors.
+    pub(crate) fn remove(&mut self, gid: u32) -> UndoOutcome {
+        let Some(at) = self.undecided(gid) else {
+            return UndoOutcome::None;
         };
-        let (kind, payload) = match &v.datum {
-            Datum::Int(n) => (KIND_INT, *n),
-            Datum::Bytes(b) => (KIND_BYTES, b.len() as u64),
-        };
-        slot.version.store(v.version, SeqCst);
-        slot.kind.store(kind, SeqCst);
-        slot.payload.store(payload, SeqCst);
-        slot.ts.store(ts + 1, SeqCst);
-    }
-
-    /// Clears every slot holding a ts strictly below `keep_ts`
-    /// (GC truncation of the mirror). Serialized with `append` by the
-    /// `store.mvcc` mutex.
-    fn truncate_below(&self, keep_ts: u64) {
-        for s in &self.slots {
-            let enc = s.ts.load(SeqCst);
-            if enc != RING_EMPTY && enc - 1 < keep_ts {
-                self.evictions.fetch_add(1, SeqCst);
-                s.ts.store(RING_EMPTY, SeqCst);
+        self.entries.remove(at);
+        let (mut tip, mut typed) = (self.base.clone(), true);
+        for e in &self.entries {
+            match apply_op(self.entity, &tip, &e.op) {
+                Ok(v) => tip = v,
+                Err(_) => typed = false,
             }
+        }
+        self.tip = tip;
+        if typed {
+            UndoOutcome::RolledBack
+        } else {
+            UndoOutcome::Unrecoverable
         }
     }
 
-    /// The newest `(ts, version, kind, payload)` with `ts ≤ s`, or
-    /// `None` when every such version has been evicted (the caller
-    /// refreshes its snapshot ts and rescans). Lock-free; loops only
-    /// while a concurrent eviction rewrites the ring mid-scan.
-    ///
-    /// Two validations, each necessary:
-    ///
-    /// * **Per-slot seqlock recheck** — `ts` is re-loaded after the
-    ///   field loads; a change (to empty or to a new ts) means the
-    ///   slot was rewritten mid-read and the tuple may be torn
-    ///   (mixing an old `ts` with the overwriting entry's fields).
-    ///   Timestamps are never reused, and a rewrite clears `ts`
-    ///   before the fields and republishes it after them, so an
-    ///   unchanged non-empty `ts` proves consistency. The ring-level
-    ///   `evictions` diff alone cannot catch this: a reader whose
-    ///   `before` load lands after the evictor's counter bump but
-    ///   before the victim's `ts` clear would pass the post-scan
-    ///   recheck while holding a torn tuple.
-    /// * **Ring-level `evictions` diff** — a slot whose *individual*
-    ///   reads were consistent can still be stale as a *set*: if a
-    ///   newer candidate's slot was evicted after an older slot
-    ///   passed its recheck, returning the older tuple would miss
-    ///   the true newest-`≤ s` version. Any eviction during the scan
-    ///   forces a rescan.
-    fn read_at(&self, s: u64) -> Option<(u64, u64, u64, u64)> {
-        'scan: loop {
-            let before = self.evictions.load(SeqCst);
-            let mut best: Option<(u64, u64, u64, u64)> = None;
-            for slot in &self.slots {
-                let enc = slot.ts.load(SeqCst);
-                if enc == RING_EMPTY {
-                    continue;
-                }
-                let ts = enc - 1;
-                if ts > s {
-                    continue;
-                }
-                let tuple = (
-                    ts,
-                    slot.version.load(SeqCst),
-                    slot.kind.load(SeqCst),
-                    slot.payload.load(SeqCst),
-                );
-                if slot.ts.load(SeqCst) != enc {
-                    // Rewritten under us: the tuple may be torn.
-                    std::hint::spin_loop();
-                    continue 'scan;
-                }
-                if best.is_none_or(|b| ts > b.0) {
-                    best = Some(tuple);
-                }
-            }
-            if self.evictions.load(SeqCst) == before {
-                return best;
-            }
-            std::hint::spin_loop();
+    /// The value at cut `s` and the newest commit timestamp in it: the
+    /// fold, in chain order, of the entries stamped `≤ s`. `None` when
+    /// `base` already holds a commit newer than `s`.
+    pub(crate) fn at(&self, s: u64) -> Option<(u64, VersionedValue)> {
+        if self.base_ts > s {
+            return None;
         }
+        let (mut ts, mut value) = (self.base_ts, self.base.clone());
+        for e in &self.entries {
+            let Some(t) = e.commit_ts.filter(|&t| t <= s) else {
+                continue;
+            };
+            // An op whose predecessor is outside the cut may not type
+            // there; it folds as the same typed skip the write path has.
+            if let Ok(v) = apply_op(self.entity, &value, &e.op) {
+                value = v;
+                ts = ts.max(t);
+            }
+        }
+        Some((ts, value))
+    }
+
+    /// GC: folds the decided prefix stamped `≤ watermark` into `base`.
+    /// Returns the retained length.
+    pub(crate) fn gc(&mut self, watermark: u64) -> usize {
+        while self
+            .entries
+            .front()
+            .is_some_and(|e| e.commit_ts.is_some_and(|t| t <= watermark))
+        {
+            self.fold_front();
+        }
+        self.len()
     }
 }
 
-/// Master-chain state guarded by the `store.mvcc` mutex.
-struct Inner {
-    /// Per-entity committed version chains, oldest-first. Every chain
-    /// starts with the seeded `(ts 0, version 0)` initial value.
-    chains: HashMap<EntityId, Vec<ChainEntry>>,
-    /// Commits whose `ts` arrived ahead of a predecessor still in its
-    /// durability wait: buffered until the clock is contiguous.
-    pending: Vec<(u64, Vec<(EntityId, WriteOp)>)>,
-    /// Retained chain entries across all entities (gauge).
-    total_entries: u64,
-    /// Publications since the last auto-GC pass.
+/// State behind the `store.clock` leaf mutex.
+#[derive(Default)]
+struct ClockInner {
+    /// Timestamps closed ahead of a predecessor still in its durability
+    /// wait: buffered until the prefix is contiguous.
+    pending: BTreeSet<u64>,
+    /// The registered cuts, as a multiset.
+    cuts: Vec<u64>,
+    /// Commits closed since the last automatic GC pass.
     since_gc: u64,
-    /// Gauge sink (set with the store's telemetry handle).
-    telemetry: Telemetry,
 }
 
-/// The multiversion state of a [`crate::Store`]: commit clock, master
-/// chains, lock-free rings, and the read-only snapshot registry.
-pub(crate) struct Mvcc {
+/// The commit clock and the registry of live snapshot cuts.
+pub(crate) struct Clock {
     /// Last allocated commit timestamp (monotone, never reused).
     alloc: AtomicU64,
-    /// Highest timestamp whose commit — and every earlier commit — is
-    /// fully published. Readers snapshot at `closed`.
+    /// Highest timestamp such that it and every earlier one is closed.
+    /// Written only under `inner`; loaded anywhere.
     closed: AtomicU64,
-    /// The low-watermark the last GC pass truncated against. A
-    /// registering reader whose announced ts is below this must
-    /// refresh before reading (announce-then-validate).
-    gc_floor: AtomicU64,
-    /// Registered read-only snapshot timestamps (`SLOT_FREE` = vacant).
-    readers: Vec<AtomicU64>,
-    /// Lock-free chain mirrors, one per entity. The map itself is
-    /// immutable after construction — only slot contents change.
-    rings: HashMap<EntityId, Ring>,
-    inner: Mutex<Inner>,
+    inner: Mutex<ClockInner>,
 }
 
-impl Mvcc {
-    /// Seeds every entity's chain and ring with the initial value at
-    /// `(ts 0, version 0)`.
-    pub(crate) fn new(db: &Database, initial: u64) -> Self {
-        let seed = VersionedValue {
-            version: 0,
-            datum: Datum::Int(initial),
-        };
-        let mut chains = HashMap::new();
-        let mut rings = HashMap::new();
-        for e in db.entities() {
-            chains.insert(
-                e,
-                vec![ChainEntry {
-                    ts: 0,
-                    value: seed.clone(),
-                }],
-            );
-            let ring = Ring::new();
-            ring.append(0, &seed);
-            rings.insert(e, ring);
-        }
-        let total = chains.len() as u64;
-        Mvcc {
-            alloc: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
-            gc_floor: AtomicU64::new(0),
-            readers: (0..RO_SLOTS).map(|_| AtomicU64::new(SLOT_FREE)).collect(),
-            rings,
-            inner: Mutex::new_named(
-                "store.mvcc",
-                Inner {
-                    chains,
-                    pending: Vec::new(),
-                    total_entries: total,
-                    since_gc: 0,
-                    telemetry: Telemetry::disabled(),
-                },
-            ),
+impl Clock {
+    /// A clock whose first `ts` timestamps are already closed (0 for a
+    /// fresh store; the highest durable commit after recovery).
+    pub(crate) fn starting_at(ts: u64) -> Self {
+        Clock {
+            alloc: AtomicU64::new(ts),
+            closed: AtomicU64::new(ts),
+            inner: Mutex::new_named("store.clock", ClockInner::default()),
         }
     }
 
-    pub(crate) fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.inner.get_mut().telemetry = telemetry.clone();
-    }
-
-    /// Allocates the next commit timestamp. Called once per committing
-    /// instance, *before* the commit record is made durable, so the
-    /// durable record carries the ts that publication will use.
-    /// Production callers go through [`Mvcc::reserve_ts`] — a raw
-    /// allocation that is never published stalls the closed clock.
+    /// Allocates the next commit timestamp. Whoever allocates must
+    /// eventually [`Clock::close`] it, or `closed` stalls behind it.
     pub(crate) fn alloc_ts(&self) -> u64 {
         self.alloc.fetch_add(1, SeqCst) + 1
     }
 
-    /// [`Mvcc::alloc_ts`] behind an unwind-safe reservation: the commit
-    /// path holds the reservation across the durability wait and
-    /// publishes through it, so a panic in between (WAL I/O) publishes
-    /// an empty write-set instead of leaving a hole the closed clock
-    /// can never cross.
-    pub(crate) fn reserve_ts(&self) -> TsReservation<'_> {
-        TsReservation {
-            mvcc: self,
-            ts: self.alloc_ts(),
-            published: false,
-        }
-    }
-
-    /// The closed prefix of the commit clock — the ts a fresh read-only
-    /// snapshot would observe.
+    /// The closed prefix of the clock.
     pub(crate) fn closed_ts(&self) -> u64 {
         self.closed.load(SeqCst)
     }
 
-    /// Publishes commit `ts`: buffers until the clock is contiguous,
-    /// then applies each buffered commit's write-set to the chain tips
-    /// (and rings) in timestamp order and advances `closed`. The
-    /// chain value of a version is the committing transaction's write
-    /// op applied to the previous chain tip, so the chain state at any
-    /// cut is "initial + every committed transaction ≤ cut, whole
-    /// transactions only, in commit order" — the conservation identity
-    /// holds at every cut for delta (transfer) workloads.
-    pub(crate) fn publish(&self, ts: u64, writes: Vec<(EntityId, WriteOp)>) {
+    /// Closes `ts` and advances `closed` over the contiguous prefix.
+    /// Returns whether a GC pass is due (to exactly one caller per
+    /// [`GC_EVERY`] closes).
+    pub(crate) fn close(&self, ts: u64) -> bool {
         let mut inner = self.inner.lock();
-        inner.pending.push((ts, writes));
-        loop {
-            let next = self.closed.load(SeqCst) + 1;
-            let Some(at) = inner.pending.iter().position(|(t, _)| *t == next) else {
-                break;
-            };
-            let (_, ws) = inner.pending.swap_remove(at);
-            self.apply_commit(&mut inner, next, &ws);
-            self.closed.store(next, SeqCst);
+        inner.pending.insert(ts);
+        let mut closed = self.closed.load(SeqCst);
+        while inner.pending.remove(&(closed + 1)) {
+            closed += 1;
         }
-        inner.since_gc += 1;
-        if inner.since_gc >= GC_EVERY {
-            self.gc_locked(&mut inner);
-        } else {
-            self.publish_gauges(&inner);
-        }
+        self.closed.store(closed, SeqCst);
+        inner.since_gc = (inner.since_gc + 1) % GC_EVERY;
+        inner.since_gc == 0
     }
 
-    /// Recovery-path publication: applies commit `ts` directly and
-    /// advances `closed` to it, tolerating gaps (timestamps allocated
-    /// by the crashed process but never made durable). Callers feed
-    /// commits in ascending ts order.
-    pub(crate) fn publish_recovered(&self, ts: u64, writes: &[(EntityId, WriteOp)]) {
-        let mut inner = self.inner.lock();
-        self.apply_commit(&mut inner, ts, writes);
-        self.closed.store(ts, SeqCst);
-        let prev = self.alloc.load(SeqCst);
-        self.alloc.store(prev.max(ts), SeqCst);
-        self.publish_gauges(&inner);
-    }
-
-    fn apply_commit(&self, inner: &mut Inner, ts: u64, writes: &[(EntityId, WriteOp)]) {
-        for (entity, op) in writes {
-            let chain = inner
-                .chains
-                .get_mut(entity)
-                .expect("publish references a schema entity");
-            let tip = chain.last().expect("chains are never empty");
-            // A write that does not type against the chain tip (Add on
-            // a byte payload) is skipped, mirroring the live apply
-            // path's typed skip.
-            let Ok(next) = apply_op(*entity, &tip.value, op) else {
-                continue;
-            };
-            self.rings[entity].append(ts, &next);
-            chain.push(ChainEntry { ts, value: next });
-            inner.total_entries += 1;
-            if chain.len() > CHAIN_CAP {
-                chain.remove(0);
-                inner.total_entries -= 1;
-                self.rings[entity].truncate_below(chain[0].ts);
-            }
-        }
-    }
-
-    fn publish_gauges(&self, inner: &Inner) {
-        let max_len = inner.chains.values().map(|c| c.len()).max().unwrap_or(0) as u64;
-        inner
-            .telemetry
-            .set_chains(inner.total_entries, max_len, self.gc_floor.load(SeqCst));
-    }
-
-    /// Garbage-collects version chains against the low-watermark of
-    /// live read-only snapshots: every chain truncates to
-    /// "watermark + latest" — the newest entry `≤` watermark plus
-    /// everything after it. Returns `(retained entries, longest chain,
-    /// watermark)`.
-    pub(crate) fn gc(&self) -> (u64, u64, u64) {
-        let mut inner = self.inner.lock();
-        self.gc_locked(&mut inner)
-    }
-
-    fn reader_min(&self) -> Option<u64> {
-        self.readers
-            .iter()
-            .map(|s| s.load(SeqCst))
-            .filter(|&s| s != SLOT_FREE)
-            .min()
-    }
-
-    fn gc_locked(&self, inner: &mut Inner) -> (u64, u64, u64) {
-        inner.since_gc = 0;
+    /// The GC low-watermark: the oldest registered cut, else `closed` —
+    /// sampled under the registry mutex, so a cut registered later can
+    /// only be newer.
+    pub(crate) fn watermark(&self) -> u64 {
+        let inner = self.inner.lock();
         let closed = self.closed.load(SeqCst);
-        // Lock-free atomic min over the registered snapshot slots; no
-        // reader defaults the watermark to the closed clock.
-        let mut w = self.reader_min().unwrap_or(closed).min(closed);
-        self.gc_floor.store(w, SeqCst);
-        // Close the announce/validate race: a reader that registered an
-        // older ts after the scan above but before the floor store is
-        // caught by re-scanning; its ts lowers the watermark back.
-        if let Some(late) = self.reader_min() {
-            if late < w {
-                w = late;
-                self.gc_floor.store(w, SeqCst);
-            }
-        }
-        let mut max_len = 0u64;
-        for (entity, chain) in inner.chains.iter_mut() {
-            // Index of the newest entry ≤ w. The `CHAIN_CAP` hard
-            // bound may already have truncated past the watermark (a
-            // long-lived reader cannot pin unbounded history); such a
-            // chain keeps everything it still has.
-            let keep = chain.iter().rposition(|e| e.ts <= w).unwrap_or(0);
-            if keep > 0 {
-                inner.total_entries -= keep as u64;
-                chain.drain(..keep);
-                self.rings[entity].truncate_below(chain[0].ts);
-            }
-            max_len = max_len.max(chain.len() as u64);
-        }
-        inner.telemetry.set_chains(inner.total_entries, max_len, w);
-        (inner.total_entries, max_len, w)
+        inner.cuts.iter().fold(closed, |w, &c| w.min(c))
     }
 
-    /// The chain state at cut `ts`, full fidelity, sorted by entity.
-    /// `None` when `ts` is above the closed clock or below what GC /
-    /// the chain bound still retains for some entity.
-    pub(crate) fn snapshot_at(&self, ts: u64) -> Option<Vec<(EntityId, VersionedValue)>> {
-        if ts > self.closed.load(SeqCst) {
-            return None;
-        }
-        let inner = self.inner.lock();
-        Self::snapshot_locked(&inner, ts)
-    }
-
-    /// The chain state at the *current closed cut*, full fidelity,
-    /// sorted by entity. Always succeeds: the closed clock is sampled
-    /// **while holding** the inner mutex — GC and the [`CHAIN_CAP`]
-    /// trim both run under it, so the sampled cut cannot be truncated
-    /// out from under the read. (Sampling `closed_ts()` first and then
-    /// calling [`Mvcc::snapshot_at`] is racy: concurrent publishes can
-    /// advance the clock and a GC pass can then drop every entry `≤`
-    /// the stale sample for some entity.)
-    pub(crate) fn snapshot_closed(&self) -> Vec<(EntityId, VersionedValue)> {
-        let inner = self.inner.lock();
+    /// Registers a cut at the current `closed`, sampled under the
+    /// registry mutex. Never blocks on other readers; the guard
+    /// unregisters on drop, so neither an early return nor a panicking
+    /// scan can pin the watermark.
+    pub(crate) fn register(&self) -> Cut<'_> {
+        let mut inner = self.inner.lock();
         let ts = self.closed.load(SeqCst);
-        Self::snapshot_locked(&inner, ts)
-            .expect("GC retains the newest entry <= closed for every chain")
-    }
-
-    fn snapshot_locked(inner: &Inner, ts: u64) -> Option<Vec<(EntityId, VersionedValue)>> {
-        let mut out = Vec::with_capacity(inner.chains.len());
-        for (entity, chain) in inner.chains.iter() {
-            let at = chain.iter().rev().find(|e| e.ts <= ts)?;
-            out.push((*entity, at.value.clone()));
-        }
-        out.sort_by_key(|(e, _)| *e);
-        Some(out)
-    }
-
-    /// Registers a read-only snapshot: claims a reader slot with a
-    /// freshly sampled `closed` ts, then validates the announcement
-    /// against `gc_floor` (refreshing until the floor no longer
-    /// undercuts it). Lock-free: a CAS per vacant-slot probe plus
-    /// bounded refresh loops; yields only while all `RO_SLOTS` slots
-    /// are simultaneously occupied (slots are guard-scoped, so a slot
-    /// frees as soon as any of the up-to-64 concurrent scans finishes
-    /// — even by panic).
-    ///
-    /// The returned [`SlotGuard`] frees the slot on drop; a leaked
-    /// slot would pin the GC watermark (and grow every chain to
-    /// [`CHAIN_CAP`]) forever.
-    fn register(&self) -> (SlotGuard<'_>, u64) {
-        loop {
-            let s = self.closed.load(SeqCst);
-            for (i, slot) in self.readers.iter().enumerate() {
-                if slot.compare_exchange(SLOT_FREE, s, SeqCst, SeqCst).is_ok() {
-                    let guard = SlotGuard {
-                        mvcc: self,
-                        slot: i,
-                    };
-                    let s = self.validate(i, s);
-                    return (guard, s);
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Announce-then-validate: GC computes its watermark from the slot
-    /// array, so once this returns, every chain truncation keeps the
-    /// newest entry `≤` the returned ts reachable.
-    fn validate(&self, slot: usize, mut s: u64) -> u64 {
-        loop {
-            if s >= self.gc_floor.load(SeqCst) {
-                return s;
-            }
-            s = self.closed.load(SeqCst);
-            self.readers[slot].store(s, SeqCst);
-        }
-    }
-
-    /// Refreshes a registered snapshot to the current `closed` ts
-    /// (aging recovery: a needed version was capacity-evicted).
-    fn refresh(&self, slot: usize) -> u64 {
-        let s = self.closed.load(SeqCst);
-        self.readers[slot].store(s, SeqCst);
-        self.validate(slot, s)
-    }
-
-    /// The zero-lock read-only transaction: registers a snapshot ts,
-    /// reads the newest version `≤ ts` of every requested entity from
-    /// the rings, and unregisters. Acquires **no lock class** — only
-    /// atomics.
-    ///
-    /// If ring-capacity eviction outruns the scan (≥ `RING_CAP`
-    /// commits to one entity mid-scan), the whole scan restarts at a
-    /// fresh `closed` ts — the result is always a single committed cut.
-    ///
-    /// # Panics
-    /// Panics when an entity is not in the schema — *before* a reader
-    /// slot is claimed, and the slot itself is guard-scoped, so neither
-    /// this panic nor any later unwind can leak a slot and pin the GC
-    /// watermark.
-    pub(crate) fn read_only(&self, entities: &[EntityId]) -> RoSnapshot {
-        // Resolve every ring up front: public callers
-        // (`Engine::run_read_only`) pass unvalidated entity lists.
-        let rings: Vec<&Ring> = entities
-            .iter()
-            .map(|e| {
-                self.rings
-                    .get(e)
-                    .expect("read_only references a schema entity")
-            })
-            .collect();
-        let (guard, mut s) = self.register();
-        'scan: loop {
-            let mut entries = Vec::with_capacity(entities.len());
-            for (&entity, ring) in entities.iter().zip(&rings) {
-                match ring.read_at(s) {
-                    Some((ts, version, kind, payload)) => entries.push(RoEntry {
-                        entity,
-                        commit_ts: ts,
-                        version,
-                        value: (kind == KIND_INT).then_some(payload),
-                    }),
-                    None => {
-                        s = self.refresh(guard.slot);
-                        continue 'scan;
-                    }
-                }
-            }
-            drop(guard);
-            return RoSnapshot { ts: s, entries };
-        }
+        inner.cuts.push(ts);
+        Cut { clock: self, ts }
     }
 }
 
-/// A claimed read-only reader-pool slot. Freed on drop — panicking
-/// scans and early returns cannot leak the slot (a leaked slot would
-/// pin the GC watermark forever).
-struct SlotGuard<'a> {
-    mvcc: &'a Mvcc,
-    slot: usize,
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.mvcc.readers[self.slot].store(SLOT_FREE, SeqCst);
-    }
-}
-
-/// An allocated commit timestamp awaiting publication. The closed
-/// clock only advances over a *contiguous* timestamp prefix, so once a
-/// ts is allocated, something must eventually publish at it — a hole
-/// would buffer every later commit in `pending` forever and let
-/// read-only snapshots silently go permanently stale. Dropping an
-/// unpublished reservation (unwind between allocation and publication,
-/// e.g. a WAL I/O panic) publishes an **empty write-set**: the clock
-/// closes over the gap, exactly like the gaps recovery already
-/// tolerates for timestamps that never became durable.
-pub(crate) struct TsReservation<'a> {
-    mvcc: &'a Mvcc,
+/// A registered snapshot cut (see [`Clock::register`]).
+pub(crate) struct Cut<'a> {
+    clock: &'a Clock,
     ts: u64,
-    published: bool,
 }
 
-impl TsReservation<'_> {
-    /// The reserved commit timestamp (log it in the durable record).
+impl Cut<'_> {
+    /// The cut's timestamp.
     pub(crate) fn ts(&self) -> u64 {
         self.ts
     }
 
-    /// Publishes `writes` at the reserved timestamp (see
-    /// [`Mvcc::publish`]).
-    pub(crate) fn publish(mut self, writes: Vec<(EntityId, WriteOp)>) {
-        // Mark before calling: should publish itself unwind, the Drop
-        // impl must not publish the same ts a second time.
-        self.published = true;
-        self.mvcc.publish(self.ts, writes);
+    /// Moves the registration to the current `closed`.
+    pub(crate) fn refresh(&mut self) {
+        let mut inner = self.clock.inner.lock();
+        let slot = inner.cuts.iter_mut().find(|c| **c == self.ts);
+        self.ts = self.clock.closed.load(SeqCst);
+        *slot.expect("a live cut is registered") = self.ts;
     }
 }
 
-impl Drop for TsReservation<'_> {
+impl Drop for Cut<'_> {
     fn drop(&mut self) {
-        if !self.published {
-            self.mvcc.publish(self.ts, Vec::new());
+        let mut inner = self.clock.inner.lock();
+        if let Some(at) = inner.cuts.iter().position(|&c| c == self.ts) {
+            inner.cuts.swap_remove(at);
         }
     }
 }
@@ -735,287 +390,86 @@ impl Drop for TsReservation<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddlf_model::Database;
-    use std::sync::Arc;
+    use crate::store::Datum;
 
-    fn db(n: usize) -> Database {
-        Database::one_entity_per_site(n)
+    fn chain(initial: u64) -> Chain {
+        let datum = Datum::Int(initial);
+        Chain::new(EntityId(0), VersionedValue { version: 0, datum })
     }
 
-    fn add(e: u32, delta: i64) -> (EntityId, WriteOp) {
-        (EntityId(e), WriteOp::Add(delta))
+    fn write(c: &mut Chain, gid: u32, op: WriteOp, ts: Option<u64>) {
+        let after = c.apply(&op).unwrap();
+        c.push(gid, op, ts, after);
     }
 
     #[test]
-    fn snapshot_at_zero_is_the_seed() {
-        let m = Mvcc::new(&db(3), 7);
-        let snap = m.snapshot_at(0).unwrap();
-        assert_eq!(snap.len(), 3);
-        for (_, v) in &snap {
-            assert_eq!(v.version, 0);
-            assert_eq!(v.datum, Datum::Int(7));
+    fn a_cut_folds_the_entries_stamped_at_or_below_it_in_write_order() {
+        let mut c = chain(100);
+        // Written in the order g1, g2, g3; committed as g2@1, g3@2, and
+        // g1 still undecided.
+        write(&mut c, 1, WriteOp::Add(5), None);
+        write(&mut c, 2, WriteOp::Put(7), Some(1));
+        write(&mut c, 3, WriteOp::Add(1), Some(2));
+        assert_eq!(c.tip().datum, Datum::Int(8));
+        assert_eq!(c.at(0).unwrap().1.datum, Datum::Int(100));
+        let (ts, v) = c.at(1).unwrap();
+        assert_eq!((ts, v.version, v.datum), (1, 1, Datum::Int(7)));
+        let (ts, v) = c.at(9).unwrap();
+        assert_eq!((ts, v.version, v.datum), (2, 2, Datum::Int(8)));
+        // g1 commits last: it still folds *first*, under the Put.
+        c.stamp(1, 3);
+        let (ts, v) = c.at(3).unwrap();
+        assert_eq!((ts, v.version, v.datum), (3, 3, Datum::Int(8)));
+    }
+
+    #[test]
+    fn gc_folds_only_a_decided_prefix_and_keeps_later_cuts_exact() {
+        let mut c = chain(0);
+        write(&mut c, 1, WriteOp::Add(1), Some(1));
+        write(&mut c, 2, WriteOp::Add(10), None);
+        write(&mut c, 3, WriteOp::Add(100), Some(2));
+        assert_eq!(c.gc(2), 3, "the undecided entry stops the fold");
+        assert_eq!(c.at(0), None, "ts 1 is in the base now");
+        assert_eq!(c.at(1).unwrap().1.datum, Datum::Int(1));
+        assert_eq!(c.at(2).unwrap().1.datum, Datum::Int(101));
+        c.stamp(2, 3);
+        assert_eq!(c.gc(3), 1);
+        assert_eq!(c.at(3).unwrap().1.datum, Datum::Int(111));
+        assert_eq!(c.tip().version, 3);
+    }
+
+    #[test]
+    fn clock_closes_contiguously_and_tolerates_out_of_order_closes() {
+        let k = Clock::starting_at(0);
+        let (t1, t2, t3) = (k.alloc_ts(), k.alloc_ts(), k.alloc_ts());
+        k.close(t2);
+        k.close(t3);
+        assert_eq!(k.closed_ts(), 0, "t2 and t3 wait for t1");
+        k.close(t1);
+        assert_eq!(k.closed_ts(), 3);
+        assert_eq!(Clock::starting_at(41).alloc_ts(), 42);
+    }
+
+    /// The 65th-reader fix: registration is a multiset insert, so any
+    /// number of simultaneously held cuts register without blocking;
+    /// the watermark is their minimum and dropping them unpins it.
+    #[test]
+    fn a_hundred_held_cuts_register_without_blocking() {
+        let k = Clock::starting_at(0);
+        let mut held = Vec::new();
+        for _ in 0..100 {
+            held.push(k.register());
+            k.close(k.alloc_ts());
         }
-        assert_eq!(m.closed_ts(), 0);
-        assert!(m.snapshot_at(1).is_none(), "nothing committed yet");
-    }
-
-    #[test]
-    fn publish_applies_whole_transactions_in_ts_order() {
-        let m = Mvcc::new(&db(2), 100);
-        let t1 = m.alloc_ts();
-        let t2 = m.alloc_ts();
-        // Out-of-order arrival: t2 buffers until t1 lands.
-        m.publish(t2, vec![add(0, -10), add(1, 10)]);
-        assert_eq!(m.closed_ts(), 0, "t2 must wait for t1");
-        m.publish(t1, vec![add(0, -5), add(1, 5)]);
-        assert_eq!(m.closed_ts(), 2);
-        let at1 = m.snapshot_at(1).unwrap();
-        assert_eq!(at1[0].1.datum, Datum::Int(95));
-        assert_eq!(at1[1].1.datum, Datum::Int(105));
-        let at2 = m.snapshot_at(2).unwrap();
-        assert_eq!(at2[0].1.datum, Datum::Int(85));
-        assert_eq!(at2[1].1.datum, Datum::Int(115));
-        assert_eq!(at2[0].1.version, 2);
-    }
-
-    #[test]
-    fn read_only_observes_a_committed_cut() {
-        let m = Mvcc::new(&db(2), 50);
-        let entities = [EntityId(0), EntityId(1)];
-        let snap = m.read_only(&entities);
-        assert_eq!(snap.ts, 0);
-        assert_eq!(snap.sum_int(), 100);
-        m.publish(m.alloc_ts(), vec![add(0, -20), add(1, 20)]);
-        let snap = m.read_only(&entities);
-        assert_eq!(snap.ts, 1);
-        assert_eq!(snap.sum_int(), 100, "transfers conserve the sum");
-        assert_eq!(snap.get(EntityId(0)).unwrap().value, Some(30));
-        assert_eq!(snap.get(EntityId(0)).unwrap().commit_ts, 1);
-        assert_eq!(snap.get(EntityId(0)).unwrap().version, 1);
-    }
-
-    #[test]
-    fn bytes_payloads_surface_as_none_in_the_ring() {
-        let m = Mvcc::new(&db(1), 9);
-        m.publish(
-            m.alloc_ts(),
-            vec![(EntityId(0), WriteOp::PutBytes(vec![1, 2, 3]))],
-        );
-        let snap = m.read_only(&[EntityId(0)]);
-        let e = snap.get(EntityId(0)).unwrap();
-        assert_eq!(e.value, None);
-        assert_eq!(e.version, 1);
-        // The locked master chain keeps full fidelity.
-        let full = m.snapshot_at(1).unwrap();
-        assert_eq!(full[0].1.datum, Datum::Bytes(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn gc_truncates_to_watermark_plus_latest() {
-        let m = Mvcc::new(&db(1), 0);
-        for _ in 0..10 {
-            m.publish(m.alloc_ts(), vec![add(0, 1)]);
-        }
-        // No live reader: watermark = closed, chains truncate to latest.
-        let (total, max_len, w) = m.gc();
-        assert_eq!(w, 10);
-        assert_eq!(total, 1);
-        assert_eq!(max_len, 1);
-        assert!(m.snapshot_at(10).is_some());
-        assert!(m.snapshot_at(9).is_none(), "9 was truncated");
-        // A registered reader pins the watermark.
-        let (guard, s) = m.register();
-        assert_eq!(s, 10);
-        for _ in 0..5 {
-            m.publish(m.alloc_ts(), vec![add(0, 1)]);
-        }
-        let (_, _, w) = m.gc();
-        assert_eq!(w, 10, "live snapshot pins the watermark");
-        assert!(m.snapshot_at(10).is_some(), "watermark entry retained");
-        drop(guard);
-        assert!(m.reader_min().is_none(), "guard drop frees the slot");
-    }
-
-    #[test]
-    fn chains_stay_bounded_without_gc() {
-        let m = Mvcc::new(&db(1), 0);
-        for _ in 0..(CHAIN_CAP * 3) {
-            m.publish(m.alloc_ts(), vec![add(0, 1)]);
-        }
-        let inner = m.inner.lock();
-        assert!(inner.chains[&EntityId(0)].len() <= CHAIN_CAP);
-    }
-
-    #[test]
-    fn aged_out_reader_restarts_at_a_fresh_cut() {
-        let m = Arc::new(Mvcc::new(&db(1), 0));
-        // Register at ts 0, then push enough commits to evict ts 0 from
-        // the ring entirely: the next read must refresh, not corrupt.
-        let (guard, s) = m.register();
-        assert_eq!(s, 0);
-        for _ in 0..(RING_CAP * 2) {
-            m.publish(m.alloc_ts(), vec![add(0, 1)]);
-        }
-        // Simulate the mid-scan path: read_at at the stale ts fails...
-        assert!(m.rings[&EntityId(0)].read_at(s).is_none());
-        // ...and the refresh path lands on the new closed cut.
-        let s2 = m.refresh(guard.slot);
-        assert_eq!(s2, (RING_CAP * 2) as u64);
-        assert!(m.rings[&EntityId(0)].read_at(s2).is_some());
-    }
-
-    #[test]
-    fn dropped_reservation_closes_the_clock_over_the_gap() {
-        let m = Mvcc::new(&db(1), 0);
-        let r1 = m.reserve_ts();
-        assert_eq!(r1.ts(), 1);
-        // Simulated panic between allocation and publication: the drop
-        // publishes an empty write-set instead of stalling the clock.
-        drop(r1);
-        assert_eq!(m.closed_ts(), 1, "the clock closes over the abandoned ts");
-        m.publish(m.alloc_ts(), vec![add(0, 5)]);
-        assert_eq!(m.closed_ts(), 2);
-        let snap = m.read_only(&[EntityId(0)]);
-        assert_eq!(snap.get(EntityId(0)).unwrap().value, Some(5));
-    }
-
-    #[test]
-    fn dropped_reservation_releases_buffered_successors() {
-        let m = Mvcc::new(&db(1), 0);
-        let r1 = m.reserve_ts();
-        let r2 = m.reserve_ts();
-        r2.publish(vec![add(0, 3)]);
-        assert_eq!(m.closed_ts(), 0, "t2 buffers behind the unpublished t1");
-        drop(r1);
-        assert_eq!(m.closed_ts(), 2, "dropping t1 unblocks the buffered t2");
-        assert_eq!(m.read_only(&[EntityId(0)]).sum_int(), 3);
-    }
-
-    /// Regression: `Store::snapshot` used to sample `closed_ts()` and
-    /// then lock for `snapshot_at`, so a GC pass in the window could
-    /// truncate the sampled cut away and panic. `snapshot_closed`
-    /// samples the clock under the chain mutex instead.
-    #[test]
-    fn snapshot_closed_survives_publish_and_gc_churn() {
-        const ENTITIES: u32 = 4;
-        const INITIAL: u64 = 100;
-        let m = Arc::new(Mvcc::new(&db(ENTITIES as usize), INITIAL));
-        let writer = {
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                for i in 0..2_000u64 {
-                    let from = (i % u64::from(ENTITIES)) as u32;
-                    let to = ((i + 1) % u64::from(ENTITIES)) as u32;
-                    m.publish(m.alloc_ts(), vec![add(from, -1), add(to, 1)]);
-                    if i % 3 == 0 {
-                        m.gc();
-                    }
-                }
-            })
-        };
-        while !writer.is_finished() {
-            let snap = m.snapshot_closed();
-            let sum: u128 = snap
-                .iter()
-                .filter_map(|(_, v)| v.datum.as_int())
-                .map(u128::from)
-                .sum();
-            assert_eq!(sum, u128::from(INITIAL) * u128::from(ENTITIES));
-        }
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn unknown_entity_panics_without_leaking_a_reader_slot() {
-        let m = Arc::new(Mvcc::new(&db(1), 0));
-        let m2 = Arc::clone(&m);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            m2.read_only(&[EntityId(0), EntityId(7)])
-        }));
-        assert!(r.is_err(), "entity 7 is not in the schema");
-        assert!(
-            m.reader_min().is_none(),
-            "a panicking read_only must not leave a registered slot behind"
-        );
-        // The watermark is unpinned: GC truncates freely.
-        for _ in 0..4 {
-            m.publish(m.alloc_ts(), vec![add(0, 1)]);
-        }
-        let (_, _, w) = m.gc();
-        assert_eq!(w, 4, "no leaked slot pins the watermark");
-    }
-
-    /// The tentpole property in miniature: concurrent writers publish
-    /// conserving transfers while readers scan lock-free; every scan
-    /// must observe the exact initial sum and versions must be
-    /// monotone between scans.
-    #[test]
-    fn concurrent_transfers_conserve_under_lock_free_scans() {
-        const ENTITIES: u32 = 8;
-        const INITIAL: u64 = 1_000;
-        const WRITERS: usize = 4;
-        const COMMITS_PER_WRITER: usize = 300;
-        let m = Arc::new(Mvcc::new(&db(ENTITIES as usize), INITIAL));
-        let entities: Vec<EntityId> = (0..ENTITIES).map(EntityId).collect();
-        let stop = Arc::new(AtomicU64::new(0));
-
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                let entities = entities.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut scans = 0u64;
-                    let mut last: HashMap<EntityId, (u64, u64)> = HashMap::new();
-                    while stop.load(SeqCst) == 0 {
-                        let snap = m.read_only(&entities);
-                        assert_eq!(
-                            snap.sum_int(),
-                            u128::from(INITIAL) * u128::from(ENTITIES),
-                            "a lock-free scan observed a torn cut at ts {}",
-                            snap.ts
-                        );
-                        for e in &snap.entries {
-                            let (pts, pver) = last.get(&e.entity).copied().unwrap_or((0, 0));
-                            assert!(
-                                e.commit_ts >= pts && e.version >= pver,
-                                "version went backwards on {:?}",
-                                e.entity
-                            );
-                            last.insert(e.entity, (e.commit_ts, e.version));
-                        }
-                        scans += 1;
-                    }
-                    scans
-                })
-            })
-            .collect();
-
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for i in 0..COMMITS_PER_WRITER {
-                        let from = ((w + i) % ENTITIES as usize) as u32;
-                        let to = ((w + i + 1) % ENTITIES as usize) as u32;
-                        let ts = m.alloc_ts();
-                        m.publish(ts, vec![add(from, -1), add(to, 1)]);
-                    }
-                })
-            })
-            .collect();
-
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(1, SeqCst);
-        let total_scans: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total_scans > 0, "readers must have scanned at least once");
-        assert_eq!(m.closed_ts(), (WRITERS * COMMITS_PER_WRITER) as u64);
-        let final_snap = m.read_only(&entities);
-        assert_eq!(
-            final_snap.sum_int(),
-            u128::from(INITIAL) * u128::from(ENTITIES)
-        );
+        assert_eq!(held[0].ts(), 0);
+        assert_eq!(held[99].ts(), 99);
+        assert_eq!(k.watermark(), 0, "the oldest held cut");
+        held.drain(..50);
+        assert_eq!(k.watermark(), 50);
+        held[0].refresh();
+        assert_eq!(k.watermark(), 51, "a refreshed cut re-registers");
+        drop(held);
+        assert_eq!(k.watermark(), 100, "no reader: the closed clock");
+        assert!(k.inner.lock().cuts.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! `ddlf_model::explore` finds counterexample schedules in the abstract
 //! lock model; this module re-executes such a schedule against the real
 //! engine machinery — the sharded [`Store`] with its FIFO lock tables
-//! and value/undo log, and the incremental
+//! and write-order value chains, and the incremental
 //! [`StreamingAuditor`] — so a recorded
 //! JSONL trace is not just a claim about the model but a reproducible
 //! run of the engine itself.
@@ -20,7 +20,7 @@
 //!    rule: each unfinished transaction advances in timestamp order;
 //!    a requester younger than the holder dies — its queued request is
 //!    withdrawn, its held locks released, its exposed writes rolled
-//!    back through the undo log — and retries from scratch. Wait-die
+//!    back out of the value chains — and retries from scratch. Wait-die
 //!    admits no waiting cycle, so the replay always drains: the
 //!    deadlock the certified path would have hit is demonstrably
 //!    unjammed by the fallback path, at the cost of real aborts.
@@ -54,7 +54,7 @@ pub struct ReplayReport {
     pub completion_steps: usize,
     /// Attempts killed by the wait-die rule during completion.
     pub aborts: u32,
-    /// Exposed writes rolled back through the undo log.
+    /// Exposed writes rolled back (their chain entries removed).
     pub rolled_back: u32,
     /// Transactions that committed (always `instances` on success).
     pub committed: usize,
@@ -128,13 +128,12 @@ impl Slot {
             instance: t,
             gid: t.0,
             attempt: self.attempt,
-            track_undo: true,
         }
     }
 }
 
 /// Replays `steps` — a (possibly partial) schedule of `sys`, one
-/// transaction per instance — through the engine's store, undo log, and
+/// transaction per instance — through the engine's store, rollback, and
 /// streaming auditor, then completes any unfinished transactions under
 /// the wait-die rule. See the module docs.
 pub fn replay_schedule(
@@ -227,7 +226,7 @@ pub fn replay_schedule(
         slot.prefix.push(g.node);
         report.replayed_steps += 1;
         if slot.prefix.is_complete(txn) {
-            commit(&store, &mut auditor, sys, &mut slots[g.txn.index()], g.txn);
+            commit(&store, &mut auditor, &mut slots[g.txn.index()], g.txn);
             report.committed += 1;
         }
     }
@@ -262,7 +261,7 @@ pub fn replay_schedule(
                 let ready = slots[idx].prefix.ready_nodes(txn);
                 let Some(&n) = ready.first() else {
                     if slots[idx].prefix.is_complete(txn) {
-                        commit(&store, &mut auditor, sys, &mut slots[idx], t);
+                        commit(&store, &mut auditor, &mut slots[idx], t);
                         report.committed += 1;
                         progressed = true;
                     }
@@ -326,21 +325,12 @@ pub fn replay_schedule(
     Ok(report)
 }
 
-/// Commit: writes become permanent, the auditor folds the attempt into
-/// the committed history.
-fn commit(
-    store: &Store,
-    auditor: &mut StreamingAuditor,
-    sys: &TransactionSystem,
-    slot: &mut Slot,
-    t: TxnId,
-) {
-    for &e in sys.txn(t).entities() {
-        store.shard_of(e).commit_clear(t);
-    }
+/// Commit: the attempt's chain entries are stamped (its writes become
+/// permanent), the auditor folds the attempt into the committed history.
+fn commit(store: &Store, auditor: &mut StreamingAuditor, slot: &mut Slot, t: TxnId) {
+    store.publish_commit(store.reserve_commit_ts(), t.0, slot.written.drain(..));
     auditor.commit(t.0, slot.attempt);
     slot.committed = true;
-    slot.written.clear();
 }
 
 /// Wait-die death: release everything, undo exposed writes (reverse

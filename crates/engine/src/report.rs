@@ -90,15 +90,16 @@ pub struct Report {
     /// Aborted attempts — every abort is a wait-die victim that retried;
     /// the certified path cannot abort, so this is always 0 there.
     pub aborted_attempts: usize,
-    /// Aborts that exposed a write the shard undo logs could **not**
-    /// take back (a clobbered absolute write). Exposed writes are
+    /// Aborts that exposed a write the rollback could **not** take back
+    /// cleanly (a surviving op stopped typing without it, or the
+    /// chain-length bound had already folded it). Exposed writes are
     /// normally rolled back (see [`Report::rolled_back`]); only this
     /// residue voids the serializability audit (`serializable` becomes
     /// `None`).
     pub dirty_aborts: usize,
-    /// Exposed writes of dying attempts that were rolled back through
-    /// the per-shard undo logs (exact before-image or inverse-delta
-    /// compensation) — what used to be unconditionally dirty.
+    /// Exposed writes of dying attempts that were rolled back (their
+    /// chain entries removed, successors re-folded) — what used to be
+    /// unconditionally dirty.
     pub rolled_back: u64,
     /// Instance ids that exhausted their attempt budget.
     pub failed: Vec<u32>,

@@ -7,15 +7,17 @@
 //! "scheduler of the site" from §2 of Wolfson & Yannakakis, with data
 //! attached.
 //!
-//! Each shard also keeps a **value/undo log** for its in-flight writers
-//! (see [`crate::wal`]): the before-image of every applied write, so a
-//! wait-die victim that dies *after* an unlock exposed its write can be
-//! rolled back instead of leaving a dirty abort; with a WAL file sink
-//! attached, the same records are appended to `shard-<k>.wal` before the
-//! in-memory apply, making every committed write replayable after a
-//! crash.
+//! A value is held exactly once: as the entity's write-order
+//! [`Chain`](crate::mvcc) in its shard. The live value is the chain's
+//! tip; an in-flight write is an unstamped entry; commit stamps it; a
+//! wait-die victim that dies *after* an unlock exposed its write has
+//! the entry removed again; a snapshot read folds the entries stamped
+//! `≤` its cut. With a WAL file sink attached, every write (and every
+//! rollback) is also appended to `shard-<k>.wal` under the same mutex,
+//! so file order is chain order and [`crate::wal::recover`] rebuilds
+//! the same chains in one pass.
 
-use crate::mvcc::{Mvcc, RoSnapshot};
+use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
 use crate::wal::{ShardSink, Wal, WalRecord};
 use crossbeam::channel::Sender;
@@ -47,7 +49,7 @@ impl Datum {
     }
 }
 
-/// A versioned value: every committed write bumps `version`.
+/// A versioned value: every write in its history bumps `version`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
     /// Monotone write counter (0 = never written).
@@ -83,9 +85,8 @@ impl std::fmt::Display for WriteError {
 impl std::error::Error for WriteError {}
 
 /// Applies `op` to `slot`, returning the new value (version bumped) or
-/// the typed error that made it inapplicable. Shared by the live apply
-/// path and crash-recovery replay, so a recovered store composes the
-/// exact same way the live one did.
+/// the typed error that made it inapplicable. The one fold step shared
+/// by the write path, rollback, snapshot reads and recovery.
 pub(crate) fn apply_op(
     entity: EntityId,
     slot: &VersionedValue,
@@ -119,8 +120,8 @@ pub(crate) enum LockOutcome {
 }
 
 /// Identity of the attempt performing a write, threaded from the
-/// executor down to the shard so the value/undo log can attribute every
-/// record (and the WAL can key it by globally unique instance id).
+/// executor down to the shard so every chain entry and WAL record is
+/// attributed (the WAL keys by globally unique instance id).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteCtx {
     /// Run-local instance id (doubles as the lock-table transaction id).
@@ -129,91 +130,22 @@ pub(crate) struct WriteCtx {
     pub gid: u32,
     /// Attempt number.
     pub attempt: u32,
-    /// Keep in-memory before-images so the attempt can be rolled back.
-    /// On (false on the certified path, which cannot abort).
-    pub track_undo: bool,
 }
 
-/// How one exposed write was rolled back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UndoOutcome {
-    /// No write of this attempt was recorded for the entity.
-    None,
-    /// Nobody wrote the entity since: the exact pre-attempt
-    /// `(datum, version)` was restored.
-    Exact,
-    /// Later *delta* writers intervened after the dying attempt's
-    /// unlock; their accumulated delta was re-based onto the before-
-    /// image (and the dead version bump retracted) without disturbing
-    /// them.
-    Compensated,
-    /// A later **absolute** write (`Put`/`PutBytes`) intervened and
-    /// already erased every trace of the dead write: the value stands,
-    /// only the dead version bump is retracted.
-    Erased,
-    /// The write cannot be undone soundly (an absolute write over a
-    /// byte payload whose delta successors depended on it): the abort
-    /// stays dirty and the run's audit is voided.
-    Unrecoverable,
-}
-
-impl UndoOutcome {
-    /// Whether the dead write's effect is fully gone from the store.
-    pub(crate) fn rolled_back(self) -> bool {
-        matches!(
-            self,
-            UndoOutcome::Exact | UndoOutcome::Compensated | UndoOutcome::Erased
-        )
-    }
-}
-
-/// One undo-log entry: the images around a single applied write.
-#[derive(Debug, Clone)]
-struct UndoEntry {
-    entity: EntityId,
-    before: VersionedValue,
-    after: VersionedValue,
-    /// The entity's absolute-write count the moment this write landed
-    /// (counting this write if it was itself absolute). A different
-    /// count at undo time proves an intervening `Put`/`PutBytes` erased
-    /// the dead write.
-    abs_count: u64,
-    /// Shard-wide apply sequence: orders this entry against sibling
-    /// in-flight writers of the same entity, so an undo knows which
-    /// pending images to repair (see [`ShardState::repair_pending`]).
-    seq: u64,
-    /// Whether the write was absolute (`Put`/`PutBytes`): its undo must
-    /// also retract its bump of the absolute-write witness.
-    absolute: bool,
-    /// A sibling's undo could not rewrite this entry's images into the
-    /// post-rollback timeline; undoing it would be unsound.
-    poisoned: bool,
-}
-
-/// Mutable state of one shard: values plus the site's lock table, the
-/// grant-delivery channels of queued requesters, and the value/undo log
-/// of in-flight writers.
+/// Mutable state of one shard: the value chains plus the site's lock
+/// table and the grant-delivery channels of queued requesters.
 pub(crate) struct ShardState {
-    pub values: HashMap<EntityId, VersionedValue>,
+    /// Every resident entity's write-order chain — the only value store
+    /// (indexed by [`Shard::slot`]).
+    chains: Vec<Chain>,
     pub locks: LockTable,
     /// `(instance, entity)` → where to deliver the eventual grant, and
     /// when the requester queued (measures the true queue wait for the
     /// lock-wait histogram; stamping it is one clock read on the
     /// already-contended path).
     pub waiters: HashMap<(TxnId, EntityId), (Sender<EntityId>, Instant)>,
-    /// Before-images of writes applied by in-flight attempts, cleared at
-    /// commit, replayed (in reverse) at abort.
-    undo: HashMap<TxnId, Vec<UndoEntry>>,
-    /// Count of absolute writes (`Put`/`PutBytes`) per entity currently
-    /// in the value's timeline — the witness [`Shard::undo_write`] uses
-    /// to decide between delta compensation and erased-by-overwrite.
-    /// Undoing an absolute write decrements it again, so the witness
-    /// always describes the surviving timeline.
-    absolute_writes: HashMap<EntityId, u64>,
-    /// Monotone apply counter stamping undo entries with their order.
-    write_seq: u64,
     /// Optional file sink: `shard-<k>.wal`, written under this mutex so
-    /// file order is apply order.
+    /// file order is chain order.
     sink: Option<(ShardSink, Arc<Wal>)>,
     /// Observability handle: promotion records the measured queue wait
     /// into the lock-wait histogram (immediate grants are recorded
@@ -225,12 +157,21 @@ pub(crate) struct ShardState {
 pub struct Shard {
     pub(crate) state: Mutex<ShardState>,
     site: SiteId,
+    /// Each resident entity's index into `ShardState::chains`, by global
+    /// entity index (immutable; `u32::MAX` = lives on another site).
+    slots: Vec<u32>,
 }
 
 impl Shard {
     /// The site this shard serves.
     pub fn site(&self) -> SiteId {
         self.site
+    }
+
+    /// Where `entity`'s chain lives. An entity of another site (or of
+    /// no schema) yields an index that panics on use.
+    fn slot(&self, entity: EntityId) -> usize {
+        self.slots[entity.index()] as usize
     }
 
     /// Requests the exclusive lock on `entity` for `instance`. On a
@@ -268,10 +209,10 @@ impl Shard {
     }
 
     /// Applies `write` (if any) under the still-held lock — logging it
-    /// to the value/undo log first — then releases `entity`, handing the
-    /// lock to the next FIFO waiter. Returns whether a write was applied
-    /// (`Ok(false)` = no write requested), or the typed error of a write
-    /// that did not type (the entity is still released).
+    /// first — then releases `entity`, handing the lock to the next FIFO
+    /// waiter. Returns whether a write was applied (`Ok(false)` = no
+    /// write requested), or the typed error of a write that did not
+    /// type (the entity is still released).
     pub(crate) fn write_and_release(
         &self,
         ctx: &WriteCtx,
@@ -280,7 +221,7 @@ impl Shard {
     ) -> Result<bool, WriteError> {
         let mut st = self.state.lock();
         let applied = match write {
-            Some(w) => st.apply_logged(ctx, entity, w),
+            Some(w) => st.apply_logged(ctx, self.slot(entity), w).map(|()| true),
             None => Ok(false),
         };
         st.release_and_promote(ctx.instance, entity);
@@ -293,206 +234,60 @@ impl Shard {
         self.state.lock().release_and_promote(instance, entity);
     }
 
-    /// Drops the undo entries of a committing instance (its writes are
-    /// now permanent).
-    pub(crate) fn commit_clear(&self, instance: TxnId) {
-        self.state.lock().undo.remove(&instance);
-    }
-
-    /// Rolls back the write `instance` applied to `entity`, if any.
-    /// Three sound cases, decided under the shard mutex:
-    ///
-    /// * **Exact** — nothing intervened (`current == after`): restore
-    ///   the before-image verbatim.
-    /// * **Erased** — an intervening *absolute* write (`Put`/`PutBytes`,
-    ///   witnessed by the entity's absolute-write counter) has already
-    ///   destroyed every trace of the dead write; the current value
-    ///   stands and only the dead version bump is retracted.
-    /// * **Compensated** — only *delta* writers intervened: re-base
-    ///   their accumulated delta (`current − after`) onto the
-    ///   before-image, which removes exactly the dead write (works for
-    ///   a dead `Add` *and* a dead `Put` over an integer).
-    ///
-    /// The one remaining unsound corner — delta successors that rode on
-    /// a dead absolute write over a *byte* payload — stays
-    /// [`UndoOutcome::Unrecoverable`] (a dirty abort).
-    ///
-    /// A successful rollback also rewrites the images of **still-pending
-    /// sibling writers** of the entity into the post-rollback timeline
-    /// ([`ShardState::repair_pending`]): without that, two overlapping
-    /// doomed writers could resurrect the first victim's write out of
-    /// the second victim's stale before-image. The restoration is logged
-    /// to the shard's WAL sink.
+    /// Rolls back the write the attempt applied to `entity`, if it is
+    /// still undecided: its chain entry is removed and the tip re-folded
+    /// over the survivors (see [`Chain::remove`]). The restoration is
+    /// logged to the shard's WAL sink.
     pub(crate) fn undo_write(&self, ctx: &WriteCtx, entity: EntityId) -> UndoOutcome {
         let mut st = self.state.lock();
-        let Some(entries) = st.undo.get_mut(&ctx.instance) else {
-            return UndoOutcome::None;
-        };
-        let Some(pos) = entries.iter().rposition(|e| e.entity == entity) else {
-            return UndoOutcome::None;
-        };
-        let entry = entries.remove(pos);
-        if entries.is_empty() {
-            st.undo.remove(&ctx.instance);
+        let st = &mut *st;
+        let chain = &mut st.chains[self.slot(entity)];
+        let outcome = chain.remove(ctx.gid);
+        if outcome != UndoOutcome::None {
+            if let Some((sink, wal)) = st.sink.as_mut() {
+                let rec = WalRecord::Undo {
+                    gid: ctx.gid,
+                    entity,
+                    restored: chain.tip().clone(),
+                };
+                wal.append_shard(sink, &rec);
+            }
         }
-        if entry.poisoned {
-            return UndoOutcome::Unrecoverable;
-        }
-        let current = st.read(entity);
-        let (restored, outcome) = if current == entry.after {
-            // Untouched since our write: exact restore.
-            (entry.before.clone(), UndoOutcome::Exact)
-        } else if st.absolute_writes.get(&entity).copied().unwrap_or(0) != entry.abs_count {
-            // A later Put/PutBytes overwrote us: its value owes nothing
-            // to the dead write (and later deltas rode on *it*), so the
-            // dead write is already gone — keep the value, retract the
-            // dead version bump.
-            (
-                VersionedValue {
-                    version: current.version.saturating_sub(1),
-                    datum: current.datum.clone(),
-                },
-                UndoOutcome::Erased,
-            )
-        } else if let (Datum::Int(before), Datum::Int(cur), Datum::Int(after)) =
-            (&entry.before.datum, &current.datum, &entry.after.datum)
-        {
-            // Only deltas intervened: current = after + Σdeltas, so
-            // before + (current − after) removes exactly our write while
-            // keeping every later delta.
-            (
-                VersionedValue {
-                    version: current.version.saturating_sub(1),
-                    datum: Datum::Int(before.wrapping_add(cur.wrapping_sub(*after))),
-                },
-                UndoOutcome::Compensated,
-            )
-        } else {
-            // No sound reconstruction (delta successors rode on a dead
-            // absolute write over a byte payload).
-            return UndoOutcome::Unrecoverable;
-        };
-        st.repair_pending(&entry);
-        if let Some((sink, wal)) = st.sink.as_mut() {
-            let rec = WalRecord::Undo {
-                gid: ctx.gid,
-                entity,
-                restored: restored.clone(),
-            };
-            wal.append_shard(sink, &rec);
-        }
-        st.values.insert(entity, restored);
         outcome
     }
 
-    /// Reads `entity` without taking a lock (engine-internal snapshots).
+    /// Reads the live value of `entity` without taking its lock
+    /// (undecided writes included).
     pub(crate) fn peek(&self, entity: EntityId) -> VersionedValue {
-        self.state.lock().read(entity)
+        self.state.lock().chains[self.slot(entity)].tip().clone()
     }
 }
 
 impl ShardState {
-    fn read(&self, entity: EntityId) -> VersionedValue {
-        self.values.get(&entity).cloned().unwrap_or(VersionedValue {
-            version: 0,
-            datum: Datum::Int(0),
-        })
-    }
-
     /// Applies one write: computes the new value, appends the record to
-    /// the value/undo log (file first — write-ahead — then the in-memory
-    /// before-image), and only then mutates the store.
+    /// the shard's value log (write-ahead), then appends the undecided
+    /// entry to the entity's chain.
     fn apply_logged(
         &mut self,
         ctx: &WriteCtx,
-        entity: EntityId,
+        slot: usize,
         write: &WriteOp,
-    ) -> Result<bool, WriteError> {
-        let before = self.read(entity);
-        let after = apply_op(entity, &before, write)?;
+    ) -> Result<(), WriteError> {
+        let chain = &mut self.chains[slot];
+        let after = chain.apply(write)?;
         if let Some((sink, wal)) = self.sink.as_mut() {
             let rec = WalRecord::Write {
                 gid: ctx.gid,
                 attempt: ctx.attempt,
-                entity,
+                entity: chain.entity(),
                 op: write.clone(),
-                before: before.clone(),
+                before: chain.tip().clone(),
                 after: after.clone(),
             };
             wal.append_shard(sink, &rec);
         }
-        let absolute = matches!(write, WriteOp::Put(_) | WriteOp::PutBytes(_));
-        if absolute {
-            *self.absolute_writes.entry(entity).or_insert(0) += 1;
-        }
-        if ctx.track_undo {
-            self.write_seq += 1;
-            self.undo.entry(ctx.instance).or_default().push(UndoEntry {
-                entity,
-                before,
-                after: after.clone(),
-                abs_count: self.absolute_writes.get(&entity).copied().unwrap_or(0),
-                seq: self.write_seq,
-                absolute,
-                poisoned: false,
-            });
-        }
-        self.values.insert(entity, after);
-        Ok(true)
-    }
-
-    /// Rewrites the undo images of still-pending sibling writers after
-    /// `undone`'s write left the timeline. Every later image loses the
-    /// retracted version bump; an image that still *rode on* the dead
-    /// write — no absolute write detached it, witnessed by the
-    /// per-entity absolute counters — additionally has the dead effect
-    /// removed from its datum (delta re-base, or the exact before-image
-    /// when it equalled the dead after-image). An image that cannot be
-    /// rewritten (byte payloads with no arithmetic) poisons its entry:
-    /// that entry's own undo later reports [`UndoOutcome::Unrecoverable`]
-    /// instead of restoring a corrupt image. If the undone write was
-    /// absolute, its witness bump is retracted from the counter and from
-    /// every later entry's recorded count.
-    fn repair_pending(&mut self, undone: &UndoEntry) {
-        let delta = match (&undone.before.datum, &undone.after.datum) {
-            (Datum::Int(b), Datum::Int(a)) => Some(a.wrapping_sub(*b)),
-            _ => None,
-        };
-        let fix = |img: &mut VersionedValue, img_abs: u64| -> bool {
-            let ok = if img_abs != undone.abs_count {
-                // A later absolute write already detached this image
-                // from the dead write; only the version shifts.
-                true
-            } else if *img == undone.after {
-                img.datum = undone.before.datum.clone();
-                true
-            } else if let (Some(d), Datum::Int(v)) = (delta, &img.datum) {
-                img.datum = Datum::Int(v.wrapping_sub(d));
-                true
-            } else {
-                false
-            };
-            img.version = img.version.saturating_sub(1);
-            ok
-        };
-        for e in self
-            .undo
-            .values_mut()
-            .flat_map(|v| v.iter_mut())
-            .filter(|e| e.entity == undone.entity && e.seq > undone.seq)
-        {
-            let before_ok = fix(&mut e.before, e.abs_count - u64::from(e.absolute));
-            let after_ok = fix(&mut e.after, e.abs_count);
-            e.poisoned |= !(before_ok && after_ok);
-            if undone.absolute {
-                e.abs_count = e.abs_count.saturating_sub(1);
-            }
-        }
-        if undone.absolute {
-            if let Some(c) = self.absolute_writes.get_mut(&undone.entity) {
-                *c = c.saturating_sub(1);
-            }
-        }
+        chain.push(ctx.gid, write.clone(), None, after);
+        Ok(())
     }
 
     /// Releases and hands the lock to the next FIFO waiter, delivering
@@ -517,70 +312,62 @@ impl ShardState {
     }
 }
 
-/// The sharded store: one [`Shard`] per database site.
-///
-/// Alongside the live shard values the store keeps a multiversion
-/// history: bounded per-entity chains of committed `(commit_ts,
-/// VersionedValue)` versions fed by the commit path, serving the
-/// zero-lock read-only snapshot path ([`Store::read_only_snapshot`])
-/// and the snapshot-at-ts reads ([`Store::snapshot_at`]). See
-/// [`crate::mvcc`] and the "Multiversion snapshot reads" section of
+/// The sharded store: one [`Shard`] per database site, plus the commit
+/// [`Clock`](crate::mvcc) that gives the shards' chains a common cut.
+/// See [`crate::mvcc`] and the "Multiversion snapshot reads" section of
 /// `ARCHITECTURE.md`.
 pub struct Store {
     shards: Vec<Shard>,
     db: Database,
-    mvcc: Mvcc,
+    clock: Clock,
+    /// Gauge sink for the GC pass.
+    telemetry: Telemetry,
 }
 
 impl Store {
     /// Builds a store for `db`, initializing every entity to
     /// `Datum::Int(initial)` at version 0.
     pub fn new(db: &Database, initial: u64) -> Self {
-        Self::build(db, initial)
-    }
-
-    /// [`Store::new`] with the per-shard value logs attached to `wal`
-    /// (one `shard-<k>.wal` file per shard, append mode).
-    pub(crate) fn with_wal(db: &Database, initial: u64, wal: &Arc<Wal>) -> io::Result<Self> {
-        let mut store = Self::build(db, initial);
-        store.attach_wal(wal)?;
-        Ok(store)
-    }
-
-    fn build(db: &Database, initial: u64) -> Self {
         let mut shards: Vec<Shard> = (0..db.site_count())
             .map(|s| Shard {
                 state: Mutex::new_named(
                     "shard.state",
                     ShardState {
-                        values: HashMap::new(),
+                        chains: Vec::new(),
                         locks: LockTable::new(),
                         waiters: HashMap::new(),
-                        undo: HashMap::new(),
-                        absolute_writes: HashMap::new(),
-                        write_seq: 0,
                         sink: None,
                         telemetry: Telemetry::disabled(),
                     },
                 ),
                 site: SiteId::from_index(s),
+                slots: vec![u32::MAX; db.entity_count()],
             })
             .collect();
         for e in db.entities() {
-            let site = db.site_of(e);
-            shards[site.index()].state.get_mut().values.insert(
-                e,
-                VersionedValue {
-                    version: 0,
-                    datum: Datum::Int(initial),
-                },
-            );
+            let seed = VersionedValue {
+                version: 0,
+                datum: Datum::Int(initial),
+            };
+            let shard = &mut shards[db.site_of(e).index()];
+            let chains = &mut shard.state.get_mut().chains;
+            shard.slots[e.index()] = chains.len() as u32;
+            chains.push(Chain::new(e, seed));
         }
         Self {
             shards,
             db: db.clone(),
-            mvcc: Mvcc::new(db, initial),
+            clock: Clock::starting_at(0),
+            telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// [`Store::new`] with the per-shard value logs attached to `wal`
+    /// (one `shard-<k>.wal` file per shard, append mode).
+    pub(crate) fn with_wal(db: &Database, initial: u64, wal: &Arc<Wal>) -> io::Result<Self> {
+        let mut store = Self::new(db, initial);
+        store.attach_wal(wal)?;
+        Ok(store)
     }
 
     /// Replays a WAL directory into a fresh store and re-audits the
@@ -592,19 +379,27 @@ impl Store {
         crate::wal::recover(dir)
     }
 
-    /// Re-applies one committed write during recovery (no locks, no
-    /// logging: recovery is single-threaded over a private store).
-    pub(crate) fn replay_write(
+    /// Recovery: appends one committed write, already stamped, to its
+    /// chain (no locks, no logging — recovery is single-threaded over a
+    /// private store, fed in shard-log file order).
+    pub(crate) fn recover_write(
         &mut self,
         entity: EntityId,
+        gid: u32,
         op: &WriteOp,
+        commit_ts: u64,
     ) -> Result<(), WriteError> {
-        let shard = self.db.site_of(entity).index();
-        let st = self.shards[shard].state.get_mut();
-        let before = st.read(entity);
-        let after = apply_op(entity, &before, op)?;
-        st.values.insert(entity, after);
+        let shard = &mut self.shards[self.db.site_of(entity).index()];
+        let slot = shard.slot(entity);
+        let chain = &mut shard.state.get_mut().chains[slot];
+        let after = chain.apply(op)?;
+        chain.push(gid, op.clone(), Some(commit_ts), after);
         Ok(())
+    }
+
+    /// Recovery: resumes the clock past the highest durable commit.
+    pub(crate) fn resume_clock(&mut self, commit_ts: u64) {
+        self.clock = Clock::starting_at(commit_ts);
     }
 
     /// Attaches per-shard WAL sinks to a recovered store so a resumed
@@ -623,7 +418,7 @@ impl Store {
         for shard in &mut self.shards {
             shard.state.get_mut().telemetry = telemetry.clone();
         }
-        self.mvcc.set_telemetry(telemetry);
+        self.telemetry = telemetry.clone();
     }
 
     /// The shard owning `entity`.
@@ -641,106 +436,152 @@ impl Store {
         &self.db
     }
 
-    /// A true committed snapshot: the multiversion chain state at the
-    /// current closed commit timestamp, sorted by entity. Safe to call
-    /// while writers churn — the closed clock is sampled under the
-    /// same lock that GC and the chain-capacity trim hold, so the cut
-    /// is always retained, and it reflects whole committed
-    /// transactions only, applied in commit-timestamp order.
+    /// Every listed entity at cut `s` (a brief leaf `shard.state`
+    /// acquisition each) as `view(entity, newest commit ts, value)`, or
+    /// `None` if some chain was trimmed past `s`.
+    fn read_at<T>(
+        &self,
+        entities: &[EntityId],
+        s: u64,
+        view: impl Fn(EntityId, u64, VersionedValue) -> T,
+    ) -> Option<Vec<T>> {
+        let mut out = Vec::with_capacity(entities.len());
+        for &e in entities {
+            let shard = self.shard_of(e);
+            let (ts, value) = shard.state.lock().chains[shard.slot(e)].at(s)?;
+            out.push(view(e, ts, value));
+        }
+        Some(out)
+    }
+
+    /// Reads `entities` at one registered cut of the closed clock. The
+    /// registration pins the GC watermark; only the [`CHAIN_CAP`] trim
+    /// can outrun it, and then the whole scan restarts at a fresh
+    /// `closed` — the result is always a single cut, never a mixed one.
     ///
-    /// **Commit-ts order caveat:** chains apply write-sets in commit-
-    /// timestamp order, while the live shards apply writes at lock-
-    /// release time — under early lock release the two orders can
-    /// invert. Deltas ([`WriteOp::Add`]) commute, so for delta-only
-    /// workloads the chain tip provably equals the live committed
-    /// value at quiescence ([`Store::chain_divergence`] cross-checks
-    /// this); with absolute writes (`Put`/`PutBytes`) the tip can
-    /// legitimately differ from the live shard value. See the
-    /// [`crate::mvcc`] module docs.
-    ///
-    /// For values mutated *outside* the commit path (uncommitted
-    /// writes, direct shard manipulation) use [`Store::live_snapshot`].
+    /// [`CHAIN_CAP`]: crate::mvcc::CHAIN_CAP
+    fn scan<T>(
+        &self,
+        entities: &[EntityId],
+        view: impl Fn(EntityId, u64, VersionedValue) -> T,
+    ) -> (u64, Vec<T>) {
+        let mut cut = self.clock.register();
+        loop {
+            if let Some(values) = self.read_at(entities, cut.ts(), &view) {
+                return (cut.ts(), values);
+            }
+            std::thread::yield_now();
+            cut.refresh();
+        }
+    }
+
+    /// A true committed snapshot: every entity at the current closed
+    /// commit timestamp, sorted by entity. Safe to call while writers
+    /// churn: it reflects whole committed transactions only, and for
+    /// each entity it is the fold of those transactions' writes in the
+    /// order they were applied — so at quiescence it *is*
+    /// [`Store::live_snapshot`].
     pub fn snapshot(&self) -> Vec<(EntityId, VersionedValue)> {
-        self.mvcc.snapshot_closed()
+        let entities: Vec<EntityId> = self.db.entities().collect();
+        self.scan(&entities, |e, _, value| (e, value)).1
     }
 
-    /// The committed chain state at cut `ts` (full datum fidelity,
-    /// brief `store.mvcc` lock). `None` when `ts` is ahead of the
-    /// closed clock or behind what GC still retains.
+    /// The committed state at cut `ts`, sorted by entity. `None` when
+    /// `ts` is ahead of the closed clock or behind what GC still
+    /// retains for some entity.
     pub fn snapshot_at(&self, ts: u64) -> Option<Vec<(EntityId, VersionedValue)>> {
-        self.mvcc.snapshot_at(ts)
+        if ts > self.clock.closed_ts() {
+            return None;
+        }
+        let entities: Vec<EntityId> = self.db.entities().collect();
+        self.read_at(&entities, ts, |e, _, value| (e, value))
     }
 
-    /// The raw *live* shard values, uncommitted writes included — only
-    /// consistent when quiescent. Post-run assertions about committed
-    /// state should prefer [`Store::snapshot`].
+    /// The raw *live* values, undecided writes included — only
+    /// consistent when quiescent (and then equal to
+    /// [`Store::snapshot`]).
     pub fn live_snapshot(&self) -> Vec<(EntityId, VersionedValue)> {
-        let mut out: Vec<(EntityId, VersionedValue)> = self
-            .db
+        self.db
             .entities()
             .map(|e| (e, self.shard_of(e).peek(e)))
-            .collect();
-        out.sort_by_key(|(e, _)| *e);
-        out
+            .collect()
     }
 
-    /// The zero-lock read-only transaction: scans the newest committed
-    /// version `≤` a freshly claimed snapshot ts for every entity in
-    /// `entities`, without acquiring any lock class. See
-    /// [`crate::mvcc`] for the protocol.
+    /// The read-only transaction: every entity in `entities` at one
+    /// freshly claimed committed cut. No lock-table entry, no WAL
+    /// record; the only locks are the leaf registry mutex and one brief
+    /// leaf `shard.state` acquisition per entity. See [`crate::mvcc`]
+    /// for the single-cut argument.
+    ///
+    /// # Panics
+    /// Panics when an entity is not in the schema (the cut registration
+    /// is guard-scoped, so the unwind cannot pin the GC watermark).
     pub fn read_only_snapshot(&self, entities: &[EntityId]) -> RoSnapshot {
-        self.mvcc.read_only(entities)
+        let (ts, entries) = self.scan(entities, |entity, commit_ts, v| RoEntry {
+            entity,
+            commit_ts,
+            version: v.version,
+            value: v.datum.as_int(),
+        });
+        RoSnapshot { ts, entries }
     }
 
     /// The closed prefix of the commit clock — the ts a new read-only
     /// snapshot would observe.
     pub fn commit_ts(&self) -> u64 {
-        self.mvcc.closed_ts()
+        self.clock.closed_ts()
     }
 
-    /// Explicitly garbage-collects version chains against the
-    /// low-watermark of live read-only snapshots (also runs
-    /// automatically every few hundred commits). Returns `(retained
-    /// versions, longest chain, watermark)`.
+    /// Garbage-collects the chains against the low-watermark of live
+    /// read-only snapshots, one shard at a time, and publishes the chain
+    /// gauges (also runs automatically every few hundred commits).
+    /// Returns `(retained versions, longest chain, watermark)`.
     pub fn gc_versions(&self) -> (u64, u64, u64) {
-        self.mvcc.gc()
+        let watermark = self.clock.watermark();
+        let (mut total, mut longest) = (0u64, 0u64);
+        for shard in &self.shards {
+            for chain in shard.state.lock().chains.iter_mut() {
+                let len = chain.gc(watermark) as u64;
+                total += len;
+                longest = longest.max(len);
+            }
+        }
+        self.telemetry.set_chains(total, longest, watermark);
+        (total, longest, watermark)
     }
 
-    /// Reserves the next commit timestamp (commit path only). The
-    /// reservation publishes an empty write-set if dropped
-    /// unpublished, so a panic between allocation and
-    /// [`Store::publish_commit`] (WAL I/O, say) cannot stall the
-    /// closed clock — and with it every later commit's visibility —
-    /// forever.
-    pub(crate) fn reserve_commit_ts(&self) -> crate::mvcc::TsReservation<'_> {
-        self.mvcc.reserve_ts()
+    /// Reserves the next commit timestamp (commit path only). Dropping
+    /// the reservation closes the timestamp, so a panic between
+    /// allocation and [`Store::publish_commit`] (WAL I/O, say) cannot
+    /// stall the closed clock — and with it every later commit's
+    /// visibility — forever.
+    pub(crate) fn reserve_commit_ts(&self) -> TsReservation<'_> {
+        TsReservation {
+            store: self,
+            ts: self.clock.alloc_ts(),
+        }
     }
 
-    /// Publishes a committed write-set at the reserved timestamp into
-    /// the version chains (commit path only; call after the commit
-    /// record is durable).
+    /// Commits instance `gid` at the reserved timestamp: stamps its
+    /// entry on every entity in `written` (one shard at a time), then
+    /// closes the timestamp. Call after the commit record is durable.
     pub(crate) fn publish_commit(
         &self,
-        ts: crate::mvcc::TsReservation<'_>,
-        writes: Vec<(EntityId, WriteOp)>,
+        ts: TsReservation<'_>,
+        gid: u32,
+        written: impl IntoIterator<Item = EntityId>,
     ) {
-        ts.publish(writes);
-    }
-
-    /// Recovery-path publication: rebuilds the chain state for commit
-    /// `ts` directly (callers feed commits in ascending ts order).
-    pub(crate) fn publish_recovered(&self, ts: u64, writes: &[(EntityId, WriteOp)]) {
-        self.mvcc.publish_recovered(ts, writes);
+        for e in written {
+            let shard = self.shard_of(e);
+            shard.state.lock().chains[shard.slot(e)].stamp(gid, ts.ts);
+        }
+        drop(ts); // closes the timestamp
     }
 
     /// Sum of all committed integer payloads — conservation checks for
     /// transfer workloads. Widened to `u128`: the old `u64` wrapping
     /// sum could let a non-conserving run wrap back onto the expected
     /// total and pass its conservation check.
-    ///
-    /// Reads the committed chains, so the delta-only caveat of
-    /// [`Store::snapshot`] applies: with absolute writes in the mix,
-    /// prefer [`Store::live_snapshot`] sums at quiescence.
     pub fn total_int(&self) -> u128 {
         self.snapshot()
             .iter()
@@ -753,28 +594,32 @@ impl Store {
     pub fn total_versions(&self) -> u64 {
         self.snapshot().iter().map(|(_, v)| v.version).sum()
     }
+}
 
-    /// Quiescent cross-check of the store's two value representations:
-    /// the entities whose committed-chain tip datum differs from the
-    /// live shard datum. Meaningful only with no transaction in flight
-    /// (live values include uncommitted writes).
-    ///
-    /// For **delta-only** workloads any divergence is a bug — deltas
-    /// commute, so commit-ts/lock-order inversions cannot change the
-    /// tip — and the engine debug-asserts this empty at the end of
-    /// every delta-only run. With absolute writes (`Put`/`PutBytes`) a
-    /// commit-ts inversion can legitimately leave the two tips
-    /// diverged; see the [`crate::mvcc`] module docs.
-    pub fn chain_divergence(&self) -> Vec<EntityId> {
-        self.snapshot()
-            .iter()
-            .zip(self.live_snapshot().iter())
-            .filter(|((e, chain), (le, live))| {
-                debug_assert_eq!(e, le, "both snapshots are entity-sorted");
-                chain.datum != live.datum
-            })
-            .map(|((e, _), _)| *e)
-            .collect()
+/// An allocated commit timestamp awaiting its close. The closed clock
+/// only advances over a *contiguous* prefix, so every allocated ts must
+/// eventually close — a hole would stall every later commit's
+/// visibility. Dropping the reservation closes it, stamped entries or
+/// not: an unwind between allocation and stamping leaves a gap the
+/// clock closes over, exactly like the gaps recovery tolerates for
+/// timestamps that never became durable.
+pub(crate) struct TsReservation<'a> {
+    store: &'a Store,
+    ts: u64,
+}
+
+impl TsReservation<'_> {
+    /// The reserved commit timestamp (log it in the durable record).
+    pub(crate) fn ts(&self) -> u64 {
+        self.ts
+    }
+}
+
+impl Drop for TsReservation<'_> {
+    fn drop(&mut self) {
+        if self.store.clock.close(self.ts) {
+            self.store.gc_versions();
+        }
     }
 }
 
@@ -784,7 +629,7 @@ mod tests {
     use crossbeam::channel::unbounded;
 
     fn store2() -> Store {
-        Store::new(&Database::one_entity_per_site(2), 100)
+        store_n(2, 100)
     }
 
     fn ctx(instance: u32) -> WriteCtx {
@@ -792,8 +637,42 @@ mod tests {
             instance: TxnId(instance),
             gid: instance,
             attempt: 0,
-            track_undo: true,
         }
+    }
+
+    /// Commits `c`'s write on `e`: stamp at a fresh timestamp, close it.
+    fn commit(s: &Store, c: &WriteCtx, e: EntityId) {
+        s.publish_commit(s.reserve_commit_ts(), c.gid, [e]);
+    }
+
+    /// Applies `op` as `c`'s (still undecided) write, skipping the lock
+    /// table — most tests below drive chains and clock directly.
+    fn write(s: &Store, c: &WriteCtx, e: EntityId, op: WriteOp) {
+        let shard = s.shard_of(e);
+        let applied = shard.state.lock().apply_logged(c, shard.slot(e), &op);
+        applied.unwrap();
+    }
+
+    fn chain_len(s: &Store, e: EntityId) -> usize {
+        let shard = s.shard_of(e);
+        let len = shard.state.lock().chains[shard.slot(e)].len();
+        len
+    }
+
+    /// One whole committed transfer of `amount` by instance `gid`.
+    fn transfer(s: &Store, gid: u32, from: u32, to: u32, amount: i64) {
+        let (from, to) = (EntityId(from), EntityId(to));
+        write(s, &ctx(gid), from, WriteOp::Add(-amount));
+        write(s, &ctx(gid), to, WriteOp::Add(amount));
+        s.publish_commit(s.reserve_commit_ts(), gid, [from, to]);
+    }
+
+    fn store_n(n: usize, initial: u64) -> Store {
+        Store::new(&Database::one_entity_per_site(n), initial)
+    }
+
+    fn ints(snap: &[(EntityId, VersionedValue)]) -> Vec<u64> {
+        snap.iter().filter_map(|(_, v)| v.datum.as_int()).collect()
     }
 
     #[test]
@@ -892,10 +771,7 @@ mod tests {
         let s = store2();
         let e = EntityId(0);
         let (tx, _rx) = unbounded();
-        s.shard_of(e).request(TxnId(0), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(0), e, Some(&WriteOp::PutBytes(vec![7, 8])))
-            .unwrap();
+        write(&s, &ctx(0), e, WriteOp::PutBytes(vec![7, 8]));
         s.shard_of(e).request(TxnId(1), e, &tx);
         // The old behavior treated the bytes as 0 and installed Int(3).
         assert_eq!(
@@ -914,25 +790,18 @@ mod tests {
     fn abort_restores_exact_pre_attempt_value_and_version() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         // A committed write first, so the pre-attempt version is nonzero.
-        s.shard_of(e).request(TxnId(0), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(0), e, Some(&WriteOp::Add(11)))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(0));
+        write(&s, &ctx(0), e, WriteOp::Add(11));
+        commit(&s, &ctx(0), e);
         let pre = s.shard_of(e).peek(e);
         assert_eq!((pre.version, pre.datum.clone()), (1, Datum::Int(111)));
 
         // The doomed attempt writes and unlocks (the dirty-abort shape),
         // then dies: the exact (datum, version) must come back.
         let c = ctx(1);
-        s.shard_of(e).request(c.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c, e, Some(&WriteOp::Add(-40)))
-            .unwrap();
+        write(&s, &c, e, WriteOp::Add(-40));
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(71));
-        assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::Exact);
+        assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::RolledBack);
         assert_eq!(s.shard_of(e).peek(e), pre);
         // Idempotent: the entry is consumed.
         assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::None);
@@ -942,21 +811,14 @@ mod tests {
     fn undo_compensates_add_when_a_later_writer_intervened() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         // Doomed attempt 0 writes +50 and unlocks.
         let c0 = ctx(0);
-        s.shard_of(e).request(c0.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c0, e, Some(&WriteOp::Add(50)))
-            .unwrap();
+        write(&s, &c0, e, WriteOp::Add(50));
         // Instance 1 sneaks in, writes +7, commits.
-        s.shard_of(e).request(TxnId(1), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(1), e, Some(&WriteOp::Add(7)))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(1));
+        write(&s, &ctx(1), e, WriteOp::Add(7));
+        commit(&s, &ctx(1), e);
         // Undo of instance 0 must keep instance 1's committed +7.
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::Compensated);
+        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!(v.datum, Datum::Int(107));
         assert_eq!(v.version, 1, "only the committed write remains counted");
@@ -969,18 +831,11 @@ mod tests {
         // again would corrupt the committed value (200 → 150).
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let c0 = ctx(0);
-        s.shard_of(e).request(c0.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c0, e, Some(&WriteOp::Add(50)))
-            .unwrap();
-        s.shard_of(e).request(TxnId(1), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(1), e, Some(&WriteOp::Put(200)))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(1));
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::Erased);
+        write(&s, &c0, e, WriteOp::Add(50));
+        write(&s, &ctx(1), e, WriteOp::Put(200));
+        commit(&s, &ctx(1), e);
+        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!(v.datum, Datum::Int(200), "the absolute write stands");
         assert_eq!(v.version, 1, "only the committed write remains counted");
@@ -990,19 +845,12 @@ mod tests {
     fn undo_of_overwritten_put_is_erased_and_keeps_the_overwrite() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let c0 = ctx(0);
-        s.shard_of(e).request(c0.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c0, e, Some(&WriteOp::Put(5)))
-            .unwrap();
+        write(&s, &c0, e, WriteOp::Put(5));
         // A later PutBytes destroyed every trace of the dead Put.
-        s.shard_of(e).request(TxnId(1), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(1), e, Some(&WriteOp::PutBytes(vec![1])))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(1));
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::Erased);
+        write(&s, &ctx(1), e, WriteOp::PutBytes(vec![1]));
+        commit(&s, &ctx(1), e);
+        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         // The later committed write stays; the dead version bump is gone.
         assert_eq!(v.datum, Datum::Bytes(vec![1]));
@@ -1016,18 +864,11 @@ mod tests {
         // image: 107 — the generalized delta compensation.
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let c0 = ctx(0);
-        s.shard_of(e).request(c0.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c0, e, Some(&WriteOp::Put(500)))
-            .unwrap();
-        s.shard_of(e).request(TxnId(1), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(1), e, Some(&WriteOp::Add(7)))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(1));
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::Compensated);
+        write(&s, &c0, e, WriteOp::Put(500));
+        write(&s, &ctx(1), e, WriteOp::Add(7));
+        commit(&s, &ctx(1), e);
+        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!(v.datum, Datum::Int(107));
         assert_eq!(v.version, 1);
@@ -1036,25 +877,17 @@ mod tests {
     #[test]
     fn overlapping_doomed_writers_cannot_resurrect_a_dead_delta() {
         // Two victims on one entity: A (Add +50) then B (Put 200), both
-        // still in flight when A is undone. A's undo sees B's absolute
-        // write and reports Erased — but it must also rewrite B's stale
-        // before-image (which embeds A's +50), or B's later undo
-        // restores 150 and A's dead delta survives both rollbacks.
+        // still in flight when A is undone. With before-images, B's
+        // stale image embedded A's +50 and B's later undo resurrected
+        // it; removing entries leaves nothing to resurrect from.
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let a = ctx(0);
         let b = ctx(1);
-        s.shard_of(e).request(a.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&a, e, Some(&WriteOp::Add(50)))
-            .unwrap();
-        s.shard_of(e).request(b.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&b, e, Some(&WriteOp::Put(200)))
-            .unwrap();
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::Erased);
-        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::Exact);
+        write(&s, &a, e, WriteOp::Add(50));
+        write(&s, &b, e, WriteOp::Put(200));
+        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
     }
@@ -1063,19 +896,12 @@ mod tests {
     fn overlapping_doomed_writers_undo_in_reverse_order_too() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let a = ctx(0);
         let b = ctx(1);
-        s.shard_of(e).request(a.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&a, e, Some(&WriteOp::Add(50)))
-            .unwrap();
-        s.shard_of(e).request(b.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&b, e, Some(&WriteOp::Put(200)))
-            .unwrap();
-        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::Exact);
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::Exact);
+        write(&s, &a, e, WriteOp::Add(50));
+        write(&s, &b, e, WriteOp::Put(200));
+        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
     }
@@ -1083,30 +909,20 @@ mod tests {
     #[test]
     fn undoing_an_absolute_write_retracts_the_witness() {
         // Victim W (Add +50) is in flight when victim A lands Put(999)
-        // on top and is undone first (Exact). If A's undo left the
-        // absolute-write witness at 1, W's later undo — after a
-        // committed +7 intervened — would see witness ≠ recorded count,
-        // classify (falsely) as Erased, and keep its own dead +50.
+        // on top and is undone first; a committed +7 then intervenes.
+        // W's undo must still take its own dead +50 out — the case the
+        // old absolute-write witness got wrong when A's undo left it
+        // raised.
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let w = ctx(0);
-        s.shard_of(e).request(w.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&w, e, Some(&WriteOp::Add(50)))
-            .unwrap();
+        write(&s, &w, e, WriteOp::Add(50));
         let a = ctx(1);
-        s.shard_of(e).request(a.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&a, e, Some(&WriteOp::Put(999)))
-            .unwrap();
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::Exact);
-        s.shard_of(e).request(TxnId(2), e, &tx);
-        s.shard_of(e)
-            .write_and_release(&ctx(2), e, Some(&WriteOp::Add(7)))
-            .unwrap();
-        s.shard_of(e).commit_clear(TxnId(2));
-        assert_eq!(s.shard_of(e).undo_write(&w, e), UndoOutcome::Compensated);
+        write(&s, &a, e, WriteOp::Put(999));
+        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
+        write(&s, &ctx(2), e, WriteOp::Add(7));
+        commit(&s, &ctx(2), e);
+        assert_eq!(s.shard_of(e).undo_write(&w, e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!((v.version, v.datum), (1, Datum::Int(107)));
     }
@@ -1115,39 +931,25 @@ mod tests {
     fn three_interleaved_doomed_deltas_undo_middle_first() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
         let cs: Vec<WriteCtx> = (0..3).map(ctx).collect();
         for (c, d) in cs.iter().zip([10i64, 20, 30]) {
-            s.shard_of(e).request(c.instance, e, &tx);
-            s.shard_of(e)
-                .write_and_release(c, e, Some(&WriteOp::Add(d)))
-                .unwrap();
+            write(&s, c, e, WriteOp::Add(d));
         }
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(160));
-        assert_eq!(
-            s.shard_of(e).undo_write(&cs[1], e),
-            UndoOutcome::Compensated
-        );
-        assert_eq!(
-            s.shard_of(e).undo_write(&cs[0], e),
-            UndoOutcome::Compensated
-        );
-        assert_eq!(s.shard_of(e).undo_write(&cs[2], e), UndoOutcome::Exact);
+        assert_eq!(s.shard_of(e).undo_write(&cs[1], e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).undo_write(&cs[0], e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).undo_write(&cs[2], e), UndoOutcome::RolledBack);
         let v = s.shard_of(e).peek(e);
         assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
     }
 
     #[test]
-    fn commit_clear_makes_writes_permanent() {
+    fn commit_makes_writes_permanent() {
         let s = store2();
         let e = EntityId(1);
-        let (tx, _rx) = unbounded();
         let c = ctx(0);
-        s.shard_of(e).request(c.instance, e, &tx);
-        s.shard_of(e)
-            .write_and_release(&c, e, Some(&WriteOp::Add(1)))
-            .unwrap();
-        s.shard_of(e).commit_clear(c.instance);
+        write(&s, &c, e, WriteOp::Add(1));
+        commit(&s, &c, e);
         assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::None);
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(101));
     }
@@ -1159,6 +961,278 @@ mod tests {
         // Two entities at u64::MAX used to wrap to 2^64 - 2 under the
         // old wrapping u64 sum.
         assert_eq!(s.total_int(), 2 * u128::from(u64::MAX));
+    }
+
+    /// The absolute-write hole, closed: `T1 Put(1)` then `T2 Put(2)` on
+    /// one entity, committed in the *opposite* timestamp order. Every
+    /// view must report the value the lock order produced (2). With
+    /// chains applied in commit-ts order the committed views said 1
+    /// forever while the live value said 2.
+    #[test]
+    fn inverted_commit_order_of_puts_leaves_one_answer() {
+        let s = store_n(1, 100);
+        let e = EntityId(0);
+        write(&s, &ctx(1), e, WriteOp::Put(1));
+        write(&s, &ctx(2), e, WriteOp::Put(2));
+        let (ts1, ts2) = (s.reserve_commit_ts(), s.reserve_commit_ts());
+        s.publish_commit(ts1, 2, [e]); // T2 commits at ts 1 …
+        assert_eq!(s.commit_ts(), 1);
+        assert_eq!(ints(&s.snapshot()), [2], "T2 alone, over the seed");
+        s.publish_commit(ts2, 1, [e]); // … T1 at ts 2.
+        assert_eq!(ints(&s.snapshot()), [2]);
+        assert_eq!(ints(&s.snapshot_at(2).unwrap()), [2]);
+        assert_eq!(ints(&s.live_snapshot()), [2]);
+        assert_eq!(s.snapshot(), s.live_snapshot());
+        let ro = s.read_only_snapshot(&[e]);
+        assert_eq!((ro.ts, ro.entries[0].value), (2, Some(2)));
+        assert_eq!((ro.entries[0].commit_ts, ro.entries[0].version), (2, 2));
+        assert_eq!(s.total_int(), 2);
+    }
+
+    #[test]
+    fn snapshot_at_zero_is_the_seed() {
+        let s = store_n(3, 7);
+        let snap = s.snapshot_at(0).unwrap();
+        assert_eq!(snap.len(), 3);
+        assert!(snap.iter().all(|(_, v)| v.version == 0));
+        assert_eq!(ints(&snap), [7, 7, 7]);
+        assert_eq!(s.commit_ts(), 0);
+        assert!(s.snapshot_at(1).is_none(), "nothing committed yet");
+    }
+
+    #[test]
+    fn cuts_hold_whole_transactions_and_the_clock_closes_in_ts_order() {
+        let s = store_n(2, 100);
+        let (e0, e1) = (EntityId(0), EntityId(1));
+        for (gid, amount) in [(1, 5), (2, 10)] {
+            write(&s, &ctx(gid), e0, WriteOp::Add(-amount));
+            write(&s, &ctx(gid), e1, WriteOp::Add(amount));
+        }
+        let (t1, t2) = (s.reserve_commit_ts(), s.reserve_commit_ts());
+        // Out-of-order arrival: t2 stays invisible until t1 closes.
+        s.publish_commit(t2, 2, [e0, e1]);
+        assert_eq!(s.commit_ts(), 0, "t2 must wait for t1");
+        assert_eq!(ints(&s.snapshot()), [100, 100]);
+        s.publish_commit(t1, 1, [e0, e1]);
+        assert_eq!(s.commit_ts(), 2);
+        assert_eq!(ints(&s.snapshot_at(1).unwrap()), [95, 105]);
+        let at2 = s.snapshot_at(2).unwrap();
+        assert_eq!(ints(&at2), [85, 115]);
+        assert_eq!(at2[0].1.version, 2);
+    }
+
+    #[test]
+    fn read_only_observes_a_committed_cut() {
+        let s = store_n(2, 50);
+        let entities = [EntityId(0), EntityId(1)];
+        let snap = s.read_only_snapshot(&entities);
+        assert_eq!((snap.ts, snap.sum_int()), (0, 100));
+        transfer(&s, 1, 0, 1, 20);
+        // An undecided write is in the live value and in no cut.
+        write(&s, &ctx(2), EntityId(0), WriteOp::Add(-1));
+        let snap = s.read_only_snapshot(&entities);
+        assert_eq!(snap.ts, 1);
+        assert_eq!(snap.sum_int(), 100, "transfers conserve the sum");
+        let e0 = snap.get(EntityId(0)).unwrap();
+        assert_eq!((e0.value, e0.commit_ts, e0.version), (Some(30), 1, 1));
+        assert_eq!(
+            s.shard_of(EntityId(0)).peek(EntityId(0)).datum,
+            Datum::Int(29)
+        );
+    }
+
+    #[test]
+    fn bytes_payloads_surface_as_none_in_read_only_entries() {
+        let s = store_n(1, 9);
+        let e = EntityId(0);
+        write(&s, &ctx(1), e, WriteOp::PutBytes(vec![1, 2, 3]));
+        commit(&s, &ctx(1), e);
+        let snap = s.read_only_snapshot(&[e]);
+        let entry = snap.get(e).unwrap();
+        assert_eq!((entry.value, entry.version), (None, 1));
+        // `snapshot_at` keeps full fidelity.
+        let full = s.snapshot_at(1).unwrap();
+        assert_eq!(full[0].1.datum, Datum::Bytes(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn gc_truncates_to_watermark_plus_latest() {
+        let s = store_n(1, 0);
+        let e = EntityId(0);
+        let bump = |gid| {
+            write(&s, &ctx(gid), e, WriteOp::Add(1));
+            commit(&s, &ctx(gid), e);
+        };
+        (0..10).for_each(bump);
+        // No live reader: watermark = closed, the chain folds to its base.
+        assert_eq!(s.gc_versions(), (1, 1, 10));
+        assert!(s.snapshot_at(10).is_some());
+        assert!(s.snapshot_at(9).is_none(), "9 was folded away");
+        // A registered cut pins the watermark.
+        let cut = s.clock.register();
+        assert_eq!(cut.ts(), 10);
+        (10..15).for_each(bump);
+        assert_eq!(s.gc_versions(), (6, 6, 10), "live cut pins the watermark");
+        assert_eq!(ints(&s.snapshot_at(10).unwrap()), [10]);
+        drop(cut);
+        assert_eq!(s.gc_versions(), (1, 1, 15), "dropping the cut unpins GC");
+    }
+
+    #[test]
+    fn chains_stay_bounded_without_gc() {
+        use crate::mvcc::CHAIN_CAP;
+        let s = store_n(1, 0);
+        for gid in 0..(3 * CHAIN_CAP as u32) {
+            transfer(&s, gid, 0, 0, 1);
+            assert!(chain_len(&s, EntityId(0)) <= CHAIN_CAP);
+        }
+        assert_eq!(s.snapshot(), s.live_snapshot());
+    }
+
+    /// A cut trimmed away by `CHAIN_CAP` under a registered reader
+    /// restarts the *whole* scan at a fresh `closed` — never a mix of
+    /// the stale cut on one entity and a newer one on another.
+    #[test]
+    fn a_cut_trimmed_by_chain_cap_restarts_the_scan_at_a_fresh_closed() {
+        use crate::mvcc::CHAIN_CAP;
+        let s = store_n(2, 0);
+        let both = [EntityId(0), EntityId(1)];
+        let stale = s.clock.register();
+        assert_eq!(stale.ts(), 0);
+        let commits = 2 * CHAIN_CAP as u32;
+        for gid in 0..commits {
+            write(&s, &ctx(gid), EntityId(0), WriteOp::Add(1));
+            commit(&s, &ctx(gid), EntityId(0));
+        }
+        assert!(chain_len(&s, both[0]) <= CHAIN_CAP);
+        // Entity 1 still answers at ts 0, entity 0 no longer does: the
+        // cut as a whole is gone, registered or not.
+        assert!(s.read_at(&both[1..], stale.ts(), |_, _, _| ()).is_some());
+        assert!(s.read_at(&both, stale.ts(), |_, _, _| ()).is_none());
+        assert!(s.snapshot_at(0).is_none());
+        let snap = s.read_only_snapshot(&both);
+        assert_eq!(snap.ts, u64::from(commits));
+        assert_eq!(snap.entries[0].value, Some(u64::from(commits)));
+        assert_eq!(snap.entries[1].commit_ts, 0);
+    }
+
+    /// A `TsReservation` dropped on unwind closes the clock, but the
+    /// instance's entries stay unstamped forever. Such an entry must not
+    /// pin its chain: the `CHAIN_CAP` trim folds it like any other.
+    #[test]
+    fn dropped_reservation_closes_the_clock_over_the_gap() {
+        use crate::mvcc::CHAIN_CAP;
+        let s = store_n(1, 0);
+        let e = EntityId(0);
+        write(&s, &ctx(1_000), e, WriteOp::Add(1_000));
+        let r1 = s.reserve_commit_ts();
+        assert_eq!(r1.ts(), 1);
+        // Simulated panic between allocation and stamping.
+        drop(r1);
+        assert_eq!(s.commit_ts(), 1, "the clock closes over the abandoned ts");
+        write(&s, &ctx(0), e, WriteOp::Add(5));
+        commit(&s, &ctx(0), e);
+        assert_eq!(s.commit_ts(), 2);
+        let snap = s.read_only_snapshot(&[e]);
+        assert_eq!(snap.get(e).unwrap().value, Some(5), "undecided: in no cut");
+        for gid in 1..=(2 * CHAIN_CAP as u32) {
+            write(&s, &ctx(gid), e, WriteOp::Add(1));
+            commit(&s, &ctx(gid), e);
+            assert!(chain_len(&s, e) <= CHAIN_CAP);
+        }
+        // Later cuts still read, and agree with the live value again.
+        let snap = s.read_only_snapshot(&[e]);
+        assert_eq!(snap.ts, 2 + 2 * CHAIN_CAP as u64);
+        assert_eq!(s.snapshot(), s.live_snapshot());
+    }
+
+    #[test]
+    fn dropped_reservation_releases_buffered_successors() {
+        let s = store_n(1, 0);
+        let e = EntityId(0);
+        let r1 = s.reserve_commit_ts();
+        write(&s, &ctx(2), e, WriteOp::Add(3));
+        s.publish_commit(s.reserve_commit_ts(), 2, [e]);
+        assert_eq!(s.commit_ts(), 0, "t2 waits behind the unclosed t1");
+        drop(r1);
+        assert_eq!(s.commit_ts(), 2, "dropping t1 unblocks t2");
+        assert_eq!(s.read_only_snapshot(&[e]).sum_int(), 3);
+    }
+
+    #[test]
+    fn unknown_entity_panics_without_leaking_a_registered_cut() {
+        let s = store_n(1, 0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.read_only_snapshot(&[EntityId(0), EntityId(7)])
+        }));
+        assert!(r.is_err(), "entity 7 is not in the schema");
+        // The watermark is unpinned: GC folds freely.
+        for gid in 0..4 {
+            transfer(&s, gid, 0, 0, 1);
+        }
+        assert_eq!(s.gc_versions().2, 4, "no leaked cut pins the watermark");
+    }
+
+    /// The tentpole property in miniature: concurrent writers commit
+    /// conserving transfers (with GC churn) while readers scan; every
+    /// scan and every `snapshot()` must observe the exact initial sum,
+    /// and versions must be monotone between scans.
+    #[test]
+    fn concurrent_transfers_conserve_under_concurrent_scans() {
+        const ENTITIES: u32 = 8;
+        const INITIAL: u64 = 1_000;
+        const WRITERS: u32 = 4;
+        const COMMITS_PER_WRITER: u32 = 300;
+        let s = store_n(ENTITIES as usize, INITIAL);
+        let entities: Vec<EntityId> = (0..ENTITIES).map(EntityId).collect();
+        let expected = u128::from(INITIAL) * u128::from(ENTITIES);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let scans: u64 = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scans = 0u64;
+                        let mut last = vec![(0u64, 0u64); ENTITIES as usize];
+                        while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                            let snap = s.read_only_snapshot(&entities);
+                            assert_eq!(snap.sum_int(), expected, "torn cut at {}", snap.ts);
+                            for (e, seen) in snap.entries.iter().zip(&mut last) {
+                                assert!(
+                                    e.commit_ts >= seen.0 && e.version >= seen.1,
+                                    "version went backwards on {:?}",
+                                    e.entity
+                                );
+                                *seen = (e.commit_ts, e.version);
+                            }
+                            assert_eq!(s.total_int(), expected, "snapshot() split a transfer");
+                            scans += 1;
+                        }
+                        scans
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let s = &s;
+                    scope.spawn(move || {
+                        for i in 0..COMMITS_PER_WRITER {
+                            let gid = w * COMMITS_PER_WRITER + i;
+                            transfer(s, gid, (w + i) % ENTITIES, (w + i + 1) % ENTITIES, 1);
+                            if i % 3 == 0 {
+                                s.gc_versions();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            writers.into_iter().for_each(|w| w.join().unwrap());
+            stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            readers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        assert!(scans > 0, "readers must have scanned at least once");
+        assert_eq!(s.commit_ts(), u64::from(WRITERS * COMMITS_PER_WRITER));
+        assert_eq!(s.read_only_snapshot(&entities).sum_int(), expected);
+        assert_eq!(s.snapshot(), s.live_snapshot());
     }
 
     mod undo_properties {
@@ -1188,7 +1262,7 @@ mod tests {
                 committed_prefix in prop::collection::vec((0u32..2, (any::<u8>(), any::<i64>())), 0..6),
                 doomed in prop::collection::vec((0u32..2, (any::<u8>(), any::<i64>())), 1..8),
             ) {
-                let s = store2_with(initial);
+                let s = store_n(2, initial);
                 let (tx, _rx) = unbounded();
                 // A committed history first, so versions are nonzero.
                 for (i, (e, raw)) in committed_prefix.iter().enumerate() {
@@ -1196,7 +1270,7 @@ mod tests {
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.instance, e, &tx);
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
-                    s.shard_of(e).commit_clear(c.instance);
+                    commit(&s, &c, e);
                 }
                 let pre = s.live_snapshot();
 
@@ -1216,7 +1290,7 @@ mod tests {
                 }
                 for e in touched.iter().rev() {
                     let out = s.shard_of(*e).undo_write(&c, *e);
-                    prop_assert_eq!(out, UndoOutcome::Exact, "no interference ⇒ exact");
+                    prop_assert!(out.rolled_back(), "{out:?}");
                 }
                 prop_assert_eq!(s.live_snapshot(), pre);
             }
@@ -1231,14 +1305,11 @@ mod tests {
                 dead_raw in (any::<u8>(), -1_000i64..1_000),
                 live_raws in prop::collection::vec((any::<u8>(), -1_000i64..1_000), 1..4),
             ) {
-                let s = store2_with(initial);
+                let s = store_n(2, initial);
                 let e = EntityId(0);
                 let (tx, _rx) = unbounded();
                 let doomed = ctx(0);
-                s.shard_of(e).request(doomed.instance, e, &tx);
-                s.shard_of(e)
-                    .write_and_release(&doomed, e, Some(&op_of(dead_raw)))
-                    .unwrap();
+                write(&s, &doomed, e, op_of(dead_raw));
                 // Interfering committed writes after the doomed unlock;
                 // some may be typed skips (Add on bytes).
                 let mut expected = VersionedValue {
@@ -1249,7 +1320,7 @@ mod tests {
                     let c = ctx(1 + i as u32);
                     s.shard_of(e).request(c.instance, e, &tx);
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
-                    s.shard_of(e).commit_clear(c.instance);
+                    commit(&s, &c, e);
                     if let Ok(v) = apply_op(e, &expected, &op_of(*raw)) {
                         expected = v;
                     }
@@ -1284,7 +1355,7 @@ mod tests {
                 ),
                 order_keys in prop::collection::vec(any::<u32>(), 7..8),
             ) {
-                let s = store2_with(initial);
+                let s = store_n(2, initial);
                 let e = EntityId(0);
                 let (tx, _rx) = unbounded();
                 let mut expected = VersionedValue {
@@ -1305,7 +1376,7 @@ mod tests {
                     if *doom || i < 2 {
                         doomed.push(c);
                     } else {
-                        s.shard_of(e).commit_clear(c.instance);
+                        commit(&s, &c, e);
                         expected = apply_op(e, &expected, &op).unwrap();
                     }
                 }
@@ -1330,7 +1401,7 @@ mod tests {
                 raws in prop::collection::vec((any::<u8>(), any::<i64>()), 2..6),
                 order_keys in prop::collection::vec(any::<u32>(), 6..7),
             ) {
-                let s = store2_with(initial);
+                let s = store_n(2, initial);
                 let e = EntityId(0);
                 let (tx, _rx) = unbounded();
                 let pre = s.shard_of(e).peek(e);
@@ -1354,10 +1425,6 @@ mod tests {
                     prop_assert_eq!(s.shard_of(e).peek(e), pre);
                 }
             }
-        }
-
-        fn store2_with(initial: u64) -> Store {
-            Store::new(&Database::one_entity_per_site(2), initial)
         }
     }
 }

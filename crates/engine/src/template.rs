@@ -114,15 +114,6 @@ impl Program {
     pub fn write_count(&self) -> usize {
         self.writes.len()
     }
-
-    /// Whether every write is a delta ([`WriteOp::Add`]). Deltas
-    /// commute, so delta-only workloads are the class for which the
-    /// multiversion chain state provably matches the live shard state
-    /// at quiescence even when commit-timestamp order inverts the
-    /// per-entity lock order — see the [`crate::mvcc`] module docs.
-    pub fn is_delta_only(&self) -> bool {
-        self.writes.values().all(|w| matches!(w, WriteOp::Add(_)))
-    }
 }
 
 /// How many concurrent instances of a template an [`AdmissionPlan`]

@@ -1,24 +1,19 @@
-//! Per-shard value/undo logging with write-ahead durability and
+//! Per-shard value logging with write-ahead durability and
 //! crash-recovery replay through the `D(S)` audit.
 //!
-//! Two jobs share one record stream:
-//!
-//! 1. **Undo** — the wait-die fallback can kill an attempt *after* its
-//!    first unlock has exposed a write (the paper's non-two-phase
-//!    regime). Each shard keeps the before-image of every write an
-//!    in-flight attempt applies, so [`crate::Engine`]'s abort path can
-//!    roll the attempt back instead of leaving a dirty write behind —
-//!    which is what used to void the serializability audit.
-//! 2. **Redo** — with a file sink attached, every record is appended to
-//!    disk *before* the in-memory store mutates, so a crashed process
-//!    can be replayed: committed operations are re-applied to a fresh
-//!    store and the recovered lock/unlock history is re-audited with the
-//!    model's `D(S)` test — streamed through the incremental
-//!    [`StreamingAuditor`], so recovery stays linear in log size.
-//!    Commit is a **durable decision** (Gray & Lamport, *Consensus on
-//!    Transaction Commit*): an instance is recovered if and only if its
-//!    `Commit` record reached the decision log, never because its data
-//!    writes happen to be present.
+//! With a file sink attached, every write (and every rollback of a
+//! wait-die victim's exposed write — the paper's non-two-phase regime)
+//! is appended to its shard's log *before* the in-memory chain mutates
+//! and under the same mutex, so file order is chain order and a crashed
+//! process can be replayed: the committing attempts' operations re-enter
+//! fresh chains in one pass per shard log, stamped from the decision
+//! log, and the recovered lock/unlock history is re-audited with the
+//! model's `D(S)` test — streamed through the incremental
+//! [`StreamingAuditor`], so recovery stays linear in log size. Commit is
+//! a **durable decision** (Gray & Lamport, *Consensus on Transaction
+//! Commit*): an instance is recovered if and only if its `Commit` record
+//! reached the decision log, never because its data writes happen to be
+//! present.
 //!
 //! ## On-disk layout
 //!
@@ -158,7 +153,7 @@ pub enum WalRecord {
         /// The committing attempt.
         attempt: u32,
         /// The commit timestamp allocated before durability: recovery
-        /// rebuilds the multiversion chains in `commit_ts` order, so
+        /// stamps it on the instance's chain entries, so decision-log
         /// file order need not equal commit order.
         commit_ts: u64,
     },
@@ -1305,12 +1300,15 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         }
     }
 
-    // 2. The value logs: replay committed operations, in apply order,
-    //    onto a fresh store.
+    // 2. The value logs, one pass each in file order — which is chain
+    //    (lock) order: every write of a committing attempt re-enters its
+    //    entity's chain already stamped from the decision log. Gaps in
+    //    the timestamps are expected (a ts allocated by the crashed
+    //    process whose commit record never became durable); the clock
+    //    resumes past the highest durable one.
     let mut store = Store::new(&db, meta.initial_value);
     let mut replayed = 0u64;
     let mut skipped = 0u64;
-    let mut ops_by_gid: HashMap<u32, Vec<(EntityId, WriteOp)>> = HashMap::new();
     for k in 0..db.site_count() {
         for rec in read_log(&dir.join(shard_file(k)), &mut torn)? {
             match rec {
@@ -1330,22 +1328,17 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
                     // instance that died dirty on an earlier attempt and
                     // committed on a retry must not replay the rolled-
                     // back write too.
-                    if committed.get(&gid).map(|&(_, a, _)| a) != Some(attempt) {
+                    let Some(&(_, _, commit_ts)) =
+                        committed.get(&gid).filter(|&&(_, a, _)| a == attempt)
+                    else {
                         continue;
-                    }
+                    };
                     if entity.index() >= db.entity_count() {
                         return Err(WalError::Record(format!(
                             "write to unknown entity {entity} in shard {k}"
                         )));
                     }
-                    // Collected per instance for the multiversion chain
-                    // rebuild below (a program writes each entity at
-                    // most once, so intra-instance order is immaterial).
-                    ops_by_gid
-                        .entry(gid)
-                        .or_default()
-                        .push((entity, op.clone()));
-                    match store.replay_write(entity, &op) {
+                    match store.recover_write(entity, gid, &op, commit_ts) {
                         Ok(()) => replayed += 1,
                         Err(WriteError::AddToBytes { .. }) => skipped += 1,
                     }
@@ -1362,19 +1355,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
             }
         }
     }
-
-    // 2b. Rebuild the multiversion chains: publish every committed
-    //     instance's write-set in commit-timestamp order. Gaps are
-    //     expected (a ts allocated by the crashed process whose commit
-    //     record never became durable); `publish_recovered` tolerates
-    //     them, and the recovered clock resumes past the highest
-    //     durable ts.
-    let mut by_ts: Vec<(u64, u32)> = committed.iter().map(|(g, &(_, _, ts))| (ts, *g)).collect();
-    by_ts.sort_unstable();
-    for (ts, gid) in by_ts {
-        let ops = ops_by_gid.remove(&gid).unwrap_or_default();
-        store.publish_recovered(ts, &ops);
-    }
+    store.resume_clock(committed.values().map(|&(_, _, ts)| ts).max().unwrap_or(0));
 
     // 3. The history log: stream the committed attempts' events through
     //    the incremental auditor. Commit decisions are fed *first* (they

@@ -1,10 +1,13 @@
-//! Lockdep certification of the read-only transaction path: the
-//! ISSUE 10 claim — "the RO path takes **zero** locks" — made machine-
-//! checkable. The instrumented shim counts every lock acquisition per
-//! thread ([`ddlf_lockdep::thread_acquire_count`]); a snapshot read
-//! that leaves the counter unchanged provably acquired no lock class,
-//! not merely "no contended lock". Only meaningful with
-//! `--features lockdep`; without it the shim counts nothing.
+//! Lockdep certification of the read-only transaction path. The claim:
+//! a snapshot read takes **leaf locks only, one at a time** — the
+//! `store.clock` registry mutex to register and unregister its cut, and
+//! one brief `shard.state` acquisition per entity read; no lock-table
+//! entry, nothing nested. The instrumented shim makes that checkable:
+//! it counts every acquisition per thread
+//! ([`ddlf_lockdep::thread_acquire_count`]) and records an order edge
+//! whenever a lock is taken while another is held
+//! ([`ddlf_lockdep::edges`]). Only meaningful with `--features
+//! lockdep`; without it the shim observes nothing.
 #![cfg(feature = "lockdep")]
 
 use ddlf_engine::{AdmissionOptions, Engine, EngineConfig};
@@ -35,46 +38,52 @@ fn counter_engine(instances: usize) -> Engine {
     .unwrap()
 }
 
-/// After a contended writer run populated the version chains, a storm
-/// of read-only transactions on this thread acquires **zero**
-/// instrumented locks: the per-thread acquisition counter does not
-/// move across whole-database scans, subset scans, or repeated
-/// single-entity reads. The writer run beforehand proves the counter
-/// works (it must have moved) — this is not a disabled-shim tautology.
+/// After a contended writer run populated the chains, a storm of
+/// read-only transactions on this thread acquires exactly the locks the
+/// protocol names — two `store.clock` acquisitions per scan plus one
+/// `shard.state` per entity — and never one inside another: the class
+/// order graph gains no edge, and `store.clock` appears in none at all.
 #[test]
-fn read_only_path_acquires_no_lock_class() {
+fn read_only_path_takes_leaf_locks_one_at_a_time() {
     let engine = counter_engine(150);
-
-    // Baseline sanity: lock instrumentation is live on this thread.
-    // Engine construction + a direct locked-oracle read must count.
-    let before_oracle = ddlf_lockdep::thread_acquire_count();
-    let _ = engine.store().snapshot();
-    assert!(
-        ddlf_lockdep::thread_acquire_count() > before_oracle,
-        "the locked snapshot path must register acquisitions, or the \
-         zero-delta assertion below would be vacuous"
-    );
-
     assert_eq!(engine.run().committed, 150);
     let entities: Vec<EntityId> = engine.store().db().entities().collect();
 
+    let edges_before = ddlf_lockdep::edges();
     let before = ddlf_lockdep::thread_acquire_count();
-    let mut last_ts = 0;
+    let (mut last_ts, mut expected) = (0, 0u64);
     for round in 0..1_000 {
         // Alternate full scans with subsets so both shapes are covered.
-        let snap = if round % 2 == 0 {
-            engine.run_read_only(&entities)
+        let scanned = if round % 2 == 0 {
+            &entities[..]
         } else {
-            engine.run_read_only(&entities[..1])
+            &entities[..1]
         };
+        let snap = engine.run_read_only(scanned);
         assert!(snap.ts >= last_ts);
         last_ts = snap.ts;
-        assert!(!snap.entries.is_empty());
+        assert_eq!(snap.entries.len(), scanned.len());
+        expected += 2 + scanned.len() as u64;
     }
     assert_eq!(
-        ddlf_lockdep::thread_acquire_count(),
-        before,
-        "a read-only transaction acquired an instrumented lock"
+        ddlf_lockdep::thread_acquire_count() - before,
+        expected,
+        "a read-only transaction acquired a lock the protocol does not name"
+    );
+
+    let edges = ddlf_lockdep::edges();
+    assert_eq!(edges, edges_before, "a snapshot read nested two locks");
+    let clock_edges: Vec<_> = edges
+        .iter()
+        .filter(|(from, to)| from == "store.clock" || to == "store.clock")
+        .collect();
+    assert!(
+        clock_edges.is_empty(),
+        "store.clock must never be held with another lock: {clock_edges:?}"
+    );
+    assert!(
+        ddlf_lockdep::classes().iter().any(|c| c == "store.clock"),
+        "the registry mutex must have run under the validator"
     );
 
     // And the storm left no discipline violations behind either.

@@ -237,16 +237,18 @@ mod imp {
         static REGIONS: RefCell<Vec<(BlockingKind, &'static Location<'static>)>> =
             const { RefCell::new(Vec::new()) };
         /// Total instrumented acquisitions on this thread (any class,
-        /// any mode) — lets a test certify that a code path is
-        /// lock-free by diffing the counter around it.
+        /// any mode) — lets a test account for every lock a code path
+        /// takes by diffing the counter around it.
         static ACQUIRES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// Instrumented lock acquisitions performed by the *current thread*
     /// since it started, across every class and regardless of
-    /// enforcement mode. A path that leaves this counter unchanged
-    /// acquired no instrumented lock at all — the machine-checkable
-    /// form of "takes zero lock classes".
+    /// enforcement mode. The difference across a path is exactly the
+    /// number of instrumented locks it took — the machine-checkable
+    /// form of "takes these locks and no others" (the read-only
+    /// transaction test counts two `store.clock` and one `shard.state`
+    /// acquisition per entity this way).
     pub fn thread_acquire_count() -> u64 {
         ACQUIRES.try_with(|c| c.get()).unwrap_or(0)
     }

@@ -223,7 +223,7 @@ impl Client {
 
     /// Runs one read-only transaction: a committed multiversion cut of
     /// the named entities (empty = the whole database, schema order).
-    /// Idempotent and served off the lock-free snapshot path, so it
+    /// Idempotent and served off the read-only snapshot path, so it
     /// answers even while another connection's `Submit` holds the
     /// engine for a long run.
     pub fn read(&mut self, entities: &[String]) -> Result<SnapshotReply, ClientError> {

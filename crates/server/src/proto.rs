@@ -112,7 +112,7 @@ pub enum Request {
     Stats,
     /// Run a **read-only transaction**: read every named entity (empty
     /// vector = the whole database) at one committed multiversion cut.
-    /// Answered from the store's zero-lock snapshot path **without
+    /// Answered from the store's read-only snapshot path **without
     /// touching the engine lock**, so reads return promptly — and
     /// observe fresh committed cuts — even while a long `Submit` is
     /// running. Logs nothing to the WAL.
@@ -666,7 +666,7 @@ pub struct SnapEntry {
     /// Version counter of the observed value.
     pub version: u64,
     /// Integer payload; `None` when the committed payload is a byte
-    /// string (the lock-free read path reports identity, not bytes).
+    /// string (the read-only path reports identity, not bytes).
     pub value: Option<u64>,
 }
 

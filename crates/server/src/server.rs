@@ -95,7 +95,7 @@ struct Shared {
     /// can scan the multiversion chains without touching the engine
     /// mutex — like `telemetry`, a snapshot read must answer *during* a
     /// `Submit`, not after it. The lock guards only the `Arc` clone; the
-    /// scan itself runs lock-free on the shared store.
+    /// scan itself takes only leaf locks of the shared store.
     read_store: Mutex<Option<Arc<Store>>>,
     cfg: ServeConfig,
     shutdown: AtomicBool,
@@ -130,11 +130,12 @@ impl Shared {
         }
     }
 
-    /// Answers one read-only transaction over the zero-lock snapshot
-    /// path. The engine mutex is never taken: `read_store` holds a
-    /// brief leaf lock around the `Arc` clone, then the scan runs on
-    /// the lock-free multiversion chains — so a reader observes a
-    /// committed cut even while a `Submit` run is mid-flight.
+    /// Answers one read-only transaction over the snapshot path. The
+    /// engine mutex is never taken: `read_store` holds a brief leaf
+    /// lock around the `Arc` clone, then the scan reads the version
+    /// chains under leaf shard mutexes, one entity at a time — so a
+    /// reader observes a committed cut even while a `Submit` run is
+    /// mid-flight.
     fn read_only(&self, names: &[String]) -> Response {
         let Some(store) = self.read_store.lock().clone() else {
             return no_system();
@@ -229,7 +230,7 @@ impl Shared {
             }
         };
         let reply = Registered::from_registry(engine.registry());
-        // Park the new store for the lock-free read path before the
+        // Park the new store for the read-only path before the
         // engine slot swaps: a racing reader sees either the old system
         // or the new one, never a dangling store.
         *self.read_store.lock() = Some(engine.store_handle());

@@ -67,8 +67,9 @@ pub enum Phase {
     Fsync,
     /// Commit: store publish + durable commit record + auditor merge.
     Commit,
-    /// One read-only snapshot scan over the lock-free version rings
-    /// (registration through last entity read; no lock class, no WAL).
+    /// One read-only snapshot scan over the version chains (cut
+    /// registration through last entity read; no lock-table entry, no
+    /// WAL, leaf shard mutexes only).
     SnapshotRead,
 }
 

@@ -6,7 +6,7 @@
 //! it drops the *whole* group, never a partial one.
 
 use ddlf::engine::{
-    recover, Engine, EngineConfig, GroupEntry, Program, TemplateRegistry, WalRecord,
+    recover, Engine, EngineConfig, GroupEntry, Program, TemplateRegistry, WalRecord, WriteOp,
 };
 use ddlf::model::TxnId;
 use ddlf::workloads::bank_ordered_pair;
@@ -32,18 +32,26 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// regardless of interleaving (commutative writes, fixed instance
 /// split) — exactly what makes batched vs unbatched comparable.
 fn banking_engine(dir: &Path, instances: usize, cfg: EngineConfig) -> Engine {
-    let (bank, sys) = bank_ordered_pair();
-    let mut reg = TemplateRegistry::register(sys);
-    reg.set_program(
-        TxnId(0),
+    let (bank, _) = bank_ordered_pair();
+    let programs = [
         Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5),
-    )
-    .unwrap();
-    reg.set_program(
-        TxnId(1),
         Program::transfer(bank.accounts[1][1], bank.accounts[0][1], 3),
-    )
-    .unwrap();
+    ];
+    banking_engine_with(dir, instances, cfg, programs)
+}
+
+/// [`banking_engine`] with explicit programs for its two templates.
+fn banking_engine_with(
+    dir: &Path,
+    instances: usize,
+    cfg: EngineConfig,
+    programs: [Program; 2],
+) -> Engine {
+    let (_, sys) = bank_ordered_pair();
+    let mut reg = TemplateRegistry::register(sys);
+    for (t, program) in programs.into_iter().enumerate() {
+        reg.set_program(TxnId(t as u32), program).unwrap();
+    }
     Engine::with_registry(
         reg,
         EngineConfig {
@@ -211,21 +219,39 @@ fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
 /// store must answer read-only snapshot reads **identically to the live
 /// pre-crash store at the same commit timestamp** — every retained cut,
 /// not just the final state. Commit timestamps ride the durable
-/// decision records, so the recovered chains are rebuilt in commit
-/// order even though group frames batch decisions out of file order.
+/// decision records and are stamped onto chains rebuilt in shard-log
+/// (write) order, so group frames batching decisions out of file order
+/// changes nothing. Run twice: the commuting transfer programs, and an
+/// **absolute-write** pair (`Put`/`PutBytes` on both shared ledgers)
+/// where every cut depends on the order the writes were applied in.
 #[test]
 fn recovered_store_answers_ro_snapshots_at_the_same_ts() {
-    let dir = wal_dir("ro-equality");
-    let engine = banking_engine(
-        &dir,
-        24,
-        EngineConfig {
-            threads: 4,
-            group_commit: Some(8),
-            admission_batch: 4,
-            ..Default::default()
-        },
-    );
+    let (bank, _) = bank_ordered_pair();
+    let (l0, l1) = (bank.ledgers[0], bank.ledgers[1]);
+    let absolute = [
+        Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5)
+            .write(l0, WriteOp::Put(7))
+            .write(l1, WriteOp::PutBytes(vec![1, 2])),
+        Program::transfer(bank.accounts[1][1], bank.accounts[0][1], 3)
+            .write(l0, WriteOp::PutBytes(vec![9]))
+            .write(l1, WriteOp::Put(11)),
+    ];
+    recovered_cuts_match_live("ro-equality-abs", Some(absolute));
+    recovered_cuts_match_live("ro-equality", None);
+}
+
+fn recovered_cuts_match_live(tag: &str, programs: Option<[Program; 2]>) {
+    let dir = wal_dir(tag);
+    let cfg = EngineConfig {
+        threads: 4,
+        group_commit: Some(8),
+        admission_batch: 4,
+        ..Default::default()
+    };
+    let engine = match programs {
+        Some(programs) => banking_engine_with(&dir, 24, cfg, programs),
+        None => banking_engine(&dir, 24, cfg),
+    };
     assert!(engine.run().all_committed());
 
     // The live multiversion state: the closed clock and every cut.
@@ -253,7 +279,7 @@ fn recovered_store_answers_ro_snapshots_at_the_same_ts() {
             "cut at ts {ts} diverged after recovery"
         );
     }
-    // And the zero-lock read path itself: same ts, same entries.
+    // And the read-only transaction path itself: same ts, same entries.
     assert_eq!(rec.store.read_only_snapshot(&entities), live_ro);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 //! paper's analyses on it:
 //!
 //! ```text
-//! ddlf-audit certify  system.json          # Theorems 3/4: safe + deadlock-free?
+//! ddlf-audit certify  system.json [--inflate k|auto] [--json]   # Theorems 3/4: safe + deadlock-free?
 //! ddlf-audit deadlock system.json          # exhaustive deadlock search (small systems)
 //! ddlf-audit explore  system.json [--txns N] [--budget S] [--seed K] [--json]
 //!                     [--expect-counterexample] [--trace-out FILE] [--no-prune] [--no-replay]
@@ -30,6 +30,12 @@
 //! audit: nonzero unless every instance committed **and** the committed
 //! history audited serializable (`D(S)` said yes, not merely "no abort
 //! was seen").
+//!
+//! `certify --inflate k|auto` certifies the inflation `run` would be
+//! granted (`auto` searches up to `run`'s default worker count) and
+//! prints the admission plan, Theorem 4's `pairs/cycles/orderings`
+//! counters on the granted system and the time admission took; it exits
+//! 0 only if the request was granted in full with the safety guarantee.
 //!
 //! `explore` systematically enumerates the interleavings of the spec
 //! (optionally `--txns N` round-robin instances of it) with DFS +
@@ -70,7 +76,7 @@
 
 #![warn(missing_docs)]
 
-use ddlf_core::{certify_safe_and_deadlock_free, CertifyOptions, Explorer};
+use ddlf_core::{certify_safe_and_deadlock_free, Certificate, CertifyOptions, Explorer};
 use ddlf_engine::{AdmissionOptions, Inflation, Phase, Report, Telemetry, TelemetryConfig};
 use ddlf_model::{SystemSpec, TransactionSystem};
 use ddlf_server::{Client, InflateSpec, ServeConfig, Server, StatsSnapshot};
@@ -91,10 +97,15 @@ pub enum InflateArg {
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// `certify <spec>`
+    /// `certify <spec> [--inflate k|auto] [--json]`
     Certify {
         /// Path to the spec JSON.
         spec: String,
+        /// Certify this per-template concurrency instead of the system
+        /// as written, and print the admission plan it would be granted.
+        inflate: Option<InflateArg>,
+        /// Emit the admission plan as one JSON object on stdout.
+        json: bool,
     },
     /// `deadlock <spec>`
     Deadlock {
@@ -351,9 +362,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     // server address for the wire commands.
     let spec = it.next().ok_or_else(usage)?.clone();
     match cmd.as_str() {
-        "certify" => Ok(Command::Certify { spec }),
-        "deadlock" => Ok(Command::Deadlock { spec }),
-        "dot" => Ok(Command::Dot { spec }),
+        "certify" => {
+            let mut inflate = None;
+            let mut json = false;
+            let rest: Vec<&String> = it.collect();
+            let mut i = 0;
+            while i < rest.len() {
+                match rest[i].as_str() {
+                    "--inflate" => {
+                        inflate = Some(parse_inflate(take_value(&rest, &mut i, "--inflate")?)?);
+                    }
+                    "--json" => {
+                        json = true;
+                        i += 1;
+                    }
+                    other => return Err(format!("unknown flag {other}")),
+                }
+            }
+            Ok(Command::Certify {
+                spec,
+                inflate,
+                json,
+            })
+        }
+        "deadlock" | "dot" => match it.next() {
+            Some(other) => Err(format!("unknown flag {other}")),
+            None if cmd == "dot" => Ok(Command::Dot { spec }),
+            None => Ok(Command::Deadlock { spec }),
+        },
         "explore" => {
             let mut txns = None;
             let mut budget = 1_000_000u64;
@@ -430,7 +466,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "run" => {
             let mut txns = 64usize;
-            let mut threads = 4usize;
+            let mut threads = DEFAULT_THREADS;
             let mut inflate = None;
             let mut force_fallback = false;
             let mut work_us = 0u64;
@@ -539,7 +575,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "serve" => {
             let addr = spec;
-            let mut threads = 4usize;
+            let mut threads = DEFAULT_THREADS;
             let mut inflate = None;
             let mut wal = None;
             let mut wal_sync = false;
@@ -731,8 +767,11 @@ where
 }
 
 fn usage() -> String {
-    "usage: ddlf-audit <certify|deadlock|simulate|run|dot> <system.json> \
-     [--policy nothing|detect|wound-wait|wait-die] [--seeds N] \
+    "usage: ddlf-audit <deadlock|dot> <system.json>\n\
+     \x20      ddlf-audit certify <system.json> [--inflate k|auto] [--json]\n\
+     \x20      ddlf-audit simulate <system.json> \
+     [--policy nothing|detect|wound-wait|wait-die] [--seeds N]\n\
+     \x20      ddlf-audit run <system.json> \
      [--txns N] [--threads K] [--inflate k|auto] [--force-fallback] [--work USEC] [--wal DIR] \
      [--wal-sync] [--group-commit[=MAX]] [--admission-batch N] [--json] [--no-telemetry] \
      [--trace-sample N] [--trace-out FILE] [--readers R]\n\
@@ -763,6 +802,26 @@ pub fn audit_exit_failure(
     serializable: Option<bool>,
 ) -> bool {
     !all_committed || dirty_aborts > 0 || (instances > 0 && serializable != Some(true))
+}
+
+/// `--threads`' default for `run` and `serve`, and `certify --inflate
+/// auto`'s search cap.
+const DEFAULT_THREADS: usize = 4;
+
+/// Maps the CLI `--inflate` argument onto an in-process admission
+/// request; `auto` searches up to the worker count (slots beyond the
+/// workers cannot be exploited).
+fn admission_options(inflate: Option<InflateArg>, threads: usize) -> AdmissionOptions {
+    AdmissionOptions {
+        inflate: match inflate {
+            None => Inflation::None,
+            Some(InflateArg::Uniform(k)) => Inflation::Uniform(k),
+            Some(InflateArg::Auto) => Inflation::Auto {
+                cap: threads.max(1),
+            },
+        },
+        ..Default::default()
+    }
 }
 
 /// Maps the CLI `--inflate` argument onto the wire protocol's request.
@@ -1506,16 +1565,7 @@ pub fn run_serve(
             println!("{}", rec.summary());
             let engine = ddlf_engine::Engine::from_recovered(
                 rec,
-                AdmissionOptions {
-                    inflate: match inflate {
-                        None => Inflation::None,
-                        Some(InflateArg::Uniform(k)) => Inflation::Uniform(k),
-                        Some(InflateArg::Auto) => Inflation::Auto {
-                            cap: threads.max(1),
-                        },
-                    },
-                    ..Default::default()
-                },
+                admission_options(inflate, threads),
                 ddlf_engine::EngineConfig {
                     threads: threads.max(1),
                     telemetry: telemetry.clone(),
@@ -1695,22 +1745,95 @@ pub fn load_system(json: &str) -> Result<TransactionSystem, String> {
     spec.build().map_err(|e| format!("spec error: {e}"))
 }
 
+/// `certify --inflate k|auto [--json]`: the admission plan `run` would
+/// be granted, Theorem 4's counters on the granted inflation, and what
+/// admission cost. Exit 0 iff the request was granted in full and the
+/// verdict guarantees safety as well as deadlock-freedom.
+fn certify_admission(
+    sys: &TransactionSystem,
+    inflate: Option<InflateArg>,
+    json: bool,
+) -> (String, i32) {
+    let started = std::time::Instant::now();
+    let registry = ddlf_engine::TemplateRegistry::register_with(
+        sys.clone(),
+        admission_options(inflate, DEFAULT_THREADS),
+    );
+    let admission_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (verdict, plan) = (registry.verdict(), registry.plan());
+    // Theorem 4's counters exist when every grant is a finite k and the
+    // granted system has ≥ 3 transactions that certify.
+    let granted: Option<Vec<usize>> = plan.slots.iter().map(|s| s.limit()).collect();
+    let counters =
+        granted.and_then(|k| sys.inflate(&k).ok()).and_then(
+            |g| match certify_safe_and_deadlock_free(g.system(), CertifyOptions::default()) {
+                Ok(Certificate::Many(c)) => Some(c),
+                _ => None,
+            },
+        );
+    let bad = !verdict.guarantees_safety() || plan.floored;
+    let mut out = String::new();
+    if json {
+        use serde_json::Value;
+        let slots = sys.iter().map(|(t, txn)| {
+            jobj(vec![
+                ("template", Value::Str(txn.name().to_string())),
+                (
+                    "k",
+                    plan.slots_of(t)
+                        .limit()
+                        .map_or(Value::Null, |k| ju(k as u64)),
+                ),
+            ])
+        });
+        let mut obj = vec![
+            ("verdict", Value::Str(verdict.to_string())),
+            ("granted", Value::Bool(!bad)),
+            ("floored", Value::Bool(plan.floored)),
+            ("rationale", Value::Str(plan.rationale.clone())),
+            ("slots", Value::Arr(slots.collect())),
+        ];
+        if let Some(c) = &counters {
+            obj.push(("pairs", ju(c.pairs_checked as u64)));
+            obj.push(("cycles", ju(c.cycles_checked as u64)));
+            obj.push(("orderings", ju(c.orderings_checked as u64)));
+        }
+        obj.push(("admission_ms", Value::F64(admission_ms)));
+        let _ = writeln!(out, "{}", serde_json::to_string(&jobj(obj)).unwrap());
+    } else {
+        let _ = writeln!(out, "admission: {verdict}");
+        let _ = write!(out, "{}", plan.render(sys));
+        if let Some(c) = &counters {
+            let _ = writeln!(
+                out,
+                "theorem 4: pairs {} cycles {} orderings {}",
+                c.pairs_checked, c.cycles_checked, c.orderings_checked
+            );
+        }
+        let _ = writeln!(out, "admission took {admission_ms:.1} ms");
+    }
+    (out, i32::from(bad))
+}
+
 /// Executes a command against an already-loaded system, returning the
 /// report text (exit code 0) or an analysis-failure text (exit code 1).
 pub fn execute(cmd: &Command, sys: &TransactionSystem) -> (String, i32) {
     match cmd {
-        Command::Certify { .. } => {
-            match certify_safe_and_deadlock_free(sys, CertifyOptions::default()) {
-                Ok(cert) => (
-                    format!(
-                        "CERTIFIED: every schedule is serializable and every partial \
+        Command::Certify {
+            inflate: None,
+            json: false,
+            ..
+        } => match certify_safe_and_deadlock_free(sys, CertifyOptions::default()) {
+            Ok(cert) => (
+                format!(
+                    "CERTIFIED: every schedule is serializable and every partial \
                      schedule completable.\ncertificate: {cert:?}\n"
-                    ),
-                    0,
                 ),
-                Err(v) => (format!("REJECTED: {v}\n"), 1),
-            }
-        }
+                0,
+            ),
+            Err(v) => (format!("REJECTED: {v}\n"), 1),
+        },
+        Command::Certify { inflate, json, .. } => certify_admission(sys, *inflate, *json),
         Command::Deadlock { .. } => {
             let ex = Explorer::new(sys, 20_000_000);
             let (verdict, stats) = ex.find_deadlock();
@@ -2039,16 +2162,7 @@ pub fn execute(cmd: &Command, sys: &TransactionSystem) -> (String, i32) {
             readers,
             ..
         } => {
-            let admission = AdmissionOptions {
-                inflate: match inflate {
-                    None => Inflation::None,
-                    Some(InflateArg::Uniform(k)) => Inflation::Uniform(*k),
-                    Some(InflateArg::Auto) => Inflation::Auto {
-                        cap: (*threads).max(1),
-                    },
-                },
-                ..Default::default()
-            };
+            let admission = admission_options(*inflate, *threads);
             let telemetry = make_telemetry(*no_telemetry, *trace_sample);
             let engine = match ddlf_engine::Engine::try_with_admission(
                 sys.clone(),
@@ -2218,7 +2332,9 @@ mod tests {
         assert_eq!(
             c,
             Command::Certify {
-                spec: "f.json".into()
+                spec: "f.json".into(),
+                inflate: None,
+                json: false,
             }
         );
         let c = parse_args(&[
@@ -2410,6 +2526,8 @@ mod tests {
         let (out, code) = execute(
             &Command::Certify {
                 spec: String::new(),
+                inflate: None,
+                json: false,
             },
             &sys,
         );
@@ -2420,11 +2538,70 @@ mod tests {
         let (out, code) = execute(
             &Command::Certify {
                 spec: String::new(),
+                inflate: None,
+                json: false,
             },
             &sys,
         );
         assert_eq!(code, 1);
         assert!(out.contains("REJECTED"));
+    }
+
+    /// `certify`, `deadlock` and `dot` used to ignore everything after
+    /// the spec path, so a typo printed the base verdict and exited 0.
+    #[test]
+    fn analysis_verbs_reject_unknown_trailing_flags() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for verb in ["certify", "deadlock", "dot"] {
+            let err = parse_args(&args(&[verb, "f.json", "--inflat", "auto"])).unwrap_err();
+            assert!(err.contains("unknown flag --inflat"), "{verb}: {err}");
+        }
+        assert!(parse_args(&args(&["deadlock", "f.json", "--json"])).is_err());
+        assert!(parse_args(&args(&["certify", "f.json", "--inflate"])).is_err());
+        assert!(parse_args(&args(&["certify", "f.json", "--inflate", "0"])).is_err());
+        assert_eq!(
+            parse_args(&args(&["certify", "f.json", "--inflate", "auto", "--json"])).unwrap(),
+            Command::Certify {
+                spec: "f.json".into(),
+                inflate: Some(InflateArg::Auto),
+                json: true,
+            }
+        );
+    }
+
+    #[test]
+    fn certify_inflate_prints_the_plan_and_theorem4_counters() {
+        let certify = |inflate, json| Command::Certify {
+            spec: String::new(),
+            inflate,
+            json,
+        };
+        // Two templates at k = 2: four transactions on a complete
+        // interaction graph, 6 pairs and K4's 7 cycles.
+        let sys = load_system(SPEC).unwrap();
+        let (out, code) = execute(&certify(Some(InflateArg::Uniform(2)), false), &sys);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("admission: certified"), "{out}");
+        assert!(out.contains("k = 2"), "{out}");
+        assert!(
+            out.contains("theorem 4: pairs 6 cycles 7 orderings 48"),
+            "{out}"
+        );
+        assert!(out.contains("admission took"), "{out}");
+
+        let (out, code) = execute(&certify(Some(InflateArg::Auto), true), &sys);
+        assert_eq!(code, 0, "{out}");
+        assert!(serde_json::parse_value(out.trim()).is_ok(), "{out}");
+        assert!(out.contains(r#""granted":true"#), "{out}");
+        assert!(out.contains(r#"{"template":"T2","k":4}"#), "{out}");
+        assert!(out.contains(r#""pairs":28,"cycles":8018,"#), "{out}");
+
+        // A request the certifier refuses is a failed analysis.
+        let sys = load_system(DEADLOCKY).unwrap();
+        let (out, code) = execute(&certify(Some(InflateArg::Uniform(2)), false), &sys);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("fallback to wait-die"), "{out}");
+        assert!(out.contains("floored to k=1"), "{out}");
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() {
             std::process::exit(code);
         }
         ddlf_cli::Command::Submit { spec, .. } => spec.clone(),
-        ddlf_cli::Command::Certify { spec }
+        ddlf_cli::Command::Certify { spec, .. }
         | ddlf_cli::Command::Deadlock { spec }
         | ddlf_cli::Command::Explore { spec, .. }
         | ddlf_cli::Command::Simulate { spec, .. }

@@ -163,41 +163,7 @@ mod tests {
         for trial in 0..80 {
             let n_entities = rng.gen_range(2..4usize);
             let d = rng.gen_range(2..4usize);
-            let db = Database::one_entity_per_site(n_entities);
-            let mut txns = Vec::new();
-            for t in 0..d {
-                // Random total-order transaction over a random subset.
-                let mut entities: Vec<u32> = (0..n_entities as u32).collect();
-                entities.shuffle(&mut rng);
-                let m = rng.gen_range(1..=n_entities);
-                let chosen = &entities[..m];
-                // Interleave locks/unlocks randomly but legally: emit lock
-                // before unlock for each entity.
-                let mut ops: Vec<Op> = Vec::new();
-                let mut pending: Vec<u32> = Vec::new();
-                let mut to_lock: Vec<u32> = chosen.to_vec();
-                while !to_lock.is_empty() || !pending.is_empty() {
-                    let lock_possible = !to_lock.is_empty();
-                    let unlock_possible = !pending.is_empty();
-                    let do_lock = match (lock_possible, unlock_possible) {
-                        (true, true) => rng.gen_bool(0.5),
-                        (true, false) => true,
-                        (false, true) => false,
-                        (false, false) => unreachable!(),
-                    };
-                    if do_lock {
-                        let e = to_lock.pop().unwrap();
-                        ops.push(Op::lock(EntityId(e)));
-                        pending.push(e);
-                    } else {
-                        let idx = rng.gen_range(0..pending.len());
-                        let e = pending.swap_remove(idx);
-                        ops.push(Op::unlock(EntityId(e)));
-                    }
-                }
-                txns.push(Transaction::from_total_order(format!("T{t}"), &ops, &db).unwrap());
-            }
-            let sys = TransactionSystem::new(db, txns).unwrap();
+            let sys = crate::testgen::random_legal_system(&mut rng, d, n_entities, n_entities);
             let cert = certify_safe_and_deadlock_free(&sys, CertifyOptions::default());
             let ex = Explorer::new(&sys, 3_000_000);
             let (ground, _) = ex.find_conflict_cycle();

@@ -30,6 +30,8 @@ pub mod pairwise;
 pub mod reduction;
 pub mod safety;
 pub mod sat_reduction;
+#[cfg(test)]
+mod testgen;
 pub mod tirri;
 
 pub use certify::{certify_safe_and_deadlock_free, Certificate, CertifyOptions, Violation};

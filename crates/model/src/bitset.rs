@@ -116,6 +116,16 @@ impl BitSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
+    /// `|self ∩ other|`, without materializing the intersection.
+    pub fn intersection_len(&self, other: &BitSet) -> usize {
+        debug_assert_eq!(self.capacity, other.capacity);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Returns the first element of `self ∩ other`, if any, without
     /// materializing the intersection.
     pub fn first_common(&self, other: &BitSet) -> Option<usize> {
@@ -303,6 +313,7 @@ mod tests {
         assert!(!a.is_subset(&b));
         assert!(BitSet::new(100).is_disjoint(&a));
         assert_eq!(a.first_common(&b), Some(5));
+        assert_eq!(a.intersection_len(&b), 2);
         assert_eq!(
             BitSet::from_indices(100, [1]).first_common(&BitSet::from_indices(100, [2])),
             None

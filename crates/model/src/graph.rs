@@ -5,6 +5,7 @@
 //! transactions, which we always number densely.
 
 use crate::bitset::{BitMatrix, BitSet};
+use std::ops::ControlFlow;
 
 /// A directed graph over vertices `0..n` with adjacency lists.
 #[derive(Debug, Clone)]
@@ -235,78 +236,70 @@ impl UnGraph {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
-    /// Enumerates every simple cycle of length ≥ `min_len` (≥ 3 enforced)
-    /// exactly once, as a vertex sequence. Stops after `limit` cycles.
+    /// Visits every simple cycle of length ≥ `min_len` (≥ 3 enforced)
+    /// exactly once, as a vertex sequence, without materialising the list;
+    /// `visit` returning `Break` stops the enumeration and is passed out.
     ///
     /// Each cycle is produced in canonical form: it starts at its smallest
     /// vertex and its second vertex is smaller than its last, which fixes
     /// one of the two traversal directions. Callers that need both
     /// directions and all rotations (Theorem 4 does) expand them
     /// themselves.
+    pub fn try_for_each_simple_cycle<B>(
+        &self,
+        min_len: usize,
+        mut visit: impl FnMut(&[usize]) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let min_len = min_len.max(3);
+        // Classic smallest-vertex-rooted enumeration: a cycle is reported
+        // exactly when closing back to the root `s`, with all path vertices
+        // > s, and direction canonicalized via path[1] < path.last().
+        // `next[i]` is the neighbour index `path[i]` resumes from.
+        let mut path: Vec<usize> = Vec::new();
+        let mut next: Vec<usize> = Vec::new();
+        let mut on_path = vec![false; self.len()];
+        for s in 0..self.len() {
+            path.push(s);
+            next.push(0);
+            while let (Some(&v), Some(i)) = (path.last(), next.last_mut()) {
+                let Some(&w) = self.adj[v].get(*i) else {
+                    on_path[v] = false;
+                    path.pop();
+                    next.pop();
+                    continue;
+                };
+                *i += 1;
+                let w = w as usize;
+                if w == s {
+                    if path.len() >= min_len && path[1] < v {
+                        visit(&path)?;
+                    }
+                } else if w > s && !on_path[w] {
+                    on_path[w] = true;
+                    path.push(w);
+                    next.push(0);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Collects the first `limit` cycles of
+    /// [`try_for_each_simple_cycle`](Self::try_for_each_simple_cycle).
     ///
     /// The number of simple cycles can be exponential; Theorem 4's runtime
     /// is polynomial *in that number*, so a limit is the honest interface.
     pub fn simple_cycles(&self, min_len: usize, limit: usize) -> Vec<Vec<usize>> {
-        let min_len = min_len.max(3);
-        let n = self.len();
         let mut cycles = Vec::new();
-        let mut path: Vec<usize> = Vec::new();
-        let mut on_path = vec![false; n];
-
-        // Classic smallest-vertex-rooted enumeration: a cycle is reported
-        // exactly when closing back to the root `s`, with all path vertices
-        // > s, and direction canonicalized via path[1] < path.last().
-        #[allow(clippy::too_many_arguments)]
-        fn dfs(
-            g: &UnGraph,
-            s: usize,
-            v: usize,
-            path: &mut Vec<usize>,
-            on_path: &mut [bool],
-            cycles: &mut Vec<Vec<usize>>,
-            min_len: usize,
-            limit: usize,
-        ) {
-            if cycles.len() >= limit {
-                return;
-            }
-            for &w in g.neighbours(v) {
-                let w = w as usize;
-                if cycles.len() >= limit {
-                    return;
+        if limit > 0 {
+            let _ = self.try_for_each_simple_cycle(min_len, |cycle| {
+                cycles.push(cycle.to_vec());
+                if cycles.len() < limit {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
                 }
-                if w == s {
-                    if path.len() >= min_len && path[1] < path[path.len() - 1] {
-                        cycles.push(path.clone());
-                    }
-                } else if w > s && !on_path[w] {
-                    path.push(w);
-                    on_path[w] = true;
-                    dfs(g, s, w, path, on_path, cycles, min_len, limit);
-                    on_path[w] = false;
-                    path.pop();
-                }
-            }
-        }
-
-        for s in 0..n {
-            if cycles.len() >= limit {
-                break;
-            }
-            path.clear();
-            path.push(s);
-            on_path[s] = true;
-            dfs(
-                self,
-                s,
-                s,
-                &mut path,
-                &mut on_path,
-                &mut cycles,
-                min_len,
-                limit,
-            );
-            on_path[s] = false;
+            });
         }
         cycles
     }
@@ -456,6 +449,30 @@ mod tests {
             }
         }
         assert_eq!(g.simple_cycles(3, 2).len(), 2);
+    }
+
+    #[test]
+    fn visitor_streams_in_collector_order_and_stops_on_break() {
+        let mut g = UnGraph::new(5);
+        for u in 0..5 {
+            for v in (u + 1)..5 {
+                g.add_edge(u, v);
+            }
+        }
+        let all = g.simple_cycles(3, usize::MAX);
+        assert_eq!(all.len(), 37); // K5: 10 + 15 + 12
+        let mut seen = Vec::new();
+        let stopped = g.try_for_each_simple_cycle(3, |c| {
+            seen.push(c.to_vec());
+            if seen.len() == 5 {
+                ControlFlow::Break(c.len())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(stopped, ControlFlow::Break(all[4].len()));
+        assert_eq!(seen, all[..5]);
+        assert!(g.simple_cycles(3, 0).is_empty());
     }
 
     #[test]

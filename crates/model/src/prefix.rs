@@ -152,16 +152,14 @@ impl Prefix {
     /// (§5, Theorem 4 construction).
     pub fn maximal_avoiding(txn: &Transaction, avoid: &BitSet) -> Self {
         let n = txn.node_count();
-        let mut banned = BitSet::new(n);
+        let mut executed = BitSet::from_indices(n, 0..n);
         for &e in txn.entities() {
             if avoid.contains(e.index()) {
                 let l = txn.lock_node_of(e).expect("accessed");
-                banned.insert(l.index());
-                banned.union_with(txn.descendants(l));
+                executed.remove(l.index());
+                executed.difference_with(txn.descendants(l));
             }
         }
-        let mut executed = BitSet::from_indices(n, 0..n);
-        executed.difference_with(&banned);
         Self { executed }
     }
 

@@ -20,19 +20,23 @@ fn arb_discipline() -> impl Strategy<Value = LockDiscipline> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// certify == Lemma 1 exhaustive search, exactly.
+    /// certify == Lemma 1 exhaustive search, exactly. Four or five
+    /// transactions are the only place an interaction-graph cycle has a
+    /// non-neighbour; there each locks 2 of 4–5 entities, which keeps the
+    /// exhaustive search inside its budget.
     #[test]
     fn certifier_matches_lemma1_ground_truth(
         seed in 0u64..10_000,
-        d in 2usize..4,
+        d in 2usize..6,
         n_e in 2usize..4,
         disc in arb_discipline(),
     ) {
+        let (n_e, entities_per_txn) = if d >= 4 { (n_e + 2, 2) } else { (n_e, n_e) };
         let sys = SystemGen {
             n_sites: n_e,
             entities_per_site: 1,
             n_txns: d,
-            entities_per_txn: n_e,
+            entities_per_txn,
             discipline: disc,
             seed,
         }
@@ -40,6 +44,7 @@ proptest! {
         let certified =
             certify_safe_and_deadlock_free(&sys, CertifyOptions::default()).is_ok();
         let ground = Explorer::new(&sys, 5_000_000).find_conflict_cycle().0;
+        prop_assert!(!matches!(ground, Verdict::Inconclusive { .. }), "budget too small");
         prop_assert_eq!(
             certified,
             ground.holds(),
@@ -223,4 +228,41 @@ fn theorem5_copies_sweep() {
             }
         }
     }
+}
+
+/// `hub(n)`: `n` templates `L hot, L pᵢ, U hot, U pᵢ` — the harness's
+/// `hot-ordered` shape. The interaction graph is complete, every cycle is
+/// visited and counted, and every one certifies; these are the counters
+/// `harness/` pins for n = 9, asserted where tier-1 runs them.
+#[test]
+fn hub_counters_are_pinned() {
+    use ddlf::core::{many_safe_df, ManyCertificate, ManyOptions};
+    use ddlf::model::{Database, EntityId, Op, Transaction, TransactionSystem};
+
+    let hub = |n: usize| {
+        let db = Database::one_entity_per_site(n + 1);
+        let hot = EntityId(0);
+        let txns = (1..=n as u32)
+            .map(|p| {
+                let ops = [
+                    Op::lock(hot),
+                    Op::lock(EntityId(p)),
+                    Op::unlock(hot),
+                    Op::unlock(EntityId(p)),
+                ];
+                Transaction::from_total_order(format!("ordered_{p}"), &ops, &db).unwrap()
+            })
+            .collect();
+        TransactionSystem::new(db, txns).unwrap()
+    };
+    assert_eq!(
+        many_safe_df(&hub(9), ManyOptions::default()).unwrap(),
+        ManyCertificate {
+            pairs_checked: 36,
+            cycles_checked: 62_814,
+            orderings_checked: 986_328,
+        }
+    );
+    let ten = many_safe_df(&hub(10), ManyOptions::default()).unwrap();
+    assert_eq!((ten.pairs_checked, ten.cycles_checked), (45, 556_014));
 }

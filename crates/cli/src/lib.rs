@@ -170,10 +170,11 @@ pub enum Command {
         /// Fsync WAL data logs + commit record on every commit (durable
         /// against power loss; the `fsync` phase histogram measures it).
         wal_sync: bool,
-        /// Group commit: commit decisions are queued and flushed by a
-        /// leader in batches of up to this size — one buffered write and
-        /// (under `--wal-sync`) one fsync per *group* instead of per
-        /// commit. `None` keeps the per-commit path.
+        /// Sizes the commit group: decisions are always queued and
+        /// flushed by a leader in batches of up to this size — one
+        /// buffered write and (under `--wal-sync`) one fsync per
+        /// *group*. `None` = the engine's default size; `Some(1)` = one
+        /// decision record per commit.
         group_commit: Option<usize>,
         /// Admit and timestamp instances in chunks of this size: one
         /// `SlotGate` acquisition per template per chunk and one shared
@@ -226,9 +227,8 @@ pub enum Command {
         /// Fsync WAL data logs + commit record before acknowledging a
         /// commit (durable against power loss).
         wal_sync: bool,
-        /// Group commit for registered engines: leader-flushed commit
-        /// batches of up to this size (see `run`'s flag of the same
-        /// name).
+        /// Commit-group size for registered engines (see `run`'s flag
+        /// of the same name).
         group_commit: Option<usize>,
         /// Admission/timestamp chunk size for submissions (the server
         /// defaults to 16 to amortize the wire path's per-instance
@@ -326,8 +326,9 @@ fn parse_conserve_step(v: &str) -> Result<(u128, u128), String> {
     Ok((base, step))
 }
 
-/// Parses `--group-commit[=MAX]`: the bare flag picks the engine's
-/// default maximum group size, `=MAX` overrides it (`MAX ≥ 1`).
+/// Parses `--group-commit[=MAX]`. Every decision goes through the group
+/// committer, so the flag only sizes the group: bare (or absent) is the
+/// engine's default, `=MAX` overrides it (`MAX ≥ 1`; 1 = unbatched).
 fn parse_group_commit(arg: &str) -> Result<usize, String> {
     match arg.strip_prefix("--group-commit=") {
         None => Ok(ddlf_engine::DEFAULT_MAX_GROUP),
@@ -785,7 +786,9 @@ fn usage() -> String {
      \x20      ddlf-audit stats <addr> [--json|--prom]\n\
      \x20      ddlf-audit read <addr> <all|e1,e2,...> [--json] [--expect-total N] \
      [--conserve-step B:S]\n\
-     \x20      ddlf-audit lockgraph [--dot]   (build with --features lockdep)"
+     \x20      ddlf-audit lockgraph [--dot]   (build with --features lockdep)\n\
+     \x20      (--group-commit[=MAX] only sizes the commit group every decision goes \
+     through; 1 = one decision record per commit)"
         .to_string()
 }
 
@@ -1012,8 +1015,8 @@ pub fn report_json(report: &Report) -> serde_json::Value {
         ("group_flushes", ju(report.group_flushes)),
         ("group_commits", ju(report.group_commits)),
         (
-            // Commit decisions per leader flush — 1.0 means group commit
-            // is off (or never found a companion); higher is amortization.
+            // Commit decisions per leader flush — 1.0 means no decision
+            // ever found a companion; higher is amortization.
             "mean_group_size",
             Value::F64(if report.group_flushes == 0 {
                 0.0
@@ -1023,8 +1026,8 @@ pub fn report_json(report: &Report) -> serde_json::Value {
         ),
         (
             // The durability cost per commit: fsync calls over committed
-            // instances. Per-commit sync pays ≥ 1.0; group commit
-            // amortizes it below 1.0. 0.0 when fsync never ran.
+            // instances. A group of one pays ≥ 1.0; larger groups
+            // amortize it below 1.0. 0.0 when fsync never ran.
             "fsyncs_per_commit",
             Value::F64(if report.committed == 0 {
                 0.0

@@ -1,0 +1,167 @@
+//! One attempt of one transaction instance against the store — the only
+//! place "advance an instance one step" is written.
+//!
+//! An [`Attempt`] owns the executed [`Prefix`], the lock-grant events
+//! not yet handed to the history, the entities whose unlock exposed a
+//! write, and the read/write counters. It has exactly three
+//! transitions — [`granted`](Attempt::granted),
+//! [`unlock`](Attempt::unlock) and [`die`](Attempt::die) — and is driven
+//! by the threaded executor under both lock-wait disciplines and by both
+//! phases of [`crate::replay::replay_schedule`]. What a driver chooses
+//! is *how to ask* for a lock and what a refusal means: park on the
+//! grant channel (certified), or put the refusal to [`wait_die`].
+//!
+//! **Deferred grant events.** A lock grant is buffered and handed to
+//! the driver's event sink together with the next unlock, *before* that
+//! unlock releases anything. Sound because the events' order against
+//! other transactions is pinned by the locks themselves: no conflicting
+//! grant can happen on a held entity until it is released, and
+//! everything buffered is flushed before every release — so per-entity
+//! event order in the history is exactly the effective lock order (the
+//! debug batch-oracle cross-check re-verifies this on every run). Every
+//! transaction ends in an unlock, so a complete attempt has nothing
+//! buffered; a dying attempt's unflushed grants are dropped — they
+//! belong to no committed projection.
+
+use crate::mvcc::UndoOutcome;
+use crate::store::{Store, WriteCtx};
+use crate::template::Program;
+use ddlf_model::{EntityId, NodeId, Prefix, Transaction, TxnId};
+
+/// What a wait-die requester does about a refused lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// Older than the holder: ask again (a poll on threads, the next
+    /// sweep in the replayer). The age check is repeated against
+    /// whoever holds the lock *then*, so every sustained wait is
+    /// older→younger and no waiting cycle can close.
+    Retry,
+    /// Not older: release everything, roll back, retry from scratch
+    /// under the same timestamp.
+    Die,
+}
+
+/// The wait-die rule. Instance ids double as timestamps (smaller =
+/// older).
+pub(crate) fn wait_die(me: TxnId, holder: TxnId) -> Refused {
+    if me.0 < holder.0 {
+        Refused::Retry
+    } else {
+        Refused::Die
+    }
+}
+
+/// What [`Attempt::die`] undid.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Death {
+    /// Exposed writes removed from their value chains.
+    pub rolled_back: u32,
+    /// Exposed writes that could *not* be taken back cleanly — the only
+    /// thing that makes an abort dirty.
+    pub unrecovered: u32,
+}
+
+/// See the module docs.
+pub(crate) struct Attempt<'a> {
+    store: &'a Store,
+    txn: &'a Transaction,
+    program: &'a Program,
+    pub ctx: WriteCtx,
+    executed: Prefix,
+    /// Granted lock nodes not yet handed to the event sink.
+    pending: Vec<NodeId>,
+    /// Entities whose unlock applied a write: what a death must undo
+    /// and a commit must stamp.
+    pub exposed: Vec<EntityId>,
+    pub reads: u64,
+    pub writes: u64,
+    pub writes_skipped: u64,
+}
+
+impl<'a> Attempt<'a> {
+    pub(crate) fn new(
+        store: &'a Store,
+        txn: &'a Transaction,
+        program: &'a Program,
+        ctx: WriteCtx,
+    ) -> Self {
+        Attempt {
+            store,
+            txn,
+            program,
+            ctx,
+            executed: Prefix::empty(txn),
+            pending: Vec::new(),
+            exposed: Vec::new(),
+            reads: 0,
+            writes: 0,
+            writes_skipped: 0,
+        }
+    }
+
+    /// The nodes whose predecessors have all executed.
+    pub(crate) fn ready(&self) -> Vec<NodeId> {
+        self.executed.ready_nodes(self.txn)
+    }
+
+    /// Nodes executed so far.
+    pub(crate) fn steps(&self) -> usize {
+        self.executed.len()
+    }
+
+    pub(crate) fn is_complete(&self) -> bool {
+        self.executed.is_complete(self.txn)
+    }
+
+    /// The lock of node `n` is held (granted at once or handed over):
+    /// the read it authorizes happens, the event is deferred.
+    pub(crate) fn granted(&mut self, n: NodeId) {
+        self.reads += u64::from(self.program.reads_entity(self.txn.op(n).entity));
+        self.pending.push(n);
+        self.executed.push(n);
+    }
+
+    /// Executes unlock node `n`: every deferred grant plus this unlock
+    /// goes through one `sink` call, then the entity's write (if any) is
+    /// applied under the still-held lock and the lock released.
+    pub(crate) fn unlock(&mut self, n: NodeId, sink: impl FnOnce(&[NodeId])) {
+        let entity = self.txn.op(n).entity;
+        self.pending.push(n);
+        sink(&self.pending);
+        self.pending.clear();
+        self.executed.push(n);
+        let shard = self.store.shard_of(entity);
+        // Applied writes count and are exposed, absent writes don't, and
+        // a typed skip (`WriteError`) is counted instead of clobbering.
+        match shard.write_and_release(&self.ctx, entity, self.program.write_for(entity)) {
+            Ok(true) => {
+                self.writes += 1;
+                self.exposed.push(entity);
+            }
+            Ok(false) => {}
+            Err(_) => self.writes_skipped += 1,
+        }
+    }
+
+    /// Unwinds the attempt. Held locks are released (their writes were
+    /// never applied — writes happen at unlock), then every exposed
+    /// write is removed from its chain (non-two-phase templates can die
+    /// after their first unlock; two-phase ones die before it and have
+    /// nothing to undo). Each entity is written at most once per attempt
+    /// and removal re-folds per entity, so no undo order is required.
+    pub(crate) fn die(&mut self) -> Death {
+        for e in self.executed.held_entities(self.txn) {
+            self.store.shard_of(e).release(self.ctx.instance, e);
+        }
+        let mut death = Death::default();
+        for e in self.exposed.drain(..) {
+            match self.store.shard_of(e).undo_write(&self.ctx, e) {
+                UndoOutcome::RolledBack => death.rolled_back += 1,
+                UndoOutcome::None | UndoOutcome::Unrecoverable => death.unrecovered += 1,
+            }
+        }
+        self.pending.clear();
+        self.executed = Prefix::empty(self.txn);
+        death
+    }
+}

@@ -2,20 +2,26 @@
 //! acquires locks across shards in partial-order-respecting order, and
 //! applies the template's reads/writes.
 //!
-//! Two lock-wait disciplines, selected by the cached admission verdict:
+//! Every instance runs the same way: its chunk is admitted
+//! (`execute_chunk`: one [`SlotGate`](crate::template::SlotGate)
+//! acquisition per template, one batched `Begin` append), then each
+//! attempt is one `Attempt` stepped by `drive` until it completes
+//! or dies, and a completed attempt's decision goes through the WAL's
+//! group committer. The cached admission verdict selects only what a
+//! *refused lock* does:
 //!
-//! * **Certified (`Nothing` policy)** — a worker issues every ready lock
-//!   request, parks on its grant channel, and *never* times out, aborts,
-//!   or consults a detector. Safety and deadlock-freedom of the
-//!   registered system's certified inflation (Theorems 3/4, or Theorem 5
-//!   for unbounded copies) make this correct; each template's counting
-//!   [`SlotGate`](crate::template::SlotGate) keeps the in-flight mix a
+//! * **Certified (`Nothing` policy)** — the request queues FIFO behind
+//!   the holder and the worker parks on its grant channel; it *never*
+//!   times out, aborts, or consults a detector. Safety and
+//!   deadlock-freedom of the registered system's certified inflation
+//!   (Theorems 3/4, or Theorem 5 for unbounded copies) make this
+//!   correct; each template's counting gate keeps the in-flight mix a
 //!   subsystem of the certified inflated system.
-//! * **Fallback (wait-die)** — lock waits are polls that re-check the
-//!   wait-die rule against the *current* holder each round (re-checking
-//!   keeps every sustained wait older→younger, so no cycle can close);
-//!   younger requesters abort, back off, and retry with their original
-//!   timestamp.
+//! * **Fallback (wait-die)** — nothing queues: the refusal is put to
+//!   the wait-die rule against the *current* holder on every poll
+//!   (re-checking keeps every sustained wait older→younger, so no cycle
+//!   can close); a requester that is not older dies, backs off, and
+//!   retries with its original timestamp.
 //!
 //! Every effective lock/unlock is appended to a shared
 //! [`ddlf_sim::History`] **and** fed — from inside the same timestamp
@@ -27,14 +33,14 @@
 //! projection); the batch [`ddlf_sim::History::audit`] remains the
 //! oracle and cross-checks every run in debug builds.
 
-use crate::mvcc::UndoOutcome;
+use crate::attempt::{wait_die, Attempt, Refused};
 use crate::report::{LatencyStats, Report, TemplateReport};
-use crate::store::{LockOutcome, Store, WriteCtx};
+use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
-use crate::wal::{Recovered, Wal, WalOptions};
+use crate::wal::{Recovered, Wal, WalOptions, DEFAULT_MAX_GROUP};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ddlf_model::incremental::StreamingAuditor;
-use ddlf_model::{EntityId, Prefix, Transaction, TransactionSystem, TxnId};
+use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 use ddlf_sim::SharedHistory;
 use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
 use parking_lot::Mutex;
@@ -59,6 +65,16 @@ fn batch_oracle_cap() -> usize {
         .unwrap_or(1000)
 }
 
+/// Attempt budget per instance. Only wait-die can use more than one:
+/// the certified discipline never refuses for good.
+const MAX_ATTEMPTS: u32 = 1000;
+
+/// Base retry backoff after a wait-die death (jittered).
+const BACKOFF: Duration = Duration::from_micros(300);
+
+/// Sleep between two asks of an older wait-die requester.
+const POLL: Duration = Duration::from_micros(50);
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -68,13 +84,6 @@ pub struct EngineConfig {
     /// registered templates). Capped at `u32::MAX`; [`Engine::run`]
     /// panics beyond that (instance ids double as wait-die timestamps).
     pub instances: usize,
-    /// Attempt budget per instance on the wait-die path (the certified
-    /// path needs exactly one).
-    pub max_attempts: u32,
-    /// Base retry backoff after a wait-die abort (jittered).
-    pub backoff: Duration,
-    /// Poll interval while an older requester waits on the fallback path.
-    pub poll: Duration,
     /// Simulated per-lock work while holding the grant (widens contention
     /// windows; keep zero for raw throughput).
     pub work: Duration,
@@ -93,18 +102,21 @@ pub struct EngineConfig {
     /// `fsync` the commit decision log on every commit (see
     /// [`WalOptions::sync`]).
     pub wal_sync: bool,
-    /// Group commit: `Some(max_group)` lets committing workers share one
-    /// decision frame, one data-log flush, and (under `wal_sync`) one
-    /// fsync per group of up to `max_group` commits (see
-    /// [`WalOptions::group_commit`]). `None` = one decision record (and
-    /// fsync) per commit. Ignored without `wal_dir`.
+    /// Sizes the group committer every decision goes through: committing
+    /// workers share one decision frame, one data-log flush, and (under
+    /// `wal_sync`) one fsync per group of up to `max_group` commits (see
+    /// [`WalOptions::max_group`]). `None` = [`DEFAULT_MAX_GROUP`];
+    /// `Some(1)` writes one decision record (and fsync) per commit.
+    /// Ignored without `wal_dir`.
+    ///
+    /// [`DEFAULT_MAX_GROUP`]: crate::wal::DEFAULT_MAX_GROUP
     pub group_commit: Option<usize>,
     /// Admission batch size: workers claim instances from the run queue
     /// in chunks of up to this many, admitting each chunk under one
     /// gate acquisition per template and one decision-log lock for its
     /// `Begin` records — amortizing the per-instance admission critical
-    /// sections. `1` (the default) admits exactly like the unbatched
-    /// engine. Chunk instances execute sequentially on their worker, so
+    /// sections. `1` (the default) makes every instance a chunk of one.
+    /// Chunk instances execute sequentially on their worker, so
     /// certified slot accounting is unchanged.
     pub admission_batch: usize,
     /// Observability handle shared by the executor, the store's shards,
@@ -121,9 +133,6 @@ impl Default for EngineConfig {
         Self {
             threads: 4,
             instances: 64,
-            max_attempts: 1000,
-            backoff: Duration::from_micros(300),
-            poll: Duration::from_micros(50),
             work: Duration::ZERO,
             seed: 0,
             initial_value: 1_000,
@@ -162,6 +171,29 @@ struct Instance {
     template: TxnId,
 }
 
+/// Stamps the span events of one trace-sampled instance.
+#[derive(Clone, Copy)]
+struct Tracer<'a> {
+    tel: &'a Telemetry,
+    gid: u32,
+    template: TxnId,
+}
+
+impl Tracer<'_> {
+    fn emit(&self, attempt: u32, kind: SpanKind, entity: u32, dur_ns: u64, n: u64) {
+        self.tel.trace(SpanEvent {
+            ts_ns: self.tel.now_ns(),
+            gid: u64::from(self.gid),
+            template: self.template.0,
+            attempt,
+            kind,
+            entity,
+            dur_ns,
+            n,
+        });
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct Outcome {
     committed_attempt: Option<u32>,
@@ -172,21 +204,6 @@ struct Outcome {
     writes: u64,
     writes_skipped: u64,
     latency_us: u64,
-}
-
-enum AttemptResult {
-    Committed {
-        reads: u64,
-        writes: u64,
-        writes_skipped: u64,
-    },
-    Died {
-        /// Exposed writes rolled back out of their value chains.
-        rolled_back: u32,
-        /// Exposed writes that could *not* be rolled back cleanly —
-        /// the only aborts still counted dirty.
-        unrecovered: u32,
-    },
 }
 
 impl Engine {
@@ -241,12 +258,7 @@ impl Engine {
                     dir.clone(),
                     registry.system(),
                     cfg.initial_value,
-                    WalOptions {
-                        sync: cfg.wal_sync,
-                        group_commit: cfg.group_commit,
-                        telemetry: cfg.telemetry.clone(),
-                        ..WalOptions::default()
-                    },
+                    Self::wal_options(&cfg),
                 )?;
                 let store = Store::with_wal(registry.system().db(), cfg.initial_value, &wal)?;
                 (store, Some(wal))
@@ -276,16 +288,7 @@ impl Engine {
         dir: impl Into<PathBuf>,
     ) -> io::Result<Self> {
         let dir = dir.into();
-        let wal = Wal::resume(
-            dir.clone(),
-            rec.next_base,
-            WalOptions {
-                sync: cfg.wal_sync,
-                group_commit: cfg.group_commit,
-                telemetry: cfg.telemetry.clone(),
-                ..WalOptions::default()
-            },
-        )?;
+        let wal = Wal::resume(dir.clone(), rec.next_base, Self::wal_options(&cfg))?;
         let mut store = rec.store;
         store.attach_wal(&wal)?;
         store.set_telemetry(&cfg.telemetry);
@@ -300,6 +303,14 @@ impl Engine {
             wal: Some(wal),
             cumulative: Mutex::new_named("engine.cumulative", None),
         })
+    }
+
+    fn wal_options(cfg: &EngineConfig) -> WalOptions {
+        WalOptions {
+            sync: cfg.wal_sync,
+            max_group: cfg.group_commit.unwrap_or(DEFAULT_MAX_GROUP),
+            telemetry: cfg.telemetry.clone(),
+        }
     }
 
     /// (Re)installs the per-template outcome counter table for this
@@ -462,9 +473,10 @@ impl Engine {
             Box::new(move |ev: &ddlf_sim::HistoryEvent| w.log_event(ev, base)) as _
         });
         let shared = SharedHistory::with_streaming_audit(Arc::clone(&auditor), base, wal_sink);
-        // Workers claim instances in admission-batch chunks: each chunk
-        // is admitted under one gate acquisition per template and one
-        // decision-log lock for its Begin records (see `execute_chunk`).
+        // Workers claim instances in admission-batch chunks (of one, by
+        // default): each chunk is admitted under one gate acquisition
+        // per template and one decision-log lock for its Begin records
+        // (see `execute_chunk`).
         let batch = self.cfg.admission_batch.max(1);
         let (work_tx, work_rx) = unbounded::<Vec<Instance>>();
         for chunk in instances.chunks(batch) {
@@ -551,16 +563,18 @@ impl Engine {
         }
     }
 
-    /// Runs one admission-batch chunk: the chunk is admitted as a unit
-    /// (one gate acquisition per distinct template, one decision-log
-    /// lock for every first-attempt `Begin`), then its instances execute
+    /// Runs one admission-batch chunk — the only admission path, a chunk
+    /// of one included. The chunk is admitted as a unit (one gate
+    /// acquisition per distinct template, one decision-log lock for
+    /// every first-attempt `Begin`), then its instances execute
     /// sequentially on this worker. Sequential execution is what keeps
     /// batching sound: at most one of the chunk's instances is inside
     /// any template at a time, so one slot per template bounds the
-    /// concurrent in-flight mix exactly as per-instance admission did.
-    /// Gates are acquired in template-index order, so two workers
-    /// holding chunks over overlapping template sets always contend in
-    /// the same order and cannot deadlock.
+    /// concurrent in-flight mix exactly. Gates are acquired before any
+    /// data lock (so gate waits cannot entangle with lock waits) and in
+    /// template-index order, so two workers holding chunks over
+    /// overlapping template sets always contend in the same order and
+    /// cannot deadlock.
     fn execute_chunk(
         &self,
         chunk: &[Instance],
@@ -570,13 +584,6 @@ impl Engine {
         auditor: &Mutex<StreamingAuditor>,
         ttable: Option<&TemplateTable>,
     ) {
-        if chunk.len() < 2 {
-            for inst in chunk {
-                let out = self.execute_instance(*inst, shared, base, auditor, ttable, false);
-                let _ = done_tx.send((inst.id, out));
-            }
-            return;
-        }
         let tel = &self.cfg.telemetry;
         let mut counts: Vec<(TxnId, usize)> = Vec::new();
         for inst in chunk {
@@ -586,23 +593,27 @@ impl Engine {
             }
         }
         counts.sort_unstable_by_key(|&(t, _)| t.index());
-        let t_gate = tel.timer();
+        let asked = Instant::now();
         let _slots: Vec<_> = counts
             .iter()
             .map(|&(t, n)| self.registry.template(t).gate.acquire_many(n))
             .collect();
-        tel.record_since(Phase::GateWait, t_gate);
+        let gate_wait = asked.elapsed();
+        tel.record(Phase::GateWait, gate_wait);
         if let Some(w) = &self.wal {
             let begins: Vec<(u32, TxnId)> =
                 chunk.iter().map(|i| (base + i.id, i.template)).collect();
             w.log_begin_batch(&begins);
         }
         for inst in chunk {
-            let out = self.execute_instance(*inst, shared, base, auditor, ttable, true);
+            let out = self.execute_instance(*inst, shared, base, auditor, ttable, gate_wait);
             let _ = done_tx.send((inst.id, out));
         }
     }
 
+    /// Runs one admitted instance (its chunk holds the gate slot, after
+    /// `gate_wait`, and logged its first `Begin`) to commit: attempts
+    /// until one completes, dying and backing off in between.
     fn execute_instance(
         &self,
         inst: Instance,
@@ -610,481 +621,241 @@ impl Engine {
         base: u32,
         auditor: &Mutex<StreamingAuditor>,
         ttable: Option<&TemplateTable>,
-        pre_admitted: bool,
+        gate_wait: Duration,
     ) -> Outcome {
         let tel = &self.cfg.telemetry;
         let started = Instant::now();
         let tmpl = self.registry.template(inst.template);
+        let t = self.registry.system().txn(inst.template);
+        let gid = base + inst.id;
         // Whole instances are trace-sampled by global id, so a captured
         // instance's span events are complete end to end.
-        let sampled = tel.sampled(u64::from(base + inst.id));
-        // Admission gate: occupy one of the template's certified slots
-        // (see template.rs) so the in-flight mix stays a subsystem of the
-        // certified inflated system. Acquired before any data lock, so
-        // gate waits cannot entangle with lock waits. A `pre_admitted`
-        // instance rides its chunk's gate acquisition (`execute_chunk`
-        // holds the slot for the chunk's whole lifetime) and its chunk's
-        // batched `Begin`, so both are skipped here.
-        let t_gate = if pre_admitted { None } else { tel.timer() };
-        let _slot = (!pre_admitted).then(|| tmpl.gate.acquire());
-        if !pre_admitted {
-            tel.record_since(Phase::GateWait, t_gate);
-        }
+        let tracer = tel.sampled(u64::from(gid)).then_some(Tracer {
+            tel,
+            gid,
+            template: inst.template,
+        });
         tel.inflight_inc();
-        if sampled {
-            tel.trace(SpanEvent {
-                ts_ns: tel.now_ns(),
-                gid: u64::from(base + inst.id),
-                template: inst.template.0,
-                attempt: 0,
-                kind: SpanKind::Admit,
-                entity: u32::MAX,
-                dur_ns: t_gate.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0),
-                n: 0,
-            });
+        if let Some(tr) = tracer {
+            tr.emit(0, SpanKind::Admit, u32::MAX, gate_wait.as_nanos() as u64, 0);
         }
-        let t = self.registry.system().txn(inst.template);
-        let certified = self.certified_path();
         let mut rng =
             StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(inst.id) << 20) ^ 0x00E9_97D1);
         let mut out = Outcome::default();
 
-        let budget = if certified { 1 } else { self.cfg.max_attempts };
-        for attempt in 0..budget {
+        // The certified discipline cannot refuse, so it always commits
+        // on attempt 0; the budget only ever binds wait-die.
+        for attempt in 0..MAX_ATTEMPTS {
             let ctx = WriteCtx {
                 instance: TxnId(inst.id),
-                gid: base + inst.id,
+                gid,
                 attempt,
             };
-            if let Some(w) = &self.wal {
-                // A pre-admitted first attempt was already begun by the
-                // chunk's batched append; retries still log one by one.
-                if attempt > 0 || !pre_admitted {
-                    w.log_begin(ctx.gid, inst.template, attempt);
+            // The chunk's batched append began attempt 0; a retry logs
+            // its own.
+            if attempt > 0 {
+                if let Some(w) = &self.wal {
+                    w.log_begin(gid, inst.template, attempt);
                 }
             }
+            let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx);
             let t_exec = tel.timer();
-            let result = if certified {
-                self.attempt_blocking(inst, t, &ctx, shared, sampled)
-            } else {
-                self.attempt_wait_die(inst, t, &ctx, shared, sampled)
-            };
+            let death = (!self.drive(&mut a, t, shared, tracer)).then(|| {
+                // One undo sample per dying attempt: lock release plus
+                // every exposed-write rollback.
+                let t_undo = tel.timer();
+                let death = a.die();
+                tel.record_since(Phase::Undo, t_undo);
+                death
+            });
             tel.record_since(Phase::Execute, t_exec);
-            match result {
-                AttemptResult::Committed {
-                    reads,
-                    writes,
-                    writes_skipped,
-                } => {
-                    let t_commit = tel.timer();
-                    self.commit_instance(inst, t, &ctx);
-                    // The decision reaches the auditor only after every
-                    // event of the attempt did (the sink feeds events
-                    // synchronously from inside the history lock), so
-                    // the merge sees the complete attempt.
-                    let (nodes, arcs) = {
-                        let mut a = auditor.lock();
-                        a.commit(ctx.gid, attempt);
-                        (a.node_count() as u64, a.arc_count() as u64)
-                    };
-                    tel.set_auditor(nodes, arcs);
-                    tel.record_since(Phase::Commit, t_commit);
-                    if let Some(tt) = ttable {
-                        tt.commit(inst.template.index());
-                    }
-                    if sampled {
-                        let dur = t_commit
-                            .map(|t0| t0.elapsed().as_nanos() as u64)
-                            .unwrap_or(0);
-                        tel.trace(SpanEvent {
-                            ts_ns: tel.now_ns(),
-                            gid: u64::from(ctx.gid),
-                            template: inst.template.0,
-                            attempt,
-                            kind: SpanKind::Commit,
-                            entity: u32::MAX,
-                            dur_ns: dur,
-                            n: 0,
-                        });
-                        tel.trace(SpanEvent {
-                            ts_ns: tel.now_ns(),
-                            gid: u64::from(ctx.gid),
-                            template: inst.template.0,
-                            attempt,
-                            kind: SpanKind::AuditArc,
-                            entity: u32::MAX,
-                            dur_ns: 0,
-                            n: arcs,
-                        });
-                    }
-                    out.committed_attempt = Some(attempt);
-                    out.reads += reads;
-                    out.writes += writes;
-                    out.writes_skipped += writes_skipped;
-                    break;
+            let Some(death) = death else {
+                let t_commit = tel.timer();
+                // Seal the attempt: the commit timestamp is reserved
+                // *before* durability so the durable record carries it
+                // (unwind-safe: if `log_commit` panics, the
+                // reservation's drop closes the timestamp so the closed
+                // clock skips the gap). The decision is appended after
+                // every `Write`/`Event` record of the attempt, so a
+                // recovered `Commit` implies a complete instance — and
+                // the stamp happens only after `log_commit` returns, so
+                // any version a live read-only snapshot can observe is
+                // already durable (modulo a whole torn commit group).
+                let ts = self.store.reserve_commit_ts();
+                if let Some(w) = &self.wal {
+                    w.log_commit(gid, inst.template, attempt, ts.ts());
                 }
-                AttemptResult::Died {
-                    rolled_back,
-                    unrecovered,
-                } => {
-                    if let Some(w) = &self.wal {
-                        w.log_abort(ctx.gid, attempt);
-                    }
-                    // The attempt's locks were released and its writes
-                    // rolled back: its buffered events leave the
-                    // committed projection.
-                    auditor.lock().abort(ctx.gid, attempt);
-                    if let Some(tt) = ttable {
-                        // Every engine-path abort is a wait-die death
-                        // (the requester self-aborted); wounds stay 0.
-                        tt.abort(inst.template.index());
-                        tt.die(inst.template.index());
-                    }
-                    if sampled {
-                        tel.trace(SpanEvent {
-                            ts_ns: tel.now_ns(),
-                            gid: u64::from(ctx.gid),
-                            template: inst.template.0,
-                            attempt,
-                            kind: SpanKind::Abort,
-                            entity: u32::MAX,
-                            dur_ns: 0,
-                            n: u64::from(rolled_back),
-                        });
-                    }
-                    out.aborts += 1;
-                    out.rolled_back += u64::from(rolled_back);
-                    // Only a write that could not be rolled back leaves
-                    // the abort dirty (and voids the run's audit).
-                    out.dirty_aborts += u32::from(unrecovered > 0);
-                    let jitter = rng.gen_range(0..=self.cfg.backoff.as_micros() as u64);
-                    std::thread::sleep(
-                        self.cfg.backoff
-                            + Duration::from_micros(jitter * (1 + u64::from(attempt % 4))),
-                    );
+                self.store.publish_commit(ts, gid, a.exposed.drain(..));
+                // The decision reaches the auditor only after every
+                // event of the attempt did (the sink feeds events
+                // synchronously from inside the history lock), so the
+                // merge sees the complete attempt.
+                let (nodes, arcs) = {
+                    let mut au = auditor.lock();
+                    au.commit(gid, attempt);
+                    (au.node_count() as u64, au.arc_count() as u64)
+                };
+                tel.set_auditor(nodes, arcs);
+                tel.record_since(Phase::Commit, t_commit);
+                if let Some(tt) = ttable {
+                    tt.commit(inst.template.index());
                 }
+                if let Some(tr) = tracer {
+                    let dur = t_commit.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+                    tr.emit(attempt, SpanKind::Commit, u32::MAX, dur, 0);
+                    tr.emit(attempt, SpanKind::AuditArc, u32::MAX, 0, arcs);
+                }
+                out.committed_attempt = Some(attempt);
+                out.reads += a.reads;
+                out.writes += a.writes;
+                out.writes_skipped += a.writes_skipped;
+                break;
+            };
+            if let Some(w) = &self.wal {
+                w.log_abort(gid, attempt);
             }
+            // The attempt's locks were released and its writes rolled
+            // back: its buffered events leave the committed projection.
+            auditor.lock().abort(gid, attempt);
+            if let Some(tt) = ttable {
+                // Every engine-path abort is a wait-die death (the
+                // requester self-aborted); wounds stay 0.
+                tt.abort(inst.template.index());
+                tt.die(inst.template.index());
+            }
+            if let Some(tr) = tracer {
+                tr.emit(
+                    attempt,
+                    SpanKind::Abort,
+                    u32::MAX,
+                    0,
+                    death.rolled_back.into(),
+                );
+            }
+            out.aborts += 1;
+            out.rolled_back += u64::from(death.rolled_back);
+            // Only a write that could not be rolled back leaves the
+            // abort dirty (and voids the run's audit).
+            out.dirty_aborts += u32::from(death.unrecovered > 0);
+            let jitter = rng.gen_range(0..=BACKOFF.as_micros() as u64);
+            std::thread::sleep(
+                BACKOFF + Duration::from_micros(jitter * (1 + u64::from(attempt % 4))),
+            );
         }
         tel.inflight_dec();
-        out.latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let latency = gate_wait + started.elapsed();
+        out.latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         out
     }
 
-    /// Seals a committed attempt: appends the durable commit decision,
-    /// then stamps the reserved timestamp on the attempt's chain entries
-    /// and closes it on the commit clock. Ordered after every
-    /// `Write`/`Event` record of the attempt, so a recovered `Commit`
-    /// implies a complete instance — and the stamp happens only after
-    /// `log_commit` returns, so any version a live read-only snapshot
-    /// can observe is already durable (modulo a whole torn commit
-    /// group).
-    fn commit_instance(&self, inst: Instance, t: &Transaction, ctx: &WriteCtx) {
-        let tmpl = self.registry.template(inst.template);
-        // The commit timestamp is reserved *before* durability so the
-        // durable record carries it. The reservation is unwind-safe: if
-        // `log_commit` panics, its drop closes the timestamp so the
-        // closed clock skips the gap instead of stalling all later
-        // commits' visibility.
-        let ts = self.store.reserve_commit_ts();
-        if let Some(w) = &self.wal {
-            w.log_commit(ctx.gid, inst.template, ctx.attempt, ts.ts());
-        }
-        let written = t.entities().iter().copied();
-        let written = written.filter(|&e| tmpl.program.write_for(e).is_some());
-        self.store.publish_commit(ts, ctx.gid, written);
-    }
-
-    /// The `Nothing`-policy attempt: issue every ready lock, park on the
-    /// grant channel, never abort. Single attempt, cannot fail.
-    fn attempt_blocking(
+    /// Steps attempt `a` until it completes (`true`) or wait-die tells
+    /// it to die (`false`; the caller unwinds it). Every round executes
+    /// the ready unlocks and asks for the ready locks; the disciplines
+    /// differ only in how they ask and what a refusal means:
+    ///
+    /// * **certified** — a queueing request; a refused lock is handed
+    ///   over FIFO on the grant channel, where the worker parks once
+    ///   nothing else is ready. Never times out, never dies.
+    /// * **wait-die** — a non-queueing acquire; a refusal is put to
+    ///   [`wait_die`] against the holder of that moment, and an older
+    ///   requester sleeps [`POLL`] and asks again — for that lock first.
+    fn drive(
         &self,
-        inst: Instance,
+        a: &mut Attempt<'_>,
         t: &Transaction,
-        ctx: &WriteCtx,
         shared: &SharedHistory,
-        sampled: bool,
-    ) -> AttemptResult {
+        tracer: Option<Tracer<'_>>,
+    ) -> bool {
         let tel = &self.cfg.telemetry;
-        let me = ctx.instance;
-        let attempt = ctx.attempt;
-        let tmpl = self.registry.template(inst.template);
+        let park = self.certified_path();
+        let (me, attempt) = (a.ctx.instance, a.ctx.attempt);
         let (grant_tx, grant_rx) = unbounded::<EntityId>();
-        let mut executed = Prefix::empty(t);
-        let mut issued = vec![false; t.node_count()];
-        // Lock-grant events are *deferred* into this buffer and flushed
-        // through one `record_batch` critical section at the next unlock
-        // (before the release) or at attempt end. Sound because the
-        // events' relative order against other transactions is pinned by
-        // the locks themselves: no conflicting grant can happen on a
-        // held entity until we release it, and we flush everything
-        // buffered before every release — so per-entity event order in
-        // the history is exactly the effective lock order. (The debug
-        // batch-oracle cross-check in `build_report` re-verifies this on
-        // every run.)
-        let mut pending: Vec<ddlf_model::NodeId> = Vec::new();
-        let (mut reads, mut writes, mut writes_skipped) = (0u64, 0u64, 0u64);
-        let span = |kind: SpanKind, entity: EntityId, dur_ns: u64| SpanEvent {
-            ts_ns: tel.now_ns(),
-            gid: u64::from(ctx.gid),
-            template: inst.template.0,
-            attempt,
-            kind,
-            entity: entity.0,
-            dur_ns,
-            n: 0,
+        // Lock nodes already queued at their shard (certified only).
+        let mut queued = vec![false; if park { t.node_count() } else { 0 }];
+        // Wait-die: when the acquisition being polled for was first
+        // refused — one lock-wait sample covers all its rounds.
+        let mut refused_at: Option<Instant> = None;
+        // The lock of node `n` is ours after `waited`: the read, the
+        // simulated work, the (deferred) event.
+        let hold = |a: &mut Attempt<'_>, n: NodeId, waited: Duration| {
+            if let Some(tr) = tracer {
+                let e = t.op(n).entity.0;
+                tr.emit(
+                    attempt,
+                    SpanKind::LockAcquire,
+                    e,
+                    waited.as_nanos() as u64,
+                    0,
+                );
+            }
+            if !self.cfg.work.is_zero() {
+                std::thread::sleep(self.cfg.work);
+            }
+            a.granted(n);
         };
-
         loop {
             let mut progressed = false;
-            for n in executed.ready_nodes(t) {
-                if issued[n.index()] {
+            // Unlocks never block: drain them before asking for locks.
+            let mut ready = a.ready();
+            ready.sort_by_key(|&n| t.op(n).is_lock());
+            for n in ready {
+                let op = t.op(n);
+                if op.is_unlock() {
+                    a.unlock(n, |nodes| shared.record_batch(me, attempt, nodes));
+                    if let Some(tr) = tracer {
+                        tr.emit(attempt, SpanKind::Write, op.entity.0, 0, 0);
+                    }
+                    progressed = true;
                     continue;
                 }
-                issued[n.index()] = true;
-                let op = t.op(n);
                 let shard = self.store.shard_of(op.entity);
-                if op.is_lock() {
-                    match shard.request(me, op.entity, &grant_tx) {
-                        LockOutcome::Granted => {
-                            // Immediate grant: the zero-wait sample that
-                            // pairs with the store-measured queue waits —
-                            // exactly one lock-wait sample per acquisition.
-                            tel.record(Phase::LockWait, Duration::ZERO);
-                            if sampled {
-                                tel.trace(span(SpanKind::LockAcquire, op.entity, 0));
-                            }
-                            reads += u64::from(tmpl.program.reads_entity(op.entity));
-                            self.simulate_work();
-                            pending.push(n);
-                            executed.push(n);
-                            progressed = true;
-                        }
-                        LockOutcome::Queued { .. } => {} // grant arrives later
-                    }
+                let granted = if park {
+                    let first_ask = !std::mem::replace(&mut queued[n.index()], true);
+                    first_ask && shard.request(me, op.entity, &grant_tx)
                 } else {
-                    // Flush the deferred grants plus this unlock in one
-                    // timestamp critical section, *before* the release
-                    // makes a conflicting grant possible.
-                    pending.push(n);
-                    shared.record_batch(me, attempt, &pending);
-                    pending.clear();
-                    executed.push(n);
-                    Self::count_write(
-                        shard.write_and_release(ctx, op.entity, tmpl.program.write_for(op.entity)),
-                        &mut writes,
-                        &mut writes_skipped,
-                    );
-                    if sampled {
-                        tel.trace(span(SpanKind::Write, op.entity, 0));
+                    match shard.try_acquire(me, op.entity) {
+                        Ok(()) => true,
+                        Err(holder) => match wait_die(me, holder) {
+                            // One wait at a time: poll for this lock
+                            // before asking for any other.
+                            Refused::Retry => {
+                                refused_at.get_or_insert_with(Instant::now);
+                                break;
+                            }
+                            Refused::Die => return false,
+                        },
                     }
+                };
+                if granted {
+                    // Exactly one lock-wait sample per acquisition: zero
+                    // for an immediate grant, the polled time after a
+                    // wait-die refusal; a parked requester's queue wait
+                    // is measured store-side at the hand-over.
+                    let waited = refused_at.take().map_or(Duration::ZERO, |t0| t0.elapsed());
+                    tel.record(Phase::LockWait, waited);
+                    hold(a, n, waited);
                     progressed = true;
                 }
             }
-            if executed.is_complete(t) {
-                // Normally empty here (every lock is followed by an
-                // unlock, which flushes), but flush defensively so no
-                // template shape can lose events.
-                shared.record_batch(me, attempt, &pending);
-                return AttemptResult::Committed {
-                    reads,
-                    writes,
-                    writes_skipped,
-                };
+            if a.is_complete() {
+                return true;
             }
             if progressed {
                 continue;
             }
-            // Every ready op is a queued lock: park until any grant. The
-            // lock-wait histogram sample for this acquisition is recorded
-            // store-side at promotion (the measured queue wait); here we
-            // only time the park for the sampled trace.
-            let t_park = if sampled { Some(Instant::now()) } else { None };
-            let entity = grant_rx
-                .recv()
-                .expect("grant channel lives as long as this attempt");
-            let n = t.lock_node_of(entity).expect("granted entity is accessed");
-            if sampled {
-                let dur = t_park.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
-                tel.trace(span(SpanKind::LockAcquire, entity, dur));
-            }
-            reads += u64::from(tmpl.program.reads_entity(entity));
-            self.simulate_work();
-            pending.push(n);
-            executed.push(n);
-        }
-    }
-
-    /// Folds one write outcome into the attempt counters: applied writes
-    /// count, absent writes don't, and a typed skip ([`crate::store::WriteError`])
-    /// is counted separately instead of silently clobbering.
-    fn count_write(
-        result: Result<bool, crate::store::WriteError>,
-        writes: &mut u64,
-        skipped: &mut u64,
-    ) {
-        match result {
-            Ok(applied) => *writes += u64::from(applied),
-            Err(_) => *skipped += 1,
-        }
-    }
-
-    /// The wait-die attempt: process ready ops sequentially; lock waits
-    /// are polls that re-check the wait-die rule against the current
-    /// holder; younger requesters die.
-    fn attempt_wait_die(
-        &self,
-        inst: Instance,
-        t: &Transaction,
-        ctx: &WriteCtx,
-        shared: &SharedHistory,
-        sampled: bool,
-    ) -> AttemptResult {
-        let tel = &self.cfg.telemetry;
-        let me = ctx.instance;
-        let attempt = ctx.attempt;
-        let tmpl = self.registry.template(inst.template);
-        let (grant_tx, _grant_rx) = unbounded::<EntityId>();
-        let mut executed = Prefix::empty(t);
-        // Entities whose unlock applied a write: what a death must undo.
-        let mut exposed: Vec<EntityId> = Vec::new();
-        let (mut reads, mut writes, mut writes_skipped) = (0u64, 0u64, 0u64);
-        let span = |kind: SpanKind, entity: EntityId, dur_ns: u64| SpanEvent {
-            ts_ns: tel.now_ns(),
-            gid: u64::from(ctx.gid),
-            template: inst.template.0,
-            attempt,
-            kind,
-            entity: entity.0,
-            dur_ns,
-            n: 0,
-        };
-
-        while !executed.is_complete(t) {
-            let ready = executed.ready_nodes(t);
-            // Unlocks never block; drain them first.
-            let next = ready
-                .iter()
-                .copied()
-                .find(|&n| !t.op(n).is_lock())
-                .or_else(|| ready.first().copied())
-                .expect("incomplete prefix has a ready node");
-            let op = t.op(next);
-            let shard = self.store.shard_of(op.entity);
-            if op.is_lock() {
-                // Lock-wait clock for this acquisition: covers every
-                // poll round until the grant. A withdraw-race promotion
-                // is recorded store-side instead (it measured the queue
-                // wait), keeping one sample per acquisition.
-                let t_lock = tel.timer();
-                loop {
-                    match shard.request(me, op.entity, &grant_tx) {
-                        LockOutcome::Granted => {
-                            tel.record_since(Phase::LockWait, t_lock);
-                            if sampled {
-                                let dur =
-                                    t_lock.map(|t0| t0.elapsed().as_nanos() as u64).unwrap_or(0);
-                                tel.trace(span(SpanKind::LockAcquire, op.entity, dur));
-                            }
-                            reads += u64::from(tmpl.program.reads_entity(op.entity));
-                            self.simulate_work();
-                            shared.record(me, attempt, next);
-                            executed.push(next);
-                            break;
-                        }
-                        LockOutcome::Queued { holder } => {
-                            // Never park in the FIFO queue on this path:
-                            // withdraw, then either poll-wait (older) or
-                            // die (younger).
-                            if shard.withdraw(me, op.entity) {
-                                // Promoted in the race: the lock is ours
-                                // (and the store already recorded the
-                                // measured queue wait).
-                                if sampled {
-                                    let dur = t_lock
-                                        .map(|t0| t0.elapsed().as_nanos() as u64)
-                                        .unwrap_or(0);
-                                    tel.trace(span(SpanKind::LockAcquire, op.entity, dur));
-                                }
-                                reads += u64::from(tmpl.program.reads_entity(op.entity));
-                                self.simulate_work();
-                                shared.record(me, attempt, next);
-                                executed.push(next);
-                                break;
-                            }
-                            if me.0 < holder.0 {
-                                std::thread::sleep(self.cfg.poll);
-                            } else {
-                                let (rolled_back, unrecovered) =
-                                    self.abort_attempt(ctx, t, &executed, &exposed);
-                                return AttemptResult::Died {
-                                    rolled_back,
-                                    unrecovered,
-                                };
-                            }
-                        }
-                    }
-                }
+            if park {
+                // Every ready op is a queued lock: park until any grant
+                // (the park is timed only for the sampled trace).
+                let t_park = tracer.map(|_| Instant::now());
+                let entity = grant_rx
+                    .recv()
+                    .expect("grant channel lives as long as this attempt");
+                let n = t.lock_node_of(entity).expect("granted entity is accessed");
+                hold(a, n, t_park.map_or(Duration::ZERO, |t0| t0.elapsed()));
             } else {
-                shared.record(me, attempt, next);
-                executed.push(next);
-                let applied =
-                    shard.write_and_release(ctx, op.entity, tmpl.program.write_for(op.entity));
-                if applied == Ok(true) {
-                    exposed.push(op.entity);
-                }
-                Self::count_write(applied, &mut writes, &mut writes_skipped);
-                if sampled {
-                    tel.trace(span(SpanKind::Write, op.entity, 0));
-                }
+                std::thread::sleep(POLL);
             }
         }
-        AttemptResult::Committed {
-            reads,
-            writes,
-            writes_skipped,
-        }
-    }
-
-    fn simulate_work(&self) {
-        if !self.cfg.work.is_zero() {
-            std::thread::sleep(self.cfg.work);
-        }
-    }
-
-    /// Unwinds a dying attempt. Held locks are released (their writes
-    /// were never applied — writes happen at unlock), then every write
-    /// an earlier unlock already `exposed` is rolled back by removing
-    /// its chain entry (non-two-phase templates can die after their
-    /// first unlock; two-phase ones die before it and have nothing to
-    /// undo). Returns `(rolled_back, unrecovered)` write counts — an
-    /// abort is only *dirty* if some write could not be undone.
-    fn abort_attempt(
-        &self,
-        ctx: &WriteCtx,
-        t: &Transaction,
-        executed: &Prefix,
-        exposed: &[EntityId],
-    ) -> (u32, u32) {
-        // One undo sample per dying attempt: lock release plus every
-        // exposed-write rollback.
-        let t_undo = self.cfg.telemetry.timer();
-        for e in executed.held_entities(t) {
-            self.store.shard_of(e).release(ctx.instance, e);
-        }
-        let (mut rolled_back, mut unrecovered) = (0u32, 0u32);
-        // Each entity is written at most once per attempt and removal
-        // re-folds per entity, so no undo order is required.
-        for &e in exposed {
-            match self.store.shard_of(e).undo_write(ctx, e) {
-                UndoOutcome::RolledBack => rolled_back += 1,
-                // `None`: the `CHAIN_CAP` trim already folded the
-                // still-undecided entry into its base — it cannot be
-                // taken back any more.
-                UndoOutcome::None | UndoOutcome::Unrecoverable => unrecovered += 1,
-            }
-        }
-        self.cfg.telemetry.record_since(Phase::Undo, t_undo);
-        (rolled_back, unrecovered)
     }
 
     fn build_report(

@@ -22,22 +22,28 @@
 //!                             │ semaphore) per template
 //!              ┌──────────────┴────────────────────┐
 //!       Certified / CertifiedDeadlockFree     Fallback
-//!        `Nothing` policy:                wait-die w/ retry:
-//!        block on FIFO grants,            poll, re-check rule,
-//!        no detector, no timeout,         younger dies, backoff;
-//!        zero aborts possible             a victim's exposed writes
-//!              │                          leave their value chains
+//!        a refused lock queues FIFO,      a refused lock queues nowhere:
+//!        the worker parks; no             wait-die vs the current holder
+//!        detector, no timeout,            on every poll; the loser dies,
+//!        zero aborts possible             its exposed writes leave their
+//!              │                          value chains, it backs off
 //!              └──────────────┬────────────────────┘
-//!                        Executor (worker pool)
-//!                             │ SlotGate.acquire() ⇒ in-flight mix is a
-//!                             │ subsystem of the certified inflated system
-//!                             │ partial-order-respecting lock acquisition
+//!                        Executor (worker pool) — one path per instance
+//!                             │ execute_chunk: SlotGate.acquire_many() per
+//!                             │ template (chunk of one by default) ⇒ the
+//!                             │ in-flight mix is a subsystem of the
+//!                             │ certified inflated system; one batched
+//!                             │ Begin append
+//!                             │ Attempt: granted / unlock / die, stepped
+//!                             │ in partial order until it completes
+//!                             │ commit: reserve ts ▶ group committer ▶
+//!                             │ stamp chains ▶ close ts
 //!                          Store: one Shard per SiteId
 //!                          { value chains + LockTable } per mutex
 //!                             │                  │
 //!                             │   Wal (optional file sink, framed records)
 //!                             │     shard-<k>.wal   Write/Undo per shard
-//!                             │     commit.wal      Begin/Commit/Abort
+//!                             │     commit.wal      Begin/Commit(Group)/Abort
 //!                             │     history.wal     lock/unlock events
 //!                             │                  │
 //!                             │        wal::recover(dir): replay committed
@@ -88,8 +94,10 @@
 //!   systems fall back to wait-die. Templates carry data [`Program`]s
 //!   (reads on every lock; `Add`/`Put` writes applied at unlock under
 //!   the lock).
-//! * [`executor`] — a worker pool drains the instance queue, walks each
-//!   transaction's partial order, and appends every effective
+//! * [`executor`] — a worker pool drains the instance queue, steps each
+//!   instance's attempts through its transaction's partial order (the
+//!   same `Attempt` stepper and wait-die rule [`replay`] drives
+//!   cooperatively), and appends every effective
 //!   lock/unlock to a shared [`ddlf_sim::History`]; each event is also
 //!   fed live to an incremental
 //!   [`StreamingAuditor`](ddlf_model::incremental::StreamingAuditor),
@@ -139,6 +147,7 @@
 
 #![warn(missing_docs)]
 
+mod attempt;
 pub mod executor;
 pub mod mvcc;
 pub mod replay;
@@ -158,7 +167,6 @@ pub use template::{
 };
 pub use wal::{
     recover, GroupEntry, Recovered, Wal, WalError, WalOptions, WalRecord, DEFAULT_MAX_GROUP,
-    DEFAULT_WAL_BUFFER,
 };
 
 // The observability layer the engine emits into, re-exported so callers

@@ -21,8 +21,13 @@
 //! * the **value at cut `s`** is the fold, in chain order, of the
 //!   entries stamped `≤ s`;
 //! * **GC** folds a decided prefix `≤` the low-watermark of registered
-//!   cuts into `base`; the [`CHAIN_CAP`] bound folds the front entry in
-//!   regardless, so no reader and no undecided writer can pin a chain.
+//!   cuts into `base`; the [`CHAIN_CAP`] bound folds a *decided* front
+//!   entry in regardless of the watermark, so no reader can pin a chain.
+//!   An undecided front entry is never folded — `base` would then carry
+//!   a write no cut may contain — so a chain is bounded by the cap plus
+//!   the writes that land behind its oldest in-flight writer before
+//!   that writer commits or dies (an entry abandoned by an unwinding
+//!   commit stays out of every cut and pins its chain).
 //!
 //! **Single-cut argument.** A reader's cut `s` is a `closed` sample. A
 //! committer stamps every one of its entries *before* it closes its
@@ -45,8 +50,8 @@ use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-/// Hard per-entity bound on retained versions (base included), GC
-/// watermark and undecided writers notwithstanding.
+/// Per-entity bound on retained versions (base included) whatever the
+/// GC watermark; only an undecided front entry holds a chain above it.
 pub const CHAIN_CAP: usize = 64;
 
 /// Auto-GC cadence: one watermark pass per this many closed commits
@@ -107,7 +112,7 @@ impl RoSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UndoOutcome {
     /// The attempt has no undecided entry on the entity (never wrote
-    /// it, already committed, or the entry was folded by [`CHAIN_CAP`]).
+    /// it, or already committed).
     None,
     /// The entry is gone and every surviving op still types: the value
     /// is exactly the replay of the survivors.
@@ -118,6 +123,7 @@ pub(crate) enum UndoOutcome {
     Unrecoverable,
 }
 
+#[cfg(test)]
 impl UndoOutcome {
     /// Whether the dead write's effect is fully gone from the store.
     pub(crate) fn rolled_back(self) -> bool {
@@ -181,9 +187,10 @@ impl Chain {
     }
 
     /// Appends a write whose after-image is `after` (see
-    /// [`Chain::apply`]). Beyond [`CHAIN_CAP`] the front entry folds
-    /// into `base` whether or not it is decided — bounded state beats a
-    /// cut nobody can request.
+    /// [`Chain::apply`]). Beyond [`CHAIN_CAP`] decided front entries
+    /// fold into `base` whatever the watermark — bounded state beats a
+    /// cut nobody can request — but never an undecided one: `base` is
+    /// part of every cut it answers.
     pub(crate) fn push(
         &mut self,
         gid: u32,
@@ -193,7 +200,7 @@ impl Chain {
     ) {
         self.tip = after;
         self.entries.push_back(Entry { gid, op, commit_ts });
-        if self.len() > CHAIN_CAP {
+        while self.len() > CHAIN_CAP && self.entries[0].commit_ts.is_some() {
             self.fold_front();
         }
     }
@@ -203,7 +210,9 @@ impl Chain {
         if let Ok(v) = apply_op(self.entity, &self.base, &e.op) {
             self.base = v;
         }
-        self.base_ts = self.base_ts.max(e.commit_ts.unwrap_or(0));
+        self.base_ts = self
+            .base_ts
+            .max(e.commit_ts.expect("only decided entries fold"));
     }
 
     /// Commit: stamps `ts` on the undecided entry of `gid`, if any.

@@ -8,34 +8,38 @@
 //! JSONL trace is not just a claim about the model but a reproducible
 //! run of the engine itself.
 //!
-//! Two phases:
+//! Both phases step the engine's own `Attempt` — the one
+//! the threaded executor drives — through non-queueing lock acquires,
+//! one virtual thread per transaction:
 //!
-//! 1. **Trace replay** — the recorded steps execute verbatim, one
-//!    virtual thread per transaction. A legal schedule never blocks (a
-//!    `Lock` step only appears where the entity is free), so every lock
-//!    request must be granted immediately; anything else means the
+//! 1. **Trace replay** — the recorded steps execute verbatim. A legal
+//!    schedule never blocks (a `Lock` step only appears where the entity
+//!    is free), so every acquire must succeed; anything else means the
 //!    trace is corrupt and is reported as [`ReplayError::IllegalStep`].
 //! 2. **Wait-die completion** — a deadlock witness ends in a stuck
-//!    state. The replay then continues under the engine's wait-die
-//!    rule: each unfinished transaction advances in timestamp order;
-//!    a requester younger than the holder dies — its queued request is
-//!    withdrawn, its held locks released, its exposed writes rolled
-//!    back out of the value chains — and retries from scratch. Wait-die
-//!    admits no waiting cycle, so the replay always drains: the
-//!    deadlock the certified path would have hit is demonstrably
-//!    unjammed by the fallback path, at the cost of real aborts.
+//!    state. The replay then continues in cooperative sweeps, oldest
+//!    transaction first, each running ahead until it commits or a lock
+//!    is refused. The refusal is put to the engine's wait-die rule
+//!    against the holder of that moment: an older requester asks again
+//!    next sweep, any other dies — its held locks released, its exposed
+//!    writes rolled back out of the value chains — and retries from
+//!    scratch. Nothing ever queues, so nothing can jam: the youngest
+//!    unfinished transaction ends every turn committed or holding
+//!    nothing, hence (by induction over the sweeps) so does the k-th
+//!    youngest from sweep k on, and the oldest runs unobstructed within
+//!    `n + 1` sweeps. The deadlock the certified path would have hit is
+//!    demonstrably unjammed by the fallback path, at the cost of real
+//!    aborts; [`ReplayError::Stalled`] guards that bound.
 //!
 //! The sealed streaming-audit verdict is returned: replaying a `D(S)`
 //! cycle counterexample yields `serializable == Some(false)` end to end
 //! in the engine, while a deadlock witness completes with aborts and a
 //! serializable history.
 
-use crate::store::{LockOutcome, Store, WriteCtx};
+use crate::attempt::{wait_die, Attempt, Refused};
+use crate::store::{Store, WriteCtx};
 use crate::template::Program;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use ddlf_model::{
-    EntityId, GlobalNode, NodeId, Prefix, StreamingAuditor, TransactionSystem, TxnId,
-};
+use ddlf_model::{GlobalNode, NodeId, StreamingAuditor, Transaction, TransactionSystem, TxnId};
 use std::fmt;
 
 /// The initial integer payload of every entity in a replay store
@@ -75,8 +79,10 @@ pub enum ReplayError {
         /// What went wrong.
         reason: String,
     },
-    /// The wait-die completion stopped making progress (cannot happen
-    /// for traces produced by the explorer; guards corrupt input).
+    /// The oldest unfinished transaction did not advance for more
+    /// sweeps of the wait-die completion than the rule allows (see the
+    /// module docs) — a regression in the engine, reported instead of
+    /// looping forever.
     Stalled {
         /// Transactions committed before the stall.
         committed: usize,
@@ -110,25 +116,63 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// One transaction's execution state: its executed prefix, attempt
-/// counter, grant channel, and this attempt's exposed writes.
-struct Slot {
-    prefix: Prefix,
-    attempt: u32,
-    committed: bool,
-    written: Vec<EntityId>,
-    blocked: Option<(EntityId, NodeId)>,
-    tx: Sender<EntityId>,
-    rx: Receiver<EntityId>,
+/// The replay's store, auditor and tally.
+struct Replay<'a> {
+    store: &'a Store,
+    auditor: StreamingAuditor,
+    report: ReplayReport,
 }
 
-impl Slot {
-    fn ctx(&self, t: TxnId) -> WriteCtx {
-        WriteCtx {
-            instance: t,
-            gid: t.0,
-            attempt: self.attempt,
+impl Replay<'_> {
+    /// Executes ready node `n` of `a` — an unlock always, a lock if it
+    /// is free (else `Err(holder)`) — and commits `a` if that completed
+    /// it: its chain entries are stamped and the auditor folds the
+    /// attempt into the committed history.
+    fn step(&mut self, a: &mut Attempt<'_>, txn: &Transaction, n: NodeId) -> Result<(), TxnId> {
+        let (op, ctx) = (txn.op(n), a.ctx);
+        if op.is_lock() {
+            self.store
+                .shard_of(op.entity)
+                .try_acquire(ctx.instance, op.entity)?;
+            a.granted(n);
+        } else {
+            a.unlock(n, |nodes| {
+                for &m in nodes {
+                    self.auditor.event(ctx.gid, ctx.attempt, m);
+                }
+            });
         }
+        if a.is_complete() {
+            let ts = self.store.reserve_commit_ts();
+            self.store.publish_commit(ts, ctx.gid, a.exposed.drain(..));
+            self.auditor.commit(ctx.gid, ctx.attempt);
+            self.report.committed += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The completion's progress measure: which transaction is the oldest
+/// unfinished one and how many steps it has executed. Wait-die never
+/// kills the oldest, so the measure only grows; a death elsewhere is
+/// not progress.
+#[derive(Default)]
+struct StallGuard {
+    best: (usize, usize),
+    idle_sweeps: usize,
+}
+
+impl StallGuard {
+    /// Notes the measure after one sweep; `true` once it has not grown
+    /// for more than `limit` sweeps in a row.
+    fn stalled(&mut self, mark: (usize, usize), limit: usize) -> bool {
+        if mark > self.best {
+            self.best = mark;
+            self.idle_sweeps = 0;
+        } else {
+            self.idle_sweeps += 1;
+        }
+        self.idle_sweeps > limit
     }
 }
 
@@ -141,40 +185,36 @@ pub fn replay_schedule(
     steps: &[GlobalNode],
 ) -> Result<ReplayReport, ReplayError> {
     let store = Store::new(sys.db(), REPLAY_INITIAL_VALUE);
-    let mut auditor = StreamingAuditor::new(sys);
     let programs: Vec<Program> = sys
         .txns()
         .iter()
         .map(|t| Program::counter(t.entities()))
         .collect();
-    let mut slots: Vec<Slot> = sys
-        .txns()
-        .iter()
-        .map(|t| {
-            let (tx, rx) = unbounded();
-            Slot {
-                prefix: Prefix::empty(t),
-                attempt: 0,
-                committed: false,
-                written: Vec::new(),
-                blocked: None,
-                tx,
-                rx,
-            }
-        })
-        .collect();
-    for (t, _) in sys.iter() {
-        auditor.admit(t.0, t);
-    }
-    let mut report = ReplayReport {
-        instances: sys.len(),
-        replayed_steps: 0,
-        completion_steps: 0,
-        aborts: 0,
-        rolled_back: 0,
-        committed: 0,
-        serializable: None,
+    let attempt_of = |t: TxnId, attempt: u32| {
+        let ctx = WriteCtx {
+            instance: t,
+            gid: t.0,
+            attempt,
+        };
+        Attempt::new(&store, sys.txn(t), &programs[t.index()], ctx)
     };
+    let mut attempts: Vec<Attempt<'_>> = sys.iter().map(|(t, _)| attempt_of(t, 0)).collect();
+    let mut run = Replay {
+        store: &store,
+        auditor: StreamingAuditor::new(sys),
+        report: ReplayReport {
+            instances: sys.len(),
+            replayed_steps: 0,
+            completion_steps: 0,
+            aborts: 0,
+            rolled_back: 0,
+            committed: 0,
+            serializable: None,
+        },
+    };
+    for (t, _) in sys.iter() {
+        run.auditor.admit(t.0, t);
+    }
 
     // Phase 1: the recorded steps, verbatim. Every lock must grant.
     for (i, g) in steps.iter().enumerate() {
@@ -183,184 +223,54 @@ pub fn replay_schedule(
             step: *g,
             reason,
         };
-        if g.txn.index() >= slots.len() {
+        let Some(a) = attempts.get_mut(g.txn.index()) else {
             return Err(bad(format!("no transaction {}", g.txn)));
-        }
-        let txn = sys.txn(g.txn);
-        if !slots[g.txn.index()]
-            .prefix
-            .ready_nodes(txn)
-            .contains(&g.node)
-        {
+        };
+        if !a.ready().contains(&g.node) {
             return Err(bad("node is not ready in its transaction".to_string()));
         }
-        let op = txn.op(g.node);
-        if op.is_lock() {
-            let outcome =
-                store
-                    .shard_of(op.entity)
-                    .request(g.txn, op.entity, &slots[g.txn.index()].tx);
-            if let LockOutcome::Queued { holder } = outcome {
-                return Err(bad(format!(
-                    "lock on {} blocked by {holder} — not a legal schedule",
-                    op.entity
-                )));
-            }
-        }
-        let slot = &mut slots[g.txn.index()];
-        auditor.event(g.txn.0, slot.attempt, g.node);
-        if op.is_unlock() {
-            let ctx = slot.ctx(g.txn);
-            let applied = store
-                .shard_of(op.entity)
-                .write_and_release(
-                    &ctx,
-                    op.entity,
-                    programs[g.txn.index()].write_for(op.entity),
-                )
-                .unwrap_or(false);
-            if applied {
-                slot.written.push(op.entity);
-            }
-        }
-        slot.prefix.push(g.node);
-        report.replayed_steps += 1;
-        if slot.prefix.is_complete(txn) {
-            commit(&store, &mut auditor, &mut slots[g.txn.index()], g.txn);
-            report.committed += 1;
-        }
+        let txn = sys.txn(g.txn);
+        run.step(a, txn, g.node).map_err(|holder| {
+            bad(format!(
+                "lock on {} blocked by {holder} — not a legal schedule",
+                txn.op(g.node).entity
+            ))
+        })?;
+        run.report.replayed_steps += 1;
     }
 
     // Phase 2: finish whatever the trace left unfinished (a deadlock
     // witness leaves everything in the cycle stuck) under wait-die.
-    let mut idle_rounds = 0usize;
-    while slots.iter().any(|s| !s.committed) {
-        let mut progressed = false;
-        for idx in 0..slots.len() {
-            let t = TxnId(idx as u32);
-            let txn = sys.txn(t);
-            if slots[idx].committed {
-                continue;
-            }
-            // A parked requester first checks whether the FIFO hand-over
-            // promoted it.
-            if let Some((e, n)) = slots[idx].blocked {
-                match slots[idx].rx.try_recv() {
-                    Ok(granted) if granted == e => {
-                        slots[idx].blocked = None;
-                        auditor.event(t.0, slots[idx].attempt, n);
-                        slots[idx].prefix.push(n);
-                        report.completion_steps += 1;
-                        progressed = true;
-                    }
-                    _ => continue,
-                }
-            }
-            // Run ahead until the transaction commits, parks, or dies.
-            loop {
-                let ready = slots[idx].prefix.ready_nodes(txn);
-                let Some(&n) = ready.first() else {
-                    if slots[idx].prefix.is_complete(txn) {
-                        commit(&store, &mut auditor, &mut slots[idx], t);
-                        report.committed += 1;
-                        progressed = true;
-                    }
-                    break;
-                };
-                let op = txn.op(n);
-                if op.is_lock() {
-                    match store
-                        .shard_of(op.entity)
-                        .request(t, op.entity, &slots[idx].tx)
-                    {
-                        LockOutcome::Granted => {}
-                        LockOutcome::Queued { holder } => {
-                            if t.0 >= holder.0 {
-                                // Younger than the holder: die, roll
-                                // back, retry from scratch.
-                                store.shard_of(op.entity).withdraw(t, op.entity);
-                                abort(&store, &mut auditor, sys, &mut slots[idx], t, &mut report);
-                                progressed = true;
-                            } else {
-                                // Older: park until the hand-over.
-                                slots[idx].blocked = Some((op.entity, n));
-                            }
-                            break;
+    let mut guard = StallGuard::default();
+    while let Some(oldest) = attempts.iter().position(|a| !a.is_complete()) {
+        for (t, txn) in sys.iter().skip(oldest) {
+            let a = &mut attempts[t.index()];
+            // Run ahead until the transaction commits or is refused.
+            while let Some(&n) = a.ready().first() {
+                match run.step(a, txn, n) {
+                    Ok(()) => run.report.completion_steps += 1,
+                    Err(holder) => {
+                        if wait_die(t, holder) == Refused::Die {
+                            run.report.rolled_back += a.die().rolled_back;
+                            run.auditor.abort(t.0, a.ctx.attempt);
+                            run.report.aborts += 1;
+                            *a = attempt_of(t, a.ctx.attempt + 1);
                         }
+                        break; // ask again next sweep
                     }
-                    auditor.event(t.0, slots[idx].attempt, n);
-                    slots[idx].prefix.push(n);
-                } else {
-                    let ctx = slots[idx].ctx(t);
-                    auditor.event(t.0, slots[idx].attempt, n);
-                    let applied = store
-                        .shard_of(op.entity)
-                        .write_and_release(&ctx, op.entity, programs[idx].write_for(op.entity))
-                        .unwrap_or(false);
-                    if applied {
-                        slots[idx].written.push(op.entity);
-                    }
-                    slots[idx].prefix.push(n);
                 }
-                report.completion_steps += 1;
-                progressed = true;
             }
         }
-        if progressed {
-            idle_rounds = 0;
-        } else {
-            idle_rounds += 1;
-            // Wait-die admits no waiting cycle, so a full idle sweep
-            // (plus slack) proves the input was not a schedule of `sys`.
-            if idle_rounds > slots.len() + 2 {
-                return Err(ReplayError::Stalled {
-                    committed: report.committed,
-                    instances: report.instances,
-                });
-            }
+        if guard.stalled((oldest, attempts[oldest].steps()), attempts.len() + 2) {
+            return Err(ReplayError::Stalled {
+                committed: run.report.committed,
+                instances: run.report.instances,
+            });
         }
     }
 
-    report.serializable = auditor.seal();
-    Ok(report)
-}
-
-/// Commit: the attempt's chain entries are stamped (its writes become
-/// permanent), the auditor folds the attempt into the committed history.
-fn commit(store: &Store, auditor: &mut StreamingAuditor, slot: &mut Slot, t: TxnId) {
-    store.publish_commit(store.reserve_commit_ts(), t.0, slot.written.drain(..));
-    auditor.commit(t.0, slot.attempt);
-    slot.committed = true;
-}
-
-/// Wait-die death: release everything, undo exposed writes (reverse
-/// order), drop the attempt's buffered events, and reset for a retry.
-fn abort(
-    store: &Store,
-    auditor: &mut StreamingAuditor,
-    sys: &TransactionSystem,
-    slot: &mut Slot,
-    t: TxnId,
-    report: &mut ReplayReport,
-) {
-    let txn = sys.txn(t);
-    let ctx = slot.ctx(t);
-    for e in slot.prefix.held_entities(txn) {
-        store.shard_of(e).release(t, e);
-    }
-    for &e in slot.written.iter().rev().collect::<Vec<_>>() {
-        if store.shard_of(e).undo_write(&ctx, e).rolled_back() {
-            report.rolled_back += 1;
-        }
-    }
-    // A grant delivered between queueing and withdrawal is stale now.
-    while slot.rx.try_recv().is_ok() {}
-    auditor.abort(t.0, slot.attempt);
-    slot.attempt += 1;
-    slot.prefix = Prefix::empty(txn);
-    slot.written.clear();
-    slot.blocked = None;
-    report.aborts += 1;
+    run.report.serializable = run.auditor.seal();
+    Ok(run.report)
 }
 
 #[cfg(test)]
@@ -426,6 +336,25 @@ mod tests {
         assert_eq!(rep.committed, 2, "wait-die drains the stuck state");
         assert!(rep.aborts >= 1, "someone had to die");
         assert_eq!(rep.serializable, Some(true), "and the history audits");
+    }
+
+    #[test]
+    fn deaths_alone_do_not_feed_the_stall_guard() {
+        // The measure is the oldest unfinished transaction's progress;
+        // whatever the younger ones do (die, retry, die again), a
+        // sweep that leaves it where it was is an idle sweep.
+        let mut guard = StallGuard::default();
+        assert!(!guard.stalled((0, 1), 3), "first observation is progress");
+        assert!(
+            (0..3).all(|_| !guard.stalled((0, 1), 3)),
+            "within the bound"
+        );
+        assert!(guard.stalled((0, 1), 3), "one idle sweep too many");
+        assert!(!guard.stalled((0, 2), 3), "a step resets the count");
+        assert!(
+            !guard.stalled((1, 0), 3),
+            "so does the next-oldest taking over"
+        );
     }
 
     #[test]

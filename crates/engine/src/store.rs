@@ -106,19 +106,6 @@ pub(crate) fn apply_op(
     })
 }
 
-/// What a lock request returned.
-#[derive(Debug)]
-pub(crate) enum LockOutcome {
-    /// Granted immediately; the caller may now read/write the entity.
-    Granted,
-    /// Queued behind the current holder; a grant will arrive on the
-    /// requester's channel.
-    Queued {
-        /// The instance currently holding the lock (wait-die examines it).
-        holder: TxnId,
-    },
-}
-
 /// Identity of the attempt performing a write, threaded from the
 /// executor down to the shard so every chain entry and WAL record is
 /// attributed (the WAL keys by globally unique instance id).
@@ -148,8 +135,8 @@ pub(crate) struct ShardState {
     /// file order is chain order.
     sink: Option<(ShardSink, Arc<Wal>)>,
     /// Observability handle: promotion records the measured queue wait
-    /// into the lock-wait histogram (immediate grants are recorded
-    /// executor-side, so each acquisition yields exactly one sample).
+    /// into the lock-wait histogram (grants that never queued are
+    /// recorded executor-side, so each acquisition yields one sample).
     telemetry: Telemetry,
 }
 
@@ -174,37 +161,35 @@ impl Shard {
         self.slots[entity.index()] as usize
     }
 
-    /// Requests the exclusive lock on `entity` for `instance`. On a
-    /// queue, registers `grant_tx` so the releasing thread can hand the
-    /// lock (and wake the requester) later.
+    /// The queueing request (certified discipline): takes the exclusive
+    /// lock on `entity` for `instance` and returns `true`, or queues
+    /// FIFO behind the holder and registers `grant_tx` so the releasing
+    /// thread can hand the lock over (and wake the requester) later.
     pub(crate) fn request(
         &self,
         instance: TxnId,
         entity: EntityId,
         grant_tx: &Sender<EntityId>,
-    ) -> LockOutcome {
+    ) -> bool {
         let mut st = self.state.lock();
-        match st.locks.acquire(instance, entity) {
-            Acquire::Granted => LockOutcome::Granted,
-            Acquire::Queued { holder } => {
-                st.waiters
-                    .insert((instance, entity), (grant_tx.clone(), Instant::now()));
-                LockOutcome::Queued { holder }
-            }
+        let granted = st.locks.acquire(instance, entity) == Acquire::Granted;
+        if !granted {
+            st.waiters
+                .insert((instance, entity), (grant_tx.clone(), Instant::now()));
         }
+        granted
     }
 
-    /// Withdraws a queued request (wait-die victim backing out). Returns
-    /// `true` if the request had already been promoted to a hold, in
-    /// which case the caller must release it instead.
-    pub(crate) fn withdraw(&self, instance: TxnId, entity: EntityId) -> bool {
+    /// The non-queueing acquire (wait-die and the replayer): takes the
+    /// lock if it is free, else leaves no trace and names the holder.
+    pub(crate) fn try_acquire(&self, instance: TxnId, entity: EntityId) -> Result<(), TxnId> {
         let mut st = self.state.lock();
-        st.waiters.remove(&(instance, entity));
-        if st.locks.holder(entity) == Some(instance) {
-            true
-        } else {
-            st.locks.release(instance, entity); // drops the queue entry
-            false
+        match st.locks.holder(entity) {
+            Some(holder) if holder != instance => Err(holder),
+            _ => {
+                st.locks.acquire(instance, entity);
+                Ok(())
+            }
         }
     }
 
@@ -300,8 +285,8 @@ impl ShardState {
             if let Some((tx, since)) = self.waiters.remove(&(next, entity)) {
                 if tx.send(entity).is_ok() {
                     // The promoted waiter's queue wait, measured from the
-                    // moment it queued to the hand-over — the parked
-                    // (certified) path's lock-wait sample.
+                    // moment it queued to the hand-over — a parked
+                    // requester's lock-wait sample.
                     self.telemetry.record(Phase::LockWait, since.elapsed());
                     return; // handed over
                 }
@@ -691,8 +676,7 @@ mod tests {
         let s = store2();
         let e = EntityId(0);
         let (tx, _rx) = unbounded();
-        let got = s.shard_of(e).request(TxnId(0), e, &tx);
-        assert!(matches!(got, LockOutcome::Granted));
+        assert!(s.shard_of(e).request(TxnId(0), e, &tx));
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(100));
         assert_eq!(
             s.shard_of(e)
@@ -710,14 +694,8 @@ mod tests {
         let e = EntityId(0);
         let (tx0, _rx0) = unbounded();
         let (tx1, rx1) = unbounded();
-        assert!(matches!(
-            s.shard_of(e).request(TxnId(0), e, &tx0),
-            LockOutcome::Granted
-        ));
-        assert!(matches!(
-            s.shard_of(e).request(TxnId(1), e, &tx1),
-            LockOutcome::Queued { holder: TxnId(0) }
-        ));
+        assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
+        assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         assert_eq!(rx1.try_recv(), Ok(e));
         // T1 now holds it.
@@ -729,41 +707,30 @@ mod tests {
         let s = store2();
         let e = EntityId(0);
         let (tx0, _rx0) = unbounded();
-        assert!(matches!(
-            s.shard_of(e).request(TxnId(0), e, &tx0),
-            LockOutcome::Granted
-        ));
+        assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
         {
             let (tx1, rx1) = unbounded();
-            assert!(matches!(
-                s.shard_of(e).request(TxnId(1), e, &tx1),
-                LockOutcome::Queued { .. }
-            ));
-            drop(rx1); // T1's attempt dies without withdrawing
+            assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
+            drop(rx1); // T1's worker is gone
             drop(tx1);
         }
         let (tx2, rx2) = unbounded();
-        assert!(matches!(
-            s.shard_of(e).request(TxnId(2), e, &tx2),
-            LockOutcome::Queued { .. }
-        ));
+        assert!(!s.shard_of(e).request(TxnId(2), e, &tx2));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         // T1's grant bounced; T2 must receive it.
         assert_eq!(rx2.try_recv(), Ok(e));
     }
 
     #[test]
-    fn withdraw_cleans_the_queue() {
+    fn a_refused_try_acquire_names_the_holder_and_leaves_no_queue_entry() {
         let s = store2();
         let e = EntityId(0);
-        let (tx0, _rx0) = unbounded();
-        let (tx1, _rx1) = unbounded();
-        s.shard_of(e).request(TxnId(0), e, &tx0);
-        s.shard_of(e).request(TxnId(1), e, &tx1);
-        assert!(!s.shard_of(e).withdraw(TxnId(1), e));
+        assert_eq!(s.shard_of(e).try_acquire(TxnId(0), e), Ok(()));
+        assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Err(TxnId(0)));
         assert!(s.shard_of(e).state.lock().locks.waiters(e).is_empty());
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         assert_eq!(s.shard_of(e).state.lock().locks.holder(e), None);
+        assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Ok(()));
     }
 
     #[test]
@@ -1117,8 +1084,9 @@ mod tests {
     }
 
     /// A `TsReservation` dropped on unwind closes the clock, but the
-    /// instance's entries stay unstamped forever. Such an entry must not
-    /// pin its chain: the `CHAIN_CAP` trim folds it like any other.
+    /// instance's entries stay unstamped forever. Such an entry is in no
+    /// cut, ever: the `CHAIN_CAP` trim never folds it into `base`, so it
+    /// pins its chain instead of leaking into the committed view.
     #[test]
     fn dropped_reservation_closes_the_clock_over_the_gap() {
         use crate::mvcc::CHAIN_CAP;
@@ -1135,14 +1103,50 @@ mod tests {
         assert_eq!(s.commit_ts(), 2);
         let snap = s.read_only_snapshot(&[e]);
         assert_eq!(snap.get(e).unwrap().value, Some(5), "undecided: in no cut");
-        for gid in 1..=(2 * CHAIN_CAP as u32) {
+        let more = 2 * CHAIN_CAP as u32;
+        for gid in 1..=more {
             write(&s, &ctx(gid), e, WriteOp::Add(1));
             commit(&s, &ctx(gid), e);
-            assert!(chain_len(&s, e) <= CHAIN_CAP);
         }
-        // Later cuts still read, and agree with the live value again.
+        // Later cuts still read, and still without the abandoned write.
         let snap = s.read_only_snapshot(&[e]);
-        assert_eq!(snap.ts, 2 + 2 * CHAIN_CAP as u64);
+        assert_eq!(snap.ts, 2 + u64::from(more));
+        assert_eq!(snap.get(e).unwrap().value, Some(5 + u64::from(more)));
+        assert_eq!(
+            s.shard_of(e).peek(e).datum,
+            Datum::Int(1_005 + u64::from(more))
+        );
+        assert!(
+            chain_len(&s, e) > CHAIN_CAP,
+            "pinned by the undecided front"
+        );
+    }
+
+    /// The torn cut behind the flaky `torn cut at N`: one in-flight
+    /// `Add(-1)` at the front of a chain, then enough committed
+    /// transfers to push the chain past `CHAIN_CAP`. The trim used to
+    /// fold the undecided entry into `base`, and every later cut
+    /// reported Σ = 1999 of 2000.
+    #[test]
+    fn chain_cap_never_folds_an_undecided_write_into_a_cut() {
+        use crate::mvcc::CHAIN_CAP;
+        let s = store_n(2, 1_000);
+        let both = [EntityId(0), EntityId(1)];
+        let in_flight = ctx(9_999);
+        write(&s, &in_flight, both[0], WriteOp::Add(-1));
+        for gid in 0..(CHAIN_CAP as u32 + 6) {
+            transfer(&s, gid, 0, 1, 1);
+            assert_eq!(s.read_only_snapshot(&both).sum_int(), 2_000, "after {gid}");
+        }
+        // The writer is still undoable, and once it is decided the cap
+        // applies again.
+        assert_eq!(
+            s.shard_of(both[0]).undo_write(&in_flight, both[0]),
+            UndoOutcome::RolledBack
+        );
+        transfer(&s, 100, 0, 1, 1);
+        assert!(chain_len(&s, both[0]) <= CHAIN_CAP);
+        assert_eq!(s.read_only_snapshot(&both).sum_int(), 2_000);
         assert_eq!(s.snapshot(), s.live_snapshot());
     }
 

@@ -310,15 +310,10 @@ impl SlotGate {
         self.slots
     }
 
-    /// Blocks until a slot is free, then occupies it for the lifetime of
-    /// the returned guard.
-    pub fn acquire(&self) -> SlotGuard<'_> {
-        self.grab(1)
-    }
-
-    /// The multi-slot acquisition backing batched admission: admits a
-    /// chunk of `n` instances of this template under **one** gate
-    /// operation. On an [`Slots::Unbounded`] gate all `n` slots are
+    /// Admits a chunk of `n` instances of this template under **one**
+    /// gate operation: blocks until the chunk fits, then occupies its
+    /// slots for the lifetime of the returned guard. On an
+    /// [`Slots::Unbounded`] gate all `n` slots are
     /// claimed (pure bookkeeping — the gate never blocks, and `in_use`/
     /// `peak` keep meaning "admitted instances"). On a [`Slots::Bounded`]
     /// gate exactly **one** slot is claimed, because a batched chunk
@@ -775,8 +770,8 @@ mod tests {
     #[test]
     fn slot_gate_counts_and_peaks() {
         let gate = SlotGate::new(Slots::Bounded(2));
-        let a = gate.acquire();
-        let b = gate.acquire();
+        let a = gate.acquire_many(1);
+        let b = gate.acquire_many(1);
         assert_eq!(gate.in_use(), 2);
         assert_eq!(gate.peak(), 2);
         drop(a);
@@ -797,7 +792,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let _slot = gate.acquire();
+                    let _slot = gate.acquire_many(1);
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -836,7 +831,7 @@ mod tests {
     #[test]
     fn unbounded_gate_never_blocks() {
         let gate = SlotGate::new(Slots::Unbounded);
-        let guards: Vec<_> = (0..16).map(|_| gate.acquire()).collect();
+        let guards: Vec<_> = (0..16).map(|_| gate.acquire_many(1)).collect();
         assert_eq!(gate.in_use(), 16);
         assert_eq!(gate.peak(), 16);
         drop(guards);

@@ -77,14 +77,18 @@
 //! a durable `Commit` implies its `Write`/`Event` records are durable
 //! too, never the reverse.
 //!
-//! Under [`WalOptions::group_commit`] the per-commit fsync is amortized
-//! by a leader/follower **group committer**: a committing worker
+//! Every decision goes through one leader/follower **group committer**
+//! (there is no per-commit mode; [`WalOptions::max_group`] only sizes
+//! it, and `1` is the unbatched reference): a committing worker
 //! enqueues its decision and parks; the first enqueuer becomes leader,
 //! drains the queue, performs one data-log flush (+fsync under `sync`),
-//! appends the whole batch as one `CommitGroup` frame, issues **one**
-//! decision fsync for the group, then wakes every follower. The
-//! fsync-ordering invariant above is preserved per *group* instead of
-//! per commit.
+//! appends the whole batch as one `CommitGroup` frame — a plain
+//! `Commit` for a group of one — issues **one** decision fsync for the
+//! group, then wakes every follower. The fsync-ordering invariant above
+//! holds per *group*. The decision log is buffered like the data logs:
+//! `Begin`/`Abort` frames may sit in user space, while a decision frame
+//! is only ever appended by a leader, after its data flush, and pushed
+//! to the kernel at once.
 
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
@@ -428,19 +432,14 @@ pub struct WalOptions {
     /// already survives process death, and the crash model the tests
     /// exercise is `SIGKILL`, not power loss.
     pub sync: bool,
-    /// Group commit: `Some(max_group)` parks committing workers on a
-    /// shared queue and lets a leader append up to `max_group` decisions
-    /// as one [`WalRecord::CommitGroup`] frame with a single data-log
-    /// flush and a single decision fsync for the whole group. `None`
-    /// (the default) keeps one decision record and fsync per commit.
-    pub group_commit: Option<usize>,
-    /// User-space buffer capacity per log file, in bytes. Frames
-    /// accumulate in the buffer and reach the kernel in one `write(2)`
-    /// when it fills, when a commit flushes (decisions always flush data
-    /// buffers first), or at the end-of-run `Wal::flush_all`. `0` =
-    /// write-through,
-    /// one `write(2)` per record (the pre-buffering behavior).
-    pub buffer: usize,
+    /// Size of the group committer every decision goes through:
+    /// committing workers park on a shared queue and a leader appends up
+    /// to `max_group` decisions as one [`WalRecord::CommitGroup`] frame
+    /// (a plain [`WalRecord::Commit`] for a group of one) with a single
+    /// data-log flush and a single decision fsync for the whole group.
+    /// `1` keeps one decision record and fsync per commit; `0` is
+    /// treated as `1`.
+    pub max_group: usize,
     /// Observability handle: appends record into the `wal_append`
     /// histogram and the WAL byte gauge, fsyncs into `fsync`, group
     /// flushes into the group-size histogram. The default disabled
@@ -448,18 +447,14 @@ pub struct WalOptions {
     pub telemetry: Telemetry,
 }
 
-/// Default buffer capacity per log file (64 KiB).
-pub const DEFAULT_WAL_BUFFER: usize = 64 << 10;
-
-/// Default `max_group` when group commit is requested without a size.
+/// Default [`WalOptions::max_group`].
 pub const DEFAULT_MAX_GROUP: usize = 64;
 
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
             sync: false,
-            group_commit: None,
-            buffer: DEFAULT_WAL_BUFFER,
+            max_group: DEFAULT_MAX_GROUP,
             telemetry: Telemetry::default(),
         }
     }
@@ -481,11 +476,15 @@ fn shard_file(k: usize) -> String {
     format!("shard-{k}.wal")
 }
 
+/// User-space buffer capacity per log file: frames accumulate and reach
+/// the kernel in one `write(2)` when the buffer fills, when a commit
+/// flushes (decisions always flush data buffers first), or at the
+/// end-of-run [`Wal::flush_all`].
+const LOG_BUFFER: usize = 64 << 10;
+
 /// A buffered framed appender over one log file: frames accumulate in a
 /// user-space `Vec` and reach the kernel in one `write(2)` when the
-/// buffer crosses `cap` or on an explicit [`LogWriter::flush`]. With
-/// `cap == 0` every frame is written through immediately (the
-/// pre-buffering behavior, kept as the equivalence baseline).
+/// buffer crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`].
 ///
 /// The flush contract callers must uphold: a decision record (`Commit` /
 /// `CommitGroup`) may only be *flushed* after every data buffer (shard
@@ -494,28 +493,22 @@ fn shard_file(k: usize) -> String {
 pub(crate) struct LogWriter {
     file: File,
     buf: Vec<u8>,
-    cap: usize,
 }
 
 impl LogWriter {
-    fn new(file: File, cap: usize) -> Self {
+    fn new(file: File) -> Self {
         LogWriter {
             file,
-            buf: Vec::with_capacity(cap.min(1 << 20)),
-            cap,
+            buf: Vec::with_capacity(LOG_BUFFER),
         }
     }
 
-    /// Appends one frame (buffered, or straight through when `cap == 0`).
+    /// Appends one frame to the buffer.
     fn append_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        if self.cap == 0 {
-            let _io = blocking_region(BlockingKind::Write);
-            return frame::write_frame(&mut self.file, payload);
-        }
         // Framing into a Vec cannot fail and its `flush` is a no-op; the
-        // kernel write happens below, at most once per cap's worth.
+        // kernel write happens below, at most once per buffer's worth.
         frame::write_frame(&mut self.buf, payload)?;
-        if self.buf.len() >= self.cap {
+        if self.buf.len() >= LOG_BUFFER {
             self.flush()?;
         }
         Ok(())
@@ -592,11 +585,10 @@ pub struct Wal {
     shard_sinks: Mutex<Vec<ShardSinkEntry>>,
     next_base: AtomicU32,
     sync: bool,
-    buffer: usize,
-    group: Option<GroupCommitter>,
+    group: GroupCommitter,
     /// Group flushes performed (decision frames written by a leader).
     group_flushes: AtomicU64,
-    /// Commit decisions written through the group path.
+    /// Commit decisions written.
     group_records: AtomicU64,
     /// Test hook: fails the next decision fsync (see
     /// [`Wal::inject_fsync_failure`]).
@@ -630,34 +622,18 @@ fn append_mode(path: &Path) -> io::Result<File> {
 
 /// Builds the shared `Wal` state over an existing directory.
 fn build_wal(dir: PathBuf, next_base: u32, opts: WalOptions) -> io::Result<Arc<Wal>> {
-    // Without a group committer the decision log writes through: a
-    // cap-triggered flush of a buffered Commit could otherwise beat its
-    // (still-buffered) data records to the kernel, breaking the
-    // flush-before-decision contract. The group leader flushes data
-    // explicitly before every decision frame, so group mode may buffer.
-    let commit_cap = if opts.group_commit.is_some() {
-        opts.buffer
-    } else {
-        0
-    };
+    let log = |name: &str| Ok::<_, io::Error>(LogWriter::new(append_mode(&dir.join(name))?));
     Ok(Arc::new(Wal {
-        commit: Mutex::new_named(
-            "wal.commit",
-            LogWriter::new(append_mode(&dir.join(COMMIT_FILE))?, commit_cap),
-        ),
-        history: Mutex::new_named(
-            "wal.history",
-            LogWriter::new(append_mode(&dir.join(HISTORY_FILE))?, opts.buffer),
-        ),
+        commit: Mutex::new_named("wal.commit", log(COMMIT_FILE)?),
+        history: Mutex::new_named("wal.history", log(HISTORY_FILE)?),
         shard_sinks: Mutex::new_named("wal.shard_sinks", Vec::new()),
         next_base: AtomicU32::new(next_base),
         sync: opts.sync,
-        buffer: opts.buffer,
-        group: opts.group_commit.map(|max_group| GroupCommitter {
-            max_group: max_group.max(1),
+        group: GroupCommitter {
+            max_group: opts.max_group.max(1),
             state: Mutex::new_named("wal.group_state", GroupState::default()),
             wakeup: Condvar::new(),
-        }),
+        },
         group_flushes: AtomicU64::new(0),
         group_records: AtomicU64::new(0),
         inject_fsync_fail: AtomicBool::new(false),
@@ -749,7 +725,7 @@ impl Wal {
     pub(crate) fn open_shard_log(&self, k: usize) -> io::Result<ShardSink> {
         let writer = Arc::new(Mutex::new_named(
             "wal.shard_sink",
-            LogWriter::new(append_mode(&self.dir.join(shard_file(k)))?, self.buffer),
+            LogWriter::new(append_mode(&self.dir.join(shard_file(k)))?),
         ));
         let dirty = Arc::new(AtomicBool::new(false));
         self.shard_sinks
@@ -831,36 +807,18 @@ impl Wal {
         self.inject_fsync_fail.store(true, Ordering::SeqCst);
     }
 
-    fn append_shared(&self, file: &Mutex<LogWriter>, rec: &WalRecord, sync: bool) {
-        let mut f = file.lock();
-        self.append_record(&mut f, rec);
-        if sync && !self.poisoned() {
-            // A failed decision-record fsync must poison too: otherwise
-            // the engine reports a durable commit that power loss can
-            // still take back.
-            let t0 = self.telemetry.timer();
-            if let Err(e) = self.sync_writer(&mut f) {
-                self.fail("fsync", &e);
-            }
-            self.telemetry.record_since(Phase::Fsync, t0);
-        }
-    }
-
     pub(crate) fn log_begin(&self, gid: u32, template: TxnId, attempt: u32) {
-        self.append_shared(
-            &self.commit,
-            &WalRecord::Begin {
-                gid,
-                template: template.0,
-                attempt,
-            },
-            false,
-        );
+        let rec = WalRecord::Begin {
+            gid,
+            template: template.0,
+            attempt,
+        };
+        self.append_record(&mut self.commit.lock(), &rec);
     }
 
-    /// Appends the attempt-0 `Begin` records of one admission batch
-    /// under a single decision-log lock acquisition (batched admission's
-    /// amortized counterpart of per-instance [`Wal::log_begin`]).
+    /// Appends the attempt-0 `Begin` records of one admission chunk
+    /// under a single decision-log lock acquisition ([`Wal::log_begin`]
+    /// logs a retry's).
     pub(crate) fn log_begin_batch(&self, begins: &[(u32, TxnId)]) {
         let mut f = self.commit.lock();
         for &(gid, template) in begins {
@@ -875,49 +833,25 @@ impl Wal {
         }
     }
 
+    /// Makes the commit decision of instance `gid` durable through the
+    /// group committer: push the decision, take a ticket, and either
+    /// become the leader (first unserved enqueuer) or wait for a leader
+    /// to write it. Returns once the decision is durable — or once the
+    /// WAL is poisoned, in which case *every* parked follower is woken
+    /// with the failure (the leader advances `flushed_seq` past its
+    /// batch and `notify_all`s unconditionally, so no wakeup is lost on
+    /// the error branch).
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
-        let entry = GroupEntry {
+        let g = &self.group;
+        let mut st = g.state.lock();
+        let my_seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push(GroupEntry {
             gid,
             template: template.0,
             attempt,
             commit_ts,
-        };
-        if let Some(g) = &self.group {
-            return self.group_commit(g, entry);
-        }
-        // Durability order: data logs first, the decision record last —
-        // a Commit visible in the page cache (or, under `sync`, durable
-        // after power loss) must imply that every Write/Event record it
-        // decides over is visible (durable) too.
-        if self.sync {
-            self.sync_data_logs();
-        } else {
-            self.flush_data_logs();
-        }
-        self.append_shared(
-            &self.commit,
-            &WalRecord::Commit {
-                gid,
-                template: template.0,
-                attempt,
-                commit_ts,
-            },
-            self.sync,
-        );
-    }
-
-    /// The group-commit enqueue/park path of [`Wal::log_commit`]: push
-    /// the decision, take a ticket, and either become the leader (first
-    /// unserved enqueuer) or wait for a leader to write it. Returns once
-    /// the decision is durable — or once the WAL is poisoned, in which
-    /// case *every* parked follower is woken with the failure (the
-    /// leader advances `flushed_seq` past its batch and `notify_all`s
-    /// unconditionally, so no wakeup is lost on the error branch).
-    fn group_commit(&self, g: &GroupCommitter, entry: GroupEntry) {
-        let mut st = g.state.lock();
-        let my_seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(entry);
+        });
         loop {
             if st.flushed_seq > my_seq || self.poisoned() {
                 return;
@@ -945,10 +879,15 @@ impl Wal {
         }
     }
 
-    /// Writes one drained group durable: one data-log flush (+fsync
-    /// under `sync`), one decision frame, one decision fsync. A
-    /// singleton group degenerates to a plain `Commit` record, so
-    /// unbatched and trivially-batched logs stay byte-identical.
+    /// Writes one drained group durable, in durability order: data logs
+    /// first (one flush, +fsync under `sync`), the decision frame last —
+    /// a decision visible in the page cache (or, under `sync`, durable
+    /// after power loss) implies that every Write/Event record it
+    /// decides over is visible (durable) too. A failed decision fsync
+    /// poisons the WAL: otherwise the engine would report a durable
+    /// commit that power loss can still take back. A singleton group is
+    /// a plain `Commit` record, so a log written with `max_group = 1`
+    /// and a trivially-batched one stay byte-identical.
     fn flush_group(&self, batch: &[GroupEntry]) {
         if batch.is_empty() || self.poisoned() {
             return;
@@ -991,8 +930,8 @@ impl Wal {
         self.telemetry.record_group_size(batch.len() as u64);
     }
 
-    /// `(group flushes, decisions written through the group path)` so
-    /// far — mean group size is `records / flushes`. Counted on the
+    /// `(group flushes, decisions written)` so far — mean group size is
+    /// `records / flushes`. Counted on the
     /// `Wal` itself (not the telemetry handle) so reports can measure
     /// amortization with telemetry disabled.
     pub(crate) fn group_counters(&self) -> (u64, u64) {
@@ -1063,23 +1002,20 @@ impl Wal {
     }
 
     pub(crate) fn log_abort(&self, gid: u32, attempt: u32) {
-        self.append_shared(&self.commit, &WalRecord::Abort { gid, attempt }, false);
+        self.append_record(&mut self.commit.lock(), &WalRecord::Abort { gid, attempt });
     }
 
     /// Appends one history event, translated to the run's global id
     /// space. Called from inside the history's timestamp critical
     /// section, so file order equals timestamp order.
     pub(crate) fn log_event(&self, ev: &HistoryEvent, base: u32) {
-        self.append_shared(
-            &self.history,
-            &WalRecord::Event {
-                time: ev.time.micros(),
-                gid: base + ev.txn.0,
-                attempt: ev.attempt,
-                node: ev.node,
-            },
-            false,
-        );
+        let rec = WalRecord::Event {
+            time: ev.time.micros(),
+            gid: base + ev.txn.0,
+            attempt: ev.attempt,
+            node: ev.node,
+        };
+        self.append_record(&mut self.history.lock(), &rec);
     }
 }
 
@@ -1510,14 +1446,7 @@ mod tests {
     }
 
     fn bare_wal(tag: &str, base: u32) -> Arc<Wal> {
-        bare_wal_with(
-            tag,
-            base,
-            WalOptions {
-                buffer: 0,
-                ..WalOptions::default()
-            },
-        )
+        bare_wal_with(tag, base, WalOptions::default())
     }
 
     #[test]
@@ -1621,7 +1550,7 @@ mod tests {
             "group-basic",
             0,
             WalOptions {
-                group_commit: Some(8),
+                max_group: 8,
                 ..WalOptions::default()
             },
         );
@@ -1661,14 +1590,7 @@ mod tests {
 
     #[test]
     fn singleton_group_degenerates_to_a_plain_commit_record() {
-        let w = bare_wal_with(
-            "group-single",
-            0,
-            WalOptions {
-                group_commit: Some(DEFAULT_MAX_GROUP),
-                ..WalOptions::default()
-            },
-        );
+        let w = bare_wal("group-single", 0);
         w.log_commit(3, TxnId(1), 2, 9);
         w.flush_all();
         assert_eq!(
@@ -1690,7 +1612,6 @@ mod tests {
             0,
             WalOptions {
                 sync: true,
-                group_commit: Some(64),
                 ..WalOptions::default()
             },
         );
@@ -1716,7 +1637,7 @@ mod tests {
     fn buffered_writer_flushes_on_cap_and_on_demand() {
         let dir = unit_dir("bufcap");
         let path = dir.join("log.wal");
-        let mut w = LogWriter::new(append_mode(&path).unwrap(), 32);
+        let mut w = LogWriter::new(append_mode(&path).unwrap());
         let rec = WalRecord::Abort { gid: 9, attempt: 1 }.encode();
         w.append_frame(rec.as_ref()).unwrap();
         assert_eq!(
@@ -1724,7 +1645,8 @@ mod tests {
             0,
             "small frame stays buffered"
         );
-        for _ in 0..4 {
+        let to_cap = LOG_BUFFER / (rec.len() + 4);
+        for _ in 0..to_cap {
             w.append_frame(rec.as_ref()).unwrap();
         }
         assert!(
@@ -1733,7 +1655,7 @@ mod tests {
         );
         w.flush().unwrap();
         let mut torn = 0;
-        assert_eq!(read_log(&path, &mut torn).unwrap().len(), 5);
+        assert_eq!(read_log(&path, &mut torn).unwrap().len(), to_cap + 1);
         assert_eq!(torn, 0);
     }
 

@@ -97,6 +97,31 @@ fn classic_deadlock_witness_is_unjammed_by_the_wait_die_replay() {
 }
 
 #[test]
+fn every_three_way_deadlock_witness_replays_to_completion() {
+    // T2 dies at once; with a FIFO hand-over x then went to T0, which
+    // parked on y behind T1, which was parked on x behind T0 — and the
+    // replay never returned. Without queues nothing can jam.
+    let sys = load("three_way_deadlock.json");
+    let out = explore_all(&sys);
+    let witnesses: Vec<_> = out
+        .counterexamples
+        .iter()
+        .filter(|ce| ce.kind == AnomalyKind::Deadlock)
+        .collect();
+    assert_eq!(
+        witnesses.len(),
+        4,
+        "deadlock witnesses at the default config"
+    );
+    for ce in witnesses {
+        let rep = replay_schedule(&sys, &ce.steps).expect("witness replays");
+        assert_eq!(rep.committed, 3, "{:?}", ce.steps);
+        assert!(rep.aborts >= 1, "someone had to die to unjam it");
+        assert_eq!(rep.serializable, Some(true));
+    }
+}
+
+#[test]
 fn banking_ordered_exhausts_clean_at_small_multiprogramming() {
     // The certified fixture at N = 3 round-robin instances: the full
     // sleep-set-pruned schedule space contains no D(S) cycle and no

@@ -192,9 +192,9 @@ proptest! {
             }
             reg.set_program(TxnId(t), program).unwrap();
         }
-        // The vendored proptest has no Option strategy: 0/1 = the
-        // per-commit path, otherwise group commit with that max size.
-        let group_commit = (group_raw >= 2).then_some(group_raw);
+        // 0/1 = one decision record per commit (a group of one),
+        // otherwise a group committer of that max size.
+        let group_commit = Some(group_raw.max(1));
         let dir = wal_dir("oracle");
         let engine = Engine::with_registry(reg, EngineConfig {
             instances,

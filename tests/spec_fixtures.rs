@@ -35,6 +35,17 @@ fn classic_fixture_rejected_and_deadlocks() {
 }
 
 #[test]
+fn three_way_fixture_rejected_and_deadlocks() {
+    // Three transactions, three entities, every pair in opposite order
+    // somewhere: the witnesses of this one jammed the explorer's
+    // wait-die replay (see `tests/explore_anomalies.rs`).
+    let sys = load("three_way_deadlock.json");
+    assert_eq!((sys.len(), sys.db().site_count()), (3, 3));
+    assert!(certify_safe_and_deadlock_free(&sys, CertifyOptions::default()).is_err());
+    assert!(Explorer::new(&sys, 1_000_000).find_deadlock().0.violated());
+}
+
+#[test]
 fn ticketed_fixture_certifies_despite_inner_disorder() {
     // The two transactions lock a/b in opposite orders, but both take the
     // ticket first and hold it throughout: certified.
@@ -146,6 +157,7 @@ fn fixtures_roundtrip_through_spec() {
     for name in [
         "fig2_tirri_counterexample.json",
         "classic_opposite_order.json",
+        "three_way_deadlock.json",
         "ticketed_pair.json",
         "banking_ordered.json",
         "banking_readers.json",

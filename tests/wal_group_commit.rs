@@ -101,6 +101,7 @@ proptest! {
         let plain = banking_engine(&dir_plain, instances, EngineConfig {
             threads,
             wal_sync: sync,
+            group_commit: Some(1),
             ..Default::default()
         });
         prop_assert!(plain.run().all_committed());

@@ -159,11 +159,11 @@ pub mod wal;
 pub use executor::{run_system, Engine, EngineConfig};
 pub use mvcc::{RoEntry, RoSnapshot};
 pub use replay::{replay_schedule, ReplayError, ReplayReport};
-pub use report::{LatencyStats, Report, TemplateReport};
+pub use report::{summary_line, LatencyStats, Report, TemplateReport};
 pub use store::{Datum, Shard, Store, VersionedValue, WriteError};
 pub use template::{
-    AdmissionOptions, AdmissionPlan, AdmissionVerdict, Inflation, Program, SlotGate, SlotGuard,
-    Slots, Template, TemplateRegistry, WriteOp,
+    render_plan, AdmissionOptions, AdmissionPlan, AdmissionVerdict, Inflation, Program, SlotGate,
+    SlotGuard, Slots, Template, TemplateRegistry, WriteOp,
 };
 pub use wal::{
     recover, GroupEntry, Recovered, Wal, WalError, WalOptions, WalRecord, DEFAULT_MAX_GROUP,

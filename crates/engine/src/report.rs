@@ -140,6 +140,27 @@ pub struct Report {
     pub per_template: Vec<TemplateReport>,
 }
 
+/// The outcome clause of a run's one-line summary, shared by
+/// [`Report::summary`] and the wire client's `RunStats::summary` (which
+/// carries no latency percentiles and passes `None`).
+pub fn summary_line(
+    committed: u64,
+    instances: u64,
+    aborts: u64,
+    txn_per_sec: f64,
+    latency: Option<&LatencyStats>,
+    peak_inflight: u64,
+    serializable: Option<bool>,
+) -> String {
+    let latency = latency
+        .map(|l| format!("p50 {}µs p99 {}µs | ", l.p50_us, l.p99_us))
+        .unwrap_or_default();
+    format!(
+        "committed {committed}/{instances} aborts {aborts} | {txn_per_sec:.0} txn/s | \
+         {latency}peak k {peak_inflight} | serializable {serializable:?}"
+    )
+}
+
 impl Report {
     /// Whether every submitted instance committed.
     pub fn all_committed(&self) -> bool {
@@ -164,23 +185,31 @@ impl Report {
             .unwrap_or(0)
     }
 
+    /// The execution path this run took: `"no-detector"` when the
+    /// system certified and the fallback was not forced, else
+    /// `"wait-die"`.
+    pub fn path(&self) -> &'static str {
+        if self.verdict.is_certified() && !self.forced_fallback {
+            "no-detector"
+        } else {
+            "wait-die"
+        }
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} | committed {}/{} aborts {} | {:.0} txn/s | p50 {}µs p99 {}µs | peak k {} | serializable {:?}",
-            if self.verdict.is_certified() && !self.forced_fallback {
-                "no-detector"
-            } else {
-                "wait-die"
-            },
-            self.committed,
-            self.instances,
-            self.aborted_attempts,
-            self.throughput_per_sec(),
-            self.latency.p50_us,
-            self.latency.p99_us,
-            self.peak_inflight(),
-            self.serializable,
+            "{} | {}",
+            self.path(),
+            summary_line(
+                self.committed as u64,
+                self.instances as u64,
+                self.aborted_attempts as u64,
+                self.throughput_per_sec(),
+                Some(&self.latency),
+                self.peak_inflight() as u64,
+                self.serializable,
+            )
         )
     }
 

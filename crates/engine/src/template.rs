@@ -213,23 +213,27 @@ impl AdmissionPlan {
 
     /// A multi-line human rendering, one line per template.
     pub fn render(&self, sys: &TransactionSystem) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "admission plan{}: {}",
-            if self.floored {
-                " (floored to k=1)"
-            } else {
-                ""
-            },
-            self.rationale
-        );
-        for (t, txn) in sys.iter() {
-            let _ = writeln!(out, "  {:<24} k = {}", txn.name(), self.slots_of(t));
-        }
-        out
+        let rows = sys.iter().map(|(t, txn)| (txn.name(), self.slots_of(t)));
+        render_plan(self.floored, &self.rationale, rows)
     }
+}
+
+/// Renders an admission plan: the header with the certifier's rationale,
+/// then one `k = …` line per template. Behind [`AdmissionPlan::render`]
+/// and the wire client's `Registered::render_plan`, so `ddlf-audit run`
+/// and `ddlf-audit submit` print identical plans for the same system.
+pub fn render_plan<'a>(
+    floored: bool,
+    rationale: &str,
+    rows: impl Iterator<Item = (&'a str, Slots)>,
+) -> String {
+    use std::fmt::Write as _;
+    let floor = if floored { " (floored to k=1)" } else { "" };
+    let mut out = format!("admission plan{floor}: {rationale}\n");
+    for (name, slots) in rows {
+        let _ = writeln!(out, "  {name:<24} k = {slots}");
+    }
+    out
 }
 
 /// The cached admission verdict for a registered system.

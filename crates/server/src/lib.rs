@@ -90,7 +90,7 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use proto::{
-    ErrorKind, InflateSpec, PhaseStat, PlanEntry, Registered, Request, Response, RunStats,
-    SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat,
+    ErrorKind, Field, InflateSpec, Metric, PhaseStat, PlanEntry, Record, Registered, Request,
+    Response, RunStats, SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat, Value,
 };
 pub use server::{ServeConfig, Server};

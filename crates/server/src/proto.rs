@@ -7,14 +7,238 @@
 //! short buffers, invalid enum bytes, non-UTF-8 strings, and trailing
 //! garbage all decode to `None`, so a malformed peer can never produce a
 //! misread message — only a rejected one.
+//!
+//! Every message body is declared once, as a `record!` field list: the
+//! list is the struct, its wire layout (fields in order, each coded by
+//! its type's private `Wire` impl) and its [`Record::fields`] view, which
+//! `ddlf-audit` renders as JSON and Prometheus text. Adding a `u64`
+//! gauge to [`StatsSnapshot`] is one row there.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ddlf_engine::{Phase, Report, Telemetry, TelemetrySnapshot, TemplateRegistry};
+use ddlf_engine::{
+    Phase, PhaseSnapshot, Report, Slots, Telemetry, TelemetrySnapshot, TemplateRegistry,
+};
 // The checked readers/writers (bounds-checked little-endian integers,
 // length-prefixed strings) are shared with the engine's WAL record
 // format — one hardened implementation for every msg-convention codec.
 use ddlf_sim::msg::codec::{finished, get_bool, get_str, get_u32, get_u64, get_u8, put_str};
 use std::fmt;
+
+// ---- field coding ------------------------------------------------------
+
+/// How one field type is laid out on the wire and shown to a renderer.
+trait Wire: Sized {
+    /// The fewest bytes one value occupies. A list decoder bounds the
+    /// peer's claimed count by it before allocating, so a hostile count
+    /// on a short buffer is rejected, not pre-allocated.
+    const MIN: usize;
+    fn put(&self, b: &mut BytesMut);
+    fn get(b: &mut Bytes) -> Option<Self>;
+    fn view(&self) -> Value<'_> {
+        Value::Other
+    }
+}
+
+/// A [`Record`] field's value as a renderer sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value<'a> {
+    /// An unsigned counter or gauge.
+    U64(u64),
+    /// A signed gauge (a torn `inflight` read can dip below zero).
+    I64(i64),
+    /// A name.
+    Str(&'a str),
+    /// An integer that may be absent.
+    OptU64(Option<u64>),
+    /// A list, sub-record or flag: not rendered field-by-field.
+    Other,
+}
+
+/// How a numeric [`StatsSnapshot`] field is exposed as a Prometheus
+/// series (`ddlf-audit stats --prom`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// `ddlf_<field>`, type gauge — the default for a field list row.
+    Gauge,
+    /// `ddlf_<field>_total`, type counter.
+    Counter,
+    /// A microsecond gauge: `ddlf_<field minus _us>_seconds`.
+    Micros,
+}
+
+/// One row of a [`Record`]'s field list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field<'a> {
+    /// The field's name — its JSON key and Prometheus series stem.
+    pub name: &'static str,
+    /// Its Prometheus exposition.
+    pub metric: Metric,
+    /// Its current value.
+    pub value: Value<'a>,
+}
+
+/// A wire message body that can list its own fields, in wire order.
+pub trait Record {
+    /// Every field of the record, in declaration (= wire) order.
+    fn fields(&self) -> Vec<Field<'_>>;
+}
+
+impl Wire for u64 {
+    const MIN: usize = 8;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u64_le(*self);
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        get_u64(b)
+    }
+    fn view(&self) -> Value<'_> {
+        Value::U64(*self)
+    }
+}
+
+/// Two's-complement in a `u64` slot.
+impl Wire for i64 {
+    const MIN: usize = 8;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u64_le(*self as u64);
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        Some(get_u64(b)? as i64)
+    }
+    fn view(&self) -> Value<'_> {
+        Value::I64(*self)
+    }
+}
+
+/// One byte, `0` or `1`; anything else is malformed.
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u8(u8::from(*self));
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        get_bool(b)
+    }
+}
+
+impl Wire for String {
+    const MIN: usize = 4;
+    fn put(&self, b: &mut BytesMut) {
+        put_str(b, self);
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        get_str(b)
+    }
+    fn view(&self) -> Value<'_> {
+        Value::Str(self)
+    }
+}
+
+/// One byte: `0` none ∣ `1` false ∣ `2` true.
+impl Wire for Option<bool> {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u8(match self {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        });
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        match get_u8(b)? {
+            0 => Some(None),
+            1 => Some(Some(false)),
+            2 => Some(Some(true)),
+            _ => None,
+        }
+    }
+}
+
+/// A presence byte (`0` absent ∣ `1` present), then the value if present.
+impl Wire for Option<u64> {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut BytesMut) {
+        match self {
+            None => b.put_u8(0),
+            Some(v) => {
+                b.put_u8(1);
+                b.put_u64_le(*v);
+            }
+        }
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        match get_u8(b)? {
+            0 => Some(None),
+            1 => Some(Some(get_u64(b)?)),
+            _ => None,
+        }
+    }
+    fn view(&self) -> Value<'_> {
+        Value::OptU64(*self)
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, b: &mut BytesMut) {
+        b.put_u32_le(u32::try_from(self.len()).expect("list fits a frame"));
+        for item in self {
+            item.put(b);
+        }
+    }
+    fn get(b: &mut Bytes) -> Option<Self> {
+        let n = get_u32(b)? as usize;
+        if b.remaining() < n.checked_mul(T::MIN)? {
+            return None;
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(b)?);
+        }
+        Some(items)
+    }
+}
+
+/// Declares a wire message body from its one field list: the struct
+/// (every field public), its `Wire` layout (the fields in order) and its
+/// [`Record`] view. `=> Counter`/`=> Micros` after a field's type picks
+/// its [`Metric`]; the default is `Gauge`.
+macro_rules! record {
+    (
+        $(#[$sm:meta])*
+        pub struct $name:ident {
+            $( $(#[$fm:meta])* $f:ident : $t:ty $(=> $m:ident)? ),* $(,)?
+        }
+    ) => {
+        $(#[$sm])*
+        pub struct $name {
+            $( $(#[$fm])* pub $f: $t, )*
+        }
+
+        impl Wire for $name {
+            const MIN: usize = 0 $(+ <$t as Wire>::MIN)*;
+            fn put(&self, b: &mut BytesMut) {
+                $( self.$f.put(b); )*
+            }
+            fn get(b: &mut Bytes) -> Option<Self> {
+                Some($name { $( $f: Wire::get(b)?, )* })
+            }
+        }
+
+        impl Record for $name {
+            fn fields(&self) -> Vec<Field<'_>> {
+                vec![ $( Field {
+                    name: stringify!($f),
+                    metric: record!(@metric $($m)?),
+                    value: self.$f.view(),
+                }, )* ]
+            }
+        }
+    };
+    (@metric) => { Metric::Gauge };
+    (@metric $m:ident) => { Metric::$m };
+}
 
 // ---- requests ----------------------------------------------------------
 
@@ -39,9 +263,10 @@ const INFLATE_NONE: u8 = 0;
 const INFLATE_UNIFORM: u8 = 1;
 const INFLATE_AUTO: u8 = 2;
 
-impl InflateSpec {
-    fn encode_into(self, b: &mut BytesMut) {
-        match self {
+impl Wire for InflateSpec {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut BytesMut) {
+        match *self {
             InflateSpec::None => b.put_u8(INFLATE_NONE),
             InflateSpec::Uniform(k) => {
                 b.put_u8(INFLATE_UNIFORM);
@@ -54,22 +279,12 @@ impl InflateSpec {
         }
     }
 
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut Bytes) -> Option<Self> {
         match get_u8(b)? {
             INFLATE_NONE => Some(InflateSpec::None),
             INFLATE_UNIFORM => Some(InflateSpec::Uniform(get_u32(b)?)),
             INFLATE_AUTO => Some(InflateSpec::Auto { cap: get_u32(b)? }),
             _ => None,
-        }
-    }
-}
-
-impl fmt::Display for InflateSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InflateSpec::None => write!(f, "none"),
-            InflateSpec::Uniform(k) => write!(f, "k = {k}"),
-            InflateSpec::Auto { cap } => write!(f, "auto (cap {cap})"),
         }
     }
 }
@@ -137,23 +352,20 @@ impl Request {
         match self {
             Request::RegisterSystem { spec_json, inflate } => {
                 b.put_u8(REQ_REGISTER);
-                inflate.encode_into(&mut b);
-                put_str(&mut b, spec_json);
+                inflate.put(&mut b);
+                spec_json.put(&mut b);
             }
             Request::Submit { template, count } => {
                 b.put_u8(REQ_SUBMIT);
                 b.put_u32_le(*count);
-                put_str(&mut b, template);
+                template.put(&mut b);
             }
             Request::Report => b.put_u8(REQ_REPORT),
             Request::Shutdown => b.put_u8(REQ_SHUTDOWN),
             Request::Stats => b.put_u8(REQ_STATS),
             Request::ReadOnly { entities } => {
                 b.put_u8(REQ_READ_ONLY);
-                b.put_u32_le(u32::try_from(entities.len()).expect("entity list fits a frame"));
-                for name in entities {
-                    put_str(&mut b, name);
-                }
+                entities.put(&mut b);
             }
         }
         b.freeze()
@@ -162,33 +374,22 @@ impl Request {
     /// Decodes one protocol unit; `None` on any malformation (including
     /// trailing bytes).
     pub fn decode(mut buf: Bytes) -> Option<Request> {
-        let tag = get_u8(&mut buf)?;
-        let req = match tag {
+        let b = &mut buf;
+        let req = match get_u8(b)? {
             REQ_REGISTER => Request::RegisterSystem {
-                inflate: InflateSpec::decode_from(&mut buf)?,
-                spec_json: get_str(&mut buf)?,
+                inflate: Wire::get(b)?,
+                spec_json: Wire::get(b)?,
             },
             REQ_SUBMIT => Request::Submit {
-                count: get_u32(&mut buf)?,
-                template: get_str(&mut buf)?,
+                count: get_u32(b)?,
+                template: Wire::get(b)?,
             },
             REQ_REPORT => Request::Report,
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_STATS => Request::Stats,
-            REQ_READ_ONLY => {
-                let n = get_u32(&mut buf)? as usize;
-                // Each name is ≥ 4 bytes (its length prefix); bounding
-                // up front keeps a hostile count from pre-allocating
-                // unboundedly.
-                if buf.remaining() < n.checked_mul(4)? {
-                    return None;
-                }
-                let mut entities = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entities.push(get_str(&mut buf)?);
-                }
-                Request::ReadOnly { entities }
-            }
+            REQ_READ_ONLY => Request::ReadOnly {
+                entities: Wire::get(b)?,
+            },
             _ => return None,
         };
         finished(&buf, req)
@@ -197,34 +398,38 @@ impl Request {
 
 // ---- responses ---------------------------------------------------------
 
-/// One template's slot count in the certified admission plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanEntry {
-    /// Template name.
-    pub template: String,
-    /// Certified concurrent slots; `None` = unbounded (Theorem 5).
-    pub slots: Option<u64>,
+record! {
+    /// One template's slot count in the certified admission plan.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PlanEntry {
+        /// Template name.
+        template: String,
+        /// Certified concurrent slots; `None` = unbounded (Theorem 5).
+        slots: Option<u64>,
+    }
 }
 
-/// The reply to a successful [`Request::RegisterSystem`]: the admission
-/// verdict and the certified plan, so the client knows up front which
-/// execution path (and concurrency ceiling) its submissions get.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Registered {
-    /// Whether the no-detector path is admitted.
-    pub certified: bool,
-    /// Whether the certificate also guarantees serializability (not
-    /// just deadlock-freedom).
-    pub guarantees_safety: bool,
-    /// Whether a requested inflation failed to certify and the plan was
-    /// floored back to `k = 1`.
-    pub floored: bool,
-    /// Human rendering of the admission verdict.
-    pub verdict: String,
-    /// The certifier's rationale (certificate or rejection text).
-    pub rationale: String,
-    /// Per-template certified slots, template order.
-    pub plan: Vec<PlanEntry>,
+record! {
+    /// The reply to a successful [`Request::RegisterSystem`]: the admission
+    /// verdict and the certified plan, so the client knows up front which
+    /// execution path (and concurrency ceiling) its submissions get.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Registered {
+        /// Whether the no-detector path is admitted.
+        certified: bool,
+        /// Whether the certificate also guarantees serializability (not
+        /// just deadlock-freedom).
+        guarantees_safety: bool,
+        /// Whether a requested inflation failed to certify and the plan was
+        /// floored back to `k = 1`.
+        floored: bool,
+        /// Human rendering of the admission verdict.
+        verdict: String,
+        /// The certifier's rationale (certificate or rejection text).
+        rationale: String,
+        /// Per-template certified slots, template order.
+        plan: Vec<PlanEntry>,
+    }
 }
 
 impl Registered {
@@ -248,60 +453,50 @@ impl Registered {
         }
     }
 
-    /// A multi-line human rendering of the admission plan, matching
-    /// `AdmissionPlan::render`'s server-side format so `ddlf-audit run`
-    /// and `ddlf-audit submit` print identical plans for the same
-    /// system.
+    /// A multi-line human rendering of the admission plan — the engine's
+    /// own [`ddlf_engine::render_plan`], so `ddlf-audit run` and
+    /// `ddlf-audit submit` print identical plans for the same system.
     pub fn render_plan(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "admission plan{}: {}",
-            if self.floored {
-                " (floored to k=1)"
-            } else {
-                ""
-            },
-            self.rationale
-        );
-        for entry in &self.plan {
-            let _ = match entry.slots {
-                Some(k) => writeln!(out, "  {:<24} k = {k}", entry.template),
-                None => writeln!(out, "  {:<24} k = ∞", entry.template),
-            };
-        }
-        out
+        let rows = self.plan.iter().map(|e| {
+            let bounded = |k| Slots::Bounded(usize::try_from(k).unwrap_or(usize::MAX));
+            (
+                e.template.as_str(),
+                e.slots.map_or(Slots::Unbounded, bounded),
+            )
+        });
+        ddlf_engine::render_plan(self.floored, &self.rationale, rows)
     }
 }
 
-/// Execution counters of one submission (or the cumulative snapshot),
-/// the wire projection of [`ddlf_engine::Report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStats {
-    /// Instances submitted.
-    pub instances: u64,
-    /// Instances that ran to commit.
-    pub committed: u64,
-    /// Aborted (and retried) wait-die attempts; always 0 on the
-    /// certified path.
-    pub aborted_attempts: u64,
-    /// Aborts that exposed a write (voids the audit).
-    pub dirty_aborts: u64,
-    /// Instances that exhausted their attempt budget.
-    pub failed: u64,
-    /// Reads performed under locks.
-    pub reads: u64,
-    /// Writes committed to the store.
-    pub writes: u64,
-    /// Wall-clock microseconds.
-    pub wall_us: u64,
-    /// Highest per-template multiprogramming level achieved.
-    pub peak_inflight: u64,
-    /// Lock/unlock events recorded.
-    pub history_len: u64,
-    /// The `D(S)` audit verdict (`None` = not auditable).
-    pub serializable: Option<bool>,
+record! {
+    /// Execution counters of one submission (or the cumulative snapshot),
+    /// the wire projection of [`ddlf_engine::Report`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct RunStats {
+        /// Instances submitted.
+        instances: u64,
+        /// Instances that ran to commit.
+        committed: u64,
+        /// Aborted (and retried) wait-die attempts; always 0 on the
+        /// certified path.
+        aborted_attempts: u64,
+        /// Aborts that exposed a write (voids the audit).
+        dirty_aborts: u64,
+        /// Instances that exhausted their attempt budget.
+        failed: u64,
+        /// Reads performed under locks.
+        reads: u64,
+        /// Writes committed to the store.
+        writes: u64,
+        /// Wall-clock microseconds.
+        wall_us: u64,
+        /// Highest per-template multiprogramming level achieved.
+        peak_inflight: u64,
+        /// Lock/unlock events recorded.
+        history_len: u64,
+        /// The `D(S)` audit verdict (`None` = not auditable).
+        serializable: Option<bool>,
+    }
 }
 
 impl RunStats {
@@ -327,191 +522,134 @@ impl RunStats {
         self.committed == self.instances && self.failed == 0
     }
 
-    /// One-line human summary (client-side mirror of
-    /// `Report::summary`).
+    /// One-line human summary: [`ddlf_engine::summary_line`], the clause
+    /// `Report::summary` prints, minus the latency percentiles the wire
+    /// does not carry.
     pub fn summary(&self) -> String {
-        format!(
-            "committed {}/{} aborts {} | {:.0} txn/s | peak k {} | serializable {:?}",
+        let txn_per_sec = if self.wall_us == 0 {
+            0.0
+        } else {
+            self.committed as f64 / (self.wall_us as f64 / 1e6)
+        };
+        ddlf_engine::summary_line(
             self.committed,
             self.instances,
             self.aborted_attempts,
-            if self.wall_us == 0 {
-                0.0
-            } else {
-                self.committed as f64 / (self.wall_us as f64 / 1e6)
-            },
+            txn_per_sec,
+            None,
             self.peak_inflight,
             self.serializable,
         )
     }
-
-    fn encode_into(&self, b: &mut BytesMut) {
-        for v in [
-            self.instances,
-            self.committed,
-            self.aborted_attempts,
-            self.dirty_aborts,
-            self.failed,
-            self.reads,
-            self.writes,
-            self.wall_us,
-            self.peak_inflight,
-            self.history_len,
-        ] {
-            b.put_u64_le(v);
-        }
-        b.put_u8(match self.serializable {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
-    }
-
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
-        let mut s = RunStats {
-            instances: get_u64(b)?,
-            committed: get_u64(b)?,
-            aborted_attempts: get_u64(b)?,
-            dirty_aborts: get_u64(b)?,
-            failed: get_u64(b)?,
-            reads: get_u64(b)?,
-            writes: get_u64(b)?,
-            wall_us: get_u64(b)?,
-            peak_inflight: get_u64(b)?,
-            history_len: get_u64(b)?,
-            serializable: None,
-        };
-        s.serializable = match get_u8(b)? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return None,
-        };
-        Some(s)
-    }
 }
 
-/// One phase-latency histogram digest in a [`StatsSnapshot`]: the
-/// counters a dashboard wants (count, mean via `sum/count`, tail
-/// percentiles) without shipping all 256 raw buckets over the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PhaseStat {
-    /// Phase name (`ddlf_engine::Phase::name`, e.g. `"lock_wait"`).
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples, nanoseconds (exact; `sum / count` = mean).
-    pub sum_ns: u64,
-    /// Median latency, nanoseconds (bucket upper bound, ≤ 25% error).
-    pub p50_ns: u64,
-    /// 95th-percentile latency, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Largest sample, nanoseconds (exact).
-    pub max_ns: u64,
+record! {
+    /// One phase-latency histogram digest in a [`StatsSnapshot`]: the
+    /// counters a dashboard wants (count, mean via `sum/count`, tail
+    /// percentiles) without shipping all 256 raw buckets over the wire.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct PhaseStat {
+        /// Phase name (`ddlf_engine::Phase::name`, e.g. `"lock_wait"`).
+        name: String,
+        /// Samples recorded.
+        count: u64,
+        /// Sum of all samples, nanoseconds (exact; `sum / count` = mean).
+        sum_ns: u64,
+        /// Median latency, nanoseconds (bucket upper bound, ≤ 25% error).
+        p50_ns: u64,
+        /// 95th-percentile latency, nanoseconds.
+        p95_ns: u64,
+        /// 99th-percentile latency, nanoseconds.
+        p99_ns: u64,
+        /// Largest sample, nanoseconds (exact).
+        max_ns: u64,
+    }
 }
 
 impl PhaseStat {
-    fn encode_into(&self, b: &mut BytesMut) {
-        put_str(b, &self.name);
-        for v in [
-            self.count,
-            self.sum_ns,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.max_ns,
-        ] {
-            b.put_u64_le(v);
-        }
+    /// Digests a set of phase histograms: always all of them,
+    /// [`Phase::ALL`] order, even at count 0.
+    pub fn digest(phases: &PhaseSnapshot) -> Vec<PhaseStat> {
+        Phase::ALL
+            .iter()
+            .map(|&p| {
+                let h = phases.get(p);
+                PhaseStat {
+                    name: p.name().to_string(),
+                    count: h.count,
+                    sum_ns: h.sum,
+                    p50_ns: h.p50(),
+                    p95_ns: h.p95(),
+                    p99_ns: h.p99(),
+                    max_ns: h.max,
+                }
+            })
+            .collect()
     }
 
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
-        Some(PhaseStat {
-            name: get_str(b)?,
-            count: get_u64(b)?,
-            sum_ns: get_u64(b)?,
-            p50_ns: get_u64(b)?,
-            p95_ns: get_u64(b)?,
-            p99_ns: get_u64(b)?,
-            max_ns: get_u64(b)?,
-        })
-    }
-}
-
-/// One template's outcome counters in a [`StatsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TemplateStat {
-    /// Template name.
-    pub name: String,
-    /// Instances committed.
-    pub committed: u64,
-    /// Attempts aborted (each wait-die retry counts once).
-    pub aborted: u64,
-    /// Wound-wait wounds (sim-only; 0 on the engine path).
-    pub wounds: u64,
-    /// Wait-die deaths.
-    pub dies: u64,
-}
-
-impl TemplateStat {
-    fn encode_into(&self, b: &mut BytesMut) {
-        put_str(b, &self.name);
-        for v in [self.committed, self.aborted, self.wounds, self.dies] {
-            b.put_u64_le(v);
-        }
-    }
-
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
-        Some(TemplateStat {
-            name: get_str(b)?,
-            committed: get_u64(b)?,
-            aborted: get_u64(b)?,
-            wounds: get_u64(b)?,
-            dies: get_u64(b)?,
-        })
+    /// Mean sample in nanoseconds, or 0 when empty.
+    pub fn mean_ns(&self) -> u64 {
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
-/// The reply to [`Request::Stats`]: the wire projection of
-/// `ddlf_telemetry::TelemetrySnapshot`, with each phase histogram
-/// digested to [`PhaseStat`] percentiles.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Microseconds since the server's telemetry handle was created.
-    pub uptime_us: u64,
-    /// Instances currently admitted and executing.
-    pub inflight: i64,
-    /// Committed-transaction nodes in the streaming auditor's graph.
-    pub auditor_nodes: u64,
-    /// Conflict arcs in the streaming auditor's graph.
-    pub auditor_arcs: u64,
-    /// Bytes appended to WAL log files (payload + frame headers).
-    pub wal_bytes: u64,
-    /// Lifecycle events currently held in the trace ring.
-    pub trace_captured: u64,
-    /// Trace events evicted because the ring was full.
-    pub trace_dropped: u64,
-    /// Decision-log flush groups written by the WAL's group committer
-    /// (each is one data-log flush and at most one fsync).
-    pub group_flushes: u64,
-    /// Commit decisions written through the group committer;
-    /// `group_commits / group_flushes` is the mean group size.
-    pub group_commits: u64,
-    /// Committed versions retained across all multiversion chains.
-    pub chain_versions: u64,
-    /// Longest per-entity version chain.
-    pub chain_max_len: u64,
-    /// The GC low-watermark of live read-only snapshots at the last
-    /// truncation pass.
-    pub chain_watermark: u64,
-    /// Per-phase latency digests, [`ddlf_engine::Phase::ALL`] order
-    /// (empty when the server runs with telemetry disabled).
-    pub phases: Vec<PhaseStat>,
-    /// Per-template outcome counters, template order (empty before the
-    /// first `RegisterSystem`).
-    pub templates: Vec<TemplateStat>,
+record! {
+    /// One template's outcome counters in a [`StatsSnapshot`].
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct TemplateStat {
+        /// Template name.
+        name: String,
+        /// Instances committed.
+        committed: u64 => Counter,
+        /// Attempts aborted (each wait-die retry counts once).
+        aborted: u64 => Counter,
+        /// Wound-wait wounds (sim-only; 0 on the engine path).
+        wounds: u64 => Counter,
+        /// Wait-die deaths.
+        dies: u64 => Counter,
+    }
+}
+
+record! {
+    /// The reply to [`Request::Stats`]: the wire projection of
+    /// `ddlf_telemetry::TelemetrySnapshot`, with each phase histogram
+    /// digested to [`PhaseStat`] percentiles.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StatsSnapshot {
+        /// Microseconds since the server's telemetry handle was created.
+        uptime_us: u64 => Micros,
+        /// Instances currently admitted and executing.
+        inflight: i64,
+        /// Committed-transaction nodes in the streaming auditor's graph.
+        auditor_nodes: u64,
+        /// Conflict arcs in the streaming auditor's graph.
+        auditor_arcs: u64,
+        /// Bytes appended to WAL log files (payload + frame headers).
+        wal_bytes: u64 => Counter,
+        /// Lifecycle events currently held in the trace ring.
+        trace_captured: u64,
+        /// Trace events evicted because the ring was full.
+        trace_dropped: u64 => Counter,
+        /// Decision-log flush groups written by the WAL's group committer
+        /// (each is one data-log flush and at most one fsync).
+        group_flushes: u64 => Counter,
+        /// Commit decisions written through the group committer;
+        /// `group_commits / group_flushes` is the mean group size.
+        group_commits: u64 => Counter,
+        /// Committed versions retained across all multiversion chains.
+        chain_versions: u64,
+        /// Longest per-entity version chain.
+        chain_max_len: u64,
+        /// The GC low-watermark of live read-only snapshots at the last
+        /// truncation pass.
+        chain_watermark: u64,
+        /// Per-phase latency digests, [`ddlf_engine::Phase::ALL`] order
+        /// (empty when the server runs with telemetry disabled).
+        phases: Vec<PhaseStat>,
+        /// Per-template outcome counters, template order (empty before the
+        /// first `RegisterSystem`).
+        templates: Vec<TemplateStat>,
+    }
 }
 
 impl StatsSnapshot {
@@ -525,24 +663,9 @@ impl StatsSnapshot {
         Self::from_snapshot(&tel.snapshot())
     }
 
-    /// Digests an already-taken [`TelemetrySnapshot`]. Always emits all
-    /// seven phase digests, [`Phase::ALL`] order, even at count 0.
+    /// Digests an already-taken [`TelemetrySnapshot`]: the gauges as they
+    /// are, every phase histogram as a [`PhaseStat::digest`] row.
     pub fn from_snapshot(s: &TelemetrySnapshot) -> Self {
-        let phases = Phase::ALL
-            .iter()
-            .map(|&p| {
-                let h = s.phases.get(p);
-                PhaseStat {
-                    name: p.name().to_string(),
-                    count: h.count,
-                    sum_ns: h.sum,
-                    p50_ns: h.p50(),
-                    p95_ns: h.p95(),
-                    p99_ns: h.p99(),
-                    max_ns: h.max,
-                }
-            })
-            .collect();
         StatsSnapshot {
             uptime_us: s.uptime_us,
             inflight: s.inflight,
@@ -556,7 +679,7 @@ impl StatsSnapshot {
             chain_versions: s.chain_versions,
             chain_max_len: s.chain_max_len,
             chain_watermark: s.chain_watermark,
-            phases,
+            phases: PhaseStat::digest(&s.phases),
             templates: s
                 .templates
                 .iter()
@@ -575,109 +698,36 @@ impl StatsSnapshot {
     pub fn committed(&self) -> u64 {
         self.templates.iter().map(|t| t.committed).sum()
     }
+}
 
-    fn encode_into(&self, b: &mut BytesMut) {
-        b.put_u64_le(self.uptime_us);
-        b.put_u64_le(self.inflight as u64);
-        for v in [
-            self.auditor_nodes,
-            self.auditor_arcs,
-            self.wal_bytes,
-            self.trace_captured,
-            self.trace_dropped,
-            self.group_flushes,
-            self.group_commits,
-            self.chain_versions,
-            self.chain_max_len,
-            self.chain_watermark,
-        ] {
-            b.put_u64_le(v);
-        }
-        b.put_u32_le(u32::try_from(self.phases.len()).expect("phase list fits a frame"));
-        for p in &self.phases {
-            p.encode_into(b);
-        }
-        b.put_u32_le(u32::try_from(self.templates.len()).expect("template list fits a frame"));
-        for t in &self.templates {
-            t.encode_into(b);
-        }
-    }
-
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
-        let uptime_us = get_u64(b)?;
-        let inflight = get_u64(b)? as i64;
-        let auditor_nodes = get_u64(b)?;
-        let auditor_arcs = get_u64(b)?;
-        let wal_bytes = get_u64(b)?;
-        let trace_captured = get_u64(b)?;
-        let trace_dropped = get_u64(b)?;
-        let group_flushes = get_u64(b)?;
-        let group_commits = get_u64(b)?;
-        let chain_versions = get_u64(b)?;
-        let chain_max_len = get_u64(b)?;
-        let chain_watermark = get_u64(b)?;
-        let np = get_u32(b)? as usize;
-        // A PhaseStat is ≥ 52 bytes (4-byte name length + six u64s);
-        // bounding up front keeps a hostile count from pre-allocating
-        // unboundedly. Same below for the ≥ 36-byte TemplateStat.
-        if b.remaining() < np.checked_mul(52)? {
-            return None;
-        }
-        let mut phases = Vec::with_capacity(np);
-        for _ in 0..np {
-            phases.push(PhaseStat::decode_from(b)?);
-        }
-        let nt = get_u32(b)? as usize;
-        if b.remaining() < nt.checked_mul(36)? {
-            return None;
-        }
-        let mut templates = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            templates.push(TemplateStat::decode_from(b)?);
-        }
-        Some(StatsSnapshot {
-            uptime_us,
-            inflight,
-            auditor_nodes,
-            auditor_arcs,
-            wal_bytes,
-            trace_captured,
-            trace_dropped,
-            group_flushes,
-            group_commits,
-            chain_versions,
-            chain_max_len,
-            chain_watermark,
-            phases,
-            templates,
-        })
+record! {
+    /// One entity in a [`SnapshotReply`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SnapEntry {
+        /// Entity name (spec order when the request read the whole
+        /// database, request order otherwise).
+        name: String,
+        /// Commit timestamp of the version observed (0 = the initial
+        /// seeded value).
+        commit_ts: u64,
+        /// Version counter of the observed value.
+        version: u64,
+        /// Integer payload; `None` when the committed payload is a byte
+        /// string (the read-only path reports identity, not bytes).
+        value: Option<u64>,
     }
 }
 
-/// One entity in a [`SnapshotReply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapEntry {
-    /// Entity name (spec order when the request read the whole
-    /// database, request order otherwise).
-    pub name: String,
-    /// Commit timestamp of the version observed (0 = the initial
-    /// seeded value).
-    pub commit_ts: u64,
-    /// Version counter of the observed value.
-    pub version: u64,
-    /// Integer payload; `None` when the committed payload is a byte
-    /// string (the read-only path reports identity, not bytes).
-    pub value: Option<u64>,
-}
-
-/// The reply to [`Request::ReadOnly`]: one committed multiversion cut.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotReply {
-    /// The snapshot timestamp — every commit `≤ ts` is reflected, none
-    /// after.
-    pub ts: u64,
-    /// One entry per entity read.
-    pub entries: Vec<SnapEntry>,
+record! {
+    /// The reply to [`Request::ReadOnly`]: one committed multiversion cut.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SnapshotReply {
+        /// The snapshot timestamp — every commit `≤ ts` is reflected, none
+        /// after.
+        ts: u64,
+        /// One entry per entity read.
+        entries: Vec<SnapEntry>,
+    }
 }
 
 impl SnapshotReply {
@@ -699,91 +749,29 @@ impl SnapshotReply {
             self.sum_int()
         )
     }
-
-    fn encode_into(&self, b: &mut BytesMut) {
-        b.put_u64_le(self.ts);
-        b.put_u32_le(u32::try_from(self.entries.len()).expect("entry list fits a frame"));
-        for e in &self.entries {
-            put_str(b, &e.name);
-            b.put_u64_le(e.commit_ts);
-            b.put_u64_le(e.version);
-            match e.value {
-                None => b.put_u8(0),
-                Some(v) => {
-                    b.put_u8(1);
-                    b.put_u64_le(v);
-                }
-            }
-        }
-    }
-
-    fn decode_from(b: &mut Bytes) -> Option<Self> {
-        let ts = get_u64(b)?;
-        let n = get_u32(b)? as usize;
-        // Each entry is ≥ 21 bytes (4-byte name length, two u64s, one
-        // value tag); bounding up front keeps a hostile count from
-        // pre-allocating unboundedly.
-        if b.remaining() < n.checked_mul(21)? {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = get_str(b)?;
-            let commit_ts = get_u64(b)?;
-            let version = get_u64(b)?;
-            let value = match get_u8(b)? {
-                0 => None,
-                1 => Some(get_u64(b)?),
-                _ => return None,
-            };
-            entries.push(SnapEntry {
-                name,
-                commit_ts,
-                version,
-                value,
-            });
-        }
-        Some(SnapshotReply { ts, entries })
-    }
 }
 
 /// Why the server rejected a request (typed, so clients can branch
-/// without string matching).
+/// without string matching). The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorKind {
     /// The frame did not decode to a request.
-    BadRequest,
+    BadRequest = 1,
     /// Submit/Report before any `RegisterSystem`.
-    NoSystem,
+    NoSystem = 2,
     /// Submit named a template the registered system does not have.
-    UnknownTemplate,
+    UnknownTemplate = 3,
     /// The spec JSON failed to parse or build.
-    BadSpec,
+    BadSpec = 4,
 }
 
-const ERR_BAD_REQUEST: u8 = 1;
-const ERR_NO_SYSTEM: u8 = 2;
-const ERR_UNKNOWN_TEMPLATE: u8 = 3;
-const ERR_BAD_SPEC: u8 = 4;
-
 impl ErrorKind {
-    fn to_tag(self) -> u8 {
-        match self {
-            ErrorKind::BadRequest => ERR_BAD_REQUEST,
-            ErrorKind::NoSystem => ERR_NO_SYSTEM,
-            ErrorKind::UnknownTemplate => ERR_UNKNOWN_TEMPLATE,
-            ErrorKind::BadSpec => ERR_BAD_SPEC,
-        }
-    }
-
     fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            ERR_BAD_REQUEST => ErrorKind::BadRequest,
-            ERR_NO_SYSTEM => ErrorKind::NoSystem,
-            ERR_UNKNOWN_TEMPLATE => ErrorKind::UnknownTemplate,
-            ERR_BAD_SPEC => ErrorKind::BadSpec,
-            _ => return None,
-        })
+        use ErrorKind::*;
+        [BadRequest, NoSystem, UnknownTemplate, BadSpec]
+            .into_iter()
+            .find(|&kind| kind as u8 == tag)
     }
 }
 
@@ -830,54 +818,26 @@ const RESP_ERROR: u8 = 5;
 const RESP_STATS: u8 = 6;
 const RESP_SNAPSHOT: u8 = 7;
 
-const SLOTS_UNBOUNDED: u8 = 0;
-const SLOTS_BOUNDED: u8 = 1;
+fn tagged(b: &mut BytesMut, tag: u8, body: &impl Wire) {
+    b.put_u8(tag);
+    body.put(b);
+}
 
 impl Response {
     /// Encodes to one protocol unit (to be carried in one frame).
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(32);
         match self {
-            Response::Registered(r) => {
-                b.put_u8(RESP_REGISTERED);
-                b.put_u8(u8::from(r.certified));
-                b.put_u8(u8::from(r.guarantees_safety));
-                b.put_u8(u8::from(r.floored));
-                put_str(&mut b, &r.verdict);
-                put_str(&mut b, &r.rationale);
-                b.put_u32_le(u32::try_from(r.plan.len()).expect("plan fits a frame"));
-                for entry in &r.plan {
-                    put_str(&mut b, &entry.template);
-                    match entry.slots {
-                        None => b.put_u8(SLOTS_UNBOUNDED),
-                        Some(k) => {
-                            b.put_u8(SLOTS_BOUNDED);
-                            b.put_u64_le(k);
-                        }
-                    }
-                }
-            }
-            Response::Submitted(stats) => {
-                b.put_u8(RESP_SUBMITTED);
-                stats.encode_into(&mut b);
-            }
-            Response::Report(stats) => {
-                b.put_u8(RESP_REPORT);
-                stats.encode_into(&mut b);
-            }
+            Response::Registered(r) => tagged(&mut b, RESP_REGISTERED, r),
+            Response::Submitted(stats) => tagged(&mut b, RESP_SUBMITTED, stats),
+            Response::Report(stats) => tagged(&mut b, RESP_REPORT, stats),
             Response::ShuttingDown => b.put_u8(RESP_SHUTTING_DOWN),
-            Response::Stats(stats) => {
-                b.put_u8(RESP_STATS);
-                stats.encode_into(&mut b);
-            }
-            Response::Snapshot(snap) => {
-                b.put_u8(RESP_SNAPSHOT);
-                snap.encode_into(&mut b);
-            }
+            Response::Stats(stats) => tagged(&mut b, RESP_STATS, stats),
+            Response::Snapshot(snap) => tagged(&mut b, RESP_SNAPSHOT, snap),
             Response::Error { kind, message } => {
                 b.put_u8(RESP_ERROR);
-                b.put_u8(kind.to_tag());
-                put_str(&mut b, message);
+                b.put_u8(*kind as u8);
+                message.put(&mut b);
             }
         }
         b.freeze()
@@ -886,47 +846,17 @@ impl Response {
     /// Decodes one protocol unit; `None` on any malformation (including
     /// trailing bytes).
     pub fn decode(mut buf: Bytes) -> Option<Response> {
-        let tag = get_u8(&mut buf)?;
-        let resp = match tag {
-            RESP_REGISTERED => {
-                let certified = get_bool(&mut buf)?;
-                let guarantees_safety = get_bool(&mut buf)?;
-                let floored = get_bool(&mut buf)?;
-                let verdict = get_str(&mut buf)?;
-                let rationale = get_str(&mut buf)?;
-                let n = get_u32(&mut buf)? as usize;
-                // Each entry is ≥ 5 bytes; bounding up front keeps a
-                // hostile count from pre-allocating unboundedly.
-                if buf.remaining() < n.checked_mul(5)? {
-                    return None;
-                }
-                let mut plan = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let template = get_str(&mut buf)?;
-                    let slots = match get_u8(&mut buf)? {
-                        SLOTS_UNBOUNDED => None,
-                        SLOTS_BOUNDED => Some(get_u64(&mut buf)?),
-                        _ => return None,
-                    };
-                    plan.push(PlanEntry { template, slots });
-                }
-                Response::Registered(Registered {
-                    certified,
-                    guarantees_safety,
-                    floored,
-                    verdict,
-                    rationale,
-                    plan,
-                })
-            }
-            RESP_SUBMITTED => Response::Submitted(RunStats::decode_from(&mut buf)?),
-            RESP_REPORT => Response::Report(RunStats::decode_from(&mut buf)?),
+        let b = &mut buf;
+        let resp = match get_u8(b)? {
+            RESP_REGISTERED => Response::Registered(Wire::get(b)?),
+            RESP_SUBMITTED => Response::Submitted(Wire::get(b)?),
+            RESP_REPORT => Response::Report(Wire::get(b)?),
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
-            RESP_STATS => Response::Stats(StatsSnapshot::decode_from(&mut buf)?),
-            RESP_SNAPSHOT => Response::Snapshot(SnapshotReply::decode_from(&mut buf)?),
+            RESP_STATS => Response::Stats(Wire::get(b)?),
+            RESP_SNAPSHOT => Response::Snapshot(Wire::get(b)?),
             RESP_ERROR => Response::Error {
-                kind: ErrorKind::from_tag(get_u8(&mut buf)?)?,
-                message: get_str(&mut buf)?,
+                kind: ErrorKind::from_tag(get_u8(b)?)?,
+                message: Wire::get(b)?,
             },
             _ => return None,
         };

@@ -256,3 +256,200 @@ proptest! {
         prop_assert_eq!(Request::decode(Bytes::from(enc)), None);
     }
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Bytes {
+    let digits: Vec<u8> = s
+        .bytes()
+        .map(|c| (c as char).to_digit(16).unwrap() as u8)
+        .collect();
+    Bytes::from(
+        digits
+            .chunks(2)
+            .map(|p| p[0] << 4 | p[1])
+            .collect::<Vec<u8>>(),
+    )
+}
+
+fn golden_run_stats(serializable: Option<bool>) -> RunStats {
+    RunStats {
+        instances: 512,
+        committed: 511,
+        aborted_attempts: 3,
+        dirty_aborts: 0,
+        failed: 1,
+        reads: 2048,
+        writes: 1024,
+        wall_us: 1_234_567,
+        peak_inflight: 4,
+        history_len: 4096,
+        serializable,
+    }
+}
+
+/// The wire format, pinned: one fixed value per `Request`/`Response`
+/// variant encodes to these exact bytes and decodes back. A codec
+/// refactor that reorders, widens or re-tags a field fails here even if
+/// it still round-trips against itself.
+#[test]
+fn golden_wire_bytes() {
+    let requests = [
+        (
+            Request::RegisterSystem {
+                spec_json: "{}".into(),
+                inflate: InflateSpec::Auto { cap: 4 },
+            },
+            "010204000000020000007b7d",
+        ),
+        (
+            Request::Submit {
+                template: "transfer".into(),
+                count: 512,
+            },
+            "0200020000080000007472616e73666572",
+        ),
+        (Request::Report, "03"),
+        (Request::Shutdown, "04"),
+        (Request::Stats, "05"),
+        (
+            Request::ReadOnly {
+                entities: vec!["acct_b0_0".into(), "ledger".into()],
+            },
+            "060200000009000000616363745f62305f30060000006c6564676572",
+        ),
+    ];
+    for (req, want) in requests {
+        assert_eq!(hex(req.encode().as_ref()), want, "{req:?}");
+        assert_eq!(Request::decode(unhex(want)), Some(req));
+    }
+
+    let responses = [
+        (
+            Response::Registered(Registered {
+                certified: true,
+                guarantees_safety: true,
+                floored: false,
+                verdict: "certified".into(),
+                rationale: "Thm 3/4".into(),
+                plan: vec![
+                    PlanEntry {
+                        template: "transfer".into(),
+                        slots: Some(5),
+                    },
+                    PlanEntry {
+                        template: "audit".into(),
+                        slots: None, // unbounded (Theorem 5)
+                    },
+                ],
+            }),
+            concat!(
+                "01010100090000006365727469666965640700000054686d20332f3402000000",
+                "080000007472616e7366657201050000000000000005000000617564697400",
+            ),
+        ),
+        (
+            Response::Submitted(golden_run_stats(Some(true))),
+            concat!(
+                "020002000000000000ff01000000000000030000000000000000000000000000",
+                "0001000000000000000008000000000000000400000000000087d61200000000",
+                "000400000000000000001000000000000002",
+            ),
+        ),
+        (
+            Response::Report(golden_run_stats(Some(false))),
+            concat!(
+                "030002000000000000ff01000000000000030000000000000000000000000000",
+                "0001000000000000000008000000000000000400000000000087d61200000000",
+                "000400000000000000001000000000000001",
+            ),
+        ),
+        (
+            Response::Report(golden_run_stats(None)),
+            concat!(
+                "030002000000000000ff01000000000000030000000000000000000000000000",
+                "0001000000000000000008000000000000000400000000000087d61200000000",
+                "000400000000000000001000000000000000",
+            ),
+        ),
+        (Response::ShuttingDown, "04"),
+        (
+            Response::Stats(StatsSnapshot {
+                uptime_us: 1_234_567,
+                inflight: -1,
+                auditor_nodes: 42,
+                auditor_arcs: 99,
+                wal_bytes: 1 << 30,
+                trace_captured: 512,
+                trace_dropped: 7,
+                group_flushes: 125,
+                group_commits: 4_000,
+                chain_versions: 6_400,
+                chain_max_len: 64,
+                chain_watermark: 3_999,
+                phases: vec![PhaseStat {
+                    name: "lock_wait".into(),
+                    count: 1000,
+                    sum_ns: 5_000_000,
+                    p50_ns: 4_000,
+                    p95_ns: 20_000,
+                    p99_ns: 80_000,
+                    max_ns: 1_000_000,
+                }],
+                templates: vec![TemplateStat {
+                    name: "transfer".into(),
+                    committed: 20_000,
+                    aborted: 3,
+                    wounds: 0,
+                    dies: 3,
+                }],
+            }),
+            concat!(
+                "0687d6120000000000ffffffffffffffff2a0000000000000063000000000000",
+                "000000004000000000000200000000000007000000000000007d000000000000",
+                "00a00f000000000000001900000000000040000000000000009f0f0000000000",
+                "0001000000090000006c6f636b5f77616974e803000000000000404b4c000000",
+                "0000a00f000000000000204e000000000000803801000000000040420f000000",
+                "000001000000080000007472616e73666572204e000000000000030000000000",
+                "000000000000000000000300000000000000",
+            ),
+        ),
+        (
+            Response::Snapshot(SnapshotReply {
+                ts: 42,
+                entries: vec![
+                    SnapEntry {
+                        name: "acct".into(),
+                        commit_ts: 42,
+                        version: 7,
+                        value: Some(295),
+                    },
+                    SnapEntry {
+                        name: "blob".into(),
+                        commit_ts: 3,
+                        version: 1,
+                        value: None, // bytes payload
+                    },
+                ],
+            }),
+            concat!(
+                "072a000000000000000200000004000000616363742a00000000000000070000",
+                "000000000001270100000000000004000000626c6f6203000000000000000100",
+                "00000000000000",
+            ),
+        ),
+        (
+            Response::Error {
+                kind: ErrorKind::UnknownTemplate,
+                message: "no template \"x\"".into(),
+            },
+            "05030f0000006e6f2074656d706c61746520227822",
+        ),
+    ];
+    for (resp, want) in responses {
+        assert_eq!(hex(resp.encode().as_ref()), want, "{resp:?}");
+        assert_eq!(Response::decode(unhex(want)), Some(resp));
+    }
+}

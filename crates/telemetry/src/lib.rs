@@ -290,6 +290,34 @@ impl Default for TelemetryConfig {
     }
 }
 
+/// The plain `u64` gauges: one relaxed atomic each on the live handle,
+/// copied into the same-named [`TelemetrySnapshot`] field by a scrape.
+/// A new gauge is that snapshot field, its name in the list below, and
+/// the setter that publishes it.
+macro_rules! gauges {
+    ($($g:ident),*) => {
+        #[derive(Debug, Default)]
+        struct Gauges {
+            $($g: AtomicU64,)*
+        }
+
+        impl Gauges {
+            fn load_into(&self, s: &mut TelemetrySnapshot) {
+                $(s.$g = self.$g.load(Ordering::Relaxed);)*
+            }
+        }
+    };
+}
+
+gauges!(
+    auditor_nodes,
+    auditor_arcs,
+    wal_bytes,
+    chain_versions,
+    chain_max_len,
+    chain_watermark
+);
+
 #[derive(Debug)]
 struct Inner {
     cfg: TelemetryConfig,
@@ -298,12 +326,7 @@ struct Inner {
     group_size: Histogram,
     templates: Mutex<Arc<TemplateTable>>,
     inflight: AtomicI64,
-    auditor_nodes: AtomicU64,
-    auditor_arcs: AtomicU64,
-    wal_bytes: AtomicU64,
-    chain_versions: AtomicU64,
-    chain_max_len: AtomicU64,
-    chain_watermark: AtomicU64,
+    gauges: Gauges,
     trace: TraceRing,
 }
 
@@ -333,12 +356,7 @@ impl Telemetry {
                 group_size: Histogram::new(),
                 templates: Mutex::new(Arc::new(TemplateTable::default())),
                 inflight: AtomicI64::new(0),
-                auditor_nodes: AtomicU64::new(0),
-                auditor_arcs: AtomicU64::new(0),
-                wal_bytes: AtomicU64::new(0),
-                chain_versions: AtomicU64::new(0),
-                chain_max_len: AtomicU64::new(0),
-                chain_watermark: AtomicU64::new(0),
+                gauges: Gauges::default(),
                 trace: TraceRing::new(trace_capacity),
                 cfg,
             })),
@@ -424,8 +442,8 @@ impl Telemetry {
     #[inline]
     pub fn set_auditor(&self, nodes: u64, arcs: u64) {
         if let Some(i) = &self.inner {
-            i.auditor_nodes.store(nodes, Ordering::Relaxed);
-            i.auditor_arcs.store(arcs, Ordering::Relaxed);
+            i.gauges.auditor_nodes.store(nodes, Ordering::Relaxed);
+            i.gauges.auditor_arcs.store(arcs, Ordering::Relaxed);
         }
     }
 
@@ -433,7 +451,7 @@ impl Telemetry {
     #[inline]
     pub fn add_wal_bytes(&self, n: u64) {
         if let Some(i) = &self.inner {
-            i.wal_bytes.fetch_add(n, Ordering::Relaxed);
+            i.gauges.wal_bytes.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -444,9 +462,9 @@ impl Telemetry {
     #[inline]
     pub fn set_chains(&self, versions: u64, max_len: u64, watermark: u64) {
         if let Some(i) = &self.inner {
-            i.chain_versions.store(versions, Ordering::Relaxed);
-            i.chain_max_len.store(max_len, Ordering::Relaxed);
-            i.chain_watermark.store(watermark, Ordering::Relaxed);
+            i.gauges.chain_versions.store(versions, Ordering::Relaxed);
+            i.gauges.chain_max_len.store(max_len, Ordering::Relaxed);
+            i.gauges.chain_watermark.store(watermark, Ordering::Relaxed);
         }
     }
 
@@ -515,21 +533,18 @@ impl Telemetry {
         let Some(i) = &self.inner else {
             return TelemetrySnapshot::default();
         };
-        TelemetrySnapshot {
+        let mut s = TelemetrySnapshot {
             uptime_us: i.epoch.elapsed().as_micros() as u64,
             inflight: i.inflight.load(Ordering::Relaxed),
-            auditor_nodes: i.auditor_nodes.load(Ordering::Relaxed),
-            auditor_arcs: i.auditor_arcs.load(Ordering::Relaxed),
-            wal_bytes: i.wal_bytes.load(Ordering::Relaxed),
-            chain_versions: i.chain_versions.load(Ordering::Relaxed),
-            chain_max_len: i.chain_max_len.load(Ordering::Relaxed),
-            chain_watermark: i.chain_watermark.load(Ordering::Relaxed),
             trace_captured: i.trace.len() as u64,
             trace_dropped: i.trace.dropped(),
             group_size: i.group_size.snapshot(),
             phases: self.phase_snapshot(),
             templates: self.template_table().map(|t| t.rows()).unwrap_or_default(),
-        }
+            ..Default::default()
+        };
+        i.gauges.load_into(&mut s);
+        s
     }
 }
 

@@ -490,10 +490,10 @@ fn run_lockgraph(dot: bool) -> Outcome {
     let spec_json = include_str!("../../../fixtures/banking_ordered.json");
     let sys = load_system(spec_json)
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
-    // Engine leg: slot_gate, shard.state, store.clock, history.shared,
-    // engine.* and the wal.* classes (fsync regions via `wal_sync`, the
-    // group path via `group_commit`, the timestamp section via admission
-    // batching).
+    // Engine leg: slot_gate, shard.state, store.clock, engine.* and the
+    // wal.* classes (fsync regions via `wal_sync`, the group path via
+    // `group_commit`, the event section — engine.auditor over
+    // wal.history — on every unlock).
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
     let flags = EngineFlags {
         inflate: Some(InflateArg::Auto),

@@ -1,9 +1,11 @@
 //! One attempt of one transaction instance against the store — the only
 //! place "advance an instance one step" is written.
 //!
-//! An [`Attempt`] owns the executed [`Prefix`], the lock-grant events
-//! not yet handed to the history, the entities whose unlock exposed a
-//! write, and the read/write counters. It has exactly three
+//! An [`Attempt`] belongs to one instance — named everywhere (lock
+//! tables, wait-die, chains, audit, WAL) by the one `gid` in its
+//! [`WriteCtx`] — and owns the executed [`Prefix`], the lock-grant
+//! events not yet handed to the audit, the entities whose unlock exposed
+//! a write, and the read/write counters. It has exactly three
 //! transitions — [`granted`](Attempt::granted),
 //! [`unlock`](Attempt::unlock) and [`die`](Attempt::die) — and is driven
 //! by the threaded executor under both lock-wait disciplines and by both
@@ -17,7 +19,7 @@
 //! other transactions is pinned by the locks themselves: no conflicting
 //! grant can happen on a held entity until it is released, and
 //! everything buffered is flushed before every release — so per-entity
-//! event order in the history is exactly the effective lock order (the
+//! event order at the sink is exactly the effective lock order (the
 //! debug batch-oracle cross-check re-verifies this on every run). Every
 //! transaction ends in an unlock, so a complete attempt has nothing
 //! buffered; a dying attempt's unflushed grants are dropped — they
@@ -41,8 +43,8 @@ pub(crate) enum Refused {
     Die,
 }
 
-/// The wait-die rule. Instance ids double as timestamps (smaller =
-/// older).
+/// The wait-die rule. Gids double as timestamps (smaller = older), for
+/// the engine's whole lifetime.
 pub(crate) fn wait_die(me: TxnId, holder: TxnId) -> Refused {
     if me.0 < holder.0 {
         Refused::Retry
@@ -151,7 +153,7 @@ impl<'a> Attempt<'a> {
     /// and removal re-folds per entity, so no undo order is required.
     pub(crate) fn die(&mut self) -> Death {
         for e in self.executed.held_entities(self.txn) {
-            self.store.shard_of(e).release(self.ctx.instance, e);
+            self.store.shard_of(e).release(self.ctx.holder(), e);
         }
         let mut death = Death::default();
         for e in self.exposed.drain(..) {

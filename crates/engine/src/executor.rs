@@ -23,31 +23,41 @@
 //!   can close); a requester that is not older dies, backs off, and
 //!   retries with its original timestamp.
 //!
-//! Every effective lock/unlock is appended to a shared
-//! [`ddlf_sim::History`] **and** fed — from inside the same timestamp
-//! critical section — to an incremental
-//! [`StreamingAuditor`], so
-//! the engine keeps a *live* `D(S)` verdict instead of re-running the
+//! **One id.** An instance is its `gid`, minted by the engine from one
+//! monotone id space that lasts the engine's lifetime (seeded from
+//! [`Recovered::next_base`] on resume): the holder in the lock tables,
+//! the wait-die timestamp, the key of chain entries, audit vertices,
+//! trace spans, [`Report::failed`] and every WAL record. Nothing is
+//! run-local, with or without a WAL.
+//!
+//! **One event path.** Each release batch of effective lock/unlock
+//! events takes the `engine.auditor` lock once and, inside that one
+//! critical section, is appended to `history.wal` and fed to the
+//! incremental [`StreamingAuditor`] — the same order in both — so the
+//! engine keeps a *live* `D(S)` verdict instead of re-running the
 //! quadratic batch audit per report. Commit/abort decisions flow to the
 //! same auditor (aborted attempts contribute nothing to the committed
 //! projection); the batch [`ddlf_sim::History::audit`] remains the
-//! oracle and cross-checks every run in debug builds.
+//! oracle: debug builds record a plain history under the same lock and
+//! cross-check every run.
 
 use crate::attempt::{wait_die, Attempt, Refused};
 use crate::report::{LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, DEFAULT_MAX_GROUP};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
-use ddlf_sim::SharedHistory;
+#[cfg(debug_assertions)]
+use ddlf_sim::{History, HistoryEvent, SimTime};
 use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
 use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,15 +65,9 @@ use std::time::{Duration, Instant};
 /// rebuild a per-instance audit system for. The oracle re-audits the
 /// whole history from scratch, so beyond this many instances a debug
 /// test would stall for minutes; larger runs keep the streaming verdict
-/// alone. Overridable via `DDLF_BATCH_ORACLE_CAP` (0 disables the
-/// cross-check entirely).
+/// alone.
 #[cfg(debug_assertions)]
-fn batch_oracle_cap() -> usize {
-    std::env::var("DDLF_BATCH_ORACLE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
-}
+const BATCH_ORACLE_CAP: usize = 1000;
 
 /// Attempt budget per instance. Only wait-die can use more than one:
 /// the certified discipline never refuses for good.
@@ -81,8 +85,9 @@ pub struct EngineConfig {
     /// Worker threads draining the instance queue.
     pub threads: usize,
     /// Total transaction instances to run (assigned round-robin over the
-    /// registered templates). Capped at `u32::MAX`; [`Engine::run`]
-    /// panics beyond that (instance ids double as wait-die timestamps).
+    /// registered templates). [`Engine::run`] panics once the engine's
+    /// lifetime total would pass `u32::MAX` (gids double as wait-die
+    /// timestamps).
     pub instances: usize,
     /// Simulated per-lock work while holding the grant (widens contention
     /// windows; keep zero for raw throughput).
@@ -157,18 +162,70 @@ pub struct Engine {
     cfg: EngineConfig,
     /// The write-ahead log, when `cfg.wal_dir` asked for one.
     wal: Option<Arc<Wal>>,
+    /// The one instance-id space, for the engine's whole lifetime.
+    gids: GidSpace,
     /// Cumulative outcome of every run so far, maintained by
     /// [`Report::absorb`]; `None` until the first non-empty run. Behind a
     /// mutex so concurrent runs (e.g. wire submissions) merge safely.
     cumulative: Mutex<Option<Report>>,
 }
 
+/// The monotone gid allocator: each run reserves a contiguous range
+/// above every id minted (or recovered) so far.
+struct GidSpace(AtomicU32);
+
+impl GidSpace {
+    /// Reserves `count` ids, returning the first. The range is claimed
+    /// with a compare-exchange on `checked_add`, so exhaustion panics
+    /// *before* a wrapped id is ever published — a concurrent
+    /// reservation can never observe colliding ids.
+    fn reserve(&self, count: u32) -> u32 {
+        let claim = |first: u32| first.checked_add(count);
+        self.0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, claim)
+            .expect("engine instance-id space exhausted (u32)")
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Instance {
-    /// Global instance id; doubles as the wait-die timestamp (smaller =
-    /// older) and as the transaction id in the audited history.
-    id: u32,
+    /// The engine-lifetime instance id; doubles as the wait-die
+    /// timestamp (smaller = older).
+    gid: u32,
     template: TxnId,
+}
+
+/// What one run's `engine.auditor` mutex guards: the only record of
+/// "what happened" — the live auditor, the event count, and (debug
+/// builds) the plain history the batch oracle re-audits.
+struct RunAudit {
+    auditor: StreamingAuditor,
+    /// Events recorded, every attempt's: [`Report::history_len`].
+    events: usize,
+    #[cfg(debug_assertions)]
+    oracle: History,
+}
+
+impl RunAudit {
+    /// The one event path: a release batch of `ctx`'s events enters
+    /// `history.wal` and the auditor inside the caller's single critical
+    /// section, so log order is audit order.
+    fn record(&mut self, wal: Option<&Wal>, ctx: WriteCtx, nodes: &[NodeId]) {
+        if let Some(w) = wal {
+            w.log_events(ctx.gid, ctx.attempt, nodes);
+        }
+        for &node in nodes {
+            self.auditor.event(ctx.gid, ctx.attempt, node);
+            #[cfg(debug_assertions)]
+            self.oracle.record(HistoryEvent {
+                time: SimTime(self.oracle.len() as u64),
+                txn: TxnId(ctx.gid),
+                attempt: ctx.attempt,
+                node,
+            });
+        }
+        self.events += nodes.len();
+    }
 }
 
 /// Stamps the span events of one trace-sampled instance.
@@ -251,7 +308,7 @@ impl Engine {
 
     /// [`Engine::with_registry`], surfacing WAL I/O errors.
     pub fn try_with_registry(registry: TemplateRegistry, cfg: EngineConfig) -> io::Result<Self> {
-        let (mut store, wal) = match &cfg.wal_dir {
+        let (store, wal) = match &cfg.wal_dir {
             None => (Store::new(registry.system().db(), cfg.initial_value), None),
             Some(dir) => {
                 let wal = Wal::create(
@@ -264,23 +321,36 @@ impl Engine {
                 (store, Some(wal))
             }
         };
+        Ok(Self::assemble(registry, store, cfg, wal, 0))
+    }
+
+    /// The one place an engine is put together: `next_gid` seeds the id
+    /// space (0 fresh, [`Recovered::next_base`] on resume).
+    fn assemble(
+        registry: TemplateRegistry,
+        mut store: Store,
+        cfg: EngineConfig,
+        wal: Option<Arc<Wal>>,
+        next_gid: u32,
+    ) -> Self {
         store.set_telemetry(&cfg.telemetry);
         Self::install_template_counters(&registry, &cfg.telemetry);
-        Ok(Self {
+        Self {
             registry,
             store: Arc::new(store),
             cfg,
             wal,
+            gids: GidSpace(AtomicU32::new(next_gid)),
             cumulative: Mutex::new_named("engine.cumulative", None),
-        })
+        }
     }
 
     /// Rebuilds an engine from a recovered WAL directory: the registry
     /// is re-certified from the recovered system, the store starts from
-    /// the replayed committed state, and the WAL resumes appending to
-    /// the same directory with instance ids above everything already
-    /// logged. `cfg.wal_dir`/`initial_value` are overridden by the
-    /// recovery.
+    /// the replayed committed state, the WAL resumes appending to the
+    /// same directory, and the id space resumes above everything already
+    /// logged ([`Recovered::next_base`]). `cfg.wal_dir`/`initial_value`
+    /// are overridden by the recovery.
     pub fn from_recovered(
         rec: Recovered,
         admission: AdmissionOptions,
@@ -288,21 +358,19 @@ impl Engine {
         dir: impl Into<PathBuf>,
     ) -> io::Result<Self> {
         let dir = dir.into();
-        let wal = Wal::resume(dir.clone(), rec.next_base, Self::wal_options(&cfg))?;
+        let wal = Wal::resume(dir.clone(), Self::wal_options(&cfg))?;
         let mut store = rec.store;
         store.attach_wal(&wal)?;
-        store.set_telemetry(&cfg.telemetry);
         cfg.wal_dir = Some(dir);
         cfg.initial_value = rec.initial_value;
         let registry = TemplateRegistry::register_with(rec.system, admission);
-        Self::install_template_counters(&registry, &cfg.telemetry);
-        Ok(Self {
+        Ok(Self::assemble(
             registry,
-            store: Arc::new(store),
+            store,
             cfg,
-            wal: Some(wal),
-            cumulative: Mutex::new_named("engine.cumulative", None),
-        })
+            Some(wal),
+            rec.next_base,
+        ))
     }
 
     fn wal_options(cfg: &EngineConfig) -> WalOptions {
@@ -374,17 +442,17 @@ impl Engine {
     /// Reusable; the store accumulates writes across runs and the
     /// outcome folds into [`Engine::report_snapshot`].
     pub fn run(&self) -> Report {
-        let sys = self.registry.system().clone();
-        if sys.is_empty() || self.cfg.instances == 0 {
-            return self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
-        }
-        let instances: Vec<Instance> = (0..self.cfg.instances)
-            .map(|i| Instance {
-                id: u32::try_from(i).expect("instance count fits u32"),
-                template: TxnId::from_index(i % sys.len().max(1)),
-            })
-            .collect();
-        self.run_instances(instances)
+        self.run_mix(&self.uniform_mix(self.cfg.instances))
+    }
+
+    /// `count` instances spread round-robin over every registered
+    /// template: what [`Engine::run`] executes and what an untargeted
+    /// wire `Submit` asks for.
+    pub fn uniform_mix(&self, count: usize) -> Vec<(TxnId, usize)> {
+        let n = self.registry.len();
+        (0..n)
+            .map(|i| (TxnId::from_index(i), count / n + usize::from(i < count % n)))
+            .collect()
     }
 
     /// Runs an explicit per-template mix — `count` instances of each
@@ -392,36 +460,38 @@ impl Engine {
     /// `cfg.threads` workers (ignoring `cfg.instances`). This is the
     /// submission path of the wire server, where clients pick templates
     /// by name instead of taking the uniform round-robin of
-    /// [`Engine::run`].
+    /// [`Engine::run`]. The instances get the next `total` gids of the
+    /// engine's id space, in interleave order.
     ///
     /// # Panics
     /// Panics with a descriptive message when a `TxnId` does not name a
-    /// registered template or the total instance count exceeds
-    /// `u32::MAX` (instance ids double as wait-die timestamps).
+    /// registered template or the engine's lifetime instance count
+    /// would exceed `u32::MAX` (gids double as wait-die timestamps).
     pub fn run_mix(&self, mix: &[(TxnId, usize)]) -> Report {
-        let sys = self.registry.system().clone();
+        let registered = self.registry.len();
         for &(t, _) in mix {
             assert!(
-                t.index() < sys.len(),
-                "run_mix: {t} is not a registered template ({} registered)",
-                sys.len()
+                t.index() < registered,
+                "run_mix: {t} is not a registered template ({registered} registered)"
             );
         }
         let total: usize = mix.iter().map(|&(_, n)| n).sum();
-        if sys.is_empty() || total == 0 {
-            return self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
+        if total == 0 {
+            return self.build_report(&[], &[], Duration::ZERO, None);
         }
-        u32::try_from(total).expect("instance count fits u32");
+        let first = self
+            .gids
+            .reserve(u32::try_from(total).expect("instance count fits u32"));
         let mut remaining: Vec<(TxnId, usize)> = mix.to_vec();
         let mut instances = Vec::with_capacity(total);
-        // Interleave entries so concurrent templates mix like `run`'s
-        // round-robin rather than executing in submission blocks.
+        // Interleave entries so concurrent templates mix round-robin
+        // rather than executing in submission blocks.
         while instances.len() < total {
             for (t, left) in &mut remaining {
                 if *left > 0 {
                     *left -= 1;
                     instances.push(Instance {
-                        id: instances.len() as u32,
+                        gid: first + instances.len() as u32,
                         template: *t,
                     });
                 }
@@ -436,43 +506,31 @@ impl Engine {
     /// the first run it reports the registered system with zero
     /// instances and `serializable: None`.
     pub fn report_snapshot(&self) -> Report {
-        let sys = self.registry.system().clone();
-        self.cumulative.lock().clone().unwrap_or_else(|| {
-            self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None)
-        })
+        self.cumulative
+            .lock()
+            .clone()
+            .unwrap_or_else(|| self.build_report(&[], &[], Duration::ZERO, None))
     }
 
     fn run_instances(&self, instances: Vec<Instance>) -> Report {
-        let sys = self.registry.system().clone();
-        // With a WAL attached, this run's instances get globally unique
-        // ids `base..base + n` within the log directory, so histories of
-        // successive runs concatenate without collisions; the history
-        // sink writes each event durably from inside the timestamp
-        // critical section.
-        let base = match &self.wal {
-            Some(w) => w.begin_run(instances.len() as u32),
-            None => 0,
-        };
         // The streaming auditor keeps the run's live D(S) verdict:
-        // instances are admitted up front, each event is fed from inside
-        // the history's timestamp critical section, and workers report
-        // commit/abort decisions as they happen — by the time the pool
-        // drains, the verdict is already computed.
-        let auditor = Arc::new(parking_lot::Mutex::new_named(
-            "engine.auditor",
-            StreamingAuditor::new(self.registry.system()),
-        ));
-        {
-            let mut a = auditor.lock();
-            for inst in &instances {
-                a.admit(base + inst.id, inst.template);
-            }
+        // instances are admitted up front, each release batch is fed
+        // (and logged) under the `engine.auditor` lock, and workers
+        // report commit/abort decisions as they happen — by the time the
+        // pool drains, the verdict is already computed.
+        let mut auditor = StreamingAuditor::new(self.registry.system());
+        for inst in &instances {
+            auditor.admit(inst.gid, inst.template);
         }
-        let wal_sink: Option<ddlf_sim::EventSink> = self.wal.as_ref().map(|w| {
-            let w = Arc::clone(w);
-            Box::new(move |ev: &ddlf_sim::HistoryEvent| w.log_event(ev, base)) as _
-        });
-        let shared = SharedHistory::with_streaming_audit(Arc::clone(&auditor), base, wal_sink);
+        let audit = Mutex::new_named(
+            "engine.auditor",
+            RunAudit {
+                auditor,
+                events: 0,
+                #[cfg(debug_assertions)]
+                oracle: History::new(),
+            },
+        );
         // Workers claim instances in admission-batch chunks (of one, by
         // default): each chunk is admitted under one gate acquisition
         // per template and one decision-log lock for its Begin records
@@ -510,10 +568,16 @@ impl Engine {
             for _ in 0..self.cfg.threads.max(1) {
                 let work_rx = work_rx.clone();
                 let done_tx = done_tx.clone();
-                let shared = &shared;
-                let auditor = &auditor;
+                let audit = &audit;
                 let ttable = ttable.as_deref();
-                scope.spawn(move || self.worker(work_rx, done_tx, shared, base, auditor, ttable));
+                // The queue is fully loaded (and its sender dropped)
+                // before workers start, so the first failed receive
+                // means drained.
+                scope.spawn(move || {
+                    while let Ok(chunk) = work_rx.try_recv() {
+                        self.execute_chunk(&chunk, &done_tx, audit, ttable);
+                    }
+                });
             }
         });
         let wall = started.elapsed();
@@ -527,11 +591,11 @@ impl Engine {
         }
 
         let mut outcomes: Vec<Outcome> = vec![Outcome::default(); instances.len()];
-        for (id, out) in done_rx.iter() {
-            outcomes[id as usize] = out;
+        for (gid, out) in done_rx.iter() {
+            outcomes[(gid - instances[0].gid) as usize] = out;
         }
-        let mut report =
-            self.build_report(&sys, &instances, &outcomes, shared, wall, Some(&auditor));
+        let audit = Some(audit.into_inner());
+        let mut report = self.build_report(&instances, &outcomes, wall, audit);
         report.phases = self.cfg.telemetry.phase_snapshot().delta(&phases_before);
         if let Some(w) = &self.wal {
             let (flushes, commits) = w.group_counters();
@@ -545,22 +609,6 @@ impl Engine {
             None => *cumulative = Some(report.clone()),
         }
         report
-    }
-
-    fn worker(
-        &self,
-        work_rx: Receiver<Vec<Instance>>,
-        done_tx: Sender<(u32, Outcome)>,
-        shared: &SharedHistory,
-        base: u32,
-        auditor: &Mutex<StreamingAuditor>,
-        ttable: Option<&TemplateTable>,
-    ) {
-        // The queue is fully loaded (and its sender dropped) before
-        // workers start, so the first failed receive means drained.
-        while let Ok(chunk) = work_rx.try_recv() {
-            self.execute_chunk(&chunk, &done_tx, shared, base, auditor, ttable);
-        }
     }
 
     /// Runs one admission-batch chunk — the only admission path, a chunk
@@ -579,9 +627,7 @@ impl Engine {
         &self,
         chunk: &[Instance],
         done_tx: &Sender<(u32, Outcome)>,
-        shared: &SharedHistory,
-        base: u32,
-        auditor: &Mutex<StreamingAuditor>,
+        audit: &Mutex<RunAudit>,
         ttable: Option<&TemplateTable>,
     ) {
         let tel = &self.cfg.telemetry;
@@ -601,13 +647,12 @@ impl Engine {
         let gate_wait = asked.elapsed();
         tel.record(Phase::GateWait, gate_wait);
         if let Some(w) = &self.wal {
-            let begins: Vec<(u32, TxnId)> =
-                chunk.iter().map(|i| (base + i.id, i.template)).collect();
-            w.log_begin_batch(&begins);
+            let begins: Vec<(u32, TxnId)> = chunk.iter().map(|i| (i.gid, i.template)).collect();
+            w.log_begins(&begins, 0);
         }
         for inst in chunk {
-            let out = self.execute_instance(*inst, shared, base, auditor, ttable, gate_wait);
-            let _ = done_tx.send((inst.id, out));
+            let out = self.execute_instance(*inst, audit, ttable, gate_wait);
+            let _ = done_tx.send((inst.gid, out));
         }
     }
 
@@ -617,9 +662,7 @@ impl Engine {
     fn execute_instance(
         &self,
         inst: Instance,
-        shared: &SharedHistory,
-        base: u32,
-        auditor: &Mutex<StreamingAuditor>,
+        audit: &Mutex<RunAudit>,
         ttable: Option<&TemplateTable>,
         gate_wait: Duration,
     ) -> Outcome {
@@ -627,9 +670,10 @@ impl Engine {
         let started = Instant::now();
         let tmpl = self.registry.template(inst.template);
         let t = self.registry.system().txn(inst.template);
-        let gid = base + inst.id;
-        // Whole instances are trace-sampled by global id, so a captured
-        // instance's span events are complete end to end.
+        let gid = inst.gid;
+        // Whole instances are trace-sampled by gid, so a captured
+        // instance's span events are complete end to end and no two
+        // instances of the engine's lifetime share a span id.
         let tracer = tel.sampled(u64::from(gid)).then_some(Tracer {
             tel,
             gid,
@@ -639,28 +683,23 @@ impl Engine {
         if let Some(tr) = tracer {
             tr.emit(0, SpanKind::Admit, u32::MAX, gate_wait.as_nanos() as u64, 0);
         }
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(inst.id) << 20) ^ 0x00E9_97D1);
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(gid) << 20) ^ 0x00E9_97D1);
         let mut out = Outcome::default();
 
         // The certified discipline cannot refuse, so it always commits
         // on attempt 0; the budget only ever binds wait-die.
         for attempt in 0..MAX_ATTEMPTS {
-            let ctx = WriteCtx {
-                instance: TxnId(inst.id),
-                gid,
-                attempt,
-            };
+            let ctx = WriteCtx { gid, attempt };
             // The chunk's batched append began attempt 0; a retry logs
             // its own.
             if attempt > 0 {
                 if let Some(w) = &self.wal {
-                    w.log_begin(gid, inst.template, attempt);
+                    w.log_begins(&[(gid, inst.template)], attempt);
                 }
             }
             let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx);
             let t_exec = tel.timer();
-            let death = (!self.drive(&mut a, t, shared, tracer)).then(|| {
+            let death = (!self.drive(&mut a, t, audit, tracer)).then(|| {
                 // One undo sample per dying attempt: lock release plus
                 // every exposed-write rollback.
                 let t_undo = tel.timer();
@@ -687,11 +726,11 @@ impl Engine {
                 }
                 self.store.publish_commit(ts, gid, a.exposed.drain(..));
                 // The decision reaches the auditor only after every
-                // event of the attempt did (the sink feeds events
-                // synchronously from inside the history lock), so the
-                // merge sees the complete attempt.
+                // event of the attempt did (each release batch is fed
+                // synchronously under this same lock), so the merge sees
+                // the complete attempt.
                 let (nodes, arcs) = {
-                    let mut au = auditor.lock();
+                    let au = &mut audit.lock().auditor;
                     au.commit(gid, attempt);
                     (au.node_count() as u64, au.arc_count() as u64)
                 };
@@ -716,7 +755,7 @@ impl Engine {
             }
             // The attempt's locks were released and its writes rolled
             // back: its buffered events leave the committed projection.
-            auditor.lock().abort(gid, attempt);
+            audit.lock().auditor.abort(gid, attempt);
             if let Some(tt) = ttable {
                 // Every engine-path abort is a wait-die death (the
                 // requester self-aborted); wounds stay 0.
@@ -763,12 +802,12 @@ impl Engine {
         &self,
         a: &mut Attempt<'_>,
         t: &Transaction,
-        shared: &SharedHistory,
+        audit: &Mutex<RunAudit>,
         tracer: Option<Tracer<'_>>,
     ) -> bool {
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
-        let (me, attempt) = (a.ctx.instance, a.ctx.attempt);
+        let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
         let (grant_tx, grant_rx) = unbounded::<EntityId>();
         // Lock nodes already queued at their shard (certified only).
         let mut queued = vec![false; if park { t.node_count() } else { 0 }];
@@ -801,7 +840,9 @@ impl Engine {
             for n in ready {
                 let op = t.op(n);
                 if op.is_unlock() {
-                    a.unlock(n, |nodes| shared.record_batch(me, attempt, nodes));
+                    a.unlock(n, |nodes| {
+                        audit.lock().record(self.wal.as_deref(), ctx, nodes)
+                    });
                     if let Some(tr) = tracer {
                         tr.emit(attempt, SpanKind::Write, op.entity.0, 0, 0);
                     }
@@ -860,20 +901,18 @@ impl Engine {
 
     fn build_report(
         &self,
-        sys: &TransactionSystem,
         instances: &[Instance],
         outcomes: &[Outcome],
-        shared: SharedHistory,
         wall: Duration,
-        auditor: Option<&Mutex<StreamingAuditor>>,
+        mut audit: Option<RunAudit>,
     ) -> Report {
+        let sys = self.registry.system();
         let failed: Vec<u32> = instances
             .iter()
             .zip(outcomes)
             .filter(|(_, o)| o.committed_attempt.is_none())
-            .map(|(i, _)| i.id)
+            .map(|(i, _)| i.gid)
             .collect();
-        let history = shared.into_inner();
         let dirty_aborts: usize = outcomes.iter().map(|o| o.dirty_aborts as usize).sum();
 
         // Audit: one transaction per instance, so `D(S)` sees each
@@ -889,26 +928,33 @@ impl Engine {
         // voids the audit's premise, reporting `None` rather than a
         // verdict over the wrong schedule.
         let serializable = if failed.is_empty() && !instances.is_empty() && dirty_aborts == 0 {
-            let verdict = auditor.and_then(|a| a.lock().seal());
+            let verdict = audit.as_mut().and_then(|a| a.auditor.seal());
             // Debug builds cross-check the streaming verdict against the
             // batch oracle over the very same history — the whole
             // existing engine test suite doubles as an equivalence
             // proptest. The oracle rebuilds a per-instance system and
             // audits it from scratch (quadratic-ish in instances), so it
             // is capped: big debug runs keep the streaming verdict
-            // instead of hanging for minutes. Override the cap with
-            // `DDLF_BATCH_ORACLE_CAP` (0 disables the cross-check).
+            // instead of hanging for minutes.
             #[cfg(debug_assertions)]
-            if instances.len() <= batch_oracle_cap() {
+            if instances.len() <= BATCH_ORACLE_CAP {
                 let committed_attempt: Vec<Option<u32>> =
                     outcomes.iter().map(|o| o.committed_attempt).collect();
                 let txns: Vec<Transaction> = instances
                     .iter()
                     .map(|i| {
                         let t = sys.txn(i.template);
-                        t.clone().with_name(format!("{}#{}", t.name(), i.id))
+                        t.clone().with_name(format!("{}#{}", t.name(), i.gid))
                     })
                     .collect();
+                // The oracle indexes transactions run-locally.
+                let mut history = History::new();
+                for e in audit.iter().flat_map(|a| a.oracle.events()) {
+                    history.record(HistoryEvent {
+                        txn: TxnId(e.txn.0 - instances[0].gid),
+                        ..*e
+                    });
+                }
                 let batch = TransactionSystem::new(sys.db().clone(), txns)
                     .ok()
                     .and_then(|audit_sys| history.audit(&audit_sys, &committed_attempt).ok());
@@ -966,7 +1012,7 @@ impl Engine {
             writes_skipped: outcomes.iter().map(|o| o.writes_skipped).sum(),
             wall,
             serializable,
-            history_len: history.len(),
+            history_len: audit.map_or(0, |a| a.events),
             latency,
             // Filled with this run's per-phase delta by `run_instances`
             // (the empty-run report keeps the empty default), like the
@@ -982,4 +1028,27 @@ impl Engine {
 /// Convenience: certify `sys`, run it, and report.
 pub fn run_system(sys: &TransactionSystem, cfg: EngineConfig) -> Report {
     Engine::new(sys.clone(), cfg).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gid_space_reserves_disjoint_ranges() {
+        let g = GidSpace(AtomicU32::new(0));
+        assert_eq!(g.reserve(10), 0);
+        assert_eq!(g.reserve(5), 10);
+        assert_eq!(g.reserve(1), 15);
+    }
+
+    #[test]
+    fn gid_space_never_publishes_a_wrapped_id() {
+        let g = GidSpace(AtomicU32::new(u32::MAX - 1));
+        let wrapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.reserve(5)));
+        assert!(wrapped.is_err(), "a wrapping reservation must panic");
+        // The failed reservation must not have wrapped the counter: the
+        // remaining id space is intact and collision-free.
+        assert_eq!(g.reserve(1), u32::MAX - 1);
+    }
 }

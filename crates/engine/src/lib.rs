@@ -42,16 +42,18 @@
 //!                          { value chains + LockTable } per mutex
 //!                             │                  │
 //!                             │   Wal (optional file sink, framed records)
-//!                             │     shard-<k>.wal   Write/Undo per shard
+//!                             │     shard-<k>.wal   Write per shard
 //!                             │     commit.wal      Begin/Commit(Group)/Abort
 //!                             │     history.wal     lock/unlock events
+//!                             │     (every record keyed by the one gid)
 //!                             │                  │
 //!                             │        wal::recover(dir): replay committed
 //!                             │        ops ▶ fresh Store ▶ re-run D(S)
 //!                             ▼
-//!                          History ──▶ streaming D(S) audit
-//!                             │        (incremental; live verdict —
-//!                             │         batch audit is the oracle)
+//!                          events ──▶ streaming D(S) audit
+//!                             │        (one engine.auditor section per
+//!                             │         release batch: log + live verdict;
+//!                             │         batch audit is the debug oracle)
 //!                          Report: certified k vs achieved peak,
 //!                          aborts (rolled back vs dirty), latency,
 //!                          per-phase histograms, per template
@@ -68,7 +70,7 @@
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
-//! `history.shared` ▷ the `wal.*` classes, with `store.clock` a leaf
+//! `engine.auditor` ▷ the `wal.*` classes, with `store.clock` a leaf
 //! never held with any of them — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
@@ -97,12 +99,15 @@
 //! * [`executor`] — a worker pool drains the instance queue, steps each
 //!   instance's attempts through its transaction's partial order (the
 //!   same `Attempt` stepper and wait-die rule [`replay`] drives
-//!   cooperatively), and appends every effective
-//!   lock/unlock to a shared [`ddlf_sim::History`]; each event is also
-//!   fed live to an incremental
-//!   [`StreamingAuditor`](ddlf_model::incremental::StreamingAuditor),
-//!   so the `D(S)` serializability verdict is already sealed when the
-//!   run drains (debug builds cross-check it against the batch oracle).
+//!   cooperatively). An instance is one `gid` from the engine's
+//!   lifetime-long id space — lock holder, wait-die timestamp, chain,
+//!   audit and WAL key alike — and its effective lock/unlock events take
+//!   one path: each release batch is logged and fed live to an
+//!   incremental
+//!   [`StreamingAuditor`](ddlf_model::incremental::StreamingAuditor)
+//!   under the `engine.auditor` lock, so the `D(S)` serializability
+//!   verdict is already sealed when the run drains (debug builds
+//!   cross-check it against the batch [`ddlf_sim::History`] oracle).
 //! * [`report`] — throughput / latency / abort metrics following the
 //!   `ddlf_sim::metrics` conventions.
 //! * [`wal`] — the optional write-ahead file sink: per-shard value

@@ -133,7 +133,7 @@ impl Replay<'_> {
         if op.is_lock() {
             self.store
                 .shard_of(op.entity)
-                .try_acquire(ctx.instance, op.entity)?;
+                .try_acquire(ctx.holder(), op.entity)?;
             a.granted(n);
         } else {
             a.unlock(n, |nodes| {
@@ -191,11 +191,7 @@ pub fn replay_schedule(
         .map(|t| Program::counter(t.entities()))
         .collect();
     let attempt_of = |t: TxnId, attempt: u32| {
-        let ctx = WriteCtx {
-            instance: t,
-            gid: t.0,
-            attempt,
-        };
+        let ctx = WriteCtx { gid: t.0, attempt };
         Attempt::new(&store, sys.txn(t), &programs[t.index()], ctx)
     };
     let mut attempts: Vec<Attempt<'_>> = sys.iter().map(|(t, _)| attempt_of(t, 0)).collect();

@@ -12,10 +12,15 @@
 //! tip; an in-flight write is an unstamped entry; commit stamps it; a
 //! wait-die victim that dies *after* an unlock exposed its write has
 //! the entry removed again; a snapshot read folds the entries stamped
-//! `≤` its cut. With a WAL file sink attached, every write (and every
-//! rollback) is also appended to `shard-<k>.wal` under the same mutex,
-//! so file order is chain order and [`crate::wal::recover`] rebuilds
-//! the same chains in one pass.
+//! `≤` its cut. With a WAL file sink attached, every write is also
+//! appended to `shard-<k>.wal` under the same mutex, so file order is
+//! chain order and [`crate::wal::recover`] rebuilds the same chains in
+//! one pass (a rollback logs nothing — the removed entry's `Write`
+//! never gets a `Commit`).
+//!
+//! An instance has one identity, its engine-lifetime `gid`: it is the
+//! holder in the lock tables, the wait-die timestamp, and the key of
+//! its chain entries and WAL records.
 
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
@@ -107,16 +112,21 @@ pub(crate) fn apply_op(
 }
 
 /// Identity of the attempt performing a write, threaded from the
-/// executor down to the shard so every chain entry and WAL record is
-/// attributed (the WAL keys by globally unique instance id).
+/// executor down to the shard so every lock, chain entry and WAL record
+/// is attributed to the one instance id.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteCtx {
-    /// Run-local instance id (doubles as the lock-table transaction id).
-    pub instance: TxnId,
-    /// Globally unique instance id within the WAL directory.
+    /// The instance's engine-lifetime id.
     pub gid: u32,
     /// Attempt number.
     pub attempt: u32,
+}
+
+impl WriteCtx {
+    /// The instance as the lock tables name it.
+    pub(crate) fn holder(&self) -> TxnId {
+        TxnId(self.gid)
+    }
 }
 
 /// Mutable state of one shard: the value chains plus the site's lock
@@ -209,7 +219,7 @@ impl Shard {
             Some(w) => st.apply_logged(ctx, self.slot(entity), w).map(|()| true),
             None => Ok(false),
         };
-        st.release_and_promote(ctx.instance, entity);
+        st.release_and_promote(ctx.holder(), entity);
         applied
     }
 
@@ -221,24 +231,10 @@ impl Shard {
 
     /// Rolls back the write the attempt applied to `entity`, if it is
     /// still undecided: its chain entry is removed and the tip re-folded
-    /// over the survivors (see [`Chain::remove`]). The restoration is
-    /// logged to the shard's WAL sink.
+    /// over the survivors (see [`Chain::remove`]). Nothing is logged —
+    /// recovery replays committed attempts only.
     pub(crate) fn undo_write(&self, ctx: &WriteCtx, entity: EntityId) -> UndoOutcome {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let chain = &mut st.chains[self.slot(entity)];
-        let outcome = chain.remove(ctx.gid);
-        if outcome != UndoOutcome::None {
-            if let Some((sink, wal)) = st.sink.as_mut() {
-                let rec = WalRecord::Undo {
-                    gid: ctx.gid,
-                    entity,
-                    restored: chain.tip().clone(),
-                };
-                wal.append_shard(sink, &rec);
-            }
-        }
-        outcome
+        self.state.lock().chains[self.slot(entity)].remove(ctx.gid)
     }
 
     /// Reads the live value of `entity` without taking its lock
@@ -266,8 +262,6 @@ impl ShardState {
                 attempt: ctx.attempt,
                 entity: chain.entity(),
                 op: write.clone(),
-                before: chain.tip().clone(),
-                after: after.clone(),
             };
             wal.append_shard(sink, &rec);
         }
@@ -619,7 +613,6 @@ mod tests {
 
     fn ctx(instance: u32) -> WriteCtx {
         WriteCtx {
-            instance: TxnId(instance),
             gid: instance,
             attempt: 0,
         }
@@ -1272,7 +1265,7 @@ mod tests {
                 for (i, (e, raw)) in committed_prefix.iter().enumerate() {
                     let e = EntityId(*e);
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.instance, e, &tx);
+                    s.shard_of(e).request(c.holder(), e, &tx);
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
                     commit(&s, &c, e);
                 }
@@ -1287,7 +1280,7 @@ mod tests {
                     if touched.contains(&e) {
                         continue;
                     }
-                    s.shard_of(e).request(c.instance, e, &tx);
+                    s.shard_of(e).request(c.holder(), e, &tx);
                     if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {
                         touched.push(e);
                     }
@@ -1322,7 +1315,7 @@ mod tests {
                 };
                 for (i, raw) in live_raws.iter().enumerate() {
                     let c = ctx(1 + i as u32);
-                    s.shard_of(e).request(c.instance, e, &tx);
+                    s.shard_of(e).request(c.holder(), e, &tx);
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
                     commit(&s, &c, e);
                     if let Ok(v) = apply_op(e, &expected, &op_of(*raw)) {
@@ -1373,7 +1366,7 @@ mod tests {
                         _ => WriteOp::Put(*n as u64),
                     };
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.instance, e, &tx);
+                    s.shard_of(e).request(c.holder(), e, &tx);
                     s.shard_of(e).write_and_release(&c, e, Some(&op)).unwrap();
                     // The first two writers are always victims, so every
                     // case has overlapping doomed attempts.
@@ -1412,7 +1405,7 @@ mod tests {
                 let mut doomed = Vec::new();
                 for (i, raw) in raws.iter().enumerate() {
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.instance, e, &tx);
+                    s.shard_of(e).request(c.holder(), e, &tx);
                     // An `Add` meeting a byte payload is a typed skip:
                     // nothing applied, nothing to undo.
                     if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {

@@ -164,9 +164,10 @@ mod imp {
     ///   the shard mutex, and a buffered append may cross into
     ///   `write(2)` on a capacity boundary; it must never cross an
     ///   fsync (durability waits run with no shard lock held).
-    /// * `history.shared` — the timestamp critical section feeds the
-    ///   WAL event sink (buffered), by design, so durable history order
-    ///   equals timestamp order.
+    /// * `engine.auditor` — the one event critical section appends each
+    ///   release batch to `history.wal` (buffered) while feeding the
+    ///   auditor, by design, so durable history order equals audit
+    ///   order; never across an fsync.
     /// * `wal.*` writer locks — these exist precisely to serialize
     ///   write+fsync, so they alone may cross both.
     /// * `server.engine` — `submit` holds the engine slot for an entire
@@ -176,11 +177,10 @@ mod imp {
     /// `wal.group_state` is deliberately absent: the group-commit
     /// leader must drain tickets and fsync *outside* the state lock
     /// (the PR 7 invariant this list machine-checks). So are
-    /// `template.slot_gate`, `engine.cumulative`, `engine.auditor`,
-    /// and `server.conns`.
+    /// `template.slot_gate`, `engine.cumulative` and `server.conns`.
     const BLOCKING_ALLOW: &[(&str, u8)] = &[
         ("shard.state", 1),
-        ("history.shared", 1),
+        ("engine.auditor", 1),
         ("wal.commit", 1 | 2),
         ("wal.history", 1 | 2),
         ("wal.shard_sinks", 1 | 2),

@@ -10,9 +10,13 @@
 //! and a fresh certification); submissions run on the registered engine
 //! with its admission gates shared across connections, so concurrent
 //! clients together still cannot exceed the certified per-template
-//! multiprogramming. Submissions serialize on the engine lock — each
-//! run's wait-die timestamps are per-run instance ids, so two
-//! interleaved runs could not share the store safely.
+//! multiprogramming. Instance ids are no reason to serialize any more:
+//! the engine mints every gid (lock holder, wait-die timestamp) from one
+//! id space that lasts its lifetime, so instances of different
+//! submissions never collide. Submissions still serialize on the engine
+//! lock for the two things that remain per run: the `D(S)` auditor
+//! (each run audits its own instances) and the phase-histogram delta a
+//! `Report` attributes to its run.
 
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
@@ -240,24 +244,15 @@ impl Shared {
 
     fn submit(&self, template: &str, count: u32) -> Response {
         // Hold the engine lock for the whole run: submissions serialize
-        // (wait-die timestamps are per-run ids), registrations cannot
-        // swap the engine mid-run.
+        // (the auditor and the phase delta are per run — gids are not),
+        // registrations cannot swap the engine mid-run.
         let guard = self.engine.lock();
         let Some(engine) = guard.as_ref() else {
             return no_system();
         };
         let sys = engine.registry().system();
         let mix: Vec<(TxnId, usize)> = if template.is_empty() {
-            // Round-robin over every template, like `Engine::run`.
-            let n = sys.len();
-            (0..n)
-                .map(|i| {
-                    (
-                        TxnId::from_index(i),
-                        count as usize / n + usize::from(i < count as usize % n),
-                    )
-                })
-                .collect()
+            engine.uniform_mix(count as usize)
         } else {
             match sys.iter().find(|(_, txn)| txn.name() == template) {
                 Some((t, _)) => vec![(t, count as usize)],

@@ -33,7 +33,7 @@ pub mod msg;
 pub mod time;
 
 pub use des::{run, DeadlockPolicy, SimConfig, Simulator};
-pub use history::{EventSink, History, HistoryEvent, SharedHistory};
+pub use history::{History, HistoryEvent};
 pub use lockmgr::{Acquire, LockTable};
 pub use metrics::SimReport;
 pub use msg::Message;

@@ -54,7 +54,7 @@ impl SpanKind {
 pub struct SpanEvent {
     /// Nanoseconds since the telemetry handle was created.
     pub ts_ns: u64,
-    /// Global instance id (WAL id space).
+    /// The instance's engine-lifetime id (also its WAL id).
     pub gid: u64,
     /// Template index of the instance.
     pub template: u32,

@@ -72,6 +72,11 @@ fn recovery_replays_committed_state_and_reaudits() {
         "recovered history must pass D(S): {:?}",
         rec.audit_error
     );
+    // Live order = logged order under four worker threads: the log and
+    // the live auditor were fed inside one critical section, so replaying
+    // the log reaches the live verdict over the same number of events.
+    assert_eq!(rec.serializable, live.serializable.and(live2.serializable));
+    assert_eq!(rec.history_len, live.history_len + live2.history_len);
     // The recovered store is byte-for-byte the live one: same values,
     // same versions.
     assert_eq!(rec.store.snapshot(), live_snapshot);
@@ -113,8 +118,8 @@ fn recovery_after_wait_die_rollbacks_sees_only_committed_effects() {
     drop(engine);
 
     // Replay ignores the aborted attempts entirely (their Write records
-    // have no Commit; their Undo records are informational), so the
-    // recovered store equals the live post-rollback store exactly.
+    // have no Commit; a rollback logs nothing), so the recovered store
+    // equals the live post-rollback store exactly.
     let rec = recover(&dir).unwrap();
     assert_eq!(rec.committed, 100);
     assert_eq!(rec.store.snapshot(), live_snapshot);

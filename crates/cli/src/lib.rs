@@ -86,9 +86,9 @@ pub struct EngineFlags {
     /// first recovers a WAL it finds there and starts with the replayed
     /// engine.
     pub wal: Option<String>,
-    /// Fsync WAL data logs + commit record before a commit is
-    /// acknowledged (durable against power loss; the `fsync` phase
-    /// histogram measures it).
+    /// Fsync the WAL before a commit is acknowledged — one fsync per
+    /// commit group, covering data and decision (durable against power
+    /// loss; the `fsync` phase histogram has one sample per fsync).
     pub wal_sync: bool,
     /// Sizes the commit group: decisions are always queued and flushed
     /// by a leader in batches of up to this size — one buffered write
@@ -492,8 +492,9 @@ fn run_lockgraph(dot: bool) -> Outcome {
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
     // Engine leg: slot_gate, shard.state, store.clock, engine.* and the
     // wal.* classes (fsync regions via `wal_sync`, the group path via
-    // `group_commit`, the event section — engine.auditor over
-    // wal.history — on every unlock).
+    // `group_commit`, the event section — engine.auditor over wal.log —
+    // on every unlock, the write-ahead append — shard.state over
+    // wal.log — on every write).
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
     let flags = EngineFlags {
         inflate: Some(InflateArg::Auto),

@@ -32,7 +32,7 @@
 //!
 //! **One event path.** Each release batch of effective lock/unlock
 //! events takes the `engine.auditor` lock once and, inside that one
-//! critical section, is appended to `history.wal` and fed to the
+//! critical section, is appended to the log and fed to the
 //! incremental [`StreamingAuditor`] — the same order in both — so the
 //! engine keeps a *live* `D(S)` verdict instead of re-running the
 //! quadratic batch audit per report. Commit/abort decisions flow to the
@@ -45,7 +45,7 @@ use crate::attempt::{wait_die, Attempt, Refused};
 use crate::report::{LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
-use crate::wal::{Recovered, Wal, WalOptions, DEFAULT_MAX_GROUP};
+use crate::wal::{Recovered, Wal, WalOptions, WalRecord, DEFAULT_MAX_GROUP};
 use crossbeam::channel::{unbounded, Sender};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
@@ -100,15 +100,15 @@ pub struct EngineConfig {
     /// cost of not trusting the certificate).
     pub force_fallback: bool,
     /// Write-ahead log directory: every write, commit decision, and
-    /// history event is appended durably (one value log per shard; see
+    /// history event is appended to one log file (see
     /// [`crate::wal`]) so [`crate::wal::recover`] can replay the store
     /// after a crash. `None` = in-memory only (rollback still works).
     pub wal_dir: Option<PathBuf>,
-    /// `fsync` the commit decision log on every commit (see
-    /// [`WalOptions::sync`]).
+    /// `fsync` the log once per commit group, covering data and decision
+    /// (see [`WalOptions::sync`]).
     pub wal_sync: bool,
     /// Sizes the group committer every decision goes through: committing
-    /// workers share one decision frame, one data-log flush, and (under
+    /// workers share one decision frame, one flush, and (under
     /// `wal_sync`) one fsync per group of up to `max_group` commits (see
     /// [`WalOptions::max_group`]). `None` = [`DEFAULT_MAX_GROUP`];
     /// `Some(1)` writes one decision record (and fsync) per commit.
@@ -118,7 +118,7 @@ pub struct EngineConfig {
     pub group_commit: Option<usize>,
     /// Admission batch size: workers claim instances from the run queue
     /// in chunks of up to this many, admitting each chunk under one
-    /// gate acquisition per template and one decision-log lock for its
+    /// gate acquisition per template and one log-lock acquisition for its
     /// `Begin` records — amortizing the per-instance admission critical
     /// sections. `1` (the default) makes every instance a chunk of one.
     /// Chunk instances execute sequentially on their worker, so
@@ -208,11 +208,16 @@ struct RunAudit {
 
 impl RunAudit {
     /// The one event path: a release batch of `ctx`'s events enters
-    /// `history.wal` and the auditor inside the caller's single critical
+    /// the log and the auditor inside the caller's single critical
     /// section, so log order is audit order.
     fn record(&mut self, wal: Option<&Wal>, ctx: WriteCtx, nodes: &[NodeId]) {
         if let Some(w) = wal {
-            w.log_events(ctx.gid, ctx.attempt, nodes);
+            let (gid, attempt) = (ctx.gid, ctx.attempt);
+            w.append(
+                nodes
+                    .iter()
+                    .map(|&node| WalRecord::Event { gid, attempt, node }),
+            );
         }
         for &node in nodes {
             self.auditor.event(ctx.gid, ctx.attempt, node);
@@ -308,17 +313,13 @@ impl Engine {
 
     /// [`Engine::with_registry`], surfacing WAL I/O errors.
     pub fn try_with_registry(registry: TemplateRegistry, cfg: EngineConfig) -> io::Result<Self> {
-        let (store, wal) = match &cfg.wal_dir {
-            None => (Store::new(registry.system().db(), cfg.initial_value), None),
+        let sys = registry.system();
+        let store = Store::new(sys.db(), cfg.initial_value);
+        let wal = match &cfg.wal_dir {
+            None => None,
             Some(dir) => {
-                let wal = Wal::create(
-                    dir.clone(),
-                    registry.system(),
-                    cfg.initial_value,
-                    Self::wal_options(&cfg),
-                )?;
-                let store = Store::with_wal(registry.system().db(), cfg.initial_value, &wal)?;
-                (store, Some(wal))
+                let opts = Self::wal_options(&cfg);
+                Some(Wal::create(dir.clone(), sys, cfg.initial_value, opts)?)
             }
         };
         Ok(Self::assemble(registry, store, cfg, wal, 0))
@@ -334,6 +335,9 @@ impl Engine {
         next_gid: u32,
     ) -> Self {
         store.set_telemetry(&cfg.telemetry);
+        if let Some(w) = &wal {
+            store.attach_wal(w);
+        }
         Self::install_template_counters(&registry, &cfg.telemetry);
         Self {
             registry,
@@ -359,14 +363,12 @@ impl Engine {
     ) -> io::Result<Self> {
         let dir = dir.into();
         let wal = Wal::resume(dir.clone(), Self::wal_options(&cfg))?;
-        let mut store = rec.store;
-        store.attach_wal(&wal)?;
         cfg.wal_dir = Some(dir);
         cfg.initial_value = rec.initial_value;
         let registry = TemplateRegistry::register_with(rec.system, admission);
         Ok(Self::assemble(
             registry,
-            store,
+            rec.store,
             cfg,
             Some(wal),
             rec.next_base,
@@ -533,7 +535,7 @@ impl Engine {
         );
         // Workers claim instances in admission-batch chunks (of one, by
         // default): each chunk is admitted under one gate acquisition
-        // per template and one decision-log lock for its Begin records
+        // per template and one log-lock acquisition for its Begin records
         // (see `execute_chunk`).
         let batch = self.cfg.admission_batch.max(1);
         let (work_tx, work_rx) = unbounded::<Vec<Instance>>();
@@ -587,7 +589,7 @@ impl Engine {
         // claimed durable (commit decisions were already flushed — and
         // under `sync`, fsynced — at each group boundary).
         if let Some(w) = &self.wal {
-            w.flush_all();
+            w.flush();
         }
 
         let mut outcomes: Vec<Outcome> = vec![Outcome::default(); instances.len()];
@@ -611,9 +613,17 @@ impl Engine {
         report
     }
 
+    fn begin(inst: Instance, attempt: u32) -> WalRecord {
+        WalRecord::Begin {
+            gid: inst.gid,
+            template: inst.template.0,
+            attempt,
+        }
+    }
+
     /// Runs one admission-batch chunk — the only admission path, a chunk
     /// of one included. The chunk is admitted as a unit (one gate
-    /// acquisition per distinct template, one decision-log lock for
+    /// acquisition per distinct template, one log-lock acquisition for
     /// every first-attempt `Begin`), then its instances execute
     /// sequentially on this worker. Sequential execution is what keeps
     /// batching sound: at most one of the chunk's instances is inside
@@ -647,8 +657,7 @@ impl Engine {
         let gate_wait = asked.elapsed();
         tel.record(Phase::GateWait, gate_wait);
         if let Some(w) = &self.wal {
-            let begins: Vec<(u32, TxnId)> = chunk.iter().map(|i| (i.gid, i.template)).collect();
-            w.log_begins(&begins, 0);
+            w.append(chunk.iter().map(|i| Self::begin(*i, 0)));
         }
         for inst in chunk {
             let out = self.execute_instance(*inst, audit, ttable, gate_wait);
@@ -694,7 +703,7 @@ impl Engine {
             // its own.
             if attempt > 0 {
                 if let Some(w) = &self.wal {
-                    w.log_begins(&[(gid, inst.template)], attempt);
+                    w.append([Self::begin(inst, attempt)]);
                 }
             }
             let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx);
@@ -751,7 +760,7 @@ impl Engine {
                 break;
             };
             if let Some(w) = &self.wal {
-                w.log_abort(gid, attempt);
+                w.append([WalRecord::Abort { gid, attempt }]);
             }
             // The attempt's locks were released and its writes rolled
             // back: its buffered events leave the committed projection.

@@ -42,9 +42,9 @@
 //!                          { value chains + LockTable } per mutex
 //!                             │                  │
 //!                             │   Wal (optional file sink, framed records)
-//!                             │     shard-<k>.wal   Write per shard
-//!                             │     commit.wal      Begin/Commit(Group)/Abort
-//!                             │     history.wal     lock/unlock events
+//!                             │     log.wal   every record, append order:
+//!                             │               Begin / Write / Event /
+//!                             │               Commit(Group) / Abort
 //!                             │     (every record keyed by the one gid)
 //!                             │                  │
 //!                             │        wal::recover(dir): replay committed
@@ -70,8 +70,8 @@
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
-//! `engine.auditor` ▷ the `wal.*` classes, with `store.clock` a leaf
-//! never held with any of them — documented in the "Lock
+//! `engine.auditor` ▷ `wal.log` (`wal.group_state` and `store.clock`
+//! are leaves never held with any of them) — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -110,10 +110,11 @@
 //!   cross-check it against the batch [`ddlf_sim::History`] oracle).
 //! * [`report`] — throughput / latency / abort metrics following the
 //!   `ddlf_sim::metrics` conventions.
-//! * [`wal`] — the optional write-ahead file sink: per-shard value
-//!   logs in chain order plus the durable decision log, whose
-//!   [`wal::recover`] rebuilds the committed chains in one pass and
-//!   re-audits the recovered history after a crash.
+//! * [`wal`] — the optional write-ahead file sink: one append-only
+//!   log in which file order is chain order, audit order and
+//!   data-before-decision at once; [`wal::recover`] rebuilds the
+//!   committed chains from it and re-audits the recovered history
+//!   after a crash.
 //!
 //! Concurrency is a *certified quantity*: each template's [`SlotGate`]
 //! admits at most its certified `k_t` live instances (∞ under Theorem 5,

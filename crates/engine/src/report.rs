@@ -128,8 +128,8 @@ pub struct Report {
     /// telemetry handle; all-zero otherwise. Unlike [`LatencyStats`],
     /// these merge *exactly* under [`Report::absorb`].
     pub phases: PhaseSnapshot,
-    /// Decision-log flush groups written by the WAL's group committer
-    /// this run (one data-log flush + at most one fsync each); 0 when
+    /// Flush groups written by the WAL's group committer this run (one
+    /// decision frame, one flush and at most one fsync each); 0 when
     /// group commit is off or no WAL is attached.
     pub group_flushes: u64,
     /// Commit decisions that went through the group committer this run;

@@ -12,11 +12,11 @@
 //! tip; an in-flight write is an unstamped entry; commit stamps it; a
 //! wait-die victim that dies *after* an unlock exposed its write has
 //! the entry removed again; a snapshot read folds the entries stamped
-//! `≤` its cut. With a WAL file sink attached, every write is also
-//! appended to `shard-<k>.wal` under the same mutex, so file order is
-//! chain order and [`crate::wal::recover`] rebuilds the same chains in
-//! one pass (a rollback logs nothing — the removed entry's `Write`
-//! never gets a `Commit`).
+//! `≤` its cut. With a WAL attached, every write is also appended to
+//! the log under the same mutex, so file order is chain order and
+//! [`crate::wal::recover`] rebuilds the same chains in one pass (a
+//! rollback logs nothing — the removed entry's `Write` never gets a
+//! `Commit`).
 //!
 //! An instance has one identity, its engine-lifetime `gid`: it is the
 //! holder in the lock tables, the wait-die timestamp, and the key of
@@ -24,14 +24,13 @@
 
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
-use crate::wal::{ShardSink, Wal, WalRecord};
+use crate::wal::{Wal, WalRecord};
 use crossbeam::channel::Sender;
 use ddlf_model::{Database, EntityId, SiteId, TxnId};
 use ddlf_sim::{Acquire, LockTable};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -141,9 +140,9 @@ pub(crate) struct ShardState {
     /// lock-wait histogram; stamping it is one clock read on the
     /// already-contended path).
     pub waiters: HashMap<(TxnId, EntityId), (Sender<EntityId>, Instant)>,
-    /// Optional file sink: `shard-<k>.wal`, written under this mutex so
-    /// file order is chain order.
-    sink: Option<(ShardSink, Arc<Wal>)>,
+    /// Optional log: appended to under this mutex, so file order is
+    /// chain order.
+    sink: Option<Arc<Wal>>,
     /// Observability handle: promotion records the measured queue wait
     /// into the lock-wait histogram (grants that never queued are
     /// recorded executor-side, so each acquisition yields one sample).
@@ -246,8 +245,8 @@ impl Shard {
 
 impl ShardState {
     /// Applies one write: computes the new value, appends the record to
-    /// the shard's value log (write-ahead), then appends the undecided
-    /// entry to the entity's chain.
+    /// the log (write-ahead), then appends the undecided entry to the
+    /// entity's chain.
     fn apply_logged(
         &mut self,
         ctx: &WriteCtx,
@@ -256,14 +255,13 @@ impl ShardState {
     ) -> Result<(), WriteError> {
         let chain = &mut self.chains[slot];
         let after = chain.apply(write)?;
-        if let Some((sink, wal)) = self.sink.as_mut() {
-            let rec = WalRecord::Write {
+        if let Some(wal) = &self.sink {
+            wal.append([WalRecord::Write {
                 gid: ctx.gid,
                 attempt: ctx.attempt,
                 entity: chain.entity(),
                 op: write.clone(),
-            };
-            wal.append_shard(sink, &rec);
+            }]);
         }
         chain.push(ctx.gid, write.clone(), None, after);
         Ok(())
@@ -341,26 +339,9 @@ impl Store {
         }
     }
 
-    /// [`Store::new`] with the per-shard value logs attached to `wal`
-    /// (one `shard-<k>.wal` file per shard, append mode).
-    pub(crate) fn with_wal(db: &Database, initial: u64, wal: &Arc<Wal>) -> io::Result<Self> {
-        let mut store = Self::new(db, initial);
-        store.attach_wal(wal)?;
-        Ok(store)
-    }
-
-    /// Replays a WAL directory into a fresh store and re-audits the
-    /// recovered history — see [`crate::wal::recover`], which this
-    /// forwards to.
-    pub fn recover(
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<crate::wal::Recovered, crate::wal::WalError> {
-        crate::wal::recover(dir)
-    }
-
     /// Recovery: appends one committed write, already stamped, to its
     /// chain (no locks, no logging — recovery is single-threaded over a
-    /// private store, fed in shard-log file order).
+    /// private store, fed in log file order).
     pub(crate) fn recover_write(
         &mut self,
         entity: EntityId,
@@ -381,13 +362,12 @@ impl Store {
         self.clock = Clock::starting_at(commit_ts);
     }
 
-    /// Attaches per-shard WAL sinks to a recovered store so a resumed
-    /// engine keeps appending to the same directory.
-    pub(crate) fn attach_wal(&mut self, wal: &Arc<Wal>) -> io::Result<()> {
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            shard.state.get_mut().sink = Some((wal.open_shard_log(k)?, Arc::clone(wal)));
+    /// Attaches the log: every shard's writes are appended to `wal`
+    /// (a fresh engine's new directory, or a resumed one's recovered).
+    pub(crate) fn attach_wal(&mut self, wal: &Arc<Wal>) {
+        for shard in &mut self.shards {
+            shard.state.get_mut().sink = Some(Arc::clone(wal));
         }
-        Ok(())
     }
 
     /// Hands every shard the engine's telemetry handle so lock
@@ -403,11 +383,6 @@ impl Store {
     /// The shard owning `entity`.
     pub fn shard_of(&self, entity: EntityId) -> &Shard {
         &self.shards[self.db.site_of(entity).index()]
-    }
-
-    /// All shards, in site order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
     }
 
     /// The schema the store was built for.

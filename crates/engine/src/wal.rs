@@ -1,19 +1,20 @@
-//! Per-shard value logging with write-ahead durability and
-//! crash-recovery replay through the `D(S)` audit.
+//! The write-ahead log — one append-only file — and crash-recovery
+//! replay through the `D(S)` audit.
 //!
-//! With a file sink attached, every write is appended to its shard's
-//! log *before* the in-memory chain mutates and under the same mutex, so
-//! file order is chain order and a crashed process can be replayed (a
-//! rollback logs nothing: the victim's `Write`s simply never get a
-//! `Commit`): the committing attempts' operations re-enter
-//! fresh chains in one pass per shard log, stamped from the decision
-//! log, and the recovered lock/unlock history is re-audited with the
-//! model's `D(S)` test — streamed through the incremental
-//! [`StreamingAuditor`], so recovery stays linear in log size. Commit is
-//! a **durable decision** (Gray & Lamport, *Consensus on Transaction
-//! Commit*): an instance is recovered if and only if its `Commit` record
-//! reached the decision log, never because its data writes happen to be
-//! present.
+//! With a WAL attached, every write is appended to the log *before* the
+//! in-memory chain mutates and under the shard's mutex, and every
+//! release batch of history events under the auditor's, so file order
+//! is at once chain order per entity and audit order for events, and a
+//! crashed process can be replayed (a rollback logs nothing: the
+//! victim's `Write`s simply never get a `Commit`): the committing
+//! attempts' operations re-enter fresh chains in file order, stamped
+//! from their decisions, and the recovered lock/unlock history is
+//! re-audited with the model's `D(S)` test — streamed through the
+//! incremental [`StreamingAuditor`], so recovery stays linear in log
+//! size. Commit is a **durable decision** (Gray & Lamport, *Consensus
+//! on Transaction Commit*): an instance is recovered if and only if its
+//! `Commit` record is in the log, never because its data writes happen
+//! to be present.
 //!
 //! ## On-disk layout
 //!
@@ -22,18 +23,15 @@
 //! conventions it builds on — lives in `ARCHITECTURE.md` at the
 //! repository root; this rustdoc mirrors it for in-code readers.)
 //!
-//! A WAL directory holds one log file per shard plus two shared logs and
-//! a metadata file:
+//! A WAL directory holds exactly two files:
 //!
 //! ```text
 //!   wal/
-//!     meta.json      the registered SystemSpec + initial entity value
-//!     commit.wal     Begin / Commit / Abort — the durable decision log
-//!     history.wal    Event — the lock/unlock stream the D(S) audit replays
-//!     shard-<k>.wal  Write — the value log of shard k, apply order
+//!     meta.json   the registered SystemSpec + initial entity value
+//!     log.wal     every record, in append order
 //! ```
 //!
-//! Every `.wal` file is a sequence of length-prefixed frames in the
+//! `log.wal` is a sequence of length-prefixed frames in the
 //! [`ddlf_sim::msg::frame`] codec (u32 LE length + payload); each payload
 //! is one binary [`WalRecord`]:
 //!
@@ -52,7 +50,9 @@
 //! The grammar holds exactly what [`recover`] reads — no value images,
 //! no event times (file order *is* event order) — and decoding is
 //! strict, so a directory written in an older grammar is refused with
-//! [`WalError::Record`] rather than misread.
+//! [`WalError::Record`] rather than misread. A directory written in the
+//! older *multi-file* layout (`commit.wal` + `history.wal` +
+//! `shard-<k>.wal`) is refused by name; no reader for it is kept.
 //!
 //! A `CommitGroup` is the group committer's decision record: the durable
 //! commit of every entry in one frame. Because it is *one* frame, a torn
@@ -67,32 +67,31 @@
 //!
 //! ## Durability model
 //!
-//! Records are framed into per-log user-space buffers (`LogWriter`,
-//! one buffered write replacing one `write(2)` per record) under an
-//! explicit **flush-before-decision contract**: before a `Commit` or
-//! `CommitGroup` frame reaches the kernel, every shard value buffer and
-//! the history buffer are flushed first. A commit record visible in the
-//! page cache therefore still implies its `Write`/`Event` records are
-//! visible too, so replay stays correct against process death
+//! Every record is framed into one user-space buffer (`LogWriter`, one
+//! buffered write replacing one `write(2)` per record) behind one mutex,
+//! `wal.log`, so the file is a single total order and **data before
+//! decision is its prefix property, not a protocol**: an attempt appends
+//! its `Write`/`Event` records before it asks for its decision, so a
+//! `Commit` or `CommitGroup` frame in the file implies every record it
+//! decides over is in the file before it. That holds after process death
 //! (`SIGKILL` — the page cache survives), which is what the CI
-//! crash-recovery smoke exercises. Surviving *power loss* additionally
-//! needs [`WalOptions::sync`], which fsyncs the shard value logs and the
-//! history log **before** appending and fsyncing the commit record — so
-//! a durable `Commit` implies its `Write`/`Event` records are durable
-//! too, never the reverse.
+//! crash-recovery smoke exercises, and under [`WalOptions::sync`] after
+//! *power loss* too: the one `fdatasync` that makes a decision durable
+//! covers the whole prefix.
 //!
 //! Every decision goes through one leader/follower **group committer**
 //! (there is no per-commit mode; [`WalOptions::max_group`] only sizes
 //! it, and `1` is the unbatched reference): a committing worker
 //! enqueues its decision and parks; the first enqueuer becomes leader,
-//! drains the queue, performs one data-log flush (+fsync under `sync`),
-//! appends the whole batch as one `CommitGroup` frame — a plain
-//! `Commit` for a group of one — issues **one** decision fsync for the
-//! group, then wakes every follower. The fsync-ordering invariant above
-//! holds per *group*. The decision log is buffered like the data logs:
-//! `Begin`/`Abort` frames may sit in user space, while a decision frame
-//! is only ever appended by a leader, after its data flush, and pushed
-//! to the kernel at once.
+//! drains the queue, takes `wal.log`, appends the whole batch as one
+//! `CommitGroup` frame — a plain `Commit` for a group of one — flushes
+//! the buffer, issues (under `sync`) **one** `fdatasync` for the group,
+//! then wakes every follower. `Begin`/`Abort`/`Write`/`Event` frames
+//! may sit in user space until the next decision (or a full buffer, or
+//! the end-of-run flush) pushes them out; a decision frame never does.
+//! The leader holds `wal.log` across that `fdatasync`, so any other
+//! appender — a shard under `shard.state`, an event batch under
+//! `engine.auditor` — may wait out one group fsync behind it.
 
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
@@ -137,19 +136,8 @@ pub enum WalRecord {
         /// cannot corrupt the replay.
         op: WriteOp,
     },
-    /// The durable commit decision for instance `gid`.
-    Commit {
-        /// Global instance id.
-        gid: u32,
-        /// Template index within the registered system.
-        template: u32,
-        /// The committing attempt.
-        attempt: u32,
-        /// The commit timestamp allocated before durability: recovery
-        /// stamps it on the instance's chain entries, so decision-log
-        /// file order need not equal commit order.
-        commit_ts: u64,
-    },
+    /// The durable commit decision for one instance: a group of one.
+    Commit(GroupEntry),
     /// The attempt died (wait-die victim); its writes were undone.
     Abort {
         /// Global instance id.
@@ -177,7 +165,8 @@ pub enum WalRecord {
     },
 }
 
-/// One committed instance inside a [`WalRecord::CommitGroup`].
+/// One committed instance: the body of a [`WalRecord::Commit`] and of
+/// each entry of a [`WalRecord::CommitGroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupEntry {
     /// Global instance id.
@@ -186,8 +175,9 @@ pub struct GroupEntry {
     pub template: u32,
     /// The committing attempt.
     pub attempt: u32,
-    /// The commit timestamp allocated before durability (see
-    /// [`WalRecord::Commit::commit_ts`]).
+    /// The commit timestamp allocated before durability: recovery
+    /// stamps it on the instance's chain entries, so decision file
+    /// order need not equal commit order.
     pub commit_ts: u64,
 }
 
@@ -228,6 +218,22 @@ fn get_op(buf: &mut Bytes) -> Option<WriteOp> {
     }
 }
 
+fn put_entry(b: &mut BytesMut, e: &GroupEntry) {
+    b.put_u32_le(e.gid);
+    b.put_u32_le(e.template);
+    b.put_u32_le(e.attempt);
+    b.put_u64_le(e.commit_ts);
+}
+
+fn get_entry(buf: &mut Bytes) -> Option<GroupEntry> {
+    Some(GroupEntry {
+        gid: codec::get_u32(buf)?,
+        template: codec::get_u32(buf)?,
+        attempt: codec::get_u32(buf)?,
+        commit_ts: codec::get_u64(buf)?,
+    })
+}
+
 impl WalRecord {
     /// Encodes to the binary record format (see module docs).
     pub fn encode(&self) -> Bytes {
@@ -255,17 +261,9 @@ impl WalRecord {
                 b.put_u32_le(entity.0);
                 put_op(&mut b, op);
             }
-            WalRecord::Commit {
-                gid,
-                template,
-                attempt,
-                commit_ts,
-            } => {
+            WalRecord::Commit(e) => {
                 b.put_u8(TAG_COMMIT);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*template);
-                b.put_u32_le(*attempt);
-                b.put_u64_le(*commit_ts);
+                put_entry(&mut b, e);
             }
             WalRecord::Abort { gid, attempt } => {
                 b.put_u8(TAG_ABORT);
@@ -282,10 +280,7 @@ impl WalRecord {
                 b.put_u8(TAG_COMMIT_GROUP);
                 b.put_u32_le(u32::try_from(entries.len()).expect("group fits a frame"));
                 for e in entries {
-                    b.put_u32_le(e.gid);
-                    b.put_u32_le(e.template);
-                    b.put_u32_le(e.attempt);
-                    b.put_u64_le(e.commit_ts);
+                    put_entry(&mut b, e);
                 }
             }
         }
@@ -306,12 +301,7 @@ impl WalRecord {
                 entity: EntityId(codec::get_u32(&mut buf)?),
                 op: get_op(&mut buf)?,
             },
-            TAG_COMMIT => WalRecord::Commit {
-                gid: codec::get_u32(&mut buf)?,
-                template: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
-                commit_ts: codec::get_u64(&mut buf)?,
-            },
+            TAG_COMMIT => WalRecord::Commit(get_entry(&mut buf)?),
             TAG_ABORT => WalRecord::Abort {
                 gid: codec::get_u32(&mut buf)?,
                 attempt: codec::get_u32(&mut buf)?,
@@ -330,12 +320,7 @@ impl WalRecord {
                 }
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    entries.push(GroupEntry {
-                        gid: codec::get_u32(&mut buf)?,
-                        template: codec::get_u32(&mut buf)?,
-                        attempt: codec::get_u32(&mut buf)?,
-                        commit_ts: codec::get_u64(&mut buf)?,
-                    });
+                    entries.push(get_entry(&mut buf)?);
                 }
                 WalRecord::CommitGroup { entries }
             }
@@ -348,18 +333,18 @@ impl WalRecord {
 /// WAL tuning.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Power-loss durability: on every commit, `fsync` the shard value
-    /// logs and the history log, *then* append and `fsync` the commit
-    /// record — the decision only becomes durable after the writes it
-    /// decides over. Off by default: the flush-before-decision contract
-    /// already survives process death, and the crash model the tests
-    /// exercise is `SIGKILL`, not power loss.
+    /// Power-loss durability: the group leader `fdatasync`s the log right
+    /// after appending its decision frame — one fsync per commit group,
+    /// covering the decision and, being a prefix of the same file, every
+    /// record it decides over. Off by default: file order already
+    /// survives process death, and the crash model the tests exercise
+    /// is `SIGKILL`, not power loss.
     pub sync: bool,
     /// Size of the group committer every decision goes through:
     /// committing workers park on a shared queue and a leader appends up
     /// to `max_group` decisions as one [`WalRecord::CommitGroup`] frame
     /// (a plain [`WalRecord::Commit`] for a group of one) with a single
-    /// data-log flush and a single decision fsync for the whole group.
+    /// flush and a single fsync for the whole group.
     /// `1` keeps one decision record and fsync per commit; `0` is
     /// treated as `1`.
     pub max_group: usize,
@@ -392,27 +377,22 @@ struct WalMeta {
 }
 
 const META_FILE: &str = "meta.json";
-const COMMIT_FILE: &str = "commit.wal";
-const HISTORY_FILE: &str = "history.wal";
+const LOG_FILE: &str = "log.wal";
+/// The fixed-name logs of the retired multi-file layout (beside one
+/// `shard-<k>.wal` per site), decision log first: its presence without
+/// [`LOG_FILE`] identifies a directory this code must refuse.
+const OLD_LAYOUT_FILES: [&str; 2] = ["commit.wal", "history.wal"];
 
-fn shard_file(k: usize) -> String {
-    format!("shard-{k}.wal")
-}
-
-/// User-space buffer capacity per log file: frames accumulate and reach
-/// the kernel in one `write(2)` when the buffer fills, when a commit
-/// flushes (decisions always flush data buffers first), or at the
-/// end-of-run [`Wal::flush_all`].
+/// User-space buffer capacity of the log: frames accumulate and reach
+/// the kernel in one `write(2)` when the buffer fills, when a group
+/// leader flushes its decision, or at the end-of-run [`Wal::flush`].
 const LOG_BUFFER: usize = 64 << 10;
 
-/// A buffered framed appender over one log file: frames accumulate in a
+/// A buffered framed appender over the log file: frames accumulate in a
 /// user-space `Vec` and reach the kernel in one `write(2)` when the
 /// buffer crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`].
-///
-/// The flush contract callers must uphold: a decision record (`Commit` /
-/// `CommitGroup`) may only be *flushed* after every data buffer (shard
-/// value logs, history log) it decides over has been flushed — the
-/// page-cache ordering replay correctness depends on.
+/// One buffer in front of one file cannot reorder: whatever prefix of
+/// the appended frames has reached the kernel is a prefix of the file.
 pub(crate) struct LogWriter {
     file: File,
     buf: Vec<u8>,
@@ -452,8 +432,8 @@ impl LogWriter {
     /// Flushes, then fsyncs the file.
     fn sync_data(&mut self) -> io::Result<()> {
         self.flush()?;
-        // Durability wait: only the wal.* writer classes (and the
-        // serialized server.engine slot) may be held across this.
+        // Durability wait: only `wal.log` (and the serialized
+        // server.engine slot) may be held across this.
         let _io = blocking_region(BlockingKind::Fsync);
         self.file.sync_data()
     }
@@ -486,26 +466,17 @@ struct GroupState {
     leader_active: bool,
 }
 
-/// A registered per-shard value-log writer plus its dirty flag (set on
-/// append, cleared by a commit-time sync that covered it) — the `Wal`'s
-/// view of a [`ShardSink`].
-type ShardSinkEntry = (Arc<Mutex<LogWriter>>, Arc<AtomicBool>);
-
-/// The file-backed sink of one engine: the shared decision and history
-/// logs, plus the per-shard value logs the [`Store`] opens through
-/// `Wal::open_shard_log`. Append failures poison the WAL (reported
-/// once on stderr, then dropped) rather than panicking the hot path.
+/// The file-backed sink of one engine: the one log every record is
+/// appended to. Append failures poison the WAL (reported once on
+/// stderr, then dropped) rather than panicking the hot path.
 pub struct Wal {
     dir: PathBuf,
-    commit: Mutex<LogWriter>,
-    history: Mutex<LogWriter>,
-    /// The per-shard value-log writers with their dirty flags,
-    /// registered by [`Wal::open_shard_log`]. Every commit flushes these
-    /// buffers before its decision record reaches the kernel; under
-    /// [`WalOptions::sync`] the dirty flags additionally let the
-    /// commit-time fsync skip shard logs with nothing new since the
-    /// last sync.
-    shard_sinks: Mutex<Vec<ShardSinkEntry>>,
+    /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
+    /// (under `shard.state`) for `Write`s, by the event path (under
+    /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`,
+    /// and by a group leader for its decision, flush and fsync — which
+    /// the others, and the locks they hold, wait out.
+    log: Mutex<LogWriter>,
     sync: bool,
     group: GroupCommitter,
     /// Group flushes performed (decision frames written by a leader).
@@ -517,15 +488,6 @@ pub struct Wal {
     inject_fsync_fail: AtomicBool,
     failed: AtomicBool,
     telemetry: Telemetry,
-}
-
-/// A shard's handle on its value log: the shared buffered writer plus
-/// the dirty flag [`Wal::sync_data_logs`] consults. The flag is set
-/// *after* each append, so whichever committer clears it first is
-/// guaranteed to have started its flush+fsync after the append.
-pub(crate) struct ShardSink {
-    writer: Arc<Mutex<LogWriter>>,
-    dirty: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -541,13 +503,23 @@ fn append_mode(path: &Path) -> io::Result<File> {
     OpenOptions::new().create(true).append(true).open(path)
 }
 
+/// Why `dir` cannot be read or resumed, if it was written by the
+/// retired multi-file layout (there is no reader for it).
+fn old_layout(dir: &Path) -> Option<String> {
+    let [decisions, _] = OLD_LAYOUT_FILES;
+    (dir.join(decisions).exists() && !dir.join(LOG_FILE).exists()).then(|| {
+        format!(
+            "{} was written by the multi-file WAL layout ({decisions} + history + shard logs, no {LOG_FILE}): not readable by this version",
+            dir.display()
+        )
+    })
+}
+
 /// Builds the shared `Wal` state over an existing directory.
 fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
-    let log = |name: &str| Ok::<_, io::Error>(LogWriter::new(append_mode(&dir.join(name))?));
+    let log = LogWriter::new(append_mode(&dir.join(LOG_FILE))?);
     Ok(Arc::new(Wal {
-        commit: Mutex::new_named("wal.commit", log(COMMIT_FILE)?),
-        history: Mutex::new_named("wal.history", log(HISTORY_FILE)?),
-        shard_sinks: Mutex::new_named("wal.shard_sinks", Vec::new()),
+        log: Mutex::new_named("wal.log", log),
         sync: opts.sync,
         group: GroupCommitter {
             max_group: opts.max_group.max(1),
@@ -565,10 +537,11 @@ fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
 
 impl Wal {
     /// Creates (or **rotates**) a WAL directory for a fresh engine over
-    /// `sys`: wipes any previous generation's log files, then writes
-    /// `meta.json`. Refuses to touch a non-empty directory that does not
-    /// look like a WAL directory (no `meta.json`), so a mistyped path
-    /// cannot destroy unrelated data.
+    /// `sys`: wipes any previous generation's files — `meta.json`,
+    /// `log.wal` and the logs of the retired multi-file layout, nothing
+    /// else — then writes `meta.json`. Refuses to touch a non-empty
+    /// directory that does not look like a WAL directory (no
+    /// `meta.json`), so a mistyped path cannot destroy unrelated data.
     pub fn create(
         dir: impl Into<PathBuf>,
         sys: &TransactionSystem,
@@ -594,8 +567,8 @@ impl Wal {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if name == META_FILE
-                || name == COMMIT_FILE
-                || name == HISTORY_FILE
+                || name == LOG_FILE
+                || OLD_LAYOUT_FILES.contains(&&*name)
                 || (name.starts_with("shard-") && name.ends_with(".wal"))
             {
                 std::fs::remove_file(entry.path())?;
@@ -622,6 +595,9 @@ impl Wal {
                 format!("{} has no {META_FILE}", dir.display()),
             ));
         }
+        if let Some(why) = old_layout(&dir) {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+        }
         build_wal(dir, opts)
     }
 
@@ -635,31 +611,6 @@ impl Wal {
         self.failed.load(Ordering::Relaxed)
     }
 
-    /// Opens the value log of shard `k` in append mode. The buffered
-    /// writer (with the sink's dirty flag) is also registered so
-    /// [`Wal::log_commit`] can flush — and under [`WalOptions::sync`]
-    /// fsync — the data logs before the decision record.
-    pub(crate) fn open_shard_log(&self, k: usize) -> io::Result<ShardSink> {
-        let writer = Arc::new(Mutex::new_named(
-            "wal.shard_sink",
-            LogWriter::new(append_mode(&self.dir.join(shard_file(k)))?),
-        ));
-        let dirty = Arc::new(AtomicBool::new(false));
-        self.shard_sinks
-            .lock()
-            .push((Arc::clone(&writer), Arc::clone(&dirty)));
-        Ok(ShardSink { writer, dirty })
-    }
-
-    /// Appends one record to a shard's value log, marking the sink dirty
-    /// (append first, flag second — see [`ShardSink`]).
-    pub(crate) fn append_shard(&self, sink: &mut ShardSink, rec: &WalRecord) {
-        self.append_record(&mut sink.writer.lock(), rec);
-        if self.sync {
-            sink.dirty.store(true, Ordering::SeqCst);
-        }
-    }
-
     /// Poisons the WAL (reported once on stderr, then silent).
     fn fail(&self, what: &str, e: &io::Error) {
         if !self.failed.swap(true, Ordering::Relaxed) {
@@ -670,9 +621,9 @@ impl Wal {
         }
     }
 
-    /// Appends one frame to `w` (buffered), poisoning the WAL on I/O
-    /// failure.
-    pub(crate) fn append_record(&self, w: &mut LogWriter, rec: &WalRecord) {
+    /// Appends one frame to the locked log (buffered), poisoning the WAL
+    /// on I/O failure.
+    fn append_record(&self, w: &mut LogWriter, rec: &WalRecord) {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
@@ -686,15 +637,6 @@ impl Wal {
         self.telemetry.add_wal_bytes(body.as_ref().len() as u64 + 4);
     }
 
-    /// Fsyncs `w` (flushing its buffer first), honoring the injected-
-    /// failure test hook.
-    fn sync_writer(&self, w: &mut LogWriter) -> io::Result<()> {
-        if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
-            return Err(io::Error::other("injected fsync failure"));
-        }
-        w.sync_data()
-    }
-
     /// Test hook: the next decision-record fsync fails with an injected
     /// error, poisoning the WAL — used to exercise the group committer's
     /// failure branch (every parked follower must still wake).
@@ -703,17 +645,15 @@ impl Wal {
         self.inject_fsync_fail.store(true, Ordering::SeqCst);
     }
 
-    /// Appends the `Begin` records of `attempt` for `begins` — one
-    /// admission chunk's attempt 0, or a single retry — under a single
-    /// decision-log lock acquisition.
-    pub(crate) fn log_begins(&self, begins: &[(u32, TxnId)], attempt: u32) {
-        let mut f = self.commit.lock();
-        for &(gid, TxnId(template)) in begins {
-            let rec = WalRecord::Begin {
-                gid,
-                template,
-                attempt,
-            };
+    /// Appends `recs` — anything but a decision — under one `wal.log`
+    /// acquisition: an admission chunk's `Begin`s, a retry's `Begin`, an
+    /// `Abort`, a shard's write-ahead `Write` (the caller holds
+    /// `shard.state`, so file order is chain order), or one release
+    /// batch of `Event`s (the caller holds `engine.auditor`, so file
+    /// order is audit order).
+    pub(crate) fn append(&self, recs: impl IntoIterator<Item = WalRecord>) {
+        let mut f = self.log.lock();
+        for rec in recs {
             self.append_record(&mut f, &rec);
         }
     }
@@ -764,46 +704,41 @@ impl Wal {
         }
     }
 
-    /// Writes one drained group durable, in durability order: data logs
-    /// first (one flush, +fsync under `sync`), the decision frame last —
-    /// a decision visible in the page cache (or, under `sync`, durable
-    /// after power loss) implies that every Write/Event record it
-    /// decides over is visible (durable) too. A failed decision fsync
-    /// poisons the WAL: otherwise the engine would report a durable
-    /// commit that power loss can still take back. A singleton group is
-    /// a plain `Commit` record, so a log written with `max_group = 1`
-    /// and a trivially-batched one stay byte-identical.
+    /// Writes one drained group durable: under one `wal.log`
+    /// acquisition, append the decision frame, push the buffer to the
+    /// kernel, and under `sync` issue the group's one `fdatasync`. Every
+    /// entry's committer appended its `Write`/`Event` records to this
+    /// same log before enqueueing, so they precede the frame in the
+    /// file: a decision visible in the page cache (or, under `sync`,
+    /// durable after power loss) implies the records it decides over
+    /// are too. A failed fsync poisons the WAL: otherwise the engine
+    /// would report a durable commit that power loss can still take
+    /// back. A singleton group is a plain `Commit` record, so a log
+    /// written with `max_group = 1` and a trivially-batched one stay
+    /// byte-identical.
     fn flush_group(&self, batch: &[GroupEntry]) {
         if batch.is_empty() || self.poisoned() {
             return;
         }
-        if self.sync {
-            self.sync_data_logs();
-        } else {
-            self.flush_data_logs();
-        }
         let rec = match batch {
-            [e] => WalRecord::Commit {
-                gid: e.gid,
-                template: e.template,
-                attempt: e.attempt,
-                commit_ts: e.commit_ts,
-            },
+            [e] => WalRecord::Commit(*e),
             _ => WalRecord::CommitGroup {
                 entries: batch.to_vec(),
             },
         };
         {
-            let mut f = self.commit.lock();
+            let mut f = self.log.lock();
             self.append_record(&mut f, &rec);
-            if !self.poisoned() {
-                if let Err(e) = f.flush() {
-                    self.fail("append", &e);
-                }
-            }
+            self.flush_locked(&mut f);
             if self.sync && !self.poisoned() {
+                // One sample per `fdatasync` issued: one per group.
                 let t0 = self.telemetry.timer();
-                if let Err(e) = self.sync_writer(&mut f) {
+                let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
+                    Err(io::Error::other("injected fsync failure"))
+                } else {
+                    f.sync_data()
+                };
+                if let Err(e) = synced {
                     self.fail("fsync", &e);
                 }
                 self.telemetry.record_since(Phase::Fsync, t0);
@@ -826,77 +761,18 @@ impl Wal {
         )
     }
 
-    /// Flushes every data-log buffer (shard value logs, history log) to
-    /// the kernel — the first half of the flush-before-decision
-    /// contract. No fsync.
-    fn flush_data_logs(&self) {
-        if self.poisoned() {
-            return;
-        }
-        for (writer, _) in self.shard_sinks.lock().iter() {
-            if let Err(e) = writer.lock().flush() {
+    /// Pushes the buffer to the kernel. Called at the end of every
+    /// engine run (and on drop), so a clean shutdown leaves nothing in
+    /// user space.
+    pub(crate) fn flush(&self) {
+        self.flush_locked(&mut self.log.lock());
+    }
+
+    fn flush_locked(&self, w: &mut LogWriter) {
+        if !self.poisoned() {
+            if let Err(e) = w.flush() {
                 self.fail("append", &e);
             }
-        }
-        if let Err(e) = self.history.lock().flush() {
-            self.fail("append", &e);
-        }
-    }
-
-    /// Flushes **and fsyncs** the *dirty* shard value logs and the
-    /// history log. The committing thread appended its own Write/Event
-    /// records (and set their dirty flags) before calling this, so
-    /// either this call flushes them or a concurrent committer that
-    /// cleared the flag after the append did. Shard logs with nothing
-    /// new since the last sync are skipped — a commit pays per written
-    /// shard, not per shard in the store. Fsync failure poisons the WAL
-    /// like an append failure.
-    fn sync_data_logs(&self) {
-        if self.poisoned() {
-            return;
-        }
-        // One fsync sample per commit-time data flush (dirty shard logs
-        // plus the history log) — the stall a committer actually feels.
-        let t0 = self.telemetry.timer();
-        for (writer, dirty) in self.shard_sinks.lock().iter() {
-            if dirty.swap(false, Ordering::SeqCst) {
-                if let Err(e) = writer.lock().sync_data() {
-                    self.fail("fsync", &e);
-                }
-            }
-        }
-        if let Err(e) = self.history.lock().sync_data() {
-            self.fail("fsync", &e);
-        }
-        self.telemetry.record_since(Phase::Fsync, t0);
-    }
-
-    /// Flushes every buffer to the kernel, data logs first, the decision
-    /// log last — so the on-disk state an immediate crash would leave
-    /// still satisfies the flush-before-decision contract. Called at the
-    /// end of every engine run (and on drop), so a clean shutdown leaves
-    /// nothing in user space.
-    pub(crate) fn flush_all(&self) {
-        self.flush_data_logs();
-        if self.poisoned() {
-            return;
-        }
-        if let Err(e) = self.commit.lock().flush() {
-            self.fail("append", &e);
-        }
-    }
-
-    pub(crate) fn log_abort(&self, gid: u32, attempt: u32) {
-        self.append_record(&mut self.commit.lock(), &WalRecord::Abort { gid, attempt });
-    }
-
-    /// Appends one release batch of `(gid, attempt)`'s history events
-    /// under a single `wal.history` acquisition. The caller holds the
-    /// `engine.auditor` lock, so file order equals audit order.
-    pub(crate) fn log_events(&self, gid: u32, attempt: u32, nodes: &[NodeId]) {
-        let mut f = self.history.lock();
-        for &node in nodes {
-            self.append_record(&mut f, &WalRecord::Event { gid, attempt, node });
         }
     }
 }
@@ -905,7 +781,7 @@ impl Drop for Wal {
     fn drop(&mut self) {
         // Best-effort: a cleanly dropped engine leaves no frame stranded
         // in user space (runs also flush explicitly at their end).
-        self.flush_all();
+        self.flush();
     }
 }
 
@@ -967,7 +843,7 @@ pub struct Recovered {
     pub audit_error: Option<String>,
     /// Committed history events replayed into the audit.
     pub history_len: usize,
-    /// Log files that ended in a torn frame (the crash point).
+    /// Whether the log ended in a torn frame (the crash point): 0 or 1.
     pub torn_tails: usize,
     /// First unused global instance id (resume runs from here).
     pub next_base: u32,
@@ -988,196 +864,137 @@ impl Recovered {
     }
 }
 
-/// Reads every complete frame of `path` (missing file = empty log).
-/// A torn final frame (`UnexpectedEof` — the crash point) ends the log;
-/// a corrupt length prefix (`InvalidData`) or a fully framed record that
-/// does not decode is real corruption and errors — a torn append is a
-/// *prefix* of a valid frame, so its length bytes are either missing or
-/// intact, never garbage. (Caveat: a filesystem that persists a file's
-/// extended length before its data can leave a garbage tail after power
-/// loss; recovering such a log demands explicit truncation rather than
-/// this code guessing where it really ends — guessing is how committed
-/// mid-file records get silently dropped.)
-fn read_log(path: &Path, torn: &mut usize) -> Result<Vec<WalRecord>, WalError> {
+/// Frames an attempt appends before its decision; pass 2 of
+/// [`recover`] replays them.
+const DATA_TAGS: [u8; 2] = [TAG_WRITE, TAG_EVENT];
+/// Frames pass 1 of [`recover`] reads: who began, died and committed.
+const DECISION_TAGS: [u8; 4] = [TAG_BEGIN, TAG_COMMIT, TAG_ABORT, TAG_COMMIT_GROUP];
+
+/// Streams every complete frame of `path` (missing file = empty log)
+/// through `visit`, one decoded record at a time, except frames whose
+/// tag byte is in `skip` — the caller's other pass decodes those.
+/// Returns whether the log ends in a torn frame (`UnexpectedEof` — the
+/// crash point); a corrupt length prefix (`InvalidData`) or a fully
+/// framed record that does not decode is real corruption and errors — a
+/// torn append is a *prefix* of a valid frame, so its length bytes are
+/// either missing or intact, never garbage. (Caveat: a filesystem that
+/// persists a file's extended length before its data can leave a garbage
+/// tail after power loss; recovering such a log demands explicit
+/// truncation rather than this code guessing where it really ends —
+/// guessing is how committed mid-file records get silently dropped.)
+fn scan_log(
+    path: &Path,
+    skip: &[u8],
+    mut visit: impl FnMut(WalRecord) -> Result<(), WalError>,
+) -> Result<bool, WalError> {
     let file = match File::open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
         Err(e) => return Err(e.into()),
     };
     let mut r = io::BufReader::new(file);
-    let mut out = Vec::new();
-    loop {
-        match frame::read_frame(&mut r) {
-            Ok(None) => break,
-            Ok(Some(payload)) => match WalRecord::decode(Bytes::from(payload)) {
-                Some(rec) => out.push(rec),
+    let mut payload = Vec::new();
+    for n in 0usize.. {
+        match frame::read_frame_into(&mut r, &mut payload) {
+            Ok(false) => break,
+            Ok(true) if payload.first().is_some_and(|t| skip.contains(t)) => {}
+            Ok(true) => match WalRecord::decode(Bytes::from(std::mem::take(&mut payload))) {
+                Some(rec) => visit(rec)?,
                 None => {
                     return Err(WalError::Record(format!(
-                        "{}: record {} framed but did not decode",
-                        path.display(),
-                        out.len()
+                        "{}: record {n} framed but did not decode",
+                        path.display()
                     )))
                 }
             },
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                *torn += 1;
-                break;
-            }
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(true),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Corrupt length prefix: stopping silently here would
                 // discard every later record — including committed
                 // writes — while reporting a clean crash point.
                 return Err(WalError::Record(format!(
-                    "{}: corrupt frame length after record {}: {e}",
-                    path.display(),
-                    out.len()
+                    "{}: corrupt frame length after record {n}: {e}",
+                    path.display()
                 )));
             }
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(out)
+    Ok(false)
 }
 
 /// Replays a WAL directory: rebuilds the registered system from
 /// `meta.json`, re-applies every **committed** write operation to a
 /// fresh [`Store`], and streams the committed lock/unlock history
-/// through the incremental `D(S)` auditor — commit decisions are known
-/// up front, so every event merges on arrival and recovery is linear in
-/// log size (the old path rebuilt the quadratic batch conflict graph; a
-/// 20k-instance recovery took minutes).
+/// through the incremental `D(S)` auditor. The log is read in two
+/// streaming passes — decisions first, so every data record of a
+/// committing attempt is replayed the moment the second pass meets it —
+/// and no collection grows with the number of `Write`/`Event` records:
+/// recovery is linear in log size and holds only the committed map.
 /// Uncommitted instances — in-flight at the crash, or wait-die victims —
-/// contribute nothing: commit is decided solely by the decision log.
+/// contribute nothing: commit is decided solely by a decision frame.
 pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
     let dir = dir.as_ref();
     let meta_json = std::fs::read_to_string(dir.join(META_FILE))
         .map_err(|e| WalError::Meta(format!("{}: {e}", dir.join(META_FILE).display())))?;
+    if let Some(why) = old_layout(dir) {
+        return Err(WalError::Meta(why));
+    }
     let meta: WalMeta =
         serde_json::from_str(&meta_json).map_err(|e| WalError::Meta(format!("parse: {e}")))?;
     let system = meta
         .spec
         .build()
         .map_err(|e| WalError::Meta(format!("spec does not build: {e}")))?;
-    let db = system.db().clone();
+    let db = system.db();
+    let log = dir.join(LOG_FILE);
 
-    let mut torn = 0usize;
-
-    // 1. The decision log: which instances committed, with what
-    //    template, attempt, and commit timestamp.
+    // Pass 1, decision frames only: which instances committed, with
+    // what template, attempt, and commit timestamp. A group is one
+    // frame, so it is either read whole here or was dropped whole as
+    // the torn tail — never a partial group.
     let mut committed: HashMap<u32, (TxnId, u32, u64)> = HashMap::new();
     let mut begun = 0usize;
     let mut aborted = 0usize;
+    // First unused id: above every gid seen in any record of either pass.
     let mut next_base = 0u32;
-    for rec in read_log(&dir.join(COMMIT_FILE), &mut torn)? {
-        match rec {
+    let mut saw = |gid: u32| next_base = next_base.max(gid.saturating_add(1));
+    let torn = scan_log(&log, &DATA_TAGS, |rec| {
+        let entries = match &rec {
             WalRecord::Begin { gid, .. } => {
                 begun += 1;
-                next_base = next_base.max(gid.saturating_add(1));
-            }
-            WalRecord::Commit {
-                gid,
-                template,
-                attempt,
-                commit_ts,
-            } => {
-                if template as usize >= system.len() {
-                    return Err(WalError::Record(format!(
-                        "commit of instance {gid} names template {template}, system has {}",
-                        system.len()
-                    )));
-                }
-                committed.insert(gid, (TxnId(template), attempt, commit_ts));
-                next_base = next_base.max(gid.saturating_add(1));
+                saw(*gid);
+                return Ok(());
             }
             WalRecord::Abort { gid, .. } => {
                 aborted += 1;
-                next_base = next_base.max(gid.saturating_add(1));
+                saw(*gid);
+                return Ok(());
             }
-            // A group is one frame, so it is either replayed whole here
-            // or was dropped whole as a torn tail — `read_log` can never
-            // surface a partial group.
-            WalRecord::CommitGroup { entries } => {
-                for e in entries {
-                    if e.template as usize >= system.len() {
-                        return Err(WalError::Record(format!(
-                            "group commit of instance {} names template {}, system has {}",
-                            e.gid,
-                            e.template,
-                            system.len()
-                        )));
-                    }
-                    committed.insert(e.gid, (TxnId(e.template), e.attempt, e.commit_ts));
-                    next_base = next_base.max(e.gid.saturating_add(1));
-                }
-            }
-            other => {
+            WalRecord::Commit(e) => std::slice::from_ref(e),
+            WalRecord::CommitGroup { entries } => entries,
+            WalRecord::Write { .. } | WalRecord::Event { .. } => unreachable!("skipped by tag"),
+        };
+        for e in entries {
+            if e.template as usize >= system.len() {
                 return Err(WalError::Record(format!(
-                    "unexpected record in decision log: {other:?}"
-                )))
+                    "commit of instance {} names template {}, system has {}",
+                    e.gid,
+                    e.template,
+                    system.len()
+                )));
             }
+            committed.insert(e.gid, (TxnId(e.template), e.attempt, e.commit_ts));
+            saw(e.gid);
         }
-    }
+        Ok(())
+    })?;
 
-    // 2. The value logs, one pass each in file order — which is chain
-    //    (lock) order: every write of a committing attempt re-enters its
-    //    entity's chain already stamped from the decision log. Gaps in
-    //    the timestamps are expected (a ts allocated by the crashed
-    //    process whose commit record never became durable); the clock
-    //    resumes past the highest durable one.
-    let mut store = Store::new(&db, meta.initial_value);
-    let mut replayed = 0u64;
-    let mut skipped = 0u64;
-    for k in 0..db.site_count() {
-        for rec in read_log(&dir.join(shard_file(k)), &mut torn)? {
-            match rec {
-                WalRecord::Write {
-                    gid,
-                    attempt,
-                    entity,
-                    op,
-                } => {
-                    // Every logged gid keeps `next_base` honest even if
-                    // its Begin record was lost (e.g. an unsynced
-                    // decision log after power loss): a resumed run must
-                    // never re-mint an id that survives in a data log.
-                    next_base = next_base.max(gid.saturating_add(1));
-                    // Replay only the *committing* attempt's writes: an
-                    // instance that died dirty on an earlier attempt and
-                    // committed on a retry must not replay the rolled-
-                    // back write too.
-                    let Some(&(_, _, commit_ts)) =
-                        committed.get(&gid).filter(|&&(_, a, _)| a == attempt)
-                    else {
-                        continue;
-                    };
-                    if entity.index() >= db.entity_count() {
-                        return Err(WalError::Record(format!(
-                            "write to unknown entity {entity} in shard {k}"
-                        )));
-                    }
-                    match store.recover_write(entity, gid, &op, commit_ts) {
-                        Ok(()) => replayed += 1,
-                        Err(WriteError::AddToBytes { .. }) => skipped += 1,
-                    }
-                }
-                other => {
-                    return Err(WalError::Record(format!(
-                        "unexpected record in shard log {k}: {other:?}"
-                    )))
-                }
-            }
-        }
-    }
-    store.resume_clock(committed.values().map(|&(_, _, ts)| ts).max().unwrap_or(0));
-
-    // 3. The history log: stream the committed attempts' events through
-    //    the incremental auditor. Commit decisions are fed *first* (they
-    //    are all known from step 1), so every event of a committing
-    //    attempt merges immediately — file order is global time order —
-    //    and recovery stays linear in the log instead of rebuilding the
-    //    quadratic batch conflict graph. No per-instance audit system is
-    //    materialized at all; `seal` adds the Lemma 1 arcs for any
-    //    committed instance whose events a torn history tail swallowed.
+    // Every decision is known, so the auditor hears them *first* and
+    // each event of a committing attempt merges the moment pass 2 meets
+    // it — file order is global time order. No per-instance audit system
+    // is materialized at all; `seal` adds the Lemma 1 arcs for any
+    // committed instance whose events never reached the log.
     let mut gids: Vec<u32> = committed.keys().copied().collect();
     gids.sort_unstable();
     let mut auditor = StreamingAuditor::new(&system);
@@ -1186,22 +1003,58 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         auditor.admit(*g, template);
         auditor.commit(*g, attempt);
     }
-    for rec in read_log(&dir.join(HISTORY_FILE), &mut torn)? {
+
+    // Pass 2, data frames only, in file order — which is chain (lock)
+    // order per entity and audit order for events. Only the *committing*
+    // attempt's records replay: an instance that died dirty on an
+    // earlier attempt and committed on a retry must not replay the
+    // rolled-back write too. Every write re-enters its entity's chain
+    // already stamped; gaps in the timestamps are expected (a ts
+    // allocated by the crashed process whose decision never reached the
+    // log) and the clock resumes past the highest durable one. Every
+    // gid seen keeps `next_base` honest: an instance in flight at the
+    // crash has data frames and no decision, and a resumed run must
+    // never re-mint its id.
+    let mut store = Store::new(db, meta.initial_value);
+    let mut replayed = 0u64;
+    let mut skipped = 0u64;
+    let committing = |gid: u32, attempt: u32| {
+        let &(_, a, commit_ts) = committed.get(&gid)?;
+        (a == attempt).then_some(commit_ts)
+    };
+    scan_log(&log, &DECISION_TAGS, |rec| {
         match rec {
-            WalRecord::Event { gid, attempt, node } => {
-                next_base = next_base.max(gid.saturating_add(1));
-                if committed.get(&gid).map(|&(_, a, _)| a) != Some(attempt) {
-                    continue; // uncommitted instance, or a losing attempt
+            WalRecord::Write {
+                gid,
+                attempt,
+                entity,
+                op,
+            } => {
+                saw(gid);
+                let Some(commit_ts) = committing(gid, attempt) else {
+                    return Ok(());
+                };
+                if entity.index() >= db.entity_count() {
+                    return Err(WalError::Record(format!(
+                        "write to unknown entity {entity}"
+                    )));
                 }
-                auditor.event(gid, attempt, node);
+                match store.recover_write(entity, gid, &op, commit_ts) {
+                    Ok(()) => replayed += 1,
+                    Err(WriteError::AddToBytes { .. }) => skipped += 1,
+                }
             }
-            other => {
-                return Err(WalError::Record(format!(
-                    "unexpected record in history log: {other:?}"
-                )))
+            WalRecord::Event { gid, attempt, node } => {
+                saw(gid);
+                if committing(gid, attempt).is_some() {
+                    auditor.event(gid, attempt, node);
+                }
             }
+            _ => unreachable!("skipped by tag"),
         }
-    }
+        Ok(())
+    })?;
+    store.resume_clock(committed.values().map(|&(_, _, ts)| ts).max().unwrap_or(0));
     let serializable = auditor.seal();
     let audit_error = auditor
         .error()
@@ -1221,7 +1074,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         serializable,
         audit_error,
         history_len,
-        torn_tails: torn,
+        torn_tails: usize::from(torn),
         next_base,
     })
 }
@@ -1279,12 +1132,12 @@ mod tests {
                 "02ffffffff02000000050000000203000000010203",
             ),
             (
-                WalRecord::Commit {
+                WalRecord::Commit(GroupEntry {
                     gid: 1,
                     template: 0,
                     attempt: 1,
                     commit_ts: u64::MAX - 1,
-                },
+                }),
                 "04010000000000000001000000feffffffffffffff",
             ),
             (WalRecord::Abort { gid: 2, attempt: 0 }, "050200000000000000"),
@@ -1356,25 +1209,23 @@ mod tests {
             attempt: 0,
             node: NodeId(0),
         };
-        for (tag, file, first, old) in [
-            ("old-write", shard_file(0), &current, old_write),
-            ("old-undo", shard_file(0), &current, old_undo),
-            (
-                "old-event",
-                HISTORY_FILE.to_string(),
-                &current_event,
-                old_event,
-            ),
+        for (tag, first, old) in [
+            ("old-write", &current, old_write),
+            ("old-undo", &current, old_undo),
+            ("old-event", &current_event, old_event),
         ] {
             let dir = unit_dir(tag);
             drop(Wal::create(&dir, &sys, 1000, WalOptions::default()).unwrap());
-            let mut f = append_mode(&dir.join(&file)).unwrap();
+            let mut f = append_mode(&dir.join(LOG_FILE)).unwrap();
             frame::write_frame(&mut f, first.encode().as_ref()).unwrap();
             frame::write_frame(&mut f, &old).unwrap();
             drop(f);
             match recover(&dir) {
                 Err(WalError::Record(m)) => {
-                    assert!(m.contains(&file) && m.contains("record 1 "), "{tag}: {m}")
+                    assert!(
+                        m.contains(LOG_FILE) && m.contains("record 1 "),
+                        "{tag}: {m}"
+                    )
                 }
                 Err(other) => panic!("{tag}: expected a Record error, got {other}"),
                 Ok(rec) => panic!("{tag}: old format recovered: {}", rec.summary()),
@@ -1408,45 +1259,46 @@ mod tests {
         build_wal(unit_dir(tag), opts).unwrap()
     }
 
+    /// Every record of `path` plus whether it ends torn: `scan_log`
+    /// with nothing skipped, collected.
+    fn read_log(path: &Path) -> Result<(Vec<WalRecord>, bool), WalError> {
+        let mut out = Vec::new();
+        let torn = scan_log(path, &[], |rec| {
+            out.push(rec);
+            Ok(())
+        })?;
+        Ok((out, torn))
+    }
+
+    /// A log of one whole `Abort` frame followed by the raw bytes `tail`.
+    fn log_with_tail(tag: &str, tail: &[u8]) -> PathBuf {
+        let path = unit_dir(tag).join("log.wal");
+        let mut f = File::create(&path).unwrap();
+        let first = WalRecord::Abort { gid: 0, attempt: 0 }.encode();
+        frame::write_frame(&mut f, first.as_ref()).unwrap();
+        f.write_all(tail).unwrap();
+        path
+    }
+
     #[test]
     fn read_log_reports_corrupt_length_prefix_as_record_error() {
-        use std::io::Write as _;
-        let path = unit_dir("corrupt").join("log.wal");
-        let mut f = File::create(&path).unwrap();
-        frame::write_frame(
-            &mut f,
-            WalRecord::Abort { gid: 0, attempt: 0 }.encode().as_ref(),
-        )
-        .unwrap();
         // A length prefix above MAX_FRAME is never a torn append (a torn
         // append is a prefix of a valid frame): this is corruption.
-        f.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        drop(f);
-        let mut torn = 0;
-        match read_log(&path, &mut torn) {
+        let path = log_with_tail("corrupt", &u32::MAX.to_le_bytes());
+        match read_log(&path) {
             Err(WalError::Record(m)) => assert!(m.contains("corrupt frame length"), "{m}"),
             other => panic!("expected Record error, got {other:?}"),
         }
-        assert_eq!(torn, 0);
     }
 
     #[test]
     fn read_log_still_treats_a_partial_final_frame_as_the_crash_point() {
-        use std::io::Write as _;
-        let path = unit_dir("torn").join("log.wal");
-        let mut f = File::create(&path).unwrap();
-        frame::write_frame(
-            &mut f,
-            WalRecord::Abort { gid: 0, attempt: 0 }.encode().as_ref(),
-        )
-        .unwrap();
-        f.write_all(&100u32.to_le_bytes()).unwrap();
-        f.write_all(&[1, 2, 3]).unwrap(); // payload cut short mid-append
-        drop(f);
-        let mut torn = 0;
-        let recs = read_log(&path, &mut torn).unwrap();
+        // A 100-byte frame whose payload was cut short mid-append.
+        let mut tail = 100u32.to_le_bytes().to_vec();
+        tail.extend([1, 2, 3]);
+        let (recs, torn) = read_log(&log_with_tail("torn", &tail)).unwrap();
         assert_eq!(recs.len(), 1, "the complete record survives");
-        assert_eq!(torn, 1);
+        assert!(torn);
     }
 
     #[test]
@@ -1477,9 +1329,8 @@ mod tests {
     }
 
     fn decisions_of(wal_dir: &Path) -> Vec<WalRecord> {
-        let mut torn = 0;
-        let recs = read_log(&wal_dir.join(COMMIT_FILE), &mut torn).unwrap();
-        assert_eq!(torn, 0);
+        let (recs, torn) = read_log(&wal_dir.join(LOG_FILE)).unwrap();
+        assert!(!torn);
         recs
     }
 
@@ -1505,12 +1356,12 @@ mod tests {
             }
         });
         assert!(!w.poisoned());
-        w.flush_all();
+        w.flush();
         let mut committed = std::collections::HashSet::new();
         for rec in decisions_of(w.dir()) {
             match rec {
-                WalRecord::Commit { gid, .. } => {
-                    committed.insert(gid);
+                WalRecord::Commit(e) => {
+                    committed.insert(e.gid);
                 }
                 WalRecord::CommitGroup { entries } => {
                     assert!(entries.len() >= 2, "multi-entry frames only");
@@ -1530,15 +1381,15 @@ mod tests {
     fn singleton_group_degenerates_to_a_plain_commit_record() {
         let w = bare_wal_with("group-single", WalOptions::default());
         w.log_commit(3, TxnId(1), 2, 9);
-        w.flush_all();
+        w.flush();
         assert_eq!(
             decisions_of(w.dir()),
-            vec![WalRecord::Commit {
+            vec![WalRecord::Commit(GroupEntry {
                 gid: 3,
                 template: 1,
                 attempt: 2,
                 commit_ts: 9,
-            }]
+            })]
         );
         assert_eq!(w.group_counters(), (1, 1));
     }
@@ -1591,9 +1442,8 @@ mod tests {
             "crossing cap flushes"
         );
         w.flush().unwrap();
-        let mut torn = 0;
-        assert_eq!(read_log(&path, &mut torn).unwrap().len(), to_cap + 1);
-        assert_eq!(torn, 0);
+        let (recs, torn) = read_log(&path).unwrap();
+        assert_eq!((recs.len(), torn), (to_cap + 1, false));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! 1. **Lock-order validation** (the kernel-lockdep idea): every lock
 //!    belongs to a *class* — all shard mutexes are one `shard.state`
-//!    class, every WAL shard sink is one `wal.shard_sink` class — and
-//!    nested acquisitions accumulate *class-order edges* in a
+//!    class, the WAL's one writer mutex is `wal.log` — and nested
+//!    acquisitions accumulate *class-order edges* in a
 //!    process-wide graph maintained by the Pearce–Kelly incremental
 //!    topological order (`ddlf_model::incremental::IncrementalTopo`).
 //!    An edge that would close a cycle is a potential ABBA deadlock,
@@ -162,14 +162,18 @@ mod imp {
     ///
     /// * `shard.state` — applying a write appends its WAL record under
     ///   the shard mutex, and a buffered append may cross into
-    ///   `write(2)` on a capacity boundary; it must never cross an
-    ///   fsync (durability waits run with no shard lock held).
+    ///   `write(2)` on a capacity boundary; the holder itself never
+    ///   issues an fsync. It may still *wait out* one: a group leader
+    ///   holds `wal.log` across its `fdatasync`, so an append behind it
+    ///   blocks for that long with the shard lock held — a cross-thread
+    ///   stall this checker cannot see.
     /// * `engine.auditor` — the one event critical section appends each
-    ///   release batch to `history.wal` (buffered) while feeding the
+    ///   release batch to the log (buffered) while feeding the
     ///   auditor, by design, so durable history order equals audit
-    ///   order; never across an fsync.
-    /// * `wal.*` writer locks — these exist precisely to serialize
-    ///   write+fsync, so they alone may cross both.
+    ///   order; never issues an fsync, may wait out one group fsync
+    ///   behind `wal.log` like `shard.state`.
+    /// * `wal.log` — the one writer lock exists precisely to serialize
+    ///   append, write and fsync, so it alone may cross both.
     /// * `server.engine` — `submit` holds the engine slot for an entire
     ///   run by design (submissions serialize); everything the engine
     ///   does, durability included, happens under it.
@@ -181,10 +185,7 @@ mod imp {
     const BLOCKING_ALLOW: &[(&str, u8)] = &[
         ("shard.state", 1),
         ("engine.auditor", 1),
-        ("wal.commit", 1 | 2),
-        ("wal.history", 1 | 2),
-        ("wal.shard_sinks", 1 | 2),
-        ("wal.shard_sink", 1 | 2),
+        ("wal.log", 1 | 2),
         ("server.engine", 1 | 2),
     ];
 
@@ -800,14 +801,14 @@ mod imp {
         #[test]
         fn blocking_allowlist_admits_wal_writers_only() {
             set_mode(Mode::Warn);
-            // `wal.commit` is allowlisted for Write|Fsync: clean.
-            let wal = register_class("wal.commit");
+            // `wal.log` is allowlisted for Write|Fsync: clean.
+            let wal = register_class("wal.log");
             on_acquire(wal, here());
             {
                 let _r = blocking_region(BlockingKind::Fsync);
             }
             on_release(wal);
-            assert!(take_violations_with_prefix("wal.commit").is_empty());
+            assert!(take_violations_with_prefix("wal.log").is_empty());
 
             // An unlisted class across an fsync: violation.
             let c = register_class("selftest.blk.gate");

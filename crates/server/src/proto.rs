@@ -630,8 +630,8 @@ record! {
         trace_captured: u64,
         /// Trace events evicted because the ring was full.
         trace_dropped: u64 => Counter,
-        /// Decision-log flush groups written by the WAL's group committer
-        /// (each is one data-log flush and at most one fsync).
+        /// Flush groups written by the WAL's group committer (each is
+        /// one decision frame, one flush and at most one fsync).
         group_flushes: u64 => Counter,
         /// Commit decisions written through the group committer;
         /// `group_commits / group_flushes` is the mean group size.

@@ -150,10 +150,10 @@ pub mod frame {
     //!
     //! The same framing carries byte *streams* beyond sockets: the
     //! `ddlf-server` wire protocol frames its requests/responses, and
-    //! `ddlf-engine`'s write-ahead log files (`wal/commit.wal`,
-    //! `wal/history.wal`, `wal/shard-<k>.wal`) are sequences of these
-    //! frames, each payload one binary `WalRecord` — see the record
-    //! grammar in `ddlf_engine::wal`'s module docs. For log files the
+    //! `ddlf-engine`'s write-ahead log (`wal/log.wal`, the one log file
+    //! of a WAL directory) is a sequence of these frames, each payload
+    //! one binary `WalRecord` — see the record grammar in
+    //! `ddlf_engine::wal`'s module docs. For a log file the
     //! error taxonomy below is what makes crash recovery clean: a torn
     //! final frame (`UnexpectedEof`) *is* the crash point — a torn
     //! append is always a prefix of a valid frame — distinguishable
@@ -209,13 +209,21 @@ pub mod frame {
     /// `Err(UnexpectedEof)` on EOF mid-prefix or mid-payload;
     /// `Err(InvalidData)` on a prefix above [`MAX_FRAME`].
     pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        let mut payload = Vec::new();
+        Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+    }
+
+    /// [`read_frame`] into a caller-owned buffer, so a scan over many
+    /// small frames allocates once: `payload` is overwritten with the
+    /// frame, and `Ok(false)` is the clean EOF.
+    pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
         let mut prefix = [0u8; 4];
         // Hand-rolled first read so EOF-at-a-boundary is distinguishable
         // from EOF inside the prefix.
         let mut got = 0;
         while got < prefix.len() {
             match r.read(&mut prefix[got..])? {
-                0 if got == 0 => return Ok(None),
+                0 if got == 0 => return Ok(false),
                 0 => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -232,9 +240,10 @@ pub mod frame {
                 format!("frame length {len} exceeds MAX_FRAME {MAX_FRAME}"),
             ));
         }
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload)?;
-        Ok(Some(payload))
+        payload.clear();
+        payload.resize(len, 0);
+        r.read_exact(payload)?;
+        Ok(true)
     }
 
     #[cfg(test)]

@@ -4,9 +4,9 @@
 //!
 //!   1. be a whole-transaction cut — conserving Σint exactly under
 //!      transfer programs,
-//!   2. equal an **independent reference model**: the run's shard-log
-//!      `Write` records replayed in file order, restricted to the
-//!      instances whose decision-log timestamp is `≤` the cut — for
+//!   2. equal an **independent reference model**: the log's `Write`
+//!      records replayed in file order, restricted to the instances
+//!      whose decision record's timestamp is `≤` the cut — for
 //!      absolute writes on a non-two-phase template under wait-die, the
 //!      case where commit order and write order disagree,
 //!   3. never run backwards — a scanner's snapshot timestamps are
@@ -79,9 +79,10 @@ fn wal_bytes_on_disk(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Every record of one WAL file, in file order.
-fn wal_records(path: PathBuf) -> Vec<WalRecord> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(path).unwrap());
+/// Every record of the log, in file order.
+fn wal_records(dir: &Path) -> Vec<WalRecord> {
+    let log = std::fs::File::open(dir.join("log.wal")).unwrap();
+    let mut file = std::io::BufReader::new(log);
     let frames = std::iter::from_fn(|| read_frame(&mut file).unwrap());
     frames
         .map(|f| WalRecord::decode(f.into()).unwrap())
@@ -89,20 +90,16 @@ fn wal_records(path: PathBuf) -> Vec<WalRecord> {
 }
 
 /// The reference model, sharing no code with the store: per entity, the
-/// shard logs' `Write` ops in file order, restricted to the committing
-/// attempts whose decision-log timestamp is `≤ cut`. An `Add` meeting a
-/// byte payload is the same typed skip the engine has.
-fn model_at(dir: &Path, shards: usize, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> {
+/// log's `Write` ops in file order, restricted to the committing
+/// attempts whose decision record's timestamp is `≤ cut`. An `Add`
+/// meeting a byte payload is the same typed skip the engine has.
+fn model_at(dir: &Path, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> {
+    let records = wal_records(dir);
     let mut decided = HashMap::new();
-    for rec in wal_records(dir.join("commit.wal")) {
+    for rec in &records {
         match rec {
-            WalRecord::Commit {
-                gid,
-                attempt,
-                commit_ts,
-                ..
-            } => {
-                decided.insert((gid, attempt), commit_ts);
+            WalRecord::Commit(e) => {
+                decided.insert((e.gid, e.attempt), e.commit_ts);
             }
             WalRecord::CommitGroup { entries } => {
                 decided.extend(entries.iter().map(|e| ((e.gid, e.attempt), e.commit_ts)));
@@ -116,7 +113,7 @@ fn model_at(dir: &Path, shards: usize, entities: &[EntityId], cut: u64) -> Vec<V
     };
     let mut state: HashMap<EntityId, VersionedValue> =
         entities.iter().map(|&e| (e, seed.clone())).collect();
-    for rec in (0..shards).flat_map(|k| wal_records(dir.join(format!("shard-{k}.wal")))) {
+    for rec in records {
         let WalRecord::Write {
             gid,
             attempt,
@@ -206,7 +203,6 @@ proptest! {
             ..Default::default()
         });
         let entities = all_entities(&engine);
-        let shards = engine.store().shards().len();
 
         let done = AtomicBool::new(false);
         let (report, captured) = std::thread::scope(|s| {
@@ -244,7 +240,7 @@ proptest! {
         // Oracle pass: every captured cut against the log replay, and
         // against `snapshot_at` (full fidelity, bytes included).
         for snap in &captured {
-            let model = model_at(&dir, shards, &entities, snap.ts);
+            let model = model_at(&dir, &entities, snap.ts);
             let at = engine.store().snapshot_at(snap.ts).expect("cut still retained");
             prop_assert_eq!(snap.entries.len(), entities.len());
             for ((entry, want), (_, got)) in snap.entries.iter().zip(&model).zip(&at) {
@@ -258,7 +254,7 @@ proptest! {
         // values, the model at the closed clock, and the recovered store.
         let closed = engine.store().commit_ts();
         prop_assert_eq!(closed, instances as u64);
-        let model: Vec<_> = entities.iter().copied().zip(model_at(&dir, shards, &entities, closed)).collect();
+        let model: Vec<_> = entities.iter().copied().zip(model_at(&dir, &entities, closed)).collect();
         prop_assert_eq!(&engine.store().snapshot(), &model);
         prop_assert_eq!(&engine.store().live_snapshot(), &model);
         drop(engine);

@@ -152,8 +152,8 @@ fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
     let baseline_snapshot = baseline.store.snapshot();
 
     // A three-entry group frame a crash could have interrupted: length
-    // prefix + payload, appended to the decision log one proper prefix
-    // at a time. Entry boundaries fall inside the payload, so several
+    // prefix + payload, appended to the log one proper prefix at a
+    // time. Entry boundaries fall inside the payload, so several
     // cut points leave entry 0 (even entries 0 and 1) fully readable —
     // recovery must still drop them.
     let payload = WalRecord::CommitGroup {
@@ -184,9 +184,9 @@ fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
         .to_vec();
     frame.extend_from_slice(payload.as_ref());
 
-    let intact = std::fs::read(dir.join("commit.wal")).unwrap();
+    let intact = std::fs::read(dir.join("log.wal")).unwrap();
     for cut in 1..frame.len() {
-        let mut f = std::fs::File::create(dir.join("commit.wal")).unwrap();
+        let mut f = std::fs::File::create(dir.join("log.wal")).unwrap();
         f.write_all(&intact).unwrap();
         f.write_all(&frame[..cut]).unwrap();
         drop(f);
@@ -205,7 +205,7 @@ fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
 
     // The full frame, by contrast, replays all three entries — the
     // group is all-or-nothing in both directions.
-    let mut f = std::fs::File::create(dir.join("commit.wal")).unwrap();
+    let mut f = std::fs::File::create(dir.join("log.wal")).unwrap();
     f.write_all(&intact).unwrap();
     f.write_all(&frame).unwrap();
     drop(f);
@@ -216,11 +216,79 @@ fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The crash-consistency contract of the one log, swept: cut `log.wal`
+/// at every byte offset inside its last two commit groups. Every cut
+/// recovers; what it recovers is exactly the whole decision frames
+/// before the cut — never an instance whose `Write`s are missing (each
+/// transfer writes twice) — the bytes after the last whole decision
+/// change nothing in the store, and the recovered history audits.
+#[test]
+fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
+    let dir = wal_dir("sweep");
+    let engine = banking_engine(
+        &dir,
+        20,
+        EngineConfig {
+            threads: 4,
+            group_commit: Some(8),
+            admission_batch: 4,
+            ..Default::default()
+        },
+    );
+    assert!(engine.run().all_committed());
+    let live_snapshot = engine.store().snapshot();
+    drop(engine);
+
+    let log = dir.join("log.wal");
+    let intact = std::fs::read(&log).unwrap();
+    // Every frame's end offset, and for each decision frame (plus the
+    // empty prefix) `(end offset, instances decided up to it)`.
+    let (mut ends, mut decisions) = (vec![0], vec![(0, 0)]);
+    while let Some(&at) = ends.last().filter(|&&at| at < intact.len()) {
+        let body = at + 4;
+        let end = body + u32::from_le_bytes(intact[at..body].try_into().unwrap()) as usize;
+        ends.push(end);
+        let decided = match WalRecord::decode(intact[body..end].to_vec().into()).unwrap() {
+            WalRecord::Commit(_) => 1,
+            WalRecord::CommitGroup { entries } => entries.len(),
+            _ => continue,
+        };
+        decisions.push((end, decisions.last().unwrap().1 + decided));
+    }
+    assert_eq!(decisions.last().unwrap().1, 20);
+
+    let mut expected = Vec::new();
+    for cut in decisions[decisions.len() - 3].0..=intact.len() {
+        std::fs::write(&log, &intact[..cut]).unwrap();
+        let rec = recover(&dir).unwrap();
+        let &(whole, decided) = decisions.iter().rev().find(|d| d.0 <= cut).unwrap();
+        assert_eq!(rec.committed, decided, "cut at byte {cut}");
+        assert_eq!(
+            rec.replayed_writes,
+            2 * decided as u64,
+            "cut at byte {cut}: a committed instance lost its Writes"
+        );
+        assert_eq!(
+            rec.torn_tails,
+            usize::from(ends.binary_search(&cut).is_err()),
+            "cut at byte {cut}"
+        );
+        assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+        if cut == whole {
+            expected = rec.store.snapshot();
+        }
+        assert_eq!(rec.store.snapshot(), expected, "cut at byte {cut}");
+    }
+    assert_eq!(expected, live_snapshot, "the uncut log is the live store");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Torn-tail recovery × group commit × multiversion reads: a recovered
 /// store must answer read-only snapshot reads **identically to the live
 /// pre-crash store at the same commit timestamp** — every retained cut,
 /// not just the final state. Commit timestamps ride the durable
-/// decision records and are stamped onto chains rebuilt in shard-log
+/// decision records and are stamped onto chains rebuilt in log
 /// (write) order, so group frames batching decisions out of file order
 /// changes nothing. Run twice: the commuting transfer programs, and an
 /// **absolute-write** pair (`Put`/`PutBytes` on both shared ledgers)

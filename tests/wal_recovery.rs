@@ -6,9 +6,11 @@
 //! and torn log tails — contributes nothing.
 
 use ddlf::engine::{
-    recover, AdmissionOptions, Engine, EngineConfig, Inflation, Program, TemplateRegistry, WalError,
+    recover, AdmissionOptions, Engine, EngineConfig, Inflation, Phase, Program, Telemetry,
+    TemplateRegistry, Wal, WalError, WalOptions, WalRecord, WriteOp,
 };
-use ddlf::model::TxnId;
+use ddlf::model::{EntityId, NodeId, TxnId};
+use ddlf::sim::msg::frame::write_frame;
 use ddlf::workloads::{bank_ordered_pair, bank_uniform_transfer};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -20,7 +22,26 @@ fn wal_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The names in a WAL directory, sorted.
+fn wal_files(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap();
+    let mut names: Vec<_> = names
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 fn banking_engine(dir: &Path, instances: usize) -> Engine {
+    let cfg = EngineConfig {
+        threads: 4,
+        instances,
+        ..Default::default()
+    };
+    banking_engine_with(dir, cfg)
+}
+
+fn banking_engine_with(dir: &Path, cfg: EngineConfig) -> Engine {
     let (bank, sys) = bank_ordered_pair();
     let mut reg = TemplateRegistry::register(sys);
     reg.set_program(
@@ -36,10 +57,8 @@ fn banking_engine(dir: &Path, instances: usize) -> Engine {
     Engine::with_registry(
         reg,
         EngineConfig {
-            threads: 4,
-            instances,
             wal_dir: Some(dir.to_path_buf()),
-            ..Default::default()
+            ..cfg
         },
     )
 }
@@ -136,48 +155,78 @@ fn torn_tails_mark_the_crash_point_without_losing_committed_work() {
     let live_snapshot = engine.store().snapshot();
     drop(engine);
 
-    // Simulate a crash mid-append: a complete length prefix promising
-    // more payload than was written (commit log), and a few stray bytes
-    // of a half-written prefix (a shard log).
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(dir.join("commit.wal"))
-        .unwrap();
-    f.write_all(&100u32.to_le_bytes()).unwrap();
-    f.write_all(&[1, 2, 3]).unwrap();
-    drop(f);
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(dir.join("shard-0.wal"))
-        .unwrap();
-    f.write_all(&[0xAB, 0xCD]).unwrap();
-    drop(f);
-
-    let rec = recover(&dir).unwrap();
-    assert_eq!(rec.torn_tails, 2, "both torn tails detected");
-    assert_eq!(rec.committed, 20, "committed work untouched by the tear");
-    assert_eq!(rec.store.snapshot(), live_snapshot);
-    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+    // Simulate a crash mid-append, both shapes a tear can take: a
+    // complete length prefix promising more payload than was written,
+    // and a few stray bytes of a half-written prefix.
+    let intact = std::fs::read(dir.join("log.wal")).unwrap();
+    let promised = [&100u32.to_le_bytes()[..], &[1, 2, 3]].concat();
+    for tail in [&promised[..], &[0xAB, 0xCD]] {
+        std::fs::write(dir.join("log.wal"), [&intact[..], tail].concat()).unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.torn_tails, 1, "the torn tail is detected");
+        assert_eq!(rec.committed, 20, "committed work untouched by the tear");
+        assert_eq!(rec.store.snapshot(), live_snapshot);
+        assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+    }
 }
 
 #[test]
 fn next_base_covers_gids_missing_from_the_decision_log() {
-    let dir = wal_dir("lostbegin");
+    let dir = wal_dir("inflight");
     let engine = banking_engine(&dir, 20);
     assert!(engine.run().all_committed());
+    let live_snapshot = engine.store().snapshot();
     drop(engine);
-    // Simulate a power loss that lost the (unsynced) decision log while
-    // shard and history records survived: id minting on resume must
-    // still start above every gid that survives anywhere, or a resumed
-    // run would collide with the surviving data records.
-    std::fs::write(dir.join("commit.wal"), b"").unwrap();
+    // Instances in flight at the crash: a data frame reached the log,
+    // no decision (not even a Begin) did. They contribute nothing, but
+    // id minting on resume must still start above them, or a resumed
+    // run would reuse an id the log already holds records of.
+    let attempt = 0;
+    let in_flight = [
+        WalRecord::Write {
+            gid: 27,
+            attempt,
+            entity: EntityId(0),
+            op: WriteOp::Add(-5),
+        },
+        WalRecord::Event {
+            gid: 31,
+            attempt,
+            node: NodeId(0),
+        },
+    ];
+    let mut rec = recover(&dir).unwrap();
+    assert_eq!(rec.next_base, 20);
+    for (frame, next_base) in in_flight.iter().zip([28, 32]) {
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("log.wal"))
+            .unwrap();
+        write_frame(&mut f, frame.encode().as_ref()).unwrap();
+        drop(f);
+        rec = recover(&dir).unwrap();
+        assert_eq!(rec.committed, 20, "undecided instances are not recovered");
+        assert_eq!(rec.store.snapshot(), live_snapshot, "nor are their writes");
+        assert_eq!(rec.next_base, next_base, "ids reserved above {frame:?}");
+    }
 
+    let resumed = Engine::from_recovered(
+        rec,
+        AdmissionOptions::default(),
+        EngineConfig::default(),
+        &dir,
+    )
+    .unwrap();
+    assert!(resumed.run_mix(&[(TxnId(0), 3)]).all_committed());
+    drop(resumed);
     let rec = recover(&dir).unwrap();
-    assert_eq!(rec.committed, 0, "no durable decisions remain");
     assert_eq!(
-        rec.next_base, 20,
-        "ids reserved above the surviving data records"
+        (rec.committed, rec.next_base),
+        (23, 35),
+        "{}",
+        rec.summary()
     );
+    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
 }
 
 #[test]
@@ -192,7 +241,7 @@ fn corrupt_frame_length_mid_log_is_a_typed_record_error() {
     // log as a clean crash point.
     let mut f = std::fs::OpenOptions::new()
         .append(true)
-        .open(dir.join("shard-0.wal"))
+        .open(dir.join("log.wal"))
         .unwrap();
     f.write_all(&u32::MAX.to_le_bytes()).unwrap();
     drop(f);
@@ -207,48 +256,44 @@ fn corrupt_frame_length_mid_log_is_a_typed_record_error() {
 #[test]
 fn sync_mode_runs_clean_and_recovers_byte_identically() {
     // Power loss itself cannot be simulated in-process; this drives the
-    // fsync ordering path end to end: a sync-mode engine fsyncs every
-    // shard log and the history log before each commit record, must not
-    // poison the WAL, and must recover exactly.
-    let dir = wal_dir("sync");
-    let (bank, sys) = bank_ordered_pair();
-    let mut reg = TemplateRegistry::register(sys);
-    reg.set_program(
-        TxnId(0),
-        Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5),
-    )
-    .unwrap();
-    reg.set_program(
-        TxnId(1),
-        Program::transfer(bank.accounts[1][1], bank.accounts[0][1], 3),
-    )
-    .unwrap();
-    let engine = Engine::with_registry(
-        reg,
-        EngineConfig {
-            threads: 4,
-            instances: 20,
-            wal_dir: Some(dir.clone()),
-            wal_sync: true,
-            ..Default::default()
-        },
-    );
-    let live = engine.run();
-    assert!(
-        live.all_committed() && live.serializable == Some(true),
-        "{live:?}"
-    );
-    assert!(
-        !engine.wal().unwrap().poisoned(),
-        "fsync path must not fail"
-    );
-    let snapshot = engine.store().snapshot();
-    drop(engine);
+    // fsync path end to end: a sync-mode engine fsyncs the log after
+    // each commit group's decision frame, must not poison the WAL, and
+    // must recover exactly. One log, one fsync: `Phase::Fsync` has one
+    // sample per `fdatasync`, and a group costs exactly one even though
+    // its transfers write on two shards — with one worker (singleton
+    // groups), one per commit.
+    for threads in [1, 4] {
+        let dir = wal_dir("sync");
+        let engine = banking_engine_with(
+            &dir,
+            EngineConfig {
+                threads,
+                instances: 20,
+                wal_sync: true,
+                telemetry: Telemetry::enabled(),
+                ..Default::default()
+            },
+        );
+        let live = engine.run();
+        assert!(
+            live.all_committed() && live.serializable == Some(true),
+            "{live:?}"
+        );
+        assert!(
+            !engine.wal().unwrap().poisoned(),
+            "fsync path must not fail"
+        );
+        assert_eq!(live.phases.get(Phase::Fsync).count, live.group_flushes);
+        assert!(threads > 1 || live.group_flushes == 20, "{live:?}");
+        let snapshot = engine.store().snapshot();
+        drop(engine);
+        assert_eq!(wal_files(&dir), ["log.wal", "meta.json"]);
 
-    let rec = recover(&dir).unwrap();
-    assert_eq!(rec.committed, 20);
-    assert_eq!(rec.store.snapshot(), snapshot);
-    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.committed, 20);
+        assert_eq!(rec.store.snapshot(), snapshot);
+        assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+    }
 }
 
 #[test]
@@ -333,4 +378,48 @@ fn wal_refuses_to_rotate_a_directory_that_is_not_a_wal() {
     .expect("must refuse a non-WAL directory");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     assert!(dir.join("precious.txt").exists(), "nothing was deleted");
+}
+
+/// A directory of the retired multi-file layout (`meta.json` +
+/// `commit.wal`, no `log.wal`) is refused by name — by `recover` and by
+/// `Wal::resume` — never read as an empty log.
+#[test]
+fn the_multi_file_layout_is_refused_not_misread() {
+    let dir = wal_dir("oldlayout");
+    drop(banking_engine(&dir, 0));
+    std::fs::rename(dir.join("log.wal"), dir.join("commit.wal")).unwrap();
+    let refusal = |m: String| {
+        assert!(
+            m.contains("multi-file") && m.contains(&*dir.to_string_lossy()),
+            "{m}"
+        )
+    };
+    match recover(&dir) {
+        Err(WalError::Meta(m)) => refusal(m),
+        Err(other) => panic!("expected a Meta error, got {other}"),
+        Ok(rec) => panic!("old layout recovered: {}", rec.summary()),
+    }
+    let err = Wal::resume(&dir, WalOptions::default()).expect_err("resume must refuse");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    refusal(err.to_string());
+    assert!(!dir.join("log.wal").exists(), "refusing creates nothing");
+}
+
+/// Rotation clears an older generation whatever layout wrote it: a
+/// reused directory ends up holding exactly `meta.json` + `log.wal`.
+#[test]
+fn rotation_leaves_exactly_meta_and_the_log() {
+    let dir = wal_dir("rotate");
+    drop(banking_engine(&dir, 0));
+    for old in ["commit.wal", "history.wal", "shard-0.wal", "shard-10.wal"] {
+        std::fs::write(dir.join(old), b"stale").unwrap();
+    }
+    std::fs::write(dir.join("notes.wal"), b"not ours").unwrap();
+    let engine = banking_engine(&dir, 4);
+    assert!(engine.run().all_committed());
+    drop(engine);
+    // Only the WAL's own names, old and new, are rotated away.
+    std::fs::remove_file(dir.join("notes.wal")).expect("an unrelated file is left alone");
+    assert_eq!(wal_files(&dir), ["log.wal", "meta.json"]);
+    assert_eq!(recover(&dir).unwrap().committed, 4);
 }

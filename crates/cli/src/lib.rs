@@ -512,18 +512,44 @@ fn run_lockgraph(dot: bool) -> Outcome {
     drop(engine);
     let _ = std::fs::remove_dir_all(&wal_dir);
     // Wire leg: server.engine / server.conns plus the accept-wait
-    // blocking region — the `submit` verb against an in-process server.
+    // blocking region, and the audit epoch two runs share — the
+    // `submit` verb registers, then two connections submit at once
+    // against a WAL'd, fsyncing in-process server.
     let cfg = ServeConfig {
         threads: 2,
-        engine: EngineConfig::default(),
+        engine: EngineConfig {
+            wal_sync: true,
+            ..EngineConfig::default()
+        },
+        wal_dir: Some(wal_dir.clone()),
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", cfg).map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
-    let submitted = run_submit(&addr, spec_json, 16, None, flags.inflate, false, true);
+    let writer = || {
+        let mut client = connect(&addr)?;
+        for _ in 0..8 {
+            client.submit_all(16).map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    };
+    let submitted =
+        run_submit(&addr, spec_json, 16, None, flags.inflate, false, false).and_then(|_| {
+            std::thread::scope(|s| {
+                let writers = [s.spawn(writer), s.spawn(writer)];
+                writers
+                    .into_iter()
+                    .try_for_each(|w| w.join().expect("writer thread panicked"))
+            })
+        });
+    // Shut down whatever happened, or the join below waits forever.
+    let stopped = connect(&addr).and_then(|mut c| c.shutdown().map_err(|e| e.to_string()));
     let _ = handle.join();
-    submitted.map_err(|e| format!("lockgraph wire leg failed: {e}"))?;
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    submitted
+        .and(stopped)
+        .map_err(|e| format!("lockgraph wire leg failed: {e}"))?;
     let violations = ddlf_lockdep::violation_count();
     let out = if dot {
         ddlf_lockdep::dot()

@@ -75,6 +75,8 @@ pub(crate) struct Attempt<'a> {
     /// Entities whose unlock applied a write: what a death must undo
     /// and a commit must stamp.
     pub exposed: Vec<EntityId>,
+    /// History events handed to the sink so far.
+    pub events: u64,
     pub reads: u64,
     pub writes: u64,
     pub writes_skipped: u64,
@@ -95,6 +97,7 @@ impl<'a> Attempt<'a> {
             executed: Prefix::empty(txn),
             pending: Vec::new(),
             exposed: Vec::new(),
+            events: 0,
             reads: 0,
             writes: 0,
             writes_skipped: 0,
@@ -130,6 +133,7 @@ impl<'a> Attempt<'a> {
         let entity = self.txn.op(n).entity;
         self.pending.push(n);
         sink(&self.pending);
+        self.events += self.pending.len() as u64;
         self.pending.clear();
         self.executed.push(n);
         let shard = self.store.shard_of(entity);

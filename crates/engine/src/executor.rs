@@ -39,10 +39,26 @@
 //! same auditor (aborted attempts contribute nothing to the committed
 //! projection); the batch [`ddlf_sim::History::audit`] remains the
 //! oracle: debug builds record a plain history under the same lock and
-//! cross-check every run.
+//! cross-check it when the auditor's epoch closes.
+//!
+//! **One audit epoch.** Runs may execute concurrently on one engine
+//! (the wire server's Submits do), so the auditor belongs to an
+//! *epoch*, not to a run: every admitted chunk in flight shares it.
+//! The first run in opens the epoch; it closes — and is dropped —
+//! when the last run in flight ends, or sooner at [`EPOCH_CAP`]: a
+//! chunk joins after its gate slots, and one that finds the epoch full
+//! waits for the chunks inside to finish, then closes it and opens the
+//! next. Either way an epoch closes only at quiescence — no chunk
+//! inside — so every conflict arc between two epochs points forward in
+//! time and the concatenation of acyclic epochs is acyclic. A run's
+//! verdict is the conjunction of the epoch verdicts its chunks observed
+//! when they left. Verdicts are absorbing and a cycle closes while its
+//! last instance's chunk is still inside, so every cycle reaches some
+//! report. A run that overlaps no other (and stays under the cap) is
+//! audited in one epoch of its own: exactly a per-run audit.
 
 use crate::attempt::{wait_die, Attempt, Refused};
-use crate::report::{LatencyStats, Report, TemplateReport};
+use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, WalRecord, DEFAULT_MAX_GROUP};
@@ -52,22 +68,24 @@ use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 #[cfg(debug_assertions)]
 use ddlf_sim::{History, HistoryEvent, SimTime};
 use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+#[cfg(debug_assertions)]
+use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Largest instance count the debug-build batch-oracle cross-check will
-/// rebuild a per-instance audit system for. The oracle re-audits the
-/// whole history from scratch, so beyond this many instances a debug
-/// test would stall for minutes; larger runs keep the streaming verdict
-/// alone.
-#[cfg(debug_assertions)]
-const BATCH_ORACLE_CAP: usize = 1000;
+/// Instances one audit epoch admits before a joining chunk waits for it
+/// to drain: the bound on the shared auditor's state (one conflict-graph
+/// node per committed instance) while runs keep overlapping. An epoch
+/// never holds more than this plus one chunk. It also bounds the
+/// debug-build batch oracle, which re-audits each closed epoch from
+/// scratch.
+pub const EPOCH_CAP: usize = 256;
 
 /// Attempt budget per instance. Only wait-die can use more than one:
 /// the certified discipline never refuses for good.
@@ -164,6 +182,8 @@ pub struct Engine {
     wal: Option<Arc<Wal>>,
     /// The one instance-id space, for the engine's whole lifetime.
     gids: GidSpace,
+    /// The audit epoch every chunk in flight shares.
+    epochs: Epochs,
     /// Cumulative outcome of every run so far, maintained by
     /// [`Report::absorb`]; `None` until the first non-empty run. Behind a
     /// mutex so concurrent runs (e.g. wire submissions) merge safely.
@@ -195,18 +215,68 @@ struct Instance {
     template: TxnId,
 }
 
-/// What one run's `engine.auditor` mutex guards: the only record of
-/// "what happened" — the live auditor, the event count, and (debug
-/// builds) the plain history the batch oracle re-audits.
-struct RunAudit {
-    auditor: StreamingAuditor,
-    /// Events recorded, every attempt's: [`Report::history_len`].
-    events: usize,
-    #[cfg(debug_assertions)]
-    oracle: History,
+/// Which audit epoch is open, behind `engine.epoch`: every run pins it
+/// and every chunk joins and leaves it under this lock, and a chunk
+/// admits its instances to the epoch's auditor inside it
+/// (`engine.epoch` ▷ `engine.auditor`).
+struct Epochs {
+    slot: Mutex<EpochSlot>,
+    /// Signalled when the open epoch runs out of chunks, for chunks
+    /// waiting out the cap.
+    drained: Condvar,
 }
 
-impl RunAudit {
+#[derive(Default)]
+struct EpochSlot {
+    /// The open epoch's audit; `None` between epochs.
+    open: Option<Arc<Mutex<EpochAudit>>>,
+    /// Runs in flight. They keep the epoch open across the gaps between
+    /// their chunks, so a run that overlaps no other is audited in one
+    /// epoch; they do not stop it from closing at the cap.
+    runs: usize,
+    /// Chunks executing inside the open epoch.
+    chunks: usize,
+    /// Instances admitted to the open epoch.
+    admitted: usize,
+    /// Chunks waiting out the cap; the last chunk out wakes them.
+    waiting: usize,
+}
+
+/// What one epoch's `engine.auditor` mutex guards: the only record of
+/// "what happened" — the live auditor and (debug builds) the plain
+/// history the batch oracle re-audits when the epoch closes.
+struct EpochAudit {
+    auditor: StreamingAuditor,
+    #[cfg(debug_assertions)]
+    oracle: Oracle,
+}
+
+/// The debug-build batch oracle of one epoch.
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct Oracle {
+    history: History,
+    /// Every admitted gid: its template and committed attempt.
+    instances: HashMap<u32, (TxnId, Option<u32>)>,
+}
+
+impl EpochAudit {
+    fn new(sys: &TransactionSystem) -> Self {
+        EpochAudit {
+            auditor: StreamingAuditor::new(sys),
+            #[cfg(debug_assertions)]
+            oracle: Oracle::default(),
+        }
+    }
+
+    fn admit(&mut self, inst: Instance) {
+        self.auditor.admit(inst.gid, inst.template);
+        #[cfg(debug_assertions)]
+        self.oracle
+            .instances
+            .insert(inst.gid, (inst.template, None));
+    }
+
     /// The one event path: a release batch of `ctx`'s events enters
     /// the log and the auditor inside the caller's single critical
     /// section, so log order is audit order.
@@ -222,14 +292,117 @@ impl RunAudit {
         for &node in nodes {
             self.auditor.event(ctx.gid, ctx.attempt, node);
             #[cfg(debug_assertions)]
-            self.oracle.record(HistoryEvent {
-                time: SimTime(self.oracle.len() as u64),
+            self.oracle.history.record(HistoryEvent {
+                time: SimTime(self.oracle.history.len() as u64),
                 txn: TxnId(ctx.gid),
                 attempt: ctx.attempt,
                 node,
             });
         }
-        self.events += nodes.len();
+    }
+
+    fn commit(&mut self, gid: u32, attempt: u32) {
+        self.auditor.commit(gid, attempt);
+        #[cfg(debug_assertions)]
+        if let Some((_, committed)) = self.oracle.instances.get_mut(&gid) {
+            *committed = Some(attempt);
+        }
+    }
+
+    /// Debug builds, at close: the live verdict — what the last chunk
+    /// out observed — is the sealed one (every committed instance ran
+    /// to completion, so sealing adds no Lemma 1 arc), and both equal
+    /// the batch oracle over the very same history. The whole engine
+    /// test suite doubles as an equivalence proptest; [`EPOCH_CAP`]
+    /// bounds what the quadratic oracle rebuilds.
+    #[cfg(debug_assertions)]
+    fn cross_check(&mut self, sys: &TransactionSystem) {
+        let live = self.auditor.verdict();
+        let sealed = self.auditor.seal();
+        debug_assert_eq!(live, sealed, "sealing changed a complete epoch's verdict");
+        debug_assert_eq!(
+            sealed,
+            self.oracle.audit(sys),
+            "streaming audit diverged from the batch oracle"
+        );
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Oracle {
+    /// The batch `D(S)` audit of the epoch's committed projection: one
+    /// transaction per committed instance, indexed through an
+    /// epoch-local table (gid order) — overlapping runs interleave
+    /// their gid ranges, so gids are not contiguous here.
+    fn audit(&self, sys: &TransactionSystem) -> Option<bool> {
+        let mut members: Vec<(u32, TxnId, u32)> = self
+            .instances
+            .iter()
+            .filter_map(|(&gid, &(t, committed))| Some((gid, t, committed?)))
+            .collect();
+        if members.is_empty() {
+            return Some(true);
+        }
+        members.sort_unstable_by_key(|&(gid, ..)| gid);
+        let local: HashMap<u32, u32> = (0..)
+            .zip(&members)
+            .map(|(i, &(gid, ..))| (gid, i))
+            .collect();
+        let txns: Vec<Transaction> = members
+            .iter()
+            .map(|&(gid, t, _)| {
+                let t = sys.txn(t);
+                t.clone().with_name(format!("{}#{gid}", t.name()))
+            })
+            .collect();
+        let committed_attempt: Vec<Option<u32>> =
+            members.iter().map(|&(.., attempt)| Some(attempt)).collect();
+        let mut history = History::new();
+        for e in self.history.events() {
+            if let Some(&i) = local.get(&e.txn.0) {
+                history.record(HistoryEvent {
+                    txn: TxnId(i),
+                    ..*e
+                });
+            }
+        }
+        TransactionSystem::new(sys.db().clone(), txns)
+            .ok()
+            .and_then(|audit_sys| history.audit(&audit_sys, &committed_attempt).ok())
+    }
+}
+
+/// A run's pin on the audit epoch ([`Engine::pin_epoch`]); dropping it
+/// — on every path, unwinding included — closes the epoch if it was the
+/// last run in flight.
+struct RunPin<'e>(&'e Engine);
+
+impl Drop for RunPin<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.0.epochs.slot.lock();
+        slot.runs -= 1;
+        if slot.runs == 0 {
+            self.0.close_epoch(&mut slot);
+        }
+    }
+}
+
+/// A chunk's seat in the open audit epoch ([`Engine::join_epoch`]);
+/// dropping it — on every path, unwinding included, so a panic cannot
+/// hold an epoch open for good — leaves the epoch.
+struct EpochSeat<'e> {
+    engine: &'e Engine,
+    audit: Arc<Mutex<EpochAudit>>,
+}
+
+impl Drop for EpochSeat<'_> {
+    fn drop(&mut self) {
+        let epochs = &self.engine.epochs;
+        let mut slot = epochs.slot.lock();
+        slot.chunks -= 1;
+        if slot.chunks == 0 && slot.waiting > 0 {
+            epochs.drained.notify_all();
+        }
     }
 }
 
@@ -265,6 +438,8 @@ struct Outcome {
     reads: u64,
     writes: u64,
     writes_skipped: u64,
+    /// History events recorded, every attempt's.
+    events: u64,
     latency_us: u64,
 }
 
@@ -345,6 +520,10 @@ impl Engine {
             cfg,
             wal,
             gids: GidSpace(AtomicU32::new(next_gid)),
+            epochs: Epochs {
+                slot: Mutex::new_named("engine.epoch", EpochSlot::default()),
+                drained: Condvar::new(),
+            },
             cumulative: Mutex::new_named("engine.cumulative", None),
         }
     }
@@ -440,7 +619,7 @@ impl Engine {
     }
 
     /// Runs `cfg.instances` instances (assigned round-robin over the
-    /// registered templates) on `cfg.threads` workers and reports.
+    /// registered templates) on up to `cfg.threads` workers and reports.
     /// Reusable; the store accumulates writes across runs and the
     /// outcome folds into [`Engine::report_snapshot`].
     pub fn run(&self) -> Report {
@@ -459,7 +638,7 @@ impl Engine {
 
     /// Runs an explicit per-template mix — `count` instances of each
     /// listed template, interleaved round-robin across the entries — on
-    /// `cfg.threads` workers (ignoring `cfg.instances`). This is the
+    /// up to `cfg.threads` workers (ignoring `cfg.instances`). This is the
     /// submission path of the wire server, where clients pick templates
     /// by name instead of taking the uniform round-robin of
     /// [`Engine::run`]. The instances get the next `total` gids of the
@@ -515,28 +694,12 @@ impl Engine {
     }
 
     fn run_instances(&self, instances: Vec<Instance>) -> Report {
-        // The streaming auditor keeps the run's live D(S) verdict:
-        // instances are admitted up front, each release batch is fed
-        // (and logged) under the `engine.auditor` lock, and workers
-        // report commit/abort decisions as they happen — by the time the
-        // pool drains, the verdict is already computed.
-        let mut auditor = StreamingAuditor::new(self.registry.system());
-        for inst in &instances {
-            auditor.admit(inst.gid, inst.template);
-        }
-        let audit = Mutex::new_named(
-            "engine.auditor",
-            RunAudit {
-                auditor,
-                events: 0,
-                #[cfg(debug_assertions)]
-                oracle: History::new(),
-            },
-        );
         // Workers claim instances in admission-batch chunks (of one, by
         // default): each chunk is admitted under one gate acquisition
-        // per template and one log-lock acquisition for its Begin records
-        // (see `execute_chunk`).
+        // per template and one log-lock acquisition for its Begin records,
+        // and audited in the open epoch, which it joins and leaves (see
+        // `execute_chunk`). By the time the pool drains, the verdict is
+        // already computed.
         let batch = self.cfg.admission_batch.max(1);
         let (work_tx, work_rx) = unbounded::<Vec<Instance>>();
         for chunk in instances.chunks(batch) {
@@ -553,10 +716,12 @@ impl Engine {
         }
 
         let (done_tx, done_rx) = unbounded::<(u32, Outcome)>();
-        // Per-run phase attribution: snapshot the cumulative histograms
-        // around the pool, then diff. Buckets are monotone counters, so
-        // the difference is exactly this run's samples (runs on one
-        // engine are not concurrent — the server serializes them).
+        // Phase and group-counter attribution: snapshot the cumulative
+        // counters around the pool, then diff. Buckets are monotone, so
+        // the difference is every sample taken meanwhile — this run's,
+        // plus those of any run overlapping it on the same engine (the
+        // wire server's concurrent Submits). Only a single-caller run
+        // (the CLI's `run`) gets exactly its own.
         let phases_before = self.cfg.telemetry.phase_snapshot();
         // Workers bump per-template counters through this resolved
         // table: pure atomics, no per-instance locking.
@@ -566,24 +731,35 @@ impl Engine {
             None => (0, 0),
         };
         let started = Instant::now();
+        let pin = self.pin_epoch(instances.len());
+        // Each chunk's observed epoch verdict comes back on a channel, not
+        // through join handles: joining waits out each worker's teardown,
+        // the scope's own wait does not.
+        let (seen_tx, seen_rx) = unbounded::<Option<bool>>();
+        // No more workers than chunks: a worker past the last chunk would
+        // only be spawned to find the queue empty — half of a count=1
+        // Submit's thread spawns on a two-thread engine.
+        let workers = self.cfg.threads.max(1).min(instances.len().div_ceil(batch));
         std::thread::scope(|scope| {
-            for _ in 0..self.cfg.threads.max(1) {
+            for _ in 0..workers {
                 let work_rx = work_rx.clone();
                 let done_tx = done_tx.clone();
-                let audit = &audit;
+                let seen_tx = seen_tx.clone();
                 let ttable = ttable.as_deref();
                 // The queue is fully loaded (and its sender dropped)
                 // before workers start, so the first failed receive
                 // means drained.
                 scope.spawn(move || {
                     while let Ok(chunk) = work_rx.try_recv() {
-                        self.execute_chunk(&chunk, &done_tx, audit, ttable);
+                        let _ = seen_tx.send(self.execute_chunk(&chunk, &done_tx, ttable));
                     }
                 });
             }
         });
         let wall = started.elapsed();
-        drop(done_tx);
+        drop(pin);
+        drop((done_tx, seen_tx));
+        let seen = seen_rx.iter().fold(Some(true), conjoin);
         // Buffered log writers may still hold encoded frames; push them
         // to the kernel so a post-run crash loses nothing this run
         // claimed durable (commit decisions were already flushed — and
@@ -596,8 +772,7 @@ impl Engine {
         for (gid, out) in done_rx.iter() {
             outcomes[(gid - instances[0].gid) as usize] = out;
         }
-        let audit = Some(audit.into_inner());
-        let mut report = self.build_report(&instances, &outcomes, wall, audit);
+        let mut report = self.build_report(&instances, &outcomes, wall, seen);
         report.phases = self.cfg.telemetry.phase_snapshot().delta(&phases_before);
         if let Some(w) = &self.wal {
             let (flushes, commits) = w.group_counters();
@@ -632,14 +807,15 @@ impl Engine {
     /// data lock (so gate waits cannot entangle with lock waits) and in
     /// template-index order, so two workers holding chunks over
     /// overlapping template sets always contend in the same order and
-    /// cannot deadlock.
+    /// cannot deadlock. With its slots held the chunk joins the open
+    /// audit epoch, and it leaves once its last instance is done,
+    /// returning the verdict it observed then.
     fn execute_chunk(
         &self,
         chunk: &[Instance],
         done_tx: &Sender<(u32, Outcome)>,
-        audit: &Mutex<RunAudit>,
         ttable: Option<&TemplateTable>,
-    ) {
+    ) -> Option<bool> {
         let tel = &self.cfg.telemetry;
         let mut counts: Vec<(TxnId, usize)> = Vec::new();
         for inst in chunk {
@@ -654,24 +830,102 @@ impl Engine {
             .iter()
             .map(|&(t, n)| self.registry.template(t).gate.acquire_many(n))
             .collect();
+        let seat = self.join_epoch(chunk);
         let gate_wait = asked.elapsed();
         tel.record(Phase::GateWait, gate_wait);
         if let Some(w) = &self.wal {
             w.append(chunk.iter().map(|i| Self::begin(*i, 0)));
         }
         for inst in chunk {
-            let out = self.execute_instance(*inst, audit, ttable, gate_wait);
+            let out = self.execute_instance(*inst, &seat.audit, ttable, gate_wait);
             let _ = done_tx.send((inst.gid, out));
+        }
+        let seen = seat.audit.lock().auditor.verdict();
+        drop(seat);
+        seen
+    }
+
+    /// Pins the audit epoch for a run of `instances`: the open epoch (or
+    /// a new one) stays open between the run's chunks and closes when
+    /// the last pinned run ends. The epoch's instance table is sized
+    /// here, on the run's thread, so it does not regrow on the workers:
+    /// each worker allocates from its own malloc arena, which keeps what
+    /// a regrowth frees.
+    fn pin_epoch(&self, instances: usize) -> RunPin<'_> {
+        let mut slot = self.epochs.slot.lock();
+        slot.runs += 1;
+        let audit = self.open_epoch(&mut slot);
+        audit.lock().auditor.reserve(instances.min(EPOCH_CAP));
+        RunPin(self)
+    }
+
+    /// The open epoch's audit, opening an epoch if none is.
+    fn open_epoch<'s>(&self, slot: &'s mut EpochSlot) -> &'s Arc<Mutex<EpochAudit>> {
+        slot.open.get_or_insert_with(|| {
+            let audit = EpochAudit::new(self.registry.system());
+            Arc::new(Mutex::new_named("engine.auditor", audit))
+        })
+    }
+
+    /// Seats `chunk` in the open audit epoch and admits its instances to
+    /// the epoch's auditor. While the open epoch is at [`EPOCH_CAP`] the
+    /// chunk waits for it to drain, then closes it and opens the next;
+    /// it holds gate slots then but no lock class (the condvar releases
+    /// `engine.epoch`), and every chunk inside already holds its own
+    /// slots, so the drain never waits on the waiter.
+    fn join_epoch(&self, chunk: &[Instance]) -> EpochSeat<'_> {
+        let mut slot = self.epochs.slot.lock();
+        while slot.admitted > 0 && slot.admitted + chunk.len() > EPOCH_CAP {
+            if slot.chunks == 0 {
+                self.close_epoch(&mut slot);
+            } else {
+                slot.waiting += 1;
+                self.epochs.drained.wait(&mut slot);
+                slot.waiting -= 1;
+            }
+        }
+        let audit = Arc::clone(self.open_epoch(&mut slot));
+        slot.chunks += 1;
+        slot.admitted += chunk.len();
+        let mut au = audit.lock();
+        for inst in chunk {
+            au.admit(*inst);
+        }
+        drop(au);
+        EpochSeat {
+            engine: self,
+            audit,
         }
     }
 
-    /// Runs one admitted instance (its chunk holds the gate slot, after
-    /// `gate_wait`, and logged its first `Begin`) to commit: attempts
-    /// until one completes, dying and backing off in between.
+    /// Closes the open epoch, which must be quiescent (no chunk inside,
+    /// so every conflict arc to a later epoch points forward). Its
+    /// verdict was observed by the chunks that left it; what remains is
+    /// the gauge — the closed epoch's final size, until the next
+    /// epoch's first commit — and the debug-build cross-check.
+    fn close_epoch(&self, slot: &mut EpochSlot) {
+        debug_assert_eq!(slot.chunks, 0, "an epoch closes only at quiescence");
+        slot.admitted = 0;
+        let Some(audit) = slot.open.take() else {
+            return;
+        };
+        let (nodes, arcs) = {
+            let au = &audit.lock().auditor;
+            (au.node_count() as u64, au.arc_count() as u64)
+        };
+        self.cfg.telemetry.set_auditor(nodes, arcs);
+        #[cfg(debug_assertions)]
+        audit.lock().cross_check(self.registry.system());
+    }
+
+    /// Runs one admitted instance (its chunk holds the gate slot and an
+    /// epoch seat, after `gate_wait`, and logged its first `Begin`) to
+    /// commit: attempts until one completes, dying and backing off in
+    /// between.
     fn execute_instance(
         &self,
         inst: Instance,
-        audit: &Mutex<RunAudit>,
+        audit: &Mutex<EpochAudit>,
         ttable: Option<&TemplateTable>,
         gate_wait: Duration,
     ) -> Outcome {
@@ -717,6 +971,7 @@ impl Engine {
                 death
             });
             tel.record_since(Phase::Execute, t_exec);
+            out.events += a.events;
             let Some(death) = death else {
                 let t_commit = tel.timer();
                 // Seal the attempt: the commit timestamp is reserved
@@ -739,8 +994,9 @@ impl Engine {
                 // synchronously under this same lock), so the merge sees
                 // the complete attempt.
                 let (nodes, arcs) = {
-                    let au = &mut audit.lock().auditor;
+                    let mut au = audit.lock();
                     au.commit(gid, attempt);
+                    let au = &au.auditor;
                     (au.node_count() as u64, au.arc_count() as u64)
                 };
                 tel.set_auditor(nodes, arcs);
@@ -811,7 +1067,7 @@ impl Engine {
         &self,
         a: &mut Attempt<'_>,
         t: &Transaction,
-        audit: &Mutex<RunAudit>,
+        audit: &Mutex<EpochAudit>,
         tracer: Option<Tracer<'_>>,
     ) -> bool {
         let tel = &self.cfg.telemetry;
@@ -913,7 +1169,7 @@ impl Engine {
         instances: &[Instance],
         outcomes: &[Outcome],
         wall: Duration,
-        mut audit: Option<RunAudit>,
+        seen: Option<bool>,
     ) -> Report {
         let sys = self.registry.system();
         let failed: Vec<u32> = instances
@@ -926,53 +1182,16 @@ impl Engine {
 
         // Audit: one transaction per instance, so `D(S)` sees each
         // instance as its own node set. The verdict was maintained
-        // *during* the run by the streaming auditor; sealing is one
-        // linear sweep over committed instances that finds no Lemma 1
-        // stragglers (every committed instance ran to completion) —
-        // nothing is re-projected or rebuilt per report. Rolled-back
-        // aborts are clean — their writes were
-        // undone, so dropping their buffered events is sound — and
-        // wait-die runs audit like certified ones. Only an *unrecovered*
-        // dirty abort (a write the rollback could not take back) still
-        // voids the audit's premise, reporting `None` rather than a
-        // verdict over the wrong schedule.
+        // *during* the run by the epoch's streaming auditor — `seen` is
+        // what the run's chunks observed leaving it — so nothing is
+        // re-projected or rebuilt per report. Rolled-back aborts are
+        // clean — their writes were undone, so dropping their buffered
+        // events is sound — and wait-die runs audit like certified ones.
+        // Only an *unrecovered* dirty abort (a write the rollback could
+        // not take back) still voids the audit's premise, reporting
+        // `None` rather than a verdict over the wrong schedule.
         let serializable = if failed.is_empty() && !instances.is_empty() && dirty_aborts == 0 {
-            let verdict = audit.as_mut().and_then(|a| a.auditor.seal());
-            // Debug builds cross-check the streaming verdict against the
-            // batch oracle over the very same history — the whole
-            // existing engine test suite doubles as an equivalence
-            // proptest. The oracle rebuilds a per-instance system and
-            // audits it from scratch (quadratic-ish in instances), so it
-            // is capped: big debug runs keep the streaming verdict
-            // instead of hanging for minutes.
-            #[cfg(debug_assertions)]
-            if instances.len() <= BATCH_ORACLE_CAP {
-                let committed_attempt: Vec<Option<u32>> =
-                    outcomes.iter().map(|o| o.committed_attempt).collect();
-                let txns: Vec<Transaction> = instances
-                    .iter()
-                    .map(|i| {
-                        let t = sys.txn(i.template);
-                        t.clone().with_name(format!("{}#{}", t.name(), i.gid))
-                    })
-                    .collect();
-                // The oracle indexes transactions run-locally.
-                let mut history = History::new();
-                for e in audit.iter().flat_map(|a| a.oracle.events()) {
-                    history.record(HistoryEvent {
-                        txn: TxnId(e.txn.0 - instances[0].gid),
-                        ..*e
-                    });
-                }
-                let batch = TransactionSystem::new(sys.db().clone(), txns)
-                    .ok()
-                    .and_then(|audit_sys| history.audit(&audit_sys, &committed_attempt).ok());
-                debug_assert_eq!(
-                    verdict, batch,
-                    "streaming audit diverged from the batch oracle"
-                );
-            }
-            verdict
+            seen
         } else {
             None
         };
@@ -1021,7 +1240,7 @@ impl Engine {
             writes_skipped: outcomes.iter().map(|o| o.writes_skipped).sum(),
             wall,
             serializable,
-            history_len: audit.map_or(0, |a| a.events),
+            history_len: outcomes.iter().map(|o| o.events as usize).sum(),
             latency,
             // Filled with this run's per-phase delta by `run_instances`
             // (the empty-run report keeps the empty default), like the

@@ -52,8 +52,10 @@
 //!                             ▼
 //!                          events ──▶ streaming D(S) audit
 //!                             │        (one engine.auditor section per
-//!                             │         release batch: log + live verdict;
-//!                             │         batch audit is the debug oracle)
+//!                             │         release batch: log + live verdict
+//!                             │         of the audit epoch every run in
+//!                             │         flight shares; batch audit is the
+//!                             │         debug oracle)
 //!                          Report: certified k vs achieved peak,
 //!                          aborts (rolled back vs dirty), latency,
 //!                          per-phase histograms, per template
@@ -70,8 +72,9 @@
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
-//! `engine.auditor` ▷ `wal.log` (`wal.group_state` and `store.clock`
-//! are leaves never held with any of them) — documented in the "Lock
+//! `engine.epoch` ▷ `engine.auditor` ▷ `wal.log` (`wal.group_state` and
+//! `store.clock` are leaves never held with any of them, and no fsync
+//! runs under any but `server.engine`) — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -106,8 +109,10 @@
 //!   incremental
 //!   [`StreamingAuditor`](ddlf_model::incremental::StreamingAuditor)
 //!   under the `engine.auditor` lock, so the `D(S)` serializability
-//!   verdict is already sealed when the run drains (debug builds
-//!   cross-check it against the batch [`ddlf_sim::History`] oracle).
+//!   verdict is already known when the run drains. Concurrent runs
+//!   share that auditor through one *audit epoch*, closed only at
+//!   quiescence (debug builds cross-check each closed epoch against the
+//!   batch [`ddlf_sim::History`] oracle).
 //! * [`report`] — throughput / latency / abort metrics following the
 //!   `ddlf_sim::metrics` conventions.
 //! * [`wal`] — the optional write-ahead file sink: one append-only
@@ -162,7 +167,7 @@ pub mod store;
 pub mod template;
 pub mod wal;
 
-pub use executor::{run_system, Engine, EngineConfig};
+pub use executor::{run_system, Engine, EngineConfig, EPOCH_CAP};
 pub use mvcc::{RoEntry, RoSnapshot};
 pub use replay::{replay_schedule, ReplayError, ReplayReport};
 pub use report::{summary_line, LatencyStats, Report, TemplateReport};

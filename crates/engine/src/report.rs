@@ -115,25 +115,34 @@ pub struct Report {
     pub writes_skipped: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// Post-hoc `D(S)` audit of the committed schedule; `None` when not
-    /// every instance committed.
+    /// `D(S)` audit of the committed schedule: the conjunction of the
+    /// audit-epoch verdicts this run's chunks observed (an epoch shared
+    /// with overlapping runs covers their instances too); `None` when
+    /// not every instance committed.
     pub serializable: Option<bool>,
-    /// Lock/unlock events recorded.
+    /// Lock/unlock events this run's instances recorded, every
+    /// attempt's.
     pub history_len: usize,
     /// Commit-latency distribution.
     pub latency: LatencyStats,
-    /// Phase-latency histograms for this run (gate wait, lock wait,
-    /// execute, undo, WAL append, fsync, commit), recorded when the
-    /// run's [`EngineConfig`](crate::EngineConfig) carried an enabled
-    /// telemetry handle; all-zero otherwise. Unlike [`LatencyStats`],
-    /// these merge *exactly* under [`Report::absorb`].
+    /// Phase-latency histograms recorded while this run was in flight
+    /// (gate wait, lock wait, execute, undo, WAL append, fsync, commit),
+    /// when the run's [`EngineConfig`](crate::EngineConfig) carried an
+    /// enabled telemetry handle; all-zero otherwise. They are a delta
+    /// of the engine's cumulative histograms, so they include the
+    /// samples of any run overlapping this one on the same engine —
+    /// exactly this run's only when it ran alone (the CLI's `run`).
+    /// Unlike [`LatencyStats`], these merge *exactly* under
+    /// [`Report::absorb`].
     pub phases: PhaseSnapshot,
-    /// Flush groups written by the WAL's group committer this run (one
-    /// decision frame, one flush and at most one fsync each); 0 when
-    /// group commit is off or no WAL is attached.
+    /// Flush groups written by the WAL's group committer while this run
+    /// was in flight (one decision frame, one flush and at most one
+    /// fsync each) — overlapping runs' groups included, like
+    /// [`Report::phases`]; 0 when no WAL is attached.
     pub group_flushes: u64,
-    /// Commit decisions that went through the group committer this run;
-    /// `group_commits / group_flushes` is the mean achieved group size.
+    /// Commit decisions the group committer wrote while this run was in
+    /// flight; `group_commits / group_flushes` is the mean achieved
+    /// group size.
     pub group_commits: u64,
     /// Per-template certified-vs-achieved multiprogramming and outcome
     /// counts, template order.
@@ -159,6 +168,17 @@ pub fn summary_line(
         "committed {committed}/{instances} aborts {aborts} | {txn_per_sec:.0} txn/s | \
          {latency}peak k {peak_inflight} | serializable {serializable:?}"
     )
+}
+
+/// The three-valued conjunction of two audit verdicts: a confirmed
+/// violation (`Some(false)`) absorbs everything, an unauditable `None`
+/// absorbs `Some(true)`, and `Some(true)` is the identity.
+pub(crate) fn conjoin(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
 }
 
 impl Report {
@@ -230,11 +250,7 @@ impl Report {
         self.serializable = if self.instances == 0 {
             run.serializable
         } else {
-            match (self.serializable, run.serializable) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            }
+            conjoin(self.serializable, run.serializable)
         };
         self.latency
             .absorb(&run.latency, self.committed, run.committed);

@@ -85,13 +85,17 @@
 //! enqueues its decision and parks; the first enqueuer becomes leader,
 //! drains the queue, takes `wal.log`, appends the whole batch as one
 //! `CommitGroup` frame — a plain `Commit` for a group of one — flushes
-//! the buffer, issues (under `sync`) **one** `fdatasync` for the group,
-//! then wakes every follower. `Begin`/`Abort`/`Write`/`Event` frames
-//! may sit in user space until the next decision (or a full buffer, or
-//! the end-of-run flush) pushes them out; a decision frame never does.
-//! The leader holds `wal.log` across that `fdatasync`, so any other
-//! appender — a shard under `shard.state`, an event batch under
-//! `engine.auditor` — may wait out one group fsync behind it.
+//! the buffer, **releases `wal.log`**, issues (under `sync`) **one**
+//! `fdatasync` for the group on a cloned descriptor, then wakes every
+//! follower. `Begin`/`Abort`/`Write`/`Event` frames may sit in user
+//! space until the next decision (or a full buffer, or the end-of-run
+//! flush) pushes them out; a decision frame never does. Because the
+//! fsync runs outside `wal.log`, other appenders — a shard under
+//! `shard.state`, an event batch under `engine.auditor`, another run's
+//! `Begin`s — keep filling the buffer while it is in flight; what the
+//! fsync must cover was already in the kernel when it started. Fsyncs
+//! still never overlap: only the group leader issues one, and the next
+//! leader cannot step up until this one has finished.
 
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
@@ -334,7 +338,8 @@ impl WalRecord {
 #[derive(Debug, Clone)]
 pub struct WalOptions {
     /// Power-loss durability: the group leader `fdatasync`s the log right
-    /// after appending its decision frame — one fsync per commit group,
+    /// after appending and flushing its decision frame, with `wal.log`
+    /// already released — one fsync per commit group,
     /// covering the decision and, being a prefix of the same file, every
     /// record it decides over. Off by default: file order already
     /// survives process death, and the crash model the tests exercise
@@ -393,6 +398,8 @@ const LOG_BUFFER: usize = 64 << 10;
 /// buffer crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`].
 /// One buffer in front of one file cannot reorder: whatever prefix of
 /// the appended frames has reached the kernel is a prefix of the file.
+/// It never fsyncs: durability is [`Wal::flush_group`]'s, on a cloned
+/// descriptor, outside the lock that guards this writer.
 pub(crate) struct LogWriter {
     file: File,
     buf: Vec<u8>,
@@ -427,15 +434,6 @@ impl LogWriter {
             self.buf.clear();
         }
         Ok(())
-    }
-
-    /// Flushes, then fsyncs the file.
-    fn sync_data(&mut self) -> io::Result<()> {
-        self.flush()?;
-        // Durability wait: only `wal.log` (and the serialized
-        // server.engine slot) may be held across this.
-        let _io = blocking_region(BlockingKind::Fsync);
-        self.file.sync_data()
     }
 }
 
@@ -474,9 +472,13 @@ pub struct Wal {
     /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
     /// (under `shard.state`) for `Write`s, by the event path (under
     /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`,
-    /// and by a group leader for its decision, flush and fsync — which
-    /// the others, and the locks they hold, wait out.
+    /// and by a group leader for its decision frame and flush — never
+    /// across an fsync.
     log: Mutex<LogWriter>,
+    /// A second descriptor of `log.wal` (`try_clone` of the writer's),
+    /// which a group leader `fdatasync`s *after* releasing `wal.log`:
+    /// `fdatasync` covers the file, whichever descriptor asks.
+    syncer: File,
     sync: bool,
     group: GroupCommitter,
     /// Group flushes performed (decision frames written by a leader).
@@ -517,9 +519,11 @@ fn old_layout(dir: &Path) -> Option<String> {
 
 /// Builds the shared `Wal` state over an existing directory.
 fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
-    let log = LogWriter::new(append_mode(&dir.join(LOG_FILE))?);
+    let file = append_mode(&dir.join(LOG_FILE))?;
+    let syncer = file.try_clone()?;
     Ok(Arc::new(Wal {
-        log: Mutex::new_named("wal.log", log),
+        log: Mutex::new_named("wal.log", LogWriter::new(file)),
+        syncer,
         sync: opts.sync,
         group: GroupCommitter {
             max_group: opts.max_group.max(1),
@@ -705,17 +709,21 @@ impl Wal {
     }
 
     /// Writes one drained group durable: under one `wal.log`
-    /// acquisition, append the decision frame, push the buffer to the
-    /// kernel, and under `sync` issue the group's one `fdatasync`. Every
-    /// entry's committer appended its `Write`/`Event` records to this
-    /// same log before enqueueing, so they precede the frame in the
-    /// file: a decision visible in the page cache (or, under `sync`,
-    /// durable after power loss) implies the records it decides over
-    /// are too. A failed fsync poisons the WAL: otherwise the engine
-    /// would report a durable commit that power loss can still take
-    /// back. A singleton group is a plain `Commit` record, so a log
-    /// written with `max_group = 1` and a trivially-batched one stay
-    /// byte-identical.
+    /// acquisition, append the decision frame and push the buffer to the
+    /// kernel; then, with `wal.log` released, under `sync` issue the
+    /// group's one `fdatasync` on the cloned descriptor. Every entry's
+    /// committer appended its `Write`/`Event` records to this same log
+    /// before enqueueing, so they precede the frame in the file — and
+    /// the flush put all of them in the kernel before the fsync began:
+    /// a decision visible in the page cache (or, under `sync`, durable
+    /// after power loss) implies the records it decides over are too.
+    /// Appenders that take `wal.log` meanwhile only fill the buffer
+    /// behind the frame. Only the leader fsyncs (`leader_active`), so
+    /// fsyncs never overlap. A failed fsync poisons the WAL: otherwise
+    /// the engine would report a durable commit that power loss can
+    /// still take back. A singleton group is a plain `Commit` record, so
+    /// a log written with `max_group = 1` and a trivially-batched one
+    /// stay byte-identical.
     fn flush_group(&self, batch: &[GroupEntry]) {
         if batch.is_empty() || self.poisoned() {
             return;
@@ -730,19 +738,21 @@ impl Wal {
             let mut f = self.log.lock();
             self.append_record(&mut f, &rec);
             self.flush_locked(&mut f);
-            if self.sync && !self.poisoned() {
-                // One sample per `fdatasync` issued: one per group.
-                let t0 = self.telemetry.timer();
-                let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
-                    Err(io::Error::other("injected fsync failure"))
-                } else {
-                    f.sync_data()
-                };
-                if let Err(e) = synced {
-                    self.fail("fsync", &e);
-                }
-                self.telemetry.record_since(Phase::Fsync, t0);
+        }
+        if self.sync && !self.poisoned() {
+            // One sample per `fdatasync` issued: one per group.
+            let t0 = self.telemetry.timer();
+            let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
+                Err(io::Error::other("injected fsync failure"))
+            } else {
+                // Durability wait: no WAL lock is held across it.
+                let _io = blocking_region(BlockingKind::Fsync);
+                self.syncer.sync_data()
+            };
+            if let Err(e) = synced {
+                self.fail("fsync", &e);
             }
+            self.telemetry.record_since(Phase::Fsync, t0);
         }
         self.group_flushes.fetch_add(1, Ordering::Relaxed);
         self.group_records

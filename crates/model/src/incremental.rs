@@ -311,6 +311,11 @@ impl StreamingAuditor {
         a
     }
 
+    /// Makes room for `additional` more admitted instances up front.
+    pub fn reserve(&mut self, additional: usize) {
+        self.instances.reserve(additional);
+    }
+
     /// Registers instance `gid` as an instance of `template`. Must
     /// precede the instance's events. Re-admitting a gid is a no-op when
     /// the template matches.

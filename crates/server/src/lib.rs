@@ -15,12 +15,14 @@
 //!      │  Request  — 1 frame = u32 LE length + payload (msg::frame)
 //!      ▼
 //!   Server accept loop ── thread per connection ──▶ Shared state
-//!      │                                            Mutex<Option<Engine>>
+//!      │                                            RwLock<Option<Engine>>
 //!      │ RegisterSystem: SystemSpec JSON ──▶ certify (inflation) ──▶ new Engine
-//!      │ Submit:   name ──▶ TxnId mix ──▶ Engine::run_mix (blocking)
+//!      │           (write side: waits out in-flight Submits)
+//!      │ Submit:   name ──▶ TxnId mix ──▶ Engine::run_mix (blocking; read
+//!      │           side, so other connections' Submits run beside it)
 //!      │ Report:   Engine::report_snapshot (cumulative, runs nothing)
 //!      │ Stats:    Telemetry::snapshot digest (lock-free — answers
-//!      │           mid-Submit without touching the engine mutex)
+//!      │           mid-Submit without touching the engine lock)
 //!      │ Shutdown: flag + accept-loop wakeup
 //!      ▼
 //!   Response frame (typed; errors carry an ErrorKind, never a dropped

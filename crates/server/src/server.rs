@@ -8,15 +8,17 @@
 //!
 //! Registration *replaces* the engine (a new system means a new store
 //! and a fresh certification); submissions run on the registered engine
-//! with its admission gates shared across connections, so concurrent
-//! clients together still cannot exceed the certified per-template
-//! multiprogramming. Instance ids are no reason to serialize any more:
-//! the engine mints every gid (lock holder, wait-die timestamp) from one
-//! id space that lasts its lifetime, so instances of different
-//! submissions never collide. Submissions still serialize on the engine
-//! lock for the two things that remain per run: the `D(S)` auditor
-//! (each run audits its own instances) and the phase-histogram delta a
-//! `Report` attributes to its run.
+//! **concurrently**, each on its own connection's thread, with its
+//! admission gates shared across connections, so concurrent clients
+//! together still cannot exceed the certified per-template
+//! multiprogramming. Nothing else needs them apart: the engine mints
+//! every gid (lock holder, wait-die timestamp) from one id space that
+//! lasts its lifetime, so instances of different submissions never
+//! collide, and overlapping runs share one `D(S)` audit epoch. The
+//! engine slot is a reader-writer lock: a `Submit` or `Report` holds the
+//! read side, a registration the write side — taken *before* it builds
+//! the new engine and rotates the WAL directory, so it waits out every
+//! in-flight run instead of rotating the log under it.
 
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
@@ -26,7 +28,7 @@ use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Store, Tele
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
 use ddlf_sim::msg::frame;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -87,19 +89,23 @@ fn admission_of(inflate: InflateSpec, threads: usize) -> AdmissionOptions {
 }
 
 struct Shared {
-    engine: Mutex<Option<Engine>>,
+    /// The registered engine, `server.engine`: `Submit` and `Report`
+    /// hold the read side (a `Submit` for its whole run, concurrently
+    /// with other connections' Submits), `RegisterSystem` the write
+    /// side.
+    engine: RwLock<Option<Engine>>,
     /// The telemetry handle every registered engine records into
     /// (registration clones `cfg.engine`, so the handle is shared, not
     /// replaced). Held here so [`Request::Stats`] can digest it without
-    /// touching the engine mutex — `submit` holds that mutex for an
-    /// entire run, and a stats probe must answer *during* the run, not
-    /// after it.
+    /// touching the engine lock — a stats probe must answer even while
+    /// a registration holds its write side.
     telemetry: Telemetry,
     /// The registered engine's store, parked here so [`Request::ReadOnly`]
     /// can scan the multiversion chains without touching the engine
-    /// mutex — like `telemetry`, a snapshot read must answer *during* a
-    /// `Submit`, not after it. The lock guards only the `Arc` clone; the
-    /// scan itself takes only leaf locks of the shared store.
+    /// lock — like `telemetry`, a snapshot read must answer even while a
+    /// registration waits out in-flight Submits. The lock guards only
+    /// the `Arc` clone; the scan itself takes only leaf locks of the
+    /// shared store.
     read_store: Mutex<Option<Arc<Store>>>,
     cfg: ServeConfig,
     shutdown: AtomicBool,
@@ -118,7 +124,7 @@ impl Shared {
         match req {
             Request::RegisterSystem { spec_json, inflate } => self.register(&spec_json, inflate),
             Request::Submit { template, count } => self.submit(&template, count),
-            Request::Report => match self.engine.lock().as_ref() {
+            Request::Report => match self.engine.read().as_ref() {
                 Some(engine) => Response::Report(RunStats::from_report(&engine.report_snapshot())),
                 None => no_system(),
             },
@@ -127,7 +133,7 @@ impl Shared {
                 Response::ShuttingDown
             }
             // Deliberately lock-free: reads the shared telemetry handle,
-            // never the engine mutex, so it answers mid-`Submit`. Before
+            // never the engine lock, so it answers mid-`Submit`. Before
             // any registration the digest is legitimately all zeros.
             Request::Stats => Response::Stats(StatsSnapshot::from_telemetry(&self.telemetry)),
             Request::ReadOnly { entities } => self.read_only(&entities),
@@ -135,7 +141,7 @@ impl Shared {
     }
 
     /// Answers one read-only transaction over the snapshot path. The
-    /// engine mutex is never taken: `read_store` holds a brief leaf
+    /// engine lock is never taken: `read_store` holds a brief leaf
     /// lock around the `Arc` clone, then the scan reads the version
     /// chains under leaf shard mutexes, one entity at a time — so a
     /// reader observes a committed cut even while a `Submit` run is
@@ -213,6 +219,11 @@ impl Shared {
                 message: "inflation k must be ≥ 1".to_string(),
             };
         }
+        // The write side first: a new engine rotates the WAL directory,
+        // which must not happen under a run still appending to it, so
+        // this waits out every in-flight Submit (and holds new ones off
+        // until the swap).
+        let mut slot = self.engine.write();
         let engine = match Engine::try_with_admission(
             sys,
             admission_of(requested, self.cfg.threads),
@@ -238,15 +249,15 @@ impl Shared {
         // engine slot swaps: a racing reader sees either the old system
         // or the new one, never a dangling store.
         *self.read_store.lock() = Some(engine.store_handle());
-        *self.engine.lock() = Some(engine);
+        *slot = Some(engine);
         Response::Registered(reply)
     }
 
     fn submit(&self, template: &str, count: u32) -> Response {
-        // Hold the engine lock for the whole run: submissions serialize
-        // (the auditor and the phase delta are per run — gids are not),
-        // registrations cannot swap the engine mid-run.
-        let guard = self.engine.lock();
+        // The read side, for the whole run: other connections' Submits
+        // run beside this one, a registration cannot swap the engine
+        // (or rotate its WAL) mid-run.
+        let guard = self.engine.read();
         let Some(engine) = guard.as_ref() else {
             return no_system();
         };
@@ -318,7 +329,7 @@ impl Server {
                     "server.read_store",
                     engine.as_ref().map(Engine::store_handle),
                 ),
-                engine: Mutex::new_named("server.engine", engine),
+                engine: RwLock::new_named("server.engine", engine),
                 telemetry: cfg.engine.telemetry.clone(),
                 cfg,
                 shutdown: AtomicBool::new(false),

@@ -79,8 +79,8 @@ fn read_only_answers_mid_submit_and_conserves() {
 
     // Long enough that reads land mid-run (the debug-only batch-audit
     // cross-check is quadratic, so keep N modest). `submit` holds the
-    // engine mutex for the whole run; these reads only answer promptly
-    // because the snapshot path never touches that mutex.
+    // engine lock for the whole run; these reads only answer promptly
+    // because the snapshot path never touches that lock.
     const N: u32 = 800;
     let submit_addr = addr.clone();
     let submitter = std::thread::spawn(move || {

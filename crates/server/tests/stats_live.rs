@@ -80,9 +80,9 @@ fn stats_answer_mid_submit() {
     // A run long enough that stats polls land mid-run (in a debug
     // build a few hundred fully-conflicting instances take well over
     // the poll interval — the debug-only batch-audit cross-check is
-    // quadratic, so keep N modest). `submit` holds the engine mutex
+    // quadratic, so keep N modest). `submit` holds the engine lock
     // for the whole run, so these polls only succeed promptly because
-    // the Stats path never touches that mutex.
+    // the Stats path never touches that lock.
     const N: u32 = 800;
     let submit_addr = addr.clone();
     let submitter = std::thread::spawn(move || {

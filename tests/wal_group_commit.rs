@@ -11,6 +11,7 @@ use ddlf::engine::{
 use ddlf::model::TxnId;
 use ddlf::workloads::bank_ordered_pair;
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -280,6 +281,90 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
         assert_eq!(rec.store.snapshot(), expected, "cut at byte {cut}");
     }
     assert_eq!(expected, live_snapshot, "the uncut log is the live store");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The group leader fsyncs *outside* `wal.log`, so appends of other
+/// workers and of a concurrent run land in the buffer while a group's
+/// fsync is in flight. File order must still put every decision after
+/// the data it decides over: under `wal_sync`, two concurrent 4-thread
+/// runs, every `Commit`/`CommitGroup` entry is preceded by all of its
+/// attempt's `Event` frames (one per template node) and both transfer
+/// `Write`s — and no data frame of a decided attempt follows it.
+#[test]
+fn concurrent_sync_runs_log_every_decision_after_its_data() {
+    let dir = wal_dir("sync-order");
+    let engine = banking_engine(
+        &dir,
+        24,
+        EngineConfig {
+            threads: 4,
+            wal_sync: true,
+            ..Default::default()
+        },
+    );
+    std::thread::scope(|s| {
+        let runs = [s.spawn(|| engine.run()), s.spawn(|| engine.run())];
+        for run in runs {
+            let report = run.join().unwrap();
+            assert!(report.all_committed(), "{report:?}");
+            assert_eq!(report.serializable, Some(true));
+        }
+    });
+    assert!(!engine.wal().unwrap().poisoned());
+    let sys = engine.registry().system().clone();
+    drop(engine);
+
+    let log = std::fs::read(dir.join("log.wal")).unwrap();
+    // (events, writes) seen so far per (gid, attempt), and the decided.
+    let mut data: HashMap<(u32, u32), (usize, usize)> = HashMap::new();
+    let mut decided: HashSet<(u32, u32)> = HashSet::new();
+    type Seen = HashMap<(u32, u32), (usize, usize)>;
+    fn data_of<'a>(
+        data: &'a mut Seen,
+        decided: &HashSet<(u32, u32)>,
+        key: (u32, u32),
+    ) -> &'a mut (usize, usize) {
+        assert!(
+            !decided.contains(&key),
+            "data of {key:?} after its decision"
+        );
+        data.entry(key).or_default()
+    }
+    let mut at = 0;
+    while at < log.len() {
+        let body = at + 4;
+        let end = body + u32::from_le_bytes(log[at..body].try_into().unwrap()) as usize;
+        let entries = match WalRecord::decode(log[body..end].to_vec().into()).unwrap() {
+            WalRecord::Event { gid, attempt, .. } => {
+                data_of(&mut data, &decided, (gid, attempt)).0 += 1;
+                vec![]
+            }
+            WalRecord::Write { gid, attempt, .. } => {
+                data_of(&mut data, &decided, (gid, attempt)).1 += 1;
+                vec![]
+            }
+            WalRecord::Commit(e) => vec![e],
+            WalRecord::CommitGroup { entries } => entries,
+            WalRecord::Begin { .. } | WalRecord::Abort { .. } => vec![],
+        };
+        for e in entries {
+            let key = (e.gid, e.attempt);
+            let nodes = sys.txn(TxnId(e.template)).node_count();
+            assert_eq!(
+                *data_of(&mut data, &decided, key),
+                (nodes, 2),
+                "decision of {key:?} before all of its data"
+            );
+            decided.insert(key);
+        }
+        at = end;
+    }
+    assert_eq!(decided.len(), 48, "every instance of both runs decided");
+    let rec = recover(&dir).unwrap();
+    assert_eq!(rec.committed, 48);
+    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,6 +2,12 @@
 //! acquires locks across shards in partial-order-respecting order, and
 //! applies the template's reads/writes.
 //!
+//! **One pool.** The workers belong to the engine, not to a run: a run
+//! hands up to [`EngineConfig::threads`] jobs to the engine's
+//! persistent worker pool, and each job drains the run's chunks from
+//! one shared cursor. The pool spawns a worker only when no idle one is
+//! left to take a job, and the engine's drop joins them all.
+//!
 //! Every instance runs the same way: its chunk is admitted
 //! (`execute_chunk`: one [`SlotGate`](crate::template::SlotGate)
 //! acquisition per template, one batched `Begin` append), then each
@@ -58,11 +64,12 @@
 //! audited in one epoch of its own: exactly a per-run audit.
 
 use crate::attempt::{wait_die, Attempt, Refused};
+use crate::pool::Pool;
 use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, WalRecord, DEFAULT_MAX_GROUP};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 #[cfg(debug_assertions)]
@@ -75,7 +82,7 @@ use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,7 +107,9 @@ const POLL: Duration = Duration::from_micros(50);
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads draining the instance queue.
+    /// At most this many workers per run (and never more than the run
+    /// has chunks), drawn from the engine's persistent pool, which
+    /// spawns a worker only when no idle one is left.
     pub threads: usize,
     /// Total transaction instances to run (assigned round-robin over the
     /// registered templates). [`Engine::run`] panics once the engine's
@@ -170,8 +179,26 @@ impl Default for EngineConfig {
 }
 
 /// The sharded execution engine: a certified-or-not template registry,
-/// the versioned store, and a worker pool.
+/// the versioned store, and a worker pool that lives as long as the
+/// engine (dropping the engine joins its workers).
 pub struct Engine {
+    /// What a run's pool jobs execute against, shared with them.
+    core: Arc<Core>,
+    /// The one instance-id space, for the engine's whole lifetime.
+    gids: GidSpace,
+    /// Cumulative outcome of every run so far, maintained by
+    /// [`Report::absorb`]; `None` until the first non-empty run. Behind a
+    /// mutex so concurrent runs (e.g. wire submissions) merge safely.
+    cumulative: Mutex<Option<Report>>,
+    /// The engine's workers: dropping the engine closes the pool and
+    /// joins every one of them (no run is in flight by then — a run
+    /// borrows the engine).
+    pool: Pool,
+}
+
+/// The engine state a pool job carries: everything an instance's
+/// execution touches.
+struct Core {
     registry: TemplateRegistry,
     /// Shared so the read-only snapshot path (wire `ReadOnly`
     /// requests, `run --readers` scanner threads) can read concurrently
@@ -180,14 +207,8 @@ pub struct Engine {
     cfg: EngineConfig,
     /// The write-ahead log, when `cfg.wal_dir` asked for one.
     wal: Option<Arc<Wal>>,
-    /// The one instance-id space, for the engine's whole lifetime.
-    gids: GidSpace,
     /// The audit epoch every chunk in flight shares.
     epochs: Epochs,
-    /// Cumulative outcome of every run so far, maintained by
-    /// [`Report::absorb`]; `None` until the first non-empty run. Behind a
-    /// mutex so concurrent runs (e.g. wire submissions) merge safely.
-    cumulative: Mutex<Option<Report>>,
 }
 
 /// The monotone gid allocator: each run reserves a contiguous range
@@ -240,6 +261,9 @@ struct EpochSlot {
     admitted: usize,
     /// Chunks waiting out the cap; the last chunk out wakes them.
     waiting: usize,
+    /// Closed epochs the batch oracle re-audited.
+    #[cfg(debug_assertions)]
+    cross_checked: usize,
 }
 
 /// What one epoch's `engine.auditor` mutex guards: the only record of
@@ -372,10 +396,10 @@ impl Oracle {
     }
 }
 
-/// A run's pin on the audit epoch ([`Engine::pin_epoch`]); dropping it
+/// A run's pin on the audit epoch ([`Core::pin_epoch`]); dropping it
 /// — on every path, unwinding included — closes the epoch if it was the
 /// last run in flight.
-struct RunPin<'e>(&'e Engine);
+struct RunPin<'e>(&'e Core);
 
 impl Drop for RunPin<'_> {
     fn drop(&mut self) {
@@ -387,17 +411,17 @@ impl Drop for RunPin<'_> {
     }
 }
 
-/// A chunk's seat in the open audit epoch ([`Engine::join_epoch`]);
+/// A chunk's seat in the open audit epoch ([`Core::join_epoch`]);
 /// dropping it — on every path, unwinding included, so a panic cannot
 /// hold an epoch open for good — leaves the epoch.
 struct EpochSeat<'e> {
-    engine: &'e Engine,
+    core: &'e Core,
     audit: Arc<Mutex<EpochAudit>>,
 }
 
 impl Drop for EpochSeat<'_> {
     fn drop(&mut self) {
-        let epochs = &self.engine.epochs;
+        let epochs = &self.core.epochs;
         let mut slot = epochs.slot.lock();
         slot.chunks -= 1;
         if slot.chunks == 0 && slot.waiting > 0 {
@@ -515,16 +539,19 @@ impl Engine {
         }
         Self::install_template_counters(&registry, &cfg.telemetry);
         Self {
-            registry,
-            store: Arc::new(store),
-            cfg,
-            wal,
+            core: Arc::new(Core {
+                registry,
+                store: Arc::new(store),
+                cfg,
+                wal,
+                epochs: Epochs {
+                    slot: Mutex::new_named("engine.epoch", EpochSlot::default()),
+                    drained: Condvar::new(),
+                },
+            }),
             gids: GidSpace(AtomicU32::new(next_gid)),
-            epochs: Epochs {
-                slot: Mutex::new_named("engine.epoch", EpochSlot::default()),
-                drained: Condvar::new(),
-            },
             cumulative: Mutex::new_named("engine.cumulative", None),
+            pool: Pool::new(),
         }
     }
 
@@ -578,12 +605,12 @@ impl Engine {
 
     /// The template registry (with its cached verdict).
     pub fn registry(&self) -> &TemplateRegistry {
-        &self.registry
+        &self.core.registry
     }
 
     /// The sharded store (inspect after a run).
     pub fn store(&self) -> &Store {
-        &self.store
+        &self.core.store
     }
 
     /// A shared handle to the store, for concurrent read-only snapshot
@@ -591,7 +618,7 @@ impl Engine {
     /// e.g. the wire server's `ReadOnly` path reading while a `Submit`
     /// run holds the engine lock.
     pub fn store_handle(&self) -> Arc<Store> {
-        Arc::clone(&self.store)
+        Arc::clone(&self.core.store)
     }
 
     /// Runs one **read-only transaction**: claims a snapshot timestamp
@@ -601,21 +628,16 @@ impl Engine {
     /// `snapshot_read` phase histogram. See
     /// [`Store::read_only_snapshot`] / [`crate::mvcc`].
     pub fn run_read_only(&self, entities: &[EntityId]) -> crate::mvcc::RoSnapshot {
-        let tel = &self.cfg.telemetry;
+        let tel = &self.core.cfg.telemetry;
         let started = Instant::now();
-        let snap = self.store.read_only_snapshot(entities);
+        let snap = self.core.store.read_only_snapshot(entities);
         tel.record(Phase::SnapshotRead, started.elapsed());
         snap
     }
 
     /// The attached write-ahead log, if `wal_dir` asked for one.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
-    }
-
-    /// Whether this run executes the no-detector path.
-    fn certified_path(&self) -> bool {
-        self.registry.verdict().is_certified() && !self.cfg.force_fallback
+        self.core.wal.as_ref()
     }
 
     /// Runs `cfg.instances` instances (assigned round-robin over the
@@ -623,14 +645,14 @@ impl Engine {
     /// Reusable; the store accumulates writes across runs and the
     /// outcome folds into [`Engine::report_snapshot`].
     pub fn run(&self) -> Report {
-        self.run_mix(&self.uniform_mix(self.cfg.instances))
+        self.run_mix(&self.uniform_mix(self.core.cfg.instances))
     }
 
     /// `count` instances spread round-robin over every registered
     /// template: what [`Engine::run`] executes and what an untargeted
     /// wire `Submit` asks for.
     pub fn uniform_mix(&self, count: usize) -> Vec<(TxnId, usize)> {
-        let n = self.registry.len();
+        let n = self.core.registry.len();
         (0..n)
             .map(|i| (TxnId::from_index(i), count / n + usize::from(i < count % n)))
             .collect()
@@ -649,7 +671,7 @@ impl Engine {
     /// registered template or the engine's lifetime instance count
     /// would exceed `u32::MAX` (gids double as wait-die timestamps).
     pub fn run_mix(&self, mix: &[(TxnId, usize)]) -> Report {
-        let registered = self.registry.len();
+        let registered = self.core.registry.len();
         for &(t, _) in mix {
             assert!(
                 t.index() < registered,
@@ -658,7 +680,7 @@ impl Engine {
         }
         let total: usize = mix.iter().map(|&(_, n)| n).sum();
         if total == 0 {
-            return self.build_report(&[], &[], Duration::ZERO, None);
+            return self.core.build_report(&[], &[], Duration::ZERO, None);
         }
         let first = self
             .gids
@@ -678,7 +700,7 @@ impl Engine {
                 }
             }
         }
-        self.run_instances(instances)
+        self.run_instances(instances.into())
     }
 
     /// The cumulative outcome of every run so far (sums of counters,
@@ -690,91 +712,87 @@ impl Engine {
         self.cumulative
             .lock()
             .clone()
-            .unwrap_or_else(|| self.build_report(&[], &[], Duration::ZERO, None))
+            .unwrap_or_else(|| self.core.build_report(&[], &[], Duration::ZERO, None))
     }
 
-    fn run_instances(&self, instances: Vec<Instance>) -> Report {
-        // Workers claim instances in admission-batch chunks (of one, by
-        // default): each chunk is admitted under one gate acquisition
-        // per template and one log-lock acquisition for its Begin records,
-        // and audited in the open epoch, which it joins and leaves (see
-        // `execute_chunk`). By the time the pool drains, the verdict is
-        // already computed.
-        let batch = self.cfg.admission_batch.max(1);
-        let (work_tx, work_rx) = unbounded::<Vec<Instance>>();
-        for chunk in instances.chunks(batch) {
-            work_tx.send(chunk.to_vec()).expect("receiver alive");
-        }
-        drop(work_tx);
-
+    fn run_instances(&self, instances: Arc<[Instance]>) -> Report {
+        let core = &self.core;
         // Per-run multiprogramming accounting starts fresh.
-        for t in 0..self.registry.len() {
-            self.registry
+        for t in 0..core.registry.len() {
+            core.registry
                 .template(TxnId::from_index(t))
                 .gate()
                 .reset_peak();
         }
 
-        let (done_tx, done_rx) = unbounded::<(u32, Outcome)>();
         // Phase and group-counter attribution: snapshot the cumulative
         // counters around the pool, then diff. Buckets are monotone, so
         // the difference is every sample taken meanwhile — this run's,
         // plus those of any run overlapping it on the same engine (the
         // wire server's concurrent Submits). Only a single-caller run
         // (the CLI's `run`) gets exactly its own.
-        let phases_before = self.cfg.telemetry.phase_snapshot();
-        // Workers bump per-template counters through this resolved
-        // table: pure atomics, no per-instance locking.
-        let ttable = self.cfg.telemetry.template_table();
-        let groups_before = match &self.wal {
+        let phases_before = core.cfg.telemetry.phase_snapshot();
+        let groups_before = match &core.wal {
             Some(w) => w.group_counters(),
             None => (0, 0),
         };
         let started = Instant::now();
-        let pin = self.pin_epoch(instances.len());
-        // Each chunk's observed epoch verdict comes back on a channel, not
-        // through join handles: joining waits out each worker's teardown,
-        // the scope's own wait does not.
-        let (seen_tx, seen_rx) = unbounded::<Option<bool>>();
-        // No more workers than chunks: a worker past the last chunk would
-        // only be spawned to find the queue empty — half of a count=1
-        // Submit's thread spawns on a two-thread engine.
-        let workers = self.cfg.threads.max(1).min(instances.len().div_ceil(batch));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                let seen_tx = seen_tx.clone();
-                let ttable = ttable.as_deref();
-                // The queue is fully loaded (and its sender dropped)
-                // before workers start, so the first failed receive
-                // means drained.
-                scope.spawn(move || {
-                    while let Ok(chunk) = work_rx.try_recv() {
-                        let _ = seen_tx.send(self.execute_chunk(&chunk, &done_tx, ttable));
-                    }
-                });
+        let pin = core.pin_epoch(instances.len());
+        // Workers claim instances in admission-batch chunks (of one, by
+        // default) from one shared cursor: each chunk is admitted under
+        // one gate acquisition per template and one log-lock acquisition
+        // for its Begin records, and audited in the open epoch, which it
+        // joins and leaves (see `execute_chunk`). By the time the last
+        // job reports back, the verdict is already computed. No more
+        // jobs than chunks: a job past the last chunk would only find
+        // the cursor spent.
+        let batch = core.cfg.admission_batch.max(1);
+        let jobs = core.cfg.threads.max(1).min(instances.len().div_ceil(batch));
+        let work = {
+            let (core, instances) = (Arc::clone(core), Arc::clone(&instances));
+            let cursor = AtomicUsize::new(0);
+            // Workers bump per-template counters through this resolved
+            // table: pure atomics, no per-instance locking.
+            let ttable = core.cfg.telemetry.template_table();
+            move || {
+                let mut done = Vec::new();
+                let mut seen = Some(true);
+                loop {
+                    // A plain ticket counter: the instances it indexes
+                    // are immutable, so it publishes nothing.
+                    let start = cursor.fetch_add(batch, Ordering::Relaxed);
+                    let Some(rest) = instances.get(start..).filter(|r| !r.is_empty()) else {
+                        break;
+                    };
+                    let chunk = &rest[..batch.min(rest.len())];
+                    let observed = core.execute_chunk(chunk, &mut done, ttable.as_deref());
+                    seen = conjoin(seen, observed);
+                }
+                (done, seen)
             }
-        });
+        };
+        let reports = self.pool.scatter(jobs, work);
         let wall = started.elapsed();
         drop(pin);
-        drop((done_tx, seen_tx));
-        let seen = seen_rx.iter().fold(Some(true), conjoin);
         // Buffered log writers may still hold encoded frames; push them
         // to the kernel so a post-run crash loses nothing this run
         // claimed durable (commit decisions were already flushed — and
         // under `sync`, fsynced — at each group boundary).
-        if let Some(w) = &self.wal {
+        if let Some(w) = &core.wal {
             w.flush();
         }
 
         let mut outcomes: Vec<Outcome> = vec![Outcome::default(); instances.len()];
-        for (gid, out) in done_rx.iter() {
-            outcomes[(gid - instances[0].gid) as usize] = out;
+        let mut seen = Some(true);
+        for (done, observed) in reports {
+            seen = conjoin(seen, observed);
+            for (gid, out) in done {
+                outcomes[(gid - instances[0].gid) as usize] = out;
+            }
         }
-        let mut report = self.build_report(&instances, &outcomes, wall, seen);
-        report.phases = self.cfg.telemetry.phase_snapshot().delta(&phases_before);
-        if let Some(w) = &self.wal {
+        let mut report = core.build_report(&instances, &outcomes, wall, seen);
+        report.phases = core.cfg.telemetry.phase_snapshot().delta(&phases_before);
+        if let Some(w) = &core.wal {
             let (flushes, commits) = w.group_counters();
             let (f0, c0) = groups_before;
             report.group_flushes = flushes - f0;
@@ -786,6 +804,13 @@ impl Engine {
             None => *cumulative = Some(report.clone()),
         }
         report
+    }
+}
+
+impl Core {
+    /// Whether this engine executes the no-detector path.
+    fn certified_path(&self) -> bool {
+        self.registry.verdict().is_certified() && !self.cfg.force_fallback
     }
 
     fn begin(inst: Instance, attempt: u32) -> WalRecord {
@@ -809,11 +834,12 @@ impl Engine {
     /// overlapping template sets always contend in the same order and
     /// cannot deadlock. With its slots held the chunk joins the open
     /// audit epoch, and it leaves once its last instance is done,
-    /// returning the verdict it observed then.
+    /// returning the verdict it observed then. Each instance's outcome
+    /// lands in `done`, keyed by gid.
     fn execute_chunk(
         &self,
         chunk: &[Instance],
-        done_tx: &Sender<(u32, Outcome)>,
+        done: &mut Vec<(u32, Outcome)>,
         ttable: Option<&TemplateTable>,
     ) -> Option<bool> {
         let tel = &self.cfg.telemetry;
@@ -838,7 +864,7 @@ impl Engine {
         }
         for inst in chunk {
             let out = self.execute_instance(*inst, &seat.audit, ttable, gate_wait);
-            let _ = done_tx.send((inst.gid, out));
+            done.push((inst.gid, out));
         }
         let seen = seat.audit.lock().auditor.verdict();
         drop(seat);
@@ -892,10 +918,7 @@ impl Engine {
             au.admit(*inst);
         }
         drop(au);
-        EpochSeat {
-            engine: self,
-            audit,
-        }
+        EpochSeat { core: self, audit }
     }
 
     /// Closes the open epoch, which must be quiescent (no chunk inside,
@@ -915,7 +938,10 @@ impl Engine {
         };
         self.cfg.telemetry.set_auditor(nodes, arcs);
         #[cfg(debug_assertions)]
-        audit.lock().cross_check(self.registry.system());
+        {
+            audit.lock().cross_check(self.registry.system());
+            slot.cross_checked += 1;
+        }
     }
 
     /// Runs one admitted instance (its chunk holds the gate slot and an
@@ -1261,6 +1287,88 @@ pub fn run_system(sys: &TransactionSystem, cfg: EngineConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddlf_model::{Database, Op};
+
+    /// Two transfers locking x then y: certified.
+    fn ordered_pair(threads: usize) -> Engine {
+        let db = Database::one_entity_per_site(2);
+        let (x, y) = (EntityId(0), EntityId(1));
+        let ops = [Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)];
+        let txns = ["T1", "T2"]
+            .map(|name| Transaction::from_total_order(name, &ops, &db).unwrap())
+            .to_vec();
+        let sys = TransactionSystem::new(db, txns).unwrap();
+        Engine::new(
+            sys,
+            EngineConfig {
+                threads,
+                ..Default::default()
+            },
+        )
+    }
+
+    /// Back-to-back one-chunk runs reuse one parked worker: it counts
+    /// itself idle before its run sees the job finish, so the next run
+    /// never finds the pool busy. Nothing spawns before the first run.
+    #[test]
+    fn back_to_back_runs_spawn_one_worker() {
+        let engine = ordered_pair(2);
+        assert_eq!(engine.pool.spawned(), 0, "no worker before the first run");
+        let one = engine.uniform_mix(1);
+        for _ in 0..1_000 {
+            let r = engine.run_mix(&one);
+            assert_eq!(r.committed, 1);
+            assert_eq!(r.serializable, Some(true));
+        }
+        assert_eq!(engine.pool.spawned(), 1);
+    }
+
+    /// Dropping the engine closes its pool and joins every worker: the
+    /// pool state, which each worker holds, is gone.
+    #[test]
+    fn dropping_the_engine_joins_every_worker() {
+        let engine = ordered_pair(4);
+        // Four concurrent callers, so the pool grows past one worker.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| engine.run_mix(&engine.uniform_mix(16)));
+            }
+        });
+        assert!(engine.pool.spawned() > 1);
+        let pool = engine.pool.downgrade();
+        drop(engine);
+        assert!(pool.upgrade().is_none(), "a worker outlived its engine");
+    }
+
+    /// A panicking job resumes its panic on the thread that submitted
+    /// it, and the same pool keeps serving runs afterwards.
+    #[test]
+    fn a_panicking_job_reraises_on_the_submitter() {
+        let engine = ordered_pair(2);
+        let submitter = std::thread::current().id();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.pool.scatter(2, || -> u32 { panic!("job failed") })
+        }));
+        assert_eq!(std::thread::current().id(), submitter);
+        let payload = caught.expect_err("the job's panic must reach the submitter");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job failed"));
+        let r = engine.run();
+        assert!(r.all_committed(), "{r:?}");
+        assert_eq!(r.serializable, Some(true));
+    }
+
+    /// Epochs that share the registry's templates are still re-audited
+    /// by the batch oracle at every close: one epoch per
+    /// non-overlapping run.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn every_closed_epoch_is_cross_checked() {
+        let engine = ordered_pair(2);
+        for _ in 0..3 {
+            assert_eq!(engine.run().serializable, Some(true));
+        }
+        assert_eq!(engine.core.epochs.slot.lock().cross_checked, 3);
+    }
 
     #[test]
     fn gid_space_reserves_disjoint_ranges() {

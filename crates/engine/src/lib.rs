@@ -28,7 +28,10 @@
 //!        zero aborts possible             its exposed writes leave their
 //!              │                          value chains, it backs off
 //!              └──────────────┬────────────────────┘
-//!                        Executor (worker pool) — one path per instance
+//!                        Executor — one path per instance
+//!                             │ a run hands ≤ threads jobs to the engine's
+//!                             │ persistent pool (a worker is spawned only
+//!                             │ when none is idle); jobs drain its chunks
 //!                             │ execute_chunk: SlotGate.acquire_many() per
 //!                             │ template (chunk of one by default) ⇒ the
 //!                             │ in-flight mix is a subsystem of the
@@ -73,8 +76,9 @@
 //! The engine's *own* mutexes follow a fixed global hierarchy —
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
 //! `engine.epoch` ▷ `engine.auditor` ▷ `wal.log` (`wal.group_state` and
-//! `store.clock` are leaves never held with any of them, and no fsync
-//! runs under any but `server.engine`) — documented in the "Lock
+//! `store.clock` are leaves never held with any of them, `engine.pool`
+//! is a leaf never held while a job runs, and no fsync runs under any
+//! but `server.engine`) — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -99,8 +103,11 @@
 //!   systems fall back to wait-die. Templates carry data [`Program`]s
 //!   (reads on every lock; `Add`/`Put` writes applied at unlock under
 //!   the lock).
-//! * [`executor`] — a worker pool drains the instance queue, steps each
-//!   instance's attempts through its transaction's partial order (the
+//! * [`executor`] — workers from the engine's lifetime-long pool drain
+//!   each run's instances in chunks from one shared cursor (no thread
+//!   is spawned per run, and none before the first job needs it),
+//!   stepping each instance's attempts through its transaction's
+//!   partial order (the
 //!   same `Attempt` stepper and wait-die rule [`replay`] drives
 //!   cooperatively). An instance is one `gid` from the engine's
 //!   lifetime-long id space — lock holder, wait-die timestamp, chain,
@@ -161,6 +168,7 @@
 mod attempt;
 pub mod executor;
 pub mod mvcc;
+mod pool;
 pub mod replay;
 pub mod report;
 pub mod store;

@@ -173,16 +173,17 @@ mod imp {
     /// * `wal.log` — the one writer lock serializes append and
     ///   `write(2)`, never an fsync: the group leader releases it
     ///   before its `fdatasync`.
-    /// * `server.engine` — a `Submit` holds the engine slot's read side
-    ///   for its whole run (concurrently with other Submits; only a
-    ///   registration's write side excludes it), so everything the
-    ///   engine does, durability included, happens under it.
+    /// * `server.engine` — a registration builds the new engine and its
+    ///   WAL directory under the write side, and a `Submit` flushes the
+    ///   log's buffer at the end of its run under the read side. The
+    ///   engine's pool workers, which run the jobs and issue the group
+    ///   fsyncs, never hold it.
     ///
     /// `wal.group_state` is deliberately absent: the group-commit
     /// leader must drain tickets and fsync *outside* the state lock
     /// (the PR 7 invariant this list machine-checks). So are
-    /// `template.slot_gate`, `engine.epoch`, `engine.cumulative` and
-    /// `server.conns`.
+    /// `template.slot_gate`, `engine.epoch`, `engine.cumulative`,
+    /// `engine.pool` and `server.conns`.
     const BLOCKING_ALLOW: &[(&str, u8)] = &[
         ("shard.state", 1),
         ("engine.auditor", 1),

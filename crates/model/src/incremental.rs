@@ -61,6 +61,7 @@ use crate::system::TransactionSystem;
 use crate::txn::Transaction;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound::{Excluded, Unbounded};
+use std::sync::Arc;
 
 /// A directed graph that maintains a topological order of its vertices
 /// under arc insertion (Pearce–Kelly), reporting a cycle witness the
@@ -260,7 +261,9 @@ struct InstanceState {
 /// whole history, regardless of where the cycle sits).
 #[derive(Debug)]
 pub struct StreamingAuditor {
-    templates: Vec<Transaction>,
+    /// The system's own template slice, shared: opening an auditor is a
+    /// refcount bump, not a copy of every template.
+    templates: Arc<[Transaction]>,
     instances: HashMap<u32, InstanceState>,
     /// Per-entity committed lock chains, keyed by lock time.
     chains: HashMap<EntityId, BTreeMap<u64, ChainEntry>>,
@@ -283,7 +286,7 @@ impl StreamingAuditor {
     /// it instantiates.
     pub fn new(sys: &TransactionSystem) -> Self {
         Self {
-            templates: sys.txns().to_vec(),
+            templates: sys.shared_txns(),
             instances: HashMap::new(),
             chains: HashMap::new(),
             topo: IncrementalTopo::new(),
@@ -761,6 +764,17 @@ mod tests {
         )
         .unwrap();
         TransactionSystem::new(db, vec![t1, t2]).unwrap()
+    }
+
+    /// Opening an auditor shares the system's template slice instead of
+    /// copying it; a cloned system shares it too.
+    #[test]
+    fn auditor_shares_the_systems_templates() {
+        let sys = two_txn_system();
+        let a = StreamingAuditor::new(&sys);
+        assert!(Arc::ptr_eq(&a.templates, &sys.shared_txns()));
+        let b = StreamingAuditor::new(&sys.clone());
+        assert!(Arc::ptr_eq(&a.templates, &b.templates));
     }
 
     /// The classic non-serializable interleaving: the live verdict flips

@@ -6,13 +6,16 @@ use crate::error::ModelError;
 use crate::graph::UnGraph;
 use crate::ids::{GlobalNode, NodeId, TxnId};
 use crate::txn::Transaction;
+use std::sync::Arc;
 
 /// A finite set of locked transactions over one database — the paper's
 /// `A = {T₁, …, Tₙ}`.
 #[derive(Debug, Clone)]
 pub struct TransactionSystem {
     db: Database,
-    txns: Vec<Transaction>,
+    /// Shared, not owned: an auditor over the system's templates holds
+    /// a clone of this `Arc` instead of a copy of every transaction.
+    txns: Arc<[Transaction]>,
     /// `offsets[i]` = number of nodes in transactions before `i`; used for
     /// dense global node numbering.
     offsets: Vec<usize>,
@@ -33,7 +36,11 @@ impl TransactionSystem {
             offsets.push(acc);
             acc += t.node_count();
         }
-        Ok(Self { db, txns, offsets })
+        Ok(Self {
+            db,
+            txns: txns.into(),
+            offsets,
+        })
     }
 
     /// The database schema.
@@ -58,6 +65,12 @@ impl TransactionSystem {
     #[inline]
     pub fn txns(&self) -> &[Transaction] {
         &self.txns
+    }
+
+    /// The transactions as a shared slice: a refcount bump, not a copy.
+    #[inline]
+    pub fn shared_txns(&self) -> Arc<[Transaction]> {
+        Arc::clone(&self.txns)
     }
 
     /// A single transaction.
@@ -156,7 +169,7 @@ impl TransactionSystem {
     /// The entities accessed by at least one transaction.
     pub fn used_entities(&self) -> BitSet {
         let mut s = BitSet::new(self.db.entity_count());
-        for t in &self.txns {
+        for t in self.txns.iter() {
             s.union_with(t.entity_set());
         }
         s

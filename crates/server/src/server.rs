@@ -38,7 +38,9 @@ use std::sync::Arc;
 /// Server tuning: how registered engines are configured.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads per submission run.
+    /// At most this many workers per submission run, drawn from the
+    /// registered engine's persistent pool (see
+    /// [`EngineConfig::threads`]).
     pub threads: usize,
     /// Inflation applied when a `RegisterSystem` request asks for
     /// [`InflateSpec::None`] — the `--inflate` flag of `ddlf-audit
@@ -92,7 +94,9 @@ struct Shared {
     /// The registered engine, `server.engine`: `Submit` and `Report`
     /// hold the read side (a `Submit` for its whole run, concurrently
     /// with other connections' Submits), `RegisterSystem` the write
-    /// side.
+    /// side. Only connection threads take it: the engine's pool workers
+    /// never do, so a `Submit` waits for its jobs holding the read side
+    /// while the jobs run lock-free of it.
     engine: RwLock<Option<Engine>>,
     /// The telemetry handle every registered engine records into
     /// (registration clones `cfg.engine`, so the handle is shared, not
@@ -249,6 +253,8 @@ impl Shared {
         // engine slot swaps: a racing reader sees either the old system
         // or the new one, never a dangling store.
         *self.read_store.lock() = Some(engine.store_handle());
+        // The old engine drops here, under the write side, so no run is
+        // in flight: its drop joins idle pool workers only.
         *slot = Some(engine);
         Response::Registered(reply)
     }

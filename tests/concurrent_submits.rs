@@ -84,27 +84,30 @@ fn forced_uniform_transfer() -> TemplateRegistry {
     reg
 }
 
-/// Four submitters drive three runs each, concurrently, on one WAL'd
-/// engine; recovery's whole-log audit referees the live verdicts.
-fn concurrent_runs_match_recovery(tag: &str, reg: TemplateRegistry, force_fallback: bool) {
+/// Four submitters each make `runs` runs of `count` instances,
+/// concurrently, on one WAL'd engine; recovery's whole-log audit
+/// referees the live verdicts and the acknowledged commits.
+fn submit_concurrently(
+    tag: &str,
+    reg: TemplateRegistry,
+    cfg: EngineConfig,
+    runs: usize,
+    count: usize,
+) -> Vec<Report> {
     let dir = wal_dir(tag);
     let engine = Engine::with_registry(
         reg,
         EngineConfig {
-            threads: 2,
-            work: Duration::from_micros(60),
-            seed: 7,
-            force_fallback,
             wal_dir: Some(dir.clone()),
-            ..Default::default()
+            ..cfg
         },
     );
     let reports: Vec<Report> = std::thread::scope(|s| {
         let submitters: Vec<_> = (0..4)
             .map(|_| {
                 s.spawn(|| {
-                    (0..3)
-                        .map(|_| engine.run_mix(&engine.uniform_mix(10)))
+                    (0..runs)
+                        .map(|_| engine.run_mix(&engine.uniform_mix(count)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -114,13 +117,11 @@ fn concurrent_runs_match_recovery(tag: &str, reg: TemplateRegistry, force_fallba
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
-    let aborts: usize = reports.iter().map(|r| r.aborted_attempts).sum();
+    assert_eq!(reports.len(), 4 * runs, "{tag}: every run completes");
     for r in &reports {
         assert!(r.all_committed(), "{tag}: {r:?}");
         assert_eq!(r.dirty_aborts, 0, "{tag}: {r:?}");
-        assert_eq!(r.path(), "wait-die", "{tag}");
     }
-    assert!(aborts > 0, "{tag}: contended wait-die must abort somewhere");
     let live = conjunction(&reports);
     assert_eq!(engine.report_snapshot().serializable, live, "{tag}");
     drop(engine);
@@ -138,12 +139,58 @@ fn concurrent_runs_match_recovery(tag: &str, reg: TemplateRegistry, force_fallba
     );
     assert_eq!(rec.torn_tails, 0);
     let _ = std::fs::remove_dir_all(&dir);
+    reports
 }
 
+/// Four submitters drive three contended runs each on two-thread
+/// engines that take the wait-die path for real.
 #[test]
 fn concurrent_wait_die_runs_audit_like_the_recovered_log() {
-    concurrent_runs_match_recovery("opposite-chains", opposite_chains(), false);
-    concurrent_runs_match_recovery("uniform-forced", forced_uniform_transfer(), true);
+    for (tag, reg, force_fallback) in [
+        ("opposite-chains", opposite_chains(), false),
+        ("uniform-forced", forced_uniform_transfer(), true),
+    ] {
+        let cfg = EngineConfig {
+            threads: 2,
+            work: Duration::from_micros(60),
+            seed: 7,
+            force_fallback,
+            ..Default::default()
+        };
+        let reports = submit_concurrently(tag, reg, cfg, 3, 10);
+        for r in &reports {
+            assert_eq!(r.path(), "wait-die", "{tag}");
+        }
+        let aborts: usize = reports.iter().map(|r| r.aborted_attempts).sum();
+        assert!(aborts > 0, "{tag}: contended wait-die must abort somewhere");
+    }
+}
+
+/// Many one-instance runs from four submitters on a one-thread engine:
+/// each run hands one job to the shared worker pool, and no submitter
+/// starves, on the certified and on the forced wait-die path alike.
+#[test]
+fn count_one_runs_from_four_submitters_all_complete() {
+    let (_, sys) = bank_ordered_pair();
+    let certified = TemplateRegistry::register(sys);
+    assert!(
+        certified.verdict().is_certified(),
+        "{}",
+        certified.verdict()
+    );
+    for (tag, reg, path) in [
+        ("pool-certified", certified, "no-detector"),
+        ("pool-forced", forced_uniform_transfer(), "wait-die"),
+    ] {
+        let cfg = EngineConfig {
+            threads: 1,
+            force_fallback: path == "wait-die",
+            ..Default::default()
+        };
+        for r in submit_concurrently(tag, reg, cfg, 50, 1) {
+            assert_eq!((r.instances, r.path()), (1, path), "{tag}");
+        }
+    }
 }
 
 #[test]

@@ -196,9 +196,10 @@ fn entity_list(v: String) -> Vec<String> {
 
 // ---- the table ----------------------------------------------------------
 
-/// `--group-commit[=MAX]`. Every decision goes through the group
-/// committer, so the flag only sizes the group: bare is the engine's
-/// default, `=MAX` overrides it (`MAX ≥ 1`; 1 = unbatched).
+/// `--group-commit[=MAX]`. Every `--wal-sync` decision goes through the
+/// group committer, so the flag only sizes the group: bare is the
+/// engine's default, `=MAX` overrides it (`MAX ≥ 1`; 1 = unbatched).
+/// Without `--wal-sync` there is no fsync to share and it is unused.
 fn group_commit(a: &Args) -> Result<Option<usize>, String> {
     let explain = |e| format!("bad --group-commit: {e} (want a max group size ≥ 1)");
     match a.raw("--group-commit", Takes::Glued("MAX")) {
@@ -372,7 +373,7 @@ pub(crate) fn usage() -> String {
         }
         out.push('\n');
     }
-    out + "       (--group-commit[=MAX] only sizes the commit group every decision goes \
-           through; 1 = one decision record per commit)\n\
+    out + "       (--group-commit[=MAX] only sizes the --wal-sync commit group, one fsync \
+           per group; 1 = one decision record and fsync per commit)\n\
            \x20      (lockgraph observes nothing unless built with --features lockdep)"
 }

@@ -490,27 +490,37 @@ fn run_lockgraph(dot: bool) -> Outcome {
     let spec_json = include_str!("../../../fixtures/banking_ordered.json");
     let sys = load_system(spec_json)
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
-    // Engine leg: slot_gate, shard.state, store.clock, engine.* and the
+    // Engine legs: slot_gate, shard.state, store.clock, engine.* and the
     // wal.* classes (fsync regions via `wal_sync`, the group path via
     // `group_commit`, the event section — engine.auditor over wal.log —
     // on every unlock, the write-ahead append — shard.state over
-    // wal.log — on every write).
+    // wal.log — on every write). Snapshot reads race both runs; in the
+    // second, without `wal_sync`, a read that finds a decision still in
+    // the log buffer pushes it, taking wal.log holding nothing.
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
-    let flags = EngineFlags {
+    let mut flags = EngineFlags {
         inflate: Some(InflateArg::Auto),
         wal: Some(wal_dir.to_string_lossy().into_owned()),
-        wal_sync: true,
         group_commit: Some(8),
         ..EngineFlags::new(4)
     };
-    let mut cfg = flags.config(Telemetry::disabled());
-    cfg.instances = 256;
-    let admission = admission_options(flags.inflate, flags.threads);
-    let engine = ddlf_engine::Engine::try_with_admission(sys, admission, cfg)
-        .map_err(|e| format!("cannot open scratch WAL: {e}"))?;
-    let _ = engine.run();
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    for wal_sync in [true, false] {
+        flags.wal_sync = wal_sync;
+        let mut cfg = flags.config(Telemetry::disabled());
+        cfg.instances = 256;
+        let admission = admission_options(flags.inflate, flags.threads);
+        let engine = ddlf_engine::Engine::try_with_admission(sys.clone(), admission, cfg)
+            .map_err(|e| format!("cannot open the temporary WAL: {e}"))?;
+        let entities: Vec<_> = engine.store().db().entities().collect();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| engine.run());
+            while !run.is_finished() {
+                engine.run_read_only(&entities);
+            }
+        });
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
     // Wire leg: server.engine / server.conns plus the accept-wait
     // blocking region, and the audit epoch two runs share — the
     // `submit` verb registers, then two connections submit at once

@@ -132,14 +132,16 @@ pub struct EngineConfig {
     /// after a crash. `None` = in-memory only (rollback still works).
     pub wal_dir: Option<PathBuf>,
     /// `fsync` the log once per commit group, covering data and decision
-    /// (see [`WalOptions::sync`]).
+    /// (see [`WalOptions::sync`]). Without it a commit decision is a
+    /// buffered `Commit` frame that reaches the kernel before anyone can
+    /// observe the commit: before the run returns (and so before its
+    /// Submit replies), and before a snapshot showing it returns.
     pub wal_sync: bool,
-    /// Sizes the group committer every decision goes through: committing
-    /// workers share one decision frame, one flush, and (under
-    /// `wal_sync`) one fsync per group of up to `max_group` commits (see
-    /// [`WalOptions::max_group`]). `None` = [`DEFAULT_MAX_GROUP`];
-    /// `Some(1)` writes one decision record (and fsync) per commit.
-    /// Ignored without `wal_dir`.
+    /// Sizes the `wal_sync` group committer: committing workers share
+    /// one decision frame, one flush, and one fsync per group of up to
+    /// `max_group` commits (see [`WalOptions::max_group`]). `None` =
+    /// [`DEFAULT_MAX_GROUP`]; `Some(1)` writes one decision record and
+    /// fsync per commit. Ignored without `wal_dir` or `wal_sync`.
     ///
     /// [`DEFAULT_MAX_GROUP`]: crate::wal::DEFAULT_MAX_GROUP
     pub group_commit: Option<usize>,
@@ -774,10 +776,11 @@ impl Engine {
         let reports = self.pool.scatter(jobs, work);
         let wall = started.elapsed();
         drop(pin);
-        // Buffered log writers may still hold encoded frames; push them
-        // to the kernel so a post-run crash loses nothing this run
-        // claimed durable (commit decisions were already flushed — and
-        // under `sync`, fsynced — at each group boundary).
+        // The log buffer may still hold frames — without `sync`, this
+        // run's commit decisions among them; push them to the kernel
+        // before the run reports, so a post-run crash loses nothing
+        // this run claimed committed (under `sync` every decision was
+        // already flushed and fsynced at its group boundary).
         if let Some(w) = &core.wal {
             w.flush();
         }
@@ -1001,15 +1004,17 @@ impl Core {
             let Some(death) = death else {
                 let t_commit = tel.timer();
                 // Seal the attempt: the commit timestamp is reserved
-                // *before* durability so the durable record carries it
-                // (unwind-safe: if `log_commit` panics, the
+                // *before* the decision is logged so the record carries
+                // it (unwind-safe: if `log_commit` panics, the
                 // reservation's drop closes the timestamp so the closed
                 // clock skips the gap). The decision is appended after
                 // every `Write`/`Event` record of the attempt, so a
                 // recovered `Commit` implies a complete instance — and
-                // the stamp happens only after `log_commit` returns, so
-                // any version a live read-only snapshot can observe is
-                // already durable (modulo a whole torn commit group).
+                // the stamp happens only after `log_commit` returns.
+                // Under `sync` the decision is then durable; without,
+                // it may sit in the log buffer, and a snapshot that
+                // shows this commit pushes it to the kernel before
+                // returning, as the run's end does before it reports.
                 let ts = self.store.reserve_commit_ts();
                 if let Some(w) = &self.wal {
                     w.log_commit(gid, inst.template, attempt, ts.ts());

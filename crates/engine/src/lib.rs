@@ -39,7 +39,8 @@
 //!                             │ Begin append
 //!                             │ Attempt: granted / unlock / die, stepped
 //!                             │ in partial order until it completes
-//!                             │ commit: reserve ts ▶ group committer ▶
+//!                             │ commit: reserve ts ▶ Commit frame
+//!                             │ (sync: group committer + fsync) ▶
 //!                             │ stamp chains ▶ close ts
 //!                          Store: one Shard per SiteId
 //!                          { value chains + LockTable } per mutex

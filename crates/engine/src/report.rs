@@ -135,14 +135,15 @@ pub struct Report {
     /// Unlike [`LatencyStats`], these merge *exactly* under
     /// [`Report::absorb`].
     pub phases: PhaseSnapshot,
-    /// Flush groups written by the WAL's group committer while this run
-    /// was in flight (one decision frame, one flush and at most one
-    /// fsync each) — overlapping runs' groups included, like
-    /// [`Report::phases`]; 0 when no WAL is attached.
+    /// Decision frames the WAL wrote while this run was in flight —
+    /// under `wal_sync` one per commit group (one frame, one flush, one
+    /// fsync each), without it one buffered `Commit` frame per decision —
+    /// overlapping runs' frames included, like [`Report::phases`]; 0 when
+    /// no WAL is attached.
     pub group_flushes: u64,
-    /// Commit decisions the group committer wrote while this run was in
-    /// flight; `group_commits / group_flushes` is the mean achieved
-    /// group size.
+    /// Commit decisions the WAL wrote while this run was in flight;
+    /// `group_commits / group_flushes` is the mean achieved group size
+    /// (1 without `wal_sync`).
     pub group_commits: u64,
     /// Per-template certified-vs-achieved multiprogramming and outcome
     /// counts, template order.

@@ -297,6 +297,10 @@ pub struct Store {
     shards: Vec<Shard>,
     db: Database,
     clock: Clock,
+    /// The log every shard appends to, kept here too so a snapshot read
+    /// can push a decision it observed out of the log's user-space
+    /// buffer before returning it.
+    wal: Option<Arc<Wal>>,
     /// Gauge sink for the GC pass.
     telemetry: Telemetry,
 }
@@ -335,6 +339,7 @@ impl Store {
             shards,
             db: db.clone(),
             clock: Clock::starting_at(0),
+            wal: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -367,6 +372,16 @@ impl Store {
     pub(crate) fn attach_wal(&mut self, wal: &Arc<Wal>) {
         for shard in &mut self.shards {
             shard.state.get_mut().sink = Some(Arc::clone(wal));
+        }
+        self.wal = Some(Arc::clone(wal));
+    }
+
+    /// Called by every committed read once it has read, holding no lock:
+    /// a decision the read may show is pushed to the kernel before the
+    /// read returns (see [`Wal::push_decisions`]).
+    fn push_decisions(&self) {
+        if let Some(wal) = &self.wal {
+            wal.push_decisions();
         }
     }
 
@@ -412,6 +427,8 @@ impl Store {
     /// registration pins the GC watermark; only the [`CHAIN_CAP`] trim
     /// can outrun it, and then the whole scan restarts at a fresh
     /// `closed` — the result is always a single cut, never a mixed one.
+    /// With the cut released, every decision the cut may show is pushed
+    /// to the kernel before the scan returns.
     ///
     /// [`CHAIN_CAP`]: crate::mvcc::CHAIN_CAP
     fn scan<T>(
@@ -419,14 +436,18 @@ impl Store {
         entities: &[EntityId],
         view: impl Fn(EntityId, u64, VersionedValue) -> T,
     ) -> (u64, Vec<T>) {
-        let mut cut = self.clock.register();
-        loop {
-            if let Some(values) = self.read_at(entities, cut.ts(), &view) {
-                return (cut.ts(), values);
+        let read = {
+            let mut cut = self.clock.register();
+            loop {
+                if let Some(values) = self.read_at(entities, cut.ts(), &view) {
+                    break (cut.ts(), values);
+                }
+                std::thread::yield_now();
+                cut.refresh();
             }
-            std::thread::yield_now();
-            cut.refresh();
-        }
+        };
+        self.push_decisions();
+        read
     }
 
     /// A true committed snapshot: every entity at the current closed
@@ -442,13 +463,16 @@ impl Store {
 
     /// The committed state at cut `ts`, sorted by entity. `None` when
     /// `ts` is ahead of the closed clock or behind what GC still
-    /// retains for some entity.
+    /// retains for some entity. Like every committed read, it returns
+    /// no decision the kernel has not seen.
     pub fn snapshot_at(&self, ts: u64) -> Option<Vec<(EntityId, VersionedValue)>> {
         if ts > self.clock.closed_ts() {
             return None;
         }
         let entities: Vec<EntityId> = self.db.entities().collect();
-        self.read_at(&entities, ts, |e, _, value| (e, value))
+        let read = self.read_at(&entities, ts, |e, _, value| (e, value));
+        self.push_decisions();
+        read
     }
 
     /// The raw *live* values, undecided writes included — only
@@ -464,7 +488,10 @@ impl Store {
     /// The read-only transaction: every entity in `entities` at one
     /// freshly claimed committed cut. No lock-table entry, no WAL
     /// record; the only locks are the leaf registry mutex and one brief
-    /// leaf `shard.state` acquisition per entity. See [`crate::mvcc`]
+    /// leaf `shard.state` acquisition per entity — plus, on a non-sync
+    /// WAL, `wal.log` taken alone after the scan when a decision the cut
+    /// may show is still in the log's user-space buffer, so no snapshot
+    /// returns a commit the kernel has not seen. See [`crate::mvcc`]
     /// for the single-cut argument.
     ///
     /// # Panics
@@ -518,7 +545,10 @@ impl Store {
 
     /// Commits instance `gid` at the reserved timestamp: stamps its
     /// entry on every entity in `written` (one shard at a time), then
-    /// closes the timestamp. Call after the commit record is durable.
+    /// closes the timestamp. Call after the commit record is appended:
+    /// under `sync` it is then durable; without, it may still sit in the
+    /// log's buffer, and every snapshot that can show it pushes it to
+    /// the kernel before returning.
     pub(crate) fn publish_commit(
         &self,
         ts: TsReservation<'_>,
@@ -1143,6 +1173,76 @@ mod tests {
             transfer(&s, gid, 0, 0, 1);
         }
         assert_eq!(s.gc_versions().2, 4, "no leaked cut pins the watermark");
+    }
+
+    /// A store on a non-sync WAL whose one commit is published while its
+    /// decision still sits in the log buffer.
+    fn store_with_buffered_decision(tag: &str) -> (Store, Arc<Wal>, std::path::PathBuf) {
+        use crate::wal::WalOptions;
+        use ddlf_model::{Op, Transaction, TransactionSystem};
+        let dir =
+            std::env::temp_dir().join(format!("ddlf-store-unit-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::one_entity_per_site(2);
+        let ops = [Op::lock(EntityId(0)), Op::unlock(EntityId(0))];
+        let t = Transaction::from_total_order("T", &ops, &db).unwrap();
+        let sys = TransactionSystem::new(db.clone(), vec![t]).unwrap();
+        let wal = Wal::create(&dir, &sys, 100, WalOptions::default()).unwrap();
+        let mut s = Store::new(&db, 100);
+        s.attach_wal(&wal);
+        let (c, e) = (ctx(0), EntityId(0));
+        write(&s, &c, e, WriteOp::Add(1));
+        let ts = s.reserve_commit_ts();
+        wal.log_commit(c.gid, TxnId(0), c.attempt, ts.ts());
+        s.publish_commit(ts, c.gid, [e]);
+        (s, wal, dir)
+    }
+
+    /// Every committed read pushes a decision it may show out of the log
+    /// buffer before returning, and only once: the second read finds
+    /// nothing pending.
+    #[test]
+    fn committed_reads_push_a_buffered_decision_first() {
+        type Read = fn(&Store);
+        let reads: [(&str, Read); 3] = [
+            ("ro", |s| {
+                assert_eq!(s.read_only_snapshot(&[EntityId(0)]).sum_int(), 101)
+            }),
+            ("snapshot", |s| assert_eq!(s.total_int(), 201)),
+            ("at", |s| assert!(s.snapshot_at(1).is_some())),
+        ];
+        for (tag, read) in reads {
+            let (s, wal, dir) = store_with_buffered_decision(tag);
+            let log = dir.join("log.wal");
+            assert_eq!(std::fs::metadata(&log).unwrap().len(), 0, "{tag}");
+            read(&s);
+            assert_eq!(wal.pushes(), 1, "{tag}");
+            assert!(std::fs::metadata(&log).unwrap().len() > 0, "{tag}");
+            read(&s);
+            assert_eq!(wal.pushes(), 1, "{tag}: nothing was pending");
+            drop((s, wal));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The push takes `wal.log` alone, after the scan: one acquisition
+    /// beyond the read's `2 + entities`, and `store.clock` in no edge.
+    #[cfg(feature = "lockdep")]
+    #[test]
+    fn a_read_that_pushes_the_log_takes_wal_log_alone() {
+        let (s, wal, dir) = store_with_buffered_decision("lockdep");
+        let both = [EntityId(0), EntityId(1)];
+        let before = ddlf_lockdep::thread_acquire_count();
+        s.read_only_snapshot(&both);
+        assert_eq!(ddlf_lockdep::thread_acquire_count() - before, 2 + 2 + 1);
+        assert_eq!(wal.pushes(), 1);
+        let clock_edges: Vec<_> = ddlf_lockdep::edges()
+            .into_iter()
+            .filter(|(from, to)| from == "store.clock" || to == "store.clock")
+            .collect();
+        assert!(clock_edges.is_empty(), "{clock_edges:?}");
+        drop((s, wal));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The tentpole property in miniature: concurrent writers commit

@@ -67,30 +67,38 @@
 //!
 //! ## Durability model
 //!
-//! Every record is framed into one user-space buffer (`LogWriter`, one
-//! buffered write replacing one `write(2)` per record) behind one mutex,
-//! `wal.log`, so the file is a single total order and **data before
-//! decision is its prefix property, not a protocol**: an attempt appends
-//! its `Write`/`Event` records before it asks for its decision, so a
-//! `Commit` or `CommitGroup` frame in the file implies every record it
-//! decides over is in the file before it. That holds after process death
-//! (`SIGKILL` — the page cache survives), which is what the CI
-//! crash-recovery smoke exercises, and under [`WalOptions::sync`] after
-//! *power loss* too: the one `fdatasync` that makes a decision durable
-//! covers the whole prefix.
+//! Every record is framed in place into one user-space buffer
+//! (`LogWriter`, one buffered write replacing one `write(2)` per record)
+//! behind one mutex, `wal.log`, so the file is a single total order and
+//! **data before decision is its prefix property, not a protocol**: an
+//! attempt appends its `Write`/`Event` records before it asks for its
+//! decision, so a `Commit` or `CommitGroup` frame in the file implies
+//! every record it decides over is in the file before it. That holds
+//! after process death (`SIGKILL` — the page cache survives), which is
+//! what the CI crash-recovery smoke exercises, and under
+//! [`WalOptions::sync`] after *power loss* too: the one `fdatasync` that
+//! makes a decision durable covers the whole prefix.
 //!
-//! Every decision goes through one leader/follower **group committer**
-//! (there is no per-commit mode; [`WalOptions::max_group`] only sizes
-//! it, and `1` is the unbatched reference): a committing worker
-//! enqueues its decision and parks; the first enqueuer becomes leader,
-//! drains the queue, takes `wal.log`, appends the whole batch as one
-//! `CommitGroup` frame — a plain `Commit` for a group of one — flushes
-//! the buffer, **releases `wal.log`**, issues (under `sync`) **one**
-//! `fdatasync` for the group on a cloned descriptor, then wakes every
-//! follower. `Begin`/`Abort`/`Write`/`Event` frames may sit in user
-//! space until the next decision (or a full buffer, or the end-of-run
-//! flush) pushes them out; a decision frame never does. Because the
-//! fsync runs outside `wal.log`, other appenders — a shard under
+//! **Without `sync`**, a decision is one more buffered `Commit` frame,
+//! appended under `wal.log` like any other record: no ticket, no group,
+//! no `write(2)` of its own. It reaches the kernel before anyone can
+//! observe the commit — before its Submit replies (every run ends with
+//! `Wal::flush`) and before a snapshot that shows it returns (the
+//! store's scans end with `Wal::push_decisions`, which pushes the
+//! buffer, holding no other lock, if a decision appended so far has not
+//! been pushed yet) — or earlier, when the buffer fills. Live `Stats`
+//! template counters may run ahead of the kernel by at most one buffer.
+//!
+//! **Under `sync`**, every decision goes through one leader/follower
+//! **group committer** ([`WalOptions::max_group`] sizes it; `1` is the
+//! unbatched reference): a committing worker enqueues its decision and
+//! parks; the first enqueuer becomes leader, drains the queue, takes
+//! `wal.log`, appends the whole batch as one `CommitGroup` frame — a
+//! plain `Commit` for a group of one — flushes the buffer, **releases
+//! `wal.log`**, issues **one** `fdatasync` for the group on a cloned
+//! descriptor, then wakes every follower. A synced decision is in the
+//! kernel and on disk before its commit is published. Because the fsync
+//! runs outside `wal.log`, other appenders — a shard under
 //! `shard.state`, an event batch under `engine.auditor`, another run's
 //! `Begin`s — keep filling the buffer while it is in flight; what the
 //! fsync must cover was already in the kernel when it started. Fsyncs
@@ -196,7 +204,7 @@ const OP_ADD: u8 = 0;
 const OP_PUT: u8 = 1;
 const OP_PUT_BYTES: u8 = 2;
 
-fn put_op(b: &mut BytesMut, op: &WriteOp) {
+fn put_op(b: &mut impl BufMut, op: &WriteOp) {
     match op {
         WriteOp::Add(delta) => {
             b.put_u8(OP_ADD);
@@ -222,7 +230,7 @@ fn get_op(buf: &mut Bytes) -> Option<WriteOp> {
     }
 }
 
-fn put_entry(b: &mut BytesMut, e: &GroupEntry) {
+fn put_entry(b: &mut impl BufMut, e: &GroupEntry) {
     b.put_u32_le(e.gid);
     b.put_u32_le(e.template);
     b.put_u32_le(e.attempt);
@@ -242,6 +250,13 @@ impl WalRecord {
     /// Encodes to the binary record format (see module docs).
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(32);
+        self.encode_into(&mut b);
+        b.freeze()
+    }
+
+    /// Appends the record's encoding to `b` — the one encoder behind
+    /// [`WalRecord::encode`] and the log's in-place framing.
+    fn encode_into(&self, b: &mut impl BufMut) {
         match self {
             WalRecord::Begin {
                 gid,
@@ -263,11 +278,11 @@ impl WalRecord {
                 b.put_u32_le(*gid);
                 b.put_u32_le(*attempt);
                 b.put_u32_le(entity.0);
-                put_op(&mut b, op);
+                put_op(b, op);
             }
             WalRecord::Commit(e) => {
                 b.put_u8(TAG_COMMIT);
-                put_entry(&mut b, e);
+                put_entry(b, e);
             }
             WalRecord::Abort { gid, attempt } => {
                 b.put_u8(TAG_ABORT);
@@ -284,11 +299,10 @@ impl WalRecord {
                 b.put_u8(TAG_COMMIT_GROUP);
                 b.put_u32_le(u32::try_from(entries.len()).expect("group fits a frame"));
                 for e in entries {
-                    put_entry(&mut b, e);
+                    put_entry(b, e);
                 }
             }
         }
-        b.freeze()
     }
 
     /// Decodes one record; `None` on malformed input.
@@ -337,21 +351,23 @@ impl WalRecord {
 /// WAL tuning.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Power-loss durability: the group leader `fdatasync`s the log right
-    /// after appending and flushing its decision frame, with `wal.log`
-    /// already released — one fsync per commit group,
-    /// covering the decision and, being a prefix of the same file, every
-    /// record it decides over. Off by default: file order already
-    /// survives process death, and the crash model the tests exercise
-    /// is `SIGKILL`, not power loss.
+    /// Power-loss durability: decisions go through the group committer,
+    /// whose leader `fdatasync`s the log right after appending and
+    /// flushing its decision frame, with `wal.log` already released — one
+    /// fsync per commit group, covering the decision and, being a prefix
+    /// of the same file, every record it decides over. Off by default:
+    /// file order already survives process death, the crash model the
+    /// tests exercise is `SIGKILL`, not power loss, and a non-sync
+    /// decision is simply buffered until someone can observe it (see the
+    /// module docs).
     pub sync: bool,
-    /// Size of the group committer every decision goes through:
-    /// committing workers park on a shared queue and a leader appends up
-    /// to `max_group` decisions as one [`WalRecord::CommitGroup`] frame
-    /// (a plain [`WalRecord::Commit`] for a group of one) with a single
-    /// flush and a single fsync for the whole group.
-    /// `1` keeps one decision record and fsync per commit; `0` is
-    /// treated as `1`.
+    /// Size of the `sync` group committer: committing workers park on a
+    /// shared queue and a leader appends up to `max_group` decisions as
+    /// one [`WalRecord::CommitGroup`] frame (a plain [`WalRecord::Commit`]
+    /// for a group of one) with a single flush and a single fsync for the
+    /// whole group. `1` keeps one decision record and fsync per commit;
+    /// `0` is treated as `1`. Without `sync` there is no fsync to share
+    /// and every decision is its own `Commit` frame, so this is unused.
     pub max_group: usize,
     /// Observability handle: appends record into the `wal_append`
     /// histogram and the WAL byte gauge, fsyncs into `fsync`, group
@@ -389,50 +405,91 @@ const LOG_FILE: &str = "log.wal";
 const OLD_LAYOUT_FILES: [&str; 2] = ["commit.wal", "history.wal"];
 
 /// User-space buffer capacity of the log: frames accumulate and reach
-/// the kernel in one `write(2)` when the buffer fills, when a group
-/// leader flushes its decision, or at the end-of-run [`Wal::flush`].
-const LOG_BUFFER: usize = 64 << 10;
+/// the kernel in one `write(2)` when the buffer fills, when a sync group
+/// leader flushes its decision, when a snapshot read would otherwise
+/// return a decision still in user space, or at the end of every run.
+pub const LOG_BUFFER: usize = 64 << 10;
 
-/// A buffered framed appender over the log file: frames accumulate in a
-/// user-space `Vec` and reach the kernel in one `write(2)` when the
-/// buffer crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`].
-/// One buffer in front of one file cannot reorder: whatever prefix of
-/// the appended frames has reached the kernel is a prefix of the file.
-/// It never fsyncs: durability is [`Wal::flush_group`]'s, on a cloned
+/// How far the log's decision frames have got, readable without
+/// `wal.log`: only the [`LogWriter`], under that lock, moves the marks,
+/// so `decided` counts decision frames in file order and `pushed` is
+/// always a count of decisions already in the kernel.
+#[derive(Default)]
+struct LogMarks {
+    /// Decision frames (`Commit`/`CommitGroup`) appended to the buffer.
+    decided: AtomicU64,
+    /// `decided` as of the last push, stored only after its `write_all`
+    /// returned — never before, or a reader could return while the push
+    /// it relies on is still in flight.
+    pushed: AtomicU64,
+    /// Buffer pushes performed (one `write_all` each).
+    pushes: AtomicU64,
+}
+
+/// A buffered framed appender over the log file: each record is framed
+/// straight into a user-space `Vec` (the u32 LE length prefix, then the
+/// record's encoding — no per-record allocation) and the
+/// buffer reaches the kernel in one `write(2)` when it crosses
+/// [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`]. One buffer in
+/// front of one file cannot reorder: whatever prefix of the appended
+/// frames has reached the kernel is a prefix of the file. It never
+/// fsyncs: durability is [`Wal::flush_group`]'s, on a cloned
 /// descriptor, outside the lock that guards this writer.
 pub(crate) struct LogWriter {
     file: File,
     buf: Vec<u8>,
+    marks: Arc<LogMarks>,
 }
 
 impl LogWriter {
-    fn new(file: File) -> Self {
+    fn new(file: File, marks: Arc<LogMarks>) -> Self {
         LogWriter {
             file,
             buf: Vec::with_capacity(LOG_BUFFER),
+            marks,
         }
     }
 
-    /// Appends one frame to the buffer.
-    fn append_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        // Framing into a Vec cannot fail and its `flush` is a no-op; the
-        // kernel write happens below, at most once per buffer's worth.
-        frame::write_frame(&mut self.buf, payload)?;
+    /// Frames `rec` into the buffer — the [`frame`] layout, encoded in
+    /// place — and pushes the buffer once it is full. Returns the frame's
+    /// size. A record above [`frame::MAX_FRAME`] is refused with
+    /// `InvalidData` and leaves no byte of itself behind.
+    fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
+        let start = self.buf.len();
+        self.buf.put_u32_le(0);
+        rec.encode_into(&mut self.buf);
+        let len = self.buf.len() - start - 4;
+        match frame::length_prefix(len) {
+            Ok(prefix) => self.buf[start..start + 4].copy_from_slice(&prefix),
+            Err(e) => {
+                self.buf.truncate(start);
+                self.buf.shrink_to(LOG_BUFFER);
+                return Err(e);
+            }
+        }
+        if matches!(rec, WalRecord::Commit(_) | WalRecord::CommitGroup { .. }) {
+            // Counted before a full-buffer push, so that push covers it.
+            self.marks.decided.fetch_add(1, Ordering::Release);
+        }
         if self.buf.len() >= LOG_BUFFER {
             self.flush()?;
         }
-        Ok(())
+        Ok(4 + len)
     }
 
-    /// Writes any buffered frames to the kernel.
+    /// Writes any buffered frames to the kernel, then advances the
+    /// pushed mark past every decision they held.
     fn flush(&mut self) -> io::Result<()> {
+        let decided = self.marks.decided.load(Ordering::Relaxed);
         if !self.buf.is_empty() {
             // Only Write-allowlisted lock classes may be held here
             // (lockdep blocking-section verifier).
             let _io = blocking_region(BlockingKind::Write);
             self.file.write_all(&self.buf)?;
             self.buf.clear();
+            self.marks.pushes.fetch_add(1, Ordering::Relaxed);
         }
+        self.marks.pushed.store(decided, Ordering::Release);
         Ok(())
     }
 }
@@ -471,10 +528,14 @@ pub struct Wal {
     dir: PathBuf,
     /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
     /// (under `shard.state`) for `Write`s, by the event path (under
-    /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`,
-    /// and by a group leader for its decision frame and flush — never
+    /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`
+    /// and (without `sync`) their `Commit`, by a sync group leader for
+    /// its decision frame and flush, and by a snapshot reader, holding
+    /// nothing else, to push a decision it may have observed — never
     /// across an fsync.
     log: Mutex<LogWriter>,
+    /// The writer's decision marks, read here without `wal.log`.
+    marks: Arc<LogMarks>,
     /// A second descriptor of `log.wal` (`try_clone` of the writer's),
     /// which a group leader `fdatasync`s *after* releasing `wal.log`:
     /// `fdatasync` covers the file, whichever descriptor asks.
@@ -521,8 +582,10 @@ fn old_layout(dir: &Path) -> Option<String> {
 fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
     let file = append_mode(&dir.join(LOG_FILE))?;
     let syncer = file.try_clone()?;
+    let marks = Arc::new(LogMarks::default());
     Ok(Arc::new(Wal {
-        log: Mutex::new_named("wal.log", LogWriter::new(file)),
+        log: Mutex::new_named("wal.log", LogWriter::new(file, Arc::clone(&marks))),
+        marks,
         syncer,
         sync: opts.sync,
         group: GroupCommitter {
@@ -626,19 +689,17 @@ impl Wal {
     }
 
     /// Appends one frame to the locked log (buffered), poisoning the WAL
-    /// on I/O failure.
+    /// on I/O failure or an oversize record.
     fn append_record(&self, w: &mut LogWriter, rec: &WalRecord) {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
-        let body = rec.encode();
         let t0 = self.telemetry.timer();
-        if let Err(e) = w.append_frame(body.as_ref()) {
-            self.fail("append", &e);
+        match w.append(rec) {
+            Ok(framed) => self.telemetry.add_wal_bytes(framed as u64),
+            Err(e) => self.fail("append", &e),
         }
         self.telemetry.record_since(Phase::WalAppend, t0);
-        // Payload plus the u32 length prefix of the frame.
-        self.telemetry.add_wal_bytes(body.as_ref().len() as u64 + 4);
     }
 
     /// Test hook: the next decision-record fsync fails with an injected
@@ -662,25 +723,37 @@ impl Wal {
         }
     }
 
-    /// Makes the commit decision of instance `gid` durable through the
-    /// group committer: push the decision, take a ticket, and either
-    /// become the leader (first unserved enqueuer) or wait for a leader
-    /// to write it. Returns once the decision is durable — or once the
-    /// WAL is poisoned, in which case *every* parked follower is woken
-    /// with the failure (the leader advances `flushed_seq` past its
-    /// batch and `notify_all`s unconditionally, so no wakeup is lost on
-    /// the error branch).
+    /// Logs the commit decision of instance `gid`.
+    ///
+    /// Without `sync` the decision is one more buffered `Commit` frame:
+    /// it reaches the kernel with the buffer — before the run's Submit
+    /// replies ([`Wal::flush`]) and before any snapshot showing it
+    /// returns ([`Wal::push_decisions`]) — and counts as a group of one.
+    ///
+    /// Under `sync` it goes through the group committer: push the
+    /// decision, take a ticket, and either become the leader (first
+    /// unserved enqueuer) or wait for a leader to write it. Returns once
+    /// the decision is durable — or once the WAL is poisoned, in which
+    /// case *every* parked follower is woken with the failure (the
+    /// leader advances `flushed_seq` past its batch and `notify_all`s
+    /// unconditionally, so no wakeup is lost on the error branch).
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
-        let g = &self.group;
-        let mut st = g.state.lock();
-        let my_seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(GroupEntry {
+        let entry = GroupEntry {
             gid,
             template: template.0,
             attempt,
             commit_ts,
-        });
+        };
+        if !self.sync {
+            self.append_record(&mut self.log.lock(), &WalRecord::Commit(entry));
+            self.count_group(1);
+            return;
+        }
+        let g = &self.group;
+        let mut st = g.state.lock();
+        let my_seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push(entry);
         loop {
             if st.flushed_seq > my_seq || self.poisoned() {
                 return;
@@ -708,16 +781,15 @@ impl Wal {
         }
     }
 
-    /// Writes one drained group durable: under one `wal.log`
-    /// acquisition, append the decision frame and push the buffer to the
-    /// kernel; then, with `wal.log` released, under `sync` issue the
+    /// Writes one drained group durable (the `sync` path only): under
+    /// one `wal.log` acquisition, append the decision frame and push the
+    /// buffer to the kernel; then, with `wal.log` released, issue the
     /// group's one `fdatasync` on the cloned descriptor. Every entry's
     /// committer appended its `Write`/`Event` records to this same log
     /// before enqueueing, so they precede the frame in the file — and
     /// the flush put all of them in the kernel before the fsync began:
-    /// a decision visible in the page cache (or, under `sync`, durable
-    /// after power loss) implies the records it decides over are too.
-    /// Appenders that take `wal.log` meanwhile only fill the buffer
+    /// a decision durable after power loss implies the records it
+    /// decides over are too. Appenders that take `wal.log` meanwhile only fill the buffer
     /// behind the frame. Only the leader fsyncs (`leader_active`), so
     /// fsyncs never overlap. A failed fsync poisons the WAL: otherwise
     /// the engine would report a durable commit that power loss can
@@ -739,7 +811,7 @@ impl Wal {
             self.append_record(&mut f, &rec);
             self.flush_locked(&mut f);
         }
-        if self.sync && !self.poisoned() {
+        if !self.poisoned() {
             // One sample per `fdatasync` issued: one per group.
             let t0 = self.telemetry.timer();
             let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
@@ -754,14 +826,19 @@ impl Wal {
             }
             self.telemetry.record_since(Phase::Fsync, t0);
         }
-        self.group_flushes.fetch_add(1, Ordering::Relaxed);
-        self.group_records
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.telemetry.record_group_size(batch.len() as u64);
+        self.count_group(batch.len() as u64);
     }
 
-    /// `(group flushes, decisions written)` so far — mean group size is
-    /// `records / flushes`. Counted on the
+    /// Counts one decision frame covering `size` commits.
+    fn count_group(&self, size: u64) {
+        self.group_flushes.fetch_add(1, Ordering::Relaxed);
+        self.group_records.fetch_add(size, Ordering::Relaxed);
+        self.telemetry.record_group_size(size);
+    }
+
+    /// `(decision frames, decisions written)` so far — mean group size
+    /// is `records / flushes`; without `sync` every decision is its own
+    /// frame of one. Counted on the
     /// `Wal` itself (not the telemetry handle) so reports can measure
     /// amortization with telemetry disabled.
     pub(crate) fn group_counters(&self) -> (u64, u64) {
@@ -772,10 +849,30 @@ impl Wal {
     }
 
     /// Pushes the buffer to the kernel. Called at the end of every
-    /// engine run (and on drop), so a clean shutdown leaves nothing in
-    /// user space.
+    /// engine run, before its Submit can reply (and on drop), so a clean
+    /// shutdown leaves nothing in user space.
     pub(crate) fn flush(&self) {
         self.flush_locked(&mut self.log.lock());
+    }
+
+    /// Pushes the buffer if a decision frame appended so far has not
+    /// reached the kernel yet. A snapshot read calls this after reading,
+    /// holding no lock, so it never returns a commit the kernel has not
+    /// seen: the committer appended its decision before publishing the
+    /// commit, so a reader that saw the commit loads a `decided` that
+    /// counts it. Under `sync` every decision was pushed before its
+    /// publish, and when nothing is pending this is two atomic loads.
+    pub(crate) fn push_decisions(&self) {
+        let decided = self.marks.decided.load(Ordering::Acquire);
+        if self.marks.pushed.load(Ordering::Acquire) < decided {
+            self.flush();
+        }
+    }
+
+    /// Buffer pushes so far (each one `write_all` of the whole buffer).
+    #[doc(hidden)]
+    pub fn pushes(&self) -> u64 {
+        self.marks.pushes.load(Ordering::Relaxed)
     }
 
     fn flush_locked(&self, w: &mut LogWriter) {
@@ -1431,29 +1528,170 @@ mod tests {
         assert!(w.poisoned(), "a failed group fsync must poison the WAL");
     }
 
+    fn log_writer(tag: &str) -> (LogWriter, PathBuf) {
+        let path = unit_dir(tag).join("log.wal");
+        let file = append_mode(&path).unwrap();
+        (LogWriter::new(file, Arc::default()), path)
+    }
+
     #[test]
     fn buffered_writer_flushes_on_cap_and_on_demand() {
-        let dir = unit_dir("bufcap");
-        let path = dir.join("log.wal");
-        let mut w = LogWriter::new(append_mode(&path).unwrap());
-        let rec = WalRecord::Abort { gid: 9, attempt: 1 }.encode();
-        w.append_frame(rec.as_ref()).unwrap();
+        let (mut w, path) = log_writer("bufcap");
+        let rec = WalRecord::Abort { gid: 9, attempt: 1 };
+        let framed = w.append(&rec).unwrap();
+        assert_eq!(framed, rec.encode().len() + 4);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             0,
             "small frame stays buffered"
         );
-        let to_cap = LOG_BUFFER / (rec.len() + 4);
+        let to_cap = LOG_BUFFER / framed;
         for _ in 0..to_cap {
-            w.append_frame(rec.as_ref()).unwrap();
+            w.append(&rec).unwrap();
         }
         assert!(
             std::fs::metadata(&path).unwrap().len() > 0,
             "crossing cap flushes"
         );
+        assert_eq!(w.marks.pushes.load(Ordering::Relaxed), 1);
         w.flush().unwrap();
         let (recs, torn) = read_log(&path).unwrap();
         assert_eq!((recs.len(), torn), (to_cap + 1, false));
+    }
+
+    /// The in-place framing is the `frame` codec over `encode()`, byte
+    /// for byte, for every record kind — one grammar, one encoder.
+    #[test]
+    fn log_writer_frames_every_record_kind_like_write_frame() {
+        let entry = |gid| GroupEntry {
+            gid,
+            template: 2,
+            attempt: 1,
+            commit_ts: u64::from(gid) << 33,
+        };
+        let write = |op| WalRecord::Write {
+            gid: 4,
+            attempt: 0,
+            entity: EntityId(3),
+            op,
+        };
+        let recs = [
+            WalRecord::Begin {
+                gid: 1,
+                template: 0,
+                attempt: 2,
+            },
+            write(WriteOp::Add(-7)),
+            write(WriteOp::Put(u64::MAX)),
+            write(WriteOp::PutBytes(vec![0x5A; 300])),
+            write(WriteOp::PutBytes(Vec::new())),
+            WalRecord::Commit(entry(5)),
+            WalRecord::Abort { gid: 6, attempt: 3 },
+            WalRecord::Event {
+                gid: 7,
+                attempt: 0,
+                node: NodeId(11),
+            },
+            WalRecord::CommitGroup {
+                entries: vec![entry(8), entry(9), entry(10)],
+            },
+            WalRecord::CommitGroup { entries: vec![] },
+        ];
+        let (mut w, _) = log_writer("inplace");
+        let mut want = Vec::new();
+        for rec in &recs {
+            frame::write_frame(&mut want, rec.encode().as_ref()).unwrap();
+            let framed = w.append(rec).unwrap();
+            assert_eq!(w.buf, want, "{rec:?}");
+            assert_eq!(framed, rec.encode().len() + 4, "{rec:?}");
+        }
+        assert_eq!(
+            w.marks.decided.load(Ordering::Relaxed),
+            3,
+            "decision frames"
+        );
+        assert_eq!(w.marks.pushed.load(Ordering::Relaxed), 0);
+    }
+
+    /// A record above `MAX_FRAME` poisons the WAL and leaves the buffer
+    /// exactly as it was: no length prefix, no partial payload.
+    #[test]
+    fn oversize_record_poisons_and_leaves_no_partial_frame() {
+        let w = bare_wal_with("oversize", WalOptions::default());
+        let small = WalRecord::Abort { gid: 1, attempt: 0 };
+        w.append([small.clone()]);
+        let before = w.log.lock().buf.clone();
+        w.append([WalRecord::Write {
+            gid: 2,
+            attempt: 0,
+            entity: EntityId(0),
+            op: WriteOp::PutBytes(vec![0; frame::MAX_FRAME]),
+        }]);
+        assert!(w.poisoned(), "an oversize record must poison the WAL");
+        let log = w.log.lock();
+        assert_eq!(log.buf, before, "a partial frame was left behind");
+        assert!(
+            log.buf.capacity() <= 2 * LOG_BUFFER,
+            "the buffer stayed large"
+        );
+        drop(log);
+        let mut want = Vec::new();
+        frame::write_frame(&mut want, small.encode().as_ref()).unwrap();
+        assert_eq!(before, want);
+    }
+
+    /// Without `sync` a decision is buffered like any record: no push
+    /// until a reader needs it, and then exactly one.
+    #[test]
+    fn non_sync_decisions_wait_in_the_buffer_until_pushed() {
+        let w = bare_wal_with("nosync-push", WalOptions::default());
+        for gid in 0..16 {
+            w.log_commit(gid, TxnId(0), 0, u64::from(gid) + 1);
+        }
+        assert_eq!(w.pushes(), 0, "a non-sync commit pushed the buffer");
+        assert_eq!(std::fs::metadata(w.dir().join(LOG_FILE)).unwrap().len(), 0);
+        assert_eq!(
+            w.group_counters(),
+            (16, 16),
+            "one frame of one per decision"
+        );
+        w.push_decisions();
+        assert_eq!(w.pushes(), 1);
+        assert_eq!(decisions_of(w.dir()).len(), 16);
+        w.push_decisions();
+        w.append([WalRecord::Abort { gid: 0, attempt: 0 }]);
+        w.push_decisions();
+        assert_eq!(w.pushes(), 1, "nothing undecided is pushed for a reader");
+    }
+
+    /// Under `sync` the buffer reaches the kernel once per group, and a
+    /// reader finds nothing to push.
+    #[test]
+    fn sync_decisions_push_once_per_group() {
+        let w = bare_wal_with(
+            "sync-push",
+            WalOptions {
+                sync: true,
+                max_group: 4,
+                ..WalOptions::default()
+            },
+        );
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let w = Arc::clone(&w);
+                s.spawn(move || {
+                    for i in 0..8 {
+                        let gid = t * 8 + i;
+                        w.log_commit(gid, TxnId(0), 0, u64::from(gid) + 1);
+                    }
+                });
+            }
+        });
+        let (flushes, records) = w.group_counters();
+        assert_eq!(records, 32);
+        assert_eq!(w.pushes(), flushes, "one push per group");
+        w.push_decisions();
+        assert_eq!(w.pushes(), flushes, "a synced decision is already pushed");
     }
 
     #[test]

@@ -630,11 +630,12 @@ record! {
         trace_captured: u64,
         /// Trace events evicted because the ring was full.
         trace_dropped: u64 => Counter,
-        /// Flush groups written by the WAL's group committer (each is
-        /// one decision frame, one flush and at most one fsync).
+        /// Decision frames the WAL wrote: one per commit group under
+        /// `--wal-sync` (one frame, one flush, one fsync each), one
+        /// buffered `Commit` per decision without it.
         group_flushes: u64 => Counter,
-        /// Commit decisions written through the group committer;
-        /// `group_commits / group_flushes` is the mean group size.
+        /// Commit decisions the WAL wrote; `group_commits /
+        /// group_flushes` is the mean group size (1 without sync).
         group_commits: u64 => Counter,
         /// Committed versions retained across all multiversion chains.
         chain_versions: u64,

@@ -19,7 +19,7 @@ pub mod codec {
     //! every reader bounds-checks before consuming, so a hostile or
     //! truncated buffer yields `None`, never a panic or a misread.
 
-    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use bytes::{Buf, BufMut, Bytes};
 
     /// Reads one byte, if present.
     pub fn get_u8(b: &mut Bytes) -> Option<u8> {
@@ -61,7 +61,7 @@ pub mod codec {
     /// # Panics
     /// Panics if `bytes` exceeds `u32::MAX` (nothing that large fits a
     /// frame anyway).
-    pub fn put_bytes(b: &mut BytesMut, bytes: &[u8]) {
+    pub fn put_bytes(b: &mut impl BufMut, bytes: &[u8]) {
         b.put_u32_le(u32::try_from(bytes.len()).expect("byte vector fits a frame"));
         b.put_slice(bytes);
     }
@@ -76,7 +76,7 @@ pub mod codec {
     ///
     /// # Panics
     /// Panics if `s` exceeds `u32::MAX` bytes.
-    pub fn put_str(b: &mut BytesMut, s: &str) {
+    pub fn put_str(b: &mut impl BufMut, s: &str) {
         put_bytes(b, s.as_bytes());
     }
 
@@ -89,6 +89,7 @@ pub mod codec {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use bytes::BytesMut;
 
         #[test]
         fn primitives_roundtrip_and_reject_short_buffers() {
@@ -186,21 +187,27 @@ pub mod frame {
     /// (the peer would reject it anyway), or with the underlying I/O
     /// error.
     pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame of {} bytes exceeds MAX_FRAME {MAX_FRAME}",
-                    payload.len()
-                ),
-            ));
-        }
-        let len = u32::try_from(payload.len()).expect("MAX_FRAME fits u32");
+        let prefix = length_prefix(payload.len())?;
         let mut framed = Vec::with_capacity(4 + payload.len());
-        framed.extend_from_slice(&len.to_le_bytes());
+        framed.extend_from_slice(&prefix);
         framed.extend_from_slice(payload);
         w.write_all(&framed)?;
         w.flush()
+    }
+
+    /// The length prefix of a `len`-byte payload, for a writer that
+    /// encodes the payload in place behind it; `InvalidData` when `len`
+    /// exceeds [`MAX_FRAME`].
+    pub fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds MAX_FRAME {MAX_FRAME}"),
+            ));
+        }
+        Ok(u32::try_from(len)
+            .expect("MAX_FRAME fits u32")
+            .to_le_bytes())
     }
 
     /// Reads one length-prefixed frame.

@@ -12,7 +12,10 @@
 //!   3. never run backwards — a scanner's snapshot timestamps are
 //!      nondecreasing.
 //!
-//! Plus the negative-space contracts that make the path "read-only":
+//! Plus the visibility contract of a non-sync WAL — a commit decision
+//! may wait in the log's user-space buffer, but a snapshot that shows
+//! the commit never returns before the decision reached the kernel —
+//! and the negative-space contracts that make the path "read-only":
 //! RO transactions append **nothing** to the WAL, the committed
 //! history, or the streaming auditor's `D(S)` graph — so no snapshot
 //! read can ever appear in a `D(S)` cycle (cycles are built solely
@@ -27,7 +30,7 @@ use ddlf::model::{EntityId, Op, Transaction, TransactionSystem, TxnId};
 use ddlf::sim::msg::frame::read_frame;
 use ddlf::workloads::{bank_ordered_pair, Bank};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -87,6 +90,28 @@ fn wal_records(dir: &Path) -> Vec<WalRecord> {
     frames
         .map(|f| WalRecord::decode(f.into()).unwrap())
         .collect()
+}
+
+/// The commit timestamps of every decision the kernel holds for
+/// `dir`'s log, read through a fresh descriptor: whole frames only — a
+/// push still in flight may leave a partial frame at the end.
+fn decided_on_disk(dir: &Path) -> HashSet<u64> {
+    let log = std::fs::File::open(dir.join("log.wal")).unwrap();
+    let mut file = std::io::BufReader::new(log);
+    let frames = std::iter::from_fn(|| read_frame(&mut file).ok().flatten());
+    let mut decided = HashSet::new();
+    for f in frames {
+        match WalRecord::decode(f.into()).unwrap() {
+            WalRecord::Commit(e) => {
+                decided.insert(e.commit_ts);
+            }
+            WalRecord::CommitGroup { entries } => {
+                decided.extend(entries.iter().map(|e| e.commit_ts));
+            }
+            _ => {}
+        }
+    }
+    decided
 }
 
 /// The reference model, sharing no code with the store: per entity, the
@@ -263,6 +288,51 @@ proptest! {
         prop_assert_eq!(&rec.store.snapshot(), &model);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Without `wal_sync`, commits leave their decision in the log's buffer
+/// until someone can observe them. A scanner beside the writers checks
+/// that it is one of those observers: after each `run_read_only`
+/// returns, the log file — read through a fresh descriptor, with the
+/// engine not flushed — holds the decision of every commit at or below
+/// the snapshot's cut (a fresh engine's commit timestamps are exactly
+/// `1..=closed`).
+#[test]
+fn a_snapshot_never_returns_a_decision_the_kernel_has_not_seen() {
+    let dir = wal_dir("visible");
+    let engine = transfer_engine(
+        1_024,
+        EngineConfig {
+            threads: 2,
+            wal_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    );
+    let entities = all_entities(&engine);
+    let done = AtomicBool::new(false);
+    let scans = std::thread::scope(|s| {
+        let scanner = s.spawn(|| {
+            let mut scans = 0u32;
+            while !done.load(Ordering::Relaxed) {
+                let snap = engine.run_read_only(&entities);
+                let decided = decided_on_disk(&dir);
+                if let Some(ts) = (1..=snap.ts).find(|ts| !decided.contains(ts)) {
+                    panic!(
+                        "a snapshot at {} returned before the decision of commit {ts} reached the kernel",
+                        snap.ts
+                    );
+                }
+                scans += u32::from(snap.ts > 0);
+            }
+            scans
+        });
+        assert!(engine.run().all_committed());
+        done.store(true, Ordering::Relaxed);
+        scanner.join().unwrap()
+    });
+    assert!(scans > 0, "no scan saw a commit");
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Read-only transactions are invisible to durability: they append no

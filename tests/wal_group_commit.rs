@@ -5,6 +5,7 @@
 //! torn-tail contract: a `CommitGroup` is one frame, so a crash inside
 //! it drops the *whole* group, never a partial one.
 
+use ddlf::engine::wal::LOG_BUFFER;
 use ddlf::engine::{
     recover, Engine, EngineConfig, GroupEntry, Program, TemplateRegistry, WalRecord, WriteOp,
 };
@@ -366,6 +367,64 @@ fn concurrent_sync_runs_log_every_decision_after_its_data() {
     assert_eq!(rec.committed, 48);
     assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without `wal_sync` a commit costs no `write(2)` of its own: a
+/// 512-instance run with no reader reaches the kernel only when the log
+/// buffer fills and once at the run's end — at most
+/// ⌈log bytes / `LOG_BUFFER`⌉ + 1 pushes — while every decision still
+/// counts as a decision frame of one.
+#[test]
+fn a_non_sync_run_pushes_the_log_once_per_buffer_not_per_commit() {
+    let dir = wal_dir("pushes");
+    let engine = banking_engine(
+        &dir,
+        512,
+        EngineConfig {
+            threads: 4,
+            admission_batch: 8,
+            ..Default::default()
+        },
+    );
+    let report = engine.run();
+    assert!(report.all_committed(), "{report:?}");
+    assert_eq!((report.group_flushes, report.group_commits), (512, 512));
+    let pushes = engine.wal().unwrap().pushes();
+    let bytes = std::fs::metadata(dir.join("log.wal")).unwrap().len();
+    let bound = bytes.div_ceil(LOG_BUFFER as u64) + 1;
+    assert!(
+        pushes <= bound,
+        "{pushes} pushes for {bytes} log bytes (bound {bound})"
+    );
+    drop(engine);
+    assert_eq!(recover(&dir).unwrap().committed, 512);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under `wal_sync` the buffer still reaches the kernel once per commit
+/// group — the leader's flush before its fsync — plus the run's end.
+#[test]
+fn a_sync_run_pushes_the_log_once_per_group() {
+    let dir = wal_dir("sync-pushes");
+    let engine = banking_engine(
+        &dir,
+        64,
+        EngineConfig {
+            threads: 4,
+            wal_sync: true,
+            ..Default::default()
+        },
+    );
+    let report = engine.run();
+    assert!(report.all_committed(), "{report:?}");
+    let pushes = engine.wal().unwrap().pushes();
+    assert!(
+        (report.group_flushes..=report.group_flushes + 1).contains(&pushes),
+        "{pushes} pushes for {} groups",
+        report.group_flushes
+    );
+    drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

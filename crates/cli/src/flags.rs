@@ -373,7 +373,9 @@ pub(crate) fn usage() -> String {
         }
         out.push('\n');
     }
-    out + "       (--group-commit[=MAX] only sizes the --wal-sync commit group, one fsync \
+    out + "       (--threads K counts the thread that submits a run: it runs one job \
+           itself, beside at most K-1 pooled workers)\n\
+           \x20      (--group-commit[=MAX] only sizes the --wal-sync commit group, one fsync \
            per group; 1 = one decision record and fsync per commit)\n\
            \x20      (lockgraph observes nothing unless built with --features lockdep)"
 }

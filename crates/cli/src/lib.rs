@@ -74,7 +74,9 @@ pub enum InflateArg {
 /// engine alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineFlags {
-    /// Worker threads (per submission run, for `serve`).
+    /// Threads per run (per submission run, for `serve`), the thread
+    /// that submits it included: it runs one job beside at most
+    /// `threads − 1` pooled workers.
     pub threads: usize,
     /// Requested per-template concurrency, certified up front; for
     /// `serve`, the default applied when a registration requests none.

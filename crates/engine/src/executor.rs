@@ -2,11 +2,12 @@
 //! acquires locks across shards in partial-order-respecting order, and
 //! applies the template's reads/writes.
 //!
-//! **One pool.** The workers belong to the engine, not to a run: a run
-//! hands up to [`EngineConfig::threads`] jobs to the engine's
-//! persistent worker pool, and each job drains the run's chunks from
-//! one shared cursor. The pool spawns a worker only when no idle one is
-//! left to take a job, and the engine's drop joins them all.
+//! **One pool.** A run splits into at most [`EngineConfig::threads`]
+//! jobs, and each job drains the run's chunks from one shared cursor.
+//! The calling thread runs the first job itself; only the rest go to
+//! the engine's persistent worker pool, so a one-chunk run never leaves
+//! its caller's thread. The pool spawns a worker only when no idle one
+//! is left to take a job, and the engine's drop joins them all.
 //!
 //! Every instance runs the same way: its chunk is admitted
 //! (`execute_chunk`: one [`SlotGate`](crate::template::SlotGate)
@@ -107,9 +108,10 @@ const POLL: Duration = Duration::from_micros(50);
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// At most this many workers per run (and never more than the run
-    /// has chunks), drawn from the engine's persistent pool, which
-    /// spawns a worker only when no idle one is left.
+    /// At most this many threads per run, the calling thread included
+    /// (and never more than the run has chunks): the caller plus up to
+    /// `threads − 1` workers drawn from the engine's persistent pool,
+    /// which spawns a worker only when no idle one is left.
     pub threads: usize,
     /// Total transaction instances to run (assigned round-robin over the
     /// registered templates). [`Engine::run`] panics once the engine's
@@ -643,7 +645,8 @@ impl Engine {
     }
 
     /// Runs `cfg.instances` instances (assigned round-robin over the
-    /// registered templates) on up to `cfg.threads` workers and reports.
+    /// registered templates) on up to `cfg.threads` threads, this one
+    /// included, and reports.
     /// Reusable; the store accumulates writes across runs and the
     /// outcome folds into [`Engine::report_snapshot`].
     pub fn run(&self) -> Report {
@@ -662,11 +665,11 @@ impl Engine {
 
     /// Runs an explicit per-template mix — `count` instances of each
     /// listed template, interleaved round-robin across the entries — on
-    /// up to `cfg.threads` workers (ignoring `cfg.instances`). This is the
-    /// submission path of the wire server, where clients pick templates
-    /// by name instead of taking the uniform round-robin of
-    /// [`Engine::run`]. The instances get the next `total` gids of the
-    /// engine's id space, in interleave order.
+    /// up to `cfg.threads` threads, this one included (ignoring
+    /// `cfg.instances`). This is the submission path of the wire server,
+    /// where clients pick templates by name instead of taking the
+    /// uniform round-robin of [`Engine::run`]. The instances get the
+    /// next `total` gids of the engine's id space, in interleave order.
     ///
     /// # Panics
     /// Panics with a descriptive message when a `TxnId` does not name a
@@ -740,14 +743,15 @@ impl Engine {
         };
         let started = Instant::now();
         let pin = core.pin_epoch(instances.len());
-        // Workers claim instances in admission-batch chunks (of one, by
+        // Jobs claim instances in admission-batch chunks (of one, by
         // default) from one shared cursor: each chunk is admitted under
         // one gate acquisition per template and one log-lock acquisition
         // for its Begin records, and audited in the open epoch, which it
         // joins and leaves (see `execute_chunk`). By the time the last
         // job reports back, the verdict is already computed. No more
         // jobs than chunks: a job past the last chunk would only find
-        // the cursor spent.
+        // the cursor spent. This thread runs one job itself, so a
+        // one-chunk run never touches the pool.
         let batch = core.cfg.admission_batch.max(1);
         let jobs = core.cfg.threads.max(1).min(instances.len().div_ceil(batch));
         let work = {
@@ -1312,19 +1316,21 @@ mod tests {
         )
     }
 
-    /// Back-to-back one-chunk runs reuse one parked worker: it counts
-    /// itself idle before its run sees the job finish, so the next run
-    /// never finds the pool busy. Nothing spawns before the first run.
+    /// A one-chunk run executes on its caller's thread, so back-to-back
+    /// count=1 runs spawn no worker at all. A two-chunk run at
+    /// `threads = 2` is the caller plus exactly one worker.
     #[test]
-    fn back_to_back_runs_spawn_one_worker() {
+    fn one_chunk_runs_spawn_no_worker() {
         let engine = ordered_pair(2);
-        assert_eq!(engine.pool.spawned(), 0, "no worker before the first run");
         let one = engine.uniform_mix(1);
         for _ in 0..1_000 {
             let r = engine.run_mix(&one);
             assert_eq!(r.committed, 1);
             assert_eq!(r.serializable, Some(true));
         }
+        assert_eq!(engine.pool.spawned(), 0, "a one-chunk run left its caller");
+        let r = engine.run_mix(&engine.uniform_mix(2));
+        assert!(r.all_committed(), "{r:?}");
         assert_eq!(engine.pool.spawned(), 1);
     }
 

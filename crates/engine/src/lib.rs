@@ -29,8 +29,9 @@
 //!              │                          value chains, it backs off
 //!              └──────────────┬────────────────────┘
 //!                        Executor — one path per instance
-//!                             │ a run hands ≤ threads jobs to the engine's
-//!                             │ persistent pool (a worker is spawned only
+//!                             │ a run splits into ≤ threads jobs: the
+//!                             │ caller runs one, the engine's persistent
+//!                             │ pool the rest (a worker is spawned only
 //!                             │ when none is idle); jobs drain its chunks
 //!                             │ execute_chunk: SlotGate.acquire_many() per
 //!                             │ template (chunk of one by default) ⇒ the
@@ -78,8 +79,8 @@
 //! `server.engine` ▷ `template.slot_gate` / `shard.state` /
 //! `engine.epoch` ▷ `engine.auditor` ▷ `wal.log` (`wal.group_state` and
 //! `store.clock` are leaves never held with any of them, `engine.pool`
-//! is a leaf never held while a job runs, and no fsync runs under any
-//! but `server.engine`) — documented in the "Lock
+//! is a leaf never held while a job runs, no run holds `server.engine`,
+//! and no fsync runs under any of them) — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -104,9 +105,11 @@
 //!   systems fall back to wait-die. Templates carry data [`Program`]s
 //!   (reads on every lock; `Add`/`Put` writes applied at unlock under
 //!   the lock).
-//! * [`executor`] — workers from the engine's lifetime-long pool drain
-//!   each run's instances in chunks from one shared cursor (no thread
-//!   is spawned per run, and none before the first job needs it),
+//! * [`executor`] — the calling thread, joined on a wider run by
+//!   workers from the engine's lifetime-long pool, drains each run's
+//!   instances in chunks from one shared cursor (a one-chunk run never
+//!   leaves its caller; no thread is spawned per run, and none before
+//!   a queued job needs it),
 //!   stepping each instance's attempts through its transaction's
 //!   partial order (the
 //!   same `Attempt` stepper and wait-die rule [`replay`] drives

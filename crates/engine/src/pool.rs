@@ -1,16 +1,17 @@
 //! The engine's worker pool: threads that live as long as their engine
 //! and execute the jobs of every run on it.
 //!
-//! A run hands its jobs to parked workers instead of spawning threads,
-//! so a one-chunk run pays a queue push and a condvar wake, not a thread
-//! spawn and teardown. Workers are spawned on demand — only when a job
-//! is queued that no idle worker will take — never up front. On a
-//! 2-vCPU host an eagerly spawned pool raised the server's peak RSS by
-//! 21–30 % on the hot-lock benchmark workloads (each new thread claims
-//! its own malloc arena; capping glibc at one arena hid most of the
-//! difference), while spawning on demand cost 5–8 %. A pool therefore
-//! grows to the largest number of jobs ever in flight at once, and
-//! keeps those workers until the engine drops.
+//! The thread that submits a run is its first worker: it runs one job
+//! itself and hands only the rest to parked workers, so a one-job run
+//! crosses no thread at all — no pool lock, no channel, no wake — and a
+//! wider one spawns no thread per run. Workers are spawned on demand —
+//! only when a job is queued that no idle worker will take — never up
+//! front. On a 2-vCPU host an eagerly spawned pool raised the server's
+//! peak RSS by 21–30 % on the hot-lock benchmark workloads (each new
+//! thread claims its own malloc arena; capping glibc at one arena hid
+//! most of the difference), while spawning on demand cost 5–8 %. A pool
+//! therefore grows to the largest number of queued jobs ever in flight
+//! at once, and keeps those workers until the engine drops.
 //!
 //! The pool's state is one leaf lock class, `engine.pool`: it is never
 //! held while a job runs, nothing else is acquired under it, and an
@@ -65,18 +66,22 @@ impl Pool {
         }
     }
 
-    /// Runs `work` as `n` concurrent jobs and returns their `n` results,
-    /// in completion order. A job that panics does not take its worker
-    /// with it: once all `n` jobs are done, the first panic resumes on
-    /// the caller.
+    /// Runs `work` as `n ≥ 1` concurrent jobs and returns their `n`
+    /// results: the caller runs one job itself and queues the other
+    /// `n − 1`, so a one-job run touches no pool state. A job that panics
+    /// does not take its thread with it: once all `n` jobs are done, the
+    /// first panic resumes on the caller.
     pub(crate) fn scatter<T, F>(&self, n: usize, work: F) -> Vec<T>
     where
         T: Send + 'static,
         F: Fn() -> T + Send + Sync + 'static,
     {
+        if n <= 1 {
+            return vec![work()];
+        }
         let work = Arc::new(work);
         let (tx, rx) = unbounded();
-        self.submit((0..n).map(|_| {
+        self.submit((1..n).map(|_| {
             let (work, tx) = (Arc::clone(&work), tx.clone());
             Box::new(move || {
                 let result = panic::catch_unwind(AssertUnwindSafe(|| work()));
@@ -86,10 +91,13 @@ impl Pool {
             }) as Job
         }));
         drop(tx);
+        let own = panic::catch_unwind(AssertUnwindSafe(|| work()));
         let mut results = Vec::with_capacity(n);
         let mut panicked = None;
-        // Ends when every hand-back has sent and dropped its sender.
-        for result in rx.iter() {
+        // Ends when every hand-back has sent and dropped its sender, so
+        // even a panic of the caller's own job resumes only after every
+        // queued job has finished.
+        for result in std::iter::once(own).chain(rx.iter()) {
             match result {
                 Ok(r) => results.push(r),
                 Err(payload) => {
@@ -208,6 +216,39 @@ mod tests {
             }) as Job));
             assert_eq!(rx.recv().expect("hand-back ran"), 1);
         }
+        assert_eq!(pool.spawned(), 1);
+    }
+
+    /// The caller's own job panics while its queued job is still
+    /// running: `scatter` returns only once that job has finished, and
+    /// then resumes the caller's payload.
+    #[test]
+    fn a_callers_panic_waits_for_the_queued_job() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let pool = Pool::new();
+        let caller = thread::current().id();
+        let started = Arc::new(AtomicBool::new(false));
+        let finished = Arc::new(AtomicBool::new(false));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            let (started, finished) = (Arc::clone(&started), Arc::clone(&finished));
+            pool.scatter(2, move || {
+                if thread::current().id() == caller {
+                    while !started.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                    panic!("caller's job failed");
+                }
+                started.store(true, Ordering::Release);
+                thread::sleep(std::time::Duration::from_millis(50));
+                finished.store(true, Ordering::Release);
+            })
+        }));
+        assert!(
+            finished.load(Ordering::Acquire),
+            "scatter returned before its queued job finished"
+        );
+        let payload = caught.expect_err("the caller's panic must resume");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller's job failed"));
         assert_eq!(pool.spawned(), 1);
     }
 }

@@ -4,7 +4,7 @@
 //! The paper proves *transactions* deadlock-free at the data level; this
 //! crate brings the same rigor to the implementation that executes them.
 //! The vendored `parking_lot` shim calls into these hooks (behind its
-//! `lockdep` cargo feature) on every mutex/rwlock acquire, release, and
+//! `lockdep` cargo feature) on every mutex acquire, release, and
 //! condvar wait, and three checkers run over the stream:
 //!
 //! 1. **Lock-order validation** (the kernel-lockdep idea): every lock
@@ -173,23 +173,17 @@ mod imp {
     /// * `wal.log` — the one writer lock serializes append and
     ///   `write(2)`, never an fsync: the group leader releases it
     ///   before its `fdatasync`.
-    /// * `server.engine` — a registration builds the new engine and its
-    ///   WAL directory under the write side, and a `Submit` flushes the
-    ///   log's buffer at the end of its run under the read side. The
-    ///   engine's pool workers, which run the jobs and issue the group
-    ///   fsyncs, never hold it.
     ///
     /// `wal.group_state` is deliberately absent: the group-commit
     /// leader must drain tickets and fsync *outside* the state lock
     /// (the PR 7 invariant this list machine-checks). So are
     /// `template.slot_gate`, `engine.epoch`, `engine.cumulative`,
-    /// `engine.pool` and `server.conns`.
-    const BLOCKING_ALLOW: &[(&str, u8)] = &[
-        ("shard.state", 1),
-        ("engine.auditor", 1),
-        ("wal.log", 1),
-        ("server.engine", 1 | 2),
-    ];
+    /// `engine.pool` and `server.conns` — and `server.engine`, which is
+    /// held only to pin, unpin or swap the engine: a `Submit` runs, and
+    /// a registration builds its engine and rotates the WAL directory,
+    /// holding no server lock.
+    const BLOCKING_ALLOW: &[(&str, u8)] =
+        &[("shard.state", 1), ("engine.auditor", 1), ("wal.log", 1)];
 
     /// First-witness record for a class-order edge.
     struct EdgeWitness {

@@ -15,11 +15,13 @@
 //!      │  Request  — 1 frame = u32 LE length + payload (msg::frame)
 //!      ▼
 //!   Server accept loop ── thread per connection ──▶ Shared state
-//!      │                                            RwLock<Option<Engine>>
+//!      │                          Mutex<Slot { Option<Arc<Engine>>, runs, registering }>
 //!      │ RegisterSystem: SystemSpec JSON ──▶ certify (inflation) ──▶ new Engine
-//!      │           (write side: waits out in-flight Submits)
-//!      │ Submit:   name ──▶ TxnId mix ──▶ Engine::run_mix (blocking; read
-//!      │           side, so other connections' Submits run beside it)
+//!      │           (holds new Submits off, waits for `runs` to drain,
+//!      │           builds unlocked, then swaps the Arc)
+//!      │ Submit:   name ──▶ TxnId mix ──▶ Engine::run_mix on this thread
+//!      │           (pins the engine, holds no lock across the run, so
+//!      │           other connections' Submits run beside it)
 //!      │ Report:   Engine::report_snapshot (cumulative, runs nothing)
 //!      │ Stats:    Telemetry::snapshot digest (lock-free — answers
 //!      │           mid-Submit without touching the engine lock)

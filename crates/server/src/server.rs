@@ -14,11 +14,14 @@
 //! multiprogramming. Nothing else needs them apart: the engine mints
 //! every gid (lock holder, wait-die timestamp) from one id space that
 //! lasts its lifetime, so instances of different submissions never
-//! collide, and overlapping runs share one `D(S)` audit epoch. The
-//! engine slot is a reader-writer lock: a `Submit` or `Report` holds the
-//! read side, a registration the write side — taken *before* it builds
-//! the new engine and rotates the WAL directory, so it waits out every
-//! in-flight run instead of rotating the log under it.
+//! collide, and overlapping runs share one `D(S)` audit epoch. A
+//! `Submit` runs on its connection's thread — the run's first worker —
+//! holding no server lock: the engine slot is a mutex held only to pin
+//! the engine (clone its `Arc` and count the run in) and to unpin it. A
+//! registration announces itself, waits for the pinned runs to drain,
+//! and only then builds the new engine and rotates the WAL directory,
+//! so it never rotates the log under a run; a `Submit` arriving
+//! meanwhile waits and runs on the new engine.
 
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
@@ -28,7 +31,7 @@ use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Store, Tele
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
 use ddlf_sim::msg::frame;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -38,7 +41,8 @@ use std::sync::Arc;
 /// Server tuning: how registered engines are configured.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// At most this many workers per submission run, drawn from the
+    /// At most this many threads per submission run: the connection
+    /// thread that received it plus up to `threads − 1` workers of the
     /// registered engine's persistent pool (see
     /// [`EngineConfig::threads`]).
     pub threads: usize,
@@ -90,26 +94,43 @@ fn admission_of(inflate: InflateSpec, threads: usize) -> AdmissionOptions {
     }
 }
 
+/// The engine slot behind `server.engine`.
+struct Slot {
+    /// The registered engine.
+    engine: Option<Arc<Engine>>,
+    /// Submits pinned to `engine`: running on it, or writing the reply
+    /// of a run that did.
+    runs: usize,
+    /// A registration is waiting for `runs` to drain or building its
+    /// engine: new Submits wait for it and run on the engine it
+    /// installs.
+    registering: bool,
+}
+
 struct Shared {
-    /// The registered engine, `server.engine`: `Submit` and `Report`
-    /// hold the read side (a `Submit` for its whole run, concurrently
-    /// with other connections' Submits), `RegisterSystem` the write
-    /// side. Only connection threads take it: the engine's pool workers
-    /// never do, so a `Submit` waits for its jobs holding the read side
-    /// while the jobs run lock-free of it.
-    engine: RwLock<Option<Engine>>,
+    /// The registered engine, `server.engine`. Held only briefly —
+    /// never across a run, an engine build or any I/O: a `Submit` pins
+    /// the engine under it ([`Shared::pin`]) and unpins it after its
+    /// reply, a `Report` copies the `Arc` out, and `RegisterSystem` flips
+    /// `registering`, waits for `runs` to reach zero, and later swaps
+    /// the engine in.
+    engine: Mutex<Slot>,
+    /// Signalled when a registration ends, and when the last pinned run
+    /// ends while one is waiting. Waiters hold only `server.engine`.
+    slot_changed: Condvar,
     /// The telemetry handle every registered engine records into
     /// (registration clones `cfg.engine`, so the handle is shared, not
     /// replaced). Held here so [`Request::Stats`] can digest it without
-    /// touching the engine lock — a stats probe must answer even while
-    /// a registration holds its write side.
+    /// touching the engine slot — a stats probe must answer even while
+    /// a registration waits out in-flight Submits.
     telemetry: Telemetry,
     /// The registered engine's store, parked here so [`Request::ReadOnly`]
     /// can scan the multiversion chains without touching the engine
-    /// lock — like `telemetry`, a snapshot read must answer even while a
+    /// slot — like `telemetry`, a snapshot read must answer even while a
     /// registration waits out in-flight Submits. The lock guards only
     /// the `Arc` clone; the scan itself takes only leaf locks of the
-    /// shared store.
+    /// shared store. A registration parks the new store under
+    /// `server.engine`, just before the swap.
     read_store: Mutex<Option<Arc<Store>>>,
     cfg: ServeConfig,
     shutdown: AtomicBool,
@@ -124,14 +145,23 @@ struct Shared {
 }
 
 impl Shared {
-    fn handle(&self, req: Request) -> Response {
-        match req {
+    /// Answers one request. A `Submit` also hands back its engine pin,
+    /// which the caller drops only after writing the reply.
+    fn handle(&self, req: Request) -> (Response, Option<RunPin<'_>>) {
+        let resp = match req {
             Request::RegisterSystem { spec_json, inflate } => self.register(&spec_json, inflate),
-            Request::Submit { template, count } => self.submit(&template, count),
-            Request::Report => match self.engine.read().as_ref() {
-                Some(engine) => Response::Report(RunStats::from_report(&engine.report_snapshot())),
-                None => no_system(),
-            },
+            Request::Submit { template, count } => return self.submit(&template, count),
+            Request::Report => {
+                // Copied out first: a `match` on the guard's temporary
+                // would hold `server.engine` across the whole arm.
+                let engine = self.engine.lock().engine.clone();
+                match engine {
+                    Some(engine) => {
+                        Response::Report(RunStats::from_report(&engine.report_snapshot()))
+                    }
+                    None => no_system(),
+                }
+            }
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Response::ShuttingDown
@@ -141,7 +171,8 @@ impl Shared {
             // any registration the digest is legitimately all zeros.
             Request::Stats => Response::Stats(StatsSnapshot::from_telemetry(&self.telemetry)),
             Request::ReadOnly { entities } => self.read_only(&entities),
-        }
+        };
+        (resp, None)
     }
 
     /// Answers one read-only transaction over the snapshot path. The
@@ -223,11 +254,12 @@ impl Shared {
                 message: "inflation k must be ≥ 1".to_string(),
             };
         }
-        // The write side first: a new engine rotates the WAL directory,
-        // which must not happen under a run still appending to it, so
-        // this waits out every in-flight Submit (and holds new ones off
-        // until the swap).
-        let mut slot = self.engine.write();
+        // Announce the registration first: a new engine rotates the WAL
+        // directory, which must not happen under a run still appending
+        // to it, so this waits out every in-flight Submit (and holds new
+        // ones off until the swap). The guard ends the registration on
+        // every path out, the error path and an unwind included.
+        let _registration = self.begin_registration();
         let engine = match Engine::try_with_admission(
             sys,
             admission_of(requested, self.cfg.threads),
@@ -249,24 +281,62 @@ impl Shared {
             }
         };
         let reply = Registered::from_registry(engine.registry());
-        // Park the new store for the read-only path before the
-        // engine slot swaps: a racing reader sees either the old system
-        // or the new one, never a dangling store.
-        *self.read_store.lock() = Some(engine.store_handle());
-        // The old engine drops here, under the write side, so no run is
-        // in flight: its drop joins idle pool workers only.
-        *slot = Some(engine);
+        let old = {
+            let mut slot = self.engine.lock();
+            // Park the new store for the read-only path before the
+            // engine slot swaps: a racing reader sees either the old
+            // system or the new one, never a dangling store.
+            *self.read_store.lock() = Some(engine.store_handle());
+            slot.engine.replace(Arc::new(engine))
+        };
+        // No run is pinned to the old engine, so its last drop — here,
+        // or on a thread that still holds a copy of the `Arc` (a
+        // `Report`, a Submit just unpinned), never under `server.engine`
+        // — joins idle pool workers and pushes an already empty log.
+        drop(old);
         Response::Registered(reply)
     }
 
-    fn submit(&self, template: &str, count: u32) -> Response {
-        // The read side, for the whole run: other connections' Submits
-        // run beside this one, a registration cannot swap the engine
-        // (or rotate its WAL) mid-run.
-        let guard = self.engine.read();
-        let Some(engine) = guard.as_ref() else {
-            return no_system();
+    /// Waits for any other registration to end, marks this one in
+    /// progress, and waits until no run is pinned to the current engine.
+    fn begin_registration(&self) -> Registration<'_> {
+        let mut slot = self.engine.lock();
+        while slot.registering {
+            self.slot_changed.wait(&mut slot);
+        }
+        slot.registering = true;
+        while slot.runs > 0 {
+            self.slot_changed.wait(&mut slot);
+        }
+        Registration(self)
+    }
+
+    /// Pins the registered engine for one run, first waiting out a
+    /// registration in progress so the run lands on the engine it
+    /// installs. `None` when no system is registered.
+    fn pin(&self) -> Option<RunPin<'_>> {
+        let mut slot = self.engine.lock();
+        while slot.registering {
+            self.slot_changed.wait(&mut slot);
+        }
+        let engine = Arc::clone(slot.engine.as_ref()?);
+        slot.runs += 1;
+        Some(RunPin {
+            shared: self,
+            engine,
+        })
+    }
+
+    /// Runs one submission on this thread and returns its reply with the
+    /// run's pin. Pinned, not locked: other connections' Submits run
+    /// beside this one, and a registration cannot swap the engine (or
+    /// rotate its WAL) until the pin drops — after the reply is written,
+    /// so a registration that waited for this run also replies after it.
+    fn submit(&self, template: &str, count: u32) -> (Response, Option<RunPin<'_>>) {
+        let Some(pin) = self.pin() else {
+            return (no_system(), None);
         };
+        let engine = &pin.engine;
         let sys = engine.registry().system();
         let mix: Vec<(TxnId, usize)> = if template.is_empty() {
             engine.uniform_mix(count as usize)
@@ -274,14 +344,48 @@ impl Shared {
             match sys.iter().find(|(_, txn)| txn.name() == template) {
                 Some((t, _)) => vec![(t, count as usize)],
                 None => {
-                    return Response::Error {
+                    let err = Response::Error {
                         kind: ErrorKind::UnknownTemplate,
                         message: format!("no template named {template:?}"),
-                    }
+                    };
+                    return (err, None);
                 }
             }
         };
-        Response::Submitted(RunStats::from_report(&engine.run_mix(&mix)))
+        let resp = Response::Submitted(RunStats::from_report(&engine.run_mix(&mix)));
+        (resp, Some(pin))
+    }
+}
+
+/// A registration in progress ([`Shared::begin_registration`]); dropping
+/// it ends the registration and wakes the Submits and registrations
+/// waiting for that.
+struct Registration<'a>(&'a Shared);
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.0.engine.lock().registering = false;
+        self.0.slot_changed.notify_all();
+    }
+}
+
+/// One run's hold on the registered engine ([`Shared::pin`]); dropping
+/// it — on every path out of the run, an unwind included — counts the
+/// run out and, if it was the last one a registration waits for, wakes
+/// that registration.
+struct RunPin<'a> {
+    shared: &'a Shared,
+    engine: Arc<Engine>,
+}
+
+impl Drop for RunPin<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.shared.engine.lock();
+        slot.runs -= 1;
+        if slot.runs == 0 && slot.registering {
+            drop(slot);
+            self.shared.slot_changed.notify_all();
+        }
     }
 }
 
@@ -335,7 +439,15 @@ impl Server {
                     "server.read_store",
                     engine.as_ref().map(Engine::store_handle),
                 ),
-                engine: RwLock::new_named("server.engine", engine),
+                engine: Mutex::new_named(
+                    "server.engine",
+                    Slot {
+                        engine: engine.map(Arc::new),
+                        runs: 0,
+                        registering: false,
+                    },
+                ),
+                slot_changed: Condvar::new(),
                 telemetry: cfg.engine.telemetry.clone(),
                 cfg,
                 shutdown: AtomicBool::new(false),
@@ -429,14 +541,20 @@ impl Server {
 /// [`Server::run`] returns.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     while let Some(payload) = frame::read_frame(&mut stream)? {
-        let resp = match Request::decode(payload.into()) {
+        let (resp, pin) = match Request::decode(payload.into()) {
             Some(req) => shared.handle(req),
-            None => Response::Error {
-                kind: ErrorKind::BadRequest,
-                message: "frame did not decode to a request".to_string(),
-            },
+            None => {
+                let err = Response::Error {
+                    kind: ErrorKind::BadRequest,
+                    message: "frame did not decode to a request".to_string(),
+                };
+                (err, None)
+            }
         };
         frame::write_frame(&mut stream, resp.encode().as_ref())?;
+        // A Submit unpins its engine only now that its reply is out, so
+        // a registration that waited for the run replies after it.
+        drop(pin);
         if matches!(resp, Response::ShuttingDown) {
             // The accept loop is parked in `accept`; poke it so it
             // observes the flag and exits.

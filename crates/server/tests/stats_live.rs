@@ -1,7 +1,6 @@
 //! End-to-end tests of the `Stats` RPC: the digest reflects a real run,
 //! and — the property it exists for — it answers from a second
-//! connection *while* another connection's `Submit` holds the engine
-//! lock for a long run.
+//! connection *while* another connection's `Submit` is in a long run.
 
 use ddlf_engine::{EngineConfig, Telemetry, TelemetryConfig};
 use ddlf_server::{Client, InflateSpec, ServeConfig, Server};
@@ -80,9 +79,9 @@ fn stats_answer_mid_submit() {
     // A run long enough that stats polls land mid-run (in a debug
     // build a few hundred fully-conflicting instances take well over
     // the poll interval — the debug-only batch-audit cross-check is
-    // quadratic, so keep N modest). `submit` holds the engine lock
-    // for the whole run, so these polls only succeed promptly because
-    // the Stats path never touches that lock.
+    // quadratic, so keep N modest). The polls land mid-run because the
+    // Stats path reads the shared telemetry handle and never waits on
+    // the engine.
     const N: u32 = 800;
     let submit_addr = addr.clone();
     let submitter = std::thread::spawn(move || {

@@ -167,7 +167,7 @@ fn concurrent_wait_die_runs_audit_like_the_recovered_log() {
 }
 
 /// Many one-instance runs from four submitters on a one-thread engine:
-/// each run hands one job to the shared worker pool, and no submitter
+/// each run executes on its submitter's own thread, and no submitter
 /// starves, on the certified and on the forced wait-die path alike.
 #[test]
 fn count_one_runs_from_four_submitters_all_complete() {

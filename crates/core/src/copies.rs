@@ -14,8 +14,8 @@
 //!
 //! The paper warns that the analogous lift is **false** for
 //! deadlock-freedom alone (Fig. 6: three copies can deadlock while two
-//! cannot); see the `ddlf-workloads` figure constructions and the E7
-//! experiment.
+//! cannot); see the `ddlf-workloads` figure constructions and the paper
+//! ledger's `thm5` and `fig6` rows.
 
 use ddlf_model::{EntityId, Transaction};
 use serde::{Deserialize, Serialize};

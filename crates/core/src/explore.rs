@@ -8,7 +8,8 @@
 //! Everything here is exponential in the worst case — deadlock-freedom is
 //! coNP-complete (Theorem 2) — and is used as the oracle the polynomial
 //! algorithms (`pairwise`, `many`, `copies`) are validated against, and as
-//! the honest baseline in the E10 scaling experiment.
+//! the honest baseline whose exact state counts the paper ledger's `wall`
+//! row pins.
 
 use crate::reduction::{complete_schedule, DeadlockPrefix, ReductionGraph};
 use ddlf_model::search::{Budget, Dfs, Next, Pruning, SchedulerState, Step, Visitor};

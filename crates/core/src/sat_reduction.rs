@@ -28,7 +28,8 @@
 //!
 //! The scanned paper's arc lists are partially illegible; this arc set was
 //! reconstructed from the cycle components the proof walks through and is
-//! validated *empirically* in tests and in experiment E4: satisfiability
+//! validated *empirically* in tests and in the paper ledger's `thm2` row
+//! (`tests/paper_ledger.rs`): satisfiability
 //! decided by the independent DPLL solver coincides with deadlock-prefix
 //! existence decided by the independent [`crate::lu_pair`] search, on the
 //! paper's worked example and on hundreds of random 3SAT′ instances.

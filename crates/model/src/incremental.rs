@@ -32,8 +32,9 @@
 //! arc is `O(v log v)` for an affected region of `v` vertices. A full
 //! audit of `n` instances is therefore `O(n log n)`-ish instead of the
 //! batch `Θ(n²)` — the difference between a 20k-instance recovery
-//! taking minutes and taking well under a second (measured by the
-//! `audit_scale` / `audit_recovery` criterion groups).
+//! taking minutes and taking well under a second (the harness measures
+//! it as `model.audit_us_per_commit` and
+//! `engine.wal.recover_us_per_commit`).
 //!
 //! The batch audit stays in the tree as the **oracle**: proptests drive
 //! random certified and wait-die histories (with retries and rollbacks)

@@ -42,7 +42,7 @@ pub enum DeadlockPolicy {
     /// only its own lock table. Deadlock cycles spanning multiple sites
     /// are invisible to it — the textbook reason distributed deadlock
     /// detection needs a global (or probe-based) view. Kept as an
-    /// instructive *broken* baseline for experiment E11.
+    /// instructive *broken* baseline for the paper ledger's `e11` row.
     DetectLocal {
         /// Detector period in simulated microseconds.
         period_us: u64,
@@ -765,8 +765,9 @@ mod tests {
         assert!(stalled_seen, "no seed produced the deadlock");
     }
 
-    /// E11: a per-site detector cannot see a cycle whose entities live on
-    /// different sites — the same workload on a single site is caught.
+    /// The paper ledger's `e11` row: a per-site detector cannot see a
+    /// cycle whose entities live on different sites — the same workload
+    /// on a single site is caught.
     #[test]
     fn local_detector_misses_cross_site_deadlocks() {
         // Distributed version: x and y on different sites.

@@ -17,7 +17,8 @@
 //!   ships it over real TCP with;
 //! * [`lockmgr`] — the per-site exclusive lock table.
 //!
-//! The headline property (experiment E9, validated by integration tests):
+//! The headline property (the paper ledger's `payoff` row, validated by
+//! integration tests):
 //! a system certified by `ddlf_core::certify_safe_and_deadlock_free` runs
 //! to commit under the **`Nothing`** policy — no detector, no timeouts,
 //! no aborts — and every run is serializable; uncertified systems stall

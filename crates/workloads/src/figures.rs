@@ -2,8 +2,10 @@
 //!
 //! The 1986 scan's figure drawings are not machine-readable; each
 //! construction below is reconstructed from the *properties the text
-//! states about it*, which the test suite (and the E1–E3/E7 experiments)
-//! verifies. Deviations are documented per figure.
+//! states about it*, which `tests/figures_public_api.rs` and the `fig1`,
+//! `fig2`, `fig3` and `fig6` rows of the paper ledger
+//! (`tests/paper_ledger.rs`) verify. Deviations are documented per
+//! figure.
 
 use ddlf_model::{Database, EntityId, Prefix, SystemPrefix, Transaction, TransactionSystem};
 
@@ -79,8 +81,10 @@ pub fn fig1() -> (TransactionSystem, SystemPrefix, Fig1Entities) {
 /// Four entities `v, t, z, w` (each on its own site), arcs
 /// `Lv → Ut`, `Lt → Uz`, `Lz → Uw`, `Lw → Uv` (plus each `L → U`).
 /// Two copies of this dag contain **no** pair `x, y` with `Ly ≺ Ux` and
-/// `Lx ≺ Uy`, yet the prefix `{L²v, L¹t, L²z, L¹w}` has the nine-node
-/// reduction cycle the text lists — deadlock through four entities.
+/// `Lx ≺ Uy`, yet the prefix `{L²v, L¹t, L²z, L¹w}` has a reduction
+/// cycle of eight distinct nodes (`fig2.cycle_nodes`) — deadlock through
+/// four entities. The text lists nine because its listing, like Fig. 1's
+/// `L¹z → … → U³z → L¹z`, repeats the first node to close the cycle.
 pub fn fig2_transaction(db: &Database, name: &str) -> Transaction {
     let (v, t, z, w) = (EntityId(0), EntityId(1), EntityId(2), EntityId(3));
     let mut b = Transaction::builder(name);
@@ -187,99 +191,4 @@ pub fn fig6(d: usize) -> TransactionSystem {
     let db = Database::one_entity_per_site(3);
     let t = fig6_transaction(&db, "T");
     TransactionSystem::copies(db, &t, d).unwrap()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ddlf_core::explore::Explorer;
-    use ddlf_core::reduction::{check_deadlock_prefix, ReductionGraph};
-    use ddlf_core::tirri::tirri_two_entity_pattern;
-    use ddlf_model::TxnId;
-
-    #[test]
-    fn fig1_prefix_is_a_deadlock_prefix_with_stated_cycle() {
-        let (sys, prefix, ents) = fig1();
-        let rg = ReductionGraph::build(&sys, &prefix);
-        assert!(rg.is_cyclic());
-        let dp = check_deadlock_prefix(&sys, &prefix, 100_000).expect("deadlock prefix");
-        // The cycle visits nodes of all three transactions and the three
-        // entities x, y, z.
-        let txns: std::collections::HashSet<_> = dp.cycle.iter().map(|g| g.txn).collect();
-        assert_eq!(txns.len(), 3);
-        let entities: std::collections::HashSet<_> = dp
-            .cycle
-            .iter()
-            .map(|g| sys.txn(g.txn).op(g.node).entity)
-            .collect();
-        assert!(entities.contains(&ents.x));
-        assert!(entities.contains(&ents.y));
-        assert!(entities.contains(&ents.z));
-    }
-
-    #[test]
-    fn fig1_system_actually_deadlocks() {
-        let (sys, _, _) = fig1();
-        let ex = Explorer::new(&sys, 2_000_000);
-        assert!(ex.find_deadlock().0.violated());
-    }
-
-    #[test]
-    fn fig2_defeats_tirri_but_deadlocks() {
-        let (sys, prefix) = fig2();
-        // No two-entity pattern …
-        assert_eq!(
-            tirri_two_entity_pattern(sys.txn(TxnId(0)), sys.txn(TxnId(1))),
-            None
-        );
-        // … yet the stated prefix is a deadlock prefix with a ≥ 8-node
-        // cycle (through all four entities).
-        let dp = check_deadlock_prefix(&sys, &prefix, 1_000_000).expect("deadlock prefix");
-        assert!(dp.cycle.len() >= 8);
-        let entities: std::collections::HashSet<_> = dp
-            .cycle
-            .iter()
-            .map(|g| sys.txn(g.txn).op(g.node).entity)
-            .collect();
-        assert_eq!(entities.len(), 4, "cycle passes through all four entities");
-    }
-
-    #[test]
-    fn fig3_partial_orders_deadlock_free_but_extensions_deadlock() {
-        let sys = fig3();
-        let ex = Explorer::new(&sys, 1_000_000);
-        assert!(
-            ex.find_deadlock().0.holds(),
-            "partial orders are deadlock-free"
-        );
-        assert!(ex.find_deadlock_prefix().0.holds());
-
-        let ext = fig3_deadlocking_extensions();
-        let ex2 = Explorer::new(&ext, 1_000_000);
-        assert!(
-            ex2.find_deadlock().0.violated(),
-            "chosen linear extensions deadlock"
-        );
-    }
-
-    #[test]
-    fn fig6_three_copies_deadlock_two_do_not() {
-        let two = fig6(2);
-        let ex2 = Explorer::new(&two, 5_000_000);
-        assert!(ex2.find_deadlock().0.holds(), "two copies never deadlock");
-
-        let three = fig6(3);
-        let ex3 = Explorer::new(&three, 5_000_000);
-        assert!(ex3.find_deadlock().0.violated(), "three copies deadlock");
-    }
-
-    #[test]
-    fn fig6_is_not_safe_even_for_two_copies() {
-        // Theorem 5 talks about safe+DF; Fig. 6 only separates
-        // deadlock-freedom. Two copies fail Corollary 3 (no global first
-        // lock), consistent with the theorem.
-        let db = Database::one_entity_per_site(3);
-        let t = fig6_transaction(&db, "T");
-        assert!(ddlf_core::copies::copies_safe_df(&t).is_err());
-    }
 }

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// E9's headline: certification ⇒ the `Nothing` policy always commits,
+    /// The `payoff` ledger row's headline, on random systems:
+    /// certification ⇒ the `Nothing` policy always commits,
     /// with zero aborts, and the history is serializable.
     #[test]
     fn certified_systems_never_deadlock_at_runtime(

@@ -18,8 +18,6 @@ enum Takes {
     Nothing,
     /// The next argument, whatever it looks like.
     Value(&'static str),
-    /// An optional `=VALUE` glued to the name.
-    Glued(&'static str),
 }
 
 /// What a verb takes: its positionals' usage placeholders and its flags,
@@ -31,8 +29,8 @@ type Signature = (Vec<&'static str>, Vec<(&'static str, Takes)>);
 #[derive(Default)]
 struct Args {
     positionals: Vec<String>,
-    /// Every flag given, in order, with its raw value (what is glued to
-    /// a switch or a [`Takes::Glued`] flag's name: `""` or `=VALUE`).
+    /// Every flag given, in order, with its raw value (`""` for a
+    /// switch).
     given: Vec<(&'static str, String)>,
     asked: RefCell<Signature>,
 }
@@ -60,21 +58,15 @@ impl Args {
         let mut given = Vec::new();
         let mut rest = rest.iter();
         while let Some(arg) = rest.next() {
-            // What is glued to the flag's name: nothing, or `=VALUE`.
-            let glued = |&(name, takes): &(&'static str, Takes)| {
-                let glued = arg.strip_prefix(name)?;
-                let may_glue = matches!(takes, Takes::Glued(_)) && glued.starts_with('=');
-                (glued.is_empty() || may_glue).then_some((name, takes, glued))
-            };
-            let (name, takes, glued) = flags
+            let &(name, takes) = flags
                 .iter()
-                .find_map(glued)
+                .find(|(name, _)| name == arg)
                 .ok_or_else(|| format!("unknown flag {arg}"))?;
             let value = match takes {
                 Takes::Value(_) => rest
                     .next()
                     .ok_or_else(|| format!("missing value for {name}"))?,
-                _ => glued,
+                Takes::Nothing => "",
             };
             given.push((name, value.to_string()));
         }
@@ -196,19 +188,6 @@ fn entity_list(v: String) -> Vec<String> {
 
 // ---- the table ----------------------------------------------------------
 
-/// `--group-commit[=MAX]`. Every `--wal-sync` decision goes through the
-/// group committer, so the flag only sizes the group: bare is the
-/// engine's default, `=MAX` overrides it (`MAX ≥ 1`; 1 = unbatched).
-/// Without `--wal-sync` there is no fsync to share and it is unused.
-fn group_commit(a: &Args) -> Result<Option<usize>, String> {
-    let explain = |e| format!("bad --group-commit: {e} (want a max group size ≥ 1)");
-    match a.raw("--group-commit", Takes::Glued("MAX")) {
-        None => Ok(None),
-        Some("") => Ok(Some(ddlf_engine::DEFAULT_MAX_GROUP)),
-        Some(max) => at_least_one(&max[1..]).map(Some).map_err(explain),
-    }
-}
-
 /// The engine flags: the one set `run` and `serve` both take. Only
 /// `--admission-batch`'s default differs between them.
 fn engine_flags(a: &Args, admission_batch: usize) -> Result<EngineFlags, String> {
@@ -219,7 +198,6 @@ fn engine_flags(a: &Args, admission_batch: usize) -> Result<EngineFlags, String>
         work_us: a.or("--work", "USEC", defaults.work_us, num)?,
         wal: a.opt("--wal", "DIR", text)?,
         wal_sync: a.flag("--wal-sync"),
-        group_commit: group_commit(a)?,
         admission_batch: a.or("--admission-batch", "N", admission_batch, at_least_one)?,
         no_telemetry: a.flag("--no-telemetry"),
     })
@@ -368,14 +346,11 @@ pub(crate) fn usage() -> String {
             out += &match takes {
                 Takes::Nothing => format!(" [{name}]"),
                 Takes::Value(v) => format!(" [{name} {v}]"),
-                Takes::Glued(v) => format!(" [{name}[={v}]]"),
             };
         }
         out.push('\n');
     }
     out + "       (--threads K counts the thread that submits a run: it runs one job \
            itself, beside at most K-1 pooled workers)\n\
-           \x20      (--group-commit[=MAX] only sizes the --wal-sync commit group, one fsync \
-           per group; 1 = one decision record and fsync per commit)\n\
            \x20      (lockgraph observes nothing unless built with --features lockdep)"
 }

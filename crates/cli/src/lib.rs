@@ -88,15 +88,11 @@ pub struct EngineFlags {
     /// first recovers a WAL it finds there and starts with the replayed
     /// engine.
     pub wal: Option<String>,
-    /// Fsync the WAL before a commit is acknowledged — one fsync per
-    /// commit group, covering data and decision (durable against power
-    /// loss; the `fsync` phase histogram has one sample per fsync).
+    /// Fsync the WAL before a commit is acknowledged — one fsync covers
+    /// every decision appended before it started, and their data
+    /// (durable against power loss; the `fsync` phase histogram has one
+    /// sample per fsync).
     pub wal_sync: bool,
-    /// Sizes the commit group: decisions are always queued and flushed
-    /// by a leader in batches of up to this size — one buffered write
-    /// and (under `--wal-sync`) one fsync per *group*. `None` = the
-    /// engine's default size; `Some(1)` = one decision record per commit.
-    pub group_commit: Option<usize>,
     /// Admit and timestamp instances in chunks of this size: one
     /// `SlotGate` acquisition per template per chunk and one shared
     /// critical section per chunk (1 = per-instance admission, `run`'s
@@ -122,7 +118,6 @@ impl EngineFlags {
             work_us: 0,
             wal: None,
             wal_sync: false,
-            group_commit: None,
             admission_batch,
             no_telemetry: false,
         }
@@ -137,7 +132,6 @@ impl EngineFlags {
             work: Duration::from_micros(self.work_us),
             wal_dir: self.wal.as_ref().map(std::path::PathBuf::from),
             wal_sync: self.wal_sync,
-            group_commit: self.group_commit,
             admission_batch: self.admission_batch.max(1),
             telemetry,
             ..Default::default()
@@ -478,7 +472,7 @@ fn run_read(
 }
 
 /// `lockgraph`: drives a built-in workload across every locking
-/// subsystem — an in-process engine run with WAL, per-group fsync, and
+/// subsystem — an in-process engine run with WAL, shared fsyncs, and
 /// batched admission, then a wire round-trip against an in-process
 /// server — and prints the class-order DAG the `ddlf-lockdep` validator
 /// observed: the executable form of ARCHITECTURE.md's "Lock discipline"
@@ -493,8 +487,8 @@ fn run_lockgraph(dot: bool) -> Outcome {
     let sys = load_system(spec_json)
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
     // Engine legs: slot_gate, shard.state, store.clock, engine.* and the
-    // wal.* classes (fsync regions via `wal_sync`, the group path via
-    // `group_commit`, the event section — engine.auditor over wal.log —
+    // wal.* classes (fsync regions and the durable mark via `wal_sync`,
+    // the event section — engine.auditor over wal.log —
     // on every unlock, the write-ahead append — shard.state over
     // wal.log — on every write). Snapshot reads race both runs; in the
     // second, without `wal_sync`, a read that finds a decision still in
@@ -503,7 +497,6 @@ fn run_lockgraph(dot: bool) -> Outcome {
     let mut flags = EngineFlags {
         inflate: Some(InflateArg::Auto),
         wal: Some(wal_dir.to_string_lossy().into_owned()),
-        group_commit: Some(8),
         ..EngineFlags::new(4)
     };
     for wal_sync in [true, false] {
@@ -1754,7 +1747,7 @@ mod tests {
             "5",
             "--wal",
             "/tmp/w",
-            "--group-commit=2",
+            "--wal-sync",
         ];
         let parse = |verb: &str| {
             let args: Vec<String> = [verb, "x"]
@@ -1783,7 +1776,7 @@ mod tests {
             .find(|l| l.contains("ddlf-audit serve"))
             .unwrap();
         assert!(serve_line.contains("[--work USEC]"), "{usage}");
-        assert!(serve_line.contains("[--group-commit[=MAX]]"), "{usage}");
+        assert!(serve_line.contains("[--wal-sync]"), "{usage}");
     }
 
     #[test]
@@ -2103,19 +2096,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_group_commit_and_admission_batch() {
-        // The bare flag picks the engine's default maximum group size.
-        let c = parse_args(&["run".into(), "f".into(), "--group-commit".into()]).unwrap();
+    fn parse_admission_batch() {
+        let c = parse_args(&["run".into(), "f".into()]).unwrap();
         let Command::Run { engine, .. } = c else {
             panic!("run command");
         };
-        assert_eq!(engine.group_commit, Some(ddlf_engine::DEFAULT_MAX_GROUP));
         assert_eq!(engine.admission_batch, 1);
 
         let c = parse_args(&[
             "run".into(),
             "f".into(),
-            "--group-commit=8".into(),
             "--admission-batch".into(),
             "32".into(),
         ])
@@ -2123,11 +2113,8 @@ mod tests {
         let Command::Run { engine, .. } = c else {
             panic!("run command");
         };
-        assert_eq!(engine.group_commit, Some(8));
         assert_eq!(engine.admission_batch, 32);
 
-        assert!(parse_args(&["run".into(), "f".into(), "--group-commit=0".into()]).is_err());
-        assert!(parse_args(&["run".into(), "f".into(), "--group-commit=x".into()]).is_err());
         assert!(parse_args(&[
             "run".into(),
             "f".into(),
@@ -2142,7 +2129,6 @@ mod tests {
             "serve".into(),
             "a".into(),
             "--wal-sync".into(),
-            "--group-commit=4".into(),
             "--admission-batch".into(),
             "8".into(),
         ])
@@ -2151,15 +2137,14 @@ mod tests {
             panic!("serve command");
         };
         assert!(engine.wal_sync);
-        assert_eq!(engine.group_commit, Some(4));
         assert_eq!(engine.admission_batch, 8);
     }
 
-    /// `--group-commit --admission-batch` with a synced WAL: every
-    /// decision rides the group path, the report's amortization metrics
-    /// are present, and the run still audits clean.
+    /// A synced WAL: every decision is counted into some fsync's group,
+    /// the report's amortization metrics are present, and the run still
+    /// audits clean.
     #[test]
-    fn run_group_commit_json_exposes_amortization() {
+    fn run_wal_sync_json_exposes_amortization() {
         let dir = std::env::temp_dir().join(format!("ddlf-group-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let sys = SPEC;
@@ -2169,7 +2154,6 @@ mod tests {
             engine: EngineFlags {
                 wal: Some(dir.to_string_lossy().into_owned()),
                 wal_sync: true,
-                group_commit: Some(8),
                 ..EngineFlags::new(4)
             },
             force_fallback: false,

@@ -191,15 +191,17 @@ pub fn report_json(report: &Report) -> Value {
         ("group_flushes", ju(report.group_flushes)),
         ("group_commits", ju(report.group_commits)),
         (
-            // Commit decisions per leader flush — 1.0 means no decision
-            // ever found a companion; higher is amortization.
+            // Commit decisions per group (per fsync under --wal-sync) —
+            // 1.0 means no decision ever found a companion; higher is
+            // amortization.
             "mean_group_size",
             jf(ratio(report.group_commits, report.group_flushes)),
         ),
         (
             // The durability cost per commit: fsync calls over committed
-            // instances. A group of one pays ≥ 1.0; larger groups
-            // amortize it below 1.0. 0.0 when fsync never ran.
+            // instances. One fsync per decision pays 1.0; an fsync that
+            // covers several amortizes it below 1.0. 0.0 when fsync
+            // never ran.
             "fsyncs_per_commit",
             jf(ratio(fsyncs, report.committed as u64)),
         ),
@@ -218,7 +220,7 @@ pub fn report_json(report: &Report) -> Value {
 }
 
 /// Fsync calls per committed instance from a server digest — the
-/// amortization the `stats` verb surfaces so group commit's effect is
+/// amortization the `stats` verb surfaces so an fsync's coverage is
 /// observable, not inferred. `None` when nothing committed yet.
 fn fsyncs_per_commit(s: &StatsSnapshot) -> Option<f64> {
     let fsyncs = s.phases.iter().find(|p| p.name == "fsync");

@@ -13,8 +13,9 @@
 //! (`execute_chunk`: one [`SlotGate`](crate::template::SlotGate)
 //! acquisition per template, one batched `Begin` append), then each
 //! attempt is one `Attempt` stepped by `drive` until it completes
-//! or dies, and a completed attempt's decision goes through the WAL's
-//! group committer. The cached admission verdict selects only what a
+//! or dies, and a completed attempt's decision is one `Commit` frame in
+//! the WAL (under `wal_sync`, covered by an fsync before it returns).
+//! The cached admission verdict selects only what a
 //! *refused lock* does:
 //!
 //! * **Certified (`Nothing` policy)** — the request queues FIFO behind
@@ -69,7 +70,7 @@ use crate::pool::Pool;
 use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
-use crate::wal::{Recovered, Wal, WalOptions, WalRecord, DEFAULT_MAX_GROUP};
+use crate::wal::{Recovered, Wal, WalOptions, WalRecord};
 use crossbeam::channel::unbounded;
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
@@ -133,19 +134,19 @@ pub struct EngineConfig {
     /// [`crate::wal`]) so [`crate::wal::recover`] can replay the store
     /// after a crash. `None` = in-memory only (rollback still works).
     pub wal_dir: Option<PathBuf>,
-    /// `fsync` the log once per commit group, covering data and decision
-    /// (see [`WalOptions::sync`]). Without it a commit decision is a
-    /// buffered `Commit` frame that reaches the kernel before anyone can
-    /// observe the commit: before the run returns (and so before its
-    /// Submit replies), and before a snapshot showing it returns.
+    /// A commit decision is always one buffered `Commit` frame. With
+    /// `wal_sync` its committer also waits for an `fsync` that covers it
+    /// — one fsync per group of decisions appended before it started,
+    /// covering their data too (see [`WalOptions::sync`]). Without it
+    /// the frame reaches the kernel before anyone can observe the
+    /// commit: before the run returns (and so before its Submit
+    /// replies), and before a snapshot showing it returns.
     pub wal_sync: bool,
-    /// Sizes the `wal_sync` group committer: committing workers share
-    /// one decision frame, one flush, and one fsync per group of up to
-    /// `max_group` commits (see [`WalOptions::max_group`]). `None` =
-    /// [`DEFAULT_MAX_GROUP`]; `Some(1)` writes one decision record and
-    /// fsync per commit. Ignored without `wal_dir` or `wal_sync`.
-    ///
-    /// [`DEFAULT_MAX_GROUP`]: crate::wal::DEFAULT_MAX_GROUP
+    /// Read by nothing: every decision takes the one path above, whose
+    /// groups need no size. Kept only because the benchmark harness
+    /// (`harness/`) still sets it; it goes when the harness is next
+    /// revised.
+    #[doc(hidden)]
     pub group_commit: Option<usize>,
     /// Admission batch size: workers claim instances from the run queue
     /// in chunks of up to this many, admitting each chunk under one
@@ -588,7 +589,6 @@ impl Engine {
     fn wal_options(cfg: &EngineConfig) -> WalOptions {
         WalOptions {
             sync: cfg.wal_sync,
-            max_group: cfg.group_commit.unwrap_or(DEFAULT_MAX_GROUP),
             telemetry: cfg.telemetry.clone(),
         }
     }
@@ -784,7 +784,7 @@ impl Engine {
         // run's commit decisions among them; push them to the kernel
         // before the run reports, so a post-run crash loses nothing
         // this run claimed committed (under `sync` every decision was
-        // already flushed and fsynced at its group boundary).
+        // already pushed and fsynced before its committer returned).
         if let Some(w) = &core.wal {
             w.flush();
         }
@@ -1058,7 +1058,7 @@ impl Core {
             audit.lock().auditor.abort(gid, attempt);
             if let Some(tt) = ttable {
                 // Every engine-path abort is a wait-die death (the
-                // requester self-aborted); wounds stay 0.
+                // requester self-aborted).
                 tt.abort(inst.template.index());
                 tt.die(inst.template.index());
             }
@@ -1279,7 +1279,7 @@ impl Core {
             latency,
             // Filled with this run's per-phase delta by `run_instances`
             // (the empty-run report keeps the empty default), like the
-            // group-committer counter deltas below it.
+            // WAL group counter deltas below it.
             phases: ddlf_telemetry::PhaseSnapshot::default(),
             group_flushes: 0,
             group_commits: 0,

@@ -135,10 +135,10 @@ pub struct Report {
     /// Unlike [`LatencyStats`], these merge *exactly* under
     /// [`Report::absorb`].
     pub phases: PhaseSnapshot,
-    /// Decision frames the WAL wrote while this run was in flight —
-    /// under `wal_sync` one per commit group (one frame, one flush, one
-    /// fsync each), without it one buffered `Commit` frame per decision —
-    /// overlapping runs' frames included, like [`Report::phases`]; 0 when
+    /// Commit groups the WAL counted while this run was in flight — one
+    /// per fsync under `wal_sync` (each covering every decision appended
+    /// before it started), without it one per buffered `Commit` frame —
+    /// overlapping runs' groups included, like [`Report::phases`]; 0 when
     /// no WAL is attached.
     pub group_flushes: u64,
     /// Commit decisions the WAL wrote while this run was in flight;

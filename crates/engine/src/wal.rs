@@ -36,15 +36,14 @@
 //! is one binary [`WalRecord`]:
 //!
 //! ```text
-//!   Begin       := 0x01 gid:u32 template:u32 attempt:u32
-//!   Write       := 0x02 gid:u32 attempt:u32 entity:u32 op:WriteOp
-//!   Commit      := 0x04 gid:u32 template:u32 attempt:u32 commit_ts:u64
-//!   Abort       := 0x05 gid:u32 attempt:u32
-//!   Event       := 0x06 gid:u32 attempt:u32 node:u32
-//!   CommitGroup := 0x07 count:u32 (gid:u32 template:u32 attempt:u32 commit_ts:u64)*count
+//!  Begin   := 0x01 gid:u32 template:u32 attempt:u32
+//!  Write   := 0x02 gid:u32 attempt:u32 entity:u32 op:WriteOp
+//!  Commit  := 0x04 gid:u32 template:u32 attempt:u32 commit_ts:u64
+//!  Abort   := 0x05 gid:u32 attempt:u32
+//!  Event   := 0x06 gid:u32 attempt:u32 node:u32
 //!
-//!   WriteOp := 0x00 delta:i64  |  0x01 value:u64  |  0x02 len:u32 bytes
-//!                                       (all integers LE; tag 0x03 is retired)
+//!  WriteOp := 0x00 delta:i64  |  0x01 value:u64  |  0x02 len:u32 bytes
+//!                          (all integers LE; tags 0x03 and 0x07 are retired)
 //! ```
 //!
 //! The grammar holds exactly what [`recover`] reads — no value images,
@@ -54,10 +53,8 @@
 //! older *multi-file* layout (`commit.wal` + `history.wal` +
 //! `shard-<k>.wal`) is refused by name; no reader for it is kept.
 //!
-//! A `CommitGroup` is the group committer's decision record: the durable
-//! commit of every entry in one frame. Because it is *one* frame, a torn
-//! tail can only drop the group whole — recovery never replays a partial
-//! group.
+//! Every decision is one `Commit` frame of one instance, so a torn tail
+//! drops at most the one decision it cuts.
 //!
 //! `gid` is the instance's one identity, **unique for the engine's
 //! lifetime** (and, through [`Recovered::next_base`], for the WAL
@@ -72,38 +69,38 @@
 //! behind one mutex, `wal.log`, so the file is a single total order and
 //! **data before decision is its prefix property, not a protocol**: an
 //! attempt appends its `Write`/`Event` records before it asks for its
-//! decision, so a `Commit` or `CommitGroup` frame in the file implies
-//! every record it decides over is in the file before it. That holds
+//! decision, so a `Commit` frame in the file implies every record it
+//! decides over is in the file before it. That holds
 //! after process death (`SIGKILL` — the page cache survives), which is
 //! what the CI crash-recovery smoke exercises, and under
 //! [`WalOptions::sync`] after *power loss* too: the one `fdatasync` that
 //! makes a decision durable covers the whole prefix.
 //!
-//! **Without `sync`**, a decision is one more buffered `Commit` frame,
-//! appended under `wal.log` like any other record: no ticket, no group,
-//! no `write(2)` of its own. It reaches the kernel before anyone can
-//! observe the commit — before its Submit replies (every run ends with
-//! `Wal::flush`) and before a snapshot that shows it returns (the
-//! store's scans end with `Wal::push_decisions`, which pushes the
-//! buffer, holding no other lock, if a decision appended so far has not
-//! been pushed yet) — or earlier, when the buffer fills. Live `Stats`
+//! Every decision takes one path: one more buffered `Commit` frame,
+//! appended under `wal.log` like any other record, with no `write(2)` of
+//! its own. **Without `sync`** that is all; the frame reaches the kernel
+//! before anyone can observe the commit — before its Submit replies
+//! (every run ends with `Wal::flush`) and before a snapshot that shows
+//! it returns (the store's scans end with `Wal::push_decisions`, which
+//! pushes the buffer, holding no other lock, if a decision appended so
+//! far has not been pushed yet) — or earlier, when the buffer fills. Live `Stats`
 //! template counters may run ahead of the kernel by at most one buffer.
 //!
-//! **Under `sync`**, every decision goes through one leader/follower
-//! **group committer** ([`WalOptions::max_group`] sizes it; `1` is the
-//! unbatched reference): a committing worker enqueues its decision and
-//! parks; the first enqueuer becomes leader, drains the queue, takes
-//! `wal.log`, appends the whole batch as one `CommitGroup` frame — a
-//! plain `Commit` for a group of one — flushes the buffer, **releases
-//! `wal.log`**, issues **one** `fdatasync` for the group on a cloned
-//! descriptor, then wakes every follower. A synced decision is in the
-//! kernel and on disk before its commit is published. Because the fsync
-//! runs outside `wal.log`, other appenders — a shard under
-//! `shard.state`, an event batch under `engine.auditor`, another run's
-//! `Begin`s — keep filling the buffer while it is in flight; what the
-//! fsync must cover was already in the kernel when it started. Fsyncs
-//! still never overlap: only the group leader issues one, and the next
-//! leader cannot step up until this one has finished.
+//! **Under `sync`** the committer then waits for a **durable mark**:
+//! an fsync covers the prefix it flushed, so a decision is durable once
+//! the `synced` mark has reached its ordinal among decision frames. The
+//! first waiter that finds no fsync in flight runs one: it takes
+//! `wal.log`, pushes the buffer and reads how many decisions it holds,
+//! **releases `wal.log`**, issues **one** `fdatasync` on a cloned
+//! descriptor, then advances `synced` to that count and wakes every
+//! waiter. Decisions appended while an fsync is in flight ride the next
+//! one, so an fsync serves every committer that appended before it
+//! started. Because the fsync runs outside `wal.log`, other appenders —
+//! a shard under `shard.state`, an event batch under `engine.auditor`,
+//! another run's `Begin`s — keep filling the buffer meanwhile. Fsyncs
+//! never overlap: the `syncing` flag admits one at a time. A synced
+//! decision is in the kernel and on disk before its commit is
+//! published.
 
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
@@ -148,7 +145,7 @@ pub enum WalRecord {
         /// cannot corrupt the replay.
         op: WriteOp,
     },
-    /// The durable commit decision for one instance: a group of one.
+    /// The durable commit decision for one instance.
     Commit(GroupEntry),
     /// The attempt died (wait-die victim); its writes were undone.
     Abort {
@@ -167,18 +164,9 @@ pub enum WalRecord {
         /// Operation node within the template.
         node: NodeId,
     },
-    /// The durable commit decision for a whole commit group, written as
-    /// one frame by the group-commit leader. Equivalent to one
-    /// [`WalRecord::Commit`] per entry; being a single frame, a torn
-    /// tail drops the group whole — never a partial group.
-    CommitGroup {
-        /// The committed instances, queue order.
-        entries: Vec<GroupEntry>,
-    },
 }
 
-/// One committed instance: the body of a [`WalRecord::Commit`] and of
-/// each entry of a [`WalRecord::CommitGroup`].
+/// One committed instance: the body of a [`WalRecord::Commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupEntry {
     /// Global instance id.
@@ -198,7 +186,6 @@ const TAG_WRITE: u8 = 2;
 const TAG_COMMIT: u8 = 4;
 const TAG_ABORT: u8 = 5;
 const TAG_EVENT: u8 = 6;
-const TAG_COMMIT_GROUP: u8 = 7;
 
 const OP_ADD: u8 = 0;
 const OP_PUT: u8 = 1;
@@ -295,13 +282,6 @@ impl WalRecord {
                 b.put_u32_le(*attempt);
                 b.put_u32_le(node.0);
             }
-            WalRecord::CommitGroup { entries } => {
-                b.put_u8(TAG_COMMIT_GROUP);
-                b.put_u32_le(u32::try_from(entries.len()).expect("group fits a frame"));
-                for e in entries {
-                    put_entry(b, e);
-                }
-            }
         }
     }
 
@@ -329,19 +309,6 @@ impl WalRecord {
                 attempt: codec::get_u32(&mut buf)?,
                 node: NodeId(codec::get_u32(&mut buf)?),
             },
-            TAG_COMMIT_GROUP => {
-                let n = codec::get_u32(&mut buf)? as usize;
-                // Each entry is exactly 20 bytes; bounding up front keeps
-                // a hostile count from pre-allocating unboundedly.
-                if buf.len() < n.checked_mul(20)? {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(get_entry(&mut buf)?);
-                }
-                WalRecord::CommitGroup { entries }
-            }
             _ => return None,
         };
         codec::finished(&buf, rec)
@@ -349,44 +316,22 @@ impl WalRecord {
 }
 
 /// WAL tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WalOptions {
-    /// Power-loss durability: decisions go through the group committer,
-    /// whose leader `fdatasync`s the log right after appending and
-    /// flushing its decision frame, with `wal.log` already released — one
-    /// fsync per commit group, covering the decision and, being a prefix
-    /// of the same file, every record it decides over. Off by default:
-    /// file order already survives process death, the crash model the
-    /// tests exercise is `SIGKILL`, not power loss, and a non-sync
-    /// decision is simply buffered until someone can observe it (see the
-    /// module docs).
+    /// Power-loss durability: a committer returns only once an
+    /// `fdatasync` that started after its `Commit` frame was pushed has
+    /// finished — one fsync, issued with `wal.log` released, covers every
+    /// decision appended before it and, being a prefix of the same file,
+    /// every record they decide over. Off by default: file order already
+    /// survives process death, the crash model the tests exercise is
+    /// `SIGKILL`, not power loss, and a non-sync decision is simply
+    /// buffered until someone can observe it (see the module docs).
     pub sync: bool,
-    /// Size of the `sync` group committer: committing workers park on a
-    /// shared queue and a leader appends up to `max_group` decisions as
-    /// one [`WalRecord::CommitGroup`] frame (a plain [`WalRecord::Commit`]
-    /// for a group of one) with a single flush and a single fsync for the
-    /// whole group. `1` keeps one decision record and fsync per commit;
-    /// `0` is treated as `1`. Without `sync` there is no fsync to share
-    /// and every decision is its own `Commit` frame, so this is unused.
-    pub max_group: usize,
     /// Observability handle: appends record into the `wal_append`
-    /// histogram and the WAL byte gauge, fsyncs into `fsync`, group
-    /// flushes into the group-size histogram. The default disabled
-    /// handle costs one branch per append.
+    /// histogram and the WAL byte gauge, fsyncs into `fsync`, the
+    /// decisions each fsync covers into the group-size histogram. The
+    /// default disabled handle costs one branch per append.
     pub telemetry: Telemetry,
-}
-
-/// Default [`WalOptions::max_group`].
-pub const DEFAULT_MAX_GROUP: usize = 64;
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions {
-            sync: false,
-            max_group: DEFAULT_MAX_GROUP,
-            telemetry: Telemetry::default(),
-        }
-    }
 }
 
 /// The metadata file a WAL directory starts with: enough to rebuild the
@@ -405,8 +350,8 @@ const LOG_FILE: &str = "log.wal";
 const OLD_LAYOUT_FILES: [&str; 2] = ["commit.wal", "history.wal"];
 
 /// User-space buffer capacity of the log: frames accumulate and reach
-/// the kernel in one `write(2)` when the buffer fills, when a sync group
-/// leader flushes its decision, when a snapshot read would otherwise
+/// the kernel in one `write(2)` when the buffer fills, when a `sync`
+/// committer is about to fsync, when a snapshot read would otherwise
 /// return a decision still in user space, or at the end of every run.
 pub const LOG_BUFFER: usize = 64 << 10;
 
@@ -416,7 +361,7 @@ pub const LOG_BUFFER: usize = 64 << 10;
 /// always a count of decisions already in the kernel.
 #[derive(Default)]
 struct LogMarks {
-    /// Decision frames (`Commit`/`CommitGroup`) appended to the buffer.
+    /// `Commit` frames appended to the buffer.
     decided: AtomicU64,
     /// `decided` as of the last push, stored only after its `write_all`
     /// returned — never before, or a reader could return while the push
@@ -433,7 +378,7 @@ struct LogMarks {
 /// [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`]. One buffer in
 /// front of one file cannot reorder: whatever prefix of the appended
 /// frames has reached the kernel is a prefix of the file. It never
-/// fsyncs: durability is [`Wal::flush_group`]'s, on a cloned
+/// fsyncs: durability is [`Wal::sync_decided`]'s, on a cloned
 /// descriptor, outside the lock that guards this writer.
 pub(crate) struct LogWriter {
     file: File,
@@ -467,7 +412,7 @@ impl LogWriter {
                 return Err(e);
             }
         }
-        if matches!(rec, WalRecord::Commit(_) | WalRecord::CommitGroup { .. }) {
+        if matches!(rec, WalRecord::Commit(_)) {
             // Counted before a full-buffer push, so that push covers it.
             self.marks.decided.fetch_add(1, Ordering::Release);
         }
@@ -494,31 +439,15 @@ impl LogWriter {
     }
 }
 
-/// The group committer: a shared commit queue plus the leader/follower
-/// handoff state. Protocol (see module docs): an enqueuer takes a
-/// ticket; the first unserved enqueuer becomes leader, drains up to
-/// `max_group` tickets FIFO, writes the group durable, then advances
-/// `flushed_seq` past the drained tickets, steps down, and wakes
-/// **every** waiter — unconditionally, so neither a full queue left
-/// behind nor a failed fsync can strand a parked follower.
-struct GroupCommitter {
-    max_group: usize,
-    state: Mutex<GroupState>,
-    wakeup: Condvar,
-}
-
+/// The durable mark of a `sync` WAL, behind `wal.group_state` — a leaf
+/// held across no I/O.
 #[derive(Default)]
-struct GroupState {
-    /// Pending decisions, ticket order; entry `i` holds ticket
-    /// `flushed_seq + i`.
-    queue: Vec<GroupEntry>,
-    /// The next ticket to hand out.
-    next_seq: u64,
-    /// Tickets `< flushed_seq` have been written (or abandoned to a
+struct Durable {
+    /// Decision ordinals `≤ synced` are on disk (or abandoned to a
     /// poisoned WAL — either way their committer must not wait).
-    flushed_seq: u64,
-    /// Whether a leader is currently writing a group.
-    leader_active: bool,
+    synced: u64,
+    /// Whether a committer is pushing and fsyncing the log right now.
+    syncing: bool,
 }
 
 /// The file-backed sink of one engine: the one log every record is
@@ -529,22 +458,26 @@ pub struct Wal {
     /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
     /// (under `shard.state`) for `Write`s, by the event path (under
     /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`
-    /// and (without `sync`) their `Commit`, by a sync group leader for
-    /// its decision frame and flush, and by a snapshot reader, holding
+    /// and their `Commit`, by a `sync` committer to push the buffer
+    /// before its fsync, and by a snapshot reader, holding
     /// nothing else, to push a decision it may have observed — never
     /// across an fsync.
     log: Mutex<LogWriter>,
     /// The writer's decision marks, read here without `wal.log`.
     marks: Arc<LogMarks>,
     /// A second descriptor of `log.wal` (`try_clone` of the writer's),
-    /// which a group leader `fdatasync`s *after* releasing `wal.log`:
+    /// which a `sync` committer `fdatasync`s *after* releasing `wal.log`:
     /// `fdatasync` covers the file, whichever descriptor asks.
     syncer: File,
     sync: bool,
-    group: GroupCommitter,
-    /// Group flushes performed (decision frames written by a leader).
+    /// The durable mark (`sync` only), `wal.group_state`.
+    durable: Mutex<Durable>,
+    /// Wakes committers waiting for the durable mark to pass theirs.
+    synced: Condvar,
+    /// Groups counted: one per fsync under `sync`, one per decision
+    /// without it.
     group_flushes: AtomicU64,
-    /// Commit decisions written.
+    /// Commit decisions counted into those groups.
     group_records: AtomicU64,
     /// Test hook: fails the next decision fsync (see
     /// [`Wal::inject_fsync_failure`]).
@@ -588,11 +521,8 @@ fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
         marks,
         syncer,
         sync: opts.sync,
-        group: GroupCommitter {
-            max_group: opts.max_group.max(1),
-            state: Mutex::new_named("wal.group_state", GroupState::default()),
-            wakeup: Condvar::new(),
-        },
+        durable: Mutex::new_named("wal.group_state", Durable::default()),
+        synced: Condvar::new(),
         group_flushes: AtomicU64::new(0),
         group_records: AtomicU64::new(0),
         inject_fsync_fail: AtomicBool::new(false),
@@ -703,8 +633,8 @@ impl Wal {
     }
 
     /// Test hook: the next decision-record fsync fails with an injected
-    /// error, poisoning the WAL — used to exercise the group committer's
-    /// failure branch (every parked follower must still wake).
+    /// error, poisoning the WAL — used to exercise the durable mark's
+    /// failure branch (every waiting committer must still wake).
     #[doc(hidden)]
     pub fn inject_fsync_failure(&self) {
         self.inject_fsync_fail.store(true, Ordering::SeqCst);
@@ -723,20 +653,20 @@ impl Wal {
         }
     }
 
-    /// Logs the commit decision of instance `gid`.
+    /// Logs the commit decision of instance `gid`: one buffered `Commit`
+    /// frame, appended under `wal.log`.
     ///
-    /// Without `sync` the decision is one more buffered `Commit` frame:
-    /// it reaches the kernel with the buffer — before the run's Submit
-    /// replies ([`Wal::flush`]) and before any snapshot showing it
-    /// returns ([`Wal::push_decisions`]) — and counts as a group of one.
+    /// Without `sync` that is all: the frame reaches the kernel with the
+    /// buffer — before the run's Submit replies ([`Wal::flush`]) and
+    /// before any snapshot showing it returns ([`Wal::push_decisions`])
+    /// — and counts as a group of one.
     ///
-    /// Under `sync` it goes through the group committer: push the
-    /// decision, take a ticket, and either become the leader (first
-    /// unserved enqueuer) or wait for a leader to write it. Returns once
-    /// the decision is durable — or once the WAL is poisoned, in which
-    /// case *every* parked follower is woken with the failure (the
-    /// leader advances `flushed_seq` past its batch and `notify_all`s
-    /// unconditionally, so no wakeup is lost on the error branch).
+    /// Under `sync` it returns once the durable mark covers the frame's
+    /// decision ordinal. The first waiter that finds no fsync in flight
+    /// runs one ([`Wal::sync_decided`]) for everyone appended so far;
+    /// the rest wait on the condvar. A failed fsync poisons the WAL, and
+    /// the syncer still advances the mark and `notify_all`s, so every
+    /// waiter wakes to observe the failure.
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
         let entry = GroupEntry {
             gid,
@@ -744,75 +674,56 @@ impl Wal {
             attempt,
             commit_ts,
         };
+        let mine = {
+            let mut f = self.log.lock();
+            self.append_record(&mut f, &WalRecord::Commit(entry));
+            self.marks.decided.load(Ordering::Relaxed)
+        };
         if !self.sync {
-            self.append_record(&mut self.log.lock(), &WalRecord::Commit(entry));
             self.count_group(1);
             return;
         }
-        let g = &self.group;
-        let mut st = g.state.lock();
-        let my_seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(entry);
-        loop {
-            if st.flushed_seq > my_seq || self.poisoned() {
-                return;
-            }
-            if st.leader_active {
-                g.wakeup.wait(&mut st);
+        let mut st = self.durable.lock();
+        while st.synced < mine && !self.poisoned() {
+            if st.syncing {
+                self.synced.wait(&mut st);
                 continue;
             }
-            // Leader handoff: drain up to max_group tickets FIFO and
-            // write them outside the queue lock, so followers can keep
-            // enqueueing into the next group meanwhile.
-            st.leader_active = true;
-            let take = st.queue.len().min(g.max_group);
-            let batch: Vec<GroupEntry> = st.queue.drain(..take).collect();
-            let first = st.flushed_seq;
+            st.syncing = true;
+            let from = st.synced;
             drop(st);
-            self.flush_group(&batch);
-            st = g.state.lock();
-            st.flushed_seq = first + batch.len() as u64;
-            st.leader_active = false;
-            // notify_all, never notify_one: the batch served many
-            // followers at once, and on a poisoned WAL every waiter —
-            // served or not — must wake to observe the failure.
-            g.wakeup.notify_all();
+            let upto = self.sync_decided();
+            st = self.durable.lock();
+            st.synced = upto;
+            st.syncing = false;
+            self.count_group(upto - from);
+            // notify_all, never notify_one: one fsync served many
+            // committers, and on a poisoned WAL every waiter — served or
+            // not — must wake to observe the failure.
+            self.synced.notify_all();
         }
     }
 
-    /// Writes one drained group durable (the `sync` path only): under
-    /// one `wal.log` acquisition, append the decision frame and push the
-    /// buffer to the kernel; then, with `wal.log` released, issue the
-    /// group's one `fdatasync` on the cloned descriptor. Every entry's
-    /// committer appended its `Write`/`Event` records to this same log
-    /// before enqueueing, so they precede the frame in the file — and
-    /// the flush put all of them in the kernel before the fsync began:
-    /// a decision durable after power loss implies the records it
-    /// decides over are too. Appenders that take `wal.log` meanwhile only fill the buffer
-    /// behind the frame. Only the leader fsyncs (`leader_active`), so
-    /// fsyncs never overlap. A failed fsync poisons the WAL: otherwise
-    /// the engine would report a durable commit that power loss can
-    /// still take back. A singleton group is a plain `Commit` record, so
-    /// a log written with `max_group = 1` and a trivially-batched one
-    /// stay byte-identical.
-    fn flush_group(&self, batch: &[GroupEntry]) {
-        if batch.is_empty() || self.poisoned() {
-            return;
-        }
-        let rec = match batch {
-            [e] => WalRecord::Commit(*e),
-            _ => WalRecord::CommitGroup {
-                entries: batch.to_vec(),
-            },
-        };
-        {
+    /// Makes every decision appended so far durable (the `sync` path
+    /// only) and returns how many that is: under one `wal.log`
+    /// acquisition, push the buffer to the kernel and read `decided`;
+    /// then, with `wal.log` released, issue one `fdatasync` on the
+    /// cloned descriptor. Every committer appended its `Write`/`Event`
+    /// records to this same log before its `Commit`, so the push put all
+    /// of them in the kernel before the fsync began: a decision durable
+    /// after power loss implies the records it decides over are too.
+    /// Appenders that take `wal.log` meanwhile only fill the buffer
+    /// behind the pushed prefix, and their decisions wait for the next
+    /// fsync. A failed fsync poisons the WAL: otherwise the engine would
+    /// report a durable commit that power loss can still take back.
+    fn sync_decided(&self) -> u64 {
+        let upto = {
             let mut f = self.log.lock();
-            self.append_record(&mut f, &rec);
             self.flush_locked(&mut f);
-        }
+            self.marks.decided.load(Ordering::Relaxed)
+        };
         if !self.poisoned() {
-            // One sample per `fdatasync` issued: one per group.
+            // One sample per `fdatasync` issued.
             let t0 = self.telemetry.timer();
             let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
                 Err(io::Error::other("injected fsync failure"))
@@ -826,19 +737,20 @@ impl Wal {
             }
             self.telemetry.record_since(Phase::Fsync, t0);
         }
-        self.count_group(batch.len() as u64);
+        upto
     }
 
-    /// Counts one decision frame covering `size` commits.
+    /// Counts one group of `size` decisions: one fsync under `sync`, one
+    /// decision without it.
     fn count_group(&self, size: u64) {
         self.group_flushes.fetch_add(1, Ordering::Relaxed);
         self.group_records.fetch_add(size, Ordering::Relaxed);
         self.telemetry.record_group_size(size);
     }
 
-    /// `(decision frames, decisions written)` so far — mean group size
-    /// is `records / flushes`; without `sync` every decision is its own
-    /// frame of one. Counted on the
+    /// `(groups, decisions written)` so far — one group per fsync under
+    /// `sync`, so mean group size is `records / flushes`; without `sync`
+    /// every decision is a group of one. Counted on the
     /// `Wal` itself (not the telemetry handle) so reports can measure
     /// amortization with telemetry disabled.
     pub(crate) fn group_counters(&self) -> (u64, u64) {
@@ -860,9 +772,14 @@ impl Wal {
     /// holding no lock, so it never returns a commit the kernel has not
     /// seen: the committer appended its decision before publishing the
     /// commit, so a reader that saw the commit loads a `decided` that
-    /// counts it. Under `sync` every decision was pushed before its
-    /// publish, and when nothing is pending this is two atomic loads.
+    /// counts it. Under `sync` this returns at once: a committer
+    /// publishes only after an fsync covered its decision, and that
+    /// fsync's push put it in the kernel. When nothing is pending this is
+    /// two atomic loads.
     pub(crate) fn push_decisions(&self) {
+        if self.sync {
+            return;
+        }
         let decided = self.marks.decided.load(Ordering::Acquire);
         if self.marks.pushed.load(Ordering::Acquire) < decided {
             self.flush();
@@ -975,7 +892,7 @@ impl Recovered {
 /// [`recover`] replays them.
 const DATA_TAGS: [u8; 2] = [TAG_WRITE, TAG_EVENT];
 /// Frames pass 1 of [`recover`] reads: who began, died and committed.
-const DECISION_TAGS: [u8; 4] = [TAG_BEGIN, TAG_COMMIT, TAG_ABORT, TAG_COMMIT_GROUP];
+const DECISION_TAGS: [u8; 3] = [TAG_BEGIN, TAG_COMMIT, TAG_ABORT];
 
 /// Streams every complete frame of `path` (missing file = empty log)
 /// through `visit`, one decoded record at a time, except frames whose
@@ -1057,9 +974,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
     let log = dir.join(LOG_FILE);
 
     // Pass 1, decision frames only: which instances committed, with
-    // what template, attempt, and commit timestamp. A group is one
-    // frame, so it is either read whole here or was dropped whole as
-    // the torn tail — never a partial group.
+    // what template, attempt, and commit timestamp.
     let mut committed: HashMap<u32, (TxnId, u32, u64)> = HashMap::new();
     let mut begun = 0usize;
     let mut aborted = 0usize;
@@ -1067,32 +982,28 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
     let mut next_base = 0u32;
     let mut saw = |gid: u32| next_base = next_base.max(gid.saturating_add(1));
     let torn = scan_log(&log, &DATA_TAGS, |rec| {
-        let entries = match &rec {
+        match rec {
             WalRecord::Begin { gid, .. } => {
                 begun += 1;
-                saw(*gid);
-                return Ok(());
+                saw(gid);
             }
             WalRecord::Abort { gid, .. } => {
                 aborted += 1;
-                saw(*gid);
-                return Ok(());
+                saw(gid);
             }
-            WalRecord::Commit(e) => std::slice::from_ref(e),
-            WalRecord::CommitGroup { entries } => entries,
+            WalRecord::Commit(e) => {
+                if e.template as usize >= system.len() {
+                    return Err(WalError::Record(format!(
+                        "commit of instance {} names template {}, system has {}",
+                        e.gid,
+                        e.template,
+                        system.len()
+                    )));
+                }
+                committed.insert(e.gid, (TxnId(e.template), e.attempt, e.commit_ts));
+                saw(e.gid);
+            }
             WalRecord::Write { .. } | WalRecord::Event { .. } => unreachable!("skipped by tag"),
-        };
-        for e in entries {
-            if e.template as usize >= system.len() {
-                return Err(WalError::Record(format!(
-                    "commit of instance {} names template {}, system has {}",
-                    e.gid,
-                    e.template,
-                    system.len()
-                )));
-            }
-            committed.insert(e.gid, (TxnId(e.template), e.attempt, e.commit_ts));
-            saw(e.gid);
         }
         Ok(())
     })?;
@@ -1211,12 +1122,6 @@ mod tests {
             entity: EntityId(5),
             op,
         };
-        let entry = |gid, commit_ts| GroupEntry {
-            gid,
-            template: 1,
-            attempt: 0,
-            commit_ts,
-        };
         let pins = [
             (
                 WalRecord::Begin {
@@ -1247,7 +1152,10 @@ mod tests {
                 }),
                 "04010000000000000001000000feffffffffffffff",
             ),
-            (WalRecord::Abort { gid: 2, attempt: 0 }, "050200000000000000"),
+            (
+                WalRecord::Abort { gid: 2, attempt: 0 },
+                "050200000000000000",
+            ),
             (
                 WalRecord::Event {
                     gid: 1,
@@ -1256,12 +1164,6 @@ mod tests {
                 },
                 "06010000000000000006000000",
             ),
-            (
-                WalRecord::CommitGroup {
-                    entries: vec![entry(0, 1), entry(9, 2)],
-                },
-                "070200000000000000010000000000000001000000000000000900000001000000000000000200000000000000",
-            ),
         ];
         for (rec, pinned) in pins {
             assert_eq!(hex(rec.encode().as_ref()), pinned, "{rec:?}");
@@ -1269,10 +1171,11 @@ mod tests {
         }
     }
 
-    /// A directory written in the previous grammar (`Write` with its two
-    /// value images, `Event` with its time, `Undo`) is refused with a
-    /// typed error naming the file and the record — there is no reader
-    /// for it, and it must never be skipped or misread.
+    /// A directory written in an older grammar (`Write` with its two
+    /// value images, `Event` with its time, `Undo`, the tag-7 frame that
+    /// held several decisions) is refused with a typed error naming the
+    /// file and the record — there is no reader for it, and it must
+    /// never be skipped or misread.
     #[test]
     fn old_format_frames_are_refused_with_a_typed_record_error() {
         use ddlf_model::{Database, Op, Transaction};
@@ -1300,6 +1203,15 @@ mod tests {
         old_undo.extend(0u32.to_le_bytes());
         old_undo.extend(0u32.to_le_bytes());
         old_undo.extend(image(0, 1000));
+        // Tag 7, count 2, then two 20-byte commit entries.
+        let mut old_group = vec![7u8];
+        old_group.extend(2u32.to_le_bytes());
+        for gid in [0u32, 1] {
+            for word in [gid, 0, 0] {
+                old_group.extend(word.to_le_bytes()); // gid, template, attempt
+            }
+            old_group.extend(u64::from(gid + 1).to_le_bytes()); // commit_ts
+        }
 
         let db = Database::one_entity_per_site(1);
         let ops = [Op::lock(EntityId(0)), Op::unlock(EntityId(0))];
@@ -1320,6 +1232,7 @@ mod tests {
             ("old-write", &current, old_write),
             ("old-undo", &current, old_undo),
             ("old-event", &current_event, old_event),
+            ("old-commit-group", &current, old_group),
         ] {
             let dir = unit_dir(tag);
             drop(Wal::create(&dir, &sys, 1000, WalOptions::default()).unwrap());
@@ -1408,84 +1321,46 @@ mod tests {
         assert!(torn);
     }
 
-    #[test]
-    fn commit_group_roundtrips() {
-        roundtrip(WalRecord::CommitGroup {
-            entries: vec![
-                GroupEntry {
-                    gid: 0,
-                    template: 1,
-                    attempt: 0,
-                    commit_ts: 1,
-                },
-                GroupEntry {
-                    gid: u32::MAX,
-                    template: 0,
-                    attempt: 7,
-                    commit_ts: u64::MAX,
-                },
-            ],
-        });
-        roundtrip(WalRecord::CommitGroup { entries: vec![] });
-        // A hostile entry count on a short buffer must reject, not
-        // pre-allocate.
-        let mut b = BytesMut::new();
-        b.put_u8(TAG_COMMIT_GROUP);
-        b.put_u32_le(u32::MAX);
-        assert_eq!(WalRecord::decode(b.freeze()), None);
-    }
-
     fn decisions_of(wal_dir: &Path) -> Vec<WalRecord> {
         let (recs, torn) = read_log(&wal_dir.join(LOG_FILE)).unwrap();
         assert!(!torn);
         recs
     }
 
+    /// An fsync covers the prefix it pushed: eight committers that
+    /// append while an fsync is in flight (`syncing` held) all ride the
+    /// next one — one group of eight, one push, eight `Commit` frames.
     #[test]
-    fn group_commit_writes_every_decision_and_amortizes_flushes() {
+    fn one_fsync_covers_every_decision_appended_while_another_was_in_flight() {
         let w = bare_wal_with(
-            "group-basic",
+            "durable-mark",
             WalOptions {
-                max_group: 8,
+                sync: true,
                 ..WalOptions::default()
             },
         );
-        let n = 32u32;
+        w.durable.lock().syncing = true;
         std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let w = Arc::clone(&w);
-                s.spawn(move || {
-                    for i in 0..n / 4 {
-                        let gid = t * (n / 4) + i;
-                        w.log_commit(gid, TxnId(0), 0, u64::from(gid) + 1);
-                    }
-                });
+            for gid in 0..8u32 {
+                let w = &w;
+                s.spawn(move || w.log_commit(gid, TxnId(0), 0, u64::from(gid) + 1));
             }
+            while w.marks.decided.load(Ordering::Acquire) < 8 {
+                std::thread::yield_now();
+            }
+            w.durable.lock().syncing = false;
+            w.synced.notify_all();
         });
         assert!(!w.poisoned());
-        w.flush();
-        let mut committed = std::collections::HashSet::new();
-        for rec in decisions_of(w.dir()) {
-            match rec {
-                WalRecord::Commit(e) => {
-                    committed.insert(e.gid);
-                }
-                WalRecord::CommitGroup { entries } => {
-                    assert!(entries.len() >= 2, "multi-entry frames only");
-                    assert!(entries.len() <= 8, "max_group respected");
-                    committed.extend(entries.iter().map(|e| e.gid));
-                }
-                other => panic!("unexpected decision record {other:?}"),
-            }
-        }
-        assert_eq!(committed.len(), n as usize, "every decision durable");
-        let (flushes, records) = w.group_counters();
-        assert_eq!(records, n as u64);
-        assert!(flushes <= records, "flushes never exceed decisions");
+        assert_eq!(w.group_counters(), (1, 8));
+        assert_eq!(w.pushes(), 1);
+        let recs = decisions_of(w.dir());
+        assert_eq!(recs.len(), 8);
+        assert!(recs.iter().all(|r| matches!(r, WalRecord::Commit(_))));
     }
 
     #[test]
-    fn singleton_group_degenerates_to_a_plain_commit_record() {
+    fn a_decision_is_one_plain_commit_record() {
         let w = bare_wal_with("group-single", WalOptions::default());
         w.log_commit(3, TxnId(1), 2, 9);
         w.flush();
@@ -1512,8 +1387,8 @@ mod tests {
         );
         w.inject_fsync_failure();
         // Every committer must return — the failure branch advances the
-        // queue and wakes all followers; a lost wakeup here hangs the
-        // test (caught by the harness timeout).
+        // durable mark and wakes every waiter; a lost wakeup here hangs
+        // the test.
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 let w = Arc::clone(&w);
@@ -1525,7 +1400,7 @@ mod tests {
                 });
             }
         });
-        assert!(w.poisoned(), "a failed group fsync must poison the WAL");
+        assert!(w.poisoned(), "a failed fsync must poison the WAL");
     }
 
     fn log_writer(tag: &str) -> (LogWriter, PathBuf) {
@@ -1592,10 +1467,6 @@ mod tests {
                 attempt: 0,
                 node: NodeId(11),
             },
-            WalRecord::CommitGroup {
-                entries: vec![entry(8), entry(9), entry(10)],
-            },
-            WalRecord::CommitGroup { entries: vec![] },
         ];
         let (mut w, _) = log_writer("inplace");
         let mut want = Vec::new();
@@ -1607,7 +1478,7 @@ mod tests {
         }
         assert_eq!(
             w.marks.decided.load(Ordering::Relaxed),
-            3,
+            1,
             "decision frames"
         );
         assert_eq!(w.marks.pushed.load(Ordering::Relaxed), 0);
@@ -1664,15 +1535,14 @@ mod tests {
         assert_eq!(w.pushes(), 1, "nothing undecided is pushed for a reader");
     }
 
-    /// Under `sync` the buffer reaches the kernel once per group, and a
+    /// Under `sync` the buffer reaches the kernel once per fsync, and a
     /// reader finds nothing to push.
     #[test]
-    fn sync_decisions_push_once_per_group() {
+    fn sync_decisions_push_once_per_fsync() {
         let w = bare_wal_with(
             "sync-push",
             WalOptions {
                 sync: true,
-                max_group: 4,
                 ..WalOptions::default()
             },
         );
@@ -1689,7 +1559,7 @@ mod tests {
         });
         let (flushes, records) = w.group_counters();
         assert_eq!(records, 32);
-        assert_eq!(w.pushes(), flushes, "one push per group");
+        assert_eq!(w.pushes(), flushes, "one push per fsync");
         w.push_decisions();
         assert_eq!(w.pushes(), flushes, "a synced decision is already pushed");
     }

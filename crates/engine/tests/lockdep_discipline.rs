@@ -1,9 +1,8 @@
-//! Lockdep regression tests for the engine's WAL group-commit path:
-//! the discipline PR 7 promised in prose — the leader drains tickets
-//! and flushes *outside* the queue lock, followers park holding only
-//! `wal.group_state` — is machine-checked here by the instrumented
-//! shim. Only meaningful with `--features lockdep`; without it the
-//! validator observes nothing.
+//! Lockdep regression tests for the engine's `wal_sync` commit path:
+//! the committer that fsyncs pushes the log and fsyncs *outside*
+//! `wal.group_state`, and waiters park holding only that lock — machine-
+//! checked here by the instrumented shim. Only meaningful with
+//! `--features lockdep`; without it the validator observes nothing.
 #![cfg(feature = "lockdep")]
 
 use ddlf_engine::{AdmissionOptions, Engine, EngineConfig};
@@ -17,13 +16,13 @@ const SPEC: &str = r#"{
   ]
 }"#;
 
-/// A contended group-commit run with per-group fsync: many followers
-/// park on the group condvar while leaders flush. The condvar checker
-/// asserts no follower waits holding a second class; the blocking
-/// checker asserts no flush/fsync ever runs under `wal.group_state`
-/// (it is deliberately absent from the allowlist); the order graph must
-/// show `wal.group_state` as a *leaf* — the leader hands off before
-/// touching any other lock.
+/// A contended `wal_sync` run: many committers park on the durable
+/// mark's condvar while one pushes and fsyncs. The condvar checker
+/// asserts no waiter waits holding a second class; the blocking checker
+/// asserts no flush/fsync ever runs under `wal.group_state` (it is
+/// deliberately absent from the allowlist); the order graph must show
+/// `wal.group_state` as a *leaf* — the syncer sets `syncing` and
+/// releases it before touching any other lock.
 #[test]
 fn group_commit_park_and_flush_hold_no_extra_locks() {
     let sys = serde_json::from_str::<SystemSpec>(SPEC)
@@ -39,7 +38,6 @@ fn group_commit_park_and_flush_hold_no_extra_locks() {
             instances: 200,
             wal_dir: Some(dir.clone()),
             wal_sync: true,
-            group_commit: Some(4),
             ..Default::default()
         },
     )
@@ -52,9 +50,9 @@ fn group_commit_park_and_flush_hold_no_extra_locks() {
     let classes = ddlf_lockdep::classes();
     assert!(
         classes.iter().any(|c| c == "wal.group_state"),
-        "group path must have run under the validator; saw {classes:?}"
+        "the durable mark must have run under the validator; saw {classes:?}"
     );
-    // Leaf property: the group queue lock orders *after* nothing —
+    // Leaf property: the durable mark's lock orders *after* nothing —
     // acquiring any other class while holding it would record an edge.
     let offenders: Vec<_> = ddlf_lockdep::edges()
         .into_iter()
@@ -62,7 +60,7 @@ fn group_commit_park_and_flush_hold_no_extra_locks() {
         .collect();
     assert!(
         offenders.is_empty(),
-        "leader must flush outside wal.group_state: {offenders:?}"
+        "the syncer must flush outside wal.group_state: {offenders:?}"
     );
     let bad: Vec<_> = ddlf_lockdep::violations()
         .into_iter()

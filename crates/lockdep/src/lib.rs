@@ -21,9 +21,8 @@
 //!    their `write(2)`/`fsync`/`accept(2)` regions with
 //!    [`blocking_region`] guards; holding a lock class across one is a
 //!    violation unless the class is on the explicit `BLOCKING_ALLOW`
-//!    list. This machine-checks the group-commit invariants ("the
-//!    leader drains tickets *outside* the lock", "one decision fsync
-//!    per group") that PR 7 could only assert in review.
+//!    list. This machine-checks the WAL's durability invariant: every
+//!    `fdatasync` runs with `wal.log` and `wal.group_state` released.
 //! 3. **Condvar-wait discipline**: waiting on a condvar while holding a
 //!    second, unrelated lock class wedges every thread that needs the
 //!    other lock for the whole wait — flagged.
@@ -171,12 +170,12 @@ mod imp {
     ///   order; like `shard.state`, it neither issues nor waits out an
     ///   fsync.
     /// * `wal.log` — the one writer lock serializes append and
-    ///   `write(2)`, never an fsync: the group leader releases it
+    ///   `write(2)`, never an fsync: a `sync` committer releases it
     ///   before its `fdatasync`.
     ///
-    /// `wal.group_state` is deliberately absent: the group-commit
-    /// leader must drain tickets and fsync *outside* the state lock
-    /// (the PR 7 invariant this list machine-checks). So are
+    /// `wal.group_state` is deliberately absent: the durable mark is a
+    /// leaf, and the committer that fsyncs sets `syncing` and releases
+    /// it first. So are
     /// `template.slot_gate`, `engine.epoch`, `engine.cumulative`,
     /// `engine.pool` and `server.conns` — and `server.engine`, which is
     /// held only to pin, unpin or swap the engine: a `Submit` runs, and

@@ -603,8 +603,6 @@ record! {
         committed: u64 => Counter,
         /// Attempts aborted (each wait-die retry counts once).
         aborted: u64 => Counter,
-        /// Wound-wait wounds (sim-only; 0 on the engine path).
-        wounds: u64 => Counter,
         /// Wait-die deaths.
         dies: u64 => Counter,
     }
@@ -630,9 +628,9 @@ record! {
         trace_captured: u64,
         /// Trace events evicted because the ring was full.
         trace_dropped: u64 => Counter,
-        /// Decision frames the WAL wrote: one per commit group under
-        /// `--wal-sync` (one frame, one flush, one fsync each), one
-        /// buffered `Commit` per decision without it.
+        /// Commit groups the WAL counted: one per fsync under
+        /// `--wal-sync` (each covering every decision appended before it
+        /// started), one per buffered `Commit` frame without it.
         group_flushes: u64 => Counter,
         /// Commit decisions the WAL wrote; `group_commits /
         /// group_flushes` is the mean group size (1 without sync).
@@ -688,7 +686,6 @@ impl StatsSnapshot {
                     name: t.name.clone(),
                     committed: t.committed,
                     aborted: t.aborted,
-                    wounds: t.wounds,
                     dies: t.dies,
                 })
                 .collect(),
@@ -907,7 +904,6 @@ mod tests {
                 name: "transfer".into(),
                 committed: 20_000,
                 aborted: 3,
-                wounds: 0,
                 dies: 3,
             }],
         };

@@ -92,7 +92,6 @@ fn stats_snapshot_of(fields: &[u64], rows: &[(Vec<u8>, u64, bool)]) -> StatsSnap
                 name: ascii(name.clone()),
                 committed: u64::from(*committed),
                 aborted: *v,
-                wounds: 0,
                 dies: *v,
             })
             .collect(),
@@ -402,7 +401,6 @@ fn golden_wire_bytes() {
                     name: "transfer".into(),
                     committed: 20_000,
                     aborted: 3,
-                    wounds: 0,
                     dies: 3,
                 }],
             }),
@@ -413,7 +411,7 @@ fn golden_wire_bytes() {
                 "0001000000090000006c6f636b5f77616974e803000000000000404b4c000000",
                 "0000a00f000000000000204e000000000000803801000000000040420f000000",
                 "000001000000080000007472616e73666572204e000000000000030000000000",
-                "000000000000000000000300000000000000",
+                "00000300000000000000",
             ),
         ),
         (

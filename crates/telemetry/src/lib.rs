@@ -143,7 +143,6 @@ impl PhaseSnapshot {
 struct TemplateCounters {
     committed: AtomicU64,
     aborted: AtomicU64,
-    wounds: AtomicU64,
     dies: AtomicU64,
 }
 
@@ -180,15 +179,6 @@ impl TemplateTable {
         }
     }
 
-    /// Records a wound-wait wound for template `idx` (sim-only today;
-    /// the engine's fallback is wait-die, so it never wounds).
-    #[inline]
-    pub fn wound(&self, idx: usize) {
-        if let Some(c) = self.counters.get(idx) {
-            c.wounds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records a wait-die death (requester self-abort) for template
     /// `idx`.
     #[inline]
@@ -206,7 +196,6 @@ impl TemplateTable {
                 name: name.clone(),
                 committed: c.committed.load(Ordering::Relaxed),
                 aborted: c.aborted.load(Ordering::Relaxed),
-                wounds: c.wounds.load(Ordering::Relaxed),
                 dies: c.dies.load(Ordering::Relaxed),
             })
             .collect()
@@ -222,8 +211,6 @@ pub struct TemplateSnapshot {
     pub committed: u64,
     /// Attempts aborted (each wait-die retry counts once).
     pub aborted: u64,
-    /// Wound-wait wounds (sim-only; always 0 on the engine path).
-    pub wounds: u64,
     /// Wait-die deaths.
     pub dies: u64,
 }
@@ -256,11 +243,11 @@ pub struct TelemetrySnapshot {
     pub trace_captured: u64,
     /// Trace events evicted because the ring was full.
     pub trace_dropped: u64,
-    /// Group-commit flush sizes: one sample per decision frame the
-    /// group-commit leader writes, valued at the number of commit
-    /// decisions in the frame. `count` = group flushes, `sum` = commits
-    /// written through the group path, so `sum / count` is the mean
-    /// group size and amortization is observable rather than inferred.
+    /// Commit group sizes: one sample per WAL group — per fsync under
+    /// `sync`, per decision without it — valued at the number of commit
+    /// decisions it covers. `count` = groups, `sum` = decisions, so
+    /// `sum / count` is the mean group size and fsync amortization is
+    /// observable rather than inferred.
     pub group_size: HistogramSnapshot,
     /// All eight phase histograms (cumulative since handle creation).
     pub phases: PhaseSnapshot,
@@ -468,7 +455,7 @@ impl Telemetry {
         }
     }
 
-    /// Records one group-commit flush of `n` commit decisions into the
+    /// Records one WAL group of `n` commit decisions into the
     /// group-size histogram (see [`TelemetrySnapshot::group_size`]).
     #[inline]
     pub fn record_group_size(&self, n: u64) {

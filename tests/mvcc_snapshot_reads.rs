@@ -101,14 +101,8 @@ fn decided_on_disk(dir: &Path) -> HashSet<u64> {
     let frames = std::iter::from_fn(|| read_frame(&mut file).ok().flatten());
     let mut decided = HashSet::new();
     for f in frames {
-        match WalRecord::decode(f.into()).unwrap() {
-            WalRecord::Commit(e) => {
-                decided.insert(e.commit_ts);
-            }
-            WalRecord::CommitGroup { entries } => {
-                decided.extend(entries.iter().map(|e| e.commit_ts));
-            }
-            _ => {}
+        if let WalRecord::Commit(e) = WalRecord::decode(f.into()).unwrap() {
+            decided.insert(e.commit_ts);
         }
     }
     decided
@@ -122,14 +116,8 @@ fn model_at(dir: &Path, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> 
     let records = wal_records(dir);
     let mut decided = HashMap::new();
     for rec in &records {
-        match rec {
-            WalRecord::Commit(e) => {
-                decided.insert((e.gid, e.attempt), e.commit_ts);
-            }
-            WalRecord::CommitGroup { entries } => {
-                decided.extend(entries.iter().map(|e| ((e.gid, e.attempt), e.commit_ts)));
-            }
-            _ => {}
+        if let WalRecord::Commit(e) = rec {
+            decided.insert((e.gid, e.attempt), e.commit_ts);
         }
     }
     let seed = VersionedValue {
@@ -188,7 +176,6 @@ proptest! {
         instances in 8usize..48,
         threads in 2usize..5,
         scanners in 1usize..3,
-        group_raw in 0usize..8,
         raw_ops in prop::collection::vec((0u8..3, -50i64..50), 10..11),
     ) {
         let bank = Bank::new(2, 2);
@@ -214,14 +201,10 @@ proptest! {
             }
             reg.set_program(TxnId(t), program).unwrap();
         }
-        // 0/1 = one decision record per commit (a group of one),
-        // otherwise a group committer of that max size.
-        let group_commit = Some(group_raw.max(1));
         let dir = wal_dir("oracle");
         let engine = Engine::with_registry(reg, EngineConfig {
             instances,
             threads,
-            group_commit,
             force_fallback: true,
             work: std::time::Duration::from_micros(100),
             wal_dir: Some(dir.clone()),
@@ -236,15 +219,20 @@ proptest! {
                     s.spawn(|| {
                         let mut cuts = Vec::new();
                         let mut last_ts = 0u64;
-                        while !done.load(Ordering::Relaxed) {
+                        // Scan before checking `done`: a run that ends
+                        // before this scanner is scheduled still leaves
+                        // it one cut.
+                        loop {
                             let snap = engine.run_read_only(&entities);
                             assert!(snap.ts >= last_ts, "snapshot ts ran backwards");
                             if snap.ts > last_ts || cuts.is_empty() {
                                 cuts.push(snap.clone());
                             }
                             last_ts = snap.ts;
+                            if done.load(Ordering::Relaxed) {
+                                break cuts;
+                            }
                         }
-                        cuts
                     })
                 })
                 .collect();

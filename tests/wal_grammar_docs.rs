@@ -23,7 +23,17 @@ fn grammar_block(doc: &str) -> Vec<String> {
 fn wal_grammar_in_architecture_and_rustdoc_agree() {
     let canonical = grammar_block(include_str!("../ARCHITECTURE.md"));
     let mirror = grammar_block(include_str!("../crates/engine/src/wal.rs"));
-    assert!(canonical.iter().any(|l| l.starts_with("CommitGroup")));
-    assert!(canonical.iter().any(|l| l.starts_with("WriteOp")));
+    // Exactly these definitions, in this order: a decision is one
+    // `Commit` frame of one instance, and no multi-entry decision record
+    // is left in either copy.
+    let defined: Vec<&str> = canonical
+        .iter()
+        .filter_map(|l| l.split_once(":= 0x"))
+        .map(|(name, _)| name.trim())
+        .collect();
+    assert_eq!(
+        defined,
+        ["Begin", "Write", "Commit", "Abort", "Event", "WriteOp"]
+    );
     assert_eq!(canonical, mirror);
 }

@@ -1,19 +1,17 @@
 //! Group commit is a durability *optimization*, not a semantics change:
-//! whatever the leader batches, the recovered state must be exactly what
-//! the unbatched per-commit path recovers. Property-tested across group
-//! sizes, admission batches, thread counts, and sync modes — plus the
-//! torn-tail contract: a `CommitGroup` is one frame, so a crash inside
-//! it drops the *whole* group, never a partial one.
+//! every decision is one `Commit` frame, and under `wal_sync` its
+//! committer also waits for an fsync that covers it. Whatever one fsync
+//! covers, the recovered state must be exactly what the same run without
+//! `wal_sync` recovers. Property-tested across admission batches and
+//! thread counts — plus the crash contract: every cut of the log
+//! recovers exactly the whole `Commit` frames before it.
 
 use ddlf::engine::wal::LOG_BUFFER;
-use ddlf::engine::{
-    recover, Engine, EngineConfig, GroupEntry, Program, TemplateRegistry, WalRecord, WriteOp,
-};
+use ddlf::engine::{recover, Engine, EngineConfig, Program, TemplateRegistry, WalRecord, WriteOp};
 use ddlf::model::TxnId;
 use ddlf::workloads::bank_ordered_pair;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -32,7 +30,7 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// The standard certified banking pair: two transfer templates over two
 /// sites, `Add` programs, so the final store state is deterministic
 /// regardless of interleaving (commutative writes, fixed instance
-/// split) — exactly what makes batched vs unbatched comparable.
+/// split) — exactly what makes a sync and a non-sync run comparable.
 fn banking_engine(dir: &Path, instances: usize, cfg: EngineConfig) -> Engine {
     let (bank, _) = bank_ordered_pair();
     let programs = [
@@ -70,160 +68,70 @@ proptest! {
     // case count and instance sizes modest.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Recovery equivalence: a group-commit + batched-admission +
-    /// buffered-WAL run recovers to exactly the state the unbatched
-    /// per-commit reference recovers to, across group sizes, admission
-    /// batches, worker counts, and both sync modes.
+    /// Recovery equivalence: a `wal_sync` run — decisions sharing
+    /// fsyncs, batched admission, buffered WAL — recovers to exactly the
+    /// state the same inputs recover to without `wal_sync`, across
+    /// admission batches and worker counts.
     #[test]
-    fn group_commit_recovery_matches_unbatched(
+    fn sync_recovery_matches_non_sync(
         instances in 2usize..36,
         threads in 1usize..5,
-        max_group in 1usize..9,
         admission_batch in 1usize..7,
-        sync in any::<bool>(),
     ) {
-        let dir_grouped = wal_dir("grouped");
+        let dir_sync = wal_dir("sync");
         let dir_plain = wal_dir("plain");
-
-        let grouped = banking_engine(&dir_grouped, instances, EngineConfig {
+        let cfg = |wal_sync| EngineConfig {
             threads,
-            wal_sync: sync,
-            group_commit: Some(max_group),
+            wal_sync,
             admission_batch,
             ..Default::default()
-        });
-        let live = grouped.run();
+        };
+
+        let synced = banking_engine(&dir_sync, instances, cfg(true));
+        let live = synced.run();
         prop_assert!(live.all_committed(), "{live:?}");
         prop_assert_eq!(live.serializable, Some(true));
-        prop_assert_eq!(live.group_commits, instances as u64, "every decision rides the group path");
-        prop_assert!(!grouped.wal().unwrap().poisoned());
-        let live_snapshot = grouped.store().snapshot();
-        drop(grouped);
+        prop_assert_eq!(live.group_commits, instances as u64, "every decision is covered by an fsync");
+        prop_assert!((1..=live.group_commits).contains(&live.group_flushes));
+        prop_assert!(!synced.wal().unwrap().poisoned());
+        let live_snapshot = synced.store().snapshot();
+        drop(synced);
 
-        let plain = banking_engine(&dir_plain, instances, EngineConfig {
-            threads,
-            wal_sync: sync,
-            group_commit: Some(1),
-            ..Default::default()
-        });
-        prop_assert!(plain.run().all_committed());
+        let plain = banking_engine(&dir_plain, instances, cfg(false));
+        let report = plain.run();
+        prop_assert!(report.all_committed());
+        prop_assert_eq!(
+            (report.group_flushes, report.group_commits),
+            (instances as u64, instances as u64),
+            "without sync every decision is a group of one"
+        );
         drop(plain);
 
-        let rec_grouped = recover(&dir_grouped).unwrap();
+        let rec_sync = recover(&dir_sync).unwrap();
         let rec_plain = recover(&dir_plain).unwrap();
-        prop_assert_eq!(rec_grouped.committed, instances);
-        prop_assert_eq!(rec_grouped.committed, rec_plain.committed);
-        prop_assert_eq!(rec_grouped.torn_tails, 0);
-        prop_assert_eq!(rec_grouped.serializable, Some(true), "{:?}", rec_grouped.audit_error);
+        prop_assert_eq!(rec_sync.committed, instances);
+        prop_assert_eq!(rec_sync.committed, rec_plain.committed);
+        prop_assert_eq!(rec_sync.torn_tails, 0);
+        prop_assert_eq!(rec_sync.serializable, Some(true), "{:?}", rec_sync.audit_error);
         prop_assert_eq!(rec_plain.serializable, Some(true), "{:?}", rec_plain.audit_error);
         // The recovered *states* are identical — same values, same
-        // version counts — and both equal the live grouped store.
-        prop_assert_eq!(rec_grouped.store.snapshot(), rec_plain.store.snapshot());
-        prop_assert_eq!(rec_grouped.store.snapshot(), live_snapshot);
-        prop_assert_eq!(rec_grouped.store.total_int(), rec_plain.store.total_int());
+        // version counts — and both equal the live synced store.
+        prop_assert_eq!(rec_sync.store.snapshot(), rec_plain.store.snapshot());
+        prop_assert_eq!(rec_sync.store.snapshot(), live_snapshot);
+        prop_assert_eq!(rec_sync.store.total_int(), rec_plain.store.total_int());
 
-        let _ = std::fs::remove_dir_all(&dir_grouped);
+        let _ = std::fs::remove_dir_all(&dir_sync);
         let _ = std::fs::remove_dir_all(&dir_plain);
     }
 }
 
-/// A torn tail *inside* a `CommitGroup` frame drops the whole group:
-/// every proper prefix of the frame — including cuts that lie *after*
-/// the complete bytes of the first entries — recovers to exactly the
-/// pre-group state with one torn tail. No cut point ever yields a
-/// partially applied group.
-#[test]
-fn torn_tail_inside_a_commit_group_drops_the_group_whole() {
-    let dir = wal_dir("torn");
-    let engine = banking_engine(
-        &dir,
-        20,
-        EngineConfig {
-            threads: 4,
-            group_commit: Some(8),
-            admission_batch: 4,
-            ..Default::default()
-        },
-    );
-    assert!(engine.run().all_committed());
-    drop(engine);
-
-    let baseline = recover(&dir).unwrap();
-    assert_eq!(baseline.committed, 20);
-    assert_eq!(baseline.torn_tails, 0);
-    let baseline_snapshot = baseline.store.snapshot();
-
-    // A three-entry group frame a crash could have interrupted: length
-    // prefix + payload, appended to the log one proper prefix at a
-    // time. Entry boundaries fall inside the payload, so several
-    // cut points leave entry 0 (even entries 0 and 1) fully readable —
-    // recovery must still drop them.
-    let payload = WalRecord::CommitGroup {
-        entries: vec![
-            GroupEntry {
-                gid: 100,
-                template: 0,
-                attempt: 0,
-                commit_ts: 21,
-            },
-            GroupEntry {
-                gid: 101,
-                template: 1,
-                attempt: 0,
-                commit_ts: 22,
-            },
-            GroupEntry {
-                gid: 102,
-                template: 0,
-                attempt: 0,
-                commit_ts: 23,
-            },
-        ],
-    }
-    .encode();
-    let mut frame = (u32::try_from(payload.len()).unwrap())
-        .to_le_bytes()
-        .to_vec();
-    frame.extend_from_slice(payload.as_ref());
-
-    let intact = std::fs::read(dir.join("log.wal")).unwrap();
-    for cut in 1..frame.len() {
-        let mut f = std::fs::File::create(dir.join("log.wal")).unwrap();
-        f.write_all(&intact).unwrap();
-        f.write_all(&frame[..cut]).unwrap();
-        drop(f);
-
-        let rec = recover(&dir).unwrap();
-        assert_eq!(
-            rec.committed,
-            20,
-            "cut at byte {cut}/{} leaked part of the group",
-            frame.len()
-        );
-        assert_eq!(rec.torn_tails, 1, "cut at byte {cut}");
-        assert_eq!(rec.store.snapshot(), baseline_snapshot, "cut at byte {cut}");
-        assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
-    }
-
-    // The full frame, by contrast, replays all three entries — the
-    // group is all-or-nothing in both directions.
-    let mut f = std::fs::File::create(dir.join("log.wal")).unwrap();
-    f.write_all(&intact).unwrap();
-    f.write_all(&frame).unwrap();
-    drop(f);
-    let rec = recover(&dir).unwrap();
-    assert_eq!(rec.committed, 23);
-    assert_eq!(rec.torn_tails, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The crash-consistency contract of the one log, swept: cut `log.wal`
-/// at every byte offset inside its last two commit groups. Every cut
-/// recovers; what it recovers is exactly the whole decision frames
-/// before the cut — never an instance whose `Write`s are missing (each
-/// transfer writes twice) — the bytes after the last whole decision
-/// change nothing in the store, and the recovered history audits.
+/// The crash-consistency contract of the one log, swept over a
+/// `wal_sync` run: cut `log.wal` at every byte offset after its third-
+/// to-last `Commit` frame. Every cut recovers; what it recovers is
+/// exactly the whole `Commit` frames before the cut — never an instance
+/// whose `Write`s are missing (each transfer writes twice) — the bytes
+/// after the last whole decision change nothing in the store, and the
+/// recovered history audits.
 #[test]
 fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
     let dir = wal_dir("sweep");
@@ -232,7 +140,7 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
         20,
         EngineConfig {
             threads: 4,
-            group_commit: Some(8),
+            wal_sync: true,
             admission_batch: 4,
             ..Default::default()
         },
@@ -243,19 +151,17 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
 
     let log = dir.join("log.wal");
     let intact = std::fs::read(&log).unwrap();
-    // Every frame's end offset, and for each decision frame (plus the
+    // Every frame's end offset, and for each `Commit` frame (plus the
     // empty prefix) `(end offset, instances decided up to it)`.
     let (mut ends, mut decisions) = (vec![0], vec![(0, 0)]);
     while let Some(&at) = ends.last().filter(|&&at| at < intact.len()) {
         let body = at + 4;
         let end = body + u32::from_le_bytes(intact[at..body].try_into().unwrap()) as usize;
         ends.push(end);
-        let decided = match WalRecord::decode(intact[body..end].to_vec().into()).unwrap() {
-            WalRecord::Commit(_) => 1,
-            WalRecord::CommitGroup { entries } => entries.len(),
-            _ => continue,
-        };
-        decisions.push((end, decisions.last().unwrap().1 + decided));
+        if let WalRecord::Commit(_) = WalRecord::decode(intact[body..end].to_vec().into()).unwrap()
+        {
+            decisions.push((end, decisions.last().unwrap().1 + 1));
+        }
     }
     assert_eq!(decisions.last().unwrap().1, 20);
 
@@ -286,11 +192,11 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The group leader fsyncs *outside* `wal.log`, so appends of other
-/// workers and of a concurrent run land in the buffer while a group's
-/// fsync is in flight. File order must still put every decision after
-/// the data it decides over: under `wal_sync`, two concurrent 4-thread
-/// runs, every `Commit`/`CommitGroup` entry is preceded by all of its
+/// The syncer fsyncs *outside* `wal.log`, so appends of other workers
+/// and of a concurrent run land in the buffer while an fsync is in
+/// flight. File order must still put every decision after the data it
+/// decides over: under `wal_sync`, two concurrent 4-thread runs, every
+/// `Commit` is preceded by all of its
 /// attempt's `Event` frames (one per template node) and both transfer
 /// `Write`s — and no data frame of a decided attempt follows it.
 #[test]
@@ -337,28 +243,24 @@ fn concurrent_sync_runs_log_every_decision_after_its_data() {
     while at < log.len() {
         let body = at + 4;
         let end = body + u32::from_le_bytes(log[at..body].try_into().unwrap()) as usize;
-        let entries = match WalRecord::decode(log[body..end].to_vec().into()).unwrap() {
+        match WalRecord::decode(log[body..end].to_vec().into()).unwrap() {
             WalRecord::Event { gid, attempt, .. } => {
                 data_of(&mut data, &decided, (gid, attempt)).0 += 1;
-                vec![]
             }
             WalRecord::Write { gid, attempt, .. } => {
                 data_of(&mut data, &decided, (gid, attempt)).1 += 1;
-                vec![]
             }
-            WalRecord::Commit(e) => vec![e],
-            WalRecord::CommitGroup { entries } => entries,
-            WalRecord::Begin { .. } | WalRecord::Abort { .. } => vec![],
-        };
-        for e in entries {
-            let key = (e.gid, e.attempt);
-            let nodes = sys.txn(TxnId(e.template)).node_count();
-            assert_eq!(
-                *data_of(&mut data, &decided, key),
-                (nodes, 2),
-                "decision of {key:?} before all of its data"
-            );
-            decided.insert(key);
+            WalRecord::Commit(e) => {
+                let key = (e.gid, e.attempt);
+                let nodes = sys.txn(TxnId(e.template)).node_count();
+                assert_eq!(
+                    *data_of(&mut data, &decided, key),
+                    (nodes, 2),
+                    "decision of {key:?} before all of its data"
+                );
+                decided.insert(key);
+            }
+            WalRecord::Begin { .. } | WalRecord::Abort { .. } => {}
         }
         at = end;
     }
@@ -403,7 +305,7 @@ fn a_non_sync_run_pushes_the_log_once_per_buffer_not_per_commit() {
 }
 
 /// Under `wal_sync` the buffer still reaches the kernel once per commit
-/// group — the leader's flush before its fsync — plus the run's end.
+/// group — the syncer's push before its fsync — plus the run's end.
 #[test]
 fn a_sync_run_pushes_the_log_once_per_group() {
     let dir = wal_dir("sync-pushes");
@@ -428,13 +330,13 @@ fn a_sync_run_pushes_the_log_once_per_group() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Torn-tail recovery × group commit × multiversion reads: a recovered
+/// Torn-tail recovery × `wal_sync` × multiversion reads: a recovered
 /// store must answer read-only snapshot reads **identically to the live
 /// pre-crash store at the same commit timestamp** — every retained cut,
 /// not just the final state. Commit timestamps ride the durable
 /// decision records and are stamped onto chains rebuilt in log
-/// (write) order, so group frames batching decisions out of file order
-/// changes nothing. Run twice: the commuting transfer programs, and an
+/// (write) order, so decisions appended out of commit order change
+/// nothing. Run twice: the commuting transfer programs, and an
 /// **absolute-write** pair (`Put`/`PutBytes` on both shared ledgers)
 /// where every cut depends on the order the writes were applied in.
 #[test]
@@ -457,7 +359,7 @@ fn recovered_cuts_match_live(tag: &str, programs: Option<[Program; 2]>) {
     let dir = wal_dir(tag);
     let cfg = EngineConfig {
         threads: 4,
-        group_commit: Some(8),
+        wal_sync: true,
         admission_batch: 4,
         ..Default::default()
     };

@@ -71,7 +71,6 @@ use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, WalRecord};
-use crossbeam::channel::unbounded;
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 #[cfg(debug_assertions)]
@@ -619,8 +618,8 @@ impl Engine {
 
     /// A shared handle to the store, for concurrent read-only snapshot
     /// readers that must not hold (or wait on) any engine reference —
-    /// e.g. the wire server's `ReadOnly` path reading while a `Submit`
-    /// run holds the engine lock.
+    /// e.g. the wire server's `ReadOnly` path, which must answer even
+    /// while a registration waits out in-flight Submits.
     pub fn store_handle(&self) -> Arc<Store> {
         Arc::clone(&self.core.store)
     }
@@ -1108,7 +1107,7 @@ impl Core {
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
         let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
-        let (grant_tx, grant_rx) = unbounded::<EntityId>();
+        let (grant_tx, grant_rx) = std::sync::mpsc::channel::<EntityId>();
         // Lock nodes already queued at their shard (certified only).
         let mut queued = vec![false; if park { t.node_count() } else { 0 }];
         // Wait-die: when the acquisition being polled for was first

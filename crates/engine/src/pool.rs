@@ -17,11 +17,10 @@
 //! held while a job runs, nothing else is acquired under it, and an
 //! idle worker parks on its condvar holding only that class.
 
-use crossbeam::channel::unbounded;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
 /// One unit of work. It runs on a worker with no lock held and returns
@@ -80,7 +79,7 @@ impl Pool {
             return vec![work()];
         }
         let work = Arc::new(work);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         self.submit((1..n).map(|_| {
             let (work, tx) = (Arc::clone(&work), tx.clone());
             Box::new(move || {
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn a_worker_is_idle_before_its_hand_back_runs() {
         let pool = Pool::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         for _ in 0..100 {
             let (shared, tx) = (Arc::clone(&pool.shared), tx.clone());
             pool.submit(std::iter::once(Box::new(move || {

@@ -25,12 +25,12 @@
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
 use crate::wal::{Wal, WalRecord};
-use crossbeam::channel::Sender;
 use ddlf_model::{Database, EntityId, SiteId, TxnId};
 use ddlf_sim::{Acquire, LockTable};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -610,7 +610,7 @@ impl Drop for TsReservation<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn store2() -> Store {
         store_n(2, 100)
@@ -673,7 +673,7 @@ mod tests {
     fn grant_read_write_release_cycle() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, &tx));
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(100));
         assert_eq!(
@@ -690,8 +690,8 @@ mod tests {
     fn queued_request_gets_grant_on_release() {
         let s = store2();
         let e = EntityId(0);
-        let (tx0, _rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
+        let (tx0, _rx0) = channel();
+        let (tx1, rx1) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
         assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
@@ -704,15 +704,15 @@ mod tests {
     fn vanished_waiter_does_not_wedge_the_lock() {
         let s = store2();
         let e = EntityId(0);
-        let (tx0, _rx0) = unbounded();
+        let (tx0, _rx0) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
         {
-            let (tx1, rx1) = unbounded();
+            let (tx1, rx1) = channel();
             assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
             drop(rx1); // T1's worker is gone
             drop(tx1);
         }
-        let (tx2, rx2) = unbounded();
+        let (tx2, rx2) = channel();
         assert!(!s.shard_of(e).request(TxnId(2), e, &tx2));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         // T1's grant bounced; T2 must receive it.
@@ -735,7 +735,7 @@ mod tests {
     fn add_to_bytes_is_a_typed_skip_not_a_clobber() {
         let s = store2();
         let e = EntityId(0);
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         write(&s, &ctx(0), e, WriteOp::PutBytes(vec![7, 8]));
         s.shard_of(e).request(TxnId(1), e, &tx);
         // The old behavior treated the bytes as 0 and installed Int(3).
@@ -1335,7 +1335,7 @@ mod tests {
                 doomed in prop::collection::vec((0u32..2, (any::<u8>(), any::<i64>())), 1..8),
             ) {
                 let s = store_n(2, initial);
-                let (tx, _rx) = unbounded();
+                let (tx, _rx) = channel();
                 // A committed history first, so versions are nonzero.
                 for (i, (e, raw)) in committed_prefix.iter().enumerate() {
                     let e = EntityId(*e);
@@ -1379,7 +1379,7 @@ mod tests {
             ) {
                 let s = store_n(2, initial);
                 let e = EntityId(0);
-                let (tx, _rx) = unbounded();
+                let (tx, _rx) = channel();
                 let doomed = ctx(0);
                 write(&s, &doomed, e, op_of(dead_raw));
                 // Interfering committed writes after the doomed unlock;
@@ -1429,7 +1429,7 @@ mod tests {
             ) {
                 let s = store_n(2, initial);
                 let e = EntityId(0);
-                let (tx, _rx) = unbounded();
+                let (tx, _rx) = channel();
                 let mut expected = VersionedValue {
                     version: 0,
                     datum: Datum::Int(initial),
@@ -1475,7 +1475,7 @@ mod tests {
             ) {
                 let s = store_n(2, initial);
                 let e = EntityId(0);
-                let (tx, _rx) = unbounded();
+                let (tx, _rx) = channel();
                 let pre = s.shard_of(e).peek(e);
                 let mut doomed = Vec::new();
                 for (i, raw) in raws.iter().enumerate() {

@@ -1,8 +1,7 @@
 //! End-to-end tests of the `ReadOnly` RPC: a wire client observes a
 //! committed multiversion cut — whole database or a named subset — and,
 //! the property the path exists for, the read answers from a second
-//! connection *while* another connection's `Submit` holds the engine
-//! lock for a long run.
+//! connection *while* another connection's `Submit` is in a long run.
 
 use ddlf_server::{Client, ClientError, ErrorKind, InflateSpec, ServeConfig, Server};
 use std::time::Duration;
@@ -78,9 +77,9 @@ fn read_only_answers_mid_submit_and_conserves() {
     client.register(SPEC, InflateSpec::None).unwrap();
 
     // Long enough that reads land mid-run (the debug-only batch-audit
-    // cross-check is quadratic, so keep N modest). `submit` holds the
-    // engine lock for the whole run; these reads only answer promptly
-    // because the snapshot path never touches that lock.
+    // cross-check is quadratic, so keep N modest). These reads answer
+    // promptly because the snapshot path reads the store directly and
+    // never waits for the run.
     const N: u32 = 800;
     let submit_addr = addr.clone();
     let submitter = std::thread::spawn(move || {

@@ -559,7 +559,10 @@ impl<'a> Simulator<'a> {
         }
         self.report.aborted_attempts += 1;
         let held = std::mem::take(&mut st.held);
-        let waiting: Vec<EntityId> = st.waiting.drain().map(|(e, _)| e).collect();
+        // Sorted: the map's order differs between processes, and the
+        // release messages below draw their latencies in this order.
+        let mut waiting: Vec<EntityId> = st.waiting.drain().map(|(e, _)| e).collect();
+        waiting.sort_unstable();
         st.attempt += 1;
         st.executed = Prefix::empty(t);
         st.node_status.fill(NodeStatus::NotIssued);

@@ -2,10 +2,9 @@
 //!
 //! The 1986 scan's figure drawings are not machine-readable; each
 //! construction below is reconstructed from the *properties the text
-//! states about it*, which `tests/figures_public_api.rs` and the `fig1`,
-//! `fig2`, `fig3` and `fig6` rows of the paper ledger
-//! (`tests/paper_ledger.rs`) verify. Deviations are documented per
-//! figure.
+//! states about it*, which the `fig1`, `fig2`, `fig3` and `fig6` rows of
+//! the paper ledger (`tests/ledger/`, checked by `tests/paper_ledger.rs`)
+//! verify. Deviations are documented per figure.
 
 use ddlf_model::{Database, EntityId, Prefix, SystemPrefix, Transaction, TransactionSystem};
 

@@ -3,6 +3,8 @@
 //! truth, and a certificate really implies both safety and
 //! deadlock-freedom separately.
 
+mod ledger;
+
 use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions, Explorer, Verdict};
 use ddlf::model::{explore, ExploreConfig};
 use ddlf::workloads::{LockDiscipline, SystemGen};
@@ -198,71 +200,11 @@ proptest! {
 /// Theorem 4 verdict equals the 2-copy Corollary 3 verdict for d up to 5.
 #[test]
 fn theorem5_copies_sweep() {
-    use ddlf::core::{copies_safe_df, many_safe_df, ManyOptions};
-    use ddlf::model::TransactionSystem;
-
-    for seed in 0..30u64 {
-        for disc in [
-            LockDiscipline::RandomLegal,
-            LockDiscipline::RandomTwoPhase,
-            LockDiscipline::OrderedTwoPhase,
-        ] {
-            let sys = SystemGen {
-                n_sites: 3,
-                entities_per_site: 1,
-                n_txns: 1,
-                entities_per_txn: 3,
-                discipline: disc,
-                seed: 0x75_000 + seed,
-            }
-            .generate();
-            let t = sys.txn(ddlf::model::TxnId(0));
-            let two = copies_safe_df(t).is_ok();
-            for d in 2..=5usize {
-                let copies = TransactionSystem::copies(sys.db().clone(), t, d).unwrap();
-                let many = many_safe_df(&copies, ManyOptions::default()).is_ok();
-                assert_eq!(
-                    two, many,
-                    "Theorem 5 failed: d={d} seed={seed} disc={disc:?} txn={t}"
-                );
-            }
-        }
-    }
+    ledger::check(&["thm5.sweep"]);
 }
 
-/// `hub(n)`: `n` templates `L hot, L pᵢ, U hot, U pᵢ` — the harness's
-/// `hot-ordered` shape. The interaction graph is complete, every cycle is
-/// visited and counted, and every one certifies; these are the counters
-/// `harness/` pins for n = 9, asserted where tier-1 runs them.
+/// `hub(n)`'s Theorem 4 counters, which `harness/` pins for n = 9.
 #[test]
 fn hub_counters_are_pinned() {
-    use ddlf::core::{many_safe_df, ManyCertificate, ManyOptions};
-    use ddlf::model::{Database, EntityId, Op, Transaction, TransactionSystem};
-
-    let hub = |n: usize| {
-        let db = Database::one_entity_per_site(n + 1);
-        let hot = EntityId(0);
-        let txns = (1..=n as u32)
-            .map(|p| {
-                let ops = [
-                    Op::lock(hot),
-                    Op::lock(EntityId(p)),
-                    Op::unlock(hot),
-                    Op::unlock(EntityId(p)),
-                ];
-                Transaction::from_total_order(format!("ordered_{p}"), &ops, &db).unwrap()
-            })
-            .collect();
-        TransactionSystem::new(db, txns).unwrap()
-    };
-    assert_eq!(
-        many_safe_df(&hub(9), ManyOptions::default()).unwrap(),
-        ManyCertificate {
-            pairs_checked: 36,
-            cycles_checked: 62_814,
-            orderings_checked: 986_328,
-        }
-    );
-    let ten = many_safe_df(&hub(10), ManyOptions::default()).unwrap();
-    assert_eq!((ten.pairs_checked, ten.cycles_checked), (45, 556_014));
+    ledger::check(&["thm4.hub9", "thm4.hub10"]);
 }

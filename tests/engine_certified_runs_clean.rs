@@ -1,89 +1,49 @@
-//! The engine-level statement of the paper's headline payoff:
+//! The engine's runs, where the paper ledger (`tests/ledger/`) holds
+//! what no schedule can change — a certified banking run aborts nothing,
+//! audits serializable and conserves balances (`engine.banking`) — and
+//! the tests below hold what only contention shows:
 //!
-//! * a **certified** banking system runs N instances × K threads on the
-//!   `ddlf-engine` key-value store under the no-detector path with
-//!   **zero aborts**, a serializable audited history, and conserved
-//!   balances;
 //! * an **uncertified** greedy pair completes via the wait-die fallback,
-//!   paying for its missing certificate with real aborts.
+//!   paying for its missing certificate with real aborts;
+//! * a Theorem 5-certifiable single template really runs k ≥ 4 instances
+//!   at once, with zero aborts.
 
-use ddlf::engine::{AdmissionVerdict, Engine, EngineConfig, Program, TemplateRegistry};
+mod ledger;
+
+use ddlf::engine::{
+    AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program, Slots,
+    TemplateRegistry,
+};
 use ddlf::model::TxnId;
-use ddlf::workloads::{bank_greedy_pair, bank_ordered_pair};
+use ddlf::workloads::{bank_greedy_pair, bank_uniform_transfer};
 use std::time::Duration;
-
-fn config(instances: usize, threads: usize, work_us: u64) -> EngineConfig {
-    EngineConfig {
-        threads,
-        instances,
-        work: Duration::from_micros(work_us),
-        initial_value: 1_000,
-        seed: 42,
-        ..Default::default()
-    }
-}
-
-/// Installs real money-transfer programs on the two transfer templates
-/// (accounts move value; ledgers are read — declared explicitly, since
-/// a locked entity no longer counts as a read by itself — but not
-/// written, so the total is conserved).
-fn with_transfer_programs(
-    mut reg: TemplateRegistry,
-    bank: &ddlf::workloads::Bank,
-) -> TemplateRegistry {
-    reg.set_program(
-        TxnId(0),
-        Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5)
-            .read(bank.ledgers[0])
-            .read(bank.ledgers[1]),
-    )
-    .unwrap();
-    reg.set_program(
-        TxnId(1),
-        Program::transfer(bank.accounts[1][1], bank.accounts[0][1], 3)
-            .read(bank.ledgers[0])
-            .read(bank.ledgers[1]),
-    )
-    .unwrap();
-    reg
-}
 
 #[test]
 fn certified_banking_runs_clean_across_threads() {
-    let (bank, sys) = bank_ordered_pair();
-    let reg = with_transfer_programs(TemplateRegistry::register(sys), &bank);
-    assert!(
-        reg.verdict().is_certified(),
-        "ordered transfers must certify: {}",
-        reg.verdict()
-    );
+    ledger::check(&["engine.banking"]);
+}
 
-    let engine = Engine::with_registry(reg, config(40, 4, 50));
-    let report = engine.run();
-
-    // The paper's payoff: no detector, no timeouts — and nothing needed
-    // aborting.
-    assert!(report.all_committed(), "{report:?}");
-    assert_eq!(report.aborted_attempts, 0, "{report:?}");
-    assert_eq!(report.dirty_aborts, 0);
-    // The history is audited with D(S), not assumed serializable.
-    assert_eq!(report.serializable, Some(true), "{report:?}");
-    // 40 instances × 4 entities, lock + unlock each.
-    assert_eq!(report.history_len, 40 * 8);
-    assert_eq!(report.reads, 40 * 4);
-    assert_eq!(report.writes, 40 * 2);
-    assert!(report.throughput_per_sec() > 0.0);
-
-    // Money is conserved: 6 entities (4 accounts + 2 ledgers) seeded with 1 000 each.
-    assert_eq!(engine.store().total_int(), 6_000, "transfers must conserve");
-    // Every committed transfer wrote two accounts.
-    assert_eq!(engine.store().total_versions(), 40 * 2);
+/// The benchmark's comparison axis: the same certified workload, run
+/// once trusting the certificate and once on wait-die.
+#[test]
+fn forced_fallback_still_correct_on_certified_system() {
+    ledger::check(&["engine.banking", "engine.banking_fallback"]);
 }
 
 #[test]
 fn uncertified_greedy_pair_completes_via_wait_die_with_aborts() {
     let (_, sys) = bank_greedy_pair();
-    let engine = Engine::new(sys, config(30, 2, 100));
+    let engine = Engine::new(
+        sys,
+        EngineConfig {
+            threads: 2,
+            instances: 30,
+            work: Duration::from_micros(100),
+            initial_value: 1_000,
+            seed: 42,
+            ..Default::default()
+        },
+    );
     let AdmissionVerdict::Fallback { reason } = engine.registry().verdict() else {
         panic!("greedy opposite-direction transfers must not certify");
     };
@@ -103,31 +63,52 @@ fn uncertified_greedy_pair_completes_via_wait_die_with_aborts() {
     assert_eq!(report.serializable, Some(true), "{report:?}");
 }
 
+/// Admission grants the explicit request as a ceiling of 4
+/// (`engine.uniform_k4`); the run shows it used.
 #[test]
-fn forced_fallback_still_correct_on_certified_system() {
-    // The benchmark's comparison axis: same certified workload, run once
-    // trusting the certificate and once on wait-die.
-    let (bank, sys) = bank_ordered_pair();
-    let reg = with_transfer_programs(TemplateRegistry::register(sys.clone()), &bank);
-    let trusted = Engine::with_registry(reg, config(20, 4, 20));
-    let r1 = trusted.run();
-
-    let reg = with_transfer_programs(TemplateRegistry::register(sys), &bank);
-    let distrustful = Engine::with_registry(
-        reg,
-        EngineConfig {
-            force_fallback: true,
-            ..config(20, 4, 20)
+fn certified_single_template_runs_at_k4_with_zero_aborts() {
+    let (bank, sys) = bank_uniform_transfer();
+    let mut reg = TemplateRegistry::register_with(
+        sys,
+        AdmissionOptions {
+            inflate: Inflation::Uniform(4),
+            ..Default::default()
         },
     );
-    let r2 = distrustful.run();
+    reg.set_program(
+        TxnId(0),
+        Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5),
+    )
+    .unwrap();
 
-    assert!(r1.all_committed() && r2.all_committed(), "{r1:?}\n{r2:?}");
-    assert_eq!(r1.serializable, Some(true));
-    assert_eq!(r2.serializable, Some(true));
-    assert!(r2.forced_fallback);
-    assert_eq!(r1.aborted_attempts, 0);
-    // Both conserve money.
-    assert_eq!(trusted.store().total_int(), 6_000);
-    assert_eq!(distrustful.store().total_int(), 6_000);
+    let engine = Engine::with_registry(
+        reg,
+        EngineConfig {
+            threads: 8,
+            instances: 200,
+            work: Duration::from_micros(100),
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    let report = engine.run();
+
+    // The paper's payoff at real multiprogramming: every instance
+    // commits, nothing aborts, and the audited history serializes.
+    assert!(report.all_committed(), "{report:?}");
+    assert_eq!(report.aborted_attempts, 0, "{report:?}");
+    assert_eq!(report.dirty_aborts, 0);
+    assert_eq!(report.serializable, Some(true), "{report:?}");
+    // ≥ 4 instances of the single template were genuinely in flight at
+    // once (8 workers, a gate of 4, 100µs of work per lock).
+    assert!(
+        report.peak_inflight() >= 4,
+        "expected k ≥ 4 concurrency, got {} — {report:?}",
+        report.peak_inflight()
+    );
+    assert_eq!(report.per_template.len(), 1);
+    assert_eq!(report.per_template[0].certified_slots, Slots::Bounded(4));
+    assert_eq!(report.per_template[0].committed, 200);
+    // Transfers conserve: 6 entities seeded with 1 000 each.
+    assert_eq!(engine.store().total_int(), 6_000);
 }

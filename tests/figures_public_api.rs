@@ -1,124 +1,48 @@
-//! The paper's figures exercised end-to-end through the public facade —
-//! the executable versions of every claim §3 makes about them.
+//! The paper's figures: each claim §3 makes about them, by the paper
+//! ledger's golden lines that hold it (`tests/ledger/`).
 
-use ddlf::core::{
-    check_deadlock_prefix, copies_safe_df, lu_pair_deadlock_prefix, tirri_two_entity_pattern,
-    Explorer,
-};
-use ddlf::model::TxnId;
-use ddlf::workloads as wl;
+mod ledger;
 
 #[test]
 fn fig1_reduction_cycle_matches_text() {
-    let (sys, prefix, ents) = wl::fig1();
-    let dp = check_deadlock_prefix(&sys, &prefix, 1_000_000).expect("deadlock prefix");
-    // The text's cycle: L¹z, U¹y, L²y, U²x, L³x, U³z — alternating locks
-    // and unlocks over {x, y, z}, visiting each transaction.
-    let mut locks = 0;
-    let mut unlocks = 0;
-    for g in &dp.cycle {
-        let op = sys.txn(g.txn).op(g.node);
-        if op.is_lock() {
-            locks += 1;
-        } else {
-            unlocks += 1;
-        }
-        assert!(
-            [ents.x, ents.y, ents.z].contains(&op.entity),
-            "cycle touches unexpected entity"
-        );
-    }
-    assert_eq!(locks, unlocks, "cycle alternates lock/unlock");
-    assert!(dp.cycle.len() >= 6);
+    ledger::check(&[
+        "fig1.cycle_nodes",
+        "fig1.cycle_locks",
+        "fig1.cycle_unlocks",
+        "fig1.cycle_within_xyz",
+    ]);
 }
 
 #[test]
 fn fig2_four_entity_deadlock_and_unsound_baseline() {
-    let (sys, _) = wl::fig2();
-    // Baseline says clean.
-    assert!(tirri_two_entity_pattern(sys.txn(TxnId(0)), sys.txn(TxnId(1))).is_none());
-    // Exact search says deadlock, with an all-four-entity cycle.
-    let w = lu_pair_deadlock_prefix(&sys, 10_000_000)
-        .unwrap()
-        .expect("deadlock");
-    let entities: std::collections::HashSet<_> = w
-        .cycle
-        .iter()
-        .map(|g| sys.txn(g.txn).op(g.node).entity)
-        .collect();
-    assert_eq!(entities.len(), 4);
-    // And the runtime can actually reach a stuck state.
-    assert!(Explorer::new(&sys, 10_000_000).find_deadlock().0.violated());
+    ledger::check(&[
+        "fig2.tirri_pattern",
+        "fig2.lu_cycle_entities",
+        "fig2.explorer",
+    ]);
 }
 
 #[test]
 fn fig2_identical_syntax_is_the_point() {
-    // In a centralized database, identical total orders are always
-    // deadlock-free; Fig. 2 shows identical *partial orders* are not.
-    let (sys, _) = wl::fig2();
-    let t1 = sys.txn(TxnId(0));
-    let t2 = sys.txn(TxnId(1));
-    assert_eq!(t1.node_count(), t2.node_count());
-    for n in t1.nodes() {
-        assert_eq!(t1.op(n), t2.op(n), "copies share syntax");
-    }
+    ledger::check(&["fig2.copies_share_syntax"]);
 }
 
 #[test]
 fn fig3_separation() {
-    // Partial orders: deadlock-free.
-    let sys = wl::fig3();
-    assert!(Explorer::new(&sys, 1_000_000).find_deadlock().0.holds());
-    // A specific pair of extensions: deadlocks.
-    let exts = wl::fig3_deadlocking_extensions();
-    assert!(Explorer::new(&exts, 1_000_000).find_deadlock().0.violated());
+    ledger::check(&["fig3.partial_orders", "fig3.chosen_extensions"]);
 }
 
 #[test]
 fn fig6_copies_threshold() {
-    assert!(
-        Explorer::new(&wl::fig6(2), 5_000_000)
-            .find_deadlock()
-            .0
-            .holds(),
-        "two copies never deadlock"
-    );
-    assert!(
-        Explorer::new(&wl::fig6(3), 10_000_000)
-            .find_deadlock()
-            .0
-            .violated(),
-        "three copies deadlock"
-    );
-    // Four copies contain the three-copy pattern.
-    assert!(
-        Explorer::new(&wl::fig6(4), 20_000_000)
-            .find_deadlock()
-            .0
-            .violated(),
-        "four copies deadlock too"
-    );
+    ledger::check(&["fig6.copies2", "fig6.copies3", "fig6.copies4"]);
 }
 
 #[test]
 fn fig6_consistent_with_theorem5() {
-    // Theorem 5 speaks about safe+DF; Fig. 6's transaction already fails
-    // Corollary 3 at two copies, so no contradiction arises.
-    let db = ddlf::model::Database::one_entity_per_site(3);
-    let t = wl::fig6_transaction(&db, "T");
-    assert!(copies_safe_df(&t).is_err());
+    ledger::check(&["fig6.cor3"]);
 }
 
 #[test]
 fn paper_example_formula_via_fig5_gadget() {
-    // Fig. 5 is the gadget for (x1 ∨ x2)(x1 ∨ ¬x2)(¬x1 ∨ x2).
-    let f = ddlf::sat::Cnf::paper_example();
-    let red = ddlf::core::SatReduction::build(&f).unwrap();
-    // The figure's headline numbers: r = 3 clauses, n = 2 variables →
-    // 12 entities, 24 nodes per transaction.
-    assert_eq!(red.n_clauses(), 3);
-    assert_eq!(red.n_vars(), 2);
-    assert_eq!(red.sys.db().entity_count(), 12);
-    assert_eq!(red.sys.txn(TxnId(0)).node_count(), 24);
-    assert!(red.has_deadlock_prefix(100_000_000).unwrap().is_some());
+    ledger::check(&["thm2.fig5"]);
 }

@@ -1,193 +1,28 @@
-//! Engine-level statements of the certified k-inflation tentpole:
-//!
-//! * a Theorem 5-certifiable single-template workload really runs at
-//!   k ≥ 4 concurrent instances of that template with **zero aborts**
-//!   and an audited-serializable history;
-//! * the paper's Fig. 6 warning, at the admission layer: two copies of
-//!   the Fig. 6 transaction certify (deadlock-free, exhaustively) but
-//!   three do not — `max_certified_inflation` returns exactly 2, and an
-//!   engine asked for k = 3 floors back to the certified base instead of
-//!   deadlocking.
+//! The paper's Fig. 6 warning at the admission layer: two copies of the
+//! Fig. 6 transaction certify (deadlock-free, exhaustively) but three do
+//! not — `max_certified_inflation` returns exactly 2, and an engine asked
+//! for k = 3 floors back to the certified base instead of deadlocking.
+//! Each claim is checked by the paper ledger's golden lines that hold it
+//! (`tests/ledger/`).
 
-use ddlf::core::{max_certified_inflation, InflateOptions};
-use ddlf::engine::{
-    AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program, Slots,
-    TemplateRegistry,
-};
-use ddlf::model::{TransactionSystem, TxnId};
-use ddlf::workloads::{bank_uniform_transfer, fig6};
-use std::time::Duration;
-
-fn fig6_single_template() -> TransactionSystem {
-    let sys = fig6(1);
-    assert_eq!(sys.len(), 1);
-    sys
-}
-
-#[test]
-fn certified_single_template_runs_at_k4_with_zero_aborts() {
-    let (bank, sys) = bank_uniform_transfer();
-    let mut reg = TemplateRegistry::register_with(
-        sys,
-        AdmissionOptions {
-            inflate: Inflation::Uniform(4),
-            ..Default::default()
-        },
-    );
-    // Theorem 5 certifies unbounded copies; the explicit request is
-    // honored as a ceiling of 4 (∞ is only granted under `Auto`).
-    assert_eq!(reg.verdict(), &AdmissionVerdict::Certified);
-    assert!(reg.verdict().guarantees_safety());
-    assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Bounded(4));
-    reg.set_program(
-        TxnId(0),
-        Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5),
-    )
-    .unwrap();
-
-    let engine = Engine::with_registry(
-        reg,
-        EngineConfig {
-            threads: 8,
-            instances: 200,
-            work: Duration::from_micros(100),
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-
-    // The paper's payoff at real multiprogramming: every instance
-    // commits, nothing aborts, and the audited history serializes.
-    assert!(report.all_committed(), "{report:?}");
-    assert_eq!(report.aborted_attempts, 0, "{report:?}");
-    assert_eq!(report.dirty_aborts, 0);
-    assert_eq!(report.serializable, Some(true), "{report:?}");
-    // ≥ 4 instances of the single template were genuinely in flight at
-    // once (8 workers, unbounded gate, 100µs of work per lock).
-    assert!(
-        report.peak_inflight() >= 4,
-        "expected k ≥ 4 concurrency, got {} — {report:?}",
-        report.peak_inflight()
-    );
-    assert_eq!(report.per_template.len(), 1);
-    assert_eq!(report.per_template[0].certified_slots, Slots::Bounded(4));
-    assert_eq!(report.per_template[0].committed, 200);
-    // Transfers conserve: 6 entities seeded with 1 000 each.
-    assert_eq!(engine.store().total_int(), 6_000);
-}
+mod ledger;
 
 #[test]
 fn fig6_max_certified_inflation_is_exactly_two() {
-    let sys = fig6_single_template();
-    let opts = InflateOptions {
-        explore_states: 5_000_000,
-        ..Default::default()
-    };
-    let max = max_certified_inflation(&sys, opts, 8).unwrap();
-    assert_eq!(max.k, 2, "Fig. 6: two copies certify, three deadlock");
-    assert!(!max.unbounded);
-    assert!(
-        !max.certificate.guarantees_safety(),
-        "Fig. 6 is only deadlock-free, never safe: {:?}",
-        max.certificate
-    );
+    ledger::check(&["engine.fig6_max"]);
 }
 
 #[test]
 fn fig6_engine_asked_for_three_floors_back_instead_of_deadlocking() {
-    let sys = fig6_single_template();
-    let opts = InflateOptions {
-        explore_states: 5_000_000,
-        ..Default::default()
-    };
-    let reg = TemplateRegistry::register_with(
-        sys,
-        AdmissionOptions {
-            inflate: Inflation::Uniform(3),
-            opts,
-        },
-    );
-    // k = 3 is refused the no-detector path; the plan floors to the
-    // certified base system (a single copy is trivially safe and DF).
-    assert!(reg.plan().floored, "{}", reg.plan().rationale);
-    assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Bounded(1));
-    assert_eq!(reg.verdict(), &AdmissionVerdict::Certified);
-
-    let engine = Engine::with_registry(
-        reg,
-        EngineConfig {
-            threads: 4,
-            instances: 24,
-            work: Duration::from_micros(20),
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    assert!(
-        report.all_committed(),
-        "must complete, not deadlock: {report:?}"
-    );
-    assert_eq!(report.aborted_attempts, 0);
-    assert_eq!(report.serializable, Some(true));
-    assert!(report.peak_inflight() <= 1, "{report:?}");
-    assert!(report.plan_floored);
+    ledger::check(&["engine.fig6_k3"]);
 }
 
 #[test]
 fn fig6_engine_runs_clean_at_the_certified_two_copies() {
-    let sys = fig6_single_template();
-    let opts = InflateOptions {
-        explore_states: 5_000_000,
-        ..Default::default()
-    };
-    let reg = TemplateRegistry::register_with(
-        sys,
-        AdmissionOptions {
-            inflate: Inflation::Uniform(2),
-            opts,
-        },
-    );
-    // Deadlock-free but not safe: the no-detector path is admitted with
-    // the audit as the serializability arbiter.
-    assert_eq!(reg.verdict(), &AdmissionVerdict::CertifiedDeadlockFree);
-    assert!(reg.verdict().is_certified());
-    assert!(!reg.verdict().guarantees_safety());
-    assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Bounded(2));
-
-    let engine = Engine::with_registry(
-        reg,
-        EngineConfig {
-            threads: 4,
-            instances: 40,
-            work: Duration::from_micros(20),
-            seed: 3,
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    // The deadlock-freedom certificate delivers: no stall, no aborts.
-    assert!(report.all_committed(), "{report:?}");
-    assert_eq!(report.aborted_attempts, 0, "{report:?}");
-    // Unsafe systems still get audited; whatever the verdict, one exists.
-    assert!(report.serializable.is_some(), "{report:?}");
-    assert!(report.per_template[0].peak_inflight <= 2, "{report:?}");
+    ledger::check(&["engine.fig6_k2"]);
 }
 
 #[test]
 fn auto_inflation_matches_the_explicit_search() {
-    let sys = fig6_single_template();
-    let opts = InflateOptions {
-        explore_states: 5_000_000,
-        ..Default::default()
-    };
-    let reg = TemplateRegistry::register_with(
-        sys,
-        AdmissionOptions {
-            inflate: Inflation::Auto { cap: 8 },
-            opts,
-        },
-    );
-    assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Bounded(2));
-    assert_eq!(reg.verdict(), &AdmissionVerdict::CertifiedDeadlockFree);
+    ledger::check(&["engine.fig6_auto", "engine.fig6_k2.slots"]);
 }

@@ -1,9 +1,12 @@
 //! Runtime/theory contract: certified systems run deadlock-free with no
 //! runtime machinery; every policy preserves serializability of committed
 //! histories; the threaded runtime (the engine) honours the same contract.
+//! The fixed instances are the paper ledger's golden lines
+//! (`tests/ledger/`); the random ones are proptests.
+
+mod ledger;
 
 use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions};
-use ddlf::engine::{run_system, EngineConfig};
 use ddlf::sim::{run, DeadlockPolicy, SimConfig};
 use ddlf::workloads::{LockDiscipline, SystemGen};
 use proptest::prelude::*;
@@ -87,141 +90,25 @@ proptest! {
     }
 }
 
-/// Deterministic sweep of the same contract at larger scale. Random-2PL
-/// systems rarely certify (they need globally compatible lock orders), so
-/// the sweep mixes in ordered-2PL systems that always do.
+/// The same contract over seeded systems: certified ones commit every
+/// run serializably with no policy at all.
 #[test]
 fn certified_sweep_under_nothing_policy() {
-    let mut checked = 0;
-    for disc in [
-        LockDiscipline::RandomTwoPhase,
-        LockDiscipline::OrderedTwoPhase,
-    ] {
-        for seed in 0..30u64 {
-            let sys = SystemGen {
-                n_sites: 4,
-                entities_per_site: 1,
-                n_txns: 4,
-                entities_per_txn: 3,
-                discipline: disc,
-                seed,
-            }
-            .generate();
-            if certify_safe_and_deadlock_free(&sys, CertifyOptions::default()).is_err() {
-                continue;
-            }
-            checked += 1;
-            for sim_seed in 0..5 {
-                let r = run(
-                    &sys,
-                    SimConfig {
-                        policy: DeadlockPolicy::Nothing,
-                        seed: sim_seed,
-                        ..Default::default()
-                    },
-                );
-                assert!(r.all_committed(4), "seed {seed}/{sim_seed}: {r:?}");
-                assert_eq!(r.serializable, Some(true));
-            }
-        }
-    }
-    assert!(
-        checked > 25,
-        "sweep found too few certified systems ({checked})"
-    );
+    ledger::check(&["payoff.sweep.certified"]);
 }
 
 /// Uncertified systems must actually exhibit the predicted failure under
-/// some timing: for pairwise-rejected 2PL pairs the rejection is a
-/// deadlock risk, and the detector policy repairs it.
+/// some timing: for rejected 2PL systems the rejection is a deadlock
+/// risk, and the detector policy repairs it.
 #[test]
 fn uncertified_systems_hit_deadlocks_and_detector_repairs() {
-    let mut rejected = 0;
-    let mut deadlocked_any = 0;
-    for seed in 0..40u64 {
-        let sys = SystemGen {
-            n_sites: 3,
-            entities_per_site: 1,
-            n_txns: 3,
-            entities_per_txn: 3,
-            discipline: LockDiscipline::RandomTwoPhase,
-            seed: 0xBAD + seed,
-        }
-        .generate();
-        if certify_safe_and_deadlock_free(&sys, CertifyOptions::default()).is_ok() {
-            continue;
-        }
-        rejected += 1;
-        let mut stalled = false;
-        for sim_seed in 0..10 {
-            let r = run(
-                &sys,
-                SimConfig {
-                    policy: DeadlockPolicy::Nothing,
-                    seed: sim_seed,
-                    ..Default::default()
-                },
-            );
-            if !r.stalled.is_empty() {
-                stalled = true;
-                // Detector fixes the same timing.
-                let r2 = run(
-                    &sys,
-                    SimConfig {
-                        policy: DeadlockPolicy::Detect { period_us: 2_000 },
-                        seed: sim_seed,
-                        ..Default::default()
-                    },
-                );
-                assert!(
-                    r2.all_committed(sys.len()),
-                    "detector failed to repair seed {seed}/{sim_seed}: {r2:?}"
-                );
-                break;
-            }
-        }
-        deadlocked_any += stalled as usize;
-    }
-    assert!(
-        rejected >= 5,
-        "sweep needs rejected systems, got {rejected}"
-    );
-    // 2PL rejections are precisely deadlock risks; most manifest within
-    // 10 timings.
-    assert!(
-        deadlocked_any * 2 >= rejected,
-        "too few rejected systems deadlocked: {deadlocked_any}/{rejected}"
-    );
+    ledger::check(&["payoff.sweep.uncertified"]);
 }
 
-/// The threaded runtime — the engine, one instance per transaction on
-/// its own worker — commits and audits serializable on a certified
-/// workload and on a deadlock-prone one (random 2PL) alike.
+/// The threaded runtime — the engine — commits and audits serializable
+/// on a certified workload and on a deadlock-prone one (random 2PL)
+/// alike.
 #[test]
 fn threaded_runtime_contract() {
-    for (discipline, seed) in [
-        (LockDiscipline::OrderedTwoPhase, 5),
-        (LockDiscipline::RandomTwoPhase, 17),
-    ] {
-        let sys = SystemGen {
-            n_sites: 3,
-            entities_per_site: 1,
-            n_txns: 4,
-            entities_per_txn: 3,
-            discipline,
-            seed,
-        }
-        .generate();
-        let r = run_system(
-            &sys,
-            EngineConfig {
-                threads: 4,
-                instances: 4,
-                work: std::time::Duration::from_micros(200),
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.committed, 4, "{discipline:?}: {r:?}");
-        assert_eq!(r.serializable, Some(true), "{discipline:?}: {r:?}");
-    }
+    ledger::check(&["engine.ordered_2pl", "engine.random_2pl"]);
 }

@@ -1,128 +1,36 @@
 //! Theorem 2 end-to-end: the 3SAT′ ⟺ deadlock-prefix equivalence across
-//! independent deciders, plus both witness mappings.
+//! independent deciders, plus both witness mappings, by the paper
+//! ledger's golden lines that hold each (`tests/ledger/`).
 
-use ddlf::core::{check_deadlock_prefix, ReductionGraph, SatReduction};
-use ddlf::sat::{generate_batch, solve, solve_brute_force, Cnf, Lit, SatResult, Var};
+mod ledger;
 
 #[test]
 fn equivalence_sweep() {
-    let mut sat_count = 0;
-    let mut unsat_count = 0;
-    for n in 1..=4u32 {
-        for f in generate_batch(n, 0x7E2 + n as u64, 10) {
-            let red = SatReduction::build(&f).unwrap();
-            let sat = solve(&f).is_sat();
-            let dl = red
-                .has_deadlock_prefix(500_000_000)
-                .expect("budget")
-                .is_some();
-            assert_eq!(sat, dl, "Theorem 2 equivalence failed on {f}");
-            if sat {
-                sat_count += 1;
-            } else {
-                unsat_count += 1;
-            }
-        }
-    }
-    assert!(
-        sat_count > 0 && unsat_count > 0,
-        "sweep must cover both outcomes"
-    );
+    ledger::check(&["thm2.*.sat", "thm2.*.deadlock", "thm2.*.agree"]);
 }
 
 #[test]
 fn assignment_to_prefix_to_cycle_roundtrip() {
-    for n in 2..=4u32 {
-        for f in generate_batch(n, 0xABC + n as u64, 10) {
-            if let SatResult::Sat(a) = solve(&f) {
-                let red = SatReduction::build(&f).unwrap();
-                // assignment → deadlock prefix with cyclic reduction graph.
-                let prefix = red.prefix_from_assignment(&f, &a).expect("satisfying");
-                let rg = ReductionGraph::build(&red.sys, &prefix);
-                let cycle = rg.cycle(&red.sys).expect("cyclic");
-                // prefix has a schedule (all-lock prefixes on disjoint
-                // entities: verified by the full checker).
-                let dp = check_deadlock_prefix(&red.sys, &prefix, 1_000_000)
-                    .expect("genuine deadlock prefix");
-                assert!(!dp.schedule.is_empty());
-                // cycle → assignment satisfies the formula.
-                let a2 = red.assignment_from_cycle(&cycle);
-                assert!(
-                    f.evaluate(&a2),
-                    "cycle-derived assignment {a2:?} does not satisfy {f}"
-                );
-            }
-        }
-    }
+    ledger::check(&["thm2.*.assignment_roundtrip"]);
 }
 
 #[test]
 fn witness_cycle_assignment_satisfies() {
-    for n in 1..=3u32 {
-        for f in generate_batch(n, 0xF00D + n as u64, 10) {
-            let red = SatReduction::build(&f).unwrap();
-            if let Some(w) = red.has_deadlock_prefix(500_000_000).unwrap() {
-                let a = red.assignment_from_cycle(&w.cycle);
-                assert!(
-                    f.evaluate(&a),
-                    "search-witness assignment {a:?} does not satisfy {f}"
-                );
-                // The witness prefix is verifiable independently.
-                check_deadlock_prefix(&red.sys, &w.prefix, 1_000_000)
-                    .expect("witness prefix verifies");
-            }
-        }
-    }
+    ledger::check(&["thm2.*.witness_roundtrip"]);
 }
 
 #[test]
 fn gadget_structure_invariants() {
-    for n in 1..=4u32 {
-        for f in generate_batch(n, 0x60D + n as u64, 5) {
-            let red = SatReduction::build(&f).unwrap();
-            let r = red.n_clauses();
-            // 2r + 3n entities, each on its own site.
-            assert_eq!(red.sys.db().entity_count(), 2 * r + 3 * n as usize);
-            assert_eq!(red.sys.db().site_count(), 2 * r + 3 * n as usize);
-            for (_, t) in red.sys.iter() {
-                assert!(ddlf::core::is_lock_unlock_shaped(t));
-                assert_eq!(t.node_count(), 2 * (2 * r + 3 * n as usize));
-            }
-        }
-    }
+    ledger::check(&["thm2.*.gadget_shape"]);
 }
 
 #[test]
 fn dpll_agrees_with_brute_force_on_sweep() {
-    for n in 1..=5u32 {
-        for f in generate_batch(n, 0xB00 + n as u64, 20) {
-            assert_eq!(
-                solve(&f).is_sat(),
-                solve_brute_force(&f).is_sat(),
-                "solver mismatch on {f}"
-            );
-        }
-    }
+    ledger::check(&["thm2.*.dpll_agrees_brute_force"]);
 }
 
+/// `(x)(x)(¬x)`, k independent copies: unsatisfiable, so deadlock-free.
 #[test]
 fn hand_built_unsat_families() {
-    // (x)(x)(¬x) scaled: k independent copies — all unsat, growing gadgets.
-    for k in 1..=3u32 {
-        let mut f = Cnf::new(k);
-        for v in 0..k {
-            f.add_clause(vec![Lit::pos(Var(v))]);
-            f.add_clause(vec![Lit::pos(Var(v))]);
-        }
-        for v in 0..k {
-            f.add_clause(vec![Lit::neg(Var(v))]);
-        }
-        f.validate_three_sat_prime().unwrap();
-        assert!(!solve(&f).is_sat());
-        let red = SatReduction::build(&f).unwrap();
-        assert!(
-            red.has_deadlock_prefix(500_000_000).unwrap().is_none(),
-            "unsat family k={k} must be deadlock-free"
-        );
-    }
+    ledger::check(&["thm2.unsat_k1", "thm2.unsat_k2", "thm2.unsat_k3"]);
 }

@@ -8,8 +8,8 @@
 //!
 //! A `Certificate` means **every** schedule of the system is serializable
 //! and every partial schedule can be completed — the static guarantee the
-//! `ddlf-sim` runtime exploits by switching off all deadlock handling for
-//! certified workloads.
+//! engine (and the simulator) exploit by switching off all deadlock
+//! handling for certified workloads.
 
 use crate::many::{many_safe_df, CycleWitness, ManyOptions, ManyViolation};
 use crate::pairwise::{pairwise_safe_df, PairCertificate, PairViolation};

@@ -45,9 +45,11 @@
 //! engine keeps a *live* `D(S)` verdict instead of re-running the
 //! quadratic batch audit per report. Commit/abort decisions flow to the
 //! same auditor (aborted attempts contribute nothing to the committed
-//! projection); the batch [`ddlf_sim::History::audit`] remains the
-//! oracle: debug builds record a plain history under the same lock and
-//! cross-check it when the auditor's epoch closes.
+//! projection); the batch
+//! [`CommittedProjection::audit`](ddlf_model::CommittedProjection::audit)
+//! remains the oracle: debug builds record a plain [`ddlf_model::History`]
+//! under the same lock and cross-check it when the auditor's epoch
+//! closes.
 //!
 //! **One audit epoch.** Runs may execute concurrently on one engine
 //! (the wire server's Submits do), so the auditor belongs to an
@@ -74,7 +76,7 @@ use crate::wal::{Recovered, Wal, WalOptions, WalRecord};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 #[cfg(debug_assertions)]
-use ddlf_sim::{History, HistoryEvent, SimTime};
+use ddlf_model::{History, HistoryEvent};
 use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
 use parking_lot::{Condvar, Mutex};
 use rand::prelude::*;
@@ -321,8 +323,7 @@ impl EpochAudit {
             self.auditor.event(ctx.gid, ctx.attempt, node);
             #[cfg(debug_assertions)]
             self.oracle.history.record(HistoryEvent {
-                time: SimTime(self.oracle.history.len() as u64),
-                txn: TxnId(ctx.gid),
+                id: ctx.gid,
                 attempt: ctx.attempt,
                 node,
             });
@@ -359,44 +360,17 @@ impl EpochAudit {
 #[cfg(debug_assertions)]
 impl Oracle {
     /// The batch `D(S)` audit of the epoch's committed projection: one
-    /// transaction per committed instance, indexed through an
-    /// epoch-local table (gid order) — overlapping runs interleave
-    /// their gid ranges, so gids are not contiguous here.
+    /// transaction per committed instance, in gid order — overlapping
+    /// runs interleave their gid ranges, so gids are not contiguous here.
     fn audit(&self, sys: &TransactionSystem) -> Option<bool> {
-        let mut members: Vec<(u32, TxnId, u32)> = self
+        let committed = self
             .instances
             .iter()
-            .filter_map(|(&gid, &(t, committed))| Some((gid, t, committed?)))
-            .collect();
-        if members.is_empty() {
-            return Some(true);
-        }
-        members.sort_unstable_by_key(|&(gid, ..)| gid);
-        let local: HashMap<u32, u32> = (0..)
-            .zip(&members)
-            .map(|(i, &(gid, ..))| (gid, i))
-            .collect();
-        let txns: Vec<Transaction> = members
-            .iter()
-            .map(|&(gid, t, _)| {
-                let t = sys.txn(t);
-                t.clone().with_name(format!("{}#{gid}", t.name()))
-            })
-            .collect();
-        let committed_attempt: Vec<Option<u32>> =
-            members.iter().map(|&(.., attempt)| Some(attempt)).collect();
-        let mut history = History::new();
-        for e in self.history.events() {
-            if let Some(&i) = local.get(&e.txn.0) {
-                history.record(HistoryEvent {
-                    txn: TxnId(i),
-                    ..*e
-                });
-            }
-        }
-        TransactionSystem::new(sys.db().clone(), txns)
+            .filter_map(|(&gid, &(template, attempt))| Some((gid, template, attempt?)));
+        self.history
+            .committed_projection(sys, committed)
+            .audit()
             .ok()
-            .and_then(|audit_sys| history.audit(&audit_sys, &committed_attempt).ok())
     }
 }
 

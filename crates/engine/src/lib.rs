@@ -4,10 +4,10 @@
 //! Wolfson & Yannakakis (PODS 1985) prove that a *statically certified*
 //! system of locked transactions needs **no deadlock detector at
 //! runtime**: every schedule is serializable and every partial schedule
-//! completable. `ddlf-core` computes those certificates and `ddlf-sim`
-//! simulates lock traffic — this crate is where the payoff lands on a
-//! real data path: an in-memory, multi-threaded, sharded key-value store
-//! whose admission control *is* the paper's certifier.
+//! completable. `ddlf-core` computes those certificates; this crate is
+//! where the payoff lands on a real data path: an in-memory,
+//! multi-threaded, sharded key-value store whose admission control *is*
+//! the paper's certifier.
 //!
 //! ## Architecture
 //!
@@ -91,7 +91,7 @@
 //!
 //! * [`store`] — entities carry versioned `u64`/bytes payloads, sharded
 //!   by [`ddlf_model::SiteId`]; each shard owns its values *and* its
-//!   [`ddlf_sim::LockTable`] behind one `parking_lot` mutex, so a grant
+//!   [`lockmgr::LockTable`] behind one `parking_lot` mutex, so a grant
 //!   and the read it authorizes are a single critical section.
 //! * [`mvcc`] — the one value representation: per-entity write-order
 //!   chains (live value, in-flight writes, rollback and committed cuts
@@ -123,14 +123,20 @@
 //!   verdict is already known when the run drains. Concurrent runs
 //!   share that auditor through one *audit epoch*, closed only at
 //!   quiescence (debug builds cross-check each closed epoch against the
-//!   batch [`ddlf_sim::History`] oracle).
-//! * [`report`] — throughput / latency / abort metrics following the
-//!   `ddlf_sim::metrics` conventions.
+//!   batch [`ddlf_model::History`] oracle).
+//! * [`report`] — throughput / latency / abort metrics, in the
+//!   simulator's `SimReport` vocabulary.
 //! * [`wal`] — the optional write-ahead file sink: one append-only
 //!   log in which file order is chain order, audit order and
 //!   data-before-decision at once; [`wal::recover`] rebuilds the
 //!   committed chains from it and re-audits the recovered history
 //!   after a crash.
+//! * [`wire`] — the binary conventions every byte stream shares: the
+//!   length-prefixed [`wire::frame`] format (the log file, and every
+//!   `ddlf-server` request and response) and the checked
+//!   [`wire::codec`] primitives.
+//! * [`lockmgr`] — the FIFO exclusive lock table each shard keeps (the
+//!   simulator keeps one per site).
 //!
 //! Concurrency is a *certified quantity*: each template's [`SlotGate`]
 //! admits at most its certified `k_t` live instances (∞ under Theorem 5,
@@ -171,6 +177,7 @@
 
 mod attempt;
 pub mod executor;
+pub mod lockmgr;
 pub mod mvcc;
 mod pool;
 pub mod replay;
@@ -178,6 +185,7 @@ pub mod report;
 pub mod store;
 pub mod template;
 pub mod wal;
+pub mod wire;
 
 pub use executor::{run_system, Engine, EngineConfig, EPOCH_CAP};
 pub use mvcc::{RoEntry, RoSnapshot};
@@ -188,7 +196,7 @@ pub use template::{
     render_plan, AdmissionOptions, AdmissionPlan, AdmissionVerdict, Inflation, Program, SlotGate,
     SlotGuard, Slots, Template, TemplateRegistry, WriteOp,
 };
-pub use wal::{recover, GroupEntry, Recovered, Wal, WalError, WalOptions, WalRecord};
+pub use wal::{recover, Recovered, Wal, WalError, WalOptions, WalRecord};
 
 /// Read by nothing, like `EngineConfig::group_commit`: a `wal_sync`
 /// commit group is every decision one fsync covers, so it has no size.

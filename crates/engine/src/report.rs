@@ -1,4 +1,4 @@
-//! Run reports, following the `ddlf_sim::metrics` conventions
+//! Run reports, in the simulator's `SimReport` vocabulary
 //! (`throughput_per_sec`, `all_committed`, a `serializable` audit slot)
 //! but measured in wall-clock time on real threads.
 

@@ -22,11 +22,11 @@
 //! holder in the lock tables, the wait-die timestamp, and the key of
 //! its chain entries and WAL records.
 
+use crate::lockmgr::{Acquire, LockTable};
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
 use crate::wal::{Wal, WalRecord};
 use ddlf_model::{Database, EntityId, SiteId, TxnId};
-use ddlf_sim::{Acquire, LockTable};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;

@@ -19,9 +19,9 @@
 //! ## On-disk layout
 //!
 //! (The canonical copy of this grammar — alongside the shared
-//! [`ddlf_sim::msg::frame`] framing and [`ddlf_sim::msg::codec`]
-//! conventions it builds on — lives in `ARCHITECTURE.md` at the
-//! repository root; this rustdoc mirrors it for in-code readers.)
+//! [`frame`] framing and [`codec`] conventions it builds on — lives in
+//! `ARCHITECTURE.md` at the repository root; this rustdoc mirrors it for
+//! in-code readers.)
 //!
 //! A WAL directory holds exactly two files:
 //!
@@ -31,9 +31,9 @@
 //!     log.wal     every record, in append order
 //! ```
 //!
-//! `log.wal` is a sequence of length-prefixed frames in the
-//! [`ddlf_sim::msg::frame`] codec (u32 LE length + payload); each payload
-//! is one binary [`WalRecord`]:
+//! `log.wal` is a sequence of length-prefixed frames in the [`frame`]
+//! codec (u32 LE length + payload); each payload is one binary
+//! [`WalRecord`]:
 //!
 //! ```text
 //!  Begin   := 0x01 gid:u32 template:u32 attempt:u32
@@ -104,11 +104,11 @@
 
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
+use crate::wire::{codec, frame};
 use bytes::{BufMut, Bytes, BytesMut};
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, SystemSpec, TransactionSystem, TxnId};
-use ddlf_sim::msg::{codec, frame};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -146,7 +146,18 @@ pub enum WalRecord {
         op: WriteOp,
     },
     /// The durable commit decision for one instance.
-    Commit(GroupEntry),
+    Commit {
+        /// Global instance id.
+        gid: u32,
+        /// Template index within the registered system.
+        template: u32,
+        /// The committing attempt.
+        attempt: u32,
+        /// The commit timestamp allocated before durability: recovery
+        /// stamps it on the instance's chain entries, so decision file
+        /// order need not equal commit order.
+        commit_ts: u64,
+    },
     /// The attempt died (wait-die victim); its writes were undone.
     Abort {
         /// Global instance id.
@@ -164,21 +175,6 @@ pub enum WalRecord {
         /// Operation node within the template.
         node: NodeId,
     },
-}
-
-/// One committed instance: the body of a [`WalRecord::Commit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupEntry {
-    /// Global instance id.
-    pub gid: u32,
-    /// Template index within the registered system.
-    pub template: u32,
-    /// The committing attempt.
-    pub attempt: u32,
-    /// The commit timestamp allocated before durability: recovery
-    /// stamps it on the instance's chain entries, so decision file
-    /// order need not equal commit order.
-    pub commit_ts: u64,
 }
 
 const TAG_BEGIN: u8 = 1;
@@ -217,22 +213,6 @@ fn get_op(buf: &mut Bytes) -> Option<WriteOp> {
     }
 }
 
-fn put_entry(b: &mut impl BufMut, e: &GroupEntry) {
-    b.put_u32_le(e.gid);
-    b.put_u32_le(e.template);
-    b.put_u32_le(e.attempt);
-    b.put_u64_le(e.commit_ts);
-}
-
-fn get_entry(buf: &mut Bytes) -> Option<GroupEntry> {
-    Some(GroupEntry {
-        gid: codec::get_u32(buf)?,
-        template: codec::get_u32(buf)?,
-        attempt: codec::get_u32(buf)?,
-        commit_ts: codec::get_u64(buf)?,
-    })
-}
-
 impl WalRecord {
     /// Encodes to the binary record format (see module docs).
     pub fn encode(&self) -> Bytes {
@@ -267,9 +247,17 @@ impl WalRecord {
                 b.put_u32_le(entity.0);
                 put_op(b, op);
             }
-            WalRecord::Commit(e) => {
+            WalRecord::Commit {
+                gid,
+                template,
+                attempt,
+                commit_ts,
+            } => {
                 b.put_u8(TAG_COMMIT);
-                put_entry(b, e);
+                b.put_u32_le(*gid);
+                b.put_u32_le(*template);
+                b.put_u32_le(*attempt);
+                b.put_u64_le(*commit_ts);
             }
             WalRecord::Abort { gid, attempt } => {
                 b.put_u8(TAG_ABORT);
@@ -299,7 +287,12 @@ impl WalRecord {
                 entity: EntityId(codec::get_u32(&mut buf)?),
                 op: get_op(&mut buf)?,
             },
-            TAG_COMMIT => WalRecord::Commit(get_entry(&mut buf)?),
+            TAG_COMMIT => WalRecord::Commit {
+                gid: codec::get_u32(&mut buf)?,
+                template: codec::get_u32(&mut buf)?,
+                attempt: codec::get_u32(&mut buf)?,
+                commit_ts: codec::get_u64(&mut buf)?,
+            },
             TAG_ABORT => WalRecord::Abort {
                 gid: codec::get_u32(&mut buf)?,
                 attempt: codec::get_u32(&mut buf)?,
@@ -412,7 +405,7 @@ impl LogWriter {
                 return Err(e);
             }
         }
-        if matches!(rec, WalRecord::Commit(_)) {
+        if matches!(rec, WalRecord::Commit { .. }) {
             // Counted before a full-buffer push, so that push covers it.
             self.marks.decided.fetch_add(1, Ordering::Release);
         }
@@ -668,7 +661,7 @@ impl Wal {
     /// the syncer still advances the mark and `notify_all`s, so every
     /// waiter wakes to observe the failure.
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
-        let entry = GroupEntry {
+        let decision = WalRecord::Commit {
             gid,
             template: template.0,
             attempt,
@@ -676,7 +669,7 @@ impl Wal {
         };
         let mine = {
             let mut f = self.log.lock();
-            self.append_record(&mut f, &WalRecord::Commit(entry));
+            self.append_record(&mut f, &decision);
             self.marks.decided.load(Ordering::Relaxed)
         };
         if !self.sync {
@@ -991,17 +984,20 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
                 aborted += 1;
                 saw(gid);
             }
-            WalRecord::Commit(e) => {
-                if e.template as usize >= system.len() {
+            WalRecord::Commit {
+                gid,
+                template,
+                attempt,
+                commit_ts,
+            } => {
+                if template as usize >= system.len() {
                     return Err(WalError::Record(format!(
-                        "commit of instance {} names template {}, system has {}",
-                        e.gid,
-                        e.template,
+                        "commit of instance {gid} names template {template}, system has {}",
                         system.len()
                     )));
                 }
-                committed.insert(e.gid, (TxnId(e.template), e.attempt, e.commit_ts));
-                saw(e.gid);
+                committed.insert(gid, (TxnId(template), attempt, commit_ts));
+                saw(gid);
             }
             WalRecord::Write { .. } | WalRecord::Event { .. } => unreachable!("skipped by tag"),
         }
@@ -1144,12 +1140,12 @@ mod tests {
                 "02ffffffff02000000050000000203000000010203",
             ),
             (
-                WalRecord::Commit(GroupEntry {
+                WalRecord::Commit {
                     gid: 1,
                     template: 0,
                     attempt: 1,
                     commit_ts: u64::MAX - 1,
-                }),
+                },
                 "04010000000000000001000000feffffffffffffff",
             ),
             (
@@ -1356,7 +1352,7 @@ mod tests {
         assert_eq!(w.pushes(), 1);
         let recs = decisions_of(w.dir());
         assert_eq!(recs.len(), 8);
-        assert!(recs.iter().all(|r| matches!(r, WalRecord::Commit(_))));
+        assert!(recs.iter().all(|r| matches!(r, WalRecord::Commit { .. })));
     }
 
     #[test]
@@ -1366,12 +1362,12 @@ mod tests {
         w.flush();
         assert_eq!(
             decisions_of(w.dir()),
-            vec![WalRecord::Commit(GroupEntry {
+            vec![WalRecord::Commit {
                 gid: 3,
                 template: 1,
                 attempt: 2,
                 commit_ts: 9,
-            })]
+            }]
         );
         assert_eq!(w.group_counters(), (1, 1));
     }
@@ -1438,7 +1434,7 @@ mod tests {
     /// for byte, for every record kind — one grammar, one encoder.
     #[test]
     fn log_writer_frames_every_record_kind_like_write_frame() {
-        let entry = |gid| GroupEntry {
+        let commit = |gid| WalRecord::Commit {
             gid,
             template: 2,
             attempt: 1,
@@ -1460,7 +1456,7 @@ mod tests {
             write(WriteOp::Put(u64::MAX)),
             write(WriteOp::PutBytes(vec![0x5A; 300])),
             write(WriteOp::PutBytes(Vec::new())),
-            WalRecord::Commit(entry(5)),
+            commit(5),
             WalRecord::Abort { gid: 6, attempt: 3 },
             WalRecord::Event {
                 gid: 7,

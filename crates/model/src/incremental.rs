@@ -36,7 +36,8 @@
 //! it as `model.audit_us_per_commit` and
 //! `engine.wal.recover_us_per_commit`).
 //!
-//! The batch audit stays in the tree as the **oracle**: proptests drive
+//! The batch audit ([`CommittedProjection::audit`](crate::CommittedProjection::audit))
+//! stays in the tree as the **oracle**: proptests drive
 //! random certified and wait-die histories (with retries and rollbacks)
 //! through both and assert verdict equality, and the engine cross-checks
 //! every run's streaming verdict against the batch verdict in debug
@@ -245,8 +246,9 @@ struct InstanceState {
 /// An online auditor for the committed projection of a run's history:
 /// feed it every lock/unlock event plus each instance's commit/abort
 /// decision, and it maintains the `D(S)` serializability verdict
-/// incrementally — the streaming replacement for `ddlf_sim`'s
-/// `History::audit` (which remains the batch oracle). See the
+/// incrementally — the streaming counterpart of the batch
+/// [`CommittedProjection::audit`](crate::CommittedProjection::audit),
+/// which remains its oracle. See the
 /// [module docs](self) for the algorithm and the complexity contract.
 ///
 /// Instances are identified by a caller-chosen `u32` **gid** (the

@@ -20,6 +20,10 @@
 //!   time (per-entity lock chains + Pearce–Kelly incremental topological
 //!   ordering) at amortized near-constant cost per event, with the batch
 //!   audit kept as its oracle;
+//! * a [`History`] records a runtime's lock/unlock events per instance
+//!   and attempt; its [`CommittedProjection`] is that batch oracle — the
+//!   one place a history becomes a schedule over one transaction per
+//!   committed instance;
 //! * [`Prefix`]/[`SystemPrefix`] are the downward-closed node sets that
 //!   deadlock analysis (§3) is phrased in, including the maximal-prefix
 //!   and minimal-prefix constructions of §5.
@@ -62,6 +66,7 @@ pub mod dot;
 pub mod error;
 pub mod explore;
 pub mod graph;
+pub mod history;
 pub mod ids;
 pub mod incremental;
 pub mod inflate;
@@ -82,6 +87,7 @@ pub use explore::{
     ExploreStats, WaitEdge,
 };
 pub use graph::{DiGraph, UnGraph};
+pub use history::{CommittedProjection, History, HistoryEvent};
 pub use ids::{EntityId, GlobalNode, NodeId, SiteId, TxnId};
 pub use incremental::{IncrementalTopo, StreamingAuditor};
 pub use inflate::{CopyMap, InflatedSystem};

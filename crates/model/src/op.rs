@@ -3,8 +3,8 @@
 //! Following §2 of the paper, action (read/update) nodes are erased from the
 //! static model: the positions of actions play no role in safety or
 //! deadlock-freedom, so a transaction is viewed as a partial order of Lock
-//! and Unlock steps only. The runtime simulator re-attaches work to lock
-//! scopes separately (see the `ddlf-sim` crate).
+//! and Unlock steps only. The runtimes re-attach work to lock scopes
+//! separately (the engine's template programs, the simulator's `work_us`).
 
 use crate::ids::EntityId;
 use serde::{Deserialize, Serialize};

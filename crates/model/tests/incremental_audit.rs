@@ -7,9 +7,9 @@
 //! different order than they locked) is exercised heavily. Every
 //! generated history is audited twice:
 //!
-//! * **batch oracle** — materialize the committed projection as a
-//!   [`Schedule`] over a one-transaction-per-instance audit system and
-//!   run [`History`-style] `validate` + `conflict_digraph`;
+//! * **batch oracle** — record the events as a [`History`] and audit its
+//!   [`CommittedProjection`] (`validate` + `conflict_digraph` over one
+//!   transaction per committed instance);
 //! * **incremental** — stream the identical event/commit/abort sequence
 //!   through a [`StreamingAuditor`] and `seal`.
 //!
@@ -26,7 +26,8 @@
 
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{
-    Database, EntityId, GlobalNode, NodeId, Op, Schedule, Transaction, TransactionSystem, TxnId,
+    CommittedProjection, Database, EntityId, GlobalNode, History, HistoryEvent, NodeId, Op,
+    Transaction, TransactionSystem, TxnId,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -50,6 +51,24 @@ struct Run {
     calls: Vec<Call>,
     /// `gid → committed attempt` (absent = never committed).
     committed: HashMap<u32, u32>,
+}
+
+impl Run {
+    /// The batch oracle's input: the committed projection of the run's
+    /// events.
+    fn projection(&self) -> CommittedProjection {
+        let mut history = History::new();
+        for &c in &self.calls {
+            if let Call::Event(id, attempt, node) = c {
+                history.record(HistoryEvent { id, attempt, node });
+            }
+        }
+        let committed = self
+            .instances
+            .iter()
+            .filter_map(|&(gid, t)| Some((gid, t, *self.committed.get(&gid)?)));
+        history.committed_projection(&self.sys, committed)
+    }
 }
 
 /// Builds a random template over a non-empty entity subset: a random
@@ -185,69 +204,19 @@ fn random_run(seed: u64) -> Run {
     }
 }
 
-/// The committed projection of `calls` as explicit steps over a dense
-/// one-transaction-per-committed-instance audit system.
-fn committed_projection(run: &Run) -> (TransactionSystem, Vec<Option<u32>>, Vec<GlobalNode>) {
-    let mut gids: Vec<u32> = run.committed.keys().copied().collect();
-    gids.sort_unstable();
-    let dense: HashMap<u32, usize> = gids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-    let template_of: HashMap<u32, TxnId> = run.instances.iter().copied().collect();
-    let txns: Vec<Transaction> = gids
-        .iter()
-        .map(|g| {
-            let t = run.sys.txn(template_of[g]);
-            t.clone().with_name(format!("{}#{g}", t.name()))
-        })
-        .collect();
-    let audit_sys = TransactionSystem::new(run.sys.db().clone(), txns).unwrap();
-    let committed_attempt: Vec<Option<u32>> = gids.iter().map(|g| Some(run.committed[g])).collect();
-    let steps: Vec<GlobalNode> = run
-        .calls
-        .iter()
-        .filter_map(|c| match *c {
-            Call::Event(gid, attempt, node) if run.committed.get(&gid) == Some(&attempt) => {
-                Some(GlobalNode::new(TxnId(dense[&gid] as u32), node))
-            }
-            _ => None,
-        })
-        .collect();
-    (audit_sys, committed_attempt, steps)
-}
-
-/// Batch verdict over explicit steps: `None` mirrors a validation error.
-fn batch_verdict(audit_sys: &TransactionSystem, steps: &[GlobalNode]) -> Option<bool> {
-    let sched = Schedule::from_steps(steps.to_vec());
-    let v = sched.validate(audit_sys).ok()?;
-    Some(sched.conflict_digraph(audit_sys, &v).is_acyclic())
-}
-
 /// Asserts that an incremental cycle witness is a genuine cycle of the
 /// batch conflict graph.
-fn assert_witness_real(
-    run: &Run,
-    audit_sys: &TransactionSystem,
-    steps: &[GlobalNode],
-    witness: &[u32],
-) {
-    let mut gids: Vec<u32> = run.committed.keys().copied().collect();
-    gids.sort_unstable();
-    let dense: HashMap<u32, u32> = gids
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, i as u32))
-        .collect();
-    let sched = Schedule::from_steps(steps.to_vec());
-    let v = sched.validate(audit_sys).expect("witnessed run validates");
-    let cg = sched.conflict_digraph(audit_sys, &v);
+fn assert_witness_real(projection: &CommittedProjection, witness: &[u32]) {
+    let cg = projection
+        .conflict_digraph()
+        .expect("witnessed run validates");
+    let dense = |gid: u32| projection.ids.binary_search(&gid).unwrap() as u32;
     assert!(witness.len() >= 2, "cycles have length ≥ 2 here");
     for k in 0..witness.len() {
-        let a = dense[&witness[k]];
-        let b = dense[&witness[(k + 1) % witness.len()]];
+        let (a, b) = (witness[k], witness[(k + 1) % witness.len()]);
         assert!(
-            cg.labels.contains_key(&(a, b)),
-            "witness arc {} → {} missing from the batch graph",
-            witness[k],
-            witness[(k + 1) % witness.len()],
+            cg.labels.contains_key(&(dense(a), dense(b))),
+            "witness arc {a} → {b} missing from the batch graph",
         );
     }
 }
@@ -272,16 +241,16 @@ proptest! {
             }
         }
         let streaming = auditor.seal();
-        let (audit_sys, committed_attempt, steps) = committed_projection(&run);
-        let batch = batch_verdict(&audit_sys, &steps);
+        let projection = run.projection();
+        let batch = projection.audit().ok();
         prop_assert_eq!(
             streaming, batch,
             "seed {}: streaming {:?} != batch {:?} ({} committed, {} calls)",
-            seed, streaming, batch, committed_attempt.len(), run.calls.len()
+            seed, streaming, batch, projection.ids.len(), run.calls.len()
         );
         if streaming == Some(false) {
             let witness = auditor.cycle().expect("false verdict carries a witness").to_vec();
-            assert_witness_real(&run, &audit_sys, &steps, &witness);
+            assert_witness_real(&projection, &witness);
         }
     }
 
@@ -295,33 +264,32 @@ proptest! {
         cut_num in 0u64..=8,
     ) {
         let run = random_run(seed);
-        let (audit_sys, _committed_attempt, steps) = committed_projection(&run);
-        let cut = (steps.len() as u64 * cut_num / 8) as usize;
-        let torn = &steps[..cut];
+        let mut torn = run.projection();
+        let full = torn.steps.len();
+        let cut = (full as u64 * cut_num / 8) as usize;
+        torn.steps.truncate(cut);
 
-        let mut gids: Vec<u32> = run.committed.keys().copied().collect();
-        gids.sort_unstable();
         let template_of: HashMap<u32, TxnId> = run.instances.iter().copied().collect();
         let mut auditor = StreamingAuditor::new(&run.sys);
-        for &g in &gids {
+        for &g in &torn.ids {
             auditor.admit(g, template_of[&g]);
             auditor.commit(g, run.committed[&g]);
         }
-        // `steps` re-keys txn to the dense index; feed gids back.
-        for s in torn {
-            let gid = gids[s.txn.index()];
+        // The steps are keyed by dense index; feed gids back.
+        for s in &torn.steps {
+            let gid = torn.ids[s.txn.index()];
             auditor.event(gid, run.committed[&gid], s.node);
         }
         let streaming = auditor.seal();
-        let batch = batch_verdict(&audit_sys, torn);
+        let batch = torn.audit().ok();
         prop_assert_eq!(
             streaming, batch,
             "seed {} cut {}/{}: streaming {:?} != batch {:?}",
-            seed, cut, steps.len(), streaming, batch
+            seed, cut, full, streaming, batch
         );
         if streaming == Some(false) {
             let witness = auditor.cycle().expect("false verdict carries a witness").to_vec();
-            assert_witness_real(&run, &audit_sys, torn, &witness);
+            assert_witness_real(&torn, &witness);
         }
     }
 }
@@ -388,8 +356,7 @@ fn generator_covers_the_interesting_cases() {
             .count();
         retried += usize::from(run.committed.values().any(|&a| a > 0));
         failed += usize::from(run.committed.len() < run.instances.len());
-        let (audit_sys, _, steps) = committed_projection(&run);
-        if batch_verdict(&audit_sys, &steps) == Some(false) {
+        if run.projection().audit() == Ok(false) {
             nonser += 1;
         }
     }

@@ -12,7 +12,7 @@
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapshotReply, StatsSnapshot,
 };
-use ddlf_sim::msg::frame;
+use ddlf_engine::wire::frame;
 use std::fmt;
 use std::io;
 use std::net::TcpStream;

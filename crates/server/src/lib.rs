@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!   Client (this crate / ddlf-audit submit / your process)
-//!      │  Request  — 1 frame = u32 LE length + payload (msg::frame)
+//!      │  Request  — 1 frame = u32 LE length + payload (wire::frame)
 //!      ▼
 //!   Server accept loop ── thread per connection ──▶ Shared state
 //!      │                          Mutex<Slot { Option<Arc<Engine>>, runs, registering }>
@@ -34,9 +34,9 @@
 //! ## Protocol
 //!
 //! One request per frame, one response frame per request, in order, over
-//! [`ddlf_sim::msg::frame`]'s length-prefixed framing. Payload encoding
-//! follows `ddlf_sim::msg`: a 1-byte opcode, little-endian fixed-width
-//! integers, `u32`-length-prefixed UTF-8 strings.
+//! [`ddlf_engine::wire::frame`]'s length-prefixed framing. Payload encoding
+//! follows [`ddlf_engine::wire::codec`]: a 1-byte opcode, little-endian
+//! fixed-width integers, `u32`-length-prefixed UTF-8 strings.
 //!
 //! | opcode | request          | payload                                   | reply                      |
 //! |-------:|------------------|-------------------------------------------|----------------------------|

@@ -1,9 +1,10 @@
 //! The wire protocol: request/response enums with a compact binary
-//! encoding, following the `ddlf_sim::msg` conventions (1-byte tag,
-//! little-endian fixed-width integers, length-prefixed UTF-8 strings).
+//! encoding, following the [`ddlf_engine::wire::codec`] conventions
+//! (1-byte tag, little-endian fixed-width integers, length-prefixed UTF-8
+//! strings).
 //!
 //! A protocol unit is one encoded message carried in one
-//! [`ddlf_sim::msg::frame`] frame. Decoding is strict: unknown tags,
+//! [`ddlf_engine::wire::frame`] frame. Decoding is strict: unknown tags,
 //! short buffers, invalid enum bytes, non-UTF-8 strings, and trailing
 //! garbage all decode to `None`, so a malformed peer can never produce a
 //! misread message — only a rejected one.
@@ -21,7 +22,7 @@ use ddlf_engine::{
 // The checked readers/writers (bounds-checked little-endian integers,
 // length-prefixed strings) are shared with the engine's WAL record
 // format — one hardened implementation for every msg-convention codec.
-use ddlf_sim::msg::codec::{finished, get_bool, get_str, get_u32, get_u64, get_u8, put_str};
+use ddlf_engine::wire::codec::{finished, get_bool, get_str, get_u32, get_u64, get_u8, put_str};
 use std::fmt;
 
 // ---- field coding ------------------------------------------------------

@@ -1,7 +1,7 @@
 //! The blocking TCP server: one accept loop, one worker thread per
 //! connection, all feeding the single shared [`Engine`].
 //!
-//! Connections speak length-prefixed frames ([`ddlf_sim::msg::frame`]),
+//! Connections speak length-prefixed frames ([`ddlf_engine::wire::frame`]),
 //! one [`Request`] per frame, answered by exactly one [`Response`]
 //! frame. A malformed frame gets a typed [`ErrorKind::BadRequest`] reply
 //! rather than a dropped connection, so clients can probe safely.
@@ -27,10 +27,10 @@ use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
     StatsSnapshot,
 };
+use ddlf_engine::wire::frame;
 use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Store, Telemetry};
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
-use ddlf_sim::msg::frame;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io;

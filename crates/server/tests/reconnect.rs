@@ -3,8 +3,8 @@
 //! `Submit` surfaces as `ReplyLost` instead of silently re-running
 //! transactions.
 
+use ddlf_engine::wire::frame;
 use ddlf_server::{Client, ClientError, Request, Response, RunStats};
-use ddlf_sim::msg::frame;
 use std::net::TcpListener;
 
 /// A hand-rolled one-shot peer: drops its first connection immediately

@@ -14,16 +14,17 @@
 //!   Rosenkrantz–Stearns–Lewis timestamp prevention schemes `[RSL]`,
 //!   the classic alternatives the paper positions itself against.
 //!
-//! Every run records a [`crate::History`] whose
-//! committed projection is audited with the model's `D(S)` test, closing
-//! the loop between runtime and theory.
+//! Every run records a [`History`] whose committed projection is
+//! audited with the model's `D(S)` test, closing the loop between
+//! runtime and theory.
 
-use crate::history::{History, HistoryEvent};
-use crate::lockmgr::{Acquire, LockTable};
 use crate::metrics::SimReport;
 use crate::msg::Message;
 use crate::time::{EventQueue, SimTime};
-use ddlf_model::{EntityId, NodeId, Prefix, SiteId, TransactionSystem, TxnId};
+use ddlf_engine::lockmgr::{Acquire, LockTable};
+use ddlf_model::{
+    DiGraph, EntityId, History, HistoryEvent, NodeId, Prefix, SiteId, TransactionSystem, TxnId,
+};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -255,8 +256,14 @@ impl<'a> Simulator<'a> {
             .collect();
         self.report.history_len = self.history.len();
         if self.report.stalled.is_empty() {
-            let committed: Vec<Option<u32>> = self.txns.iter().map(|s| s.committed).collect();
-            self.report.serializable = self.history.audit(self.sys, &committed).ok();
+            let committed = (0..)
+                .zip(&self.txns)
+                .filter_map(|(i, s)| Some((i, TxnId(i), s.committed?)));
+            self.report.serializable = self
+                .history
+                .committed_projection(self.sys, committed)
+                .audit()
+                .ok();
         }
         self.report
     }
@@ -269,17 +276,12 @@ impl<'a> Simulator<'a> {
     fn send_to_site(&mut self, site: SiteId, msg: Message) {
         let lat = self.latency();
         self.report.messages += 1;
-        // Wire-encode and decode: the site only sees the byte form.
-        let wire = msg.encode();
-        let msg = Message::decode(wire).expect("self-encoded message decodes");
         self.queue.push(self.now + lat, Event::AtSite(site, msg));
     }
 
     fn send_to_coord(&mut self, txn: TxnId, msg: Message) {
         let lat = self.latency();
         self.report.messages += 1;
-        let wire = msg.encode();
-        let msg = Message::decode(wire).expect("self-encoded message decodes");
         self.queue.push(self.now + lat, Event::AtCoord(txn, msg));
     }
 
@@ -345,8 +347,7 @@ impl<'a> Simulator<'a> {
                     st.held.retain(|&e| e != op.entity);
                     let attempt = st.attempt;
                     self.history.record(HistoryEvent {
-                        time: self.now,
-                        txn,
+                        id: txn.0,
                         attempt,
                         node: n,
                     });
@@ -430,8 +431,7 @@ impl<'a> Simulator<'a> {
                 let attempt = st.attempt;
                 let node = self.sys.txn(txn).lock_node_of(entity).expect("accessed");
                 self.history.record(HistoryEvent {
-                    time: self.now,
-                    txn,
+                    id: txn.0,
                     attempt,
                     node,
                 });
@@ -602,11 +602,11 @@ impl<'a> Simulator<'a> {
             // Each site inspects only its own table: cross-site cycles
             // are invisible.
             for s in 0..self.sites.len() {
-                let mut adj = vec![Vec::new(); d];
+                let mut waits_for = DiGraph::new(d);
                 for (w, h) in self.sites[s].wait_for_edges() {
-                    adj[w.index()].push(h.index());
+                    waits_for.add_arc(w.index(), h.index());
                 }
-                if let Some(cycle) = find_cycle(&adj) {
+                if let Some(cycle) = waits_for.find_cycle() {
                     let victim = cycle
                         .iter()
                         .max_by_key(|&&v| self.txns[v].ts)
@@ -619,13 +619,13 @@ impl<'a> Simulator<'a> {
             }
         } else {
             // Global wait-for graph snapshot across all sites.
-            let mut adj = vec![Vec::new(); d];
+            let mut waits_for = DiGraph::new(d);
             for table in &self.sites {
                 for (w, h) in table.wait_for_edges() {
-                    adj[w.index()].push(h.index());
+                    waits_for.add_arc(w.index(), h.index());
                 }
             }
-            if let Some(cycle) = find_cycle(&adj) {
+            if let Some(cycle) = waits_for.find_cycle() {
                 // Victim: youngest (largest timestamp) on the cycle.
                 let victim = cycle
                     .iter()
@@ -649,47 +649,6 @@ impl<'a> Simulator<'a> {
             }
         }
     }
-}
-
-/// DFS cycle finder over adjacency lists; returns the cycle's vertices.
-fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum C {
-        White,
-        Gray,
-        Black,
-    }
-    let n = adj.len();
-    let mut color = vec![C::White; n];
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for s in 0..n {
-        if color[s] != C::White {
-            continue;
-        }
-        color[s] = C::Gray;
-        stack.push((s, 0));
-        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < adj[v].len() {
-                let w = adj[v][*i];
-                *i += 1;
-                match color[w] {
-                    C::White => {
-                        color[w] = C::Gray;
-                        stack.push((w, 0));
-                    }
-                    C::Gray => {
-                        let pos = stack.iter().position(|&(x, _)| x == w).expect("on stack");
-                        return Some(stack[pos..].iter().map(|&(x, _)| x).collect());
-                    }
-                    C::Black => {}
-                }
-            } else {
-                color[v] = C::Black;
-                stack.pop();
-            }
-        }
-    }
-    None
 }
 
 /// Convenience: runs one simulation.

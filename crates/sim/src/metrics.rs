@@ -2,10 +2,9 @@
 
 use crate::time::SimTime;
 use ddlf_model::TxnId;
-use serde::{Deserialize, Serialize};
 
 /// Counters and outcomes of one simulated run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Transactions that ran to commit.
     pub committed: usize,

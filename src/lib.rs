@@ -15,16 +15,16 @@
 //!   many-transaction / copies certifiers, Tirri baseline, SAT gadget
 //!   (§3–§5);
 //! * [`sat`] — 3SAT′ formulas and a DPLL solver;
-//! * [`sim`] — the discrete-event runtime with deadlock
-//!   detection/prevention policies;
+//! * [`sim`] — the discrete-event simulator with deadlock
+//!   detection/prevention policies, built on the engine's lock table;
 //! * [`engine`] — a sharded transactional key-value execution engine
 //!   whose admission control is the certifier: certified systems run
 //!   with **no detector and no timeouts** at their certified
 //!   k-inflation (a counting `SlotGate` per template), uncertified
-//!   ones fall back to wait-die — with a per-shard value/undo log that
-//!   rolls dying attempts back (no dirty aborts) and an optional
-//!   write-ahead file sink whose `wal::recover` replays a crashed
-//!   store and re-audits its history;
+//!   ones fall back to wait-die — with per-entity write-order chains
+//!   that roll dying attempts back (no dirty aborts) and an optional
+//!   write-ahead log whose `wal::recover` replays a crashed store and
+//!   re-audits its history;
 //! * [`server`] — a TCP wire-protocol front-end for the engine
 //!   (length-prefixed binary frames), plus the typed client that
 //!   `ddlf-audit serve` / `submit` and external processes use;
@@ -37,21 +37,27 @@
 //! instance-lifecycle data flow, and the binary format grammars.)
 //!
 //! ```text
-//!                      ┌────────── ddlf (this facade) ──────────┐
-//!                      │                                        │
-//!   ddlf-cli (ddlf-audit) ──────────┐                           │
-//!     certify/deadlock/simulate/run │ serve/submit              │
-//!     recover (WAL replay + audit)  │                           │
-//!                      ▼            ▼                           │
-//!   ddlf-workloads   ddlf-engine   ddlf-server ── TCP frames ── clients
-//!        │              │  certify-then-run admission           │
-//!        │              │  wal: shard value/undo logs ──▶ recover
-//!        ▼              ▼          (frames via msg::frame)      │
-//!   ddlf-core ───── ddlf-model ◀──── ddlf-sim (runtime, msg::frame)
-//!        │ Theorems 1–5   │ §2 model          │
-//!        ▼                │                   └ history ──▶ streaming
-//!   ddlf-sat (3SAT′)      └ incremental D(S) auditor ◀──── D(S) verdict
-//!                           (batch audit kept as the oracle)
+//!   ddlf (this facade) re-exports every crate below; an arrow is a
+//!   dependency.
+//!
+//!   ddlf-cli (ddlf-audit): certify/deadlock/explore/simulate/run/recover/serve/submit
+//!        │
+//!        ├──────────────┬────────────────┬──────────────────┐
+//!        ▼              ▼                ▼                  ▼
+//!   ddlf-workloads   ddlf-sim         ddlf-server ── TCP frames ── clients
+//!                    des: sites,      proto over wire::frame
+//!                    4 policies          │
+//!                       │                │
+//!                       └──▶ ddlf-engine ◀┘
+//!                            certify-then-run admission, lockmgr,
+//!                            wire::{frame, codec}, wal ──▶ recover
+//!                                 │
+//!                                 ▼
+//!                   ddlf-core ──▶ ddlf-model
+//!                   Theorems 1–5  §2 model; History: the batch D(S) oracle
+//!                      │          of the incremental D(S) auditor
+//!                      ▼
+//!                   ddlf-sat (3SAT′)
 //! ```
 //!
 //! ## Quickstart

@@ -22,12 +22,12 @@
 //! from committed lock-writer arcs), and the serializability audit of
 //! a run is byte-identical with or without concurrent scanners.
 
+use ddlf::engine::wire::frame::read_frame;
 use ddlf::engine::{
     recover, Datum, Engine, EngineConfig, Program, Telemetry, TelemetryConfig, TemplateRegistry,
     VersionedValue, WalRecord, WriteOp,
 };
 use ddlf::model::{EntityId, Op, Transaction, TransactionSystem, TxnId};
-use ddlf::sim::msg::frame::read_frame;
 use ddlf::workloads::{bank_ordered_pair, Bank};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -101,8 +101,8 @@ fn decided_on_disk(dir: &Path) -> HashSet<u64> {
     let frames = std::iter::from_fn(|| read_frame(&mut file).ok().flatten());
     let mut decided = HashSet::new();
     for f in frames {
-        if let WalRecord::Commit(e) = WalRecord::decode(f.into()).unwrap() {
-            decided.insert(e.commit_ts);
+        if let WalRecord::Commit { commit_ts, .. } = WalRecord::decode(f.into()).unwrap() {
+            decided.insert(commit_ts);
         }
     }
     decided
@@ -116,8 +116,14 @@ fn model_at(dir: &Path, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> 
     let records = wal_records(dir);
     let mut decided = HashMap::new();
     for rec in &records {
-        if let WalRecord::Commit(e) = rec {
-            decided.insert((e.gid, e.attempt), e.commit_ts);
+        if let WalRecord::Commit {
+            gid,
+            attempt,
+            commit_ts,
+            ..
+        } = *rec
+        {
+            decided.insert((gid, attempt), commit_ts);
         }
     }
     let seed = VersionedValue {

@@ -158,7 +158,8 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
         let body = at + 4;
         let end = body + u32::from_le_bytes(intact[at..body].try_into().unwrap()) as usize;
         ends.push(end);
-        if let WalRecord::Commit(_) = WalRecord::decode(intact[body..end].to_vec().into()).unwrap()
+        if let WalRecord::Commit { .. } =
+            WalRecord::decode(intact[body..end].to_vec().into()).unwrap()
         {
             decisions.push((end, decisions.last().unwrap().1 + 1));
         }
@@ -250,9 +251,14 @@ fn concurrent_sync_runs_log_every_decision_after_its_data() {
             WalRecord::Write { gid, attempt, .. } => {
                 data_of(&mut data, &decided, (gid, attempt)).1 += 1;
             }
-            WalRecord::Commit(e) => {
-                let key = (e.gid, e.attempt);
-                let nodes = sys.txn(TxnId(e.template)).node_count();
+            WalRecord::Commit {
+                gid,
+                template,
+                attempt,
+                ..
+            } => {
+                let key = (gid, attempt);
+                let nodes = sys.txn(TxnId(template)).node_count();
                 assert_eq!(
                     *data_of(&mut data, &decided, key),
                     (nodes, 2),

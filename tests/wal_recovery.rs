@@ -5,12 +5,12 @@
 //! decision: uncommitted work — including rolled-back wait-die victims
 //! and torn log tails — contributes nothing.
 
+use ddlf::engine::wire::frame::write_frame;
 use ddlf::engine::{
     recover, AdmissionOptions, Engine, EngineConfig, Inflation, Phase, Program, Telemetry,
     TemplateRegistry, Wal, WalError, WalOptions, WalRecord, WriteOp,
 };
 use ddlf::model::{EntityId, NodeId, TxnId};
-use ddlf::sim::msg::frame::write_frame;
 use ddlf::workloads::{bank_ordered_pair, bank_uniform_transfer};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -144,10 +144,7 @@ impl EngineFlags {
         if self.no_telemetry {
             return Telemetry::disabled();
         }
-        Telemetry::new(TelemetryConfig {
-            trace_sample,
-            ..Default::default()
-        })
+        Telemetry::new(TelemetryConfig { trace_sample })
     }
 }
 

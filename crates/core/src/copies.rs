@@ -18,11 +18,10 @@
 //! ledger's `thm5` and `fig6` rows.
 
 use ddlf_model::{EntityId, Transaction};
-use serde::{Deserialize, Serialize};
 
 /// Evidence that any number of copies of the transaction form a safe and
 /// deadlock-free system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CopiesCertificate {
     /// The entity whose lock precedes every other node.
     pub first: EntityId,
@@ -32,7 +31,7 @@ pub struct CopiesCertificate {
 }
 
 /// Why copies of the transaction are not safe-and-deadlock-free.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CopiesViolation {
     /// No entity's lock precedes all other nodes of the transaction.
     NoFirstLock,

@@ -28,7 +28,7 @@
 //! problem coNP-complete — but it prunes enormously better than state
 //! enumeration and handles every gadget the experiments construct.
 
-use ddlf_model::{GlobalNode, NodeId, Prefix, SystemPrefix, TransactionSystem, TxnId};
+use ddlf_model::{GlobalNode, Prefix, SystemPrefix, TransactionSystem, TxnId};
 use std::collections::HashMap;
 
 /// A deadlock-prefix witness from the lock→unlock cycle search.
@@ -241,13 +241,6 @@ pub fn lu_pair_deadlock_prefix(
         }
     }
     Ok(None)
-}
-
-/// Convenience: returns `NodeId`s of the lock nodes executed by a witness
-/// prefix in the given transaction (used by tests and the assignment
-/// extraction).
-pub fn witness_locks(w: &LuWitness, t: TxnId) -> Vec<NodeId> {
-    w.prefix.of(t).iter().collect()
 }
 
 #[cfg(test)]

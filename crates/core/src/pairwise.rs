@@ -19,10 +19,9 @@
 //! the conflict graph can never close a cycle through `y`.
 
 use ddlf_model::{BitSet, EntityId, Transaction};
-use serde::{Deserialize, Serialize};
 
 /// Evidence that a pair is safe and deadlock-free.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairCertificate {
     /// The common entities `R(T₁) ∩ R(T₂)`, sorted.
     pub common: Vec<EntityId>,
@@ -36,7 +35,7 @@ pub struct PairCertificate {
 }
 
 /// Why a pair is *not* safe-and-deadlock-free.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PairViolation {
     /// Condition (1) fails: no common entity is locked first in both.
     /// Carries the minimal common-lock entities of each transaction (the

@@ -65,7 +65,11 @@
 //! when they left. Verdicts are absorbing and a cycle closes while its
 //! last instance's chunk is still inside, so every cycle reaches some
 //! report. A run that overlaps no other (and stays under the cap) is
-//! audited in one epoch of its own: exactly a per-run audit.
+//! audited in one epoch of its own: exactly a per-run audit. The epoch's
+//! bookkeeping (runs pinning it, chunks seated, instances admitted) and
+//! its audit sit behind the same one `engine.auditor` mutex, so pinning,
+//! joining, leaving and closing are each one critical section of the
+//! lock every event already takes, and nothing is acquired before it.
 
 use crate::attempt::{wait_die, Attempt, Refused};
 use crate::pool::Pool;
@@ -193,9 +197,9 @@ pub struct Engine {
     /// The one instance-id space, for the engine's whole lifetime.
     gids: GidSpace,
     /// Cumulative outcome of every run so far, maintained by
-    /// [`Report::absorb`]; `None` until the first non-empty run. Behind a
+    /// [`Report::absorb`] from the empty report (its identity). Behind a
     /// mutex so concurrent runs (e.g. wire submissions) merge safely.
-    cumulative: Mutex<Option<Report>>,
+    cumulative: Mutex<Report>,
     /// The engine's workers: dropping the engine closes the pool and
     /// joins every one of them (no run is in flight by then — a run
     /// borrows the engine).
@@ -213,8 +217,12 @@ struct Core {
     cfg: EngineConfig,
     /// The write-ahead log, when `cfg.wal_dir` asked for one.
     wal: Option<Arc<Wal>>,
-    /// The audit epoch every chunk in flight shares.
-    epochs: Epochs,
+    /// The audit epoch every chunk in flight shares, behind
+    /// `engine.auditor`.
+    audit: Mutex<Audit>,
+    /// Signalled when the open epoch runs out of chunks, for chunks
+    /// waiting out the cap.
+    drained: Condvar,
 }
 
 /// The monotone gid allocator: each run reserves a contiguous range
@@ -242,21 +250,15 @@ struct Instance {
     template: TxnId,
 }
 
-/// Which audit epoch is open, behind `engine.epoch`: every run pins it
-/// and every chunk joins and leaves it under this lock, and a chunk
-/// admits its instances to the epoch's auditor inside it
-/// (`engine.epoch` ▷ `engine.auditor`).
-struct Epochs {
-    slot: Mutex<EpochSlot>,
-    /// Signalled when the open epoch runs out of chunks, for chunks
-    /// waiting out the cap.
-    drained: Condvar,
-}
-
+/// What the one `engine.auditor` mutex guards: which audit epoch is
+/// open, who is inside it, and its audit. Every run pins the epoch,
+/// every chunk joins and leaves it and admits its instances to it, and
+/// every release batch and decision enters it, each in one critical
+/// section of this lock.
 #[derive(Default)]
-struct EpochSlot {
+struct Audit {
     /// The open epoch's audit; `None` between epochs.
-    open: Option<Arc<Mutex<EpochAudit>>>,
+    open: Option<EpochAudit>,
     /// Runs in flight. They keep the epoch open across the gaps between
     /// their chunks, so a run that overlaps no other is audited in one
     /// epoch; they do not stop it from closing at the cap.
@@ -272,9 +274,19 @@ struct EpochSlot {
     cross_checked: usize,
 }
 
-/// What one epoch's `engine.auditor` mutex guards: the only record of
-/// "what happened" — the live auditor and (debug builds) the plain
-/// history the batch oracle re-audits when the epoch closes.
+impl Audit {
+    /// The open epoch's audit. An epoch closes only when no chunk is
+    /// seated, so a seated chunk's epoch is always the open one.
+    fn epoch(&mut self) -> &mut EpochAudit {
+        self.open
+            .as_mut()
+            .expect("a seated chunk's epoch is the open one")
+    }
+}
+
+/// One epoch's audit: the only record of "what happened" — the live
+/// auditor and (debug builds) the plain history the batch oracle
+/// re-audits when the epoch closes.
 struct EpochAudit {
     auditor: StreamingAuditor,
     #[cfg(debug_assertions)]
@@ -345,7 +357,7 @@ impl EpochAudit {
     /// test suite doubles as an equivalence proptest; [`EPOCH_CAP`]
     /// bounds what the quadratic oracle rebuilds.
     #[cfg(debug_assertions)]
-    fn cross_check(&mut self, sys: &TransactionSystem) {
+    fn cross_check(mut self, sys: &TransactionSystem) {
         let live = self.auditor.verdict();
         let sealed = self.auditor.seal();
         debug_assert_eq!(live, sealed, "sealing changed a complete epoch's verdict");
@@ -381,10 +393,10 @@ struct RunPin<'e>(&'e Core);
 
 impl Drop for RunPin<'_> {
     fn drop(&mut self) {
-        let mut slot = self.0.epochs.slot.lock();
-        slot.runs -= 1;
-        if slot.runs == 0 {
-            self.0.close_epoch(&mut slot);
+        let mut audit = self.0.audit.lock();
+        audit.runs -= 1;
+        if audit.runs == 0 {
+            self.0.close_epoch(&mut audit);
         }
     }
 }
@@ -392,18 +404,14 @@ impl Drop for RunPin<'_> {
 /// A chunk's seat in the open audit epoch ([`Core::join_epoch`]);
 /// dropping it — on every path, unwinding included, so a panic cannot
 /// hold an epoch open for good — leaves the epoch.
-struct EpochSeat<'e> {
-    core: &'e Core,
-    audit: Arc<Mutex<EpochAudit>>,
-}
+struct EpochSeat<'e>(&'e Core);
 
 impl Drop for EpochSeat<'_> {
     fn drop(&mut self) {
-        let epochs = &self.core.epochs;
-        let mut slot = epochs.slot.lock();
-        slot.chunks -= 1;
-        if slot.chunks == 0 && slot.waiting > 0 {
-            epochs.drained.notify_all();
+        let mut audit = self.0.audit.lock();
+        audit.chunks -= 1;
+        if audit.chunks == 0 && audit.waiting > 0 {
+            self.0.drained.notify_all();
         }
     }
 }
@@ -448,27 +456,18 @@ struct Outcome {
 impl Engine {
     /// Builds an engine over `sys`: certifies it (cached in the
     /// registry) and initializes the sharded store.
-    pub fn new(sys: TransactionSystem, cfg: EngineConfig) -> Self {
-        Self::with_admission(sys, AdmissionOptions::default(), cfg)
-    }
-
-    /// Builds an engine over `sys` with an explicit admission request
-    /// (inflation + certifier options).
     ///
     /// # Panics
     /// Panics when `cfg.wal_dir` is set and the log directory cannot be
     /// created (use [`Engine::try_with_admission`] for the fallible
     /// form).
-    pub fn with_admission(
-        sys: TransactionSystem,
-        admission: AdmissionOptions,
-        cfg: EngineConfig,
-    ) -> Self {
-        Self::try_with_admission(sys, admission, cfg).expect("WAL directory usable")
+    pub fn new(sys: TransactionSystem, cfg: EngineConfig) -> Self {
+        Self::try_with_admission(sys, AdmissionOptions::default(), cfg)
+            .expect("WAL directory usable")
     }
 
-    /// [`Engine::with_admission`], surfacing WAL I/O errors instead of
-    /// panicking.
+    /// Builds an engine over `sys` with an explicit admission request
+    /// (inflation + certifier options), surfacing WAL I/O errors.
     pub fn try_with_admission(
         sys: TransactionSystem,
         admission: AdmissionOptions,
@@ -516,19 +515,19 @@ impl Engine {
             store.attach_wal(w);
         }
         Self::install_template_counters(&registry, &cfg.telemetry);
+        let core = Arc::new(Core {
+            registry,
+            store: Arc::new(store),
+            cfg,
+            wal,
+            audit: Mutex::new_named("engine.auditor", Audit::default()),
+            drained: Condvar::new(),
+        });
+        let empty = core.build_report(&[], &[], Duration::ZERO, None);
         Self {
-            core: Arc::new(Core {
-                registry,
-                store: Arc::new(store),
-                cfg,
-                wal,
-                epochs: Epochs {
-                    slot: Mutex::new_named("engine.epoch", EpochSlot::default()),
-                    drained: Condvar::new(),
-                },
-            }),
+            core,
             gids: GidSpace(AtomicU32::new(next_gid)),
-            cumulative: Mutex::new_named("engine.cumulative", None),
+            cumulative: Mutex::new_named("engine.cumulative", empty),
             pool: Pool::new(),
         }
     }
@@ -687,10 +686,7 @@ impl Engine {
     /// the first run it reports the registered system with zero
     /// instances and `serializable: None`.
     pub fn report_snapshot(&self) -> Report {
-        self.cumulative
-            .lock()
-            .clone()
-            .unwrap_or_else(|| self.core.build_report(&[], &[], Duration::ZERO, None))
+        self.cumulative.lock().clone()
     }
 
     fn run_instances(&self, instances: Arc<[Instance]>) -> Report {
@@ -778,11 +774,7 @@ impl Engine {
             report.group_flushes = flushes - f0;
             report.group_commits = commits - c0;
         }
-        let mut cumulative = self.cumulative.lock();
-        match cumulative.as_mut() {
-            Some(acc) => acc.absorb(&report),
-            None => *cumulative = Some(report.clone()),
-        }
+        self.cumulative.lock().absorb(&report);
         report
     }
 }
@@ -843,10 +835,10 @@ impl Core {
             w.append(chunk.iter().map(|i| Self::begin(*i, 0)));
         }
         for inst in chunk {
-            let out = self.execute_instance(*inst, &seat.audit, ttable, gate_wait);
+            let out = self.execute_instance(*inst, ttable, gate_wait);
             done.push((inst.gid, out));
         }
-        let seen = seat.audit.lock().auditor.verdict();
+        let seen = self.audit.lock().epoch().auditor.verdict();
         drop(seat);
         seen
     }
@@ -858,47 +850,45 @@ impl Core {
     /// each worker allocates from its own malloc arena, which keeps what
     /// a regrowth frees.
     fn pin_epoch(&self, instances: usize) -> RunPin<'_> {
-        let mut slot = self.epochs.slot.lock();
-        slot.runs += 1;
-        let audit = self.open_epoch(&mut slot);
-        audit.lock().auditor.reserve(instances.min(EPOCH_CAP));
+        let mut audit = self.audit.lock();
+        audit.runs += 1;
+        self.open_epoch(&mut audit)
+            .auditor
+            .reserve(instances.min(EPOCH_CAP));
         RunPin(self)
     }
 
     /// The open epoch's audit, opening an epoch if none is.
-    fn open_epoch<'s>(&self, slot: &'s mut EpochSlot) -> &'s Arc<Mutex<EpochAudit>> {
-        slot.open.get_or_insert_with(|| {
-            let audit = EpochAudit::new(self.registry.system());
-            Arc::new(Mutex::new_named("engine.auditor", audit))
-        })
+    fn open_epoch<'a>(&self, audit: &'a mut Audit) -> &'a mut EpochAudit {
+        audit
+            .open
+            .get_or_insert_with(|| EpochAudit::new(self.registry.system()))
     }
 
     /// Seats `chunk` in the open audit epoch and admits its instances to
     /// the epoch's auditor. While the open epoch is at [`EPOCH_CAP`] the
     /// chunk waits for it to drain, then closes it and opens the next;
     /// it holds gate slots then but no lock class (the condvar releases
-    /// `engine.epoch`), and every chunk inside already holds its own
+    /// `engine.auditor`), and every chunk inside already holds its own
     /// slots, so the drain never waits on the waiter.
     fn join_epoch(&self, chunk: &[Instance]) -> EpochSeat<'_> {
-        let mut slot = self.epochs.slot.lock();
-        while slot.admitted > 0 && slot.admitted + chunk.len() > EPOCH_CAP {
-            if slot.chunks == 0 {
-                self.close_epoch(&mut slot);
+        let mut audit = self.audit.lock();
+        while audit.admitted > 0 && audit.admitted + chunk.len() > EPOCH_CAP {
+            if audit.chunks == 0 {
+                self.close_epoch(&mut audit);
             } else {
-                slot.waiting += 1;
-                self.epochs.drained.wait(&mut slot);
-                slot.waiting -= 1;
+                audit.waiting += 1;
+                self.drained.wait(&mut audit);
+                audit.waiting -= 1;
             }
         }
-        let audit = Arc::clone(self.open_epoch(&mut slot));
-        slot.chunks += 1;
-        slot.admitted += chunk.len();
-        let mut au = audit.lock();
+        audit.chunks += 1;
+        audit.admitted += chunk.len();
+        let epoch = self.open_epoch(&mut audit);
         for inst in chunk {
-            au.admit(*inst);
+            epoch.admit(*inst);
         }
-        drop(au);
-        EpochSeat { core: self, audit }
+        EpochSeat(self)
     }
 
     /// Closes the open epoch, which must be quiescent (no chunk inside,
@@ -906,21 +896,19 @@ impl Core {
     /// verdict was observed by the chunks that left it; what remains is
     /// the gauge — the closed epoch's final size, until the next
     /// epoch's first commit — and the debug-build cross-check.
-    fn close_epoch(&self, slot: &mut EpochSlot) {
-        debug_assert_eq!(slot.chunks, 0, "an epoch closes only at quiescence");
-        slot.admitted = 0;
-        let Some(audit) = slot.open.take() else {
+    fn close_epoch(&self, audit: &mut Audit) {
+        debug_assert_eq!(audit.chunks, 0, "an epoch closes only at quiescence");
+        audit.admitted = 0;
+        let Some(epoch) = audit.open.take() else {
             return;
         };
-        let (nodes, arcs) = {
-            let au = &audit.lock().auditor;
-            (au.node_count() as u64, au.arc_count() as u64)
-        };
+        let au = &epoch.auditor;
+        let (nodes, arcs) = (au.node_count() as u64, au.arc_count() as u64);
         self.cfg.telemetry.set_auditor(nodes, arcs);
         #[cfg(debug_assertions)]
         {
-            audit.lock().cross_check(self.registry.system());
-            slot.cross_checked += 1;
+            epoch.cross_check(self.registry.system());
+            audit.cross_checked += 1;
         }
     }
 
@@ -931,7 +919,6 @@ impl Core {
     fn execute_instance(
         &self,
         inst: Instance,
-        audit: &Mutex<EpochAudit>,
         ttable: Option<&TemplateTable>,
         gate_wait: Duration,
     ) -> Outcome {
@@ -968,7 +955,7 @@ impl Core {
             }
             let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx);
             let t_exec = tel.timer();
-            let death = (!self.drive(&mut a, t, audit, tracer)).then(|| {
+            let death = (!self.drive(&mut a, t, tracer)).then(|| {
                 // One undo sample per dying attempt: lock release plus
                 // every exposed-write rollback.
                 let t_undo = tel.timer();
@@ -1002,9 +989,10 @@ impl Core {
                 // synchronously under this same lock), so the merge sees
                 // the complete attempt.
                 let (nodes, arcs) = {
-                    let mut au = audit.lock();
-                    au.commit(gid, attempt);
-                    let au = &au.auditor;
+                    let mut audit = self.audit.lock();
+                    let epoch = audit.epoch();
+                    epoch.commit(gid, attempt);
+                    let au = &epoch.auditor;
                     (au.node_count() as u64, au.arc_count() as u64)
                 };
                 tel.set_auditor(nodes, arcs);
@@ -1028,7 +1016,7 @@ impl Core {
             }
             // The attempt's locks were released and its writes rolled
             // back: its buffered events leave the committed projection.
-            audit.lock().auditor.abort(gid, attempt);
+            self.audit.lock().epoch().auditor.abort(gid, attempt);
             if let Some(tt) = ttable {
                 // Every engine-path abort is a wait-die death (the
                 // requester self-aborted).
@@ -1071,13 +1059,7 @@ impl Core {
     /// * **wait-die** — a non-queueing acquire; a refusal is put to
     ///   [`wait_die`] against the holder of that moment, and an older
     ///   requester sleeps [`POLL`] and asks again — for that lock first.
-    fn drive(
-        &self,
-        a: &mut Attempt<'_>,
-        t: &Transaction,
-        audit: &Mutex<EpochAudit>,
-        tracer: Option<Tracer<'_>>,
-    ) -> bool {
+    fn drive(&self, a: &mut Attempt<'_>, t: &Transaction, tracer: Option<Tracer<'_>>) -> bool {
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
         let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
@@ -1114,7 +1096,8 @@ impl Core {
                 let op = t.op(n);
                 if op.is_unlock() {
                     a.unlock(n, |nodes| {
-                        audit.lock().record(self.wal.as_deref(), ctx, nodes)
+                        let mut audit = self.audit.lock();
+                        audit.epoch().record(self.wal.as_deref(), ctx, nodes)
                     });
                     if let Some(tr) = tracer {
                         tr.emit(attempt, SpanKind::Write, op.entity.0, 0, 0);
@@ -1261,11 +1244,6 @@ impl Core {
     }
 }
 
-/// Convenience: certify `sys`, run it, and report.
-pub fn run_system(sys: &TransactionSystem, cfg: EngineConfig) -> Report {
-    Engine::new(sys.clone(), cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1273,6 +1251,13 @@ mod tests {
 
     /// Two transfers locking x then y: certified.
     fn ordered_pair(threads: usize) -> Engine {
+        ordered_pair_with(EngineConfig {
+            threads,
+            ..Default::default()
+        })
+    }
+
+    fn ordered_pair_with(cfg: EngineConfig) -> Engine {
         let db = Database::one_entity_per_site(2);
         let (x, y) = (EntityId(0), EntityId(1));
         let ops = [Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)];
@@ -1280,13 +1265,7 @@ mod tests {
             .map(|name| Transaction::from_total_order(name, &ops, &db).unwrap())
             .to_vec();
         let sys = TransactionSystem::new(db, txns).unwrap();
-        Engine::new(
-            sys,
-            EngineConfig {
-                threads,
-                ..Default::default()
-            },
-        )
+        Engine::new(sys, cfg)
     }
 
     /// A one-chunk run executes on its caller's thread, so back-to-back
@@ -1351,7 +1330,28 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(engine.run().serializable, Some(true));
         }
-        assert_eq!(engine.core.epochs.slot.lock().cross_checked, 3);
+        assert_eq!(engine.core.audit.lock().cross_checked, 3);
+    }
+
+    /// A run that crosses [`EPOCH_CAP`] closes the full epoch and opens
+    /// the next while it keeps going — one close at the cap, one at the
+    /// run's end, each cross-checked — but only once no chunk is seated:
+    /// the chunk that finds the epoch full waits out the others (which
+    /// the per-lock `work` keeps seated), or the closing debug check
+    /// fails the run.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_full_epoch_closes_only_when_no_chunk_is_seated() {
+        let engine = ordered_pair_with(EngineConfig {
+            threads: 2,
+            instances: EPOCH_CAP + 1,
+            work: Duration::from_micros(100),
+            ..Default::default()
+        });
+        let r = engine.run();
+        assert!(r.all_committed(), "{r:?}");
+        assert_eq!(r.serializable, Some(true));
+        assert_eq!(engine.core.audit.lock().cross_checked, 2);
     }
 
     #[test]

@@ -76,11 +76,13 @@
 //! and stops.
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
-//! `server.engine` ▷ `template.slot_gate` / `shard.state` /
-//! `engine.epoch` ▷ `engine.auditor` ▷ `wal.log` (`wal.group_state` and
-//! `store.clock` are leaves never held with any of them, `engine.pool`
-//! is a leaf never held while a job runs, no run holds `server.engine`,
-//! and no fsync runs under any of them) — documented in the "Lock
+//! `shard.state` / `engine.auditor` ▷ `wal.log`, the only two order
+//! edges: a log append made while holding the lock whose order the log
+//! must keep (`template.slot_gate`, `engine.cumulative`,
+//! `wal.group_state` and `store.clock` are leaves never held with any
+//! other lock, `engine.pool` is a leaf never held while a job runs, the
+//! server's `server.engine` is held across nothing, and no fsync runs
+//! under any of them) — documented in the "Lock
 //! discipline" section of `ARCHITECTURE.md` and registered class by
 //! class at each `Mutex::new_named` site. Building with `--features
 //! lockdep` arms the `ddlf-lockdep` validator inside the vendored
@@ -187,7 +189,7 @@ pub mod template;
 pub mod wal;
 pub mod wire;
 
-pub use executor::{run_system, Engine, EngineConfig, EPOCH_CAP};
+pub use executor::{Engine, EngineConfig, EPOCH_CAP};
 pub use mvcc::{RoEntry, RoSnapshot};
 pub use replay::{replay_schedule, ReplayError, ReplayReport};
 pub use report::{summary_line, LatencyStats, Report, TemplateReport};

@@ -96,12 +96,6 @@ impl RoSnapshot {
             .sum()
     }
 
-    /// Sum of the version counters observed — committed writes `≤ ts`
-    /// over the scanned entities.
-    pub fn sum_versions(&self) -> u64 {
-        self.entries.iter().map(|e| e.version).sum()
-    }
-
     /// The entry for `entity`, if it was scanned.
     pub fn get(&self, entity: EntityId) -> Option<&RoEntry> {
         self.entries.iter().find(|e| e.entity == entity)

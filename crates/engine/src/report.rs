@@ -41,10 +41,15 @@ impl LatencyStats {
     /// Merges another distribution in, weighting the means by committed
     /// counts. Percentiles cannot be merged exactly without the raw
     /// samples, so `p50`/`p99`/`max` take the worse (larger) of the two —
-    /// a conservative cumulative view.
+    /// a conservative cumulative view. Merging into an empty distribution
+    /// copies the other one.
     fn absorb(&mut self, other: &Self, self_weight: usize, other_weight: usize) {
         let total = self_weight + other_weight;
         if total == 0 {
+            return;
+        }
+        if self_weight == 0 {
+            *self = other.clone();
             return;
         }
         self.mean_us = (self.mean_us * self_weight as f64 + other.mean_us * other_weight as f64)

@@ -1,12 +1,15 @@
-//! Lockdep regression tests for the engine's `wal_sync` commit path:
-//! the committer that fsyncs pushes the log and fsyncs *outside*
-//! `wal.group_state`, and waiters park holding only that lock — machine-
-//! checked here by the instrumented shim. Only meaningful with
-//! `--features lockdep`; without it the validator observes nothing.
+//! Lockdep regression tests for the engine's run path: the `wal_sync`
+//! committer that fsyncs pushes the log and fsyncs *outside*
+//! `wal.group_state`, and waiters park holding only that lock; the audit
+//! epoch is one lock, `engine.auditor`, taken under nothing; and a
+//! one-chunk run takes an exact number of locks — machine-checked here
+//! by the instrumented shim. Only meaningful with `--features lockdep`;
+//! without it the validator observes nothing.
 #![cfg(feature = "lockdep")]
 
-use ddlf_engine::{AdmissionOptions, Engine, EngineConfig};
-use ddlf_model::SystemSpec;
+use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, EPOCH_CAP};
+use ddlf_model::{SystemSpec, TxnId};
+use std::path::PathBuf;
 
 const SPEC: &str = r#"{
   "entities": [ {"name": "x", "site": 0}, {"name": "y", "site": 1} ],
@@ -67,4 +70,88 @@ fn group_commit_park_and_flush_hold_no_extra_locks() {
         .filter(|v| v.classes.iter().any(|c| c.starts_with("wal.")))
         .collect();
     assert!(bad.is_empty(), "wal discipline violations: {bad:#?}");
+}
+
+fn engine(threads: usize, wal_dir: Option<PathBuf>) -> Engine {
+    let sys = serde_json::from_str::<SystemSpec>(SPEC)
+        .unwrap()
+        .build()
+        .unwrap();
+    Engine::try_with_admission(
+        sys,
+        AdmissionOptions::default(),
+        EngineConfig {
+            threads,
+            wal_dir,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ddlf-lockdep-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// An epoch's bookkeeping and its auditor sit behind the one
+/// `engine.auditor` mutex, so nothing is ever acquired *before* it:
+/// after two concurrent WAL'd runs whose chunks together cross
+/// [`EPOCH_CAP`] — chunks waiting out the cap, closing the full epoch
+/// and opening the next — no order edge ends at `engine.auditor`, and
+/// there is no separate epoch class at all.
+#[test]
+fn the_epoch_bookkeeping_is_the_auditor_lock() {
+    let dir = temp_dir("epoch");
+    let engine = engine(2, Some(dir.clone()));
+    let per_run = EPOCH_CAP / 2 + 8;
+    std::thread::scope(|s| {
+        let runs = [0, 1].map(|_| s.spawn(|| engine.run_mix(&engine.uniform_mix(per_run))));
+        for run in runs {
+            let report = run.join().unwrap();
+            assert_eq!(report.committed, per_run);
+            assert_eq!(report.serializable, Some(true));
+        }
+    });
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let into_auditor: Vec<_> = ddlf_lockdep::edges()
+        .into_iter()
+        .filter(|(_, to)| to == "engine.auditor")
+        .collect();
+    assert!(
+        into_auditor.is_empty(),
+        "a lock is held while taking engine.auditor: {into_auditor:?}"
+    );
+    let classes = ddlf_lockdep::classes();
+    assert!(classes.iter().any(|c| c == "engine.auditor"), "{classes:?}");
+    assert!(
+        !classes.iter().any(|c| c == "engine.epoch"),
+        "the epoch bookkeeping has a lock of its own again: {classes:?}"
+    );
+}
+
+/// A one-chunk run (what every count=1 Submit is) runs on its caller's
+/// thread, so every lock it takes is counted there. The count is exact:
+/// a lock added to (or dropped from) the one-instance path shows here.
+/// The epoch takes one `engine.auditor` acquisition each to pin, join,
+/// observe the verdict, leave and unpin (closing it, the debug-build
+/// cross-check included), so debug and release builds count the same.
+/// With a (non-sync) WAL the run also appends its `Begin`, `Write`,
+/// `Event` and `Commit` frames and pushes the log at its end.
+#[test]
+fn a_one_chunk_run_takes_an_exact_number_of_locks() {
+    let dir = temp_dir("one-chunk");
+    for (wal_dir, expected) in [(None, 22), (Some(dir.clone()), 29)] {
+        let engine = engine(2, wal_dir);
+        let before = ddlf_lockdep::thread_acquire_count();
+        let report = engine.run_mix(&[(TxnId::from_index(0), 1)]);
+        let taken = ddlf_lockdep::thread_acquire_count() - before;
+        assert_eq!(report.committed, 1);
+        assert_eq!(report.serializable, Some(true));
+        assert_eq!(taken, expected, "wal: {}", engine.wal().is_some());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

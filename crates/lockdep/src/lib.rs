@@ -176,11 +176,12 @@ mod imp {
     /// `wal.group_state` is deliberately absent: the durable mark is a
     /// leaf, and the committer that fsyncs sets `syncing` and releases
     /// it first. So are
-    /// `template.slot_gate`, `engine.epoch`, `engine.cumulative`,
-    /// `engine.pool` and `server.conns` — and `server.engine`, which is
-    /// held only to pin, unpin or swap the engine: a `Submit` runs, and
-    /// a registration builds its engine and rotates the WAL directory,
-    /// holding no server lock.
+    /// `template.slot_gate`, `engine.cumulative`, `engine.pool`,
+    /// `store.clock` and `server.conns` — and `server.engine`, which is
+    /// held only to pin, unpin or swap the engine or to clone its store
+    /// handle: a `Submit` runs, a `ReadOnly` scans, and a registration
+    /// builds its engine and rotates the WAL directory, holding no
+    /// server lock.
     const BLOCKING_ALLOW: &[(&str, u8)] =
         &[("shard.state", 1), ("engine.auditor", 1), ("wal.log", 1)];
 
@@ -604,11 +605,6 @@ mod imp {
         lock_state().violations.len()
     }
 
-    /// Drains **all** recorded violations (report tooling).
-    pub fn take_violations() -> Vec<Violation> {
-        std::mem::take(&mut lock_state().violations)
-    }
-
     /// Drains only the violations all of whose classes start with
     /// `prefix`. Lets a test that *deliberately* provokes a violation
     /// (the ABBA self-test) consume its own finding without masking
@@ -964,12 +960,6 @@ mod imp {
     #[inline(always)]
     pub fn violation_count() -> usize {
         0
-    }
-
-    /// Always empty when the feature is disabled.
-    #[inline(always)]
-    pub fn take_violations() -> Vec<Violation> {
-        Vec::new()
     }
 
     /// Always empty when the feature is disabled.

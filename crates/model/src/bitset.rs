@@ -6,11 +6,10 @@
 //! transitive closure of a transaction cache-resident, which is what makes
 //! the paper's `O(n²)` tests actually run in `O(n²)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-capacity dense set of `usize` indices backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -199,7 +198,7 @@ impl Iterator for BitSetIter<'_> {
 
 /// A square boolean matrix stored as one [`BitSet`] row per vertex, used for
 /// transitive closures (`row(u).contains(v)` ⇔ `u` reaches `v`).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: Vec<BitSet>,
     n: usize,

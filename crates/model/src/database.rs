@@ -6,12 +6,11 @@
 
 use crate::error::ModelError;
 use crate::ids::{EntityId, SiteId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A distributed database schema: entity names and their partition into
 /// sites. Immutable once built; shared by all transactions of a system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     /// `site_of[e]` is the site holding entity `e`.
     site_of: Vec<SiteId>,

@@ -4,13 +4,12 @@
 //! mixing up, say, a node index with an entity index — a real hazard in
 //! graph-heavy code like this crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -69,7 +68,7 @@ id_type!(
 
 /// A node of a specific transaction inside a transaction system: the unit a
 /// [`crate::Schedule`] is made of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalNode {
     /// The transaction the node belongs to.
     pub txn: TxnId,

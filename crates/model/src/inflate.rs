@@ -88,11 +88,6 @@ impl InflatedSystem {
     pub fn map(&self) -> &CopyMap {
         &self.map
     }
-
-    /// Decomposes into the system and its map.
-    pub fn into_parts(self) -> (TransactionSystem, CopyMap) {
-        (self.sys, self.map)
-    }
 }
 
 impl TransactionSystem {

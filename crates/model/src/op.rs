@@ -7,11 +7,10 @@
 //! separately (the engine's template programs, the simulator's `work_us`).
 
 use crate::ids::EntityId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a lock operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `Lx`: acquire the exclusive lock on the entity.
     Lock,
@@ -20,7 +19,7 @@ pub enum OpKind {
 }
 
 /// A single operation node: `Lock e` or `Unlock e`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Op {
     /// Lock or Unlock.
     pub kind: OpKind,

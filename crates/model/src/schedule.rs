@@ -210,12 +210,6 @@ impl Schedule {
         Ok(!self.conflict_digraph(sys, &v).graph.has_cycle())
     }
 
-    /// The per-transaction prefixes executed by this schedule (validating
-    /// on the way).
-    pub fn executed_prefix(&self, sys: &TransactionSystem) -> Result<SystemPrefix, ModelError> {
-        Ok(self.validate(sys)?.prefix)
-    }
-
     /// Restricts the schedule to its first `k` steps.
     pub fn truncated(&self, k: usize) -> Schedule {
         Schedule {

@@ -7,11 +7,10 @@
 //! and one negative occurrence of each variable, which the transaction
 //! gadget construction needs).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A propositional variable, numbered densely from 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
 impl Var {
@@ -29,7 +28,7 @@ impl fmt::Display for Var {
 }
 
 /// A literal: a variable or its negation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lit {
     /// The underlying variable.
     pub var: Var,
@@ -89,7 +88,7 @@ pub type Clause = Vec<Lit>;
 pub type Assignment = Vec<bool>;
 
 /// A CNF formula.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cnf {
     /// Number of variables (`Var(0)..Var(n)`).
     pub n_vars: u32,
@@ -208,7 +207,7 @@ impl fmt::Display for Cnf {
 }
 
 /// Occurrence table of a variable in a 3SAT′ formula.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarOccurrences {
     /// The variable.
     pub var: Var,

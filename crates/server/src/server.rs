@@ -21,14 +21,17 @@
 //! registration announces itself, waits for the pinned runs to drain,
 //! and only then builds the new engine and rotates the WAL directory,
 //! so it never rotates the log under a run; a `Submit` arriving
-//! meanwhile waits and runs on the new engine.
+//! meanwhile waits and runs on the new engine. A `ReadOnly` request
+//! finds its store through the same slot — one brief hold to clone the
+//! store handle — so it answers, from the old engine, even while a
+//! registration waits; the swap is the only place the store changes.
 
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
     StatsSnapshot,
 };
 use ddlf_engine::wire::frame;
-use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Store, Telemetry};
+use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Telemetry};
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
 use parking_lot::{Condvar, Mutex};
@@ -108,10 +111,11 @@ struct Slot {
 }
 
 struct Shared {
-    /// The registered engine, `server.engine`. Held only briefly —
-    /// never across a run, an engine build or any I/O: a `Submit` pins
-    /// the engine under it ([`Shared::pin`]) and unpins it after its
-    /// reply, a `Report` copies the `Arc` out, and `RegisterSystem` flips
+    /// The registered engine, `server.engine`. Held only briefly, and
+    /// across nothing — no other lock, no run, no engine build, no I/O:
+    /// a `Submit` pins the engine under it ([`Shared::pin`]) and unpins
+    /// it after its reply, a `Report` copies the `Arc` out, a `ReadOnly`
+    /// clones the engine's store handle, and `RegisterSystem` flips
     /// `registering`, waits for `runs` to reach zero, and later swaps
     /// the engine in.
     engine: Mutex<Slot>,
@@ -124,14 +128,6 @@ struct Shared {
     /// touching the engine slot — a stats probe must answer even while
     /// a registration waits out in-flight Submits.
     telemetry: Telemetry,
-    /// The registered engine's store, parked here so [`Request::ReadOnly`]
-    /// can scan the multiversion chains without touching the engine
-    /// slot — like `telemetry`, a snapshot read must answer even while a
-    /// registration waits out in-flight Submits. The lock guards only
-    /// the `Arc` clone; the scan itself takes only leaf locks of the
-    /// shared store. A registration parks the new store under
-    /// `server.engine`, just before the swap.
-    read_store: Mutex<Option<Arc<Store>>>,
     cfg: ServeConfig,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -175,14 +171,17 @@ impl Shared {
         (resp, None)
     }
 
-    /// Answers one read-only transaction over the snapshot path. The
-    /// engine lock is never taken: `read_store` holds a brief leaf
-    /// lock around the `Arc` clone, then the scan reads the version
-    /// chains under leaf shard mutexes, one entity at a time — so a
-    /// reader observes a committed cut even while a `Submit` run is
-    /// mid-flight.
+    /// Answers one read-only transaction over the snapshot path:
+    /// `server.engine` is held only to clone the registered engine's
+    /// store handle, then the scan reads the version chains under leaf
+    /// shard mutexes, one entity at a time. No one holds `server.engine`
+    /// for long — a run only pins the engine, and a registration's waits
+    /// release it — so a reader observes a committed cut even while a
+    /// `Submit` run is mid-flight or a registration waits it out.
     fn read_only(&self, names: &[String]) -> Response {
-        let Some(store) = self.read_store.lock().clone() else {
+        // Cloned out first, so the guard drops before the scan.
+        let store = self.engine.lock().engine.as_ref().map(|e| e.store_handle());
+        let Some(store) = store else {
             return no_system();
         };
         let db = store.db();
@@ -281,14 +280,7 @@ impl Shared {
             }
         };
         let reply = Registered::from_registry(engine.registry());
-        let old = {
-            let mut slot = self.engine.lock();
-            // Park the new store for the read-only path before the
-            // engine slot swaps: a racing reader sees either the old
-            // system or the new one, never a dangling store.
-            *self.read_store.lock() = Some(engine.store_handle());
-            slot.engine.replace(Arc::new(engine))
-        };
+        let old = self.engine.lock().engine.replace(Arc::new(engine));
         // No run is pinned to the old engine, so its last drop — here,
         // or on a thread that still holds a copy of the `Arc` (a
         // `Report`, a Submit just unpinned), never under `server.engine`
@@ -435,10 +427,6 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                read_store: Mutex::new_named(
-                    "server.read_store",
-                    engine.as_ref().map(Engine::store_handle),
-                ),
                 engine: Mutex::new_named(
                     "server.engine",
                     Slot {

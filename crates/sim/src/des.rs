@@ -218,33 +218,6 @@ impl<'a> Simulator<'a> {
     }
 
     fn finish(mut self) -> SimReport {
-        if std::env::var_os("DDLF_SIM_DEBUG").is_some()
-            && self.txns.iter().any(|s| s.committed.is_none())
-        {
-            for (i, st) in self.txns.iter().enumerate() {
-                eprintln!(
-                    "T{i}: attempt={} committed={:?} failed={} held={:?} waiting={:?} executed={}/{}",
-                    st.attempt,
-                    st.committed,
-                    st.failed,
-                    st.held,
-                    st.waiting,
-                    st.executed.len(),
-                    self.sys.txn(TxnId::from_index(i)).node_count()
-                );
-            }
-            for (s, table) in self.sites.iter().enumerate() {
-                for e in self.sys.db().entities_at(SiteId::from_index(s)) {
-                    if let Some(h) = table.holder(e) {
-                        eprintln!(
-                            "site {s}: {} held by {h}, waiters {:?}",
-                            self.sys.db().name_of(e),
-                            table.waiters(e)
-                        );
-                    }
-                }
-            }
-        }
         self.report.end_time = self.now;
         self.report.committed = self.txns.iter().filter(|s| s.committed.is_some()).count();
         self.report.stalled = self

@@ -16,12 +16,12 @@ pub struct SimReport {
     pub wounds: usize,
     /// Requesters aborted by wait-die.
     pub dies: usize,
-    /// Network messages delivered. **Sim-only**: counted by the
-    /// discrete-event simulator's message fabric (`des.rs`); the real
-    /// engine has no message fabric — its shards are mutexes, not
-    /// mailboxes — so engine-derived reports leave this 0. Engine-side
-    /// observability lives in `ddlf-telemetry` (phase histograms, the
-    /// `wal_bytes` gauge) instead.
+    /// Network messages delivered, counted by the discrete-event
+    /// simulator's message fabric (`des.rs`). The real engine has no
+    /// message fabric — its shards are mutexes, not mailboxes — and
+    /// never builds a `SimReport`: it reports in its own `Report`, and
+    /// its observability lives in `ddlf-telemetry` (phase histograms,
+    /// the `wal_bytes` gauge).
     pub messages: u64,
     /// Simulated completion (or quiescence) time.
     pub end_time: SimTime,
@@ -33,11 +33,10 @@ pub struct SimReport {
     pub serializable: Option<bool>,
     /// Number of history events recorded.
     pub history_len: usize,
-    /// Events popped off the simulator's event queue. **Sim-only** like
-    /// [`SimReport::messages`]: the engine executes on real threads with
-    /// no event loop, so this stays 0 on the engine path; the engine's
-    /// equivalent counters are `Report::history_len` and the
-    /// `ddlf-telemetry` phase histogram counts.
+    /// Events popped off the simulator's event queue. The engine
+    /// executes on real threads with no event loop; its equivalent
+    /// counters are `Report::history_len` and the `ddlf-telemetry`
+    /// phase histogram counts.
     pub events_processed: u64,
 }
 

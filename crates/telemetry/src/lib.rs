@@ -22,8 +22,8 @@
 //! 3. **Aggregation is exact.** Snapshots merge by bucket addition and
 //!    diff by bucket subtraction, so percentiles survive cross-worker,
 //!    cross-run (`Report::absorb`), and cross-process aggregation
-//!    without the "conservative worse-of" compromise the engine's old
-//!    `LatencyStats` had to make.
+//!    without the "conservative worse-of" compromise the engine's
+//!    per-run `LatencyStats` makes when a `Report` absorbs another.
 //!
 //! Where each phase timer starts and stops in the instance lifecycle,
 //! how the trace sampler picks instances, and how the server's `Stats`
@@ -255,27 +255,17 @@ pub struct TelemetrySnapshot {
     pub templates: Vec<TemplateSnapshot>,
 }
 
-/// Knobs for [`Telemetry::new`].
-#[derive(Debug, Clone)]
+/// Knobs for [`Telemetry::new`]. A live handle always records phase
+/// histograms, counters and gauges.
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryConfig {
-    /// Record phase histograms, counters, and gauges.
-    pub histograms: bool,
-    /// Trace one instance in `trace_sample` (by global id); 0 disables
-    /// tracing entirely.
+    /// Trace one instance in `trace_sample` (by global id); 0 (the
+    /// default) disables tracing entirely.
     pub trace_sample: u32,
-    /// Maximum lifecycle events held in the trace ring.
-    pub trace_capacity: usize,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            histograms: true,
-            trace_sample: 0,
-            trace_capacity: 65_536,
-        }
-    }
-}
+/// Maximum lifecycle events held in the trace ring.
+const TRACE_CAPACITY: usize = 65_536;
 
 /// The plain `u64` gauges: one relaxed atomic each on the live handle,
 /// copied into the same-named [`TelemetrySnapshot`] field by a scrape.
@@ -332,10 +322,8 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// A live handle with the given knobs. `histograms: false` with
-    /// `trace_sample > 0` is allowed (trace-only).
+    /// A live handle with the given knobs.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let trace_capacity = cfg.trace_capacity;
         Self {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -344,13 +332,13 @@ impl Telemetry {
                 templates: Mutex::new(Arc::new(TemplateTable::default())),
                 inflight: AtomicI64::new(0),
                 gauges: Gauges::default(),
-                trace: TraceRing::new(trace_capacity),
+                trace: TraceRing::new(TRACE_CAPACITY),
                 cfg,
             })),
         }
     }
 
-    /// Live handle with default knobs (histograms on, tracing off).
+    /// Live handle with default knobs (tracing off).
     pub fn enabled() -> Self {
         Self::new(TelemetryConfig::default())
     }
@@ -360,26 +348,19 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    fn hist(&self) -> Option<&Inner> {
-        match &self.inner {
-            Some(i) if i.cfg.histograms => Some(i),
-            _ => None,
-        }
-    }
-
-    /// Starts a phase timer: `Some(now)` when histograms are on, else
+    /// Starts a phase timer: `Some(now)` on a live handle, else
     /// `None` — so the disabled path never calls `Instant::now()`.
     /// Pair with [`record_since`](Self::record_since).
     #[inline]
     pub fn timer(&self) -> Option<Instant> {
-        self.hist().map(|_| Instant::now())
+        self.inner.as_deref().map(|_| Instant::now())
     }
 
     /// Records the elapsed time of a [`timer`](Self::timer) into
     /// `phase`. A `None` timer is a no-op.
     #[inline]
     pub fn record_since(&self, phase: Phase, start: Option<Instant>) {
-        if let (Some(i), Some(t0)) = (self.hist(), start) {
+        if let (Some(i), Some(t0)) = (self.inner.as_deref(), start) {
             i.phases[phase as usize].record(t0.elapsed().as_nanos() as u64);
         }
     }
@@ -387,7 +368,7 @@ impl Telemetry {
     /// Records an externally measured duration into `phase`.
     #[inline]
     pub fn record(&self, phase: Phase, d: Duration) {
-        if let Some(i) = self.hist() {
+        if let Some(i) = self.inner.as_deref() {
             i.phases[phase as usize].record(d.as_nanos() as u64);
         }
     }
@@ -459,7 +440,7 @@ impl Telemetry {
     /// group-size histogram (see [`TelemetrySnapshot::group_size`]).
     #[inline]
     pub fn record_group_size(&self, n: u64) {
-        if let Some(i) = self.hist() {
+        if let Some(i) = self.inner.as_deref() {
             i.group_size.record(n);
         }
     }
@@ -601,16 +582,10 @@ mod tests {
 
     #[test]
     fn sampling_rate_selects_every_nth_gid() {
-        let t = Telemetry::new(TelemetryConfig {
-            trace_sample: 4,
-            ..Default::default()
-        });
+        let t = Telemetry::new(TelemetryConfig { trace_sample: 4 });
         let picked: Vec<u64> = (0..10).filter(|&g| t.sampled(g)).collect();
         assert_eq!(picked, vec![0, 4, 8]);
-        let all = Telemetry::new(TelemetryConfig {
-            trace_sample: 1,
-            ..Default::default()
-        });
+        let all = Telemetry::new(TelemetryConfig { trace_sample: 1 });
         assert!((0..10).all(|g| all.sampled(g)));
     }
 
@@ -674,15 +649,8 @@ mod tests {
     }
 
     #[test]
-    fn histograms_off_trace_on_still_traces() {
-        let t = Telemetry::new(TelemetryConfig {
-            histograms: false,
-            trace_sample: 1,
-            trace_capacity: 16,
-        });
-        assert!(t.timer().is_none());
-        t.record(Phase::Commit, Duration::from_nanos(5));
-        assert_eq!(t.snapshot().phases.total_count(), 0);
+    fn a_sampled_instance_reaches_the_trace_ring_and_its_dump() {
+        let t = Telemetry::new(TelemetryConfig { trace_sample: 1 });
         assert!(t.sampled(3));
         t.trace(SpanEvent {
             ts_ns: t.now_ns(),

@@ -36,10 +36,7 @@ fn span_gids(tel: &Telemetry, kind: &str) -> Vec<u32> {
 }
 
 fn traced(trace_sample: u32) -> Telemetry {
-    Telemetry::new(TelemetryConfig {
-        trace_sample,
-        ..TelemetryConfig::default()
-    })
+    Telemetry::new(TelemetryConfig { trace_sample })
 }
 
 #[test]

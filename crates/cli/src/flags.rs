@@ -6,7 +6,8 @@
 //! [`usage`] prints. A flag cannot be read without being accepted and
 //! documented, or the other way round.
 
-use crate::{Command, EngineFlags, InflateArg};
+use crate::{Command, EngineFlags};
+use ddlf_server::InflateSpec;
 use std::cell::RefCell;
 use std::str::FromStr;
 
@@ -135,11 +136,15 @@ fn text(v: &str) -> Result<String, String> {
     Ok(v.to_string())
 }
 
-fn at_least_one(v: &str) -> Result<usize, String> {
-    match num(v)? {
-        0 => Err("must be ≥ 1".to_string()),
-        n => Ok(n),
+fn at_least_one<T: FromStr + Default + PartialEq>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let n = num(v)?;
+    if n == T::default() {
+        return Err("must be ≥ 1".to_string());
     }
+    Ok(n)
 }
 
 /// `--txns` of `run` and `submit`: a count the wire's `u32` can carry.
@@ -151,13 +156,14 @@ fn instances(v: &str) -> Result<usize, String> {
     Ok(txns)
 }
 
-/// `--inflate`: `auto` or a `k ≥ 1`.
-fn inflate(v: &str) -> Result<InflateArg, String> {
+/// `--inflate`: `auto` (an uncapped search; admission clamps the cap to
+/// the worker count) or a `k ≥ 1`.
+fn inflate(v: &str) -> Result<InflateSpec, String> {
     if v == "auto" {
-        return Ok(InflateArg::Auto);
+        return Ok(InflateSpec::Auto { cap: u32::MAX });
     }
     let k = at_least_one(v).map_err(|e| format!("{e} (want a k ≥ 1 or `auto`)"))?;
-    Ok(InflateArg::Uniform(k))
+    Ok(InflateSpec::Uniform(k))
 }
 
 /// `--conserve-step B:S`: base total and per-commit step quantum
@@ -194,7 +200,7 @@ fn engine_flags(a: &Args, admission_batch: usize) -> Result<EngineFlags, String>
     let defaults = EngineFlags::new(admission_batch);
     Ok(EngineFlags {
         threads: a.or("--threads", "K", defaults.threads, num)?,
-        inflate: a.opt("--inflate", "k|auto", inflate)?,
+        inflate: a.or("--inflate", "k|auto", InflateSpec::None, inflate)?,
         work_us: a.or("--work", "USEC", defaults.work_us, num)?,
         wal: a.opt("--wal", "DIR", text)?,
         wal_sync: a.flag("--wal-sync"),
@@ -211,7 +217,7 @@ const VERBS: &[(&str, Build)] = &[
     ("certify", |a| {
         Ok(Command::Certify {
             spec: a.positional(SPEC),
-            inflate: a.opt("--inflate", "k|auto", inflate)?,
+            inflate: a.or("--inflate", "k|auto", InflateSpec::None, inflate)?,
             json: a.flag("--json"),
         })
     }),
@@ -294,7 +300,7 @@ const VERBS: &[(&str, Build)] = &[
             spec: a.positional(SPEC),
             txns: a.or("--txns", "N", 64, instances)?,
             template: a.opt("--template", "NAME", text)?,
-            inflate: a.opt("--inflate", "k|auto", inflate)?,
+            inflate: a.or("--inflate", "k|auto", InflateSpec::None, inflate)?,
             expect_zero_aborts: a.flag("--expect-zero-aborts"),
             shutdown: a.flag("--shutdown"),
         })

@@ -50,7 +50,7 @@ pub use flags::parse_args;
 pub use render::report_json;
 
 use ddlf_core::{certify_safe_and_deadlock_free, Certificate, CertifyOptions, Explorer};
-use ddlf_engine::{AdmissionOptions, EngineConfig, Inflation, Telemetry, TelemetryConfig};
+use ddlf_engine::{EngineConfig, Telemetry, TelemetryConfig};
 use ddlf_model::{SystemSpec, TransactionSystem};
 use ddlf_server::{Client, InflateSpec, ServeConfig, Server};
 use ddlf_sim::{DeadlockPolicy, SimConfig};
@@ -58,16 +58,6 @@ use render::{jarr, jf, jobj, jopt, js, json_line, ju};
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::time::Duration;
-
-/// The `--inflate` argument of `run`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InflateArg {
-    /// Search for the largest certified uniform k (capped at the worker
-    /// count — extra slots beyond the workers cannot be exploited).
-    Auto,
-    /// A fixed uniform k per template.
-    Uniform(usize),
-}
 
 /// The engine flags `run` and `serve` share — the one set that builds
 /// an [`EngineConfig`], for `run`, `serve` and `serve`'s recovered
@@ -78,9 +68,10 @@ pub struct EngineFlags {
     /// that submits it included: it runs one job beside at most
     /// `threads − 1` pooled workers.
     pub threads: usize,
-    /// Requested per-template concurrency, certified up front; for
-    /// `serve`, the default applied when a registration requests none.
-    pub inflate: Option<InflateArg>,
+    /// Requested per-template concurrency, certified up front
+    /// ([`InflateSpec::None`]: not given); for `serve`, the default
+    /// applied when a registration requests none.
+    pub inflate: InflateSpec,
     /// Simulated per-lock work in microseconds (widens contention
     /// windows so fallback runs really exercise aborts).
     pub work_us: u64,
@@ -114,7 +105,7 @@ impl EngineFlags {
     pub fn new(admission_batch: usize) -> Self {
         EngineFlags {
             threads: DEFAULT_THREADS,
-            inflate: None,
+            inflate: InflateSpec::None,
             work_us: 0,
             wal: None,
             wal_sync: false,
@@ -157,8 +148,9 @@ pub enum Command {
         /// Path to the spec JSON.
         spec: String,
         /// Certify this per-template concurrency instead of the system
-        /// as written, and print the admission plan it would be granted.
-        inflate: Option<InflateArg>,
+        /// as written, and print the admission plan it would be granted
+        /// ([`InflateSpec::None`]: not given).
+        inflate: InflateSpec,
         /// Emit the admission plan as one JSON object on stdout.
         json: bool,
     },
@@ -259,8 +251,9 @@ pub enum Command {
         txns: usize,
         /// Submit only this template (default: round-robin over all).
         template: Option<String>,
-        /// Requested per-template concurrency, certified by the server.
-        inflate: Option<InflateArg>,
+        /// Requested per-template concurrency, certified by the server
+        /// ([`InflateSpec::None`]: the server's default).
+        inflate: InflateSpec,
         /// Fail the exit code if any attempt aborted (the certified
         /// path's zero-abort promise, asserted end to end).
         expect_zero_aborts: bool,
@@ -315,33 +308,6 @@ pub fn audit_exit_failure(
     serializable: Option<bool>,
 ) -> bool {
     !all_committed || dirty_aborts > 0 || (instances > 0 && serializable != Some(true))
-}
-
-/// Maps the CLI `--inflate` argument onto an in-process admission
-/// request; `auto` searches up to the worker count (slots beyond the
-/// workers cannot be exploited).
-fn admission_options(inflate: Option<InflateArg>, threads: usize) -> AdmissionOptions {
-    AdmissionOptions {
-        inflate: match inflate {
-            None => Inflation::None,
-            Some(InflateArg::Uniform(k)) => Inflation::Uniform(k),
-            Some(InflateArg::Auto) => Inflation::Auto {
-                cap: threads.max(1),
-            },
-        },
-        ..Default::default()
-    }
-}
-
-/// Maps the CLI `--inflate` argument onto the wire protocol's request.
-/// `Auto` sends an uncapped search; the server clamps the cap to its
-/// own worker count (slots beyond the workers cannot be exploited).
-fn wire_inflate(inflate: Option<InflateArg>) -> InflateSpec {
-    match inflate {
-        None => InflateSpec::None,
-        Some(InflateArg::Uniform(k)) => InflateSpec::Uniform(u32::try_from(k).unwrap_or(u32::MAX)),
-        Some(InflateArg::Auto) => InflateSpec::Auto { cap: u32::MAX },
-    }
 }
 
 /// What a verb did: its stdout and exit code — or, as `Err`, why it
@@ -492,7 +458,7 @@ fn run_lockgraph(dot: bool) -> Outcome {
     // the log buffer pushes it, taking wal.log holding nothing.
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
     let mut flags = EngineFlags {
-        inflate: Some(InflateArg::Auto),
+        inflate: InflateSpec::Auto { cap: u32::MAX },
         wal: Some(wal_dir.to_string_lossy().into_owned()),
         ..EngineFlags::new(4)
     };
@@ -500,7 +466,7 @@ fn run_lockgraph(dot: bool) -> Outcome {
         flags.wal_sync = wal_sync;
         let mut cfg = flags.config(Telemetry::disabled());
         cfg.instances = 256;
-        let admission = admission_options(flags.inflate, flags.threads);
+        let admission = flags.inflate.admission(flags.threads);
         let engine = ddlf_engine::Engine::try_with_admission(sys.clone(), admission, cfg)
             .map_err(|e| format!("cannot open the temporary WAL: {e}"))?;
         let entities: Vec<_> = engine.store().db().entities().collect();
@@ -580,7 +546,7 @@ fn run_serve(addr: &str, flags: &EngineFlags) -> Result<(String, i32), String> {
             println!("{}", rec.summary());
             let engine = ddlf_engine::Engine::from_recovered(
                 rec,
-                admission_options(flags.inflate, flags.threads),
+                flags.inflate.admission(flags.threads),
                 engine_cfg.clone(),
                 dir,
             )
@@ -595,7 +561,7 @@ fn run_serve(addr: &str, flags: &EngineFlags) -> Result<(String, i32), String> {
     }
     let cfg = ServeConfig {
         threads: engine_cfg.threads,
-        default_inflate: wire_inflate(flags.inflate),
+        default_inflate: flags.inflate,
         wal_dir: engine_cfg.wal_dir.clone(),
         engine: engine_cfg,
     };
@@ -668,12 +634,12 @@ fn run_submit(
     spec_json: &str,
     txns: usize,
     template: Option<&str>,
-    inflate: Option<InflateArg>,
+    inflate: InflateSpec,
     expect_zero_aborts: bool,
     shutdown: bool,
 ) -> Outcome {
     let mut client = connect(addr)?;
-    let reg = client.register(spec_json, wire_inflate(inflate));
+    let reg = client.register(spec_json, inflate);
     let reg = reg.map_err(|e| format!("register failed: {e}"))?;
     let mut out = format!("admission: {}\n{}", reg.verdict, reg.render_plan());
     let count = u32::try_from(txns).expect("checked at parse time");
@@ -713,8 +679,8 @@ pub fn load_system(json: &str) -> Result<TransactionSystem, String> {
 /// plan, Theorem 4's counters on the granted inflation, and what
 /// admission cost — exit 0 iff the request was granted in full and the
 /// verdict guarantees safety as well as deadlock-freedom.
-fn certify(sys: &TransactionSystem, inflate: Option<InflateArg>, json: bool) -> (String, i32) {
-    if inflate.is_none() && !json {
+fn certify(sys: &TransactionSystem, inflate: InflateSpec, json: bool) -> (String, i32) {
+    if inflate == InflateSpec::None && !json {
         return match certify_safe_and_deadlock_free(sys, CertifyOptions::default()) {
             Ok(cert) => (
                 format!(
@@ -729,7 +695,7 @@ fn certify(sys: &TransactionSystem, inflate: Option<InflateArg>, json: bool) -> 
     let started = std::time::Instant::now();
     let registry = ddlf_engine::TemplateRegistry::register_with(
         sys.clone(),
-        admission_options(inflate, DEFAULT_THREADS),
+        inflate.admission(DEFAULT_THREADS),
     );
     let admission_ms = started.elapsed().as_secs_f64() * 1e3;
     let (verdict, plan) = (registry.verdict(), registry.plan());
@@ -1055,7 +1021,7 @@ fn run_engine(sys: &TransactionSystem, cmd: &Command) -> Outcome {
     let mut cfg = flags.config(telemetry.clone());
     cfg.instances = *txns;
     cfg.force_fallback = *force_fallback;
-    let admission = admission_options(flags.inflate, flags.threads);
+    let admission = flags.inflate.admission(flags.threads);
     let engine = ddlf_engine::Engine::try_with_admission(sys.clone(), admission, cfg)
         .map_err(|e| format!("cannot open WAL: {e}"))?;
     let mut out = String::new();
@@ -1257,7 +1223,7 @@ mod tests {
             c,
             Command::Certify {
                 spec: "f.json".into(),
-                inflate: None,
+                inflate: InflateSpec::None,
                 json: false,
             }
         );
@@ -1452,7 +1418,7 @@ mod tests {
             parse_args(&args(&["certify", "f.json", "--inflate", "auto", "--json"])).unwrap(),
             Command::Certify {
                 spec: "f.json".into(),
-                inflate: Some(InflateArg::Auto),
+                inflate: InflateSpec::Auto { cap: u32::MAX },
                 json: true,
             }
         );
@@ -1468,7 +1434,7 @@ mod tests {
         // Two templates at k = 2: four transactions on a complete
         // interaction graph, 6 pairs and K4's 7 cycles.
         let sys = SPEC;
-        let (out, code) = execute(&certify(Some(InflateArg::Uniform(2)), false), sys);
+        let (out, code) = execute(&certify(InflateSpec::Uniform(2), false), sys);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("admission: certified"), "{out}");
         assert!(out.contains("k = 2"), "{out}");
@@ -1478,7 +1444,7 @@ mod tests {
         );
         assert!(out.contains("admission took"), "{out}");
 
-        let (out, code) = execute(&certify(Some(InflateArg::Auto), true), sys);
+        let (out, code) = execute(&certify(InflateSpec::Auto { cap: u32::MAX }, true), sys);
         assert_eq!(code, 0, "{out}");
         assert!(serde_json::parse_value(out.trim()).is_ok(), "{out}");
         assert!(out.contains(r#""granted":true"#), "{out}");
@@ -1487,7 +1453,7 @@ mod tests {
 
         // A request the certifier refuses is a failed analysis.
         let sys = DEADLOCKY;
-        let (out, code) = execute(&certify(Some(InflateArg::Uniform(2)), false), sys);
+        let (out, code) = execute(&certify(InflateSpec::Uniform(2), false), sys);
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("fallback to wait-die"), "{out}");
         assert!(out.contains("floored to k=1"), "{out}");
@@ -1557,7 +1523,7 @@ mod tests {
             panic!("run command");
         };
         let inflate = engine.inflate;
-        assert_eq!(inflate, Some(InflateArg::Uniform(4)));
+        assert_eq!(inflate, InflateSpec::Uniform(4));
 
         let c = parse_args(&[
             "run".into(),
@@ -1570,7 +1536,7 @@ mod tests {
             panic!("run command");
         };
         let inflate = engine.inflate;
-        assert_eq!(inflate, Some(InflateArg::Auto));
+        assert_eq!(inflate, InflateSpec::Auto { cap: u32::MAX });
 
         assert!(parse_args(&["run".into(), "f".into(), "--inflate".into()]).is_err());
         assert!(parse_args(&["run".into(), "f".into(), "--inflate".into(), "0".into()]).is_err());
@@ -1864,7 +1830,7 @@ mod tests {
             spec: String::new(),
             txns: 16,
             engine: EngineFlags {
-                inflate: Some(InflateArg::Uniform(4)),
+                inflate: InflateSpec::Uniform(4),
                 ..EngineFlags::new(1)
             },
             force_fallback: false,
@@ -1887,7 +1853,7 @@ mod tests {
             txns: 8,
             engine: EngineFlags {
                 threads: 2,
-                inflate: Some(InflateArg::Auto),
+                inflate: InflateSpec::Auto { cap: u32::MAX },
                 ..EngineFlags::new(1)
             },
             force_fallback: false,
@@ -2251,7 +2217,7 @@ mod tests {
                 addr: "127.0.0.1:7471".into(),
                 engine: EngineFlags {
                     threads: 8,
-                    inflate: Some(InflateArg::Auto),
+                    inflate: InflateSpec::Auto { cap: u32::MAX },
                     ..EngineFlags::new(16)
                 },
             }
@@ -2283,7 +2249,7 @@ mod tests {
                 spec: "f.json".into(),
                 txns: 32,
                 template: Some("T1".into()),
-                inflate: Some(InflateArg::Uniform(4)),
+                inflate: InflateSpec::Uniform(4),
                 expect_zero_aborts: true,
                 shutdown: true,
             }
@@ -2310,7 +2276,7 @@ mod tests {
             spec: String::new(),
             txns: 16,
             template: None,
-            inflate: Some(InflateArg::Uniform(2)),
+            inflate: InflateSpec::Uniform(2),
             expect_zero_aborts: true,
             shutdown: false,
         };
@@ -2328,7 +2294,7 @@ mod tests {
             spec: String::new(),
             txns: 16,
             template: None,
-            inflate: Some(InflateArg::Uniform(2)),
+            inflate: InflateSpec::Uniform(2),
             expect_zero_aborts: true,
             shutdown: true,
         };
@@ -2346,7 +2312,7 @@ mod tests {
             spec: String::new(),
             txns: 4,
             template: None,
-            inflate: None,
+            inflate: InflateSpec::None,
             expect_zero_aborts: false,
             shutdown: false,
         };

@@ -28,13 +28,6 @@ pub enum ViolationKind {
     },
 }
 
-impl ViolationKind {
-    /// Whether the diagnosis is a safety violation.
-    pub fn is_unsafe(&self) -> bool {
-        matches!(self, ViolationKind::Unserializable { .. })
-    }
-}
-
 /// Classifies a partial schedule whose conflict digraph is cyclic.
 ///
 /// Returns `None` when the schedule is illegal, its conflict digraph is
@@ -157,7 +150,10 @@ mod tests {
             ManyViolation::Cycle(w) => {
                 let kind = classify_violation(&sys, &w.schedule, 5_000_000).expect("classifiable");
                 // 2PL ring: safe but deadlock-prone → Doomed.
-                assert!(!kind.is_unsafe(), "2PL ring should diagnose as Doomed");
+                assert!(
+                    matches!(kind, ViolationKind::Doomed { .. }),
+                    "2PL ring should diagnose as Doomed"
+                );
             }
             other => panic!("expected cycle, got {other:?}"),
         }

@@ -26,15 +26,12 @@ pub struct ReductionGraph {
     /// Digraph over dense global-node indices (executed nodes are present
     /// but isolated, which does not affect cycle detection).
     graph: DiGraph,
-    /// How many cross-transaction (`Ux → Lx`) arcs were added.
-    wait_arcs: usize,
 }
 
 impl ReductionGraph {
     /// Builds `R(A')` for `prefix`.
     pub fn build(sys: &TransactionSystem, prefix: &SystemPrefix) -> Self {
         let mut graph = DiGraph::new(sys.total_nodes());
-        let mut wait_arcs = 0;
 
         // Transaction arcs among remaining nodes. A prefix is downward
         // closed, so a direct arc with its head outside the prefix has its
@@ -69,23 +66,17 @@ impl ReductionGraph {
                     let l2 = txn2.lock_node_of(e).expect("accesses e");
                     if !prefix.of(t2).contains(l2) {
                         graph.add_arc(u_idx, sys.global_index(GlobalNode::new(t2, l2)));
-                        wait_arcs += 1;
                     }
                 }
             }
         }
 
-        Self { graph, wait_arcs }
+        Self { graph }
     }
 
     /// The underlying digraph (global-node indices).
     pub fn graph(&self) -> &DiGraph {
         &self.graph
-    }
-
-    /// Number of cross-transaction wait arcs.
-    pub fn wait_arc_count(&self) -> usize {
-        self.wait_arcs
     }
 
     /// Whether the reduction graph is cyclic.
@@ -98,50 +89,6 @@ impl ReductionGraph {
         self.graph
             .find_cycle()
             .map(|c| c.into_iter().map(|i| sys.from_global_index(i)).collect())
-    }
-
-    /// Renders the reduction graph as Graphviz DOT: remaining nodes only,
-    /// transaction arcs solid, wait (`Ux → Lx`) arcs dashed and red —
-    /// the figure-1e style diagram for any prefix.
-    pub fn to_dot(&self, sys: &TransactionSystem, prefix: &SystemPrefix) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph reduction {{");
-        let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
-        for (t, txn) in sys.iter() {
-            for n in txn.nodes() {
-                if prefix.of(t).contains(n) {
-                    continue;
-                }
-                let op = txn.op(n);
-                let idx = sys.global_index(GlobalNode::new(t, n));
-                let _ = writeln!(
-                    out,
-                    "  g{idx} [label=\"{}{} ({})\"];",
-                    if op.is_lock() { "L" } else { "U" },
-                    sys.db().name_of(op.entity),
-                    t
-                );
-            }
-        }
-        for u in 0..self.graph.len() {
-            let gu = sys.from_global_index(u);
-            if prefix.of(gu.txn).contains(gu.node) {
-                continue;
-            }
-            for &v in self.graph.successors(u) {
-                let gv = sys.from_global_index(v as usize);
-                let cross = gu.txn != gv.txn;
-                let style = if cross {
-                    " [style=dashed, color=red]"
-                } else {
-                    ""
-                };
-                let _ = writeln!(out, "  g{u} -> g{v}{style};");
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
     }
 }
 
@@ -275,7 +222,6 @@ mod tests {
         ]);
         let rg = ReductionGraph::build(&sys, &prefix);
         assert!(rg.is_cyclic());
-        assert_eq!(rg.wait_arc_count(), 2);
         let dp = check_deadlock_prefix(&sys, &prefix, 10_000).expect("deadlock prefix");
         assert_eq!(dp.schedule.len(), 2);
         dp.schedule.validate(&sys).unwrap();
@@ -290,7 +236,6 @@ mod tests {
         let prefix = SystemPrefix::empty(sys.txns());
         let rg = ReductionGraph::build(&sys, &prefix);
         assert!(!rg.is_cyclic());
-        assert_eq!(rg.wait_arc_count(), 0);
         assert!(rg.cycle(&sys).is_none());
     }
 
@@ -305,23 +250,7 @@ mod tests {
         ]);
         let rg = ReductionGraph::build(&sys, &prefix);
         assert!(!rg.is_cyclic());
-        assert_eq!(rg.wait_arc_count(), 2);
         assert!(check_deadlock_prefix(&sys, &prefix, 10_000).is_none());
-    }
-
-    #[test]
-    fn reduction_dot_renders_wait_arcs() {
-        let sys = classic_pair();
-        let prefix = SystemPrefix::new(vec![
-            Prefix::from_nodes(sys.txn(TxnId(0)), [NodeId(0)]).unwrap(),
-            Prefix::from_nodes(sys.txn(TxnId(1)), [NodeId(0)]).unwrap(),
-        ]);
-        let rg = ReductionGraph::build(&sys, &prefix);
-        let dot = rg.to_dot(&sys, &prefix);
-        assert!(dot.contains("digraph reduction"));
-        assert!(dot.contains("style=dashed"), "wait arcs must be dashed");
-        // Executed nodes (the two executed locks) are not rendered.
-        assert_eq!(dot.matches("Le0").count() + dot.matches("Le1").count(), 2);
     }
 
     #[test]

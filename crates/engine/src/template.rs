@@ -109,11 +109,6 @@ impl Program {
     pub fn write_for(&self, entity: EntityId) -> Option<&WriteOp> {
         self.writes.get(&entity)
     }
-
-    /// Number of writes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
 }
 
 /// How many concurrent instances of a template an [`AdmissionPlan`]
@@ -864,7 +859,6 @@ mod tests {
     fn default_program_counts_every_entity() {
         let reg = TemplateRegistry::register(two_phase_pair(true));
         let p = &reg.template(TxnId(0)).program;
-        assert_eq!(p.write_count(), 2);
         assert_eq!(p.write_for(EntityId(0)), Some(&WriteOp::Add(1)));
     }
 
@@ -873,7 +867,6 @@ mod tests {
         let p = Program::transfer(EntityId(0), EntityId(1), 25);
         assert_eq!(p.write_for(EntityId(0)), Some(&WriteOp::Add(-25)));
         assert_eq!(p.write_for(EntityId(1)), Some(&WriteOp::Add(25)));
-        assert_eq!(Program::read_only().write_count(), 0);
     }
 
     #[test]

@@ -64,10 +64,11 @@
 //!
 //! ## Durability model
 //!
-//! Every record is framed in place into one user-space buffer
-//! (`LogWriter`, one buffered write replacing one `write(2)` per record)
-//! behind one mutex, `wal.log`, so the file is a single total order and
-//! **data before decision is its prefix property, not a protocol**: an
+//! Every record is framed in place — by [`frame::put_frame`], the one
+//! framer the wire shares — into one user-space buffer (`LogWriter`,
+//! one buffered write replacing one `write(2)` per record) behind one
+//! mutex, `wal.log`, so the file is a single total order and **data
+//! before decision is its prefix property, not a protocol**: an
 //! attempt appends its `Write`/`Event` records before it asks for its
 //! decision, so a `Commit` frame in the file implies every record it
 //! decides over is in the file before it. That holds
@@ -105,7 +106,6 @@
 use crate::store::{Store, WriteError};
 use crate::template::WriteOp;
 use crate::wire::{codec, frame};
-use bytes::{BufMut, Bytes, BytesMut};
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, SystemSpec, TransactionSystem, TxnId};
@@ -187,24 +187,24 @@ const OP_ADD: u8 = 0;
 const OP_PUT: u8 = 1;
 const OP_PUT_BYTES: u8 = 2;
 
-fn put_op(b: &mut impl BufMut, op: &WriteOp) {
+fn put_op(b: &mut Vec<u8>, op: &WriteOp) {
     match op {
         WriteOp::Add(delta) => {
-            b.put_u8(OP_ADD);
-            b.put_u64_le(*delta as u64);
+            b.push(OP_ADD);
+            codec::put_u64(b, *delta as u64);
         }
         WriteOp::Put(v) => {
-            b.put_u8(OP_PUT);
-            b.put_u64_le(*v);
+            b.push(OP_PUT);
+            codec::put_u64(b, *v);
         }
         WriteOp::PutBytes(bytes) => {
-            b.put_u8(OP_PUT_BYTES);
+            b.push(OP_PUT_BYTES);
             codec::put_bytes(b, bytes);
         }
     }
 }
 
-fn get_op(buf: &mut Bytes) -> Option<WriteOp> {
+fn get_op(buf: &mut &[u8]) -> Option<WriteOp> {
     match codec::get_u8(buf)? {
         OP_ADD => Some(WriteOp::Add(codec::get_u64(buf)? as i64)),
         OP_PUT => Some(WriteOp::Put(codec::get_u64(buf)?)),
@@ -215,25 +215,25 @@ fn get_op(buf: &mut Bytes) -> Option<WriteOp> {
 
 impl WalRecord {
     /// Encodes to the binary record format (see module docs).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(32);
         self.encode_into(&mut b);
-        b.freeze()
+        b
     }
 
     /// Appends the record's encoding to `b` — the one encoder behind
     /// [`WalRecord::encode`] and the log's in-place framing.
-    fn encode_into(&self, b: &mut impl BufMut) {
+    fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             WalRecord::Begin {
                 gid,
                 template,
                 attempt,
             } => {
-                b.put_u8(TAG_BEGIN);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*template);
-                b.put_u32_le(*attempt);
+                b.push(TAG_BEGIN);
+                codec::put_u32(b, *gid);
+                codec::put_u32(b, *template);
+                codec::put_u32(b, *attempt);
             }
             WalRecord::Write {
                 gid,
@@ -241,10 +241,10 @@ impl WalRecord {
                 entity,
                 op,
             } => {
-                b.put_u8(TAG_WRITE);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*attempt);
-                b.put_u32_le(entity.0);
+                b.push(TAG_WRITE);
+                codec::put_u32(b, *gid);
+                codec::put_u32(b, *attempt);
+                codec::put_u32(b, entity.0);
                 put_op(b, op);
             }
             WalRecord::Commit {
@@ -253,28 +253,28 @@ impl WalRecord {
                 attempt,
                 commit_ts,
             } => {
-                b.put_u8(TAG_COMMIT);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*template);
-                b.put_u32_le(*attempt);
-                b.put_u64_le(*commit_ts);
+                b.push(TAG_COMMIT);
+                codec::put_u32(b, *gid);
+                codec::put_u32(b, *template);
+                codec::put_u32(b, *attempt);
+                codec::put_u64(b, *commit_ts);
             }
             WalRecord::Abort { gid, attempt } => {
-                b.put_u8(TAG_ABORT);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*attempt);
+                b.push(TAG_ABORT);
+                codec::put_u32(b, *gid);
+                codec::put_u32(b, *attempt);
             }
             WalRecord::Event { gid, attempt, node } => {
-                b.put_u8(TAG_EVENT);
-                b.put_u32_le(*gid);
-                b.put_u32_le(*attempt);
-                b.put_u32_le(node.0);
+                b.push(TAG_EVENT);
+                codec::put_u32(b, *gid);
+                codec::put_u32(b, *attempt);
+                codec::put_u32(b, node.0);
             }
         }
     }
 
     /// Decodes one record; `None` on malformed input.
-    pub fn decode(mut buf: Bytes) -> Option<WalRecord> {
+    pub fn decode(mut buf: &[u8]) -> Option<WalRecord> {
         let rec = match codec::get_u8(&mut buf)? {
             TAG_BEGIN => WalRecord::Begin {
                 gid: codec::get_u32(&mut buf)?,
@@ -304,7 +304,7 @@ impl WalRecord {
             },
             _ => return None,
         };
-        codec::finished(&buf, rec)
+        codec::finished(buf, rec)
     }
 }
 
@@ -365,13 +365,13 @@ struct LogMarks {
 }
 
 /// A buffered framed appender over the log file: each record is framed
-/// straight into a user-space `Vec` (the u32 LE length prefix, then the
-/// record's encoding — no per-record allocation) and the
-/// buffer reaches the kernel in one `write(2)` when it crosses
-/// [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`]. One buffer in
-/// front of one file cannot reorder: whatever prefix of the appended
-/// frames has reached the kernel is a prefix of the file. It never
-/// fsyncs: durability is [`Wal::sync_decided`]'s, on a cloned
+/// straight into a user-space `Vec` by [`frame::put_frame`] (the u32 LE
+/// length prefix, then the record's encoding — no per-record
+/// allocation) and the buffer reaches the kernel in one `write(2)` when
+/// it crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`]. One
+/// buffer in front of one file cannot reorder: whatever prefix of the
+/// appended frames has reached the kernel is a prefix of the file. It
+/// never fsyncs: durability is [`Wal::sync_decided`]'s, on a cloned
 /// descriptor, outside the lock that guards this writer.
 pub(crate) struct LogWriter {
     file: File,
@@ -388,23 +388,15 @@ impl LogWriter {
         }
     }
 
-    /// Frames `rec` into the buffer — the [`frame`] layout, encoded in
-    /// place — and pushes the buffer once it is full. Returns the frame's
-    /// size. A record above [`frame::MAX_FRAME`] is refused with
-    /// `InvalidData` and leaves no byte of itself behind.
+    /// Frames `rec` into the buffer through [`frame::put_frame`] and
+    /// pushes the buffer once it is full. Returns the frame's size. A
+    /// record above [`frame::MAX_FRAME`] is refused with `InvalidData`,
+    /// leaves no byte of itself behind, and gives back the memory it
+    /// grew the buffer by.
     fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
-        let start = self.buf.len();
-        self.buf.put_u32_le(0);
-        rec.encode_into(&mut self.buf);
-        let len = self.buf.len() - start - 4;
-        match frame::length_prefix(len) {
-            Ok(prefix) => self.buf[start..start + 4].copy_from_slice(&prefix),
-            Err(e) => {
-                self.buf.truncate(start);
-                self.buf.shrink_to(LOG_BUFFER);
-                return Err(e);
-            }
-        }
+        let framed = frame::put_frame(&mut self.buf, |b| rec.encode_into(b)).inspect_err(|_| {
+            self.buf.shrink_to(LOG_BUFFER);
+        })?;
         if matches!(rec, WalRecord::Commit { .. }) {
             // Counted before a full-buffer push, so that push covers it.
             self.marks.decided.fetch_add(1, Ordering::Release);
@@ -412,7 +404,7 @@ impl LogWriter {
         if self.buf.len() >= LOG_BUFFER {
             self.flush()?;
         }
-        Ok(4 + len)
+        Ok(framed)
     }
 
     /// Writes any buffered frames to the kernel, then advances the
@@ -915,7 +907,7 @@ fn scan_log(
         match frame::read_frame_into(&mut r, &mut payload) {
             Ok(false) => break,
             Ok(true) if payload.first().is_some_and(|t| skip.contains(t)) => {}
-            Ok(true) => match WalRecord::decode(Bytes::from(std::mem::take(&mut payload))) {
+            Ok(true) => match WalRecord::decode(&payload) {
                 Some(rec) => visit(rec)?,
                 None => {
                     return Err(WalError::Record(format!(
@@ -1096,11 +1088,16 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf as _;
 
     fn roundtrip(rec: WalRecord) {
-        let enc = rec.encode();
-        assert_eq!(WalRecord::decode(enc), Some(rec));
+        assert_eq!(WalRecord::decode(&rec.encode()), Some(rec));
+    }
+
+    /// `payload` as one frame, through the one framer.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        frame::put_frame(&mut b, |b| b.extend_from_slice(payload)).unwrap();
+        b
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -1162,7 +1159,7 @@ mod tests {
             ),
         ];
         for (rec, pinned) in pins {
-            assert_eq!(hex(rec.encode().as_ref()), pinned, "{rec:?}");
+            assert_eq!(hex(&rec.encode()), pinned, "{rec:?}");
             roundtrip(rec);
         }
     }
@@ -1233,8 +1230,8 @@ mod tests {
             let dir = unit_dir(tag);
             drop(Wal::create(&dir, &sys, 1000, WalOptions::default()).unwrap());
             let mut f = append_mode(&dir.join(LOG_FILE)).unwrap();
-            frame::write_frame(&mut f, first.encode().as_ref()).unwrap();
-            frame::write_frame(&mut f, &old).unwrap();
+            f.write_all(&framed(&first.encode())).unwrap();
+            f.write_all(&framed(&old)).unwrap();
             drop(f);
             match recover(&dir) {
                 Err(WalError::Record(m)) => {
@@ -1251,17 +1248,14 @@ mod tests {
 
     #[test]
     fn malformed_records_rejected() {
-        assert_eq!(WalRecord::decode(Bytes::new()), None);
-        assert_eq!(WalRecord::decode(Bytes::from_static(&[99])), None);
+        assert_eq!(WalRecord::decode(&[]), None);
+        assert_eq!(WalRecord::decode(&[99]), None);
         // Truncated Write.
-        assert_eq!(WalRecord::decode(Bytes::from_static(&[TAG_WRITE, 1])), None);
+        assert_eq!(WalRecord::decode(&[TAG_WRITE, 1]), None);
         // Trailing garbage after a valid Abort.
-        let mut enc: Vec<u8> = WalRecord::Abort { gid: 2, attempt: 0 }
-            .encode()
-            .chunk()
-            .to_vec();
+        let mut enc = WalRecord::Abort { gid: 2, attempt: 0 }.encode();
         enc.push(0xFF);
-        assert_eq!(WalRecord::decode(Bytes::from(enc)), None);
+        assert_eq!(WalRecord::decode(&enc), None);
     }
 
     fn unit_dir(tag: &str) -> PathBuf {
@@ -1291,7 +1285,7 @@ mod tests {
         let path = unit_dir(tag).join("log.wal");
         let mut f = File::create(&path).unwrap();
         let first = WalRecord::Abort { gid: 0, attempt: 0 }.encode();
-        frame::write_frame(&mut f, first.as_ref()).unwrap();
+        f.write_all(&framed(&first)).unwrap();
         f.write_all(tail).unwrap();
         path
     }
@@ -1430,10 +1424,10 @@ mod tests {
         assert_eq!((recs.len(), torn), (to_cap + 1, false));
     }
 
-    /// The in-place framing is the `frame` codec over `encode()`, byte
-    /// for byte, for every record kind — one grammar, one encoder.
+    /// The in-place framing is the frame of `encode()`, byte for byte,
+    /// for every record kind — one grammar, one encoder.
     #[test]
-    fn log_writer_frames_every_record_kind_like_write_frame() {
+    fn log_writer_frames_every_record_kind_like_encode() {
         let commit = |gid| WalRecord::Commit {
             gid,
             template: 2,
@@ -1467,10 +1461,10 @@ mod tests {
         let (mut w, _) = log_writer("inplace");
         let mut want = Vec::new();
         for rec in &recs {
-            frame::write_frame(&mut want, rec.encode().as_ref()).unwrap();
-            let framed = w.append(rec).unwrap();
+            want.extend(framed(&rec.encode()));
+            let size = w.append(rec).unwrap();
             assert_eq!(w.buf, want, "{rec:?}");
-            assert_eq!(framed, rec.encode().len() + 4, "{rec:?}");
+            assert_eq!(size, rec.encode().len() + 4, "{rec:?}");
         }
         assert_eq!(
             w.marks.decided.load(Ordering::Relaxed),
@@ -1502,9 +1496,7 @@ mod tests {
             "the buffer stayed large"
         );
         drop(log);
-        let mut want = Vec::new();
-        frame::write_frame(&mut want, small.encode().as_ref()).unwrap();
-        assert_eq!(before, want);
+        assert_eq!(before, framed(&small.encode()));
     }
 
     /// Without `sync` a decision is buffered like any record: no push
@@ -1568,9 +1560,9 @@ mod tests {
             WriteOp::Put(u64::MAX),
             WriteOp::PutBytes(vec![0xAB; 300]),
         ] {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             put_op(&mut b, &op);
-            assert_eq!(get_op(&mut b.freeze()), Some(op));
+            assert_eq!(get_op(&mut b.as_slice()), Some(op));
         }
     }
 }

@@ -1,36 +1,56 @@
 //! The binary conventions every byte stream of the system shares: the
-//! checked payload [`codec`] primitives and the length-prefixed
-//! [`frame`] format — the WAL's log file and every `ddlf-server` request
-//! and response.
+//! checked payload [`codec`] primitives (readers over a `&[u8]` cursor,
+//! writers into a `Vec<u8>`) and the length-prefixed [`frame`] format —
+//! the WAL's log file and every `ddlf-server` request and response.
+//! Every frame is written by one framer, [`frame::put_frame`], encoding
+//! in place into a buffer its writer reuses, and read by one reader,
+//! [`frame::read_frame_into`].
 
 pub mod codec {
     //! Checked binary-codec primitives shared by every consumer of the
     //! binary conventions (1-byte tags, little-endian fixed-width
     //! integers, length-prefixed strings/byte vectors): the wire
     //! protocol in `ddlf-server` and the WAL record format in
-    //! [`wal`](crate::wal). One implementation means one place to harden —
-    //! every reader bounds-checks before consuming, so a hostile or
-    //! truncated buffer yields `None`, never a panic or a misread.
+    //! [`wal`](crate::wal). Readers take a `&mut &[u8]` cursor and
+    //! advance it past what they consume; writers append to a
+    //! `Vec<u8>`. One implementation means one place to harden — every
+    //! reader bounds-checks before consuming, so a hostile or truncated
+    //! buffer yields `None`, never a panic or a misread.
 
-    use bytes::{Buf, BufMut, Bytes};
+    /// Takes the next `N` bytes, if present.
+    fn take<const N: usize>(b: &mut &[u8]) -> Option<[u8; N]> {
+        let (head, rest) = b.split_first_chunk::<N>()?;
+        *b = rest;
+        Some(*head)
+    }
 
     /// Reads one byte, if present.
-    pub fn get_u8(b: &mut Bytes) -> Option<u8> {
-        (b.remaining() >= 1).then(|| Buf::get_u8(b))
+    pub fn get_u8(b: &mut &[u8]) -> Option<u8> {
+        take::<1>(b).map(|[v]| v)
     }
 
     /// Reads a little-endian `u32`, if present.
-    pub fn get_u32(b: &mut Bytes) -> Option<u32> {
-        (b.remaining() >= 4).then(|| Buf::get_u32_le(b))
+    pub fn get_u32(b: &mut &[u8]) -> Option<u32> {
+        take(b).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`, if present.
-    pub fn get_u64(b: &mut Bytes) -> Option<u64> {
-        (b.remaining() >= 8).then(|| Buf::get_u64_le(b))
+    pub fn get_u64(b: &mut &[u8]) -> Option<u64> {
+        take(b).map(u64::from_le_bytes)
+    }
+
+    /// Writes a little-endian `u32`.
+    pub fn put_u32(b: &mut Vec<u8>, v: u32) {
+        b.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes a little-endian `u64`.
+    pub fn put_u64(b: &mut Vec<u8>, v: u64) {
+        b.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Reads a `0`/`1` boolean; any other byte is malformed.
-    pub fn get_bool(b: &mut Bytes) -> Option<bool> {
+    pub fn get_bool(b: &mut &[u8]) -> Option<bool> {
         match get_u8(b)? {
             0 => Some(false),
             1 => Some(true),
@@ -39,14 +59,11 @@ pub mod codec {
     }
 
     /// Reads a `u32`-length-prefixed byte vector, if fully present.
-    pub fn get_bytes(b: &mut Bytes) -> Option<Vec<u8>> {
+    pub fn get_bytes(b: &mut &[u8]) -> Option<Vec<u8>> {
         let len = get_u32(b)? as usize;
-        if b.remaining() < len {
-            return None;
-        }
-        let out = b.chunk()[..len].to_vec();
-        b.advance(len);
-        Some(out)
+        let (bytes, rest) = b.split_at_checked(len)?;
+        *b = rest;
+        Some(bytes.to_vec())
     }
 
     /// Writes a `u32`-length-prefixed byte vector.
@@ -54,13 +71,16 @@ pub mod codec {
     /// # Panics
     /// Panics if `bytes` exceeds `u32::MAX` (nothing that large fits a
     /// frame anyway).
-    pub fn put_bytes(b: &mut impl BufMut, bytes: &[u8]) {
-        b.put_u32_le(u32::try_from(bytes.len()).expect("byte vector fits a frame"));
-        b.put_slice(bytes);
+    pub fn put_bytes(b: &mut Vec<u8>, bytes: &[u8]) {
+        put_u32(
+            b,
+            u32::try_from(bytes.len()).expect("byte vector fits a frame"),
+        );
+        b.extend_from_slice(bytes);
     }
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub fn get_str(b: &mut Bytes) -> Option<String> {
+    pub fn get_str(b: &mut &[u8]) -> Option<String> {
         let bytes = get_bytes(b)?;
         String::from_utf8(bytes).ok()
     }
@@ -69,56 +89,49 @@ pub mod codec {
     ///
     /// # Panics
     /// Panics if `s` exceeds `u32::MAX` bytes.
-    pub fn put_str(b: &mut impl BufMut, s: &str) {
+    pub fn put_str(b: &mut Vec<u8>, s: &str) {
         put_bytes(b, s.as_bytes());
     }
 
     /// `Some(v)` iff the buffer was fully consumed — decoded messages
     /// with trailing bytes reject.
-    pub fn finished<T>(b: &Bytes, v: T) -> Option<T> {
+    pub fn finished<T>(b: &[u8], v: T) -> Option<T> {
         b.is_empty().then_some(v)
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
-        use bytes::BytesMut;
 
         #[test]
         fn primitives_roundtrip_and_reject_short_buffers() {
-            let mut b = BytesMut::new();
-            b.put_u8(7);
-            b.put_u32_le(9);
-            b.put_u64_le(u64::MAX);
+            let mut b = vec![7];
+            put_u32(&mut b, 9);
+            put_u64(&mut b, u64::MAX);
             put_bytes(&mut b, &[1, 2, 3]);
             put_str(&mut b, "héllo");
-            let mut r = b.freeze();
+            let mut r = b.as_slice();
             assert_eq!(get_u8(&mut r), Some(7));
             assert_eq!(get_u32(&mut r), Some(9));
             assert_eq!(get_u64(&mut r), Some(u64::MAX));
             assert_eq!(get_bytes(&mut r), Some(vec![1, 2, 3]));
             assert_eq!(get_str(&mut r).as_deref(), Some("héllo"));
-            assert_eq!(finished(&r, ()), Some(()));
+            assert_eq!(finished(r, ()), Some(()));
 
-            let mut short: Bytes = {
-                let mut b = BytesMut::new();
-                b.put_u32_le(100); // promises 100 bytes, delivers none
-                b.freeze()
-            };
-            assert_eq!(get_bytes(&mut short), None);
-            assert_eq!(get_u64(&mut Bytes::new()), None);
-            assert_eq!(get_bool(&mut Bytes::from_static(&[2])), None);
+            // Promises 100 bytes, delivers none.
+            assert_eq!(get_bytes(&mut &100u32.to_le_bytes()[..]), None);
+            assert_eq!(get_u64(&mut &[][..]), None);
+            assert_eq!(get_bool(&mut &[2][..]), None);
         }
 
         #[test]
         fn hostile_length_prefix_allocates_nothing() {
             // A length prefix of u32::MAX with a tiny payload must be
             // rejected by the bounds check before any allocation.
-            let mut b = BytesMut::new();
-            b.put_u32_le(u32::MAX);
-            b.put_u8(1);
-            let mut r = b.freeze();
-            assert_eq!(get_bytes(&mut r), None);
+            let mut b = Vec::new();
+            put_u32(&mut b, u32::MAX);
+            b.push(1);
+            assert_eq!(get_bytes(&mut b.as_slice()), None);
         }
     }
 }
@@ -150,47 +163,61 @@ pub mod frame {
     //! error taxonomy below is what makes crash recovery clean: a torn
     //! final frame (`UnexpectedEof`) *is* the crash point — a torn
     //! append is always a prefix of a valid frame — distinguishable
-    //! both from a complete log (`Ok(None)`) and from real corruption
+    //! both from a complete log (`Ok(false)`) and from real corruption
     //! (`InvalidData`: a length prefix that was never validly written).
     //!
-    //! [`write_frame`] prepends the prefix; [`read_frame`] strips it and
-    //! distinguishes three stream conditions:
+    //! There is one writer and one reader, and both work in buffers the
+    //! caller owns and reuses. [`put_frame`] encodes a payload in place
+    //! behind a reserved prefix, then patches the length in — the log's
+    //! appender and both ends of a connection frame through it, so it
+    //! is the only code that writes a length prefix. [`read_frame_into`]
+    //! strips the prefix and distinguishes three stream conditions:
     //!
-    //! * `Ok(Some(payload))` — one complete frame;
-    //! * `Ok(None)` — clean EOF *between* frames (the peer closed after a
-    //!   complete exchange);
+    //! * `Ok(true)` — one complete frame, now in the caller's buffer;
+    //! * `Ok(false)` — clean EOF *between* frames (the peer closed after
+    //!   a complete exchange);
     //! * `Err(UnexpectedEof)` — EOF *inside* a frame (a torn write), and
     //!   `Err(InvalidData)` — a length prefix above [`MAX_FRAME`]
     //!   (garbage or a hostile header; reading it would OOM the peer).
 
-    use std::io::{self, Read, Write};
+    use std::io::{self, Read};
 
     /// Upper bound on a frame's payload length (16 MiB). A prefix above
     /// this is rejected as garbage before any payload allocation.
     pub const MAX_FRAME: usize = 16 << 20;
 
-    /// Writes `payload` as one length-prefixed frame and flushes.
+    /// Appends one frame to `buf`: reserves the length prefix, lets
+    /// `encode` append the payload in place behind it, then patches the
+    /// length in. Returns the frame's size, prefix included.
     ///
-    /// Prefix and payload go out in a **single** write: two small writes
-    /// would land in separate TCP segments, and the Nagle/delayed-ACK
-    /// interaction then stalls every round-trip by tens of milliseconds.
+    /// A payload above [`MAX_FRAME`] (the peer would reject it anyway)
+    /// is refused with `InvalidData`, and `buf` is truncated back to
+    /// exactly what it held before — no prefix, no partial payload.
     ///
-    /// Errors with `InvalidData` when `payload` exceeds [`MAX_FRAME`]
-    /// (the peer would reject it anyway), or with the underlying I/O
-    /// error.
-    pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-        let prefix = length_prefix(payload.len())?;
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        framed.extend_from_slice(&prefix);
-        framed.extend_from_slice(payload);
-        w.write_all(&framed)?;
-        w.flush()
+    /// A socket writer sends the whole buffer in a **single** write: two
+    /// small writes would land in separate TCP segments, and the
+    /// Nagle/delayed-ACK interaction then stalls every round-trip by
+    /// tens of milliseconds.
+    pub fn put_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        encode(buf);
+        let len = buf.len() - start - 4;
+        match length_prefix(len) {
+            Ok(prefix) => {
+                buf[start..start + 4].copy_from_slice(&prefix);
+                Ok(4 + len)
+            }
+            Err(e) => {
+                buf.truncate(start);
+                Err(e)
+            }
+        }
     }
 
-    /// The length prefix of a `len`-byte payload, for a writer that
-    /// encodes the payload in place behind it; `InvalidData` when `len`
-    /// exceeds [`MAX_FRAME`].
-    pub fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
+    /// The length prefix of a `len`-byte payload; `InvalidData` when
+    /// `len` exceeds [`MAX_FRAME`].
+    fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
         if len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -202,19 +229,13 @@ pub mod frame {
             .to_le_bytes())
     }
 
-    /// Reads one length-prefixed frame.
+    /// Reads one length-prefixed frame into a caller-owned buffer, so a
+    /// reader of many frames allocates only when a frame outgrows every
+    /// earlier one: `payload` is overwritten with the frame.
     ///
-    /// Returns `Ok(None)` on clean EOF before any prefix byte;
+    /// Returns `Ok(false)` on clean EOF before any prefix byte;
     /// `Err(UnexpectedEof)` on EOF mid-prefix or mid-payload;
     /// `Err(InvalidData)` on a prefix above [`MAX_FRAME`].
-    pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-        let mut payload = Vec::new();
-        Ok(read_frame_into(r, &mut payload)?.then_some(payload))
-    }
-
-    /// [`read_frame`] into a caller-owned buffer, so a scan over many
-    /// small frames allocates once: `payload` is overwritten with the
-    /// frame, and `Ok(false)` is the clean EOF.
     pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
         let mut prefix = [0u8; 4];
         // Hand-rolled first read so EOF-at-a-boundary is distinguishable
@@ -249,51 +270,69 @@ pub mod frame {
     mod tests {
         use super::*;
 
+        /// Frames `payload` onto `buf` through the one framer.
+        fn put(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<usize> {
+            put_frame(buf, |b| b.extend_from_slice(payload))
+        }
+
         #[test]
         fn roundtrip_frames_in_sequence() {
             let mut buf = Vec::new();
-            write_frame(&mut buf, b"hello").unwrap();
-            write_frame(&mut buf, b"").unwrap();
-            write_frame(&mut buf, &[0xAB; 300]).unwrap();
+            put(&mut buf, b"hello").unwrap();
+            put(&mut buf, b"").unwrap();
+            put(&mut buf, &[0xAB; 300]).unwrap();
             let mut r = buf.as_slice();
-            assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-            assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-            assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![0xAB; 300]);
-            assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+            let mut payload = Vec::new();
+            for want in [&b"hello"[..], b"", &[0xAB; 300]] {
+                assert!(read_frame_into(&mut r, &mut payload).unwrap());
+                assert_eq!(payload, want);
+            }
+            assert!(!read_frame_into(&mut r, &mut payload).unwrap(), "clean EOF");
+        }
+
+        /// `put_frame` appends exactly one frame behind whatever the
+        /// buffer already held, and an oversize payload leaves the
+        /// buffer byte-for-byte as it was.
+        #[test]
+        fn put_frame_appends_one_frame_or_nothing() {
+            let mut buf = vec![0xEE; 7];
+            assert_eq!(put(&mut buf, &[1, 2, 3]).unwrap(), 7);
+            assert_eq!(buf[..7], [0xEE; 7], "earlier bytes untouched");
+            assert_eq!(buf[7..11], 3u32.to_le_bytes(), "prefix = payload length");
+            assert_eq!(buf[11..], [1, 2, 3]);
+
+            let before = buf.clone();
+            let err = put_frame(&mut buf, |b| b.resize(b.len() + MAX_FRAME + 1, 0xAB));
+            assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+            assert_eq!(buf, before, "an oversize frame left bytes behind");
         }
 
         #[test]
         fn torn_frames_are_errors_not_eof() {
             let mut buf = Vec::new();
-            write_frame(&mut buf, b"payload").unwrap();
-            // EOF inside the payload.
-            let mut r = &buf[..buf.len() - 2];
-            assert_eq!(
-                read_frame(&mut r).unwrap_err().kind(),
-                std::io::ErrorKind::UnexpectedEof
-            );
-            // EOF inside the prefix itself.
-            let mut r = &buf[..2];
-            assert_eq!(
-                read_frame(&mut r).unwrap_err().kind(),
-                std::io::ErrorKind::UnexpectedEof
-            );
+            put(&mut buf, b"payload").unwrap();
+            let mut payload = Vec::new();
+            // EOF inside the payload, then inside the prefix itself.
+            for cut in [buf.len() - 2, 2] {
+                assert_eq!(
+                    read_frame_into(&mut &buf[..cut], &mut payload)
+                        .unwrap_err()
+                        .kind(),
+                    io::ErrorKind::UnexpectedEof
+                );
+            }
         }
 
         #[test]
         fn hostile_length_prefix_rejected_before_allocation() {
-            let mut r: &[u8] = &u32::MAX.to_le_bytes();
+            let mut payload = Vec::new();
             assert_eq!(
-                read_frame(&mut r).unwrap_err().kind(),
-                std::io::ErrorKind::InvalidData
-            );
-            let mut w = Vec::new();
-            assert_eq!(
-                write_frame(&mut w, &vec![0u8; MAX_FRAME + 1])
+                read_frame_into(&mut &u32::MAX.to_le_bytes()[..], &mut payload)
                     .unwrap_err()
                     .kind(),
-                std::io::ErrorKind::InvalidData
+                io::ErrorKind::InvalidData
             );
+            assert_eq!(payload.capacity(), 0);
         }
     }
 }

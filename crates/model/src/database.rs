@@ -88,15 +88,6 @@ impl Database {
         (0..self.site_of.len()).map(EntityId::from_index)
     }
 
-    /// Entities resident at `site`.
-    pub fn entities_at(&self, site: SiteId) -> impl Iterator<Item = EntityId> + '_ {
-        self.site_of
-            .iter()
-            .enumerate()
-            .filter(move |(_, s)| **s == site)
-            .map(|(i, _)| EntityId::from_index(i))
-    }
-
     /// Validates that `e` exists.
     pub fn check_entity(&self, e: EntityId) -> Result<(), ModelError> {
         if e.index() < self.site_of.len() {
@@ -169,7 +160,6 @@ mod tests {
         assert_eq!(db.name_of(x), "x");
         assert_eq!(db.entity_by_name("y"), Some(y));
         assert_eq!(db.entity_by_name("zzz"), None);
-        assert_eq!(db.entities_at(s0).collect::<Vec<_>>(), vec![x]);
         assert!(db.check_entity(x).is_ok());
         assert!(db.check_entity(EntityId(99)).is_err());
     }

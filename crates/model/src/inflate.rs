@@ -58,12 +58,6 @@ impl CopyMap {
         &self.fwd[template.index()]
     }
 
-    /// The inflation factor of `template` (its number of copies), or
-    /// `None` when out of range.
-    pub fn k_of(&self, template: TxnId) -> Option<usize> {
-        self.fwd.get(template.index()).map(Vec::len)
-    }
-
     /// The full inflation vector, template order.
     pub fn k(&self) -> Vec<usize> {
         self.fwd.iter().map(Vec::len).collect()
@@ -187,8 +181,6 @@ mod tests {
             assert_eq!(map.copy_of(t, c), Some(TxnId::from_index(g)));
         }
         assert_eq!(map.copies_of(TxnId(1)).len(), 3);
-        assert_eq!(map.k_of(TxnId(0)), Some(2));
-        assert_eq!(map.k_of(TxnId(7)), None);
         assert_eq!(map.source_of(TxnId(99)), None);
         assert_eq!(map.copy_of(TxnId(0), 2), None);
     }

@@ -126,16 +126,6 @@ impl Prefix {
             .collect()
     }
 
-    /// Entities whose Lock node is inside the prefix: `R(T')` in the
-    /// Theorem 4 development ("accessed by the prefix").
-    pub fn accessed_entities(&self, txn: &Transaction) -> Vec<EntityId> {
-        txn.entities()
-            .iter()
-            .copied()
-            .filter(|&e| self.contains(txn.lock_node_of(e).expect("accessed")))
-            .collect()
-    }
-
     /// `Y(T')` from §5: entities mentioned in the *remaining* steps —
     /// equivalently, accessed entities whose `Uy` is not in the prefix.
     pub fn pending_entities(&self, txn: &Transaction) -> Vec<EntityId> {
@@ -345,7 +335,6 @@ mod tests {
         // Execute L e0, L e1, U e0.
         let p = Prefix::from_nodes(&t, [NodeId(0), NodeId(1), NodeId(2)]).unwrap();
         assert_eq!(p.held_entities(&t), vec![EntityId(1)]);
-        assert_eq!(p.accessed_entities(&t), vec![EntityId(0), EntityId(1)]);
         assert_eq!(p.pending_entities(&t), vec![EntityId(1)]);
     }
 

@@ -55,15 +55,6 @@ impl Lit {
         }
     }
 
-    /// The complementary literal.
-    #[inline]
-    pub fn negated(self) -> Self {
-        Self {
-            var: self.var,
-            positive: !self.positive,
-        }
-    }
-
     /// Whether the literal is satisfied under `value` for its variable.
     #[inline]
     pub fn satisfied_by(self, value: bool) -> bool {
@@ -331,8 +322,6 @@ mod tests {
     #[test]
     fn literal_ops() {
         let l = Lit::pos(Var(3));
-        assert_eq!(l.negated(), Lit::neg(Var(3)));
-        assert_eq!(l.negated().negated(), l);
         assert!(l.satisfied_by(true) && !l.satisfied_by(false));
         assert!(Lit::neg(Var(3)).satisfied_by(false));
     }

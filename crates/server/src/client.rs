@@ -1,6 +1,8 @@
 //! The typed client: connect, framed round-trips, reconnect-on-EOF.
 //!
-//! A [`Client`] owns one TCP connection and remembers its address. When
+//! A [`Client`] owns one TCP connection and remembers its address, and
+//! frames every request into, and reads every reply from, two buffers it
+//! keeps for its lifetime (reconnects included). When
 //! a round-trip fails because the connection died (a send error, or EOF
 //! where a reply was due), the client reconnects once and — for
 //! *idempotent* requests (`Report`, `Shutdown`, `RegisterSystem`) —
@@ -14,7 +16,7 @@ use crate::proto::{
 };
 use ddlf_engine::wire::frame;
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -70,15 +72,29 @@ fn is_idempotent(req: &Request) -> bool {
 pub struct Client {
     addr: String,
     stream: TcpStream,
+    /// The outgoing frame, encoded in place; reused across requests and
+    /// reconnects.
+    wbuf: Vec<u8>,
+    /// The incoming frame's payload; reused likewise.
+    rbuf: Vec<u8>,
 }
 
 impl Client {
+    fn new(addr: String, stream: TcpStream) -> Client {
+        let _ = stream.set_nodelay(true);
+        Client {
+            addr,
+            stream,
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
+        }
+    }
+
     /// Connects to a running server.
     pub fn connect(addr: impl Into<String>) -> io::Result<Client> {
         let addr = addr.into();
         let stream = TcpStream::connect(&addr)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Client { addr, stream })
+        Ok(Client::new(addr, stream))
     }
 
     /// [`connect`](Client::connect), retrying with a small backoff until
@@ -89,10 +105,7 @@ impl Client {
         let started = Instant::now();
         loop {
             match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    return Ok(Client { addr, stream });
-                }
+                Ok(stream) => return Ok(Client::new(addr, stream)),
                 Err(e) if started.elapsed() >= deadline => return Err(e),
                 Err(_) => std::thread::sleep(Duration::from_millis(25)),
             }
@@ -114,17 +127,18 @@ impl Client {
     /// is dead (EOF where a reply was due, or a send error of the
     /// disconnect family).
     fn try_round_trip(&mut self, req: &Request) -> io::Result<Option<Response>> {
-        let payload = req.encode();
-        match frame::write_frame(&mut self.stream, payload.as_ref()) {
+        self.wbuf.clear();
+        frame::put_frame(&mut self.wbuf, |b| req.encode_into(b))?;
+        match self.stream.write_all(&self.wbuf) {
             Ok(()) => {}
             Err(e) if is_disconnect(&e) => return Ok(None),
             Err(e) => return Err(e),
         }
-        match frame::read_frame(&mut self.stream) {
-            Ok(Some(reply)) => Ok(Some(Response::decode(reply.into()).ok_or_else(|| {
+        match frame::read_frame_into(&mut self.stream, &mut self.rbuf) {
+            Ok(true) => Ok(Some(Response::decode(&self.rbuf).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "undecodable reply frame")
             })?)),
-            Ok(None) => Ok(None),
+            Ok(false) => Ok(None),
             Err(e) if is_disconnect(&e) => Ok(None),
             Err(e) => Err(e),
         }

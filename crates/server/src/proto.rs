@@ -4,7 +4,12 @@
 //! strings).
 //!
 //! A protocol unit is one encoded message carried in one
-//! [`ddlf_engine::wire::frame`] frame. Decoding is strict: unknown tags,
+//! [`ddlf_engine::wire::frame`] frame. The server and the client each
+//! encode in place ([`Request::encode_into`], [`Response::encode_into`])
+//! behind the prefix `put_frame` reserves in a buffer they reuse, and
+//! decode straight from their reused read buffer (`decode` takes any
+//! byte slice); [`Request::encode`]/[`Response::encode`] are the same
+//! encoders into a fresh `Vec`. Decoding is strict: unknown tags,
 //! short buffers, invalid enum bytes, non-UTF-8 strings, and trailing
 //! garbage all decode to `None`, so a malformed peer can never produce a
 //! misread message — only a rejected one.
@@ -15,14 +20,16 @@
 //! `ddlf-audit` renders as JSON and Prometheus text. Adding a `u64`
 //! gauge to [`StatsSnapshot`] is one row there.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ddlf_engine::{
-    Phase, PhaseSnapshot, Report, Slots, Telemetry, TelemetrySnapshot, TemplateRegistry,
+    AdmissionOptions, Inflation, Phase, PhaseSnapshot, Report, Slots, Telemetry, TelemetrySnapshot,
+    TemplateRegistry,
 };
 // The checked readers/writers (bounds-checked little-endian integers,
 // length-prefixed strings) are shared with the engine's WAL record
 // format — one hardened implementation for every msg-convention codec.
-use ddlf_engine::wire::codec::{finished, get_bool, get_str, get_u32, get_u64, get_u8, put_str};
+use ddlf_engine::wire::codec::{
+    finished, get_bool, get_str, get_u32, get_u64, get_u8, put_str, put_u32, put_u64,
+};
 use std::fmt;
 
 // ---- field coding ------------------------------------------------------
@@ -33,8 +40,8 @@ trait Wire: Sized {
     /// peer's claimed count by it before allocating, so a hostile count
     /// on a short buffer is rejected, not pre-allocated.
     const MIN: usize;
-    fn put(&self, b: &mut BytesMut);
-    fn get(b: &mut Bytes) -> Option<Self>;
+    fn put(&self, b: &mut Vec<u8>);
+    fn get(b: &mut &[u8]) -> Option<Self>;
     fn view(&self) -> Value<'_> {
         Value::Other
     }
@@ -86,10 +93,10 @@ pub trait Record {
 
 impl Wire for u64 {
     const MIN: usize = 8;
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u64_le(*self);
+    fn put(&self, b: &mut Vec<u8>) {
+        put_u64(b, *self);
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         get_u64(b)
     }
     fn view(&self) -> Value<'_> {
@@ -100,10 +107,10 @@ impl Wire for u64 {
 /// Two's-complement in a `u64` slot.
 impl Wire for i64 {
     const MIN: usize = 8;
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u64_le(*self as u64);
+    fn put(&self, b: &mut Vec<u8>) {
+        put_u64(b, *self as u64);
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         Some(get_u64(b)? as i64)
     }
     fn view(&self) -> Value<'_> {
@@ -114,20 +121,20 @@ impl Wire for i64 {
 /// One byte, `0` or `1`; anything else is malformed.
 impl Wire for bool {
     const MIN: usize = 1;
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u8(u8::from(*self));
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(u8::from(*self));
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         get_bool(b)
     }
 }
 
 impl Wire for String {
     const MIN: usize = 4;
-    fn put(&self, b: &mut BytesMut) {
+    fn put(&self, b: &mut Vec<u8>) {
         put_str(b, self);
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         get_str(b)
     }
     fn view(&self) -> Value<'_> {
@@ -138,14 +145,14 @@ impl Wire for String {
 /// One byte: `0` none ∣ `1` false ∣ `2` true.
 impl Wire for Option<bool> {
     const MIN: usize = 1;
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u8(match self {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(match self {
             None => 0,
             Some(false) => 1,
             Some(true) => 2,
         });
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         match get_u8(b)? {
             0 => Some(None),
             1 => Some(Some(false)),
@@ -158,16 +165,16 @@ impl Wire for Option<bool> {
 /// A presence byte (`0` absent ∣ `1` present), then the value if present.
 impl Wire for Option<u64> {
     const MIN: usize = 1;
-    fn put(&self, b: &mut BytesMut) {
+    fn put(&self, b: &mut Vec<u8>) {
         match self {
-            None => b.put_u8(0),
+            None => b.push(0),
             Some(v) => {
-                b.put_u8(1);
-                b.put_u64_le(*v);
+                b.push(1);
+                put_u64(b, *v);
             }
         }
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         match get_u8(b)? {
             0 => Some(None),
             1 => Some(Some(get_u64(b)?)),
@@ -182,15 +189,15 @@ impl Wire for Option<u64> {
 /// A `u32` count, then the items.
 impl<T: Wire> Wire for Vec<T> {
     const MIN: usize = 4;
-    fn put(&self, b: &mut BytesMut) {
-        b.put_u32_le(u32::try_from(self.len()).expect("list fits a frame"));
+    fn put(&self, b: &mut Vec<u8>) {
+        put_u32(b, u32::try_from(self.len()).expect("list fits a frame"));
         for item in self {
             item.put(b);
         }
     }
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         let n = get_u32(b)? as usize;
-        if b.remaining() < n.checked_mul(T::MIN)? {
+        if b.len() < n.checked_mul(T::MIN)? {
             return None;
         }
         let mut items = Vec::with_capacity(n);
@@ -219,10 +226,10 @@ macro_rules! record {
 
         impl Wire for $name {
             const MIN: usize = 0 $(+ <$t as Wire>::MIN)*;
-            fn put(&self, b: &mut BytesMut) {
+            fn put(&self, b: &mut Vec<u8>) {
                 $( self.$f.put(b); )*
             }
-            fn get(b: &mut Bytes) -> Option<Self> {
+            fn get(b: &mut &[u8]) -> Option<Self> {
                 Some($name { $( $f: Wire::get(b)?, )* })
             }
         }
@@ -260,27 +267,46 @@ pub enum InflateSpec {
     },
 }
 
+impl InflateSpec {
+    /// The in-process admission request this asks for, on an engine of
+    /// `threads` workers: `Auto`'s cap is clamped to `1..=threads`
+    /// (slots beyond the workers cannot be exploited). The one mapping
+    /// for a registration and for every CLI verb that admits a system.
+    pub fn admission(self, threads: usize) -> AdmissionOptions {
+        AdmissionOptions {
+            inflate: match self {
+                InflateSpec::None => Inflation::None,
+                InflateSpec::Uniform(k) => Inflation::Uniform(k as usize),
+                InflateSpec::Auto { cap } => Inflation::Auto {
+                    cap: (cap as usize).clamp(1, threads.max(1)),
+                },
+            },
+            ..Default::default()
+        }
+    }
+}
+
 const INFLATE_NONE: u8 = 0;
 const INFLATE_UNIFORM: u8 = 1;
 const INFLATE_AUTO: u8 = 2;
 
 impl Wire for InflateSpec {
     const MIN: usize = 1;
-    fn put(&self, b: &mut BytesMut) {
+    fn put(&self, b: &mut Vec<u8>) {
         match *self {
-            InflateSpec::None => b.put_u8(INFLATE_NONE),
+            InflateSpec::None => b.push(INFLATE_NONE),
             InflateSpec::Uniform(k) => {
-                b.put_u8(INFLATE_UNIFORM);
-                b.put_u32_le(k);
+                b.push(INFLATE_UNIFORM);
+                put_u32(b, k);
             }
             InflateSpec::Auto { cap } => {
-                b.put_u8(INFLATE_AUTO);
-                b.put_u32_le(cap);
+                b.push(INFLATE_AUTO);
+                put_u32(b, cap);
             }
         }
     }
 
-    fn get(b: &mut Bytes) -> Option<Self> {
+    fn get(b: &mut &[u8]) -> Option<Self> {
         match get_u8(b)? {
             INFLATE_NONE => Some(InflateSpec::None),
             INFLATE_UNIFORM => Some(InflateSpec::Uniform(get_u32(b)?)),
@@ -348,34 +374,40 @@ const REQ_READ_ONLY: u8 = 6;
 
 impl Request {
     /// Encodes to one protocol unit (to be carried in one frame).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(16);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the encoding to `b` — the one encoder behind
+    /// [`Request::encode`] and the client's in-place framing.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             Request::RegisterSystem { spec_json, inflate } => {
-                b.put_u8(REQ_REGISTER);
-                inflate.put(&mut b);
-                spec_json.put(&mut b);
+                b.push(REQ_REGISTER);
+                inflate.put(b);
+                spec_json.put(b);
             }
             Request::Submit { template, count } => {
-                b.put_u8(REQ_SUBMIT);
-                b.put_u32_le(*count);
-                template.put(&mut b);
+                b.push(REQ_SUBMIT);
+                put_u32(b, *count);
+                template.put(b);
             }
-            Request::Report => b.put_u8(REQ_REPORT),
-            Request::Shutdown => b.put_u8(REQ_SHUTDOWN),
-            Request::Stats => b.put_u8(REQ_STATS),
+            Request::Report => b.push(REQ_REPORT),
+            Request::Shutdown => b.push(REQ_SHUTDOWN),
+            Request::Stats => b.push(REQ_STATS),
             Request::ReadOnly { entities } => {
-                b.put_u8(REQ_READ_ONLY);
-                entities.put(&mut b);
+                b.push(REQ_READ_ONLY);
+                entities.put(b);
             }
         }
-        b.freeze()
     }
 
     /// Decodes one protocol unit; `None` on any malformation (including
     /// trailing bytes).
-    pub fn decode(mut buf: Bytes) -> Option<Request> {
-        let b = &mut buf;
+    pub fn decode(buf: impl AsRef<[u8]>) -> Option<Request> {
+        let b = &mut buf.as_ref();
         let req = match get_u8(b)? {
             REQ_REGISTER => Request::RegisterSystem {
                 inflate: Wire::get(b)?,
@@ -393,7 +425,7 @@ impl Request {
             },
             _ => return None,
         };
-        finished(&buf, req)
+        finished(b, req)
     }
 }
 
@@ -817,35 +849,41 @@ const RESP_ERROR: u8 = 5;
 const RESP_STATS: u8 = 6;
 const RESP_SNAPSHOT: u8 = 7;
 
-fn tagged(b: &mut BytesMut, tag: u8, body: &impl Wire) {
-    b.put_u8(tag);
+fn tagged(b: &mut Vec<u8>, tag: u8, body: &impl Wire) {
+    b.push(tag);
     body.put(b);
 }
 
 impl Response {
     /// Encodes to one protocol unit (to be carried in one frame).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(32);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the encoding to `b` — the one encoder behind
+    /// [`Response::encode`] and the server's in-place framing.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
-            Response::Registered(r) => tagged(&mut b, RESP_REGISTERED, r),
-            Response::Submitted(stats) => tagged(&mut b, RESP_SUBMITTED, stats),
-            Response::Report(stats) => tagged(&mut b, RESP_REPORT, stats),
-            Response::ShuttingDown => b.put_u8(RESP_SHUTTING_DOWN),
-            Response::Stats(stats) => tagged(&mut b, RESP_STATS, stats),
-            Response::Snapshot(snap) => tagged(&mut b, RESP_SNAPSHOT, snap),
+            Response::Registered(r) => tagged(b, RESP_REGISTERED, r),
+            Response::Submitted(stats) => tagged(b, RESP_SUBMITTED, stats),
+            Response::Report(stats) => tagged(b, RESP_REPORT, stats),
+            Response::ShuttingDown => b.push(RESP_SHUTTING_DOWN),
+            Response::Stats(stats) => tagged(b, RESP_STATS, stats),
+            Response::Snapshot(snap) => tagged(b, RESP_SNAPSHOT, snap),
             Response::Error { kind, message } => {
-                b.put_u8(RESP_ERROR);
-                b.put_u8(*kind as u8);
-                message.put(&mut b);
+                b.push(RESP_ERROR);
+                b.push(*kind as u8);
+                message.put(b);
             }
         }
-        b.freeze()
     }
 
     /// Decodes one protocol unit; `None` on any malformation (including
     /// trailing bytes).
-    pub fn decode(mut buf: Bytes) -> Option<Response> {
-        let b = &mut buf;
+    pub fn decode(buf: impl AsRef<[u8]>) -> Option<Response> {
+        let b = &mut buf.as_ref();
         let resp = match get_u8(b)? {
             RESP_REGISTERED => Response::Registered(Wire::get(b)?),
             RESP_SUBMITTED => Response::Submitted(Wire::get(b)?),
@@ -859,7 +897,7 @@ impl Response {
             },
             _ => return None,
         };
-        finished(&buf, resp)
+        finished(b, resp)
     }
 }
 
@@ -940,60 +978,51 @@ mod tests {
     #[test]
     fn hostile_stats_counts_rejected() {
         // A Stats reply claiming 4 billion phases on a short buffer.
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_STATS);
+        let mut b = vec![RESP_STATS];
         for _ in 0..12 {
-            b.put_u64_le(0);
+            put_u64(&mut b, 0);
         }
-        b.put_u32_le(u32::MAX);
-        assert_eq!(Response::decode(b.freeze()), None);
+        put_u32(&mut b, u32::MAX);
+        assert_eq!(Response::decode(&b), None);
 
         // Zero phases but a hostile template count.
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_STATS);
+        let mut b = vec![RESP_STATS];
         for _ in 0..12 {
-            b.put_u64_le(0);
+            put_u64(&mut b, 0);
         }
-        b.put_u32_le(0);
-        b.put_u32_le(u32::MAX);
-        assert_eq!(Response::decode(b.freeze()), None);
+        put_u32(&mut b, 0);
+        put_u32(&mut b, u32::MAX);
+        assert_eq!(Response::decode(&b), None);
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut enc: Vec<u8> = Request::Report.encode().as_ref().to_vec();
+        let mut enc = Request::Report.encode();
         enc.push(0);
-        assert_eq!(Request::decode(Bytes::from(enc)), None);
+        assert_eq!(Request::decode(enc), None);
     }
 
     #[test]
     fn unknown_tags_rejected() {
-        assert_eq!(Request::decode(Bytes::from_static(&[0])), None);
-        assert_eq!(Request::decode(Bytes::from_static(&[99])), None);
-        assert_eq!(Response::decode(Bytes::from_static(&[0])), None);
-        assert_eq!(Response::decode(Bytes::new()), None);
+        assert_eq!(Request::decode([0]), None);
+        assert_eq!(Request::decode([99]), None);
+        assert_eq!(Response::decode([0]), None);
+        assert_eq!(Response::decode([]), None);
     }
 
     #[test]
     fn invalid_bool_byte_rejected() {
         // A Registered reply whose `certified` byte is 2.
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_REGISTERED);
-        b.put_u8(2);
-        assert_eq!(Response::decode(b.freeze()), None);
+        assert_eq!(Response::decode([RESP_REGISTERED, 2]), None);
     }
 
     #[test]
     fn hostile_plan_count_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_REGISTERED);
-        b.put_u8(1);
-        b.put_u8(1);
-        b.put_u8(0);
+        let mut b = vec![RESP_REGISTERED, 1, 1, 0];
         put_str(&mut b, "verdict");
         put_str(&mut b, "rationale");
-        b.put_u32_le(u32::MAX); // claims 4 billion plan entries
-        assert_eq!(Response::decode(b.freeze()), None);
+        put_u32(&mut b, u32::MAX); // claims 4 billion plan entries
+        assert_eq!(Response::decode(&b), None);
     }
 
     #[test]
@@ -1068,30 +1097,27 @@ mod tests {
     #[test]
     fn hostile_read_only_count_rejected() {
         // A ReadOnly request claiming 4 billion entity names.
-        let mut b = BytesMut::new();
-        b.put_u8(REQ_READ_ONLY);
-        b.put_u32_le(u32::MAX);
-        assert_eq!(Request::decode(b.freeze()), None);
+        let mut b = vec![REQ_READ_ONLY];
+        put_u32(&mut b, u32::MAX);
+        assert_eq!(Request::decode(&b), None);
     }
 
     #[test]
     fn hostile_snapshot_rejected() {
         // A Snapshot reply claiming 4 billion entries on a short buffer.
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_SNAPSHOT);
-        b.put_u64_le(1);
-        b.put_u32_le(u32::MAX);
-        assert_eq!(Response::decode(b.freeze()), None);
+        let mut b = vec![RESP_SNAPSHOT];
+        put_u64(&mut b, 1);
+        put_u32(&mut b, u32::MAX);
+        assert_eq!(Response::decode(&b), None);
 
         // A value tag outside {0, 1}.
-        let mut b = BytesMut::new();
-        b.put_u8(RESP_SNAPSHOT);
-        b.put_u64_le(1);
-        b.put_u32_le(1);
+        let mut b = vec![RESP_SNAPSHOT];
+        put_u64(&mut b, 1);
+        put_u32(&mut b, 1);
         put_str(&mut b, "acct");
-        b.put_u64_le(1); // commit_ts
-        b.put_u64_le(1); // version
-        b.put_u8(2); // invalid value tag
-        assert_eq!(Response::decode(b.freeze()), None);
+        put_u64(&mut b, 1); // commit_ts
+        put_u64(&mut b, 1); // version
+        b.push(2); // invalid value tag
+        assert_eq!(Response::decode(&b), None);
     }
 }

@@ -31,12 +31,12 @@ use crate::proto::{
     StatsSnapshot,
 };
 use ddlf_engine::wire::frame;
-use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, Inflation, Telemetry};
+use ddlf_engine::{Engine, EngineConfig, Telemetry};
 use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,19 +84,6 @@ impl Default for ServeConfig {
     }
 }
 
-fn admission_of(inflate: InflateSpec, threads: usize) -> AdmissionOptions {
-    AdmissionOptions {
-        inflate: match inflate {
-            InflateSpec::None => Inflation::None,
-            InflateSpec::Uniform(k) => Inflation::Uniform(k as usize),
-            InflateSpec::Auto { cap } => Inflation::Auto {
-                cap: (cap as usize).clamp(1, threads.max(1)),
-            },
-        },
-        ..Default::default()
-    }
-}
-
 /// The engine slot behind `server.engine`.
 struct Slot {
     /// The registered engine.
@@ -133,8 +120,8 @@ struct Shared {
     addr: SocketAddr,
     /// Read-half handles of the *live* connections (keyed by a per-
     /// connection id), so shutdown can unblock workers parked in
-    /// `read_frame` on idle connections (their next read sees EOF and
-    /// the worker exits cleanly). Workers deregister their entry on
+    /// `read_frame_into` on idle connections (their next read sees EOF
+    /// and the worker exits cleanly). Workers deregister their entry on
     /// exit — retaining it would leak one fd per connection ever
     /// accepted and hold dead peers' sockets half-open.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -261,7 +248,7 @@ impl Shared {
         let _registration = self.begin_registration();
         let engine = match Engine::try_with_admission(
             sys,
-            admission_of(requested, self.cfg.threads),
+            requested.admission(self.cfg.threads),
             EngineConfig {
                 threads: self.cfg.threads,
                 wal_dir: self.cfg.wal_dir.clone(),
@@ -525,11 +512,14 @@ impl Server {
 }
 
 /// Drains one connection: read a frame, decode, handle, reply, repeat
-/// until clean EOF. On `Shutdown`, also wakes the accept loop so
-/// [`Server::run`] returns.
+/// until clean EOF. One read buffer and one write buffer serve every
+/// frame of the connection, so a steady exchange allocates nothing to
+/// frame. On `Shutdown`, also wakes the accept loop so [`Server::run`]
+/// returns.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    while let Some(payload) = frame::read_frame(&mut stream)? {
-        let (resp, pin) = match Request::decode(payload.into()) {
+    let (mut rbuf, mut wbuf) = (Vec::new(), Vec::new());
+    while frame::read_frame_into(&mut stream, &mut rbuf)? {
+        let (resp, pin) = match Request::decode(&rbuf) {
             Some(req) => shared.handle(req),
             None => {
                 let err = Response::Error {
@@ -539,7 +529,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 (err, None)
             }
         };
-        frame::write_frame(&mut stream, resp.encode().as_ref())?;
+        wbuf.clear();
+        frame::put_frame(&mut wbuf, |b| resp.encode_into(b))?;
+        stream.write_all(&wbuf)?;
         // A Submit unpins its engine only now that its reply is out, so
         // a registration that waited for the run replies after it.
         drop(pin);

@@ -33,7 +33,7 @@ fn shutdown_with_idle_connections_keeps_conns_a_leaf() {
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
-    // Two idle workers parked in read_frame: they sit in `conns` and
+    // Two idle workers parked in read_frame_into: they sit in `conns` and
     // are unblocked only by the shutdown drain.
     let _idle_a = Client::connect(&addr).unwrap();
     let _idle_b = Client::connect(&addr).unwrap();

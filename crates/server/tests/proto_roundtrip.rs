@@ -3,7 +3,6 @@
 //! encoding is rejected (truncated frames never misread), and garbage
 //! headers/buffers are rejected without panicking.
 
-use bytes::Bytes;
 use ddlf_server::{
     ErrorKind, InflateSpec, PhaseStat, PlanEntry, Registered, Request, Response, RunStats,
     SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat,
@@ -195,10 +194,10 @@ proptest! {
         k in 0u32..=u32::MAX,
     ) {
         let req = request_of(variant, ascii(raw), count, inflate_kind, k);
-        let enc: Vec<u8> = req.encode().as_ref().to_vec();
+        let enc = req.encode();
         for cut in 0..enc.len() {
             prop_assert_eq!(
-                Request::decode(Bytes::from(enc[..cut].to_vec())),
+                Request::decode(&enc[..cut]),
                 None,
                 "prefix of {} bytes out of {} decoded",
                 cut,
@@ -214,9 +213,9 @@ proptest! {
         serializable in 0usize..3,
     ) {
         let resp = Response::Submitted(stats_of(stats_fields, serializable));
-        let enc: Vec<u8> = resp.encode().as_ref().to_vec();
+        let enc = resp.encode();
         for cut in 0..enc.len() {
-            prop_assert_eq!(Response::decode(Bytes::from(enc[..cut].to_vec())), None);
+            prop_assert_eq!(Response::decode(&enc[..cut]), None);
         }
     }
 
@@ -225,18 +224,17 @@ proptest! {
     /// to a value that re-encodes to the exact same bytes (canonicality).
     #[test]
     fn garbage_rejected_or_canonical(bytes in prop::collection::vec(any::<u8>(), 0..80)) {
-        let buf = Bytes::from(bytes.clone());
-        if let Some(req) = Request::decode(buf) {
-            prop_assert_eq!(req.encode().as_ref(), &bytes[..]);
+        if let Some(req) = Request::decode(&bytes) {
+            prop_assert_eq!(req.encode(), bytes.clone());
         }
-        if let Some(resp) = Response::decode(Bytes::from(bytes.clone())) {
-            prop_assert_eq!(resp.encode().as_ref(), &bytes[..]);
+        if let Some(resp) = Response::decode(&bytes) {
+            prop_assert_eq!(resp.encode(), bytes.clone());
         }
         if !bytes.is_empty() && !(1..=6).contains(&bytes[0]) {
-            prop_assert_eq!(Request::decode(Bytes::from(bytes.clone())), None);
+            prop_assert_eq!(Request::decode(&bytes), None);
         }
         if !bytes.is_empty() && !(1..=7).contains(&bytes[0]) {
-            prop_assert_eq!(Response::decode(Bytes::from(bytes)), None);
+            prop_assert_eq!(Response::decode(&bytes), None);
         }
     }
 
@@ -250,9 +248,9 @@ proptest! {
         extra in any::<u8>(),
     ) {
         let req = request_of(variant, ascii(raw), count, 0, 1);
-        let mut enc: Vec<u8> = req.encode().as_ref().to_vec();
+        let mut enc = req.encode();
         enc.push(extra);
-        prop_assert_eq!(Request::decode(Bytes::from(enc)), None);
+        prop_assert_eq!(Request::decode(enc), None);
     }
 }
 
@@ -260,17 +258,12 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn unhex(s: &str) -> Bytes {
+fn unhex(s: &str) -> Vec<u8> {
     let digits: Vec<u8> = s
         .bytes()
         .map(|c| (c as char).to_digit(16).unwrap() as u8)
         .collect();
-    Bytes::from(
-        digits
-            .chunks(2)
-            .map(|p| p[0] << 4 | p[1])
-            .collect::<Vec<u8>>(),
-    )
+    digits.chunks(2).map(|p| p[0] << 4 | p[1]).collect()
 }
 
 fn golden_run_stats(serializable: Option<bool>) -> RunStats {
@@ -321,7 +314,7 @@ fn golden_wire_bytes() {
         ),
     ];
     for (req, want) in requests {
-        assert_eq!(hex(req.encode().as_ref()), want, "{req:?}");
+        assert_eq!(hex(&req.encode()), want, "{req:?}");
         assert_eq!(Request::decode(unhex(want)), Some(req));
     }
 
@@ -447,7 +440,7 @@ fn golden_wire_bytes() {
         ),
     ];
     for (resp, want) in responses {
-        assert_eq!(hex(resp.encode().as_ref()), want, "{resp:?}");
+        assert_eq!(hex(&resp.encode()), want, "{resp:?}");
         assert_eq!(Response::decode(unhex(want)), Some(resp));
     }
 }

@@ -5,6 +5,7 @@
 
 use ddlf_engine::wire::frame;
 use ddlf_server::{Client, ClientError, Request, Response, RunStats};
+use std::io::Write as _;
 use std::net::TcpListener;
 
 /// A hand-rolled one-shot peer: drops its first connection immediately
@@ -18,16 +19,19 @@ fn flaky_peer(replies: usize) -> (String, std::thread::JoinHandle<usize>) {
         drop(listener.accept().unwrap());
         let mut served = 0;
         let (mut stream, _) = listener.accept().unwrap();
+        let (mut rbuf, mut wbuf) = (Vec::new(), Vec::new());
         while served < replies {
-            let Ok(Some(payload)) = frame::read_frame(&mut stream) else {
+            let Ok(true) = frame::read_frame_into(&mut stream, &mut rbuf) else {
                 break;
             };
-            let resp = match Request::decode(payload.into()).unwrap() {
+            let resp = match Request::decode(&rbuf).unwrap() {
                 Request::Report => Response::Report(RunStats::default()),
                 Request::Submit { .. } => Response::Submitted(RunStats::default()),
                 other => panic!("unexpected request {other:?}"),
             };
-            frame::write_frame(&mut stream, resp.encode().as_ref()).unwrap();
+            wbuf.clear();
+            frame::put_frame(&mut wbuf, |b| resp.encode_into(b)).unwrap();
+            stream.write_all(&wbuf).unwrap();
             served += 1;
         }
         served

@@ -131,11 +131,6 @@ impl PhaseSnapshot {
         }
         out
     }
-
-    /// Total samples across all phases (0 means telemetry was off).
-    pub fn total_count(&self) -> u64 {
-        self.histograms.iter().map(|h| h.count).sum()
-    }
 }
 
 /// Outcome counters for one template, bumped with relaxed atomics.
@@ -531,7 +526,6 @@ mod tests {
         assert!(!t.sampled(0));
         let s = t.snapshot();
         assert_eq!(s, TelemetrySnapshot::default());
-        assert_eq!(s.phases.total_count(), 0);
     }
 
     #[test]
@@ -547,7 +541,6 @@ mod tests {
         assert_eq!(run.get(Phase::LockWait).count, 1);
         assert_eq!(run.get(Phase::LockWait).sum, 7);
         assert_eq!(run.get(Phase::Execute).count, 0);
-        assert_eq!(run.total_count(), 2);
     }
 
     #[test]

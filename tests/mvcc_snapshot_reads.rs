@@ -22,7 +22,7 @@
 //! from committed lock-writer arcs), and the serializability audit of
 //! a run is byte-identical with or without concurrent scanners.
 
-use ddlf::engine::wire::frame::read_frame;
+use ddlf::engine::wire::frame::read_frame_into;
 use ddlf::engine::{
     recover, Datum, Engine, EngineConfig, Program, Telemetry, TelemetryConfig, TemplateRegistry,
     VersionedValue, WalRecord, WriteOp,
@@ -86,10 +86,11 @@ fn wal_bytes_on_disk(dir: &Path) -> u64 {
 fn wal_records(dir: &Path) -> Vec<WalRecord> {
     let log = std::fs::File::open(dir.join("log.wal")).unwrap();
     let mut file = std::io::BufReader::new(log);
-    let frames = std::iter::from_fn(|| read_frame(&mut file).unwrap());
-    frames
-        .map(|f| WalRecord::decode(f.into()).unwrap())
-        .collect()
+    let (mut payload, mut records) = (Vec::new(), Vec::new());
+    while read_frame_into(&mut file, &mut payload).unwrap() {
+        records.push(WalRecord::decode(&payload).unwrap());
+    }
+    records
 }
 
 /// The commit timestamps of every decision the kernel holds for
@@ -98,10 +99,9 @@ fn wal_records(dir: &Path) -> Vec<WalRecord> {
 fn decided_on_disk(dir: &Path) -> HashSet<u64> {
     let log = std::fs::File::open(dir.join("log.wal")).unwrap();
     let mut file = std::io::BufReader::new(log);
-    let frames = std::iter::from_fn(|| read_frame(&mut file).ok().flatten());
-    let mut decided = HashSet::new();
-    for f in frames {
-        if let WalRecord::Commit { commit_ts, .. } = WalRecord::decode(f.into()).unwrap() {
+    let (mut payload, mut decided) = (Vec::new(), HashSet::new());
+    while let Ok(true) = read_frame_into(&mut file, &mut payload) {
+        if let WalRecord::Commit { commit_ts, .. } = WalRecord::decode(&payload).unwrap() {
             decided.insert(commit_ts);
         }
     }

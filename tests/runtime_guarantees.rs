@@ -1,10 +1,9 @@
-//! Runtime/theory contract: certified systems run deadlock-free with no
-//! runtime machinery; every policy preserves serializability of committed
-//! histories; the threaded runtime (the engine) honours the same contract.
-//! The fixed instances are the paper ledger's golden lines
-//! (`tests/ledger/`); the random ones are proptests.
-
-mod ledger;
+//! Runtime/theory contract on random systems: certified systems run
+//! deadlock-free with no runtime machinery, and every policy preserves
+//! serializability of committed histories. The fixed instances — the
+//! seeded sweeps and the engine's threaded runs — are the paper
+//! ledger's golden lines (`payoff.sweep.*`, `engine.ordered_2pl.*`,
+//! `engine.random_2pl.*`, checked by `tests/paper_ledger.rs`).
 
 use ddlf::core::{certify_safe_and_deadlock_free, CertifyOptions};
 use ddlf::sim::{run, DeadlockPolicy, SimConfig};
@@ -88,27 +87,4 @@ proptest! {
             prop_assert_eq!(r.serializable, Some(true), "{:?}", r);
         }
     }
-}
-
-/// The same contract over seeded systems: certified ones commit every
-/// run serializably with no policy at all.
-#[test]
-fn certified_sweep_under_nothing_policy() {
-    ledger::check(&["payoff.sweep.certified"]);
-}
-
-/// Uncertified systems must actually exhibit the predicted failure under
-/// some timing: for rejected 2PL systems the rejection is a deadlock
-/// risk, and the detector policy repairs it.
-#[test]
-fn uncertified_systems_hit_deadlocks_and_detector_repairs() {
-    ledger::check(&["payoff.sweep.uncertified"]);
-}
-
-/// The threaded runtime — the engine — commits and audits serializable
-/// on a certified workload and on a deadlock-prone one (random 2PL)
-/// alike.
-#[test]
-fn threaded_runtime_contract() {
-    ledger::check(&["engine.ordered_2pl", "engine.random_2pl"]);
 }

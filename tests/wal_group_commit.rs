@@ -158,9 +158,7 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
         let body = at + 4;
         let end = body + u32::from_le_bytes(intact[at..body].try_into().unwrap()) as usize;
         ends.push(end);
-        if let WalRecord::Commit { .. } =
-            WalRecord::decode(intact[body..end].to_vec().into()).unwrap()
-        {
+        if let WalRecord::Commit { .. } = WalRecord::decode(&intact[body..end]).unwrap() {
             decisions.push((end, decisions.last().unwrap().1 + 1));
         }
     }
@@ -244,7 +242,7 @@ fn concurrent_sync_runs_log_every_decision_after_its_data() {
     while at < log.len() {
         let body = at + 4;
         let end = body + u32::from_le_bytes(log[at..body].try_into().unwrap()) as usize;
-        match WalRecord::decode(log[body..end].to_vec().into()).unwrap() {
+        match WalRecord::decode(&log[body..end]).unwrap() {
             WalRecord::Event { gid, attempt, .. } => {
                 data_of(&mut data, &decided, (gid, attempt)).0 += 1;
             }

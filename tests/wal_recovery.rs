@@ -5,7 +5,7 @@
 //! decision: uncommitted work — including rolled-back wait-die victims
 //! and torn log tails — contributes nothing.
 
-use ddlf::engine::wire::frame::write_frame;
+use ddlf::engine::wire::frame::put_frame;
 use ddlf::engine::{
     recover, AdmissionOptions, Engine, EngineConfig, Inflation, Phase, Program, Telemetry,
     TemplateRegistry, Wal, WalError, WalOptions, WalRecord, WriteOp,
@@ -202,7 +202,9 @@ fn next_base_covers_gids_missing_from_the_decision_log() {
             .append(true)
             .open(dir.join("log.wal"))
             .unwrap();
-        write_frame(&mut f, frame.encode().as_ref()).unwrap();
+        let mut framed = Vec::new();
+        put_frame(&mut framed, |b| b.extend(frame.encode())).unwrap();
+        f.write_all(&framed).unwrap();
         drop(f);
         rec = recover(&dir).unwrap();
         assert_eq!(rec.committed, 20, "undecided instances are not recovered");

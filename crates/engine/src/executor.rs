@@ -54,8 +54,10 @@
 //! **One audit epoch.** Runs may execute concurrently on one engine
 //! (the wire server's Submits do), so the auditor belongs to an
 //! *epoch*, not to a run: every admitted chunk in flight shares it.
-//! The first run in opens the epoch; it closes — and is dropped —
-//! when the last run in flight ends, or sooner at [`EPOCH_CAP`]: a
+//! The engine keeps one auditor for its lifetime, and an epoch is what
+//! it holds between two closes. An epoch closes — the auditor cleared,
+//! its storage kept for the next — when the last run in flight ends,
+//! or sooner at [`EPOCH_CAP`]: a
 //! chunk joins after its gate slots, and one that finds the epoch full
 //! waits for the chunks inside to finish, then closes it and opens the
 //! next. Either way an epoch closes only at quiescence — no chunk
@@ -68,8 +70,9 @@
 //! audited in one epoch of its own: exactly a per-run audit. The epoch's
 //! bookkeeping (runs pinning it, chunks seated, instances admitted) and
 //! its audit sit behind the same one `engine.auditor` mutex, so pinning,
-//! joining, leaving and closing are each one critical section of the
-//! lock every event already takes, and nothing is acquired before it.
+//! joining, leaving (reading the verdict included) and closing are each
+//! one critical section of the lock every event already takes, and
+//! nothing is acquired before it.
 
 use crate::attempt::{wait_die, Attempt, Refused};
 use crate::pool::Pool;
@@ -250,15 +253,16 @@ struct Instance {
     template: TxnId,
 }
 
-/// What the one `engine.auditor` mutex guards: which audit epoch is
-/// open, who is inside it, and its audit. Every run pins the epoch,
-/// every chunk joins and leaves it and admits its instances to it, and
-/// every release batch and decision enters it, each in one critical
-/// section of this lock.
-#[derive(Default)]
+/// What the one `engine.auditor` mutex guards: the open audit epoch,
+/// who is inside it, and its audit. Every run pins the epoch, every
+/// chunk joins and leaves it and admits its instances to it, and every
+/// release batch and decision enters it, each in one critical section
+/// of this lock.
 struct Audit {
-    /// The open epoch's audit; `None` between epochs.
-    open: Option<EpochAudit>,
+    /// The open epoch's audit, cleared when the epoch closes. An epoch
+    /// closes only when no chunk is seated, so a seated chunk's epoch is
+    /// always this one.
+    epoch: EpochAudit,
     /// Runs in flight. They keep the epoch open across the gaps between
     /// their chunks, so a run that overlaps no other is audited in one
     /// epoch; they do not stop it from closing at the cap.
@@ -275,17 +279,21 @@ struct Audit {
 }
 
 impl Audit {
-    /// The open epoch's audit. An epoch closes only when no chunk is
-    /// seated, so a seated chunk's epoch is always the open one.
-    fn epoch(&mut self) -> &mut EpochAudit {
-        self.open
-            .as_mut()
-            .expect("a seated chunk's epoch is the open one")
+    fn new(sys: &TransactionSystem) -> Self {
+        Audit {
+            epoch: EpochAudit::new(sys),
+            runs: 0,
+            chunks: 0,
+            admitted: 0,
+            waiting: 0,
+            #[cfg(debug_assertions)]
+            cross_checked: 0,
+        }
     }
 }
 
-/// One epoch's audit: the only record of "what happened" — the live
-/// auditor and (debug builds) the plain history the batch oracle
+/// The open epoch's audit: the only record of "what happened" — the
+/// live auditor and (debug builds) the plain history the batch oracle
 /// re-audits when the epoch closes.
 struct EpochAudit {
     auditor: StreamingAuditor,
@@ -350,6 +358,16 @@ impl EpochAudit {
         }
     }
 
+    /// Closes the epoch: empties the auditor (keeping its storage) and,
+    /// in debug builds, the oracle's history.
+    fn clear(&mut self) {
+        self.auditor.clear();
+        #[cfg(debug_assertions)]
+        {
+            self.oracle = Oracle::default();
+        }
+    }
+
     /// Debug builds, at close: the live verdict — what the last chunk
     /// out observed — is the sealed one (every committed instance ran
     /// to completion, so sealing adds no Lemma 1 arc), and both equal
@@ -357,7 +375,7 @@ impl EpochAudit {
     /// test suite doubles as an equivalence proptest; [`EPOCH_CAP`]
     /// bounds what the quadratic oracle rebuilds.
     #[cfg(debug_assertions)]
-    fn cross_check(mut self, sys: &TransactionSystem) {
+    fn cross_check(&mut self, sys: &TransactionSystem) {
         let live = self.auditor.verdict();
         let sealed = self.auditor.seal();
         debug_assert_eq!(live, sealed, "sealing changed a complete epoch's verdict");
@@ -401,18 +419,28 @@ impl Drop for RunPin<'_> {
     }
 }
 
-/// A chunk's seat in the open audit epoch ([`Core::join_epoch`]);
-/// dropping it — on every path, unwinding included, so a panic cannot
-/// hold an epoch open for good — leaves the epoch.
+/// A chunk's seat in the open audit epoch ([`Core::join_epoch`]). A
+/// chunk that finishes [`leave`](Self::leave)s, reading the verdict on
+/// the way out; dropping the seat unleft — on unwinding, so a panic
+/// cannot hold an epoch open for good — leaves the epoch too.
 struct EpochSeat<'e>(&'e Core);
+
+impl EpochSeat<'_> {
+    /// Leaves the epoch and returns its live verdict, in one critical
+    /// section.
+    fn leave(self) -> Option<bool> {
+        let core = self.0;
+        std::mem::forget(self);
+        let mut audit = core.audit.lock();
+        let seen = audit.epoch.auditor.verdict();
+        core.vacate(&mut audit);
+        seen
+    }
+}
 
 impl Drop for EpochSeat<'_> {
     fn drop(&mut self) {
-        let mut audit = self.0.audit.lock();
-        audit.chunks -= 1;
-        if audit.chunks == 0 && audit.waiting > 0 {
-            self.0.drained.notify_all();
-        }
+        self.0.vacate(&mut self.0.audit.lock());
     }
 }
 
@@ -515,12 +543,13 @@ impl Engine {
             store.attach_wal(w);
         }
         Self::install_template_counters(&registry, &cfg.telemetry);
+        let audit = Audit::new(registry.system());
         let core = Arc::new(Core {
             registry,
             store: Arc::new(store),
             cfg,
             wal,
-            audit: Mutex::new_named("engine.auditor", Audit::default()),
+            audit: Mutex::new_named("engine.auditor", audit),
             drained: Condvar::new(),
         });
         let empty = core.build_report(&[], &[], Duration::ZERO, None);
@@ -711,7 +740,7 @@ impl Engine {
             None => (0, 0),
         };
         let started = Instant::now();
-        let pin = core.pin_epoch(instances.len());
+        let pin = core.pin_epoch();
         // Jobs claim instances in admission-batch chunks (of one, by
         // default) from one shared cursor: each chunk is admitted under
         // one gate acquisition per template and one log-lock acquisition
@@ -838,31 +867,14 @@ impl Core {
             let out = self.execute_instance(*inst, ttable, gate_wait);
             done.push((inst.gid, out));
         }
-        let seen = self.audit.lock().epoch().auditor.verdict();
-        drop(seat);
-        seen
+        seat.leave()
     }
 
-    /// Pins the audit epoch for a run of `instances`: the open epoch (or
-    /// a new one) stays open between the run's chunks and closes when
-    /// the last pinned run ends. The epoch's instance table is sized
-    /// here, on the run's thread, so it does not regrow on the workers:
-    /// each worker allocates from its own malloc arena, which keeps what
-    /// a regrowth frees.
-    fn pin_epoch(&self, instances: usize) -> RunPin<'_> {
-        let mut audit = self.audit.lock();
-        audit.runs += 1;
-        self.open_epoch(&mut audit)
-            .auditor
-            .reserve(instances.min(EPOCH_CAP));
+    /// Pins the audit epoch for a run: the open epoch stays open between
+    /// the run's chunks and closes when the last pinned run ends.
+    fn pin_epoch(&self) -> RunPin<'_> {
+        self.audit.lock().runs += 1;
         RunPin(self)
-    }
-
-    /// The open epoch's audit, opening an epoch if none is.
-    fn open_epoch<'a>(&self, audit: &'a mut Audit) -> &'a mut EpochAudit {
-        audit
-            .open
-            .get_or_insert_with(|| EpochAudit::new(self.registry.system()))
     }
 
     /// Seats `chunk` in the open audit epoch and admits its instances to
@@ -884,32 +896,39 @@ impl Core {
         }
         audit.chunks += 1;
         audit.admitted += chunk.len();
-        let epoch = self.open_epoch(&mut audit);
         for inst in chunk {
-            epoch.admit(*inst);
+            audit.epoch.admit(*inst);
         }
         EpochSeat(self)
     }
 
+    /// A chunk's departure from the open epoch; the last one out wakes
+    /// the chunks waiting out the cap.
+    fn vacate(&self, audit: &mut Audit) {
+        audit.chunks -= 1;
+        if audit.chunks == 0 && audit.waiting > 0 {
+            self.drained.notify_all();
+        }
+    }
+
     /// Closes the open epoch, which must be quiescent (no chunk inside,
-    /// so every conflict arc to a later epoch points forward). Its
-    /// verdict was observed by the chunks that left it; what remains is
-    /// the gauge — the closed epoch's final size, until the next
-    /// epoch's first commit — and the debug-build cross-check.
+    /// so every conflict arc to a later epoch points forward), and
+    /// clears its audit for the next. Its verdict was observed by the
+    /// chunks that left it; what remains is the gauge — the closed
+    /// epoch's final size, until the next epoch's first commit — and the
+    /// debug-build cross-check.
     fn close_epoch(&self, audit: &mut Audit) {
         debug_assert_eq!(audit.chunks, 0, "an epoch closes only at quiescence");
         audit.admitted = 0;
-        let Some(epoch) = audit.open.take() else {
-            return;
-        };
-        let au = &epoch.auditor;
+        let au = &audit.epoch.auditor;
         let (nodes, arcs) = (au.node_count() as u64, au.arc_count() as u64);
         self.cfg.telemetry.set_auditor(nodes, arcs);
         #[cfg(debug_assertions)]
         {
-            epoch.cross_check(self.registry.system());
+            audit.epoch.cross_check(self.registry.system());
             audit.cross_checked += 1;
         }
+        audit.epoch.clear();
     }
 
     /// Runs one admitted instance (its chunk holds the gate slot and an
@@ -989,8 +1008,7 @@ impl Core {
                 // synchronously under this same lock), so the merge sees
                 // the complete attempt.
                 let (nodes, arcs) = {
-                    let mut audit = self.audit.lock();
-                    let epoch = audit.epoch();
+                    let epoch = &mut self.audit.lock().epoch;
                     epoch.commit(gid, attempt);
                     let au = &epoch.auditor;
                     (au.node_count() as u64, au.arc_count() as u64)
@@ -1016,7 +1034,7 @@ impl Core {
             }
             // The attempt's locks were released and its writes rolled
             // back: its buffered events leave the committed projection.
-            self.audit.lock().epoch().auditor.abort(gid, attempt);
+            self.audit.lock().epoch.auditor.abort(gid, attempt);
             if let Some(tt) = ttable {
                 // Every engine-path abort is a wait-die death (the
                 // requester self-aborted).
@@ -1097,7 +1115,7 @@ impl Core {
                 if op.is_unlock() {
                     a.unlock(n, |nodes| {
                         let mut audit = self.audit.lock();
-                        audit.epoch().record(self.wal.as_deref(), ctx, nodes)
+                        audit.epoch.record(self.wal.as_deref(), ctx, nodes)
                     });
                     if let Some(tr) = tracer {
                         tr.emit(attempt, SpanKind::Write, op.entity.0, 0, 0);

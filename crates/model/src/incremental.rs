@@ -22,19 +22,34 @@
 //!
 //! ## Complexity contract
 //!
-//! Per committed event the auditor pays `O(log n)` for the chain lookup
-//! (a `BTreeMap` keyed by event time — committed-out-of-order instances
-//! insert mid-chain) plus the Pearce–Kelly insertion, whose cost is
-//! bounded by the size of the *affected region* of the new arc.
-//! Histories whose commit order roughly follows lock order (every
-//! engine run; every WAL replay) insert almost all arcs forward, so the
-//! amortized cost per event is effectively constant; the worst case per
-//! arc is `O(v log v)` for an affected region of `v` vertices. A full
-//! audit of `n` instances is therefore `O(n log n)`-ish instead of the
-//! batch `Θ(n²)` — the difference between a 20k-instance recovery
-//! taking minutes and taking well under a second (the harness measures
-//! it as `model.audit_us_per_commit` and
+//! Per committed event the auditor pays one gid lookup, a chain lookup
+//! and the Pearce–Kelly insertion, whose cost is bounded by the size of
+//! the *affected region* of the new arc. Each entity's chain is a `Vec`
+//! sorted by event time, indexed by entity: a commit that follows lock
+//! order (every engine run; every WAL replay) appends at its tail, and a
+//! late commit inserts mid-chain at its `partition_point`, paying a move
+//! of the entries behind it. An instance's undecided events wait in one
+//! flat `Vec`; its lock times and merged-node bits are one short run of
+//! words in an arena shared by all instances, a lock time found by
+//! binary search over the template's sorted entities (`O(log k)` for `k`
+//! entities). The amortized cost per event is therefore effectively
+//! constant; the worst case per arc is `O(v log v)` for an affected
+//! region of `v` vertices. A full audit of `n` instances is
+//! `O(n log n)`-ish instead of the batch `Θ(n²)` — the difference between
+//! a 20k-instance recovery taking minutes and taking well under a second
+//! (the harness measures it as `model.audit_us_per_commit` and
 //! `engine.wal.recover_us_per_commit`).
+//!
+//! The hashed tables — gid → instance slot, the arc set, the reorder's
+//! visited sets — key on small integers and hash them with one
+//! Fx-style multiply-rotate, not SipHash. Vertices are the auditor's
+//! own; gids are minted by the engine, or read back from its own log by
+//! recovery, where a crafted log could make gids collide and slow the
+//! audit down, never change its verdict. [`StreamingAuditor::clear`]
+//! empties the auditor for its next epoch but keeps the capacity of
+//! every table — each instance slot's event buffer and each chain
+//! included — so an auditor that has seen an epoch of a given shape
+//! audits the next one without allocating.
 //!
 //! The batch audit ([`CommittedProjection::audit`](crate::CommittedProjection::audit))
 //! stays in the tree as the **oracle**: proptests drive
@@ -57,13 +72,52 @@
 //! lock chain — committing out of order cannot flip an arc.
 
 use crate::error::ModelError;
-use crate::ids::{EntityId, GlobalNode, NodeId, TxnId};
-use crate::prefix::Prefix;
+use crate::ids::{GlobalNode, NodeId, TxnId};
 use crate::system::TransactionSystem;
 use crate::txn::Transaction;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// The auditor's hasher for small integer keys (gids, vertex indices,
+/// packed arcs): the Fx multiply-rotate, with the final rotation moving
+/// the well-mixed high bits of the product down to where the table
+/// picks its bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntHasher(u64);
+
+type IntBuild = BuildHasherDefault<IntHasher>;
+
+impl IntHasher {
+    fn add(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// A directed graph that maintains a topological order of its vertices
 /// under arc insertion (Pearce–Kelly), reporting a cycle witness the
@@ -71,14 +125,32 @@ use std::sync::Arc;
 /// added, so the structure stays a DAG and keeps answering.
 #[derive(Debug, Default, Clone)]
 pub struct IncrementalTopo {
+    /// Adjacency lists; entries past the vertex count keep their
+    /// capacity for the vertices added after a [`clear`](Self::clear).
     succ: Vec<Vec<u32>>,
     pred: Vec<Vec<u32>>,
     /// `pos[v]` is `v`'s position in the maintained topological order: a
     /// permutation of `0..len` with `pos[u] < pos[v]` for every arc
-    /// `u → v`.
+    /// `u → v`. Its length is the vertex count.
     pos: Vec<u32>,
     /// Arc dedup: `u << 32 | v` for every present arc.
-    arcs: HashSet<u64>,
+    arcs: HashSet<u64, IntBuild>,
+    /// The reorder's working storage, kept between insertions.
+    scratch: Reorder,
+}
+
+/// [`IncrementalTopo::reorder`]'s scratch: emptied, never freed.
+#[derive(Debug, Default, Clone)]
+struct Reorder {
+    fwd: Vec<usize>,
+    bwd: Vec<usize>,
+    stack: Vec<usize>,
+    /// Forward-search tree (the root is its own parent); also the
+    /// forward visited set.
+    parent: HashMap<usize, usize, IntBuild>,
+    /// Backward visited set.
+    seen: HashSet<usize, IntBuild>,
+    pool: Vec<u32>,
 }
 
 impl IncrementalTopo {
@@ -89,12 +161,12 @@ impl IncrementalTopo {
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.succ.len()
+        self.pos.len()
     }
 
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.succ.is_empty()
+        self.pos.is_empty()
     }
 
     /// Number of distinct arcs.
@@ -102,12 +174,23 @@ impl IncrementalTopo {
         self.arcs.len()
     }
 
+    /// Removes every vertex and arc, keeping the storage for reuse.
+    pub fn clear(&mut self) {
+        self.pos.clear();
+        self.arcs.clear();
+    }
+
     /// Adds a fresh vertex, returning its index. Appending to the end of
     /// the topological order is always valid for an isolated vertex.
     pub fn add_node(&mut self) -> usize {
-        let v = self.succ.len();
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
+        let v = self.pos.len();
+        if v == self.succ.len() {
+            self.succ.push(Vec::new());
+            self.pred.push(Vec::new());
+        } else {
+            self.succ[v].clear();
+            self.pred[v].clear();
+        }
         self.pos
             .push(u32::try_from(v).expect("vertex count fits u32"));
         v
@@ -152,16 +235,26 @@ impl IncrementalTopo {
     fn reorder(&mut self, u: usize, v: usize) -> Result<(), Vec<usize>> {
         let lb = self.pos[v];
         let ub = self.pos[u];
+        let Self {
+            succ,
+            pred,
+            pos,
+            scratch: s,
+            ..
+        } = self;
+        s.fwd.clear();
+        s.bwd.clear();
+        s.parent.clear();
+        s.seen.clear();
+        s.pool.clear();
 
         // Forward DFS from v, parents kept for the cycle witness.
-        let mut fwd: Vec<usize> = Vec::new();
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mut stack = vec![v];
-        seen.insert(v);
-        while let Some(w) = stack.pop() {
-            fwd.push(w);
-            for &x in &self.succ[w] {
+        s.stack.clear();
+        s.stack.push(v);
+        s.parent.insert(v, v);
+        while let Some(w) = s.stack.pop() {
+            s.fwd.push(w);
+            for &x in &succ[w] {
                 let x = x as usize;
                 if x == u {
                     // v ⤳ u exists, so u → v closes a cycle: walk the
@@ -171,31 +264,31 @@ impl IncrementalTopo {
                     let mut rev = Vec::new();
                     while cur != v {
                         rev.push(cur);
-                        cur = parent[&cur];
+                        cur = s.parent[&cur];
                     }
                     path.extend(rev.into_iter().rev());
                     return Err(path);
                 }
                 // Existing arcs respect the order, so pos[x] > pos[w] ≥ lb
                 // always; only the upper bound needs checking.
-                if self.pos[x] < ub && seen.insert(x) {
-                    parent.insert(x, w);
-                    stack.push(x);
+                if pos[x] < ub {
+                    if let Entry::Vacant(e) = s.parent.entry(x) {
+                        e.insert(w);
+                        s.stack.push(x);
+                    }
                 }
             }
         }
 
         // Backward DFS from u within positions ≥ lb.
-        let mut bwd: Vec<usize> = Vec::new();
-        let mut bseen: HashSet<usize> = HashSet::new();
-        let mut stack = vec![u];
-        bseen.insert(u);
-        while let Some(w) = stack.pop() {
-            bwd.push(w);
-            for &x in &self.pred[w] {
+        s.stack.push(u);
+        s.seen.insert(u);
+        while let Some(w) = s.stack.pop() {
+            s.bwd.push(w);
+            for &x in &pred[w] {
                 let x = x as usize;
-                if self.pos[x] > lb && bseen.insert(x) {
-                    stack.push(x);
+                if pos[x] > lb && s.seen.insert(x) {
+                    s.stack.push(x);
                 }
             }
         }
@@ -204,43 +297,130 @@ impl IncrementalTopo {
         // ancestors then to v's descendants, preserving each group's
         // internal order. (The groups are disjoint: a shared vertex
         // would have produced the cycle above.)
-        bwd.sort_unstable_by_key(|&w| self.pos[w]);
-        fwd.sort_unstable_by_key(|&w| self.pos[w]);
-        let mut pool: Vec<u32> = bwd.iter().chain(fwd.iter()).map(|&w| self.pos[w]).collect();
-        pool.sort_unstable();
-        for (&w, &p) in bwd.iter().chain(fwd.iter()).zip(pool.iter()) {
-            self.pos[w] = p;
+        s.bwd.sort_unstable_by_key(|&w| pos[w]);
+        s.fwd.sort_unstable_by_key(|&w| pos[w]);
+        s.pool.extend(s.bwd.iter().chain(&s.fwd).map(|&w| pos[w]));
+        s.pool.sort_unstable();
+        for (&w, &p) in s.bwd.iter().chain(&s.fwd).zip(&s.pool) {
+            pos[w] = p;
         }
         Ok(())
     }
 }
 
-/// One committed lock of an entity, keyed in its chain by lock time.
-#[derive(Debug, Clone)]
+/// One committed lock of an entity; a chain keeps its entries sorted by
+/// lock time.
+#[derive(Debug, Clone, Copy)]
 struct ChainEntry {
+    /// When the instance locked the entity (its event time).
+    time: u64,
     /// The instance holding this chain slot.
     gid: u32,
+    /// The instance's vertex in the conflict graph.
+    vertex: u32,
     /// When the instance unlocked the entity (`None` while held, or
     /// forever if the unlock never reached the stream — a torn log).
     unlock: Option<u64>,
 }
 
-/// Per-instance audit state.
+/// Per-instance audit state: one slot of [`StreamingAuditor::slots`].
 #[derive(Debug)]
 struct InstanceState {
+    gid: u32,
     /// Template index within the auditor's system.
     template: u32,
     /// The committed attempt, once decided.
     committed: Option<u32>,
     /// The instance's vertex in the conflict graph (assigned at commit).
     vertex: Option<u32>,
-    /// Buffered events of undecided attempts: `attempt → [(time, node)]`.
-    pending: HashMap<u32, Vec<(u64, NodeId)>>,
-    /// Merged (committed-projection) nodes, for step validation.
-    merged: Prefix,
-    /// Lock time of each entity this instance has locked in the merged
-    /// projection (the key of its entry in the entity's chain).
-    lock_time: HashMap<EntityId, u64>,
+    /// Buffered events of undecided attempts, in arrival order:
+    /// `(attempt, time, node)`.
+    pending: Vec<(u32, u64, NodeId)>,
+    /// Where the instance's [`Record`] starts in
+    /// [`StreamingAuditor::records`].
+    base: usize,
+}
+
+impl InstanceState {
+    fn new(gid: u32, template: u32, base: usize) -> Self {
+        InstanceState {
+            gid,
+            template,
+            committed: None,
+            vertex: None,
+            pending: Vec::new(),
+            base,
+        }
+    }
+
+    /// Hands a slot of an earlier epoch to `gid`; its event buffer keeps
+    /// its storage.
+    fn readmit(&mut self, gid: u32, template: u32, base: usize) {
+        self.pending.clear();
+        *self = InstanceState {
+            pending: std::mem::take(&mut self.pending),
+            ..Self::new(gid, template, base)
+        };
+    }
+}
+
+/// An instance's merged (committed-projection) state, a run of words in
+/// [`StreamingAuditor::records`]: first the lock time of each entity of
+/// its template, in [`Transaction::entities`] order ([`UNLOCKED`] until
+/// the lock merges — the key of the instance's entry in the entity's
+/// chain), then the bit words of its merged nodes, for step validation.
+struct Record<'r> {
+    lock_time: &'r mut [u64],
+    merged: &'r mut [u64],
+}
+
+/// A lock time no event has: the entity's lock has not merged.
+const UNLOCKED: u64 = u64::MAX;
+
+impl<'r> Record<'r> {
+    /// How many words a record of an instance of `tmpl` takes.
+    fn words(tmpl: &Transaction) -> usize {
+        tmpl.entities().len() + tmpl.node_count().div_ceil(64)
+    }
+
+    /// The record of an instance of `tmpl` starting at `base`.
+    fn at(records: &'r mut [u64], base: usize, tmpl: &Transaction) -> Self {
+        let (lock_time, merged) =
+            records[base..base + Self::words(tmpl)].split_at_mut(tmpl.entities().len());
+        Record { lock_time, merged }
+    }
+
+    fn contains(&self, n: NodeId) -> bool {
+        self.merged[n.index() / 64] >> (n.index() % 64) & 1 == 1
+    }
+
+    fn push(&mut self, n: NodeId) {
+        self.merged[n.index() / 64] |= 1 << (n.index() % 64);
+    }
+}
+
+/// The conflict graph over committed instances, and the first cycle it
+/// refused.
+#[derive(Debug, Default)]
+struct Conflicts {
+    topo: IncrementalTopo,
+    /// Conflict-graph vertex → instance gid.
+    vertex_gid: Vec<u32>,
+    cycle: Option<Vec<u32>>,
+}
+
+impl Conflicts {
+    /// Inserts the conflict arc `a → b` (vertices), recording the cycle
+    /// witness (as gids) if the arc closes one. After the first cycle
+    /// the graph is left untouched — the verdict is already absorbed.
+    fn link(&mut self, a: u32, b: u32) {
+        if self.cycle.is_some() || a == b {
+            return;
+        }
+        if let Err(cycle) = self.topo.add_arc(a as usize, b as usize) {
+            self.cycle = Some(cycle.into_iter().map(|v| self.vertex_gid[v]).collect());
+        }
+    }
 }
 
 /// An online auditor for the committed projection of a run's history:
@@ -261,26 +441,37 @@ struct InstanceState {
 /// engine's `Report::absorb` semantics: once a cycle is found the
 /// verdict stays `Some(false)`; once a validation error is recorded the
 /// verdict stays `None` (the batch audit likewise returns `Err` for the
-/// whole history, regardless of where the cycle sits).
+/// whole history, regardless of where the cycle sits) — until
+/// [`clear`](Self::clear) starts the auditor over.
 #[derive(Debug)]
 pub struct StreamingAuditor {
     /// The system's own template slice, shared: opening an auditor is a
     /// refcount bump, not a copy of every template.
     templates: Arc<[Transaction]>,
-    instances: HashMap<u32, InstanceState>,
-    /// Per-entity committed lock chains, keyed by lock time.
-    chains: HashMap<EntityId, BTreeMap<u64, ChainEntry>>,
-    topo: IncrementalTopo,
-    /// Conflict-graph vertex → instance gid.
-    vertex_gid: Vec<u32>,
+    /// Admitted gid → its slot in `slots`.
+    index: HashMap<u32, u32, IntBuild>,
+    /// Instance state in admission order: `slots[..admitted]` are live,
+    /// the rest wait, buffers intact, for the next epoch's instances.
+    slots: Vec<InstanceState>,
+    admitted: usize,
+    /// Every admitted instance's [`Record`], back to back.
+    records: Vec<u64>,
+    /// Per-entity committed lock chains, indexed by entity, each sorted
+    /// by lock time.
+    chains: Vec<Vec<ChainEntry>>,
+    /// The entities whose chains are not empty, for `clear`: an epoch
+    /// touches a few of a large database's chains.
+    touched: Vec<u32>,
+    graph: Conflicts,
     /// Arrival clock: each event gets the next tick, so merge order
     /// cannot disturb event order.
     clock: u64,
     merged_events: u64,
     committed: usize,
-    cycle: Option<Vec<u32>>,
     error: Option<ModelError>,
     sealed: bool,
+    /// [`seal`](Self::seal)'s `(gid, slot)` order, kept for reuse.
+    seal_order: Vec<(u32, usize)>,
 }
 
 impl StreamingAuditor {
@@ -290,16 +481,19 @@ impl StreamingAuditor {
     pub fn new(sys: &TransactionSystem) -> Self {
         Self {
             templates: sys.shared_txns(),
-            instances: HashMap::new(),
-            chains: HashMap::new(),
-            topo: IncrementalTopo::new(),
-            vertex_gid: Vec::new(),
+            index: HashMap::default(),
+            slots: Vec::new(),
+            admitted: 0,
+            records: Vec::new(),
+            chains: Vec::new(),
+            touched: Vec::new(),
+            graph: Conflicts::default(),
             clock: 0,
             merged_events: 0,
             committed: 0,
-            cycle: None,
             error: None,
             sealed: false,
+            seal_order: Vec::new(),
         }
     }
 
@@ -317,9 +511,25 @@ impl StreamingAuditor {
         a
     }
 
-    /// Makes room for `additional` more admitted instances up front.
-    pub fn reserve(&mut self, additional: usize) {
-        self.instances.reserve(additional);
+    /// Forgets every instance, event and verdict — the auditor then
+    /// answers exactly like a fresh [`new`](Self::new) one over the same
+    /// templates — but keeps the storage of every table, so auditing an
+    /// epoch no larger than one already seen allocates nothing.
+    pub fn clear(&mut self) {
+        self.index.clear();
+        self.admitted = 0;
+        self.records.clear();
+        for e in self.touched.drain(..) {
+            self.chains[e as usize].clear();
+        }
+        self.graph.topo.clear();
+        self.graph.vertex_gid.clear();
+        self.graph.cycle = None;
+        self.clock = 0;
+        self.merged_events = 0;
+        self.committed = 0;
+        self.error = None;
+        self.sealed = false;
     }
 
     /// Registers instance `gid` as an instance of `template`. Must
@@ -331,16 +541,24 @@ impl StreamingAuditor {
     /// admitted with a different template.
     pub fn admit(&mut self, gid: u32, template: TxnId) {
         let tmpl = &self.templates[template.index()];
-        let prev = self.instances.entry(gid).or_insert_with(|| InstanceState {
-            template: template.0,
-            committed: None,
-            vertex: None,
-            pending: HashMap::new(),
-            merged: Prefix::empty(tmpl),
-            lock_time: HashMap::new(),
-        });
+        let slot = match self.index.entry(gid) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                let slot = self.admitted;
+                e.insert(u32::try_from(slot).expect("slot fits u32"));
+                self.admitted += 1;
+                let base = self.records.len();
+                self.records.resize(base + tmpl.entities().len(), UNLOCKED);
+                self.records.resize(base + Record::words(tmpl), 0);
+                match self.slots.get_mut(slot) {
+                    Some(old) => old.readmit(gid, template.0, base),
+                    None => self.slots.push(InstanceState::new(gid, template.0, base)),
+                }
+                slot
+            }
+        };
         assert_eq!(
-            prev.template, template.0,
+            self.slots[slot].template, template.0,
             "instance {gid} re-admitted with a different template"
         );
     }
@@ -357,14 +575,15 @@ impl StreamingAuditor {
         if self.error.is_some() {
             return;
         }
-        let Some(inst) = self.instances.get_mut(&gid) else {
+        let Some(&slot) = self.index.get(&gid) else {
             self.fail(ModelError::UnknownTxn(TxnId(gid)));
             return;
         };
+        let inst = &mut self.slots[slot as usize];
         match inst.committed {
-            Some(a) if a == attempt => self.merge(gid, time, node),
+            Some(a) if a == attempt => self.merge(slot as usize, time, node),
             Some(_) => {}
-            None => inst.pending.entry(attempt).or_default().push((time, node)),
+            None => inst.pending.push((attempt, time, node)),
         }
     }
 
@@ -387,154 +606,164 @@ impl StreamingAuditor {
         if self.error.is_some() {
             return;
         }
-        let inst = self
-            .instances
-            .get_mut(&gid)
-            .unwrap_or_else(|| panic!("commit of unadmitted instance {gid}"));
+        let slot = *self
+            .index
+            .get(&gid)
+            .unwrap_or_else(|| panic!("commit of unadmitted instance {gid}"))
+            as usize;
+        let inst = &mut self.slots[slot];
         if let Some(prev) = inst.committed {
             assert_eq!(prev, attempt, "instance {gid} committed twice");
             return;
         }
         inst.committed = Some(attempt);
-        let buffered = inst.pending.remove(&attempt).unwrap_or_default();
-        inst.pending.clear();
-        let vertex = self.topo.add_node();
-        self.instances.get_mut(&gid).unwrap().vertex =
-            Some(u32::try_from(vertex).expect("vertex fits u32"));
-        debug_assert_eq!(self.vertex_gid.len(), vertex);
-        self.vertex_gid.push(gid);
+        let vertex = self.graph.topo.add_node();
+        inst.vertex = Some(u32::try_from(vertex).expect("vertex fits u32"));
+        let mut buffered = std::mem::take(&mut inst.pending);
+        debug_assert_eq!(self.graph.vertex_gid.len(), vertex);
+        self.graph.vertex_gid.push(gid);
         self.committed += 1;
-        for (time, node) in buffered {
+        for &(a, time, node) in &buffered {
             if self.error.is_some() {
                 break;
             }
-            self.merge(gid, time, node);
+            if a == attempt {
+                self.merge(slot, time, node);
+            }
         }
+        buffered.clear();
+        self.slots[slot].pending = buffered;
     }
 
     /// Marks `(gid, attempt)` aborted: its buffered events are dropped —
     /// the attempt's locks were released and its writes rolled back, so
     /// it contributes nothing to the committed projection.
     pub fn abort(&mut self, gid: u32, attempt: u32) {
-        if let Some(inst) = self.instances.get_mut(&gid) {
-            inst.pending.remove(&attempt);
+        if let Some(&slot) = self.index.get(&gid) {
+            self.slots[slot as usize]
+                .pending
+                .retain(|&(a, ..)| a != attempt);
         }
     }
 
-    /// Merges one committed event at its original time: validates the
-    /// step (the same §2 conditions as `Schedule::validate`, phrased
-    /// per-instance), updates the entity's lock chain, and inserts the
-    /// adjacency arcs.
-    fn merge(&mut self, gid: u32, time: u64, node: NodeId) {
-        let step = GlobalNode::new(TxnId(gid), node);
+    /// Merges one committed event of the instance in `slot` at its
+    /// original time: validates the step (the same §2 conditions as
+    /// `Schedule::validate`, phrased per-instance), updates the entity's
+    /// lock chain, and inserts the adjacency arcs.
+    fn merge(&mut self, slot: usize, time: u64, node: NodeId) {
         // Phase 1: validate the step and update the instance's merged
-        // prefix; report the accessed entity and the op kind.
-        let (entity, is_lock) = {
-            let inst = self.instances.get_mut(&gid).expect("merged gid admitted");
+        // prefix; report the accessed entity, the op kind and, for an
+        // unlock, the matching lock's time.
+        let (gid, vertex, entity, unlocked) = {
+            let inst = &self.slots[slot];
+            let step = GlobalNode::new(TxnId(inst.gid), node);
             let tmpl = &self.templates[inst.template as usize];
             if node.index() >= tmpl.node_count() {
                 self.fail(ModelError::BadScheduleStep(step));
                 return;
             }
-            if inst.merged.contains(node) {
+            let mut record = Record::at(&mut self.records, inst.base, tmpl);
+            if record.contains(node) {
                 self.fail(ModelError::DuplicateStep(step));
                 return;
             }
             if let Some(&missing) = tmpl
                 .predecessors(node)
                 .iter()
-                .find(|&&q| !inst.merged.contains(q))
+                .find(|&&q| !record.contains(q))
             {
                 self.fail(ModelError::PrecedenceViolated { step, missing });
                 return;
             }
             let op = tmpl.op(node);
-            inst.merged.push(node);
-            if op.is_lock() {
-                inst.lock_time.insert(op.entity, time);
-            }
-            (op.entity, op.is_lock())
+            record.push(node);
+            let e = tmpl
+                .entities()
+                .binary_search(&op.entity)
+                .expect("an op's entity is accessed");
+            let unlocked = if op.is_lock() {
+                record.lock_time[e] = time;
+                None
+            } else {
+                Some(Some(record.lock_time[e]).filter(|&t| t != UNLOCKED))
+            };
+            let vertex = inst.vertex.expect("merged instances are committed");
+            (inst.gid, vertex, op.entity, unlocked)
         };
         self.merged_events += 1;
+        let step = GlobalNode::new(TxnId(gid), node);
 
         // Phase 2: chain update + arcs.
-        if is_lock {
-            let chain = self.chains.entry(entity).or_default();
-            let pred = chain
-                .range(..time)
-                .next_back()
-                .map(|(&t, e)| (t, e.clone()));
-            let succ = chain
-                .range((Excluded(time), Unbounded))
-                .next()
-                .map(|(&t, e)| (t, e.clone()));
-            chain.insert(time, ChainEntry { gid, unlock: None });
-            if let Some((_, p)) = &pred {
-                // The previous locker must have let go before this lock.
-                if p.unlock.is_none_or(|u| u >= time) {
-                    self.fail(ModelError::LockHeld {
-                        step,
-                        entity,
-                        holder: TxnId(p.gid),
-                    });
-                    return;
+        match unlocked {
+            None => {
+                let e = entity.index();
+                if e >= self.chains.len() {
+                    self.chains.resize_with(e + 1, Vec::new);
                 }
-                self.link(p.gid, gid);
+                let chain = &mut self.chains[e];
+                if chain.is_empty() {
+                    self.touched.push(entity.0);
+                }
+                let at = chain.partition_point(|c| c.time < time);
+                let pred = at.checked_sub(1).map(|i| chain[i]);
+                let succ = chain.get(at).copied();
+                chain.insert(
+                    at,
+                    ChainEntry {
+                        time,
+                        gid,
+                        vertex,
+                        unlock: None,
+                    },
+                );
+                if let Some(p) = pred {
+                    // The previous locker must have let go before this lock.
+                    if p.unlock.is_none_or(|u| u >= time) {
+                        self.fail(ModelError::LockHeld {
+                            step,
+                            entity,
+                            holder: TxnId(p.gid),
+                        });
+                        return;
+                    }
+                    self.graph.link(p.vertex, vertex);
+                }
+                if let Some(s) = succ {
+                    // A mid-chain insert (this instance committed later than
+                    // a later locker): the order-side arc. Whether the two
+                    // holds overlapped is checked when this instance's
+                    // unlock merges.
+                    self.graph.link(vertex, s.vertex);
+                }
             }
-            if let Some((_, s)) = succ {
-                // A mid-chain insert (this instance committed later than
-                // a later locker): the order-side arc. Whether the two
-                // holds overlapped is checked when this instance's
-                // unlock merges.
-                self.link(gid, s.gid);
-            }
-        } else {
-            let lock_t = match self.instances[&gid].lock_time.get(&entity) {
-                Some(&t) => t,
-                None => {
-                    // Unreachable for well-formed templates (Lx ≺ Ux is a
-                    // transaction invariant and precedence was checked),
-                    // but fail closed rather than panic on a hostile
-                    // stream.
-                    self.fail(ModelError::PrecedenceViolated {
-                        step,
-                        missing: node,
-                    });
-                    return;
-                }
-            };
-            let overlap = {
-                let chain = self.chains.get_mut(&entity).expect("locked ⇒ chain");
-                chain.get_mut(&lock_t).expect("locked ⇒ entry").unlock = Some(time);
-                // Any later locker must have locked after this unlock.
-                match chain.range((Excluded(lock_t), Unbounded)).next() {
-                    Some((&st, s)) if st < time => Some(s.gid),
-                    _ => None,
-                }
-            };
-            if let Some(succ_gid) = overlap {
-                let s_tmpl = &self.templates[self.instances[&succ_gid].template as usize];
-                let lock_node = s_tmpl.lock_node_of(entity).expect("locker has a lock node");
-                self.fail(ModelError::LockHeld {
-                    step: GlobalNode::new(TxnId(succ_gid), lock_node),
-                    entity,
-                    holder: TxnId(gid),
+            Some(None) => {
+                // Unreachable for well-formed templates (Lx ≺ Ux is a
+                // transaction invariant and precedence was checked), but
+                // fail closed rather than panic on a hostile stream.
+                self.fail(ModelError::PrecedenceViolated {
+                    step,
+                    missing: node,
                 });
             }
-        }
-    }
-
-    /// Inserts the conflict arc `a → b` (instance gids), recording the
-    /// cycle witness if the arc closes one. After the first cycle the
-    /// graph is left untouched — the verdict is already absorbed.
-    fn link(&mut self, a: u32, b: u32) {
-        if self.cycle.is_some() || a == b {
-            return;
-        }
-        let va = self.instances[&a].vertex.expect("chain gids committed") as usize;
-        let vb = self.instances[&b].vertex.expect("chain gids committed") as usize;
-        if let Err(cycle) = self.topo.add_arc(va, vb) {
-            self.cycle = Some(cycle.into_iter().map(|v| self.vertex_gid[v]).collect());
+            Some(Some(lock_t)) => {
+                let chain = self.chains.get_mut(entity.index()).expect("locked ⇒ chain");
+                let at = chain
+                    .binary_search_by_key(&lock_t, |c| c.time)
+                    .expect("locked ⇒ entry");
+                chain[at].unlock = Some(time);
+                // Any later locker must have locked after this unlock.
+                let overlap = chain.get(at + 1).filter(|s| s.time < time).map(|s| s.gid);
+                if let Some(succ_gid) = overlap {
+                    let s_slot = self.index[&succ_gid] as usize;
+                    let s_tmpl = &self.templates[self.slots[s_slot].template as usize];
+                    let lock_node = s_tmpl.lock_node_of(entity).expect("locker has a lock node");
+                    self.fail(ModelError::LockHeld {
+                        step: GlobalNode::new(TxnId(succ_gid), lock_node),
+                        entity,
+                        holder: TxnId(gid),
+                    });
+                }
+            }
         }
     }
 
@@ -553,30 +782,28 @@ impl StreamingAuditor {
             self.sealed = true;
             if self.error.is_none() {
                 // Deterministic order keeps the witness reproducible.
-                let mut gids: Vec<u32> = self
-                    .instances
-                    .iter()
-                    .filter(|(_, i)| i.committed.is_some())
-                    .map(|(&g, _)| g)
-                    .collect();
-                gids.sort_unstable();
-                for gid in gids {
-                    let inst = &self.instances[&gid];
-                    let tmpl = &self.templates[inst.template as usize];
-                    let unlocked: Vec<EntityId> = tmpl
-                        .entities()
+                let order = &mut self.seal_order;
+                order.clear();
+                order.extend(
+                    self.slots[..self.admitted]
                         .iter()
-                        .copied()
-                        .filter(|e| !inst.lock_time.contains_key(e))
-                        .collect();
-                    for e in unlocked {
-                        let last = self
-                            .chains
-                            .get(&e)
-                            .and_then(|c| c.iter().next_back())
-                            .map(|(_, entry)| entry.gid);
+                        .enumerate()
+                        .filter(|(_, i)| i.committed.is_some())
+                        .map(|(slot, i)| (i.gid, slot)),
+                );
+                order.sort_unstable();
+                for &(_, slot) in order.iter() {
+                    let inst = &self.slots[slot];
+                    let vertex = inst.vertex.expect("committed ⇒ vertex");
+                    let tmpl = &self.templates[inst.template as usize];
+                    let record = Record::at(&mut self.records, inst.base, tmpl);
+                    for (&e, &locked) in tmpl.entities().iter().zip(&*record.lock_time) {
+                        if locked != UNLOCKED {
+                            continue;
+                        }
+                        let last = self.chains.get(e.index()).and_then(|c| c.last());
                         if let Some(last) = last {
-                            self.link(last, gid);
+                            self.graph.link(last.vertex, vertex);
                         }
                     }
                 }
@@ -595,13 +822,13 @@ impl StreamingAuditor {
         if self.error.is_some() {
             return None;
         }
-        Some(self.cycle.is_none())
+        Some(self.graph.cycle.is_none())
     }
 
     /// The conflict-cycle witness, as instance gids in arc order
     /// (`c₀ → c₁ → … → c₀`).
     pub fn cycle(&self) -> Option<&[u32]> {
-        self.cycle.as_deref()
+        self.graph.cycle.as_deref()
     }
 
     /// The validation error that voided the audit, if any.
@@ -623,14 +850,14 @@ impl StreamingAuditor {
     /// batch graph for the same history carries the full quadratic arc
     /// set).
     pub fn arc_count(&self) -> usize {
-        self.topo.arc_count()
+        self.graph.topo.arc_count()
     }
 
     /// Committed-transaction nodes currently in the conflict graph
     /// (telemetry gauge: grows with every commit until the auditor is
     /// sealed).
     pub fn node_count(&self) -> usize {
-        self.topo.len()
+        self.graph.topo.len()
     }
 
     fn fail(&mut self, e: ModelError) {
@@ -645,6 +872,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::graph::DiGraph;
+    use crate::ids::EntityId;
     use crate::op::Op;
     use crate::schedule::Schedule;
 
@@ -883,9 +1111,73 @@ mod tests {
         // first: the arc must run 10 → 20, i.e. topo position of 10's
         // vertex precedes 20's.
         assert_eq!(a.merged_events(), 8, "the aborted attempt merged nothing");
-        let v10 = a.instances[&10].vertex.unwrap() as usize;
-        let v20 = a.instances[&20].vertex.unwrap() as usize;
-        assert!(a.topo.position(v10) < a.topo.position(v20));
+        let vertex = |gid: u32| a.slots[a.index[&gid] as usize].vertex.unwrap() as usize;
+        let topo = &a.graph.topo;
+        assert!(topo.position(vertex(10)) < topo.position(vertex(20)));
+    }
+
+    /// Every instance commits in reverse event order, so on a serial
+    /// history every chain insert lands at the front of its chain (an
+    /// instance's events all precede those of the instances already
+    /// merged). The chains stay sorted by lock time, and the verdict
+    /// equals the batch oracle's — on the serial history and on one
+    /// whose first two instances interleave into a cycle.
+    #[test]
+    fn reverse_commit_order_inserts_at_the_front() {
+        use crate::history::{History, HistoryEvent};
+        let sys = two_txn_system();
+        let instances: Vec<(u32, TxnId)> = (0..8).map(|g| (g, TxnId(g % 2))).collect();
+        let serial: Vec<(u32, u32)> = instances
+            .iter()
+            .flat_map(|&(g, _)| (0..4).map(move |n| (g, n)))
+            .collect();
+        // T1.Lx T1.Ux T2.Ly T2.Uy T1.Ly T1.Uy T2.Lx T2.Ux, then the rest.
+        let mut crossed = vec![
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (1, 3),
+        ];
+        crossed.extend_from_slice(&serial[8..]);
+        for (events, expected) in [(serial, Some(true)), (crossed, Some(false))] {
+            let mut a = StreamingAuditor::new(&sys);
+            let mut history = History::new();
+            for &(g, t) in &instances {
+                a.admit(g, t);
+            }
+            for &(g, n) in &events {
+                a.event(g, 0, NodeId(n));
+                history.record(HistoryEvent {
+                    id: g,
+                    attempt: 0,
+                    node: NodeId(n),
+                });
+            }
+            for &(g, _) in instances.iter().rev() {
+                a.commit(g, 0);
+                let serial = expected == Some(true);
+                for chain in a
+                    .chains
+                    .iter()
+                    .filter(|c| serial && c.iter().any(|c| c.gid == g))
+                {
+                    assert_eq!(chain[0].gid, g, "instance {g} lands at the front");
+                }
+            }
+            for chain in &a.chains {
+                assert!(chain.windows(2).all(|w| w[0].time < w[1].time));
+            }
+            let batch = history
+                .committed_projection(&sys, instances.iter().map(|&(g, t)| (g, t, 0)))
+                .audit()
+                .ok();
+            assert_eq!(a.seal(), batch);
+            assert_eq!(batch, expected);
+        }
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! torn history tail) — and checks the sealed verdict against the batch
 //! audit of the same partial projection, pinning the Lemma 1 arc
 //! handling.
+//!
+//! A third feeds each history, both ways, to an auditor `clear()`ed
+//! after a different history over the same templates, and holds it to a
+//! fresh auditor's verdict and witness.
 
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{
@@ -104,7 +108,13 @@ fn random_run(seed: u64) -> Run {
         .map(|i| random_template(&mut rng, &format!("T{i}"), &db, n_entities))
         .collect();
     let sys = TransactionSystem::new(db, templates).unwrap();
+    random_history(&mut rng, sys)
+}
 
+/// The history half of [`random_run`]: a fresh run over `sys`'s
+/// templates.
+fn random_history(rng: &mut StdRng, sys: TransactionSystem) -> Run {
+    let n_templates = sys.len();
     let n_instances = rng.gen_range(2..=8usize);
     // Sparse, shuffled gids: the auditor must not rely on density.
     let instances: Vec<(u32, TxnId)> = (0..n_instances)
@@ -221,6 +231,42 @@ fn assert_witness_real(projection: &CommittedProjection, witness: &[u32]) {
     }
 }
 
+/// Streams `run` through `auditor` in engine order (events stream in,
+/// decisions follow) and seals it.
+fn live_audit(auditor: &mut StreamingAuditor, run: &Run) -> Option<bool> {
+    for &(gid, t) in &run.instances {
+        auditor.admit(gid, t);
+    }
+    for &c in &run.calls {
+        match c {
+            Call::Event(g, a, n) => auditor.event(g, a, n),
+            Call::Commit(g, a) => auditor.commit(g, a),
+            Call::Abort(g, a) => auditor.abort(g, a),
+        }
+    }
+    auditor.seal()
+}
+
+/// Streams `torn`, a committed projection of `run`, through `auditor`
+/// in `wal::recover` order (every commit first, then the events) and
+/// seals it.
+fn recovery_audit(
+    auditor: &mut StreamingAuditor,
+    run: &Run,
+    torn: &CommittedProjection,
+) -> Option<bool> {
+    let template_of: HashMap<u32, TxnId> = run.instances.iter().copied().collect();
+    for &g in &torn.ids {
+        auditor.admit(g, template_of[&g]);
+        auditor.commit(g, run.committed[&g]);
+    }
+    for s in &torn.steps {
+        let gid = torn.ids[s.txn.index()];
+        auditor.event(gid, run.committed[&gid], s.node);
+    }
+    auditor.seal()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -291,6 +337,38 @@ proptest! {
             let witness = auditor.cycle().expect("false verdict carries a witness").to_vec();
             assert_witness_real(&torn, &witness);
         }
+    }
+
+    /// Reuse: every history is audited twice per feed, once by a fresh
+    /// auditor and once by one `clear()`ed after auditing a different
+    /// history over the same templates. Both match the batch oracle with
+    /// the same verdict and the same witness, so an engine that keeps
+    /// one auditor for its lifetime answers like one built per epoch.
+    #[test]
+    fn a_cleared_auditor_matches_a_fresh_one(seed in any::<u64>(), cut_num in 0u64..=8) {
+        let run = random_run(seed);
+        let other = random_history(&mut StdRng::seed_from_u64(!seed), run.sys.clone());
+        let mut reused = StreamingAuditor::new(&run.sys);
+
+        let batch = run.projection().audit().ok();
+        let mut fresh = StreamingAuditor::new(&run.sys);
+        prop_assert_eq!(live_audit(&mut fresh, &run), batch, "seed {}: fresh, live", seed);
+        live_audit(&mut reused, &other);
+        reused.clear();
+        prop_assert_eq!(live_audit(&mut reused, &run), batch, "seed {}: reused, live", seed);
+        prop_assert_eq!(reused.cycle(), fresh.cycle(), "seed {}: live witness", seed);
+
+        let mut torn = run.projection();
+        let cut = (torn.steps.len() as u64 * cut_num / 8) as usize;
+        torn.steps.truncate(cut);
+        let batch = torn.audit().ok();
+        let mut fresh = StreamingAuditor::new(&run.sys);
+        prop_assert_eq!(recovery_audit(&mut fresh, &run, &torn), batch, "seed {}: fresh, torn", seed);
+        reused.clear();
+        recovery_audit(&mut reused, &other, &other.projection());
+        reused.clear();
+        prop_assert_eq!(recovery_audit(&mut reused, &run, &torn), batch, "seed {}: reused, torn", seed);
+        prop_assert_eq!(reused.cycle(), fresh.cycle(), "seed {}: torn witness", seed);
     }
 }
 

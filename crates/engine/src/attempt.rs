@@ -3,9 +3,10 @@
 //!
 //! An [`Attempt`] belongs to one instance — named everywhere (lock
 //! tables, wait-die, chains, audit, WAL) by the one `gid` in its
-//! [`WriteCtx`] — and owns the executed [`Prefix`], the lock-grant
-//! events not yet handed to the audit, the entities whose unlock exposed
-//! a write, and the read/write counters. It has exactly three
+//! [`WriteCtx`] — and owns the read/write counters and, in
+//! [`AttemptBufs`] a driver may reuse across attempts, the executed
+//! [`Prefix`], the lock-grant events not yet handed to the audit and
+//! the entities whose unlock exposed a write. It has exactly three
 //! transitions — [`granted`](Attempt::granted),
 //! [`unlock`](Attempt::unlock) and [`die`](Attempt::die) — and is driven
 //! by the threaded executor under both lock-wait disciplines and by both
@@ -63,18 +64,28 @@ pub(crate) struct Death {
     pub unrecovered: u32,
 }
 
+/// An attempt's working storage — the executed prefix, the deferred
+/// grants and the exposed writes — handed from one [`Attempt`] to the
+/// next ([`Attempt::new`] resets it, [`Attempt::into_bufs`] gives it
+/// back), so a driver that reuses it allocates nothing per attempt once
+/// it has held its largest transaction.
+#[derive(Default)]
+pub(crate) struct AttemptBufs {
+    executed: Prefix,
+    /// Granted lock nodes not yet handed to the event sink.
+    pending: Vec<NodeId>,
+    /// Entities whose unlock applied a write: what a death must undo
+    /// and a commit must stamp.
+    exposed: Vec<EntityId>,
+}
+
 /// See the module docs.
 pub(crate) struct Attempt<'a> {
     store: &'a Store,
     txn: &'a Transaction,
     program: &'a Program,
     pub ctx: WriteCtx,
-    executed: Prefix,
-    /// Granted lock nodes not yet handed to the event sink.
-    pending: Vec<NodeId>,
-    /// Entities whose unlock applied a write: what a death must undo
-    /// and a commit must stamp.
-    pub exposed: Vec<EntityId>,
+    bufs: AttemptBufs,
     /// History events handed to the sink so far.
     pub events: u64,
     pub reads: u64,
@@ -83,20 +94,23 @@ pub(crate) struct Attempt<'a> {
 }
 
 impl<'a> Attempt<'a> {
+    /// A fresh attempt of `txn`, in `bufs` (emptied first).
     pub(crate) fn new(
         store: &'a Store,
         txn: &'a Transaction,
         program: &'a Program,
         ctx: WriteCtx,
+        mut bufs: AttemptBufs,
     ) -> Self {
+        bufs.executed.reset(txn);
+        bufs.pending.clear();
+        bufs.exposed.clear();
         Attempt {
             store,
             txn,
             program,
             ctx,
-            executed: Prefix::empty(txn),
-            pending: Vec::new(),
-            exposed: Vec::new(),
+            bufs,
             events: 0,
             reads: 0,
             writes: 0,
@@ -104,26 +118,37 @@ impl<'a> Attempt<'a> {
         }
     }
 
-    /// The nodes whose predecessors have all executed.
-    pub(crate) fn ready(&self) -> Vec<NodeId> {
-        self.executed.ready_nodes(self.txn)
+    /// Ends the attempt, giving its storage back for the next one.
+    pub(crate) fn into_bufs(self) -> AttemptBufs {
+        self.bufs
+    }
+
+    /// The nodes whose predecessors have all executed, in node order.
+    pub(crate) fn ready(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.bufs.executed.ready(self.txn)
+    }
+
+    /// Drains the entities whose unlock applied a write — what a commit
+    /// stamps.
+    pub(crate) fn take_exposed(&mut self) -> std::vec::Drain<'_, EntityId> {
+        self.bufs.exposed.drain(..)
     }
 
     /// Nodes executed so far.
     pub(crate) fn steps(&self) -> usize {
-        self.executed.len()
+        self.bufs.executed.len()
     }
 
     pub(crate) fn is_complete(&self) -> bool {
-        self.executed.is_complete(self.txn)
+        self.bufs.executed.is_complete(self.txn)
     }
 
     /// The lock of node `n` is held (granted at once or handed over):
     /// the read it authorizes happens, the event is deferred.
     pub(crate) fn granted(&mut self, n: NodeId) {
         self.reads += u64::from(self.program.reads_entity(self.txn.op(n).entity));
-        self.pending.push(n);
-        self.executed.push(n);
+        self.bufs.pending.push(n);
+        self.bufs.executed.push(n);
     }
 
     /// Executes unlock node `n`: every deferred grant plus this unlock
@@ -131,18 +156,19 @@ impl<'a> Attempt<'a> {
     /// applied under the still-held lock and the lock released.
     pub(crate) fn unlock(&mut self, n: NodeId, sink: impl FnOnce(&[NodeId])) {
         let entity = self.txn.op(n).entity;
-        self.pending.push(n);
-        sink(&self.pending);
-        self.events += self.pending.len() as u64;
-        self.pending.clear();
-        self.executed.push(n);
+        let bufs = &mut self.bufs;
+        bufs.pending.push(n);
+        sink(&bufs.pending);
+        self.events += bufs.pending.len() as u64;
+        bufs.pending.clear();
+        bufs.executed.push(n);
         let shard = self.store.shard_of(entity);
         // Applied writes count and are exposed, absent writes don't, and
         // a typed skip (`WriteError`) is counted instead of clobbering.
         match shard.write_and_release(&self.ctx, entity, self.program.write_for(entity)) {
             Ok(true) => {
                 self.writes += 1;
-                self.exposed.push(entity);
+                self.bufs.exposed.push(entity);
             }
             Ok(false) => {}
             Err(_) => self.writes_skipped += 1,
@@ -156,18 +182,18 @@ impl<'a> Attempt<'a> {
     /// nothing to undo). Each entity is written at most once per attempt
     /// and removal re-folds per entity, so no undo order is required.
     pub(crate) fn die(&mut self) -> Death {
-        for e in self.executed.held_entities(self.txn) {
+        for e in self.bufs.executed.held_entities(self.txn) {
             self.store.shard_of(e).release(self.ctx.holder(), e);
         }
         let mut death = Death::default();
-        for e in self.exposed.drain(..) {
+        for e in self.bufs.exposed.drain(..) {
             match self.store.shard_of(e).undo_write(&self.ctx, e) {
                 UndoOutcome::RolledBack => death.rolled_back += 1,
                 UndoOutcome::None | UndoOutcome::Unrecoverable => death.unrecovered += 1,
             }
         }
-        self.pending.clear();
-        self.executed = Prefix::empty(self.txn);
+        self.bufs.pending.clear();
+        self.bufs.executed.reset(self.txn);
         death
     }
 }

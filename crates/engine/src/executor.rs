@@ -4,10 +4,18 @@
 //!
 //! **One pool.** A run splits into at most [`EngineConfig::threads`]
 //! jobs, and each job drains the run's chunks from one shared cursor.
-//! The calling thread runs the first job itself; only the rest go to
-//! the engine's persistent worker pool, so a one-chunk run never leaves
-//! its caller's thread. The pool spawns a worker only when no idle one
-//! is left to take a job, and the engine's drop joins them all.
+//! No run has more jobs than chunks, nor more than its gates can admit
+//! chunks at once: an admitted chunk holds one slot of each of its
+//! templates until it ends, so when every chunk contains a template of
+//! `k` slots, at most `k` chunks are ever inside and a job beyond the
+//! `k`-th could only wait on that gate (the fewest such `k` is the
+//! run's bound). The calling thread runs the first job itself; only the
+//! rest go to the engine's persistent worker pool, so a one-chunk run —
+//! or one whose every chunk holds a k = 1 template — never leaves its
+//! caller's thread. The pool spawns a worker only when no idle one is
+//! left to take a job, and the engine's drop joins them all. Each job
+//! owns one `Scratch` for its whole life, so in steady state an
+//! attempt that never queues allocates nothing.
 //!
 //! Every instance runs the same way: its chunk is admitted
 //! (`execute_chunk`: one [`SlotGate`](crate::template::SlotGate)
@@ -74,11 +82,11 @@
 //! one critical section of the lock every event already takes, and
 //! nothing is acquired before it.
 
-use crate::attempt::{wait_die, Attempt, Refused};
+use crate::attempt::{wait_die, Attempt, AttemptBufs, Refused};
 use crate::pool::Pool;
 use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
-use crate::template::{AdmissionOptions, TemplateRegistry};
+use crate::template::{AdmissionOptions, SlotGuard, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, WalRecord};
 use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
@@ -93,6 +101,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -117,10 +126,13 @@ const POLL: Duration = Duration::from_micros(50);
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// At most this many threads per run, the calling thread included
-    /// (and never more than the run has chunks): the caller plus up to
-    /// `threads − 1` workers drawn from the engine's persistent pool,
-    /// which spawns a worker only when no idle one is left.
+    /// At most this many threads per run, the calling thread included:
+    /// the caller plus up to `threads − 1` workers drawn from the
+    /// engine's persistent pool, which spawns a worker only when no idle
+    /// one is left. A run never uses more threads than it has chunks,
+    /// nor more than the fewest slots of a bounded template every one
+    /// of its chunks contains — no more chunks than that can be
+    /// admitted at once (see [`crate::template::SlotGate::acquire_many`]).
     pub threads: usize,
     /// Total transaction instances to run (assigned round-robin over the
     /// registered templates). [`Engine::run`] panics once the engine's
@@ -467,6 +479,24 @@ impl Tracer<'_> {
     }
 }
 
+/// A pool job's working storage, made by the job and reused by every
+/// chunk and attempt it runs: once it has held the run's largest chunk
+/// and transaction, admitting a chunk and driving a conflict-free
+/// attempt allocate nothing.
+#[derive(Default)]
+struct Scratch<'c> {
+    /// The current attempt's prefix, deferred grants and exposed writes.
+    attempt: AttemptBufs,
+    /// One drive round's ready nodes, unlocks first.
+    ready: Vec<NodeId>,
+    /// Lock nodes already queued at their shard (certified only).
+    queued: Vec<bool>,
+    /// The chunk's instances per template, in template-index order.
+    counts: Vec<(TxnId, usize)>,
+    /// The chunk's gate slots, held until it ends.
+    slots: Vec<SlotGuard<'c>>,
+}
+
 #[derive(Debug, Default, Clone)]
 struct Outcome {
     committed_attempt: Option<u32>,
@@ -748,10 +778,16 @@ impl Engine {
         // joins and leaves (see `execute_chunk`). By the time the last
         // job reports back, the verdict is already computed. No more
         // jobs than chunks: a job past the last chunk would only find
-        // the cursor spent. This thread runs one job itself, so a
-        // one-chunk run never touches the pool.
+        // the cursor spent. Nor more jobs than the gates admit chunks at
+        // once: a job past that could only wait on a gate while the
+        // run's auditor, log buffer and chains move between cores. This
+        // thread runs one job itself, so a one-chunk run never touches
+        // the pool.
         let batch = core.cfg.admission_batch.max(1);
-        let jobs = core.cfg.threads.max(1).min(instances.len().div_ceil(batch));
+        let mut jobs = core.cfg.threads.max(1).min(instances.len().div_ceil(batch));
+        if jobs > 1 {
+            jobs = jobs.min(core.admissible_chunks(&instances, batch));
+        }
         let work = {
             let (core, instances) = (Arc::clone(core), Arc::clone(&instances));
             let cursor = AtomicUsize::new(0);
@@ -759,8 +795,10 @@ impl Engine {
             // table: pure atomics, no per-instance locking.
             let ttable = core.cfg.telemetry.template_table();
             move || {
-                let mut done = Vec::new();
+                // Sized for the whole run, so it never regrows.
+                let mut done = Vec::with_capacity(instances.len());
                 let mut seen = Some(true);
+                let mut scratch = Scratch::default();
                 loop {
                     // A plain ticket counter: the instances it indexes
                     // are immutable, so it publishes nothing.
@@ -769,7 +807,8 @@ impl Engine {
                         break;
                     };
                     let chunk = &rest[..batch.min(rest.len())];
-                    let observed = core.execute_chunk(chunk, &mut done, ttable.as_deref());
+                    let observed =
+                        core.execute_chunk(chunk, &mut done, ttable.as_deref(), &mut scratch);
                     seen = conjoin(seen, observed);
                 }
                 (done, seen)
@@ -814,6 +853,35 @@ impl Core {
         self.registry.verdict().is_certified() && !self.cfg.force_fallback
     }
 
+    /// How many of the chunks `instances` splits into at `batch` the
+    /// gates can ever hold at once: the fewest slots among the bounded
+    /// templates every chunk contains (an admitted chunk holds one slot
+    /// of each of its templates until it ends), or `usize::MAX` when no
+    /// bounded template is in every chunk.
+    fn admissible_chunks(&self, instances: &[Instance], batch: usize) -> usize {
+        // Per template: the chunks that contain it, and the last chunk
+        // counted.
+        let mut seen = vec![(0, usize::MAX); self.registry.len()];
+        for (c, chunk) in instances.chunks(batch).enumerate() {
+            for inst in chunk {
+                let (count, last) = &mut seen[inst.template.index()];
+                if *last != c {
+                    (*count, *last) = (*count + 1, c);
+                }
+            }
+        }
+        let chunks = instances.len().div_ceil(batch);
+        seen.iter()
+            .enumerate()
+            .filter(|&(_, &(count, _))| count == chunks)
+            .filter_map(|(t, _)| {
+                let tmpl = self.registry.template(TxnId::from_index(t));
+                tmpl.gate.slots().limit()
+            })
+            .min()
+            .unwrap_or(usize::MAX)
+    }
+
     fn begin(inst: Instance, attempt: u32) -> WalRecord {
         WalRecord::Begin {
             gid: inst.gid,
@@ -835,16 +903,18 @@ impl Core {
     /// overlapping template sets always contend in the same order and
     /// cannot deadlock. With its slots held the chunk joins the open
     /// audit epoch, and it leaves once its last instance is done,
-    /// returning the verdict it observed then. Each instance's outcome
-    /// lands in `done`, keyed by gid.
-    fn execute_chunk(
-        &self,
+    /// returning the verdict it observed then, and frees its slots. Each
+    /// instance's outcome lands in `done`, keyed by gid.
+    fn execute_chunk<'c>(
+        &'c self,
         chunk: &[Instance],
         done: &mut Vec<(u32, Outcome)>,
         ttable: Option<&TemplateTable>,
+        scratch: &mut Scratch<'c>,
     ) -> Option<bool> {
         let tel = &self.cfg.telemetry;
-        let mut counts: Vec<(TxnId, usize)> = Vec::new();
+        let counts = &mut scratch.counts;
+        counts.clear();
         for inst in chunk {
             match counts.iter_mut().find(|(t, _)| *t == inst.template) {
                 Some((_, n)) => *n += 1,
@@ -853,10 +923,10 @@ impl Core {
         }
         counts.sort_unstable_by_key(|&(t, _)| t.index());
         let asked = Instant::now();
-        let _slots: Vec<_> = counts
+        let gates = counts
             .iter()
-            .map(|&(t, n)| self.registry.template(t).gate.acquire_many(n))
-            .collect();
+            .map(|&(t, n)| self.registry.template(t).gate.acquire_many(n));
+        scratch.slots.extend(gates);
         let seat = self.join_epoch(chunk);
         let gate_wait = asked.elapsed();
         tel.record(Phase::GateWait, gate_wait);
@@ -864,10 +934,12 @@ impl Core {
             w.append(chunk.iter().map(|i| Self::begin(*i, 0)));
         }
         for inst in chunk {
-            let out = self.execute_instance(*inst, ttable, gate_wait);
+            let out = self.execute_instance(*inst, ttable, gate_wait, scratch);
             done.push((inst.gid, out));
         }
-        seat.leave()
+        let seen = seat.leave();
+        scratch.slots.clear();
+        seen
     }
 
     /// Pins the audit epoch for a run: the open epoch stays open between
@@ -940,6 +1012,7 @@ impl Core {
         inst: Instance,
         ttable: Option<&TemplateTable>,
         gate_wait: Duration,
+        scratch: &mut Scratch<'_>,
     ) -> Outcome {
         let tel = &self.cfg.telemetry;
         let started = Instant::now();
@@ -958,7 +1031,9 @@ impl Core {
         if let Some(tr) = tracer {
             tr.emit(0, SpanKind::Admit, u32::MAX, gate_wait.as_nanos() as u64, 0);
         }
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(gid) << 20) ^ 0x00E9_97D1);
+        // Backoff jitter, seeded at the first death: only wait-die uses
+        // it, and the seed is the instance's whatever the attempt.
+        let mut rng: Option<StdRng> = None;
         let mut out = Outcome::default();
 
         // The certified discipline cannot refuse, so it always commits
@@ -972,9 +1047,11 @@ impl Core {
                     w.append([Self::begin(inst, attempt)]);
                 }
             }
-            let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx);
+            let bufs = std::mem::take(&mut scratch.attempt);
+            let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx, bufs);
             let t_exec = tel.timer();
-            let death = (!self.drive(&mut a, t, tracer)).then(|| {
+            let (ready, queued) = (&mut scratch.ready, &mut scratch.queued);
+            let death = (!self.drive(&mut a, t, tracer, ready, queued)).then(|| {
                 // One undo sample per dying attempt: lock release plus
                 // every exposed-write rollback.
                 let t_undo = tel.timer();
@@ -1002,7 +1079,7 @@ impl Core {
                 if let Some(w) = &self.wal {
                     w.log_commit(gid, inst.template, attempt, ts.ts());
                 }
-                self.store.publish_commit(ts, gid, a.exposed.drain(..));
+                self.store.publish_commit(ts, gid, a.take_exposed());
                 // The decision reaches the auditor only after every
                 // event of the attempt did (each release batch is fed
                 // synchronously under this same lock), so the merge sees
@@ -1027,8 +1104,10 @@ impl Core {
                 out.reads += a.reads;
                 out.writes += a.writes;
                 out.writes_skipped += a.writes_skipped;
+                scratch.attempt = a.into_bufs();
                 break;
             };
+            scratch.attempt = a.into_bufs();
             if let Some(w) = &self.wal {
                 w.append([WalRecord::Abort { gid, attempt }]);
             }
@@ -1055,6 +1134,9 @@ impl Core {
             // Only a write that could not be rolled back leaves the
             // abort dirty (and voids the run's audit).
             out.dirty_aborts += u32::from(death.unrecovered > 0);
+            let rng = rng.get_or_insert_with(|| {
+                StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(gid) << 20) ^ 0x00E9_97D1)
+            });
             let jitter = rng.gen_range(0..=BACKOFF.as_micros() as u64);
             std::thread::sleep(
                 BACKOFF + Duration::from_micros(jitter * (1 + u64::from(attempt % 4))),
@@ -1072,18 +1154,33 @@ impl Core {
     /// differ only in how they ask and what a refusal means:
     ///
     /// * **certified** — a queueing request; a refused lock is handed
-    ///   over FIFO on the grant channel, where the worker parks once
-    ///   nothing else is ready. Never times out, never dies.
+    ///   over FIFO on the attempt's grant channel, built when its first
+    ///   request queues, where the worker parks once nothing else is
+    ///   ready. Never times out, never dies.
     /// * **wait-die** — a non-queueing acquire; a refusal is put to
     ///   [`wait_die`] against the holder of that moment, and an older
     ///   requester sleeps [`POLL`] and asks again — for that lock first.
-    fn drive(&self, a: &mut Attempt<'_>, t: &Transaction, tracer: Option<Tracer<'_>>) -> bool {
+    ///
+    /// `ready` and `queued` are the job's reused buffers.
+    fn drive(
+        &self,
+        a: &mut Attempt<'_>,
+        t: &Transaction,
+        tracer: Option<Tracer<'_>>,
+        ready: &mut Vec<NodeId>,
+        queued: &mut Vec<bool>,
+    ) -> bool {
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
         let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
-        let (grant_tx, grant_rx) = std::sync::mpsc::channel::<EntityId>();
-        // Lock nodes already queued at their shard (certified only).
-        let mut queued = vec![false; if park { t.node_count() } else { 0 }];
+        // Built only when a request queues: the releasing thread hands
+        // the lock over on it. A queued attempt keeps its own, so a
+        // grant sent to an attempt that is gone bounces onward.
+        let mut grant: Option<(Sender<EntityId>, Receiver<EntityId>)> = None;
+        queued.clear();
+        if park {
+            queued.resize(t.node_count(), false);
+        }
         // Wait-die: when the acquisition being polled for was first
         // refused — one lock-wait sample covers all its rounds.
         let mut refused_at: Option<Instant> = None;
@@ -1108,9 +1205,10 @@ impl Core {
         loop {
             let mut progressed = false;
             // Unlocks never block: drain them before asking for locks.
-            let mut ready = a.ready();
-            ready.sort_by_key(|&n| t.op(n).is_lock());
-            for n in ready {
+            ready.clear();
+            ready.extend(a.ready());
+            ready.sort_unstable_by_key(|&n| (t.op(n).is_lock(), n));
+            for &n in ready.iter() {
                 let op = t.op(n);
                 if op.is_unlock() {
                     a.unlock(n, |nodes| {
@@ -1126,7 +1224,10 @@ impl Core {
                 let shard = self.store.shard_of(op.entity);
                 let granted = if park {
                     let first_ask = !std::mem::replace(&mut queued[n.index()], true);
-                    first_ask && shard.request(me, op.entity, &grant_tx)
+                    first_ask
+                        && shard.request(me, op.entity, || {
+                            grant.get_or_insert_with(mpsc::channel).0.clone()
+                        })
                 } else {
                     match shard.try_acquire(me, op.entity) {
                         Ok(()) => true,
@@ -1162,6 +1263,7 @@ impl Core {
                 // Every ready op is a queued lock: park until any grant
                 // (the park is timed only for the sampled trace).
                 let t_park = tracer.map(|_| Instant::now());
+                let (_, grant_rx) = grant.as_ref().expect("a parked attempt has queued");
                 let entity = grant_rx
                     .recv()
                     .expect("grant channel lives as long as this attempt");
@@ -1205,13 +1307,15 @@ impl Core {
             None
         };
 
-        let latency = LatencyStats::from_samples(
+        // Sized up front: one allocation whatever the run's size.
+        let mut samples = Vec::with_capacity(outcomes.len());
+        samples.extend(
             outcomes
                 .iter()
                 .filter(|o| o.committed_attempt.is_some())
-                .map(|o| o.latency_us)
-                .collect(),
+                .map(|o| o.latency_us),
         );
+        let latency = LatencyStats::from_samples(samples);
 
         // Per-template achieved multiprogramming (the gate's high-water
         // mark this run) next to its certified slot count.
@@ -1265,6 +1369,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::{Inflation, Slots};
     use ddlf_model::{Database, Op};
 
     /// Two transfers locking x then y: certified.
@@ -1276,14 +1381,17 @@ mod tests {
     }
 
     fn ordered_pair_with(cfg: EngineConfig) -> Engine {
+        Engine::new(ordered_pair_system(), cfg)
+    }
+
+    fn ordered_pair_system() -> TransactionSystem {
         let db = Database::one_entity_per_site(2);
         let (x, y) = (EntityId(0), EntityId(1));
         let ops = [Op::lock(x), Op::lock(y), Op::unlock(x), Op::unlock(y)];
         let txns = ["T1", "T2"]
             .map(|name| Transaction::from_total_order(name, &ops, &db).unwrap())
             .to_vec();
-        let sys = TransactionSystem::new(db, txns).unwrap();
-        Engine::new(sys, cfg)
+        TransactionSystem::new(db, txns).unwrap()
     }
 
     /// A one-chunk run executes on its caller's thread, so back-to-back
@@ -1301,6 +1409,38 @@ mod tests {
         assert_eq!(engine.pool.spawned(), 0, "a one-chunk run left its caller");
         let r = engine.run_mix(&engine.uniform_mix(2));
         assert!(r.all_committed(), "{r:?}");
+        assert_eq!(engine.pool.spawned(), 1);
+    }
+
+    /// A chunk holds one slot of each of its templates until it ends.
+    /// When every 16-instance chunk of a uniform mix holds both k = 1
+    /// templates, the gates admit one chunk at a time, so the run stays
+    /// on its caller's thread although `threads` allows two. At k = 2
+    /// two chunks fit: the same mix is the caller plus exactly one
+    /// worker.
+    #[test]
+    fn a_run_has_no_more_jobs_than_its_gates_admit_chunks() {
+        let cfg = || EngineConfig {
+            threads: 2,
+            admission_batch: 16,
+            ..Default::default()
+        };
+        let engine = ordered_pair_with(cfg());
+        let r = engine.run_mix(&engine.uniform_mix(64));
+        assert!(r.all_committed(), "{r:?}");
+        assert_eq!(r.serializable, Some(true));
+        assert_eq!(engine.pool.spawned(), 0, "a job waited on a k = 1 gate");
+
+        let k2 = AdmissionOptions {
+            inflate: Inflation::Uniform(2),
+            ..Default::default()
+        };
+        let engine = Engine::try_with_admission(ordered_pair_system(), k2, cfg()).unwrap();
+        let plan = engine.registry().plan();
+        assert_eq!(plan.slots, [Slots::Bounded(2), Slots::Bounded(2)]);
+        let r = engine.run_mix(&engine.uniform_mix(64));
+        assert!(r.all_committed(), "{r:?}");
+        assert_eq!(r.serializable, Some(true));
         assert_eq!(engine.pool.spawned(), 1);
     }
 

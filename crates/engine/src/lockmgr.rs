@@ -2,7 +2,7 @@
 //! shard keeps one under `shard.state`; the discrete-event simulator
 //! keeps one per site.
 
-use ddlf_model::{EntityId, TxnId};
+use ddlf_model::{EntityId, IntBuild, TxnId};
 use std::collections::{HashMap, VecDeque};
 
 /// Outcome of a lock request.
@@ -21,7 +21,7 @@ pub enum Acquire {
 /// exclusive locks, FIFO grant order.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
-    locks: HashMap<EntityId, LockState>,
+    locks: HashMap<EntityId, LockState, IntBuild>,
 }
 
 #[derive(Debug, Clone)]

@@ -36,7 +36,7 @@
 //! in the engine, while a deadlock witness completes with aborts and a
 //! serializable history.
 
-use crate::attempt::{wait_die, Attempt, Refused};
+use crate::attempt::{wait_die, Attempt, AttemptBufs, Refused};
 use crate::store::{Store, WriteCtx};
 use crate::template::Program;
 use ddlf_model::{GlobalNode, NodeId, StreamingAuditor, Transaction, TransactionSystem, TxnId};
@@ -144,7 +144,7 @@ impl Replay<'_> {
         }
         if a.is_complete() {
             let ts = self.store.reserve_commit_ts();
-            self.store.publish_commit(ts, ctx.gid, a.exposed.drain(..));
+            self.store.publish_commit(ts, ctx.gid, a.take_exposed());
             self.auditor.commit(ctx.gid, ctx.attempt);
             self.report.committed += 1;
         }
@@ -192,7 +192,13 @@ pub fn replay_schedule(
         .collect();
     let attempt_of = |t: TxnId, attempt: u32| {
         let ctx = WriteCtx { gid: t.0, attempt };
-        Attempt::new(&store, sys.txn(t), &programs[t.index()], ctx)
+        Attempt::new(
+            &store,
+            sys.txn(t),
+            &programs[t.index()],
+            ctx,
+            AttemptBufs::default(),
+        )
     };
     let mut attempts: Vec<Attempt<'_>> = sys.iter().map(|(t, _)| attempt_of(t, 0)).collect();
     let mut run = Replay {
@@ -222,7 +228,7 @@ pub fn replay_schedule(
         let Some(a) = attempts.get_mut(g.txn.index()) else {
             return Err(bad(format!("no transaction {}", g.txn)));
         };
-        if !a.ready().contains(&g.node) {
+        if !a.ready().any(|n| n == g.node) {
             return Err(bad("node is not ready in its transaction".to_string()));
         }
         let txn = sys.txn(g.txn);
@@ -242,7 +248,8 @@ pub fn replay_schedule(
         for (t, txn) in sys.iter().skip(oldest) {
             let a = &mut attempts[t.index()];
             // Run ahead until the transaction commits or is refused.
-            while let Some(&n) = a.ready().first() {
+            loop {
+                let Some(n) = a.ready().next() else { break };
                 match run.step(a, txn, n) {
                     Ok(()) => run.report.completion_steps += 1,
                     Err(holder) => {

@@ -26,7 +26,7 @@ use crate::lockmgr::{Acquire, LockTable};
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
 use crate::template::WriteOp;
 use crate::wal::{Wal, WalRecord};
-use ddlf_model::{Database, EntityId, SiteId, TxnId};
+use ddlf_model::{Database, EntityId, IntBuild, SiteId, TxnId};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -139,7 +139,7 @@ pub(crate) struct ShardState {
     /// when the requester queued (measures the true queue wait for the
     /// lock-wait histogram; stamping it is one clock read on the
     /// already-contended path).
-    pub waiters: HashMap<(TxnId, EntityId), (Sender<EntityId>, Instant)>,
+    pub waiters: HashMap<(TxnId, EntityId), (Sender<EntityId>, Instant), IntBuild>,
     /// Optional log: appended to under this mutex, so file order is
     /// chain order.
     sink: Option<Arc<Wal>>,
@@ -172,19 +172,21 @@ impl Shard {
 
     /// The queueing request (certified discipline): takes the exclusive
     /// lock on `entity` for `instance` and returns `true`, or queues
-    /// FIFO behind the holder and registers `grant_tx` so the releasing
-    /// thread can hand the lock over (and wake the requester) later.
+    /// FIFO behind the holder and registers the sender `grant_tx` returns
+    /// so the releasing thread can hand the lock over (and wake the
+    /// requester) later. `grant_tx` is called only when the request
+    /// queues, so a request granted at once builds no channel.
     pub(crate) fn request(
         &self,
         instance: TxnId,
         entity: EntityId,
-        grant_tx: &Sender<EntityId>,
+        grant_tx: impl FnOnce() -> Sender<EntityId>,
     ) -> bool {
         let mut st = self.state.lock();
         let granted = st.locks.acquire(instance, entity) == Acquire::Granted;
         if !granted {
             st.waiters
-                .insert((instance, entity), (grant_tx.clone(), Instant::now()));
+                .insert((instance, entity), (grant_tx(), Instant::now()));
         }
         granted
     }
@@ -316,7 +318,7 @@ impl Store {
                     ShardState {
                         chains: Vec::new(),
                         locks: LockTable::new(),
-                        waiters: HashMap::new(),
+                        waiters: HashMap::default(),
                         sink: None,
                         telemetry: Telemetry::disabled(),
                     },
@@ -674,7 +676,7 @@ mod tests {
         let s = store2();
         let e = EntityId(0);
         let (tx, _rx) = channel();
-        assert!(s.shard_of(e).request(TxnId(0), e, &tx));
+        assert!(s.shard_of(e).request(TxnId(0), e, || tx.clone()));
         assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(100));
         assert_eq!(
             s.shard_of(e)
@@ -692,8 +694,8 @@ mod tests {
         let e = EntityId(0);
         let (tx0, _rx0) = channel();
         let (tx1, rx1) = channel();
-        assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
-        assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
+        assert!(s.shard_of(e).request(TxnId(0), e, || tx0.clone()));
+        assert!(!s.shard_of(e).request(TxnId(1), e, || tx1.clone()));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         assert_eq!(rx1.try_recv(), Ok(e));
         // T1 now holds it.
@@ -705,15 +707,15 @@ mod tests {
         let s = store2();
         let e = EntityId(0);
         let (tx0, _rx0) = channel();
-        assert!(s.shard_of(e).request(TxnId(0), e, &tx0));
+        assert!(s.shard_of(e).request(TxnId(0), e, || tx0.clone()));
         {
             let (tx1, rx1) = channel();
-            assert!(!s.shard_of(e).request(TxnId(1), e, &tx1));
+            assert!(!s.shard_of(e).request(TxnId(1), e, || tx1.clone()));
             drop(rx1); // T1's worker is gone
             drop(tx1);
         }
         let (tx2, rx2) = channel();
-        assert!(!s.shard_of(e).request(TxnId(2), e, &tx2));
+        assert!(!s.shard_of(e).request(TxnId(2), e, || tx2.clone()));
         s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
         // T1's grant bounced; T2 must receive it.
         assert_eq!(rx2.try_recv(), Ok(e));
@@ -737,7 +739,7 @@ mod tests {
         let e = EntityId(0);
         let (tx, _rx) = channel();
         write(&s, &ctx(0), e, WriteOp::PutBytes(vec![7, 8]));
-        s.shard_of(e).request(TxnId(1), e, &tx);
+        s.shard_of(e).request(TxnId(1), e, || tx.clone());
         // The old behavior treated the bytes as 0 and installed Int(3).
         assert_eq!(
             s.shard_of(e)
@@ -1340,7 +1342,7 @@ mod tests {
                 for (i, (e, raw)) in committed_prefix.iter().enumerate() {
                     let e = EntityId(*e);
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.holder(), e, &tx);
+                    s.shard_of(e).request(c.holder(), e, || tx.clone());
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
                     commit(&s, &c, e);
                 }
@@ -1355,7 +1357,7 @@ mod tests {
                     if touched.contains(&e) {
                         continue;
                     }
-                    s.shard_of(e).request(c.holder(), e, &tx);
+                    s.shard_of(e).request(c.holder(), e, || tx.clone());
                     if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {
                         touched.push(e);
                     }
@@ -1390,7 +1392,7 @@ mod tests {
                 };
                 for (i, raw) in live_raws.iter().enumerate() {
                     let c = ctx(1 + i as u32);
-                    s.shard_of(e).request(c.holder(), e, &tx);
+                    s.shard_of(e).request(c.holder(), e, || tx.clone());
                     let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
                     commit(&s, &c, e);
                     if let Ok(v) = apply_op(e, &expected, &op_of(*raw)) {
@@ -1441,7 +1443,7 @@ mod tests {
                         _ => WriteOp::Put(*n as u64),
                     };
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.holder(), e, &tx);
+                    s.shard_of(e).request(c.holder(), e, || tx.clone());
                     s.shard_of(e).write_and_release(&c, e, Some(&op)).unwrap();
                     // The first two writers are always victims, so every
                     // case has overlapping doomed attempts.
@@ -1480,7 +1482,7 @@ mod tests {
                 let mut doomed = Vec::new();
                 for (i, raw) in raws.iter().enumerate() {
                     let c = ctx(i as u32);
-                    s.shard_of(e).request(c.holder(), e, &tx);
+                    s.shard_of(e).request(c.holder(), e, || tx.clone());
                     // An `Add` meeting a byte payload is a typed skip:
                     // nothing applied, nothing to undo.
                     if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {

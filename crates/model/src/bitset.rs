@@ -9,7 +9,8 @@
 use std::fmt;
 
 /// A fixed-capacity dense set of `usize` indices backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The default is the empty set of capacity 0.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -74,6 +75,15 @@ impl BitSet {
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Empties the set and re-sizes it to hold `0..capacity`, keeping its
+    /// storage: no allocation unless `capacity` needs more words than the
+    /// set has ever held.
+    pub fn reset(&mut self, capacity: usize) {
+        self.words.clear();
+        self.words.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
     }
 
     /// `self ∪= other`. Both sets must have the same capacity.

@@ -80,14 +80,17 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// The auditor's hasher for small integer keys (gids, vertex indices,
-/// packed arcs): the Fx multiply-rotate, with the final rotation moving
-/// the well-mixed high bits of the product down to where the table
-/// picks its bucket.
+/// The workspace's hasher for small integer keys (gids, vertex indices,
+/// packed arcs, entity and instance ids): the Fx multiply-rotate, with
+/// the final rotation moving the well-mixed high bits of the product
+/// down to where the table picks its bucket. Not DoS-resistant — use it
+/// only for keys the program mints itself.
 #[derive(Debug, Default, Clone, Copy)]
-struct IntHasher(u64);
+pub struct IntHasher(u64);
 
-type IntBuild = BuildHasherDefault<IntHasher>;
+/// The [`std::hash::BuildHasher`] of [`IntHasher`]:
+/// `HashMap<K, V, IntBuild>`.
+pub type IntBuild = BuildHasherDefault<IntHasher>;
 
 impl IntHasher {
     fn add(&mut self, n: u64) {

@@ -89,7 +89,7 @@ pub use explore::{
 pub use graph::{DiGraph, UnGraph};
 pub use history::{CommittedProjection, History, HistoryEvent};
 pub use ids::{EntityId, GlobalNode, NodeId, SiteId, TxnId};
-pub use incremental::{IncrementalTopo, StreamingAuditor};
+pub use incremental::{IncrementalTopo, IntBuild, IntHasher, StreamingAuditor};
 pub use inflate::{CopyMap, InflatedSystem};
 pub use linext::{count_linear_extensions, for_each_linear_extension, linear_extensions};
 pub use op::{Op, OpKind};

@@ -9,8 +9,10 @@ use crate::bitset::BitSet;
 use crate::ids::{EntityId, NodeId, TxnId};
 use crate::txn::Transaction;
 
-/// A prefix (downward-closed node set) of a single transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A prefix (downward-closed node set) of a single transaction. The
+/// default is the empty prefix of a transaction with no nodes; use
+/// [`Prefix::reset`] to re-aim it.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Prefix {
     executed: BitSet,
 }
@@ -21,6 +23,13 @@ impl Prefix {
         Self {
             executed: BitSet::new(txn.node_count()),
         }
+    }
+
+    /// Makes this the empty prefix of `txn`, keeping its storage: a
+    /// prefix reused across attempts of transactions no larger than the
+    /// largest it has held allocates nothing.
+    pub fn reset(&mut self, txn: &Transaction) {
+        self.executed.reset(txn.node_count());
     }
 
     /// The complete prefix (all nodes) of `txn`.

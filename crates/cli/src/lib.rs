@@ -1039,7 +1039,7 @@ fn run_engine(sys: &TransactionSystem, cmd: &Command) -> Outcome {
     let all_entities: Vec<ddlf_model::EntityId> = sys.db().entities().collect();
     let stop_readers = std::sync::atomic::AtomicBool::new(false);
     let started = std::time::Instant::now();
-    let (report, ro_scans) = std::thread::scope(|scope| {
+    let (report, phases, ro_scans) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..*readers)
             .map(|_| {
                 scope.spawn(|| {
@@ -1060,9 +1060,12 @@ fn run_engine(sys: &TransactionSystem, cmd: &Command) -> Outcome {
             })
             .collect();
         let report = engine.run();
+        // The handle is this run's alone, so its cumulative phases are
+        // the run's (and the snapshot reads it overlapped).
+        let phases = telemetry.phase_snapshot();
         stop_readers.store(true, std::sync::atomic::Ordering::Relaxed);
         let scans: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        (report, scans)
+        (report, phases, scans)
     });
     let scans_per_sec = ro_scans as f64 / started.elapsed().as_secs_f64().max(1e-9);
     if let Some(path) = trace_out {
@@ -1073,7 +1076,7 @@ fn run_engine(sys: &TransactionSystem, cmd: &Command) -> Outcome {
     if *json {
         // One JSON object, nothing else on stdout — scripts pipe
         // this straight into a parser. Store totals ride along.
-        let mut obj = report_json(&report);
+        let mut obj = report_json(&report, &phases);
         if let Value::Obj(entries) = &mut obj {
             entries.push((
                 "store".to_string(),

@@ -4,7 +4,7 @@
 //! `StatsSnapshot` shows up in both without an edit here. Only the human
 //! table picks and words its columns by hand.
 
-use ddlf_engine::{Phase, Report};
+use ddlf_engine::{Phase, PhaseSnapshot, Report};
 use ddlf_model::{GlobalNode, TransactionSystem};
 use ddlf_server::{Metric, PhaseStat, Record, StatsSnapshot, Value as Wire};
 use serde_json::Value;
@@ -150,10 +150,12 @@ pub(crate) fn phases_json(phases: &[PhaseStat]) -> Value {
     Value::Obj(phases.iter().map(digest).collect())
 }
 
-/// The full [`Report`] as one JSON object — the `--json` output of
-/// `run`, stable enough for scripting (CI parses it).
-pub fn report_json(report: &Report) -> Value {
-    let fsyncs = report.phases.get(Phase::Fsync).count;
+/// The full [`Report`] as one JSON object, with the run's phase
+/// histograms (read from the engine's telemetry handle after the run) —
+/// the `--json` output of `run`, stable enough for scripting (CI parses
+/// it).
+pub fn report_json(report: &Report, phases: &PhaseSnapshot) -> Value {
+    let fsyncs = phases.get(Phase::Fsync).count;
     let per_template = report.per_template.iter().map(|t| {
         jobj(vec![
             ("name", js(&t.name)),
@@ -214,7 +216,7 @@ pub fn report_json(report: &Report) -> Value {
                 ("max", ju(report.latency.max_us)),
             ]),
         ),
-        ("phases", phases_json(&PhaseStat::digest(&report.phases))),
+        ("phases", phases_json(&PhaseStat::digest(phases))),
         ("per_template", jarr(per_template)),
     ])
 }

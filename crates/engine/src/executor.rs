@@ -181,7 +181,11 @@ pub struct EngineConfig {
     /// gauges, and the sampled lifecycle trace ring. The default
     /// [`Telemetry::disabled`] handle costs one branch per
     /// instrumentation point (see `ddlf_telemetry`); `ddlf-audit run`
-    /// and `serve` enable histograms by default.
+    /// and `serve` enable histograms by default. A [`Report`] carries no
+    /// phase histograms: they are cumulative on this handle, so a caller
+    /// that wants one run's reads `phase_snapshot()` after it (exactly
+    /// that run's when it ran alone on a fresh handle, as in the CLI's
+    /// `run`), and a server digests them into its `Stats` reply.
     pub telemetry: Telemetry,
 }
 
@@ -758,13 +762,11 @@ impl Engine {
                 .reset_peak();
         }
 
-        // Phase and group-counter attribution: snapshot the cumulative
-        // counters around the pool, then diff. Buckets are monotone, so
-        // the difference is every sample taken meanwhile — this run's,
-        // plus those of any run overlapping it on the same engine (the
-        // wire server's concurrent Submits). Only a single-caller run
-        // (the CLI's `run`) gets exactly its own.
-        let phases_before = core.cfg.telemetry.phase_snapshot();
+        // Group-counter attribution: read the WAL's cumulative counters
+        // around the pool, then diff. The difference is every group
+        // counted meanwhile — this run's, plus those of any run
+        // overlapping it on the same engine (the wire server's
+        // concurrent Submits).
         let groups_before = match &core.wal {
             Some(w) => w.group_counters(),
             None => (0, 0),
@@ -835,7 +837,6 @@ impl Engine {
             }
         }
         let mut report = core.build_report(&instances, &outcomes, wall, seen);
-        report.phases = core.cfg.telemetry.phase_snapshot().delta(&phases_before);
         if let Some(w) = &core.wal {
             let (flushes, commits) = w.group_counters();
             let (f0, c0) = groups_before;
@@ -1321,12 +1322,15 @@ impl Core {
         // mark this run) next to its certified slot count.
         let mut per_template: Vec<TemplateReport> = sys
             .iter()
-            .map(|(t, txn)| TemplateReport {
-                name: txn.name().to_string(),
-                certified_slots: self.registry.plan().slots_of(t),
-                peak_inflight: self.registry.template(t).gate().peak(),
-                committed: 0,
-                aborted_attempts: 0,
+            .map(|(t, _)| {
+                let tmpl = self.registry.template(t);
+                TemplateReport {
+                    name: Arc::clone(&tmpl.name),
+                    certified_slots: self.registry.plan().slots_of(t),
+                    peak_inflight: tmpl.gate().peak(),
+                    committed: 0,
+                    aborted_attempts: 0,
+                }
             })
             .collect();
         for (inst, out) in instances.iter().zip(outcomes) {
@@ -1355,10 +1359,8 @@ impl Core {
             serializable,
             history_len: outcomes.iter().map(|o| o.events as usize).sum(),
             latency,
-            // Filled with this run's per-phase delta by `run_instances`
-            // (the empty-run report keeps the empty default), like the
-            // WAL group counter deltas below it.
-            phases: ddlf_telemetry::PhaseSnapshot::default(),
+            // Filled with this run's WAL counter deltas by
+            // `run_instances` (the empty-run report keeps zeros).
             group_flushes: 0,
             group_commits: 0,
             per_template,

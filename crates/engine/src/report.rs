@@ -3,7 +3,7 @@
 //! but measured in wall-clock time on real threads.
 
 use crate::template::{AdmissionVerdict, Slots};
-use ddlf_telemetry::PhaseSnapshot;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Latency distribution over committed instances, in microseconds.
@@ -64,8 +64,10 @@ impl LatencyStats {
 /// next to what the run actually achieved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemplateReport {
-    /// The template's name in the registered system.
-    pub name: String,
+    /// The template's name in the registered system, shared with its
+    /// [`Template`](crate::Template): a report clones a pointer, not
+    /// the string.
+    pub name: Arc<str>,
     /// Certified concurrent slots from the admission plan.
     pub certified_slots: Slots,
     /// High-water mark of concurrent in-flight instances this run — the
@@ -130,21 +132,10 @@ pub struct Report {
     pub history_len: usize,
     /// Commit-latency distribution.
     pub latency: LatencyStats,
-    /// Phase-latency histograms recorded while this run was in flight
-    /// (gate wait, lock wait, execute, undo, WAL append, fsync, commit),
-    /// when the run's [`EngineConfig`](crate::EngineConfig) carried an
-    /// enabled telemetry handle; all-zero otherwise. They are a delta
-    /// of the engine's cumulative histograms, so they include the
-    /// samples of any run overlapping this one on the same engine —
-    /// exactly this run's only when it ran alone (the CLI's `run`).
-    /// Unlike [`LatencyStats`], these merge *exactly* under
-    /// [`Report::absorb`].
-    pub phases: PhaseSnapshot,
     /// Commit groups the WAL counted while this run was in flight — one
     /// per fsync under `wal_sync` (each covering every decision appended
     /// before it started), without it one per buffered `Commit` frame —
-    /// overlapping runs' groups included, like [`Report::phases`]; 0 when
-    /// no WAL is attached.
+    /// overlapping runs' groups included; 0 when no WAL is attached.
     pub group_flushes: u64,
     /// Commit decisions the WAL wrote while this run was in flight;
     /// `group_commits / group_flushes` is the mean achieved group size
@@ -260,7 +251,6 @@ impl Report {
         };
         self.latency
             .absorb(&run.latency, self.committed, run.committed);
-        self.phases.merge(&run.phases);
         self.instances += run.instances;
         self.committed += run.committed;
         self.aborted_attempts += run.aborted_attempts;
@@ -329,7 +319,6 @@ mod tests {
             serializable,
             history_len: 0,
             latency: LatencyStats::default(),
-            phases: PhaseSnapshot::default(),
             group_flushes: 3,
             group_commits: 4,
             per_template: vec![],
@@ -381,7 +370,6 @@ mod tests {
             serializable: Some(true),
             history_len: 0,
             latency: LatencyStats::default(),
-            phases: PhaseSnapshot::default(),
             group_flushes: 0,
             group_commits: 0,
             per_template: vec![TemplateReport {

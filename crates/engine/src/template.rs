@@ -382,6 +382,9 @@ impl Drop for SlotGuard<'_> {
 pub struct Template {
     /// The transaction shape within the registered system.
     pub txn: TxnId,
+    /// Its name in the registered system, made once at registration;
+    /// every report's [`TemplateReport`](crate::TemplateReport) shares it.
+    pub(crate) name: Arc<str>,
     /// Its data program.
     pub program: Program,
     /// Admission gate: at most `k_t` live instances of the template at a
@@ -431,6 +434,7 @@ impl TemplateRegistry {
             .iter()
             .map(|(t, txn)| Template {
                 txn: t,
+                name: Arc::from(txn.name()),
                 program: Program::counter(txn.entities()),
                 gate: SlotGate::new(plan.slots_of(t)),
             })

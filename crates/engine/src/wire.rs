@@ -171,7 +171,11 @@ pub mod frame {
     //! behind a reserved prefix, then patches the length in — the log's
     //! appender and both ends of a connection frame through it, so it
     //! is the only code that writes a length prefix. [`read_frame_into`]
-    //! strips the prefix and distinguishes three stream conditions:
+    //! reads the prefix and then the payload, so every caller reading a
+    //! file or socket wraps it in an [`io::BufReader`] kept for the
+    //! stream's life (recovery's log reader, both ends of a
+    //! connection): a frame that arrived whole then costs one `read(2)`.
+    //! It strips the prefix and distinguishes three stream conditions:
     //!
     //! * `Ok(true)` — one complete frame, now in the caller's buffer;
     //! * `Ok(false)` — clean EOF *between* frames (the peer closed after

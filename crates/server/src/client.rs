@@ -2,7 +2,9 @@
 //!
 //! A [`Client`] owns one TCP connection and remembers its address, and
 //! frames every request into, and reads every reply from, two buffers it
-//! keeps for its lifetime (reconnects included). When
+//! keeps for its lifetime (reconnects included). Replies are read
+//! through a [`BufReader`] over the connection, so a reply that arrived
+//! whole costs one `read(2)`. When
 //! a round-trip fails because the connection died (a send error, or EOF
 //! where a reply was due), the client reconnects once and — for
 //! *idempotent* requests (`Report`, `Shutdown`, `RegisterSystem`) —
@@ -16,7 +18,7 @@ use crate::proto::{
 };
 use ddlf_engine::wire::frame;
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io::{self, BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -71,7 +73,9 @@ fn is_idempotent(req: &Request) -> bool {
 /// A connected wire-protocol client.
 pub struct Client {
     addr: String,
-    stream: TcpStream,
+    /// The connection, read through a buffer and written through
+    /// `get_mut()`; a reconnect replaces both.
+    stream: BufReader<TcpStream>,
     /// The outgoing frame, encoded in place; reused across requests and
     /// reconnects.
     wbuf: Vec<u8>,
@@ -84,7 +88,7 @@ impl Client {
         let _ = stream.set_nodelay(true);
         Client {
             addr,
-            stream,
+            stream: BufReader::new(stream),
             wbuf: Vec::new(),
             rbuf: Vec::new(),
         }
@@ -118,8 +122,9 @@ impl Client {
     }
 
     fn reconnect(&mut self) -> io::Result<()> {
-        self.stream = TcpStream::connect(&self.addr)?;
-        let _ = self.stream.set_nodelay(true);
+        let stream = TcpStream::connect(&self.addr)?;
+        let _ = stream.set_nodelay(true);
+        self.stream = BufReader::new(stream);
         Ok(())
     }
 
@@ -129,7 +134,7 @@ impl Client {
     fn try_round_trip(&mut self, req: &Request) -> io::Result<Option<Response>> {
         self.wbuf.clear();
         frame::put_frame(&mut self.wbuf, |b| req.encode_into(b))?;
-        match self.stream.write_all(&self.wbuf) {
+        match self.stream.get_mut().write_all(&self.wbuf) {
             Ok(()) => {}
             Err(e) if is_disconnect(&e) => return Ok(None),
             Err(e) => return Err(e),

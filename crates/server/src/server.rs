@@ -36,7 +36,7 @@ use ddlf_lockdep::{blocking_region, BlockingKind};
 use ddlf_model::{EntityId, SystemSpec, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::io::{self, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -512,13 +512,17 @@ impl Server {
 }
 
 /// Drains one connection: read a frame, decode, handle, reply, repeat
-/// until clean EOF. One read buffer and one write buffer serve every
-/// frame of the connection, so a steady exchange allocates nothing to
-/// frame. On `Shutdown`, also wakes the accept loop so [`Server::run`]
-/// returns.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
+/// until clean EOF. Requests are read through one [`BufReader`] over the
+/// socket, so a frame that arrived whole costs one `read(2)`, not one
+/// for its prefix and one for its payload, and frames a client sent
+/// back to back are answered in order from the same buffer. One payload
+/// buffer and one write buffer serve every frame of the connection, so
+/// a steady exchange allocates nothing to frame. On `Shutdown`, also
+/// wakes the accept loop so [`Server::run`] returns.
+fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let mut reader = BufReader::new(&stream);
     let (mut rbuf, mut wbuf) = (Vec::new(), Vec::new());
-    while frame::read_frame_into(&mut stream, &mut rbuf)? {
+    while frame::read_frame_into(&mut reader, &mut rbuf)? {
         let (resp, pin) = match Request::decode(&rbuf) {
             Some(req) => shared.handle(req),
             None => {
@@ -531,7 +535,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         };
         wbuf.clear();
         frame::put_frame(&mut wbuf, |b| resp.encode_into(b))?;
-        stream.write_all(&wbuf)?;
+        (&stream).write_all(&wbuf)?;
         // A Submit unpins its engine only now that its reply is out, so
         // a registration that waited for the run replies after it.
         drop(pin);

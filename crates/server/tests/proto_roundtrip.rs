@@ -1,13 +1,18 @@
 //! Property tests of the wire protocol: every request/response variant
 //! round-trips (encode→decode identity), every proper prefix of a valid
 //! encoding is rejected (truncated frames never misread), and garbage
-//! headers/buffers are rejected without panicking.
+//! headers/buffers are rejected without panicking. On a live socket,
+//! frames decode however their bytes are split across segments.
 
+use ddlf_engine::wire::frame;
 use ddlf_server::{
-    ErrorKind, InflateSpec, PhaseStat, PlanEntry, Registered, Request, Response, RunStats,
-    SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat,
+    Client, ErrorKind, InflateSpec, PhaseStat, PlanEntry, Registered, Request, Response, RunStats,
+    ServeConfig, Server, SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat,
 };
 use proptest::prelude::*;
+use std::io::Write as _;
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Draws a printable-ASCII string from raw bytes (the vendored proptest
 /// has no String strategy).
@@ -443,4 +448,96 @@ fn golden_wire_bytes() {
         assert_eq!(hex(&resp.encode()), want, "{resp:?}");
         assert_eq!(Response::decode(unhex(want)), Some(resp));
     }
+}
+
+/// Two templates over two entities, locked in one order: certified.
+const PAIR_SPEC: &str = r#"{
+  "entities": [ {"name": "x", "site": 0}, {"name": "y", "site": 1} ],
+  "transactions": [
+    { "name": "T1", "ops": ["L x", "L y", "U y", "U x"] },
+    { "name": "T2", "ops": ["L x", "L y", "U y", "U x"] }
+  ]
+}"#;
+
+/// A loopback server with [`PAIR_SPEC`] registered, and a raw
+/// connection to it that speaks frames by hand.
+fn raw_connection() -> (String, std::thread::JoinHandle<()>, TcpStream) {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    Client::connect(&addr)
+        .unwrap()
+        .register(PAIR_SPEC, InflateSpec::None)
+        .unwrap();
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (addr, handle, stream)
+}
+
+/// `req` as one frame.
+fn framed(req: &Request) -> Vec<u8> {
+    let mut buf = Vec::new();
+    frame::put_frame(&mut buf, |b| req.encode_into(b)).unwrap();
+    buf
+}
+
+/// The next reply frame on `stream`, decoded.
+fn reply(stream: &mut TcpStream) -> Response {
+    let mut payload = Vec::new();
+    assert!(frame::read_frame_into(stream, &mut payload).unwrap());
+    Response::decode(&payload).expect("a reply decodes")
+}
+
+fn stop(addr: &str, server: std::thread::JoinHandle<()>) {
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The server reads a connection through one buffer, so two requests
+/// that arrive in one segment are both served, in order: the `Report`
+/// sent behind a `Submit` already counts the `Submit`'s commits.
+#[test]
+fn two_frames_in_one_write_get_both_replies_in_order() {
+    let (addr, server, mut stream) = raw_connection();
+    let submit = Request::Submit {
+        template: String::new(),
+        count: 2,
+    };
+    let mut both = framed(&submit);
+    both.extend_from_slice(&framed(&Request::Report));
+    stream.write_all(&both).unwrap();
+    match reply(&mut stream) {
+        Response::Submitted(run) => assert_eq!(run.committed, 2),
+        other => panic!("expected Submitted first, got {other:?}"),
+    }
+    match reply(&mut stream) {
+        Response::Report(total) => assert_eq!(total.committed, 2),
+        other => panic!("expected Report second, got {other:?}"),
+    }
+    drop(stream);
+    stop(&addr, server);
+}
+
+/// A buffered read returns what has arrived: a frame whose prefix and
+/// payload come in two writes, apart in time, still decodes.
+#[test]
+fn a_frame_split_between_prefix_and_payload_still_decodes() {
+    let (addr, server, mut stream) = raw_connection();
+    let bytes = framed(&Request::Submit {
+        template: "T2".into(),
+        count: 3,
+    });
+    let (prefix, payload) = bytes.split_at(4);
+    stream.write_all(prefix).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(payload).unwrap();
+    match reply(&mut stream) {
+        Response::Submitted(run) => assert_eq!(run.committed, 3),
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+    drop(stream);
+    stop(&addr, server);
 }

@@ -102,8 +102,10 @@ impl Phase {
     }
 }
 
-/// Per-run snapshot of all eight phase histograms. This is what the
-/// engine's `Report` carries in its `phases` field.
+/// A snapshot of all eight phase histograms: cumulative as read from a
+/// handle, or one window's samples as a [`delta`](Self::delta) of two
+/// reads. The server's `Stats` digest and the CLI's `run --json` render
+/// it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
     histograms: [HistogramSnapshot; 8],
@@ -113,14 +115,6 @@ impl PhaseSnapshot {
     /// The snapshot for one phase.
     pub fn get(&self, phase: Phase) -> &HistogramSnapshot {
         &self.histograms[phase as usize]
-    }
-
-    /// Folds `other` in, phase by phase (exact; see
-    /// [`HistogramSnapshot::merge`]).
-    pub fn merge(&mut self, other: &PhaseSnapshot) {
-        for (a, b) in self.histograms.iter_mut().zip(&other.histograms) {
-            a.merge(b);
-        }
     }
 
     /// Phase-wise difference against an earlier snapshot.
@@ -476,8 +470,9 @@ impl Telemetry {
             .unwrap_or_default()
     }
 
-    /// The cumulative phase histograms. Cheap relaxed loads; used by
-    /// the engine to compute per-run deltas.
+    /// The cumulative phase histograms. Cheap relaxed loads; the CLI's
+    /// `run` reads them after its one run, and [`snapshot`](Self::snapshot)
+    /// for a scrape.
     pub fn phase_snapshot(&self) -> PhaseSnapshot {
         let mut out = PhaseSnapshot::default();
         if let Some(i) = &self.inner {

@@ -266,13 +266,14 @@ fn sync_mode_runs_clean_and_recovers_byte_identically() {
     // groups), one per commit.
     for threads in [1, 4] {
         let dir = wal_dir("sync");
+        let telemetry = Telemetry::enabled();
         let engine = banking_engine_with(
             &dir,
             EngineConfig {
                 threads,
                 instances: 20,
                 wal_sync: true,
-                telemetry: Telemetry::enabled(),
+                telemetry: telemetry.clone(),
                 ..Default::default()
             },
         );
@@ -285,7 +286,8 @@ fn sync_mode_runs_clean_and_recovers_byte_identically() {
             !engine.wal().unwrap().poisoned(),
             "fsync path must not fail"
         );
-        assert_eq!(live.phases.get(Phase::Fsync).count, live.group_flushes);
+        let fsyncs = telemetry.phase_snapshot().get(Phase::Fsync).count;
+        assert_eq!(fsyncs, live.group_flushes);
         assert!(threads > 1 || live.group_flushes == 20, "{live:?}");
         let snapshot = engine.store().snapshot();
         drop(engine);

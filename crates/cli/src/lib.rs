@@ -1874,12 +1874,7 @@ mod tests {
     /// Looks a key up in a parsed JSON object (the vendored `Value` has
     /// no `Index` impl).
     fn jget<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
-        v.as_obj()
-            .expect("not a JSON object")
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing key {key}"))
+        v.field(key).unwrap_or_else(|e| panic!("{key}: {e}"))
     }
 
     /// `run --json` prints exactly one JSON object carrying the full

@@ -31,6 +31,11 @@
 //!     log.wal     every record, in append order
 //! ```
 //!
+//! `meta.json` is `{"spec": <SystemSpec>, "initial_value": <u64>}`,
+//! written and read by hand through `serde_json`'s `ToJson`/`FromJson`
+//! (both fields required, unknown keys ignored, `spec` in
+//! [`SystemSpec`]'s own JSON form).
+//!
 //! `log.wal` is a sequence of length-prefixed frames in the [`frame`]
 //! codec (u32 LE length + payload); each payload is one binary
 //! [`WalRecord`]:
@@ -111,7 +116,7 @@ use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, SystemSpec, TransactionSystem, TxnId};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
+use serde_json::{Error as JsonError, FromJson, ToJson, Value};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
@@ -329,10 +334,27 @@ pub struct WalOptions {
 
 /// The metadata file a WAL directory starts with: enough to rebuild the
 /// registered system and the store's initial state at recovery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
 struct WalMeta {
     spec: SystemSpec,
     initial_value: u64,
+}
+
+impl ToJson for WalMeta {
+    fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("spec".into(), self.spec.to_json()),
+            ("initial_value".into(), Value::U64(self.initial_value)),
+        ])
+    }
+}
+
+impl FromJson for WalMeta {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(WalMeta {
+            spec: SystemSpec::from_json(v.field("spec")?)?,
+            initial_value: v.field("initial_value")?.as_uint()?,
+        })
+    }
 }
 
 const META_FILE: &str = "meta.json";
@@ -1309,6 +1331,24 @@ mod tests {
         let (recs, torn) = read_log(&log_with_tail("torn", &tail)).unwrap();
         assert_eq!(recs.len(), 1, "the complete record survives");
         assert!(torn);
+    }
+
+    /// `initial_value` is a required field of `meta.json`: a file
+    /// without it is a typed `Meta` error, not a store seeded with 0.
+    #[test]
+    fn meta_without_initial_value_is_a_meta_error() {
+        let dir = unit_dir("meta-no-initial-value");
+        let spec = r#"{"entities":[{"name":"x","site":0}],"transactions":[]}"#;
+        std::fs::write(dir.join(META_FILE), format!(r#"{{"spec":{spec}}}"#)).unwrap();
+        match recover(&dir) {
+            Err(WalError::Meta(m)) => assert!(m.contains("initial_value"), "{m}"),
+            Err(other) => panic!("expected a Meta error, got {other}"),
+            Ok(_) => panic!("a meta.json without initial_value recovered"),
+        }
+        let meta = format!(r#"{{"spec":{spec},"initial_value":7}}"#);
+        std::fs::write(dir.join(META_FILE), meta).unwrap();
+        assert_eq!(recover(&dir).unwrap().initial_value, 7);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn decisions_of(wal_dir: &Path) -> Vec<WalRecord> {

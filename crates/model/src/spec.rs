@@ -16,6 +16,13 @@
 //! `ops` entries are `"L <entity>"` / `"U <entity>"`; `arcs` lists
 //! precedence pairs by op index. If `arcs` is omitted the ops form a
 //! total order (chained).
+//!
+//! The JSON is coded by hand over `serde_json::Value` (the spec
+//! implements `FromJson` and `ToJson`; no derive). Decoding ignores
+//! unknown keys, reads a missing or `null` `arcs` as `None`, requires
+//! every other field, and refuses a `site` or arc index that is not an
+//! integer in `u32`'s range. Encoding writes the fields in the order
+//! above and omits `arcs` when it is `None`.
 
 use crate::database::Database;
 use crate::error::ModelError;
@@ -23,11 +30,11 @@ use crate::ids::NodeId;
 use crate::op::Op;
 use crate::system::TransactionSystem;
 use crate::txn::Transaction;
-use serde::{Deserialize, Serialize};
+use serde_json::{Error, FromJson, ToJson, Value};
 use std::fmt;
 
 /// One entity declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntitySpec {
     /// Unique entity name.
     pub name: String,
@@ -36,7 +43,7 @@ pub struct EntitySpec {
 }
 
 /// One transaction declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransactionSpec {
     /// Transaction name.
     pub name: String,
@@ -44,12 +51,11 @@ pub struct TransactionSpec {
     pub ops: Vec<String>,
     /// Precedence arcs as `[from, to]` op-index pairs. `None` ⇒ the ops
     /// are totally ordered as written.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub arcs: Option<Vec<(u32, u32)>>,
 }
 
 /// A whole system specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemSpec {
     /// Entity declarations.
     pub entities: Vec<EntitySpec>,
@@ -205,6 +211,85 @@ impl SystemSpec {
     }
 }
 
+impl ToJson for SystemSpec {
+    fn to_json(&self) -> Value {
+        let entity = |e: &EntitySpec| {
+            Value::Obj(vec![
+                ("name".into(), Value::Str(e.name.clone())),
+                ("site".into(), Value::U64(e.site.into())),
+            ])
+        };
+        Value::Obj(vec![
+            (
+                "entities".into(),
+                Value::Arr(self.entities.iter().map(entity).collect()),
+            ),
+            (
+                "transactions".into(),
+                Value::Arr(self.transactions.iter().map(txn_to_json).collect()),
+            ),
+        ])
+    }
+}
+
+fn txn_to_json(t: &TransactionSpec) -> Value {
+    let mut fields = vec![
+        ("name".into(), Value::Str(t.name.clone())),
+        (
+            "ops".into(),
+            Value::Arr(t.ops.iter().cloned().map(Value::Str).collect()),
+        ),
+    ];
+    if let Some(arcs) = &t.arcs {
+        let arc =
+            |&(a, b): &(u32, u32)| Value::Arr(vec![Value::U64(a.into()), Value::U64(b.into())]);
+        fields.push(("arcs".into(), Value::Arr(arcs.iter().map(arc).collect())));
+    }
+    Value::Obj(fields)
+}
+
+impl FromJson for SystemSpec {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        Ok(SystemSpec {
+            entities: list(v.field("entities")?, |e| {
+                Ok(EntitySpec {
+                    name: string(e.field("name")?)?,
+                    site: e.field("site")?.as_uint()?,
+                })
+            })?,
+            transactions: list(v.field("transactions")?, txn_from_json)?,
+        })
+    }
+}
+
+fn txn_from_json(t: &Value) -> Result<TransactionSpec, Error> {
+    let name = string(t.field("name")?)?;
+    let ops = list(t.field("ops")?, string)?;
+    let arcs = t.get("arcs").filter(|arcs| !arcs.is_null());
+    let arcs = arcs.map(|arcs| {
+        list(arcs, |arc| match arc.as_arr() {
+            Some([a, b]) => Ok((a.as_uint()?, b.as_uint()?)),
+            _ => Err(Error::msg("an arc is a two-element array")),
+        })
+    });
+    Ok(TransactionSpec {
+        name,
+        ops,
+        arcs: arcs.transpose()?,
+    })
+}
+
+fn list<T>(v: &Value, item: impl Fn(&Value) -> Result<T, Error>) -> Result<Vec<T>, Error> {
+    let items = v.as_arr().ok_or_else(|| Error::msg("expected an array"))?;
+    items.iter().map(item).collect()
+}
+
+fn string(v: &Value) -> Result<String, Error> {
+    v.as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| Error::msg(format!("expected a string, got {v:?}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,5 +383,110 @@ mod tests {
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: SystemSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// The encoding, pinned byte for byte: fields in declaration order,
+    /// `arcs` omitted when `None` (T1) and written when `Some` (T2).
+    #[test]
+    fn json_encoding_is_pinned() {
+        let s = demo_spec();
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"entities":[{"name":"x","site":0},{"name":"y","site":1}],"transactions":[{"name":"T1","ops":["L x","L y","U x","U y"]},{"name":"T2","ops":["L x","U x","L y","U y"],"arcs":[[0,1],[1,2],[2,3]]}]}"#
+        );
+        let pretty = r#"{
+  "entities": [
+    {
+      "name": "x",
+      "site": 0
+    },
+    {
+      "name": "y",
+      "site": 1
+    }
+  ],
+  "transactions": [
+    {
+      "name": "T1",
+      "ops": [
+        "L x",
+        "L y",
+        "U x",
+        "U y"
+      ]
+    },
+    {
+      "name": "T2",
+      "ops": [
+        "L x",
+        "U x",
+        "L y",
+        "U y"
+      ],
+      "arcs": [
+        [
+          0,
+          1
+        ],
+        [
+          1,
+          2
+        ],
+        [
+          2,
+          3
+        ]
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(serde_json::to_string_pretty(&s).unwrap(), pretty);
+    }
+
+    /// What the decoder refuses and what it lets through.
+    #[test]
+    fn json_decoding_accepts_and_refuses_as_pinned() {
+        let refused = [
+            r#"[]"#,
+            r#"{"transactions":[]}"#,
+            r#"{"entities":[]}"#,
+            r#"{"entities":[{"site":0}],"transactions":[]}"#,
+            r#"{"entities":[{"name":"x"}],"transactions":[]}"#,
+            r#"{"entities":[{"name":"x","site":-1}],"transactions":[]}"#,
+            r#"{"entities":[{"name":"x","site":4294967296}],"transactions":[]}"#,
+            r#"{"entities":[],"transactions":[{"ops":[]}]}"#,
+            r#"{"entities":[],"transactions":[{"name":"T"}]}"#,
+            r#"{"entities":[],"transactions":[{"name":"T","ops":[1]}]}"#,
+            r#"{"entities":[],"transactions":[{"name":"T","ops":[],"arcs":[[0]]}]}"#,
+            r#"{"entities":[],"transactions":[{"name":"T","ops":[],"arcs":[[0,1,2]]}]}"#,
+            r#"{"entities":[],"transactions":[{"name":"T","ops":[],"arcs":[{"from":0}]}]}"#,
+        ];
+        for text in refused {
+            assert!(serde_json::from_str::<SystemSpec>(text).is_err(), "{text}");
+        }
+        let one = |arcs| SystemSpec {
+            entities: vec![EntitySpec {
+                name: "x".into(),
+                site: u32::MAX,
+            }],
+            transactions: vec![TransactionSpec {
+                name: "T".into(),
+                ops: vec![],
+                arcs,
+            }],
+        };
+        let accepted = [
+            (
+                r#"{"entities":[{"name":"x","site":4294967295}],"transactions":[{"name":"T","ops":[],"arcs":null}]}"#,
+                one(None),
+            ),
+            (
+                r#"{"entities":[{"name":"x","site":4294967295,"k":1}],"transactions":[{"name":"T","ops":[],"arcs":[[0,1]],"k":[]}],"k":{}}"#,
+                one(Some(vec![(0, 1)])),
+            ),
+        ];
+        for (text, want) in accepted {
+            assert_eq!(serde_json::from_str::<SystemSpec>(text), Ok(want), "{text}");
+        }
     }
 }

@@ -14,8 +14,11 @@ const SPEC: &str = r#"{
   ]
 }"#;
 
-fn serve() -> (String, std::thread::JoinHandle<()>) {
-    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+/// A server whose engines hold every lock grant for `work`.
+fn serve(work: Duration) -> (String, std::thread::JoinHandle<()>) {
+    let mut config = ServeConfig::default();
+    config.engine.work = work;
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
     (addr, handle)
@@ -23,7 +26,7 @@ fn serve() -> (String, std::thread::JoinHandle<()>) {
 
 #[test]
 fn read_only_observes_the_committed_state() {
-    let (addr, handle) = serve();
+    let (addr, handle) = serve(Duration::ZERO);
     let mut client = Client::connect(&addr).unwrap();
 
     // Before any registration: typed NoSystem, not a hang or a panic.
@@ -72,7 +75,10 @@ fn read_only_observes_the_committed_state() {
 
 #[test]
 fn read_only_answers_mid_submit_and_conserves() {
-    let (addr, handle) = serve();
+    // 50 µs of work per lock grant makes the run last tens of
+    // milliseconds in a release build too, where it would otherwise end
+    // before the first read.
+    let (addr, handle) = serve(Duration::from_micros(50));
     let mut client = Client::connect(&addr).unwrap();
     client.register(SPEC, InflateSpec::None).unwrap();
 

@@ -14,11 +14,14 @@ const SPEC: &str = r#"{
   ]
 }"#;
 
-fn telemetry_server() -> (Server, Telemetry) {
+/// A server with telemetry on whose engines hold every lock grant for
+/// `work`.
+fn telemetry_server(work: Duration) -> (Server, Telemetry) {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let cfg = ServeConfig {
         engine: EngineConfig {
             telemetry: telemetry.clone(),
+            work,
             ..Default::default()
         },
         ..Default::default()
@@ -28,7 +31,7 @@ fn telemetry_server() -> (Server, Telemetry) {
 
 #[test]
 fn stats_digest_a_completed_run() {
-    let (server, _tel) = telemetry_server();
+    let (server, _tel) = telemetry_server(Duration::ZERO);
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
@@ -69,7 +72,10 @@ fn stats_digest_a_completed_run() {
 
 #[test]
 fn stats_answer_mid_submit() {
-    let (server, _tel) = telemetry_server();
+    // 50 µs of work per lock grant makes the run last tens of
+    // milliseconds in a release build too, where it would otherwise end
+    // before the first poll.
+    let (server, _tel) = telemetry_server(Duration::from_micros(50));
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
 

@@ -64,23 +64,19 @@
 //! *epoch*, not to a run: every admitted chunk in flight shares it.
 //! The engine keeps one auditor for its lifetime, and an epoch is what
 //! it holds between two closes. An epoch closes — the auditor cleared,
-//! its storage kept for the next — when the last run in flight ends,
-//! or sooner at [`EPOCH_CAP`]: a
-//! chunk joins after its gate slots, and one that finds the epoch full
-//! waits for the chunks inside to finish, then closes it and opens the
-//! next. Either way an epoch closes only at quiescence — no chunk
-//! inside — so every conflict arc between two epochs points forward in
-//! time and the concatenation of acyclic epochs is acyclic. A run's
-//! verdict is the conjunction of the epoch verdicts its chunks observed
-//! when they left. Verdicts are absorbing and a cycle closes while its
-//! last instance's chunk is still inside, so every cycle reaches some
-//! report. A run that overlaps no other (and stays under the cap) is
-//! audited in one epoch of its own: exactly a per-run audit. The epoch's
-//! bookkeeping (runs pinning it, chunks seated, instances admitted) and
-//! its audit sit behind the same one `engine.auditor` mutex, so pinning,
-//! joining, leaving (reading the verdict included) and closing are each
-//! one critical section of the lock every event already takes, and
-//! nothing is acquired before it.
+//! its storage kept for the next — whenever no chunk is inside: when
+//! the last seated chunk leaves. A chunk that finds it at [`EPOCH_CAP`]
+//! waits for that. So an epoch closes only at quiescence, every
+//! conflict arc between two epochs points forward in time, and the
+//! concatenation of acyclic epochs is acyclic. A run's verdict is the
+//! conjunction of the epoch verdicts its chunks observed when they
+//! left. Verdicts are absorbing and a cycle closes while its last
+//! instance's chunk is still inside, so every cycle reaches some
+//! report. The epoch's bookkeeping (chunks seated, instances admitted)
+//! and its audit sit behind the same one `engine.auditor` mutex, so
+//! joining and leaving (reading the verdict and, for the last chunk
+//! out, closing the epoch) are each one critical section of the lock
+//! every event already takes, and nothing is acquired before it.
 
 use crate::attempt::{wait_die, Attempt, AttemptBufs, Refused};
 use crate::pool::Pool;
@@ -239,8 +235,8 @@ struct Core {
     /// The audit epoch every chunk in flight shares, behind
     /// `engine.auditor`.
     audit: Mutex<Audit>,
-    /// Signalled when the open epoch runs out of chunks, for chunks
-    /// waiting out the cap.
+    /// Signalled when the open epoch's last chunk leaves and closes it,
+    /// for chunks waiting out the cap.
     drained: Condvar,
 }
 
@@ -270,19 +266,14 @@ struct Instance {
 }
 
 /// What the one `engine.auditor` mutex guards: the open audit epoch,
-/// who is inside it, and its audit. Every run pins the epoch, every
-/// chunk joins and leaves it and admits its instances to it, and every
-/// release batch and decision enters it, each in one critical section
-/// of this lock.
+/// who is inside it, and its audit. Every chunk joins and leaves it and
+/// admits its instances to it, and every release batch and decision
+/// enters it, each in one critical section of this lock.
 struct Audit {
     /// The open epoch's audit, cleared when the epoch closes. An epoch
-    /// closes only when no chunk is seated, so a seated chunk's epoch is
-    /// always this one.
+    /// closes when its last seated chunk leaves, so a seated chunk's
+    /// epoch is always this one.
     epoch: EpochAudit,
-    /// Runs in flight. They keep the epoch open across the gaps between
-    /// their chunks, so a run that overlaps no other is audited in one
-    /// epoch; they do not stop it from closing at the cap.
-    runs: usize,
     /// Chunks executing inside the open epoch.
     chunks: usize,
     /// Instances admitted to the open epoch.
@@ -298,7 +289,6 @@ impl Audit {
     fn new(sys: &TransactionSystem) -> Self {
         Audit {
             epoch: EpochAudit::new(sys),
-            runs: 0,
             chunks: 0,
             admitted: 0,
             waiting: 0,
@@ -420,25 +410,11 @@ impl Oracle {
     }
 }
 
-/// A run's pin on the audit epoch ([`Core::pin_epoch`]); dropping it
-/// — on every path, unwinding included — closes the epoch if it was the
-/// last run in flight.
-struct RunPin<'e>(&'e Core);
-
-impl Drop for RunPin<'_> {
-    fn drop(&mut self) {
-        let mut audit = self.0.audit.lock();
-        audit.runs -= 1;
-        if audit.runs == 0 {
-            self.0.close_epoch(&mut audit);
-        }
-    }
-}
-
 /// A chunk's seat in the open audit epoch ([`Core::join_epoch`]). A
 /// chunk that finishes [`leave`](Self::leave)s, reading the verdict on
 /// the way out; dropping the seat unleft — on unwinding, so a panic
-/// cannot hold an epoch open for good — leaves the epoch too.
+/// cannot hold an epoch open for good — leaves the epoch too. Either
+/// way the last chunk out closes the epoch.
 struct EpochSeat<'e>(&'e Core);
 
 impl EpochSeat<'_> {
@@ -754,14 +730,6 @@ impl Engine {
 
     fn run_instances(&self, instances: Arc<[Instance]>) -> Report {
         let core = &self.core;
-        // Per-run multiprogramming accounting starts fresh.
-        for t in 0..core.registry.len() {
-            core.registry
-                .template(TxnId::from_index(t))
-                .gate()
-                .reset_peak();
-        }
-
         // Group-counter attribution: read the WAL's cumulative counters
         // around the pool, then diff. The difference is every group
         // counted meanwhile — this run's, plus those of any run
@@ -772,7 +740,6 @@ impl Engine {
             None => (0, 0),
         };
         let started = Instant::now();
-        let pin = core.pin_epoch();
         // Jobs claim instances in admission-batch chunks (of one, by
         // default) from one shared cursor: each chunk is admitted under
         // one gate acquisition per template and one log-lock acquisition
@@ -818,7 +785,6 @@ impl Engine {
         };
         let reports = self.pool.scatter(jobs, work);
         let wall = started.elapsed();
-        drop(pin);
         // The log buffer may still hold frames — without `sync`, this
         // run's commit decisions among them; push them to the kernel
         // before the run reports, so a post-run crash loses nothing
@@ -943,29 +909,18 @@ impl Core {
         seen
     }
 
-    /// Pins the audit epoch for a run: the open epoch stays open between
-    /// the run's chunks and closes when the last pinned run ends.
-    fn pin_epoch(&self) -> RunPin<'_> {
-        self.audit.lock().runs += 1;
-        RunPin(self)
-    }
-
     /// Seats `chunk` in the open audit epoch and admits its instances to
     /// the epoch's auditor. While the open epoch is at [`EPOCH_CAP`] the
-    /// chunk waits for it to drain, then closes it and opens the next;
+    /// chunk waits for the last chunk inside to leave, which closes it;
     /// it holds gate slots then but no lock class (the condvar releases
     /// `engine.auditor`), and every chunk inside already holds its own
     /// slots, so the drain never waits on the waiter.
     fn join_epoch(&self, chunk: &[Instance]) -> EpochSeat<'_> {
         let mut audit = self.audit.lock();
         while audit.admitted > 0 && audit.admitted + chunk.len() > EPOCH_CAP {
-            if audit.chunks == 0 {
-                self.close_epoch(&mut audit);
-            } else {
-                audit.waiting += 1;
-                self.drained.wait(&mut audit);
-                audit.waiting -= 1;
-            }
+            audit.waiting += 1;
+            self.drained.wait(&mut audit);
+            audit.waiting -= 1;
         }
         audit.chunks += 1;
         audit.admitted += chunk.len();
@@ -975,23 +930,25 @@ impl Core {
         EpochSeat(self)
     }
 
-    /// A chunk's departure from the open epoch; the last one out wakes
-    /// the chunks waiting out the cap.
+    /// A chunk's departure from the open epoch; the last one out closes
+    /// it and wakes the chunks waiting out the cap.
     fn vacate(&self, audit: &mut Audit) {
         audit.chunks -= 1;
-        if audit.chunks == 0 && audit.waiting > 0 {
-            self.drained.notify_all();
+        if audit.chunks == 0 {
+            self.close_epoch(audit);
+            if audit.waiting > 0 {
+                self.drained.notify_all();
+            }
         }
     }
 
-    /// Closes the open epoch, which must be quiescent (no chunk inside,
-    /// so every conflict arc to a later epoch points forward), and
-    /// clears its audit for the next. Its verdict was observed by the
-    /// chunks that left it; what remains is the gauge — the closed
-    /// epoch's final size, until the next epoch's first commit — and the
-    /// debug-build cross-check.
+    /// Closes the open epoch, which its last chunk just left (so every
+    /// conflict arc to a later epoch points forward), and clears its
+    /// audit for the next. Its verdict was observed by the chunks that
+    /// left it; what remains is the gauge — the closed epoch's final
+    /// size, until the next epoch's first commit — and the debug-build
+    /// cross-check.
     fn close_epoch(&self, audit: &mut Audit) {
-        debug_assert_eq!(audit.chunks, 0, "an epoch closes only at quiescence");
         audit.admitted = 0;
         let au = &audit.epoch.auditor;
         let (nodes, arcs) = (au.node_count() as u64, au.arc_count() as u64);
@@ -1319,7 +1276,8 @@ impl Core {
         let latency = LatencyStats::from_samples(samples);
 
         // Per-template achieved multiprogramming (the gate's high-water
-        // mark this run) next to its certified slot count.
+        // mark over the engine's lifetime) next to its certified slot
+        // count.
         let mut per_template: Vec<TemplateReport> = sys
             .iter()
             .map(|(t, _)| {
@@ -1481,36 +1439,65 @@ mod tests {
     }
 
     /// Epochs that share the registry's templates are still re-audited
-    /// by the batch oracle at every close: one epoch per
-    /// non-overlapping run.
+    /// by the batch oracle at every close: three one-chunk runs are
+    /// three epochs.
     #[cfg(debug_assertions)]
     #[test]
     fn every_closed_epoch_is_cross_checked() {
-        let engine = ordered_pair(2);
+        let engine = ordered_pair_with(EngineConfig {
+            threads: 2,
+            instances: 64,
+            admission_batch: 64,
+            ..Default::default()
+        });
         for _ in 0..3 {
             assert_eq!(engine.run().serializable, Some(true));
         }
         assert_eq!(engine.core.audit.lock().cross_checked, 3);
     }
 
-    /// A run that crosses [`EPOCH_CAP`] closes the full epoch and opens
-    /// the next while it keeps going — one close at the cap, one at the
-    /// run's end, each cross-checked — but only once no chunk is seated:
-    /// the chunk that finds the epoch full waits out the others (which
-    /// the per-lock `work` keeps seated), or the closing debug check
-    /// fails the run.
+    /// An epoch closes when its last chunk leaves, not when its run
+    /// ends: one run of three sequential chunks on one thread is three
+    /// epochs, each cross-checked.
     #[cfg(debug_assertions)]
     #[test]
-    fn a_full_epoch_closes_only_when_no_chunk_is_seated() {
+    fn each_chunk_that_leaves_an_empty_epoch_closes_it() {
         let engine = ordered_pair_with(EngineConfig {
-            threads: 2,
-            instances: EPOCH_CAP + 1,
-            work: Duration::from_micros(100),
+            threads: 1,
+            instances: 24,
+            admission_batch: 8,
             ..Default::default()
         });
         let r = engine.run();
         assert!(r.all_committed(), "{r:?}");
         assert_eq!(r.serializable, Some(true));
+        assert_eq!(engine.core.audit.lock().cross_checked, 3);
+    }
+
+    /// Two chunks that together cross [`EPOCH_CAP`] never share an
+    /// epoch: on k = 2 gates both are admitted at once, and the one that
+    /// finds the epoch full waits out the other (which the per-lock
+    /// `work` keeps seated), or the closing debug check fails the run.
+    /// Each chunk's departure closes its epoch, each cross-checked.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_full_epoch_closes_only_when_no_chunk_is_seated() {
+        let k2 = AdmissionOptions {
+            inflate: Inflation::Uniform(2),
+            ..Default::default()
+        };
+        let cfg = EngineConfig {
+            threads: 2,
+            instances: EPOCH_CAP + 1,
+            admission_batch: EPOCH_CAP / 2 + 1,
+            work: Duration::from_micros(100),
+            ..Default::default()
+        };
+        let engine = Engine::try_with_admission(ordered_pair_system(), k2, cfg).unwrap();
+        let r = engine.run();
+        assert!(r.all_committed(), "{r:?}");
+        assert_eq!(r.serializable, Some(true));
+        assert_eq!(engine.pool.spawned(), 1, "one job per chunk");
         assert_eq!(engine.core.audit.lock().cross_checked, 2);
     }
 

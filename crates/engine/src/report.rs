@@ -70,8 +70,9 @@ pub struct TemplateReport {
     pub name: Arc<str>,
     /// Certified concurrent slots from the admission plan.
     pub certified_slots: Slots,
-    /// High-water mark of concurrent in-flight instances this run — the
-    /// achieved multiprogramming level.
+    /// High-water mark of concurrent in-flight instances — the achieved
+    /// multiprogramming level: the highest level this engine has
+    /// reached, this run's and every earlier or overlapping run's.
     pub peak_inflight: usize,
     /// Instances of this template that committed.
     pub committed: usize,
@@ -193,7 +194,8 @@ impl Report {
         self.committed as f64 / secs
     }
 
-    /// The highest multiprogramming level any template achieved this run.
+    /// The highest multiprogramming level any template has achieved: the
+    /// highest level this engine has reached.
     pub fn peak_inflight(&self) -> usize {
         self.per_template
             .iter()

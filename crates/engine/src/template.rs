@@ -34,6 +34,7 @@ use ddlf_model::{EntityId, ModelError, TransactionSystem, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A committed write against one entity.
@@ -278,18 +279,17 @@ impl fmt::Display for AdmissionVerdict {
 /// A counting admission gate: a semaphore over a template's certified
 /// slots. Acquiring blocks (holding **no** data locks) until one of the
 /// `k_t` slots frees; an [`Slots::Unbounded`] gate never blocks. The
-/// gate also tracks the high-water mark of concurrent holders — the
-/// achieved multiprogramming level the [`crate::Report`] publishes.
+/// gate also tracks the high-water mark of concurrent holders over the
+/// engine's lifetime — the achieved multiprogramming level the
+/// [`crate::Report`] publishes.
 pub struct SlotGate {
     slots: Slots,
-    state: Mutex<GateState>,
+    /// Live holders.
+    in_use: Mutex<usize>,
+    /// The highest `in_use` ever reached: raised under the lock, read
+    /// without it.
+    peak: AtomicUsize,
     freed: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    in_use: usize,
-    peak: usize,
 }
 
 impl SlotGate {
@@ -299,7 +299,8 @@ impl SlotGate {
         }
         Self {
             slots,
-            state: Mutex::new_named("template.slot_gate", GateState::default()),
+            in_use: Mutex::new_named("template.slot_gate", 0),
+            peak: AtomicUsize::new(0),
             freed: Condvar::new(),
         }
     }
@@ -330,14 +331,14 @@ impl SlotGate {
     }
 
     fn grab(&self, want: usize) -> SlotGuard<'_> {
-        let mut st = self.state.lock();
+        let mut in_use = self.in_use.lock();
         if let Slots::Bounded(k) = self.slots {
-            while st.in_use + want > k {
-                self.freed.wait(&mut st);
+            while *in_use + want > k {
+                self.freed.wait(&mut in_use);
             }
         }
-        st.in_use += want;
-        st.peak = st.peak.max(st.in_use);
+        *in_use += want;
+        self.peak.fetch_max(*in_use, Ordering::Relaxed);
         SlotGuard {
             gate: self,
             count: want,
@@ -346,19 +347,13 @@ impl SlotGate {
 
     /// Live holders right now.
     pub fn in_use(&self) -> usize {
-        self.state.lock().in_use
+        *self.in_use.lock()
     }
 
-    /// High-water mark of concurrent holders since the last
-    /// [`SlotGate::reset_peak`].
+    /// High-water mark of concurrent holders: the highest level this
+    /// engine has reached.
     pub fn peak(&self) -> usize {
-        self.state.lock().peak
-    }
-
-    /// Resets the high-water mark (the executor does this per run).
-    pub fn reset_peak(&self) {
-        let mut st = self.state.lock();
-        st.peak = st.in_use;
+        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -371,9 +366,7 @@ pub struct SlotGuard<'a> {
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.gate.state.lock();
-        st.in_use -= self.count;
-        drop(st);
+        *self.gate.in_use.lock() -= self.count;
         self.gate.freed.notify_one();
     }
 }
@@ -782,13 +775,12 @@ mod tests {
         drop(b);
         assert_eq!(gate.in_use(), 0);
         assert_eq!(gate.peak(), 2, "peak survives releases");
-        gate.reset_peak();
-        assert_eq!(gate.peak(), 0);
+        let _c = gate.acquire_many(1);
+        assert_eq!(gate.peak(), 2, "peak is never reset");
     }
 
     #[test]
     fn slot_gate_blocks_at_capacity() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let gate = SlotGate::new(Slots::Bounded(1));
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);

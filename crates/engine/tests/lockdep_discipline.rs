@@ -2,7 +2,8 @@
 //! committer that fsyncs pushes the log and fsyncs *outside*
 //! `wal.group_state`, and waiters park holding only that lock; the audit
 //! epoch is one lock, `engine.auditor`, taken under nothing; and a
-//! one-chunk run takes an exact number of locks — machine-checked here
+//! one-chunk run takes an exact number of locks, however many templates
+//! are registered — machine-checked here
 //! by the instrumented shim. Only meaningful with `--features lockdep`;
 //! without it the validator observes nothing.
 #![cfg(feature = "lockdep")]
@@ -133,26 +134,65 @@ fn the_epoch_bookkeeping_is_the_auditor_lock() {
     );
 }
 
+/// `n` disjoint two-entity templates ("L a, L b, U b, U a") spread over
+/// 8 sites: every template is certified and conflicts with no other.
+fn disjoint_spec(n: usize) -> String {
+    let entities: Vec<String> = (0..2 * n)
+        .map(|e| format!(r#"{{"name": "e{e}", "site": {}}}"#, e % 8))
+        .collect();
+    let txns: Vec<String> = (0..n)
+        .map(|t| {
+            let (a, b) = (2 * t, 2 * t + 1);
+            format!(r#"{{"name": "T{t}", "ops": ["L e{a}", "L e{b}", "U e{b}", "U e{a}"]}}"#)
+        })
+        .collect();
+    format!(
+        r#"{{"entities": [{}], "transactions": [{}]}}"#,
+        entities.join(", "),
+        txns.join(", ")
+    )
+}
+
 /// A one-chunk run (what every count=1 Submit is) runs on its caller's
 /// thread, so every lock it takes is counted there. The count is exact:
 /// a lock added to (or dropped from) the one-instance path shows here.
-/// The epoch takes one `engine.auditor` acquisition each to pin, join,
-/// leave (reading the verdict on the way out) and unpin (closing it,
-/// the debug-build cross-check included), so debug and release builds
-/// count the same.
+/// The epoch takes one `engine.auditor` acquisition each to join and
+/// leave (reading the verdict on the way out and, as the last chunk
+/// out, closing it, the debug-build cross-check included), so debug and
+/// release builds count the same. A run touches only its own
+/// templates' gates, so the count does not grow with the registered
+/// templates: a 16-template system counts the same.
 /// With a (non-sync) WAL the run also appends its `Begin`, `Write`,
 /// `Event` and `Commit` frames and pushes the log at its end.
 #[test]
 fn a_one_chunk_run_takes_an_exact_number_of_locks() {
     let dir = temp_dir("one-chunk");
-    for (wal_dir, expected) in [(None, 21), (Some(dir.clone()), 28)] {
-        let engine = engine(2, wal_dir);
+    let wide = || {
+        let sys = serde_json::from_str::<SystemSpec>(&disjoint_spec(16))
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(sys.txns().len(), 16);
+        Engine::new(sys, EngineConfig::default())
+    };
+    let cases = [
+        (engine(2, None), 15),
+        (engine(2, Some(dir.clone())), 22),
+        (wide(), 15),
+    ];
+    for (engine, expected) in cases {
+        let templates = engine.registry().len();
         let before = ddlf_lockdep::thread_acquire_count();
         let report = engine.run_mix(&[(TxnId::from_index(0), 1)]);
         let taken = ddlf_lockdep::thread_acquire_count() - before;
         assert_eq!(report.committed, 1);
         assert_eq!(report.serializable, Some(true));
-        assert_eq!(taken, expected, "wal: {}", engine.wal().is_some());
+        assert_eq!(
+            taken,
+            expected,
+            "wal: {}, templates: {templates}",
+            engine.wal().is_some()
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -523,7 +523,8 @@ record! {
         writes: u64,
         /// Wall-clock microseconds.
         wall_us: u64,
-        /// Highest per-template multiprogramming level achieved.
+        /// Highest per-template multiprogramming level achieved: the
+        /// highest level this engine has reached.
         peak_inflight: u64,
         /// Lock/unlock events recorded.
         history_len: u64,

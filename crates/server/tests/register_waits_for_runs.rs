@@ -4,10 +4,12 @@
 //! registration is pending runs on the engine that registration
 //! installs.
 
+use ddlf_engine::wire::frame;
 use ddlf_engine::{recover, EngineConfig, Telemetry, TelemetryConfig};
 use ddlf_model::SystemSpec;
-use ddlf_server::{Client, InflateSpec, ServeConfig, Server};
-use std::sync::mpsc;
+use ddlf_server::{Client, InflateSpec, Request, Response, ServeConfig, Server};
+use std::io::{self, Write};
+use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -36,6 +38,19 @@ const A_COUNT: u32 = 200;
 /// Instances submitted while the registration is pending.
 const C_COUNT: u32 = 8;
 
+/// Whether the server's reply to the request sent on `stream` has
+/// started to arrive, without waiting for it or consuming it.
+fn replied(stream: &TcpStream) -> bool {
+    stream.set_nonblocking(true).unwrap();
+    let got = match stream.peek(&mut [0u8]) {
+        Ok(n) => n > 0,
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+        Err(e) => panic!("peek: {e}"),
+    };
+    stream.set_nonblocking(false).unwrap();
+    got
+}
+
 #[test]
 fn a_registration_waits_out_runs_and_new_submits_wait_for_it() {
     let dir = std::env::temp_dir().join(format!("ddlf-register-waits-{}", std::process::id()));
@@ -57,38 +72,39 @@ fn a_registration_waits_out_runs_and_new_submits_wait_for_it() {
     let mut probe = Client::connect(&addr).unwrap();
     assert!(probe.register(OLD, InflateSpec::None).unwrap().certified);
 
-    // Replies are recorded in arrival order.
-    let (arrived, order) = mpsc::channel();
-
-    // A: a WAL'd run on the old system, long enough to stay in flight.
-    let a = {
-        let (addr, arrived) = (addr.clone(), arrived.clone());
-        thread::spawn(move || {
-            let run = Client::connect(&addr).unwrap().submit_all(A_COUNT).unwrap();
-            arrived.send("A").unwrap();
-            run
-        })
+    // A: a WAL'd run on the old system, long enough to stay in flight,
+    // sent on a raw socket whose reply is read only at the end. The
+    // server writes a Submit's reply before it unpins the engine, so
+    // once a registration that waited for A has replied, A's reply is
+    // already on this socket — whatever order the client threads run in.
+    let mut a = TcpStream::connect(&addr).unwrap();
+    let mut wbuf = Vec::new();
+    let submit_a = Request::Submit {
+        template: String::new(),
+        count: A_COUNT,
     };
+    frame::put_frame(&mut wbuf, |b| submit_a.encode_into(b)).unwrap();
+    a.write_all(&wbuf).unwrap();
     while probe.stats().unwrap().inflight == 0 {
-        assert!(!a.is_finished(), "A ended before Stats saw it in flight");
+        assert!(!replied(&a), "A ended before Stats saw it in flight");
         thread::sleep(Duration::from_millis(1));
     }
 
-    // B: a registration of the new system while A is in flight.
+    // B: a registration of the new system while A is in flight. The
+    // moment its reply is back, A's must already be on A's socket.
     let b = {
-        let addr = addr.clone();
+        let (addr, a) = (addr.clone(), a.try_clone().unwrap());
         thread::spawn(move || {
             let reg = Client::connect(&addr)
                 .unwrap()
                 .register(NEW, InflateSpec::None)
                 .unwrap();
-            arrived.send("B").unwrap();
-            reg
+            (reg, replied(&a))
         })
     };
     // Time for B's request to reach the server and start waiting.
     thread::sleep(Duration::from_millis(50));
-    assert!(!a.is_finished(), "A ended before C was sent");
+    assert!(!replied(&a), "A ended before C was sent");
 
     // C: a template only the new system has. Sent while B waits for A,
     // it must wait for B and run on the new engine, not on the old one
@@ -100,18 +116,22 @@ fn a_registration_waits_out_runs_and_new_submits_wait_for_it() {
     assert_eq!(c.committed, u64::from(C_COUNT), "{c:?}");
     assert_eq!(c.serializable, Some(true), "{c:?}");
 
-    let a = a.join().unwrap();
+    let (b, a_replied_first) = b.join().unwrap();
+    assert!(b.certified);
+    assert!(
+        a_replied_first,
+        "the registration replied before the run it had to wait for"
+    );
+    let mut rbuf = Vec::new();
+    assert!(frame::read_frame_into(&mut a, &mut rbuf).unwrap());
+    let Some(Response::Submitted(a)) = Response::decode(&rbuf) else {
+        panic!("A's reply is not a Submitted: {rbuf:?}");
+    };
     assert_eq!(
         (a.instances, a.committed),
         (u64::from(A_COUNT), u64::from(A_COUNT))
     );
     assert_eq!(a.serializable, Some(true), "{a:?}");
-    assert!(b.join().unwrap().certified);
-    assert_eq!(
-        order.iter().collect::<Vec<_>>(),
-        ["A", "B"],
-        "the registration replied before the run it had to wait for"
-    );
 
     // The registered engine's cumulative report is C's run alone.
     let report = probe.report().unwrap();

@@ -15,13 +15,14 @@ const SPEC: &str = r#"{
 }"#;
 
 /// A server with telemetry on whose engines hold every lock grant for
-/// `work`.
-fn telemetry_server(work: Duration) -> (Server, Telemetry) {
+/// `work` and admit instances in chunks of `admission_batch`.
+fn telemetry_server(work: Duration, admission_batch: usize) -> (Server, Telemetry) {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let cfg = ServeConfig {
         engine: EngineConfig {
             telemetry: telemetry.clone(),
             work,
+            admission_batch,
             ..Default::default()
         },
         ..Default::default()
@@ -31,7 +32,9 @@ fn telemetry_server(work: Duration) -> (Server, Telemetry) {
 
 #[test]
 fn stats_digest_a_completed_run() {
-    let (server, _tel) = telemetry_server(Duration::ZERO);
+    // One 64-instance chunk: the run is one audit epoch, so the auditor
+    // gauge (the last closed epoch's size) counts all of it.
+    let (server, _tel) = telemetry_server(Duration::ZERO, 64);
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
@@ -75,7 +78,7 @@ fn stats_answer_mid_submit() {
     // 50 µs of work per lock grant makes the run last tens of
     // milliseconds in a release build too, where it would otherwise end
     // before the first poll.
-    let (server, _tel) = telemetry_server(Duration::from_micros(50));
+    let (server, _tel) = telemetry_server(Duration::from_micros(50), 1);
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
 

@@ -117,16 +117,15 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]: mergeable, diffable,
-/// queryable. `Default` is the empty distribution.
+/// A point-in-time copy of a [`Histogram`]: mergeable and queryable.
+/// `Default` is the empty distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
     /// Sum of all samples (mean = `sum / count`).
     pub sum: u64,
-    /// Largest sample observed. After [`delta`](Self::delta) this is the
-    /// *cumulative* high-water mark, an upper bound for the window.
+    /// Largest sample observed.
     pub max: u64,
     buckets: Vec<u64>,
 }
@@ -193,23 +192,6 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// The samples recorded *since* `earlier` (bucket-wise subtraction —
-    /// buckets are monotone counters, so the difference is exact).
-    /// `max` keeps the later cumulative high-water mark.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,18 +256,5 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, both.snapshot());
-    }
-
-    #[test]
-    fn delta_isolates_a_window() {
-        let h = Histogram::new();
-        h.record(100);
-        let t0 = h.snapshot();
-        h.record(5000);
-        h.record(5000);
-        let d = h.snapshot().delta(&t0);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 10_000);
-        assert_eq!(bucket_of(d.p50()), bucket_of(5000));
     }
 }

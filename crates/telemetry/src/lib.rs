@@ -102,9 +102,8 @@ impl Phase {
     }
 }
 
-/// A snapshot of all eight phase histograms: cumulative as read from a
-/// handle, or one window's samples as a [`delta`](Self::delta) of two
-/// reads. The server's `Stats` digest and the CLI's `run --json` render
+/// A snapshot of all eight phase histograms, cumulative as read from a
+/// handle. The server's `Stats` digest and the CLI's `run --json` render
 /// it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
@@ -115,15 +114,6 @@ impl PhaseSnapshot {
     /// The snapshot for one phase.
     pub fn get(&self, phase: Phase) -> &HistogramSnapshot {
         &self.histograms[phase as usize]
-    }
-
-    /// Phase-wise difference against an earlier snapshot.
-    pub fn delta(&self, earlier: &PhaseSnapshot) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for (i, h) in out.histograms.iter_mut().enumerate() {
-            *h = self.histograms[i].delta(&earlier.histograms[i]);
-        }
-        out
     }
 }
 
@@ -524,18 +514,17 @@ mod tests {
     }
 
     #[test]
-    fn phases_record_and_delta() {
+    fn phases_record() {
         let t = Telemetry::enabled();
         t.record(Phase::Commit, Duration::from_nanos(1000));
-        let before = t.phase_snapshot();
         t.record(Phase::Commit, Duration::from_nanos(3000));
         t.record(Phase::LockWait, Duration::from_nanos(7));
-        let run = t.phase_snapshot().delta(&before);
-        assert_eq!(run.get(Phase::Commit).count, 1);
-        assert_eq!(run.get(Phase::Commit).sum, 3000);
-        assert_eq!(run.get(Phase::LockWait).count, 1);
-        assert_eq!(run.get(Phase::LockWait).sum, 7);
-        assert_eq!(run.get(Phase::Execute).count, 0);
+        let phases = t.phase_snapshot();
+        assert_eq!(phases.get(Phase::Commit).count, 2);
+        assert_eq!(phases.get(Phase::Commit).sum, 4000);
+        assert_eq!(phases.get(Phase::LockWait).count, 1);
+        assert_eq!(phases.get(Phase::LockWait).sum, 7);
+        assert_eq!(phases.get(Phase::Execute).count, 0);
     }
 
     #[test]

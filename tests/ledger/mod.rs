@@ -698,7 +698,7 @@ fn wall(r: &mut Row) {
 /// time.
 fn des(mut r: Row, sys: &TransactionSystem, policy: DeadlockPolicy, seeds: usize) {
     let (mut committed, mut stalled, mut aborts, mut detected) = (0, 0, 0, 0);
-    let (mut msgs, mut sim_us, mut unserializable) = (0, 0, 0);
+    let (mut msgs, mut sim_us, mut unserializable, mut unaudited) = (0, 0, 0, 0);
     for seed in 0..seeds as u64 {
         let run = sim(sys, policy, seed);
         committed += run.committed;
@@ -708,6 +708,7 @@ fn des(mut r: Row, sys: &TransactionSystem, policy: DeadlockPolicy, seeds: usize
         msgs += run.messages;
         sim_us += run.end_time.micros();
         unserializable += usize::from(run.serializable == Some(false));
+        unaudited += usize::from(run.serializable.is_none());
     }
     r.put("committed", ratio(committed, sys.len() * seeds));
     r.put("deadlocked_runs", ratio(stalled, seeds));
@@ -716,6 +717,7 @@ fn des(mut r: Row, sys: &TransactionSystem, policy: DeadlockPolicy, seeds: usize
     r.put("msgs", msgs);
     r.put("sim_us", sim_us);
     r.put("unserializable_runs", unserializable);
+    r.put("unaudited_runs", unaudited);
 }
 
 /// The payoff: certified transfers commit with no deadlock handling at

@@ -378,7 +378,9 @@ fn read_only_transactions_write_nothing_to_the_wal() {
 /// and RO transactions append none. Hammering the read path (including
 /// concurrently with a second writer run) leaves the history length,
 /// the auditor's node/arc counts, and the serializability verdict
-/// exactly where the writers alone put them.
+/// exactly where the writers alone put them. Each writer run is one
+/// 20-instance chunk, so one audit epoch: the auditor gauge, which
+/// reads the last closed epoch, counts the whole run.
 #[test]
 fn snapshot_reads_never_enter_the_ds_graph() {
     let telemetry = Telemetry::new(TelemetryConfig::default());
@@ -386,6 +388,7 @@ fn snapshot_reads_never_enter_the_ds_graph() {
         20,
         EngineConfig {
             threads: 4,
+            admission_batch: 20,
             telemetry: telemetry.clone(),
             ..Default::default()
         },
@@ -431,7 +434,8 @@ fn snapshot_reads_never_enter_the_ds_graph() {
     });
     assert!(report.all_committed(), "{report:?}");
     assert_eq!(report.serializable, Some(true));
-    // The auditor gauge reports the *last run's* graph: exactly the 20
+    // The auditor gauge reports the *last epoch's* graph, here the last
+    // run's: exactly the 20
     // second-run writers — had any scanner read entered D(S), the node
     // count would exceed the committed writer count.
     let after = telemetry.snapshot();

@@ -299,15 +299,13 @@ pub enum Command {
 /// The exit-code contract of `run` and `submit`: success requires that
 /// every instance committed **and** the committed history *audited*
 /// serializable. An unauditable run (`serializable == None` with
-/// instances submitted — a dirty abort voided the audit, or the audit
-/// itself failed) is a failure too.
+/// instances submitted — the audit itself failed) is a failure too.
 pub fn audit_exit_failure(
     instances: usize,
     all_committed: bool,
-    dirty_aborts: usize,
     serializable: Option<bool>,
 ) -> bool {
-    !all_committed || dirty_aborts > 0 || (instances > 0 && serializable != Some(true))
+    !all_committed || (instances > 0 && serializable != Some(true))
 }
 
 /// What a verb did: its stdout and exit code — or, as `Err`, why it
@@ -424,8 +422,7 @@ fn run_read(
             e.name,
             e.commit_ts,
             e.version,
-            e.value
-                .map_or_else(|| "<bytes>".to_string(), |v| v.to_string()),
+            e.value.map_or_else(|| "-".to_string(), |v| v.to_string()),
         );
     }
     for (line, _) in verdicts {
@@ -592,7 +589,6 @@ fn run_recover(dir: &str, expect_total: Option<u128>, json: bool) -> Outcome {
             ("begun", ju(rec.begun as u64)),
             ("aborted_attempts", ju(rec.aborted_attempts as u64)),
             ("replayed_writes", ju(rec.replayed_writes)),
-            ("skipped_writes", ju(rec.skipped_writes)),
             ("serializable", jopt(rec.serializable, Value::Bool)),
             ("audit_error", jopt(rec.audit_error.clone(), Value::Str)),
             ("history_len", ju(rec.history_len as u64)),
@@ -610,13 +606,6 @@ fn run_recover(dir: &str, expect_total: Option<u128>, json: bool) -> Outcome {
     let _ = writeln!(out, "{}", rec.summary());
     if let Some(err) = &rec.audit_error {
         let _ = writeln!(out, "audit error: {err}");
-    }
-    if rec.skipped_writes > 0 {
-        let _ = writeln!(
-            out,
-            "warning: {} committed writes skipped (mistyped)",
-            rec.skipped_writes
-        );
     }
     let _ = writeln!(out, "{}", store_line(&rec.store));
     if let Some((line, _)) = conservation {
@@ -661,7 +650,6 @@ fn run_submit(
     let bad = audit_exit_failure(
         stats.instances as usize,
         stats.all_committed(),
-        stats.dirty_aborts as usize,
         stats.serializable,
     ) || (expect_zero_aborts && stats.aborted_attempts > 0);
     Ok((out, i32::from(bad)))
@@ -1112,7 +1100,6 @@ fn run_engine(sys: &TransactionSystem, cmd: &Command) -> Outcome {
     let bad = audit_exit_failure(
         report.instances,
         report.all_committed(),
-        report.dirty_aborts,
         report.serializable,
     );
     Ok((out, i32::from(bad)))
@@ -2185,17 +2172,16 @@ mod tests {
     #[test]
     fn audit_exit_contract() {
         // Clean certified run: every instance committed, audit said yes.
-        assert!(!audit_exit_failure(8, true, 0, Some(true)));
+        assert!(!audit_exit_failure(8, true, Some(true)));
         // The audit finding a non-serializable history is a failure even
         // when everything committed.
-        assert!(audit_exit_failure(8, true, 0, Some(false)));
-        // An unauditable run (dirty abort voided the audit) fails too —
-        // the pre-fix behavior exited 0 here.
-        assert!(audit_exit_failure(8, true, 0, None));
-        assert!(audit_exit_failure(8, true, 1, Some(true)));
-        assert!(audit_exit_failure(8, false, 0, Some(true)));
+        assert!(audit_exit_failure(8, true, Some(false)));
+        // An unauditable run fails too — the pre-fix behavior exited 0
+        // here.
+        assert!(audit_exit_failure(8, true, None));
+        assert!(audit_exit_failure(8, false, Some(true)));
         // A deliberately empty run has nothing to audit.
-        assert!(!audit_exit_failure(0, true, 0, None));
+        assert!(!audit_exit_failure(0, true, None));
     }
 
     #[test]

@@ -173,7 +173,6 @@ pub fn report_json(report: &Report, phases: &PhaseSnapshot) -> Value {
         ("instances", ju(report.instances as u64)),
         ("committed", ju(report.committed as u64)),
         ("aborted_attempts", ju(report.aborted_attempts as u64)),
-        ("dirty_aborts", ju(report.dirty_aborts as u64)),
         ("rolled_back", ju(report.rolled_back)),
         (
             "failed",
@@ -181,7 +180,6 @@ pub fn report_json(report: &Report, phases: &PhaseSnapshot) -> Value {
         ),
         ("reads", ju(report.reads)),
         ("writes", ju(report.writes)),
-        ("writes_skipped", ju(report.writes_skipped)),
         (
             "wall_us",
             ju(u64::try_from(report.wall.as_micros()).unwrap_or(u64::MAX)),

@@ -8,7 +8,9 @@
 //! [`Prefix`], the lock-grant events not yet handed to the audit and
 //! the entities whose unlock exposed a write. It has exactly three
 //! transitions — [`granted`](Attempt::granted),
-//! [`unlock`](Attempt::unlock) and [`die`](Attempt::die) — and is driven
+//! [`unlock`](Attempt::unlock) and [`die`](Attempt::die), which rolls
+//! back every write the attempt exposed (each is still an undecided
+//! chain entry, so none can stay behind) — and is driven
 //! by the threaded executor under both lock-wait disciplines and by both
 //! phases of [`crate::replay::replay_schedule`]. What a driver chooses
 //! is *how to ask* for a lock and what a refusal means: park on the
@@ -26,7 +28,6 @@
 //! buffered; a dying attempt's unflushed grants are dropped — they
 //! belong to no committed projection.
 
-use crate::mvcc::UndoOutcome;
 use crate::store::{Store, WriteCtx};
 use crate::template::Program;
 use ddlf_model::{EntityId, NodeId, Prefix, Transaction, TxnId};
@@ -52,16 +53,6 @@ pub(crate) fn wait_die(me: TxnId, holder: TxnId) -> Refused {
     } else {
         Refused::Die
     }
-}
-
-/// What [`Attempt::die`] undid.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Death {
-    /// Exposed writes removed from their value chains.
-    pub rolled_back: u32,
-    /// Exposed writes that could *not* be taken back cleanly — the only
-    /// thing that makes an abort dirty.
-    pub unrecovered: u32,
 }
 
 /// An attempt's working storage — the executed prefix, the deferred
@@ -90,7 +81,6 @@ pub(crate) struct Attempt<'a> {
     pub events: u64,
     pub reads: u64,
     pub writes: u64,
-    pub writes_skipped: u64,
 }
 
 impl<'a> Attempt<'a> {
@@ -114,7 +104,6 @@ impl<'a> Attempt<'a> {
             events: 0,
             reads: 0,
             writes: 0,
-            writes_skipped: 0,
         }
     }
 
@@ -162,16 +151,13 @@ impl<'a> Attempt<'a> {
         self.events += bufs.pending.len() as u64;
         bufs.pending.clear();
         bufs.executed.push(n);
-        let shard = self.store.shard_of(entity);
-        // Applied writes count and are exposed, absent writes don't, and
-        // a typed skip (`WriteError`) is counted instead of clobbering.
-        match shard.write_and_release(&self.ctx, entity, self.program.write_for(entity)) {
-            Ok(true) => {
-                self.writes += 1;
-                self.bufs.exposed.push(entity);
-            }
-            Ok(false) => {}
-            Err(_) => self.writes_skipped += 1,
+        let write = self.program.write_for(entity).copied();
+        self.store
+            .shard_of(entity)
+            .write_and_release(&self.ctx, entity, write);
+        if write.is_some() {
+            self.writes += 1;
+            self.bufs.exposed.push(entity);
         }
     }
 
@@ -181,19 +167,20 @@ impl<'a> Attempt<'a> {
     /// after their first unlock; two-phase ones die before it and have
     /// nothing to undo). Each entity is written at most once per attempt
     /// and removal re-folds per entity, so no undo order is required.
-    pub(crate) fn die(&mut self) -> Death {
+    /// Returns the number of writes rolled back.
+    pub(crate) fn die(&mut self) -> u32 {
         for e in self.bufs.executed.held_entities(self.txn) {
             self.store.shard_of(e).release(self.ctx.holder(), e);
         }
-        let mut death = Death::default();
+        let rolled_back = self.bufs.exposed.len() as u32;
         for e in self.bufs.exposed.drain(..) {
-            match self.store.shard_of(e).undo_write(&self.ctx, e) {
-                UndoOutcome::RolledBack => death.rolled_back += 1,
-                UndoOutcome::None | UndoOutcome::Unrecoverable => death.unrecovered += 1,
-            }
+            let undone = self.store.shard_of(e).undo_write(&self.ctx, e);
+            // An exposed write stays an undecided chain entry until its
+            // attempt commits, and only a commit stamps it.
+            debug_assert!(undone, "exposed write of {e} has no undecided entry");
         }
         self.bufs.pending.clear();
         self.bufs.executed.reset(self.txn);
-        death
+        rolled_back
     }
 }

@@ -140,7 +140,7 @@ pub struct EngineConfig {
     pub work: Duration,
     /// RNG seed for jitter.
     pub seed: u64,
-    /// Initial integer payload of every entity.
+    /// Initial value of every entity.
     pub initial_value: u64,
     /// Run wait-die even when the system certifies (for benchmarking the
     /// cost of not trusting the certificate).
@@ -481,11 +481,9 @@ struct Scratch<'c> {
 struct Outcome {
     committed_attempt: Option<u32>,
     aborts: u32,
-    dirty_aborts: u32,
     rolled_back: u64,
     reads: u64,
     writes: u64,
-    writes_skipped: u64,
     /// History events recorded, every attempt's.
     events: u64,
     latency_us: u64,
@@ -1009,17 +1007,17 @@ impl Core {
             let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx, bufs);
             let t_exec = tel.timer();
             let (ready, queued) = (&mut scratch.ready, &mut scratch.queued);
-            let death = (!self.drive(&mut a, t, tracer, ready, queued)).then(|| {
+            let rolled_back = (!self.drive(&mut a, t, tracer, ready, queued)).then(|| {
                 // One undo sample per dying attempt: lock release plus
                 // every exposed-write rollback.
                 let t_undo = tel.timer();
-                let death = a.die();
+                let rolled_back = a.die();
                 tel.record_since(Phase::Undo, t_undo);
-                death
+                rolled_back
             });
             tel.record_since(Phase::Execute, t_exec);
             out.events += a.events;
-            let Some(death) = death else {
+            let Some(rolled_back) = rolled_back else {
                 let t_commit = tel.timer();
                 // Seal the attempt: the commit timestamp is reserved
                 // *before* the decision is logged so the record carries
@@ -1061,7 +1059,6 @@ impl Core {
                 out.committed_attempt = Some(attempt);
                 out.reads += a.reads;
                 out.writes += a.writes;
-                out.writes_skipped += a.writes_skipped;
                 scratch.attempt = a.into_bufs();
                 break;
             };
@@ -1079,19 +1076,10 @@ impl Core {
                 tt.die(inst.template.index());
             }
             if let Some(tr) = tracer {
-                tr.emit(
-                    attempt,
-                    SpanKind::Abort,
-                    u32::MAX,
-                    0,
-                    death.rolled_back.into(),
-                );
+                tr.emit(attempt, SpanKind::Abort, u32::MAX, 0, rolled_back.into());
             }
             out.aborts += 1;
-            out.rolled_back += u64::from(death.rolled_back);
-            // Only a write that could not be rolled back leaves the
-            // abort dirty (and voids the run's audit).
-            out.dirty_aborts += u32::from(death.unrecovered > 0);
+            out.rolled_back += u64::from(rolled_back);
             let rng = rng.get_or_insert_with(|| {
                 StdRng::seed_from_u64(self.cfg.seed ^ (u64::from(gid) << 20) ^ 0x00E9_97D1)
             });
@@ -1247,19 +1235,15 @@ impl Core {
             .filter(|(_, o)| o.committed_attempt.is_none())
             .map(|(i, _)| i.gid)
             .collect();
-        let dirty_aborts: usize = outcomes.iter().map(|o| o.dirty_aborts as usize).sum();
 
         // Audit: one transaction per instance, so `D(S)` sees each
         // instance as its own node set. The verdict was maintained
         // *during* the run by the epoch's streaming auditor — `seen` is
         // what the run's chunks observed leaving it — so nothing is
-        // re-projected or rebuilt per report. Rolled-back aborts are
-        // clean — their writes were undone, so dropping their buffered
-        // events is sound — and wait-die runs audit like certified ones.
-        // Only an *unrecovered* dirty abort (a write the rollback could
-        // not take back) still voids the audit's premise, reporting
-        // `None` rather than a verdict over the wrong schedule.
-        let serializable = if failed.is_empty() && !instances.is_empty() && dirty_aborts == 0 {
+        // re-projected or rebuilt per report. Every abort is clean — its
+        // writes were undone, so dropping its buffered events is sound —
+        // and wait-die runs audit like certified ones.
+        let serializable = if failed.is_empty() && !instances.is_empty() {
             seen
         } else {
             None
@@ -1307,12 +1291,10 @@ impl Core {
                 .filter(|o| o.committed_attempt.is_some())
                 .count(),
             aborted_attempts: outcomes.iter().map(|o| o.aborts as usize).sum(),
-            dirty_aborts,
             rolled_back: outcomes.iter().map(|o| o.rolled_back).sum(),
             failed,
             reads: outcomes.iter().map(|o| o.reads).sum(),
             writes: outcomes.iter().map(|o| o.writes).sum(),
-            writes_skipped: outcomes.iter().map(|o| o.writes_skipped).sum(),
             wall,
             serializable,
             history_len: outcomes.iter().map(|o| o.events as usize).sum(),

@@ -62,7 +62,7 @@
 //!                             │         flight shares; batch audit is the
 //!                             │         debug oracle)
 //!                          Report: certified k vs achieved peak,
-//!                          aborts (rolled back vs dirty), latency,
+//!                          aborts and rolled-back writes, latency,
 //!                          per-phase histograms, per template
 //! ```
 //!
@@ -91,7 +91,7 @@
 //! instrumented run to reach them (the `lockdep` CI job runs the whole
 //! suite that way with `DDLF_LOCKDEP=fail`).
 //!
-//! * [`store`] — entities carry versioned `u64`/bytes payloads, sharded
+//! * [`store`] — entities carry versioned `u64` values, sharded
 //!   by [`ddlf_model::SiteId`]; each shard owns its values *and* its
 //!   [`lockmgr::LockTable`] behind one `parking_lot` mutex, so a grant
 //!   and the read it authorizes are a single critical section.
@@ -193,7 +193,7 @@ pub use executor::{Engine, EngineConfig, EPOCH_CAP};
 pub use mvcc::{RoEntry, RoSnapshot};
 pub use replay::{replay_schedule, ReplayError, ReplayReport};
 pub use report::{summary_line, LatencyStats, Report, TemplateReport};
-pub use store::{Datum, Shard, Store, VersionedValue, WriteError};
+pub use store::{Shard, Store, VersionedValue};
 pub use template::{
     render_plan, AdmissionOptions, AdmissionPlan, AdmissionVerdict, Inflation, Program, SlotGate,
     SlotGuard, Slots, Template, TemplateRegistry, WriteOp,

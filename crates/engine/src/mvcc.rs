@@ -17,7 +17,8 @@
 //! * a **wait-die rollback** removes the victim's entry and re-folds
 //!   its successors, so the result is the committed-only replay that
 //!   [`crate::wal::recover`] computes — by construction, not by case
-//!   analysis;
+//!   analysis, and every op applies to every `u64`, so the re-fold
+//!   cannot fail;
 //! * the **value at cut `s`** is the fold, in chain order, of the
 //!   entries stamped `≤ s`;
 //! * **GC** folds a decided prefix `≤` the low-watermark of registered
@@ -43,7 +44,7 @@
 //! mutex; the clock and the cut registry share the leaf `store.clock`
 //! mutex. Neither is ever held with the other or with a second shard.
 
-use crate::store::{apply_op, VersionedValue, WriteError};
+use crate::store::VersionedValue;
 use crate::template::WriteOp;
 use ddlf_model::EntityId;
 use parking_lot::Mutex;
@@ -70,10 +71,8 @@ pub struct RoEntry {
     pub commit_ts: u64,
     /// The version counter of the observed value.
     pub version: u64,
-    /// Integer payload, or `None` when the committed payload at this
-    /// cut is a byte string (use [`crate::Store::snapshot_at`] for the
-    /// bytes themselves).
-    pub value: Option<u64>,
+    /// The value at the cut.
+    pub value: u64,
 }
 
 /// A consistent read-only snapshot: every entry reflects the same
@@ -87,41 +86,14 @@ pub struct RoSnapshot {
 }
 
 impl RoSnapshot {
-    /// Sum of the integer payloads observed (conservation checks).
+    /// Sum of the values observed (conservation checks).
     pub fn sum_int(&self) -> u128 {
-        self.entries
-            .iter()
-            .filter_map(|e| e.value)
-            .map(u128::from)
-            .sum()
+        self.entries.iter().map(|e| u128::from(e.value)).sum()
     }
 
     /// The entry for `entity`, if it was scanned.
     pub fn get(&self, entity: EntityId) -> Option<&RoEntry> {
         self.entries.iter().find(|e| e.entity == entity)
-    }
-}
-
-/// How one exposed write of a dying attempt was rolled back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UndoOutcome {
-    /// The attempt has no undecided entry on the entity (never wrote
-    /// it, or already committed).
-    None,
-    /// The entry is gone and every surviving op still types: the value
-    /// is exactly the replay of the survivors.
-    RolledBack,
-    /// The entry is gone, but a surviving op no longer types without it
-    /// (an `Add` that rode on a dead `Put` over a byte payload) and now
-    /// folds as a skip: the abort stays dirty and voids the audit.
-    Unrecoverable,
-}
-
-#[cfg(test)]
-impl UndoOutcome {
-    /// Whether the dead write's effect is fully gone from the store.
-    pub(crate) fn rolled_back(self) -> bool {
-        self == UndoOutcome::RolledBack
     }
 }
 
@@ -151,7 +123,7 @@ impl Chain {
     pub(crate) fn new(entity: EntityId, seed: VersionedValue) -> Self {
         Chain {
             entity,
-            tip: seed.clone(),
+            tip: seed,
             base: seed,
             base_ts: 0,
             entries: VecDeque::new(),
@@ -164,15 +136,8 @@ impl Chain {
     }
 
     /// The live value: every write applied, decided or not.
-    pub(crate) fn tip(&self) -> &VersionedValue {
-        &self.tip
-    }
-
-    /// The op applied to the live value — what [`Chain::push`] takes as
-    /// `after`, computed first so a mistyped op never enters a chain
-    /// (and the WAL record can be written ahead of the push).
-    pub(crate) fn apply(&self, op: &WriteOp) -> Result<VersionedValue, WriteError> {
-        apply_op(self.entity, &self.tip, op)
+    pub(crate) fn tip(&self) -> VersionedValue {
+        self.tip
     }
 
     /// Retained versions: the base plus one per entry.
@@ -180,19 +145,12 @@ impl Chain {
         1 + self.entries.len()
     }
 
-    /// Appends a write whose after-image is `after` (see
-    /// [`Chain::apply`]). Beyond [`CHAIN_CAP`] decided front entries
-    /// fold into `base` whatever the watermark — bounded state beats a
-    /// cut nobody can request — but never an undecided one: `base` is
-    /// part of every cut it answers.
-    pub(crate) fn push(
-        &mut self,
-        gid: u32,
-        op: WriteOp,
-        commit_ts: Option<u64>,
-        after: VersionedValue,
-    ) {
-        self.tip = after;
+    /// Appends a write and applies it to the tip. Beyond [`CHAIN_CAP`]
+    /// decided front entries fold into `base` whatever the watermark —
+    /// bounded state beats a cut nobody can request — but never an
+    /// undecided one: `base` is part of every cut it answers.
+    pub(crate) fn push(&mut self, gid: u32, op: WriteOp, commit_ts: Option<u64>) {
+        self.tip = self.tip.apply(op);
         self.entries.push_back(Entry { gid, op, commit_ts });
         while self.len() > CHAIN_CAP && self.entries[0].commit_ts.is_some() {
             self.fold_front();
@@ -201,9 +159,7 @@ impl Chain {
 
     fn fold_front(&mut self) {
         let e = self.entries.pop_front().expect("caller checked non-empty");
-        if let Ok(v) = apply_op(self.entity, &self.base, &e.op) {
-            self.base = v;
-        }
+        self.base = self.base.apply(e.op);
         self.base_ts = self
             .base_ts
             .max(e.commit_ts.expect("only decided entries fold"));
@@ -223,25 +179,14 @@ impl Chain {
     }
 
     /// Rollback: removes the undecided entry of `gid` and re-folds the
-    /// tip over the survivors.
-    pub(crate) fn remove(&mut self, gid: u32) -> UndoOutcome {
+    /// tip over the survivors. Returns whether `gid` had such an entry.
+    pub(crate) fn remove(&mut self, gid: u32) -> bool {
         let Some(at) = self.undecided(gid) else {
-            return UndoOutcome::None;
+            return false;
         };
         self.entries.remove(at);
-        let (mut tip, mut typed) = (self.base.clone(), true);
-        for e in &self.entries {
-            match apply_op(self.entity, &tip, &e.op) {
-                Ok(v) => tip = v,
-                Err(_) => typed = false,
-            }
-        }
-        self.tip = tip;
-        if typed {
-            UndoOutcome::RolledBack
-        } else {
-            UndoOutcome::Unrecoverable
-        }
+        self.tip = self.entries.iter().fold(self.base, |v, e| v.apply(e.op));
+        true
     }
 
     /// The value at cut `s` and the newest commit timestamp in it: the
@@ -251,15 +196,10 @@ impl Chain {
         if self.base_ts > s {
             return None;
         }
-        let (mut ts, mut value) = (self.base_ts, self.base.clone());
+        let (mut ts, mut value) = (self.base_ts, self.base);
         for e in &self.entries {
-            let Some(t) = e.commit_ts.filter(|&t| t <= s) else {
-                continue;
-            };
-            // An op whose predecessor is outside the cut may not type
-            // there; it folds as the same typed skip the write path has.
-            if let Ok(v) = apply_op(self.entity, &value, &e.op) {
-                value = v;
+            if let Some(t) = e.commit_ts.filter(|&t| t <= s) {
+                value = value.apply(e.op);
                 ts = ts.max(t);
             }
         }
@@ -393,16 +333,9 @@ impl Drop for Cut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Datum;
 
-    fn chain(initial: u64) -> Chain {
-        let datum = Datum::Int(initial);
-        Chain::new(EntityId(0), VersionedValue { version: 0, datum })
-    }
-
-    fn write(c: &mut Chain, gid: u32, op: WriteOp, ts: Option<u64>) {
-        let after = c.apply(&op).unwrap();
-        c.push(gid, op, ts, after);
+    fn chain(value: u64) -> Chain {
+        Chain::new(EntityId(0), VersionedValue { version: 0, value })
     }
 
     #[test]
@@ -410,34 +343,34 @@ mod tests {
         let mut c = chain(100);
         // Written in the order g1, g2, g3; committed as g2@1, g3@2, and
         // g1 still undecided.
-        write(&mut c, 1, WriteOp::Add(5), None);
-        write(&mut c, 2, WriteOp::Put(7), Some(1));
-        write(&mut c, 3, WriteOp::Add(1), Some(2));
-        assert_eq!(c.tip().datum, Datum::Int(8));
-        assert_eq!(c.at(0).unwrap().1.datum, Datum::Int(100));
+        c.push(1, WriteOp::Add(5), None);
+        c.push(2, WriteOp::Put(7), Some(1));
+        c.push(3, WriteOp::Add(1), Some(2));
+        assert_eq!(c.tip().value, 8);
+        assert_eq!(c.at(0).unwrap().1.value, 100);
         let (ts, v) = c.at(1).unwrap();
-        assert_eq!((ts, v.version, v.datum), (1, 1, Datum::Int(7)));
+        assert_eq!((ts, v.version, v.value), (1, 1, 7));
         let (ts, v) = c.at(9).unwrap();
-        assert_eq!((ts, v.version, v.datum), (2, 2, Datum::Int(8)));
+        assert_eq!((ts, v.version, v.value), (2, 2, 8));
         // g1 commits last: it still folds *first*, under the Put.
         c.stamp(1, 3);
         let (ts, v) = c.at(3).unwrap();
-        assert_eq!((ts, v.version, v.datum), (3, 3, Datum::Int(8)));
+        assert_eq!((ts, v.version, v.value), (3, 3, 8));
     }
 
     #[test]
     fn gc_folds_only_a_decided_prefix_and_keeps_later_cuts_exact() {
         let mut c = chain(0);
-        write(&mut c, 1, WriteOp::Add(1), Some(1));
-        write(&mut c, 2, WriteOp::Add(10), None);
-        write(&mut c, 3, WriteOp::Add(100), Some(2));
+        c.push(1, WriteOp::Add(1), Some(1));
+        c.push(2, WriteOp::Add(10), None);
+        c.push(3, WriteOp::Add(100), Some(2));
         assert_eq!(c.gc(2), 3, "the undecided entry stops the fold");
         assert_eq!(c.at(0), None, "ts 1 is in the base now");
-        assert_eq!(c.at(1).unwrap().1.datum, Datum::Int(1));
-        assert_eq!(c.at(2).unwrap().1.datum, Datum::Int(101));
+        assert_eq!(c.at(1).unwrap().1.value, 1);
+        assert_eq!(c.at(2).unwrap().1.value, 101);
         c.stamp(2, 3);
         assert_eq!(c.gc(3), 1);
-        assert_eq!(c.at(3).unwrap().1.datum, Datum::Int(111));
+        assert_eq!(c.at(3).unwrap().1.value, 111);
         assert_eq!(c.tip().version, 3);
     }
 

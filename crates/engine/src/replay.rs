@@ -42,7 +42,7 @@ use crate::template::Program;
 use ddlf_model::{GlobalNode, NodeId, StreamingAuditor, Transaction, TransactionSystem, TxnId};
 use std::fmt;
 
-/// The initial integer payload of every entity in a replay store
+/// The initial value of every entity in a replay store
 /// (mirrors the engine's default).
 pub const REPLAY_INITIAL_VALUE: u64 = 1000;
 
@@ -254,7 +254,7 @@ pub fn replay_schedule(
                     Ok(()) => run.report.completion_steps += 1,
                     Err(holder) => {
                         if wait_die(t, holder) == Refused::Die {
-                            run.report.rolled_back += a.die().rolled_back;
+                            run.report.rolled_back += a.die();
                             run.auditor.abort(t.0, a.ctx.attempt);
                             run.report.aborts += 1;
                             *a = attempt_of(t, a.ctx.attempt + 1);

@@ -1,6 +1,10 @@
 //! Run reports, in the simulator's `SimReport` vocabulary
 //! (`throughput_per_sec`, `all_committed`, a `serializable` audit slot)
 //! but measured in wall-clock time on real threads.
+//!
+//! An abort never voids the audit: every write a dying attempt exposed
+//! is rolled back ([`Report::rolled_back`] counts them), so a run's
+//! `serializable` is `None` only when some instance failed.
 
 use crate::template::{AdmissionVerdict, Slots};
 use std::sync::Arc;
@@ -98,16 +102,9 @@ pub struct Report {
     /// Aborted attempts — every abort is a wait-die victim that retried;
     /// the certified path cannot abort, so this is always 0 there.
     pub aborted_attempts: usize,
-    /// Aborts that exposed a write the rollback could **not** take back
-    /// cleanly (a surviving op stopped typing without it, or the
-    /// chain-length bound had already folded it). Exposed writes are
-    /// normally rolled back (see [`Report::rolled_back`]); only this
-    /// residue voids the serializability audit (`serializable` becomes
-    /// `None`).
-    pub dirty_aborts: usize,
     /// Exposed writes of dying attempts that were rolled back (their
-    /// chain entries removed, successors re-folded) — what used to be
-    /// unconditionally dirty.
+    /// chain entries removed, successors re-folded) — every one of
+    /// them, so no abort voids the audit.
     pub rolled_back: u64,
     /// Instance ids that exhausted their attempt budget.
     pub failed: Vec<u32>,
@@ -116,11 +113,6 @@ pub struct Report {
     pub reads: u64,
     /// Writes committed to the store.
     pub writes: u64,
-    /// Writes skipped with a typed error because the operation did not
-    /// type against the entity's payload
-    /// ([`crate::store::WriteError`]); the old behavior silently
-    /// clobbered the payload instead.
-    pub writes_skipped: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// `D(S)` audit of the committed schedule: the conjunction of the
@@ -256,12 +248,10 @@ impl Report {
         self.instances += run.instances;
         self.committed += run.committed;
         self.aborted_attempts += run.aborted_attempts;
-        self.dirty_aborts += run.dirty_aborts;
         self.rolled_back += run.rolled_back;
         self.failed.extend_from_slice(&run.failed);
         self.reads += run.reads;
         self.writes += run.writes;
-        self.writes_skipped += run.writes_skipped;
         self.wall += run.wall;
         self.history_len += run.history_len;
         self.group_flushes += run.group_flushes;
@@ -311,12 +301,10 @@ mod tests {
             instances: 4,
             committed: 4,
             aborted_attempts: 0,
-            dirty_aborts: 0,
             rolled_back: 0,
             failed: vec![],
             reads: 0,
             writes: 0,
-            writes_skipped: 0,
             wall: Duration::from_millis(1),
             serializable,
             history_len: 0,
@@ -362,12 +350,10 @@ mod tests {
             instances: 10,
             committed: 10,
             aborted_attempts: 0,
-            dirty_aborts: 0,
             rolled_back: 0,
             failed: vec![],
             reads: 0,
             writes: 0,
-            writes_skipped: 0,
             wall: Duration::from_secs(2),
             serializable: Some(true),
             history_len: 0,

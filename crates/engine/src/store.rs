@@ -7,8 +7,11 @@
 //! "scheduler of the site" from §2 of Wolfson & Yannakakis, with data
 //! attached.
 //!
-//! A value is held exactly once: as the entity's write-order
-//! [`Chain`](crate::mvcc) in its shard. The live value is the chain's
+//! An entity's value is a `u64` and its version counter
+//! ([`VersionedValue`]); every [`WriteOp`] applies to every value, so no
+//! write, rollback, cut or replay can fail to fold. A value is held
+//! exactly once: as the entity's write-order [`Chain`](crate::mvcc) in
+//! its shard. The live value is the chain's
 //! tip; an in-flight write is an unstamped entry; commit stamps it; a
 //! wait-die victim that dies *after* an unlock exposed its write has
 //! the entry removed again; a snapshot read folds the entries stamped
@@ -23,7 +26,7 @@
 //! its chain entries and WAL records.
 
 use crate::lockmgr::{Acquire, LockTable};
-use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot, UndoOutcome};
+use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot};
 use crate::template::WriteOp;
 use crate::wal::{Wal, WalRecord};
 use ddlf_model::{Database, EntityId, IntBuild, SiteId, TxnId};
@@ -34,80 +37,28 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The payload an entity carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Datum {
-    /// A 64-bit integer (balances, counters, stock levels).
-    Int(u64),
-    /// An opaque byte string.
-    Bytes(Vec<u8>),
-}
-
-impl Datum {
-    /// The integer payload, if this is an [`Datum::Int`].
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            Datum::Int(n) => Some(*n),
-            Datum::Bytes(_) => None,
-        }
-    }
-}
-
 /// A versioned value: every write in its history bumps `version`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionedValue {
     /// Monotone write counter (0 = never written).
     pub version: u64,
-    /// Current payload.
-    pub datum: Datum,
+    /// Current value.
+    pub value: u64,
 }
 
-/// A write that does not type against the entity's current payload.
-/// Previously `Add` on a [`Datum::Bytes`] silently treated the bytes as
-/// 0 and clobbered them with an `Int`; now the write is skipped and the
-/// skip is counted (see [`crate::Report::writes_skipped`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteError {
-    /// `Add` against a byte-string payload — there is no integer to add
-    /// to, and guessing 0 would destroy the bytes.
-    AddToBytes {
-        /// The entity whose payload is bytes.
-        entity: EntityId,
-    },
-}
-
-impl std::fmt::Display for WriteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriteError::AddToBytes { entity } => {
-                write!(f, "Add against byte payload of {entity}: write skipped")
-            }
+impl VersionedValue {
+    /// `op` applied to this value, version bumped. The one fold step
+    /// shared by the write path, rollback, snapshot reads and recovery.
+    pub(crate) fn apply(self, op: WriteOp) -> Self {
+        let value = match op {
+            WriteOp::Add(delta) => self.value.wrapping_add_signed(delta),
+            WriteOp::Put(v) => v,
+        };
+        VersionedValue {
+            version: self.version + 1,
+            value,
         }
     }
-}
-
-impl std::error::Error for WriteError {}
-
-/// Applies `op` to `slot`, returning the new value (version bumped) or
-/// the typed error that made it inapplicable. The one fold step shared
-/// by the write path, rollback, snapshot reads and recovery.
-pub(crate) fn apply_op(
-    entity: EntityId,
-    slot: &VersionedValue,
-    op: &WriteOp,
-) -> Result<VersionedValue, WriteError> {
-    let datum = match op {
-        WriteOp::Add(delta) => match slot.datum {
-            Datum::Int(cur) => Datum::Int(cur.wrapping_add_signed(*delta)),
-            Datum::Bytes(_) => return Err(WriteError::AddToBytes { entity }),
-        },
-        WriteOp::Put(v) => Datum::Int(*v),
-        WriteOp::PutBytes(b) => Datum::Bytes(b.clone()),
-    };
-    Ok(VersionedValue {
-        version: slot.version + 1,
-        datum,
-    })
 }
 
 /// Identity of the attempt performing a write, threaded from the
@@ -206,22 +157,18 @@ impl Shard {
 
     /// Applies `write` (if any) under the still-held lock — logging it
     /// first — then releases `entity`, handing the lock to the next FIFO
-    /// waiter. Returns whether a write was applied (`Ok(false)` = no
-    /// write requested), or the typed error of a write that did not
-    /// type (the entity is still released).
+    /// waiter.
     pub(crate) fn write_and_release(
         &self,
         ctx: &WriteCtx,
         entity: EntityId,
-        write: Option<&WriteOp>,
-    ) -> Result<bool, WriteError> {
+        write: Option<WriteOp>,
+    ) {
         let mut st = self.state.lock();
-        let applied = match write {
-            Some(w) => st.apply_logged(ctx, self.slot(entity), w).map(|()| true),
-            None => Ok(false),
-        };
+        if let Some(w) = write {
+            st.apply_logged(ctx, self.slot(entity), w);
+        }
         st.release_and_promote(ctx.holder(), entity);
-        applied
     }
 
     /// Releases `entity` without writing (abort path, plain unlock of a
@@ -232,41 +179,34 @@ impl Shard {
 
     /// Rolls back the write the attempt applied to `entity`, if it is
     /// still undecided: its chain entry is removed and the tip re-folded
-    /// over the survivors (see [`Chain::remove`]). Nothing is logged —
-    /// recovery replays committed attempts only.
-    pub(crate) fn undo_write(&self, ctx: &WriteCtx, entity: EntityId) -> UndoOutcome {
+    /// over the survivors (see [`Chain::remove`]). Returns whether there
+    /// was such a write. Nothing is logged — recovery replays committed
+    /// attempts only.
+    pub(crate) fn undo_write(&self, ctx: &WriteCtx, entity: EntityId) -> bool {
         self.state.lock().chains[self.slot(entity)].remove(ctx.gid)
     }
 
     /// Reads the live value of `entity` without taking its lock
     /// (undecided writes included).
     pub(crate) fn peek(&self, entity: EntityId) -> VersionedValue {
-        self.state.lock().chains[self.slot(entity)].tip().clone()
+        self.state.lock().chains[self.slot(entity)].tip()
     }
 }
 
 impl ShardState {
-    /// Applies one write: computes the new value, appends the record to
-    /// the log (write-ahead), then appends the undecided entry to the
-    /// entity's chain.
-    fn apply_logged(
-        &mut self,
-        ctx: &WriteCtx,
-        slot: usize,
-        write: &WriteOp,
-    ) -> Result<(), WriteError> {
+    /// Applies one write: appends the record to the log (write-ahead),
+    /// then the undecided entry to the entity's chain.
+    fn apply_logged(&mut self, ctx: &WriteCtx, slot: usize, write: WriteOp) {
         let chain = &mut self.chains[slot];
-        let after = chain.apply(write)?;
         if let Some(wal) = &self.sink {
             wal.append([WalRecord::Write {
                 gid: ctx.gid,
                 attempt: ctx.attempt,
                 entity: chain.entity(),
-                op: write.clone(),
+                op: write,
             }]);
         }
-        chain.push(ctx.gid, write.clone(), None, after);
-        Ok(())
+        chain.push(ctx.gid, write, None);
     }
 
     /// Releases and hands the lock to the next FIFO waiter, delivering
@@ -308,8 +248,8 @@ pub struct Store {
 }
 
 impl Store {
-    /// Builds a store for `db`, initializing every entity to
-    /// `Datum::Int(initial)` at version 0.
+    /// Builds a store for `db`, initializing every entity to `initial`
+    /// at version 0.
     pub fn new(db: &Database, initial: u64) -> Self {
         let mut shards: Vec<Shard> = (0..db.site_count())
             .map(|s| Shard {
@@ -330,7 +270,7 @@ impl Store {
         for e in db.entities() {
             let seed = VersionedValue {
                 version: 0,
-                datum: Datum::Int(initial),
+                value: initial,
             };
             let shard = &mut shards[db.site_of(e).index()];
             let chains = &mut shard.state.get_mut().chains;
@@ -353,15 +293,12 @@ impl Store {
         &mut self,
         entity: EntityId,
         gid: u32,
-        op: &WriteOp,
+        op: WriteOp,
         commit_ts: u64,
-    ) -> Result<(), WriteError> {
+    ) {
         let shard = &mut self.shards[self.db.site_of(entity).index()];
         let slot = shard.slot(entity);
-        let chain = &mut shard.state.get_mut().chains[slot];
-        let after = chain.apply(op)?;
-        chain.push(gid, op.clone(), Some(commit_ts), after);
-        Ok(())
+        shard.state.get_mut().chains[slot].push(gid, op, Some(commit_ts));
     }
 
     /// Recovery: resumes the clock past the highest durable commit.
@@ -504,7 +441,7 @@ impl Store {
             entity,
             commit_ts,
             version: v.version,
-            value: v.datum.as_int(),
+            value: v.value,
         });
         RoSnapshot { ts, entries }
     }
@@ -564,15 +501,14 @@ impl Store {
         drop(ts); // closes the timestamp
     }
 
-    /// Sum of all committed integer payloads — conservation checks for
-    /// transfer workloads. Widened to `u128`: the old `u64` wrapping
-    /// sum could let a non-conserving run wrap back onto the expected
-    /// total and pass its conservation check.
+    /// Sum of all committed values — conservation checks for transfer
+    /// workloads. Widened to `u128`: the old `u64` wrapping sum could
+    /// let a non-conserving run wrap back onto the expected total and
+    /// pass its conservation check.
     pub fn total_int(&self) -> u128 {
         self.snapshot()
             .iter()
-            .filter_map(|(_, v)| v.datum.as_int())
-            .map(u128::from)
+            .map(|(_, v)| u128::from(v.value))
             .sum()
     }
 
@@ -634,8 +570,7 @@ mod tests {
     /// table — most tests below drive chains and clock directly.
     fn write(s: &Store, c: &WriteCtx, e: EntityId, op: WriteOp) {
         let shard = s.shard_of(e);
-        let applied = shard.state.lock().apply_logged(c, shard.slot(e), &op);
-        applied.unwrap();
+        shard.state.lock().apply_logged(c, shard.slot(e), op);
     }
 
     fn chain_len(s: &Store, e: EntityId) -> usize {
@@ -657,7 +592,7 @@ mod tests {
     }
 
     fn ints(snap: &[(EntityId, VersionedValue)]) -> Vec<u64> {
-        snap.iter().filter_map(|(_, v)| v.datum.as_int()).collect()
+        snap.iter().map(|(_, v)| v.value).collect()
     }
 
     #[test]
@@ -665,10 +600,7 @@ mod tests {
         let s = store2();
         assert_eq!(s.total_int(), 200);
         assert_eq!(s.total_versions(), 0);
-        assert_eq!(
-            s.shard_of(EntityId(0)).peek(EntityId(0)).datum,
-            Datum::Int(100)
-        );
+        assert_eq!(s.shard_of(EntityId(0)).peek(EntityId(0)).value, 100);
     }
 
     #[test]
@@ -677,14 +609,11 @@ mod tests {
         let e = EntityId(0);
         let (tx, _rx) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, || tx.clone()));
-        assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(100));
-        assert_eq!(
-            s.shard_of(e)
-                .write_and_release(&ctx(0), e, Some(&WriteOp::Add(-30))),
-            Ok(true)
-        );
+        assert_eq!(s.shard_of(e).peek(e).value, 100);
+        s.shard_of(e)
+            .write_and_release(&ctx(0), e, Some(WriteOp::Add(-30)));
         let after = s.shard_of(e).peek(e);
-        assert_eq!(after.datum, Datum::Int(70));
+        assert_eq!(after.value, 70);
         assert_eq!(after.version, 1);
     }
 
@@ -696,7 +625,7 @@ mod tests {
         let (tx1, rx1) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, || tx0.clone()));
         assert!(!s.shard_of(e).request(TxnId(1), e, || tx1.clone()));
-        s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
+        s.shard_of(e).write_and_release(&ctx(0), e, None);
         assert_eq!(rx1.try_recv(), Ok(e));
         // T1 now holds it.
         assert_eq!(s.shard_of(e).state.lock().locks.holder(e), Some(TxnId(1)));
@@ -716,7 +645,7 @@ mod tests {
         }
         let (tx2, rx2) = channel();
         assert!(!s.shard_of(e).request(TxnId(2), e, || tx2.clone()));
-        s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
+        s.shard_of(e).write_and_release(&ctx(0), e, None);
         // T1's grant bounced; T2 must receive it.
         assert_eq!(rx2.try_recv(), Ok(e));
     }
@@ -728,29 +657,9 @@ mod tests {
         assert_eq!(s.shard_of(e).try_acquire(TxnId(0), e), Ok(()));
         assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Err(TxnId(0)));
         assert!(s.shard_of(e).state.lock().locks.waiters(e).is_empty());
-        s.shard_of(e).write_and_release(&ctx(0), e, None).unwrap();
+        s.shard_of(e).write_and_release(&ctx(0), e, None);
         assert_eq!(s.shard_of(e).state.lock().locks.holder(e), None);
         assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Ok(()));
-    }
-
-    #[test]
-    fn add_to_bytes_is_a_typed_skip_not_a_clobber() {
-        let s = store2();
-        let e = EntityId(0);
-        let (tx, _rx) = channel();
-        write(&s, &ctx(0), e, WriteOp::PutBytes(vec![7, 8]));
-        s.shard_of(e).request(TxnId(1), e, || tx.clone());
-        // The old behavior treated the bytes as 0 and installed Int(3).
-        assert_eq!(
-            s.shard_of(e)
-                .write_and_release(&ctx(1), e, Some(&WriteOp::Add(3))),
-            Err(WriteError::AddToBytes { entity: e })
-        );
-        let v = s.shard_of(e).peek(e);
-        assert_eq!(v.datum, Datum::Bytes(vec![7, 8]), "payload untouched");
-        assert_eq!(v.version, 1, "skipped write must not bump the version");
-        // The lock was still released.
-        assert_eq!(s.shard_of(e).state.lock().locks.holder(e), None);
     }
 
     #[test]
@@ -761,17 +670,17 @@ mod tests {
         write(&s, &ctx(0), e, WriteOp::Add(11));
         commit(&s, &ctx(0), e);
         let pre = s.shard_of(e).peek(e);
-        assert_eq!((pre.version, pre.datum.clone()), (1, Datum::Int(111)));
+        assert_eq!((pre.version, pre.value), (1, 111));
 
         // The doomed attempt writes and unlocks (the dirty-abort shape),
         // then dies: the exact (datum, version) must come back.
         let c = ctx(1);
         write(&s, &c, e, WriteOp::Add(-40));
-        assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(71));
-        assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).peek(e).value, 71);
+        assert!(s.shard_of(e).undo_write(&c, e));
         assert_eq!(s.shard_of(e).peek(e), pre);
         // Idempotent: the entry is consumed.
-        assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::None);
+        assert!(!s.shard_of(e).undo_write(&c, e));
     }
 
     #[test]
@@ -785,9 +694,9 @@ mod tests {
         write(&s, &ctx(1), e, WriteOp::Add(7));
         commit(&s, &ctx(1), e);
         // Undo of instance 0 must keep instance 1's committed +7.
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&c0, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!(v.datum, Datum::Int(107));
+        assert_eq!(v.value, 107);
         assert_eq!(v.version, 1, "only the committed write remains counted");
     }
 
@@ -802,9 +711,9 @@ mod tests {
         write(&s, &c0, e, WriteOp::Add(50));
         write(&s, &ctx(1), e, WriteOp::Put(200));
         commit(&s, &ctx(1), e);
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&c0, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!(v.datum, Datum::Int(200), "the absolute write stands");
+        assert_eq!(v.value, 200, "the absolute write stands");
         assert_eq!(v.version, 1, "only the committed write remains counted");
     }
 
@@ -814,13 +723,13 @@ mod tests {
         let e = EntityId(0);
         let c0 = ctx(0);
         write(&s, &c0, e, WriteOp::Put(5));
-        // A later PutBytes destroyed every trace of the dead Put.
-        write(&s, &ctx(1), e, WriteOp::PutBytes(vec![1]));
+        // A later Put destroyed every trace of the dead Put.
+        write(&s, &ctx(1), e, WriteOp::Put(1));
         commit(&s, &ctx(1), e);
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&c0, e));
         let v = s.shard_of(e).peek(e);
         // The later committed write stays; the dead version bump is gone.
-        assert_eq!(v.datum, Datum::Bytes(vec![1]));
+        assert_eq!(v.value, 1);
         assert_eq!(v.version, 1);
     }
 
@@ -835,9 +744,9 @@ mod tests {
         write(&s, &c0, e, WriteOp::Put(500));
         write(&s, &ctx(1), e, WriteOp::Add(7));
         commit(&s, &ctx(1), e);
-        assert_eq!(s.shard_of(e).undo_write(&c0, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&c0, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!(v.datum, Datum::Int(107));
+        assert_eq!(v.value, 107);
         assert_eq!(v.version, 1);
     }
 
@@ -853,10 +762,10 @@ mod tests {
         let b = ctx(1);
         write(&s, &a, e, WriteOp::Add(50));
         write(&s, &b, e, WriteOp::Put(200));
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
-        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&a, e));
+        assert!(s.shard_of(e).undo_write(&b, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
+        assert_eq!((v.version, v.value), (0, 100));
     }
 
     #[test]
@@ -867,10 +776,10 @@ mod tests {
         let b = ctx(1);
         write(&s, &a, e, WriteOp::Add(50));
         write(&s, &b, e, WriteOp::Put(200));
-        assert_eq!(s.shard_of(e).undo_write(&b, e), UndoOutcome::RolledBack);
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&b, e));
+        assert!(s.shard_of(e).undo_write(&a, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
+        assert_eq!((v.version, v.value), (0, 100));
     }
 
     #[test]
@@ -886,12 +795,12 @@ mod tests {
         write(&s, &w, e, WriteOp::Add(50));
         let a = ctx(1);
         write(&s, &a, e, WriteOp::Put(999));
-        assert_eq!(s.shard_of(e).undo_write(&a, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&a, e));
         write(&s, &ctx(2), e, WriteOp::Add(7));
         commit(&s, &ctx(2), e);
-        assert_eq!(s.shard_of(e).undo_write(&w, e), UndoOutcome::RolledBack);
+        assert!(s.shard_of(e).undo_write(&w, e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!((v.version, v.datum), (1, Datum::Int(107)));
+        assert_eq!((v.version, v.value), (1, 107));
     }
 
     #[test]
@@ -902,12 +811,12 @@ mod tests {
         for (c, d) in cs.iter().zip([10i64, 20, 30]) {
             write(&s, c, e, WriteOp::Add(d));
         }
-        assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(160));
-        assert_eq!(s.shard_of(e).undo_write(&cs[1], e), UndoOutcome::RolledBack);
-        assert_eq!(s.shard_of(e).undo_write(&cs[0], e), UndoOutcome::RolledBack);
-        assert_eq!(s.shard_of(e).undo_write(&cs[2], e), UndoOutcome::RolledBack);
+        assert_eq!(s.shard_of(e).peek(e).value, 160);
+        assert!(s.shard_of(e).undo_write(&cs[1], e));
+        assert!(s.shard_of(e).undo_write(&cs[0], e));
+        assert!(s.shard_of(e).undo_write(&cs[2], e));
         let v = s.shard_of(e).peek(e);
-        assert_eq!((v.version, v.datum), (0, Datum::Int(100)));
+        assert_eq!((v.version, v.value), (0, 100));
     }
 
     #[test]
@@ -917,8 +826,8 @@ mod tests {
         let c = ctx(0);
         write(&s, &c, e, WriteOp::Add(1));
         commit(&s, &c, e);
-        assert_eq!(s.shard_of(e).undo_write(&c, e), UndoOutcome::None);
-        assert_eq!(s.shard_of(e).peek(e).datum, Datum::Int(101));
+        assert!(!s.shard_of(e).undo_write(&c, e));
+        assert_eq!(s.shard_of(e).peek(e).value, 101);
     }
 
     #[test]
@@ -951,7 +860,7 @@ mod tests {
         assert_eq!(ints(&s.live_snapshot()), [2]);
         assert_eq!(s.snapshot(), s.live_snapshot());
         let ro = s.read_only_snapshot(&[e]);
-        assert_eq!((ro.ts, ro.entries[0].value), (2, Some(2)));
+        assert_eq!((ro.ts, ro.entries[0].value), (2, 2));
         assert_eq!((ro.entries[0].commit_ts, ro.entries[0].version), (2, 2));
         assert_eq!(s.total_int(), 2);
     }
@@ -1001,25 +910,8 @@ mod tests {
         assert_eq!(snap.ts, 1);
         assert_eq!(snap.sum_int(), 100, "transfers conserve the sum");
         let e0 = snap.get(EntityId(0)).unwrap();
-        assert_eq!((e0.value, e0.commit_ts, e0.version), (Some(30), 1, 1));
-        assert_eq!(
-            s.shard_of(EntityId(0)).peek(EntityId(0)).datum,
-            Datum::Int(29)
-        );
-    }
-
-    #[test]
-    fn bytes_payloads_surface_as_none_in_read_only_entries() {
-        let s = store_n(1, 9);
-        let e = EntityId(0);
-        write(&s, &ctx(1), e, WriteOp::PutBytes(vec![1, 2, 3]));
-        commit(&s, &ctx(1), e);
-        let snap = s.read_only_snapshot(&[e]);
-        let entry = snap.get(e).unwrap();
-        assert_eq!((entry.value, entry.version), (None, 1));
-        // `snapshot_at` keeps full fidelity.
-        let full = s.snapshot_at(1).unwrap();
-        assert_eq!(full[0].1.datum, Datum::Bytes(vec![1, 2, 3]));
+        assert_eq!((e0.value, e0.commit_ts, e0.version), (30, 1, 1));
+        assert_eq!(s.shard_of(EntityId(0)).peek(EntityId(0)).value, 29);
     }
 
     #[test]
@@ -1079,7 +971,7 @@ mod tests {
         assert!(s.snapshot_at(0).is_none());
         let snap = s.read_only_snapshot(&both);
         assert_eq!(snap.ts, u64::from(commits));
-        assert_eq!(snap.entries[0].value, Some(u64::from(commits)));
+        assert_eq!(snap.entries[0].value, u64::from(commits));
         assert_eq!(snap.entries[1].commit_ts, 0);
     }
 
@@ -1102,7 +994,7 @@ mod tests {
         commit(&s, &ctx(0), e);
         assert_eq!(s.commit_ts(), 2);
         let snap = s.read_only_snapshot(&[e]);
-        assert_eq!(snap.get(e).unwrap().value, Some(5), "undecided: in no cut");
+        assert_eq!(snap.get(e).unwrap().value, 5, "undecided: in no cut");
         let more = 2 * CHAIN_CAP as u32;
         for gid in 1..=more {
             write(&s, &ctx(gid), e, WriteOp::Add(1));
@@ -1111,11 +1003,8 @@ mod tests {
         // Later cuts still read, and still without the abandoned write.
         let snap = s.read_only_snapshot(&[e]);
         assert_eq!(snap.ts, 2 + u64::from(more));
-        assert_eq!(snap.get(e).unwrap().value, Some(5 + u64::from(more)));
-        assert_eq!(
-            s.shard_of(e).peek(e).datum,
-            Datum::Int(1_005 + u64::from(more))
-        );
+        assert_eq!(snap.get(e).unwrap().value, 5 + u64::from(more));
+        assert_eq!(s.shard_of(e).peek(e).value, 1_005 + u64::from(more));
         assert!(
             chain_len(&s, e) > CHAIN_CAP,
             "pinned by the undecided front"
@@ -1140,10 +1029,7 @@ mod tests {
         }
         // The writer is still undoable, and once it is decided the cap
         // applies again.
-        assert_eq!(
-            s.shard_of(both[0]).undo_write(&in_flight, both[0]),
-            UndoOutcome::RolledBack
-        );
+        assert!(s.shard_of(both[0]).undo_write(&in_flight, both[0]));
         transfer(&s, 100, 0, 1, 1);
         assert!(chain_len(&s, both[0]) <= CHAIN_CAP);
         assert_eq!(s.read_only_snapshot(&both).sum_int(), 2_000);
@@ -1313,13 +1199,11 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// `(kind, int payload)` → a concrete op; bytes payloads derive
-        /// from the integer so the whole op space stays reachable.
+        /// `(kind, payload)` → a concrete op.
         fn op_of((kind, n): (u8, i64)) -> WriteOp {
-            match kind % 3 {
+            match kind % 2 {
                 0 => WriteOp::Add(n),
-                1 => WriteOp::Put(n as u64),
-                _ => WriteOp::PutBytes(n.to_le_bytes()[..(n as usize % 9)].to_vec()),
+                _ => WriteOp::Put(n as u64),
             }
         }
 
@@ -1327,7 +1211,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             /// Any sequence of writes by a doomed attempt, undone in
-            /// full, restores the exact pre-attempt `(datum, version)`
+            /// full, restores the exact pre-attempt `(value, version)`
             /// for every touched entity — the tentpole invariant that
             /// makes wait-die aborts clean.
             #[test]
@@ -1343,7 +1227,7 @@ mod tests {
                     let e = EntityId(*e);
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
                     commit(&s, &c, e);
                 }
                 let pre = s.live_snapshot();
@@ -1358,13 +1242,11 @@ mod tests {
                         continue;
                     }
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {
-                        touched.push(e);
-                    }
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    touched.push(e);
                 }
                 for e in touched.iter().rev() {
-                    let out = s.shard_of(*e).undo_write(&c, *e);
-                    prop_assert!(out.rolled_back(), "{out:?}");
+                    prop_assert!(s.shard_of(*e).undo_write(&c, *e), "{e:?}");
                 }
                 prop_assert_eq!(s.live_snapshot(), pre);
             }
@@ -1384,47 +1266,33 @@ mod tests {
                 let (tx, _rx) = channel();
                 let doomed = ctx(0);
                 write(&s, &doomed, e, op_of(dead_raw));
-                // Interfering committed writes after the doomed unlock;
-                // some may be typed skips (Add on bytes).
+                // Interfering committed writes after the doomed unlock.
                 let mut expected = VersionedValue {
                     version: 0,
-                    datum: Datum::Int(initial),
+                    value: initial,
                 };
                 for (i, raw) in live_raws.iter().enumerate() {
                     let c = ctx(1 + i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    let _ = s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
                     commit(&s, &c, e);
-                    if let Ok(v) = apply_op(e, &expected, &op_of(*raw)) {
-                        expected = v;
-                    }
+                    expected = expected.apply(op_of(*raw));
                 }
 
-                let out = s.shard_of(e).undo_write(&doomed, e);
-                prop_assert!(out.rolled_back(), "{out:?}");
-                // Caveat: a committed Add that was skipped live (it met
-                // the doomed PutBytes) but types against the pre-attempt
-                // Int state diverges semantically; exclude that corner —
-                // it is the Bytes/Int boundary, not undo math.
-                let skipped_divergence = matches!(op_of(dead_raw), WriteOp::PutBytes(_))
-                    && live_raws.iter().any(|r| matches!(op_of(*r), WriteOp::Add(_)));
-                if !skipped_divergence {
-                    prop_assert_eq!(s.shard_of(e).peek(e), expected);
-                }
+                prop_assert!(s.shard_of(e).undo_write(&doomed, e));
+                prop_assert_eq!(s.shard_of(e).peek(e), expected);
             }
 
             /// ≥2 doomed writers overlap on one entity, interleaved with
             /// committed writers, and are undone in an arbitrary order:
             /// every undo must roll back and the store must end at
-            /// exactly the committed-only state (datum *and* version) —
-            /// the overlapping-victims regression class. Int ops only;
-            /// the byte corners are exercised below and may honestly
-            /// report `Unrecoverable`.
+            /// exactly the committed-only state (value *and* version) —
+            /// the overlapping-victims regression class.
             #[test]
             fn interleaved_doomed_writers_fully_undo_in_any_order(
                 initial in 0u64..1_000_000,
                 writers in prop::collection::vec(
-                    (any::<bool>(), 0u8..2, -1_000i64..1_000),
+                    (any::<bool>(), any::<u8>(), -1_000i64..1_000),
                     2..7,
                 ),
                 order_keys in prop::collection::vec(any::<u32>(), 7..8),
@@ -1434,43 +1302,37 @@ mod tests {
                 let (tx, _rx) = channel();
                 let mut expected = VersionedValue {
                     version: 0,
-                    datum: Datum::Int(initial),
+                    value: initial,
                 };
                 let mut doomed = Vec::new();
                 for (i, (doom, kind, n)) in writers.iter().enumerate() {
-                    let op = match kind % 2 {
-                        0 => WriteOp::Add(*n),
-                        _ => WriteOp::Put(*n as u64),
-                    };
+                    let op = op_of((*kind, *n));
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(&op)).unwrap();
+                    s.shard_of(e).write_and_release(&c, e, Some(op));
                     // The first two writers are always victims, so every
                     // case has overlapping doomed attempts.
                     if *doom || i < 2 {
                         doomed.push(c);
                     } else {
                         commit(&s, &c, e);
-                        expected = apply_op(e, &expected, &op).unwrap();
+                        expected = expected.apply(op);
                     }
                 }
                 let mut order: Vec<usize> = (0..doomed.len()).collect();
                 order.sort_by_key(|&i| order_keys[i]);
                 for &i in &order {
-                    let out = s.shard_of(e).undo_write(&doomed[i], e);
-                    prop_assert!(out.rolled_back(), "victim {i}: {out:?}");
+                    prop_assert!(s.shard_of(e).undo_write(&doomed[i], e), "victim {i}");
                 }
                 prop_assert_eq!(s.shard_of(e).peek(e), expected);
             }
 
-            /// The full op space (including `PutBytes`): a rollback that
-            /// *claims* to be clean — every undo reports `rolled_back` —
-            /// must restore the exact pre-attempt state, in every undo
-            /// order. The byte corners may instead report
-            /// `Unrecoverable` (an honest dirty abort), but never a
-            /// silent corruption dressed as a clean rollback.
+            /// Overlapping victims over the whole value range (wrapping
+            /// deltas included), undone in every order: every undo rolls
+            /// back and the entity ends at exactly its pre-attempt
+            /// state.
             #[test]
-            fn overlapping_victims_never_fake_a_clean_rollback(
+            fn overlapping_victims_undo_to_the_exact_pre_state(
                 initial in any::<u64>(),
                 raws in prop::collection::vec((any::<u8>(), any::<i64>()), 2..6),
                 order_keys in prop::collection::vec(any::<u32>(), 6..7),
@@ -1483,21 +1345,15 @@ mod tests {
                 for (i, raw) in raws.iter().enumerate() {
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    // An `Add` meeting a byte payload is a typed skip:
-                    // nothing applied, nothing to undo.
-                    if s.shard_of(e).write_and_release(&c, e, Some(&op_of(*raw))).is_ok() {
-                        doomed.push(c);
-                    }
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    doomed.push(c);
                 }
                 let mut order: Vec<usize> = (0..doomed.len()).collect();
                 order.sort_by_key(|&i| order_keys[i]);
-                let mut all_clean = true;
                 for &i in &order {
-                    all_clean &= s.shard_of(e).undo_write(&doomed[i], e).rolled_back();
+                    prop_assert!(s.shard_of(e).undo_write(&doomed[i], e), "victim {i}");
                 }
-                if all_clean {
-                    prop_assert_eq!(s.shard_of(e).peek(e), pre);
-                }
+                prop_assert_eq!(s.shard_of(e).peek(e), pre);
             }
         }
     }

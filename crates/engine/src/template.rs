@@ -38,14 +38,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A committed write against one entity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteOp {
-    /// Add a signed delta to the integer payload (wrapping).
+    /// Add a signed delta to the value (wrapping).
     Add(i64),
-    /// Overwrite with an integer.
+    /// Overwrite the value.
     Put(u64),
-    /// Overwrite with bytes.
-    PutBytes(Vec<u8>),
 }
 
 /// The data program of one template: which locked entities are *read*

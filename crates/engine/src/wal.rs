@@ -47,14 +47,16 @@
 //!  Abort   := 0x05 gid:u32 attempt:u32
 //!  Event   := 0x06 gid:u32 attempt:u32 node:u32
 //!
-//!  WriteOp := 0x00 delta:i64  |  0x01 value:u64  |  0x02 len:u32 bytes
-//!                          (all integers LE; tags 0x03 and 0x07 are retired)
+//!  WriteOp := 0x00 delta:i64  |  0x01 value:u64
+//!               (all integers LE; record tags 0x03, 0x07 and op tag 0x02 are retired)
 //! ```
 //!
 //! The grammar holds exactly what [`recover`] reads — no value images,
 //! no event times (file order *is* event order) — and decoding is
 //! strict, so a directory written in an older grammar is refused with
-//! [`WalError::Record`] rather than misread. A directory written in the
+//! [`WalError::Record`] rather than misread. Op tag `0x02` wrote a byte
+//! string; an entity's value is a `u64`, so no op can fail to apply
+//! and recovery replays every committed write. A directory written in the
 //! older *multi-file* layout (`commit.wal` + `history.wal` +
 //! `shard-<k>.wal`) is refused by name; no reader for it is kept.
 //!
@@ -108,7 +110,7 @@
 //! decision is in the kernel and on disk before its commit is
 //! published.
 
-use crate::store::{Store, WriteError};
+use crate::store::Store;
 use crate::template::WriteOp;
 use crate::wire::{codec, frame};
 use ddlf_lockdep::{blocking_region, BlockingKind};
@@ -190,30 +192,20 @@ const TAG_EVENT: u8 = 6;
 
 const OP_ADD: u8 = 0;
 const OP_PUT: u8 = 1;
-const OP_PUT_BYTES: u8 = 2;
 
-fn put_op(b: &mut Vec<u8>, op: &WriteOp) {
-    match op {
-        WriteOp::Add(delta) => {
-            b.push(OP_ADD);
-            codec::put_u64(b, *delta as u64);
-        }
-        WriteOp::Put(v) => {
-            b.push(OP_PUT);
-            codec::put_u64(b, *v);
-        }
-        WriteOp::PutBytes(bytes) => {
-            b.push(OP_PUT_BYTES);
-            codec::put_bytes(b, bytes);
-        }
-    }
+fn put_op(b: &mut Vec<u8>, op: WriteOp) {
+    let (tag, word) = match op {
+        WriteOp::Add(delta) => (OP_ADD, delta as u64),
+        WriteOp::Put(v) => (OP_PUT, v),
+    };
+    b.push(tag);
+    codec::put_u64(b, word);
 }
 
 fn get_op(buf: &mut &[u8]) -> Option<WriteOp> {
     match codec::get_u8(buf)? {
         OP_ADD => Some(WriteOp::Add(codec::get_u64(buf)? as i64)),
         OP_PUT => Some(WriteOp::Put(codec::get_u64(buf)?)),
-        OP_PUT_BYTES => Some(WriteOp::PutBytes(codec::get_bytes(buf)?)),
         _ => None,
     }
 }
@@ -250,7 +242,7 @@ impl WalRecord {
                 codec::put_u32(b, *gid);
                 codec::put_u32(b, *attempt);
                 codec::put_u32(b, entity.0);
-                put_op(b, op);
+                put_op(b, *op);
             }
             WalRecord::Commit {
                 gid,
@@ -411,14 +403,9 @@ impl LogWriter {
     }
 
     /// Frames `rec` into the buffer through [`frame::put_frame`] and
-    /// pushes the buffer once it is full. Returns the frame's size. A
-    /// record above [`frame::MAX_FRAME`] is refused with `InvalidData`,
-    /// leaves no byte of itself behind, and gives back the memory it
-    /// grew the buffer by.
+    /// pushes the buffer once it is full. Returns the frame's size.
     fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
-        let framed = frame::put_frame(&mut self.buf, |b| rec.encode_into(b)).inspect_err(|_| {
-            self.buf.shrink_to(LOG_BUFFER);
-        })?;
+        let framed = frame::put_frame(&mut self.buf, |b| rec.encode_into(b))?;
         if matches!(rec, WalRecord::Commit { .. }) {
             // Counted before a full-buffer push, so that push covers it.
             self.marks.decided.fetch_add(1, Ordering::Release);
@@ -626,7 +613,7 @@ impl Wal {
     }
 
     /// Appends one frame to the locked log (buffered), poisoning the WAL
-    /// on I/O failure or an oversize record.
+    /// on I/O failure.
     fn append_record(&self, w: &mut LogWriter, rec: &WalRecord) {
         if self.failed.load(Ordering::Relaxed) {
             return;
@@ -864,9 +851,6 @@ pub struct Recovered {
     pub aborted_attempts: usize,
     /// Committed write operations re-applied.
     pub replayed_writes: u64,
-    /// Committed writes skipped because the operation no longer typed
-    /// (see [`WriteError`]); nonzero indicates store corruption.
-    pub skipped_writes: u64,
     /// `D(S)` verdict over the recovered committed history; `None` when
     /// the recovered schedule failed validation (`audit_error` says why).
     pub serializable: Option<bool>,
@@ -1034,9 +1018,9 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
 
     // Pass 2, data frames only, in file order — which is chain (lock)
     // order per entity and audit order for events. Only the *committing*
-    // attempt's records replay: an instance that died dirty on an
-    // earlier attempt and committed on a retry must not replay the
-    // rolled-back write too. Every write re-enters its entity's chain
+    // attempt's records replay: an instance that died on an earlier
+    // attempt and committed on a retry must not replay the rolled-back
+    // write too. Every write re-enters its entity's chain
     // already stamped; gaps in the timestamps are expected (a ts
     // allocated by the crashed process whose decision never reached the
     // log) and the clock resumes past the highest durable one. Every
@@ -1045,7 +1029,6 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
     // never re-mint its id.
     let mut store = Store::new(db, meta.initial_value);
     let mut replayed = 0u64;
-    let mut skipped = 0u64;
     let committing = |gid: u32, attempt: u32| {
         let &(_, a, commit_ts) = committed.get(&gid)?;
         (a == attempt).then_some(commit_ts)
@@ -1067,10 +1050,8 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
                         "write to unknown entity {entity}"
                     )));
                 }
-                match store.recover_write(entity, gid, &op, commit_ts) {
-                    Ok(()) => replayed += 1,
-                    Err(WriteError::AddToBytes { .. }) => skipped += 1,
-                }
+                store.recover_write(entity, gid, op, commit_ts);
+                replayed += 1;
             }
             WalRecord::Event { gid, attempt, node } => {
                 saw(gid);
@@ -1098,7 +1079,6 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         begun,
         aborted_attempts: aborted,
         replayed_writes: replayed,
-        skipped_writes: skipped,
         serializable,
         audit_error,
         history_len,
@@ -1155,10 +1135,6 @@ mod tests {
                 "02ffffffff0200000005000000010201000000000000",
             ),
             (
-                write(WriteOp::PutBytes(vec![1, 2, 3])),
-                "02ffffffff02000000050000000203000000010203",
-            ),
-            (
                 WalRecord::Commit {
                     gid: 1,
                     template: 0,
@@ -1196,7 +1172,7 @@ mod tests {
         use ddlf_model::{Database, Op, Transaction};
         let image = |version: u64, value: u64| {
             let mut b = version.to_le_bytes().to_vec();
-            b.push(0); // Datum::Int
+            b.push(0); // the integer payload's tag
             b.extend(value.to_le_bytes());
             b
         };
@@ -1488,8 +1464,6 @@ mod tests {
             },
             write(WriteOp::Add(-7)),
             write(WriteOp::Put(u64::MAX)),
-            write(WriteOp::PutBytes(vec![0x5A; 300])),
-            write(WriteOp::PutBytes(Vec::new())),
             commit(5),
             WalRecord::Abort { gid: 6, attempt: 3 },
             WalRecord::Event {
@@ -1512,31 +1486,6 @@ mod tests {
             "decision frames"
         );
         assert_eq!(w.marks.pushed.load(Ordering::Relaxed), 0);
-    }
-
-    /// A record above `MAX_FRAME` poisons the WAL and leaves the buffer
-    /// exactly as it was: no length prefix, no partial payload.
-    #[test]
-    fn oversize_record_poisons_and_leaves_no_partial_frame() {
-        let w = bare_wal_with("oversize", WalOptions::default());
-        let small = WalRecord::Abort { gid: 1, attempt: 0 };
-        w.append([small.clone()]);
-        let before = w.log.lock().buf.clone();
-        w.append([WalRecord::Write {
-            gid: 2,
-            attempt: 0,
-            entity: EntityId(0),
-            op: WriteOp::PutBytes(vec![0; frame::MAX_FRAME]),
-        }]);
-        assert!(w.poisoned(), "an oversize record must poison the WAL");
-        let log = w.log.lock();
-        assert_eq!(log.buf, before, "a partial frame was left behind");
-        assert!(
-            log.buf.capacity() <= 2 * LOG_BUFFER,
-            "the buffer stayed large"
-        );
-        drop(log);
-        assert_eq!(before, framed(&small.encode()));
     }
 
     /// Without `sync` a decision is buffered like any record: no push
@@ -1593,16 +1542,17 @@ mod tests {
     }
 
     #[test]
-    fn datum_and_op_exhaustive_roundtrip() {
+    fn op_exhaustive_roundtrip() {
         for op in [
             WriteOp::Add(i64::MIN),
             WriteOp::Add(i64::MAX),
             WriteOp::Put(u64::MAX),
-            WriteOp::PutBytes(vec![0xAB; 300]),
         ] {
             let mut b = Vec::new();
-            put_op(&mut b, &op);
+            put_op(&mut b, op);
             assert_eq!(get_op(&mut b.as_slice()), Some(op));
         }
+        // The retired byte-string op decodes to nothing, however long.
+        assert_eq!(get_op(&mut [2u8, 0, 0, 0, 0].as_slice()), None);
     }
 }

@@ -122,17 +122,17 @@ impl Prefix {
     }
 
     /// Entities locked but not unlocked by this prefix — the locks held
-    /// after executing exactly these nodes.
-    pub fn held_entities(&self, txn: &Transaction) -> Vec<EntityId> {
-        txn.entities()
-            .iter()
-            .copied()
-            .filter(|&e| {
-                let l = txn.lock_node_of(e).expect("entity accessed");
-                let u = txn.unlock_node_of(e).expect("entity accessed");
-                self.contains(l) && !self.contains(u)
-            })
-            .collect()
+    /// after executing exactly these nodes — in `txn`'s entity order,
+    /// without allocating.
+    pub fn held_entities<'a>(
+        &'a self,
+        txn: &'a Transaction,
+    ) -> impl Iterator<Item = EntityId> + 'a {
+        txn.entities().iter().copied().filter(move |&e| {
+            let l = txn.lock_node_of(e).expect("entity accessed");
+            let u = txn.unlock_node_of(e).expect("entity accessed");
+            self.contains(l) && !self.contains(u)
+        })
     }
 
     /// `Y(T')` from §5: entities mentioned in the *remaining* steps —
@@ -275,9 +275,7 @@ impl SystemPrefix {
     pub fn holders(&self, txns: &[Transaction]) -> Vec<(EntityId, TxnId)> {
         let mut out = Vec::new();
         for (i, (p, t)) in self.prefixes.iter().zip(txns).enumerate() {
-            for e in p.held_entities(t) {
-                out.push((e, TxnId::from_index(i)));
-            }
+            out.extend(p.held_entities(t).map(|e| (e, TxnId::from_index(i))));
         }
         out.sort_unstable();
         out
@@ -343,7 +341,7 @@ mod tests {
         let t = seq_txn(&db, "T", &[0, 1]);
         // Execute L e0, L e1, U e0.
         let p = Prefix::from_nodes(&t, [NodeId(0), NodeId(1), NodeId(2)]).unwrap();
-        assert_eq!(p.held_entities(&t), vec![EntityId(1)]);
+        assert_eq!(p.held_entities(&t).collect::<Vec<_>>(), [EntityId(1)]);
         assert_eq!(p.pending_entities(&t), vec![EntityId(1)]);
     }
 

@@ -49,7 +49,7 @@
 //! | opcode | response        | payload                                                        |
 //! |-------:|-----------------|----------------------------------------------------------------|
 //! | `1`    | `Registered`    | certified/safety/floored bools, verdict str, rationale str, plan: `u32` count × (name str, `0` = ∞ ∣ `1 k:u64`) |
-//! | `2`    | `Submitted`     | [`RunStats`]: 10 × `u64` counters, serializable byte (`0` none ∣ `1` false ∣ `2` true) |
+//! | `2`    | `Submitted`     | [`RunStats`]: 9 × `u64` counters, serializable byte (`0` none ∣ `1` false ∣ `2` true) |
 //! | `3`    | `Report`        | same [`RunStats`] layout, cumulative over every submission     |
 //! | `4`    | `ShuttingDown`  | —                                                              |
 //! | `5`    | `Error`         | kind byte (`1` bad-request ∣ `2` no-system ∣ `3` unknown-template ∣ `4` bad-spec), message str |

@@ -513,8 +513,6 @@ record! {
         /// Aborted (and retried) wait-die attempts; always 0 on the
         /// certified path.
         aborted_attempts: u64,
-        /// Aborts that exposed a write (voids the audit).
-        dirty_aborts: u64,
         /// Instances that exhausted their attempt budget.
         failed: u64,
         /// Reads performed under locks.
@@ -540,7 +538,6 @@ impl RunStats {
             instances: r.instances as u64,
             committed: r.committed as u64,
             aborted_attempts: r.aborted_attempts as u64,
-            dirty_aborts: r.dirty_aborts as u64,
             failed: r.failed.len() as u64,
             reads: r.reads,
             writes: r.writes,
@@ -744,8 +741,8 @@ record! {
         commit_ts: u64,
         /// Version counter of the observed value.
         version: u64,
-        /// Integer payload; `None` when the committed payload is a byte
-        /// string (the read-only path reports identity, not bytes).
+        /// The value at the cut. A server always sends it; the option
+        /// is kept so the frame stays byte-identical.
         value: Option<u64>,
     }
 }
@@ -1053,7 +1050,7 @@ mod tests {
                     name: "blob".into(),
                     commit_ts: 3,
                     version: 1,
-                    value: None, // bytes payload: opaque to the int view
+                    value: None, // absent: the codec still carries it
                 },
             ],
         });

@@ -200,7 +200,7 @@ impl Shared {
                     name: db.name_of(e.entity).to_string(),
                     commit_ts: e.commit_ts,
                     version: e.version,
-                    value: e.value,
+                    value: Some(e.value),
                 })
                 .collect(),
         })

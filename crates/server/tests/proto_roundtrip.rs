@@ -53,13 +53,12 @@ fn stats_of(fields: Vec<u64>, serializable: usize) -> RunStats {
         instances: fields[0],
         committed: fields[1],
         aborted_attempts: fields[2],
-        dirty_aborts: fields[3],
-        failed: fields[4],
-        reads: fields[5],
-        writes: fields[6],
-        wall_us: fields[7],
-        peak_inflight: fields[8],
-        history_len: fields[9],
+        failed: fields[3],
+        reads: fields[4],
+        writes: fields[5],
+        wall_us: fields[6],
+        peak_inflight: fields[7],
+        history_len: fields[8],
         serializable: [None, Some(false), Some(true)][serializable % 3],
     }
 }
@@ -276,7 +275,6 @@ fn golden_run_stats(serializable: Option<bool>) -> RunStats {
         instances: 512,
         committed: 511,
         aborted_attempts: 3,
-        dirty_aborts: 0,
         failed: 1,
         reads: 2048,
         writes: 1024,
@@ -350,25 +348,25 @@ fn golden_wire_bytes() {
         (
             Response::Submitted(golden_run_stats(Some(true))),
             concat!(
-                "020002000000000000ff01000000000000030000000000000000000000000000",
-                "0001000000000000000008000000000000000400000000000087d61200000000",
-                "000400000000000000001000000000000002",
+                "020002000000000000ff01000000000000030000000000000001000000000000",
+                "000008000000000000000400000000000087d612000000000004000000000000",
+                "00001000000000000002",
             ),
         ),
         (
             Response::Report(golden_run_stats(Some(false))),
             concat!(
-                "030002000000000000ff01000000000000030000000000000000000000000000",
-                "0001000000000000000008000000000000000400000000000087d61200000000",
-                "000400000000000000001000000000000001",
+                "030002000000000000ff01000000000000030000000000000001000000000000",
+                "000008000000000000000400000000000087d612000000000004000000000000",
+                "00001000000000000001",
             ),
         ),
         (
             Response::Report(golden_run_stats(None)),
             concat!(
-                "030002000000000000ff01000000000000030000000000000000000000000000",
-                "0001000000000000000008000000000000000400000000000087d61200000000",
-                "000400000000000000001000000000000000",
+                "030002000000000000ff01000000000000030000000000000001000000000000",
+                "000008000000000000000400000000000087d612000000000004000000000000",
+                "00001000000000000000",
             ),
         ),
         (Response::ShuttingDown, "04"),

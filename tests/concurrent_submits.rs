@@ -120,7 +120,6 @@ fn submit_concurrently(
     assert_eq!(reports.len(), 4 * runs, "{tag}: every run completes");
     for r in &reports {
         assert!(r.all_committed(), "{tag}: {r:?}");
-        assert_eq!(r.dirty_aborts, 0, "{tag}: {r:?}");
     }
     let live = conjunction(&reports);
     assert_eq!(engine.report_snapshot().serializable, live, "{tag}");

@@ -894,10 +894,10 @@ fn admitted(mut r: Row, reg: &TemplateRegistry) {
 }
 
 /// Admits `reg` and runs it: only the facts no schedule can change. Every
-/// run commits all it was given, with no dirty abort; a `safe` run's
-/// audit says serializable, any other's only that it audited. A run on
-/// the certified path aborts nothing and never holds more instances of
-/// a template than its slots, and a safe one's counters are exact.
+/// run commits all it was given; a `safe` run's audit says
+/// serializable, any other's only that it audited. A run on the
+/// certified path aborts nothing and never holds more instances of a
+/// template than its slots, and a safe one's counters are exact.
 fn run(mut r: Row, reg: TemplateRegistry, cfg: EngineConfig, safe: bool) {
     let engine = Engine::with_registry(reg, cfg);
     let report = engine.run();
@@ -909,7 +909,6 @@ fn run(mut r: Row, reg: TemplateRegistry, cfg: EngineConfig, safe: bool) {
         report.plan_floored,
     );
     r.put("committed", ratio(report.committed, report.instances));
-    r.put("dirty_aborts", report.dirty_aborts);
     if safe {
         r.put("serializable", yn(report.serializable == Some(true)));
         r.put("total_int", engine.store().total_int());

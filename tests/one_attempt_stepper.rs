@@ -96,7 +96,6 @@ fn wait_die_kills_the_younger_gid_after_earlier_runs_moved_the_id_space() {
         let older = 3 + 2 * round;
         let report = engine.run_mix(&[(TxnId(0), 1), (TxnId(1), 1)]);
         assert!(report.all_committed(), "{report:?}");
-        assert_eq!(report.dirty_aborts, 0);
         assert_eq!(report.serializable, Some(true));
         let died = span_gids(&telemetry, "abort");
         assert!(
@@ -175,7 +174,6 @@ proptest! {
         })
         .run();
         prop_assert!(report.all_committed(), "{report:?}");
-        prop_assert_eq!(report.dirty_aborts, 0);
         prop_assert!(audited(report.serializable), "{:?}", report.serializable);
     }
 }

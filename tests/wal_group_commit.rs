@@ -341,7 +341,7 @@ fn a_sync_run_pushes_the_log_once_per_group() {
 /// decision records and are stamped onto chains rebuilt in log
 /// (write) order, so decisions appended out of commit order change
 /// nothing. Run twice: the commuting transfer programs, and an
-/// **absolute-write** pair (`Put`/`PutBytes` on both shared ledgers)
+/// **absolute-write** pair (`Put`s on both shared ledgers)
 /// where every cut depends on the order the writes were applied in.
 #[test]
 fn recovered_store_answers_ro_snapshots_at_the_same_ts() {
@@ -350,9 +350,9 @@ fn recovered_store_answers_ro_snapshots_at_the_same_ts() {
     let absolute = [
         Program::transfer(bank.accounts[0][0], bank.accounts[1][0], 5)
             .write(l0, WriteOp::Put(7))
-            .write(l1, WriteOp::PutBytes(vec![1, 2])),
+            .write(l1, WriteOp::Put(13)),
         Program::transfer(bank.accounts[1][1], bank.accounts[0][1], 3)
-            .write(l0, WriteOp::PutBytes(vec![9]))
+            .write(l0, WriteOp::Put(9))
             .write(l1, WriteOp::Put(11)),
     ];
     recovered_cuts_match_live("ro-equality-abs", Some(absolute));

@@ -132,7 +132,6 @@ fn recovery_after_wait_die_rollbacks_sees_only_committed_effects() {
     );
     let live = engine.run();
     assert!(live.all_committed(), "{live:?}");
-    assert_eq!(live.dirty_aborts, 0, "{live:?}");
     let live_snapshot = engine.store().snapshot();
     drop(engine);
 
@@ -253,6 +252,53 @@ fn corrupt_frame_length_mid_log_is_a_typed_record_error() {
         Err(other) => panic!("expected Record error, got {other}"),
         Ok(rec) => panic!("corruption must not recover cleanly: {}", rec.summary()),
     }
+}
+
+/// Op tag `0x02` wrote a byte string and is retired: a log holding a
+/// committed `Write` frame with it is refused with a typed record error,
+/// never replayed or skipped.
+#[test]
+fn a_write_with_the_retired_op_tag_is_refused() {
+    let dir = wal_dir("retired-op");
+    let engine = banking_engine(&dir, 4);
+    assert!(engine.run().all_committed());
+    drop(engine);
+    let gid = 1_000u32;
+    let mut write = vec![2u8];
+    for word in [gid, 0, 0] {
+        write.extend(word.to_le_bytes()); // gid, attempt, entity
+    }
+    write.push(2); // the retired op, then len:u32 and its bytes
+    write.extend(1u32.to_le_bytes());
+    write.push(9);
+    let begin = WalRecord::Begin {
+        gid,
+        template: 0,
+        attempt: 0,
+    };
+    let commit = WalRecord::Commit {
+        gid,
+        template: 0,
+        attempt: 0,
+        commit_ts: 1_000,
+    };
+    let mut log = Vec::new();
+    for payload in [begin.encode(), write, commit.encode()] {
+        put_frame(&mut log, |b| b.extend_from_slice(&payload)).unwrap();
+    }
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("log.wal"))
+        .unwrap();
+    f.write_all(&log).unwrap();
+    drop(f);
+
+    match recover(&dir) {
+        Err(WalError::Record(m)) => assert!(m.contains("did not decode"), "{m}"),
+        Err(other) => panic!("expected a Record error, got {other}"),
+        Ok(rec) => panic!("the retired op recovered: {}", rec.summary()),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

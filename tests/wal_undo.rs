@@ -1,9 +1,8 @@
-//! The dirty abort is dead: wait-die victims that die *after* an unlock
-//! has exposed a write are rolled back through the per-shard undo logs,
-//! so non-two-phase fallback runs keep their conservation invariants
-//! **and** their `D(S)` audit — previously such runs reported
-//! `serializable: None` (audit voided) and could silently violate
-//! conservation.
+//! Wait-die victims that die *after* an unlock has exposed a write are
+//! rolled back — their chain entries removed — so non-two-phase
+//! fallback runs keep their conservation invariants **and** their
+//! `D(S)` audit; once such runs reported `serializable: None` (audit
+//! voided) and could silently violate conservation.
 
 use ddlf::engine::{
     AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program, Report,
@@ -57,9 +56,8 @@ fn forced_wait_die_on_non_two_phase_chain_conserves_and_audits() {
         let (report, total, versions) = pipelined_wait_die_run(seed);
         assert!(report.all_committed(), "seed {seed}: {report:?}");
         // The heart of the fix: every exposed write of a victim was
-        // taken back, so no abort is dirty and the audit runs — and
-        // passes — instead of being voided to None.
-        assert_eq!(report.dirty_aborts, 0, "seed {seed}: {report:?}");
+        // taken back, so the audit runs — and passes — instead of being
+        // voided to None.
         assert_eq!(
             report.serializable,
             Some(true),
@@ -85,7 +83,7 @@ fn forced_wait_die_on_non_two_phase_chain_conserves_and_audits() {
 
 /// Two *opposite* non-two-phase chains: uncertifiable (real fallback,
 /// not forced), deadlock-prone under naive blocking, and able to die
-/// dirty. The old executor excluded this shape from conservation tests;
+/// with a write exposed. The old executor excluded this shape from conservation tests;
 /// now it holds the same invariants as certified runs.
 #[test]
 fn uncertified_opposite_chains_complete_conserving_with_audit() {
@@ -134,57 +132,8 @@ fn uncertified_opposite_chains_complete_conserving_with_audit() {
     );
     let report = engine.run();
     assert!(report.all_committed(), "{report:?}");
-    assert_eq!(report.dirty_aborts, 0, "{report:?}");
     assert_eq!(report.serializable, Some(true), "{report:?}");
     // 2 000 initial + 2 per committed instance, aborts invisible.
     assert_eq!(engine.store().total_int(), 2_000 + 40 * 2);
     assert_eq!(engine.store().total_versions(), 40 * 2);
-}
-
-/// The typed write-skip end to end: one template PutBytes-es an entity,
-/// another tries to Add to it. The Add is skipped and counted — the old
-/// engine silently replaced the bytes with an integer.
-#[test]
-fn mistyped_add_is_skipped_and_counted_not_clobbered() {
-    let db = Database::one_entity_per_site(1);
-    let e = EntityId(0);
-    let ops = [Op::lock(e), Op::unlock(e)];
-    let t0 = Transaction::from_total_order("writer_bytes", &ops, &db).unwrap();
-    let t1 = Transaction::from_total_order("adder", &ops, &db).unwrap();
-    let sys = TransactionSystem::new(db, vec![t0, t1]).unwrap();
-    let mut reg = TemplateRegistry::register(sys);
-    reg.set_program(
-        TxnId(0),
-        Program::default().write(e, WriteOp::PutBytes(vec![9])),
-    )
-    .unwrap();
-    reg.set_program(TxnId(1), Program::default().write(e, WriteOp::Add(3)))
-        .unwrap();
-
-    // Single worker: instance 0 (bytes) strictly precedes instance 1
-    // (add), so the Add deterministically meets a bytes payload.
-    let engine = Engine::with_registry(
-        reg,
-        EngineConfig {
-            threads: 1,
-            instances: 2,
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    assert!(report.all_committed(), "{report:?}");
-    assert_eq!(report.writes, 1, "only the PutBytes landed");
-    assert_eq!(report.writes_skipped, 1, "the Add was skipped, typed");
-    let (_, v) = engine
-        .store()
-        .snapshot()
-        .into_iter()
-        .find(|(ent, _)| *ent == e)
-        .unwrap();
-    assert_eq!(
-        v.datum,
-        ddlf::engine::Datum::Bytes(vec![9]),
-        "payload must survive the mistyped Add"
-    );
-    assert_eq!(engine.store().total_versions(), 1);
 }

@@ -11,13 +11,13 @@
 //!
 //! `run` executes the system on the `ddlf-engine` key-value store:
 //! certified systems take the no-detector path, uncertified ones fall
-//! back to wait-die. `--inflate k` asks for `k` concurrent instances per
-//! template (certified up front, floored to 1 on rejection); `--inflate
-//! auto` searches for the largest certified uniform k up to the worker
-//! count. The admission plan is printed either way. The exit code is the
-//! audit: nonzero unless every instance committed **and** the committed
-//! history audited serializable (`D(S)` said yes, not merely "no abort
-//! was seen"). `submit` holds a running `serve` to the same contract
+//! back to wait-die over their two-phase closure. `--inflate k` asks for
+//! `k` concurrent instances per template (certified safe up front, else
+//! floored to 1); `--inflate auto` searches for the largest uniform k
+//! certified safe, up to the worker count. The admission plan is printed either way. The exit code is the
+//! verdict: nonzero unless every instance committed **and** the committed
+//! history is serializable (by the theorem behind the plan in release
+//! builds, by the `D(S)` oracle in debug builds). `submit` holds a running `serve` to the same contract
 //! over TCP, `recover` a crashed run's write-ahead log.
 //!
 //! `explore` systematically enumerates the interleavings of the spec
@@ -297,9 +297,9 @@ pub enum Command {
 }
 
 /// The exit-code contract of `run` and `submit`: success requires that
-/// every instance committed **and** the committed history *audited*
-/// serializable. An unauditable run (`serializable == None` with
-/// instances submitted — the audit itself failed) is a failure too.
+/// every instance committed **and** the committed history is
+/// serializable. A run without a verdict (`serializable == None` with
+/// instances submitted) is a failure too.
 pub fn audit_exit_failure(
     instances: usize,
     all_committed: bool,
@@ -448,9 +448,8 @@ fn run_lockgraph(dot: bool) -> Outcome {
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
     // Engine legs: slot_gate, shard.state, store.clock, engine.* and the
     // wal.* classes (fsync regions and the durable mark via `wal_sync`,
-    // the event section — engine.auditor over wal.log —
-    // on every unlock, the write-ahead append — shard.state over
-    // wal.log — on every write). Snapshot reads race both runs; in the
+    // an unlock's event append — wal.log, holding nothing — and the
+    // write-ahead append — shard.state over wal.log — on every write). Snapshot reads race both runs; in the
     // second, without `wal_sync`, a read that finds a decision still in
     // the log buffer pushes it, taking wal.log holding nothing.
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));
@@ -477,7 +476,7 @@ fn run_lockgraph(dot: bool) -> Outcome {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
     // Wire leg: server.engine / server.conns plus the accept-wait
-    // blocking region, and the audit epoch two runs share — the
+    // blocking region, and two runs on one engine — the
     // `submit` verb registers, then two connections submit at once
     // against a WAL'd, fsyncing in-process server.
     let cfg = ServeConfig {
@@ -688,16 +687,18 @@ fn certify(sys: &TransactionSystem, inflate: InflateSpec, json: bool) -> (String
     let admission_ms = started.elapsed().as_secs_f64() * 1e3;
     let (verdict, plan) = (registry.verdict(), registry.plan());
     // Theorem 4's counters exist when every grant is a finite k and the
-    // granted system has ≥ 3 transactions that certify.
+    // granted system (the two-phase closure, when admission closed it)
+    // has ≥ 3 transactions that certify.
     let granted: Option<Vec<usize>> = plan.slots.iter().map(|s| s.limit()).collect();
-    let counters =
-        granted.and_then(|k| sys.inflate(&k).ok()).and_then(
-            |g| match certify_safe_and_deadlock_free(g.system(), CertifyOptions::default()) {
+    let counters = granted
+        .and_then(|k| registry.system().inflate(&k).ok())
+        .and_then(|g| {
+            match certify_safe_and_deadlock_free(g.system(), CertifyOptions::default()) {
                 Ok(Certificate::Many(c)) => Some(c),
                 _ => None,
-            },
-        );
-    let bad = !verdict.guarantees_safety() || plan.floored;
+            }
+        });
+    let bad = !verdict.is_certified() || plan.floored;
     let mut out = String::new();
     if json {
         let slots = sys.iter().map(|(t, txn)| {

@@ -336,11 +336,9 @@ pub(crate) fn stats_human(s: &StatsSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "uptime {:.1}s | inflight {} | auditor {} nodes / {} arcs | wal {} B | trace {} captured (+{} dropped)",
+        "uptime {:.1}s | inflight {} | wal {} B | trace {} captured (+{} dropped)",
         s.uptime_us as f64 / 1e6,
         s.inflight,
-        s.auditor_nodes,
-        s.auditor_arcs,
         s.wal_bytes,
         s.trace_captured,
         s.trace_dropped,

@@ -36,10 +36,10 @@ pub struct InflateOptions {
     pub certify: CertifyOptions,
     /// State budget for the exhaustive deadlock-freedom-only fallback
     /// that runs when the safe-and-deadlock-free certifier rejects;
-    /// `0` disables the fallback. A DF-only certificate still admits the
-    /// no-detector path (no stall, zero aborts) but guarantees nothing
-    /// about serializability — the post-hoc `D(S)` audit remains the
-    /// arbiter.
+    /// `0` disables the fallback. A DF-only certificate promises no
+    /// stall and zero aborts but nothing about serializability, so the
+    /// engine runs none: it floors such a request to a plan certified
+    /// safe.
     pub explore_states: usize,
 }
 

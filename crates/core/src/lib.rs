@@ -51,6 +51,6 @@ pub use reduction::{
     check_deadlock_prefix, complete_schedule, find_schedule_for_prefix, DeadlockPrefix,
     ReductionGraph,
 };
-pub use safety::{is_safe_exhaustive, is_two_phase, two_phase_system};
+pub use safety::{is_safe_exhaustive, is_two_phase, two_phase_closure, two_phase_system};
 pub use sat_reduction::SatReduction;
 pub use tirri::tirri_two_entity_pattern;

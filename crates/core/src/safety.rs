@@ -9,6 +9,9 @@
 //! * [`two_phase_system`] — 2PL for a whole system, which implies safety
 //!   (property-tested against the exhaustive unserializable-schedule
 //!   search);
+//! * [`two_phase_closure`] — a transaction's two-phase form (same
+//!   operations, every lock before every unlock), which the engine runs
+//!   wherever no certificate covers the transaction as written;
 //! * [`safety_reduces_to_extensions`] — the `[KP2]` observation quoted in
 //!   §3: a distributed pair is safe iff every pair of linear extensions
 //!   is safe (made executable for test sizes; contrast with Fig. 3, where
@@ -39,6 +42,32 @@ pub fn is_two_phase(t: &Transaction) -> bool {
 /// as the paper stresses, not necessarily deadlock-free.
 pub fn two_phase_system(sys: &TransactionSystem) -> bool {
     sys.txns().iter().all(is_two_phase)
+}
+
+/// The two-phase closure of `t`: the same operations in the same node
+/// order, so every `NodeId` keeps its meaning, ordered by `t`'s order
+/// restricted to its locks, `t`'s order restricted to its unlocks, and
+/// `Lx ≺ Uy` for every lock `Lx` and unlock `Uy`. The closure is
+/// two-phase, so a system of closures is safe by `[EGLT]`. Two nodes of
+/// one site stay comparable, and a two-phase `t` is its own closure.
+pub fn two_phase_closure(t: &Transaction, db: &Database) -> Transaction {
+    if is_two_phase(t) {
+        return t.clone();
+    }
+    let mut b = Transaction::builder(t.name());
+    for n in t.nodes() {
+        b.op(t.op(n));
+    }
+    for a in t.nodes() {
+        for c in t.nodes() {
+            let (a_locks, c_locks) = (t.op(a).is_lock(), t.op(c).is_lock());
+            if (a_locks && !c_locks) || (a_locks == c_locks && t.precedes(a, c)) {
+                b.arc(a, c);
+            }
+        }
+    }
+    b.build(db)
+        .expect("the closure of a valid transaction is valid")
 }
 
 /// The `[KP2]` reduction for **safety**: `{T₁, T₂}` is safe iff `{t₁, t₂}`
@@ -93,7 +122,7 @@ pub fn is_safe_exhaustive(sys: &TransactionSystem, state_budget: usize) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddlf_model::EntityId;
+    use ddlf_model::{EntityId, NodeId};
 
     fn db(n: usize) -> Database {
         Database::one_entity_per_site(n)
@@ -150,6 +179,27 @@ mod tests {
         b.lock_unlock(EntityId(1));
         let t = b.build(&db).unwrap();
         assert!(!is_two_phase(&t));
+    }
+
+    #[test]
+    fn closure_is_two_phase_and_keeps_every_node() {
+        // L0 U0 L1 U1: the closure holds 0 until 1 is locked.
+        let db = db(2);
+        let (x, y) = (EntityId(0), EntityId(1));
+        let ops = [Op::lock(x), Op::unlock(x), Op::lock(y), Op::unlock(y)];
+        let t = Transaction::from_total_order("T", &ops, &db).unwrap();
+        let c = two_phase_closure(&t, &db);
+        assert!(is_two_phase(&c));
+        assert_eq!(c.name(), "T");
+        assert!(t.nodes().all(|n| c.op(n) == t.op(n)));
+        let [lx, ux, ly, uy] = [0, 1, 2, 3].map(NodeId);
+        assert!(c.precedes(lx, ly) && c.precedes(ux, uy));
+        assert!(c.precedes(ly, ux), "every lock precedes every unlock");
+        // A two-phase transaction is its own closure.
+        let again = two_phase_closure(&c, &db);
+        assert!(c
+            .nodes()
+            .all(|a| c.nodes().all(|b| again.precedes(a, b) == c.precedes(a, b))));
     }
 
     #[test]

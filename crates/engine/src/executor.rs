@@ -33,11 +33,13 @@
 //!   (Theorems 3/4, or Theorem 5 for unbounded copies) make this
 //!   correct; each template's counting gate keeps the in-flight mix a
 //!   subsystem of the certified inflated system.
-//! * **Fallback (wait-die)** — nothing queues: the refusal is put to
-//!   the wait-die rule against the *current* holder on every poll
-//!   (re-checking keeps every sustained wait older→younger, so no cycle
-//!   can close); a requester that is not older dies, backs off, and
-//!   retries with its original timestamp.
+//! * **Fallback (wait-die)** — each template runs as its two-phase
+//!   closure (see [`crate::template`]), and nothing queues: the refusal
+//!   is put to the wait-die rule against the *current* holder on every
+//!   poll (re-checking keeps every sustained wait older→younger, so no
+//!   cycle can close); a requester that is not older dies, backs off,
+//!   and retries with its original timestamp. A death strikes only an
+//!   attempt that has not unlocked yet, so it has exposed no write.
 //!
 //! **One id.** An instance is its `gid`, minted by the engine from one
 //! monotone id space that lasts the engine's lifetime (seeded from
@@ -46,68 +48,39 @@
 //! trace spans, [`Report::failed`] and every WAL record. Nothing is
 //! run-local, with or without a WAL.
 //!
-//! **One event path.** Each release batch of effective lock/unlock
-//! events takes the `engine.auditor` lock once and, inside that one
-//! critical section, is appended to the log and fed to the
-//! incremental [`StreamingAuditor`] — the same order in both — so the
-//! engine keeps a *live* `D(S)` verdict instead of re-running the
-//! quadratic batch audit per report. Commit/abort decisions flow to the
-//! same auditor (aborted attempts contribute nothing to the committed
-//! projection); the batch
-//! [`CommittedProjection::audit`](ddlf_model::CommittedProjection::audit)
-//! remains the oracle: debug builds record a plain [`ddlf_model::History`]
-//! under the same lock and cross-check it when the auditor's epoch
-//! closes.
-//!
-//! **One audit epoch.** Runs may execute concurrently on one engine
-//! (the wire server's Submits do), so the auditor belongs to an
-//! *epoch*, not to a run: every admitted chunk in flight shares it.
-//! The engine keeps one auditor for its lifetime, and an epoch is what
-//! it holds between two closes. An epoch closes — the auditor cleared,
-//! its storage kept for the next — whenever no chunk is inside: when
-//! the last seated chunk leaves. A chunk that finds it at [`EPOCH_CAP`]
-//! waits for that. So an epoch closes only at quiescence, every
-//! conflict arc between two epochs points forward in time, and the
-//! concatenation of acyclic epochs is acyclic. A run's verdict is the
-//! conjunction of the epoch verdicts its chunks observed when they
-//! left. Verdicts are absorbing and a cycle closes while its last
-//! instance's chunk is still inside, so every cycle reaches some
-//! report. The epoch's bookkeeping (chunks seated, instances admitted)
-//! and its audit sit behind the same one `engine.auditor` mutex, so
-//! joining and leaving (reading the verdict and, for the last chunk
-//! out, closing the epoch) are each one critical section of the lock
-//! every event already takes, and nothing is acquired before it.
+//! **One event path, no run-time audit.** Every plan the engine runs is
+//! serializable by a theorem, so nothing audits it while it runs. Each
+//! release batch of effective lock/unlock events is appended to the log
+//! from inside the attempt's unlock, while the unlocked entity is still
+//! held, so the log orders each entity's events by its lock order:
+//! everything [`crate::wal::recover`]'s whole-log `D(S)` audit, the
+//! release build's referee, needs. Debug builds also stamp each event
+//! there from one atomic counter and, after each run, audit that run's
+//! committed projection in stamp order with the batch oracle
+//! [`CommittedProjection::audit`](ddlf_model::CommittedProjection::audit),
+//! so the whole engine test suite checks the theorem.
 
 use crate::attempt::{wait_die, Attempt, AttemptBufs, Refused};
 use crate::pool::Pool;
-use crate::report::{conjoin, LatencyStats, Report, TemplateReport};
+use crate::report::{LatencyStats, Report, TemplateReport};
 use crate::store::{Store, WriteCtx};
 use crate::template::{AdmissionOptions, SlotGuard, TemplateRegistry};
 use crate::wal::{Recovered, Wal, WalOptions, WalRecord};
-use ddlf_model::incremental::StreamingAuditor;
 use ddlf_model::{EntityId, NodeId, Transaction, TransactionSystem, TxnId};
 #[cfg(debug_assertions)]
 use ddlf_model::{History, HistoryEvent};
 use ddlf_telemetry::{Phase, SpanEvent, SpanKind, Telemetry, TemplateTable};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-#[cfg(debug_assertions)]
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Instances one audit epoch admits before a joining chunk waits for it
-/// to drain: the bound on the shared auditor's state (one conflict-graph
-/// node per committed instance) while runs keep overlapping. An epoch
-/// never holds more than this plus one chunk. It also bounds the
-/// debug-build batch oracle, which re-audits each closed epoch from
-/// scratch.
-pub const EPOCH_CAP: usize = 256;
 
 /// Attempt budget per instance. Only wait-die can use more than one:
 /// the certified discipline never refuses for good.
@@ -143,7 +116,8 @@ pub struct EngineConfig {
     /// Initial value of every entity.
     pub initial_value: u64,
     /// Run wait-die even when the system certifies (for benchmarking the
-    /// cost of not trusting the certificate).
+    /// cost of not trusting the certificate), over the registry's
+    /// two-phase closure ([`TemplateRegistry::two_phase`]).
     pub force_fallback: bool,
     /// Write-ahead log directory: every write, commit decision, and
     /// history event is appended to one log file (see
@@ -225,6 +199,9 @@ pub struct Engine {
 /// execution touches.
 struct Core {
     registry: TemplateRegistry,
+    /// The system the instances execute: the registry's own on the
+    /// certified path, its two-phase closure under wait-die.
+    sys: Arc<TransactionSystem>,
     /// Shared so the read-only snapshot path (wire `ReadOnly`
     /// requests, `run --readers` scanner threads) can read concurrently
     /// with a run without holding any engine reference.
@@ -232,12 +209,11 @@ struct Core {
     cfg: EngineConfig,
     /// The write-ahead log, when `cfg.wal_dir` asked for one.
     wal: Option<Arc<Wal>>,
-    /// The audit epoch every chunk in flight shares, behind
-    /// `engine.auditor`.
-    audit: Mutex<Audit>,
-    /// Signalled when the open epoch's last chunk leaves and closes it,
-    /// for chunks waiting out the cap.
-    drained: Condvar,
+    /// Debug builds: the next event stamp. An event takes its stamp
+    /// while its entity is held, so stamp order is each entity's lock
+    /// order (one atomic's modification order follows happens-before).
+    #[cfg(debug_assertions)]
+    stamps: AtomicU64,
 }
 
 /// The monotone gid allocator: each run reserves a contiguous range
@@ -263,177 +239,6 @@ struct Instance {
     /// timestamp (smaller = older).
     gid: u32,
     template: TxnId,
-}
-
-/// What the one `engine.auditor` mutex guards: the open audit epoch,
-/// who is inside it, and its audit. Every chunk joins and leaves it and
-/// admits its instances to it, and every release batch and decision
-/// enters it, each in one critical section of this lock.
-struct Audit {
-    /// The open epoch's audit, cleared when the epoch closes. An epoch
-    /// closes when its last seated chunk leaves, so a seated chunk's
-    /// epoch is always this one.
-    epoch: EpochAudit,
-    /// Chunks executing inside the open epoch.
-    chunks: usize,
-    /// Instances admitted to the open epoch.
-    admitted: usize,
-    /// Chunks waiting out the cap; the last chunk out wakes them.
-    waiting: usize,
-    /// Closed epochs the batch oracle re-audited.
-    #[cfg(debug_assertions)]
-    cross_checked: usize,
-}
-
-impl Audit {
-    fn new(sys: &TransactionSystem) -> Self {
-        Audit {
-            epoch: EpochAudit::new(sys),
-            chunks: 0,
-            admitted: 0,
-            waiting: 0,
-            #[cfg(debug_assertions)]
-            cross_checked: 0,
-        }
-    }
-}
-
-/// The open epoch's audit: the only record of "what happened" — the
-/// live auditor and (debug builds) the plain history the batch oracle
-/// re-audits when the epoch closes.
-struct EpochAudit {
-    auditor: StreamingAuditor,
-    #[cfg(debug_assertions)]
-    oracle: Oracle,
-}
-
-/// The debug-build batch oracle of one epoch.
-#[cfg(debug_assertions)]
-#[derive(Default)]
-struct Oracle {
-    history: History,
-    /// Every admitted gid: its template and committed attempt.
-    instances: HashMap<u32, (TxnId, Option<u32>)>,
-}
-
-impl EpochAudit {
-    fn new(sys: &TransactionSystem) -> Self {
-        EpochAudit {
-            auditor: StreamingAuditor::new(sys),
-            #[cfg(debug_assertions)]
-            oracle: Oracle::default(),
-        }
-    }
-
-    fn admit(&mut self, inst: Instance) {
-        self.auditor.admit(inst.gid, inst.template);
-        #[cfg(debug_assertions)]
-        self.oracle
-            .instances
-            .insert(inst.gid, (inst.template, None));
-    }
-
-    /// The one event path: a release batch of `ctx`'s events enters
-    /// the log and the auditor inside the caller's single critical
-    /// section, so log order is audit order.
-    fn record(&mut self, wal: Option<&Wal>, ctx: WriteCtx, nodes: &[NodeId]) {
-        if let Some(w) = wal {
-            let (gid, attempt) = (ctx.gid, ctx.attempt);
-            w.append(
-                nodes
-                    .iter()
-                    .map(|&node| WalRecord::Event { gid, attempt, node }),
-            );
-        }
-        for &node in nodes {
-            self.auditor.event(ctx.gid, ctx.attempt, node);
-            #[cfg(debug_assertions)]
-            self.oracle.history.record(HistoryEvent {
-                id: ctx.gid,
-                attempt: ctx.attempt,
-                node,
-            });
-        }
-    }
-
-    fn commit(&mut self, gid: u32, attempt: u32) {
-        self.auditor.commit(gid, attempt);
-        #[cfg(debug_assertions)]
-        if let Some((_, committed)) = self.oracle.instances.get_mut(&gid) {
-            *committed = Some(attempt);
-        }
-    }
-
-    /// Closes the epoch: empties the auditor (keeping its storage) and,
-    /// in debug builds, the oracle's history.
-    fn clear(&mut self) {
-        self.auditor.clear();
-        #[cfg(debug_assertions)]
-        {
-            self.oracle = Oracle::default();
-        }
-    }
-
-    /// Debug builds, at close: the live verdict — what the last chunk
-    /// out observed — is the sealed one (every committed instance ran
-    /// to completion, so sealing adds no Lemma 1 arc), and both equal
-    /// the batch oracle over the very same history. The whole engine
-    /// test suite doubles as an equivalence proptest; [`EPOCH_CAP`]
-    /// bounds what the quadratic oracle rebuilds.
-    #[cfg(debug_assertions)]
-    fn cross_check(&mut self, sys: &TransactionSystem) {
-        let live = self.auditor.verdict();
-        let sealed = self.auditor.seal();
-        debug_assert_eq!(live, sealed, "sealing changed a complete epoch's verdict");
-        debug_assert_eq!(
-            sealed,
-            self.oracle.audit(sys),
-            "streaming audit diverged from the batch oracle"
-        );
-    }
-}
-
-#[cfg(debug_assertions)]
-impl Oracle {
-    /// The batch `D(S)` audit of the epoch's committed projection: one
-    /// transaction per committed instance, in gid order — overlapping
-    /// runs interleave their gid ranges, so gids are not contiguous here.
-    fn audit(&self, sys: &TransactionSystem) -> Option<bool> {
-        let committed = self
-            .instances
-            .iter()
-            .filter_map(|(&gid, &(template, attempt))| Some((gid, template, attempt?)));
-        self.history
-            .committed_projection(sys, committed)
-            .audit()
-            .ok()
-    }
-}
-
-/// A chunk's seat in the open audit epoch ([`Core::join_epoch`]). A
-/// chunk that finishes [`leave`](Self::leave)s, reading the verdict on
-/// the way out; dropping the seat unleft — on unwinding, so a panic
-/// cannot hold an epoch open for good — leaves the epoch too. Either
-/// way the last chunk out closes the epoch.
-struct EpochSeat<'e>(&'e Core);
-
-impl EpochSeat<'_> {
-    /// Leaves the epoch and returns its live verdict, in one critical
-    /// section.
-    fn leave(self) -> Option<bool> {
-        let core = self.0;
-        std::mem::forget(self);
-        let mut audit = core.audit.lock();
-        let seen = audit.epoch.auditor.verdict();
-        core.vacate(&mut audit);
-        seen
-    }
-}
-
-impl Drop for EpochSeat<'_> {
-    fn drop(&mut self) {
-        self.0.vacate(&mut self.0.audit.lock());
-    }
 }
 
 /// Stamps the span events of one trace-sampled instance.
@@ -475,6 +280,9 @@ struct Scratch<'c> {
     counts: Vec<(TxnId, usize)>,
     /// The chunk's gate slots, held until it ends.
     slots: Vec<SlotGuard<'c>>,
+    /// Debug builds: the current attempt's events and their stamps.
+    #[cfg(debug_assertions)]
+    stamped: Vec<(u64, NodeId)>,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -487,6 +295,9 @@ struct Outcome {
     /// History events recorded, every attempt's.
     events: u64,
     latency_us: u64,
+    /// Debug builds: the committed attempt's events and their stamps.
+    #[cfg(debug_assertions)]
+    stamped: Vec<(u64, NodeId)>,
 }
 
 impl Engine {
@@ -525,8 +336,10 @@ impl Engine {
 
     /// [`Engine::with_registry`], surfacing WAL I/O errors.
     pub fn try_with_registry(registry: TemplateRegistry, cfg: EngineConfig) -> io::Result<Self> {
-        let sys = registry.system();
+        let sys = Self::executed(&registry, &cfg);
         let store = Store::new(sys.db(), cfg.initial_value);
+        // The log records the system the engine executes, so `recover`
+        // audits against the partial order that ran.
         let wal = match &cfg.wal_dir {
             None => None,
             Some(dir) => {
@@ -551,16 +364,16 @@ impl Engine {
             store.attach_wal(w);
         }
         Self::install_template_counters(&registry, &cfg.telemetry);
-        let audit = Audit::new(registry.system());
         let core = Arc::new(Core {
+            sys: Arc::clone(Self::executed(&registry, &cfg)),
             registry,
             store: Arc::new(store),
             cfg,
             wal,
-            audit: Mutex::new_named("engine.auditor", audit),
-            drained: Condvar::new(),
+            #[cfg(debug_assertions)]
+            stamps: AtomicU64::new(0),
         });
-        let empty = core.build_report(&[], &[], Duration::ZERO, None);
+        let empty = core.build_report(&[], &[], Duration::ZERO);
         Self {
             core,
             gids: GidSpace(AtomicU32::new(next_gid)),
@@ -593,6 +406,18 @@ impl Engine {
             Some(wal),
             rec.next_base,
         ))
+    }
+
+    /// The system an engine over `registry` executes under `cfg`.
+    fn executed<'r>(
+        registry: &'r TemplateRegistry,
+        cfg: &EngineConfig,
+    ) -> &'r Arc<TransactionSystem> {
+        if cfg.force_fallback {
+            registry.two_phase()
+        } else {
+            registry.system()
+        }
     }
 
     fn wal_options(cfg: &EngineConfig) -> WalOptions {
@@ -694,7 +519,7 @@ impl Engine {
         }
         let total: usize = mix.iter().map(|&(_, n)| n).sum();
         if total == 0 {
-            return self.core.build_report(&[], &[], Duration::ZERO, None);
+            return self.core.build_report(&[], &[], Duration::ZERO);
         }
         let first = self
             .gids
@@ -741,15 +566,12 @@ impl Engine {
         // Jobs claim instances in admission-batch chunks (of one, by
         // default) from one shared cursor: each chunk is admitted under
         // one gate acquisition per template and one log-lock acquisition
-        // for its Begin records, and audited in the open epoch, which it
-        // joins and leaves (see `execute_chunk`). By the time the last
-        // job reports back, the verdict is already computed. No more
-        // jobs than chunks: a job past the last chunk would only find
-        // the cursor spent. Nor more jobs than the gates admit chunks at
-        // once: a job past that could only wait on a gate while the
-        // run's auditor, log buffer and chains move between cores. This
-        // thread runs one job itself, so a one-chunk run never touches
-        // the pool.
+        // for its Begin records (see `execute_chunk`). No more jobs than
+        // chunks: a job past the last chunk would only find the cursor
+        // spent. Nor more jobs than the gates admit chunks at once: a job
+        // past that could only wait on a gate while the run's log buffer
+        // and chains move between cores. This thread runs one job
+        // itself, so a one-chunk run never touches the pool.
         let batch = core.cfg.admission_batch.max(1);
         let mut jobs = core.cfg.threads.max(1).min(instances.len().div_ceil(batch));
         if jobs > 1 {
@@ -764,7 +586,6 @@ impl Engine {
             move || {
                 // Sized for the whole run, so it never regrows.
                 let mut done = Vec::with_capacity(instances.len());
-                let mut seen = Some(true);
                 let mut scratch = Scratch::default();
                 loop {
                     // A plain ticket counter: the instances it indexes
@@ -774,11 +595,9 @@ impl Engine {
                         break;
                     };
                     let chunk = &rest[..batch.min(rest.len())];
-                    let observed =
-                        core.execute_chunk(chunk, &mut done, ttable.as_deref(), &mut scratch);
-                    seen = conjoin(seen, observed);
+                    core.execute_chunk(chunk, &mut done, ttable.as_deref(), &mut scratch);
                 }
-                (done, seen)
+                done
             }
         };
         let reports = self.pool.scatter(jobs, work);
@@ -793,14 +612,10 @@ impl Engine {
         }
 
         let mut outcomes: Vec<Outcome> = vec![Outcome::default(); instances.len()];
-        let mut seen = Some(true);
-        for (done, observed) in reports {
-            seen = conjoin(seen, observed);
-            for (gid, out) in done {
-                outcomes[(gid - instances[0].gid) as usize] = out;
-            }
+        for (gid, out) in reports.into_iter().flatten() {
+            outcomes[(gid - instances[0].gid) as usize] = out;
         }
-        let mut report = core.build_report(&instances, &outcomes, wall, seen);
+        let mut report = core.build_report(&instances, &outcomes, wall);
         if let Some(w) = &core.wal {
             let (flushes, commits) = w.group_counters();
             let (f0, c0) = groups_before;
@@ -866,17 +681,15 @@ impl Core {
     /// data lock (so gate waits cannot entangle with lock waits) and in
     /// template-index order, so two workers holding chunks over
     /// overlapping template sets always contend in the same order and
-    /// cannot deadlock. With its slots held the chunk joins the open
-    /// audit epoch, and it leaves once its last instance is done,
-    /// returning the verdict it observed then, and frees its slots. Each
-    /// instance's outcome lands in `done`, keyed by gid.
+    /// cannot deadlock. The chunk frees its slots once its last instance
+    /// is done. Each instance's outcome lands in `done`, keyed by gid.
     fn execute_chunk<'c>(
         &'c self,
         chunk: &[Instance],
         done: &mut Vec<(u32, Outcome)>,
         ttable: Option<&TemplateTable>,
         scratch: &mut Scratch<'c>,
-    ) -> Option<bool> {
+    ) {
         let tel = &self.cfg.telemetry;
         let counts = &mut scratch.counts;
         counts.clear();
@@ -892,7 +705,6 @@ impl Core {
             .iter()
             .map(|&(t, n)| self.registry.template(t).gate.acquire_many(n));
         scratch.slots.extend(gates);
-        let seat = self.join_epoch(chunk);
         let gate_wait = asked.elapsed();
         tel.record(Phase::GateWait, gate_wait);
         if let Some(w) = &self.wal {
@@ -902,67 +714,12 @@ impl Core {
             let out = self.execute_instance(*inst, ttable, gate_wait, scratch);
             done.push((inst.gid, out));
         }
-        let seen = seat.leave();
         scratch.slots.clear();
-        seen
     }
 
-    /// Seats `chunk` in the open audit epoch and admits its instances to
-    /// the epoch's auditor. While the open epoch is at [`EPOCH_CAP`] the
-    /// chunk waits for the last chunk inside to leave, which closes it;
-    /// it holds gate slots then but no lock class (the condvar releases
-    /// `engine.auditor`), and every chunk inside already holds its own
-    /// slots, so the drain never waits on the waiter.
-    fn join_epoch(&self, chunk: &[Instance]) -> EpochSeat<'_> {
-        let mut audit = self.audit.lock();
-        while audit.admitted > 0 && audit.admitted + chunk.len() > EPOCH_CAP {
-            audit.waiting += 1;
-            self.drained.wait(&mut audit);
-            audit.waiting -= 1;
-        }
-        audit.chunks += 1;
-        audit.admitted += chunk.len();
-        for inst in chunk {
-            audit.epoch.admit(*inst);
-        }
-        EpochSeat(self)
-    }
-
-    /// A chunk's departure from the open epoch; the last one out closes
-    /// it and wakes the chunks waiting out the cap.
-    fn vacate(&self, audit: &mut Audit) {
-        audit.chunks -= 1;
-        if audit.chunks == 0 {
-            self.close_epoch(audit);
-            if audit.waiting > 0 {
-                self.drained.notify_all();
-            }
-        }
-    }
-
-    /// Closes the open epoch, which its last chunk just left (so every
-    /// conflict arc to a later epoch points forward), and clears its
-    /// audit for the next. Its verdict was observed by the chunks that
-    /// left it; what remains is the gauge — the closed epoch's final
-    /// size, until the next epoch's first commit — and the debug-build
-    /// cross-check.
-    fn close_epoch(&self, audit: &mut Audit) {
-        audit.admitted = 0;
-        let au = &audit.epoch.auditor;
-        let (nodes, arcs) = (au.node_count() as u64, au.arc_count() as u64);
-        self.cfg.telemetry.set_auditor(nodes, arcs);
-        #[cfg(debug_assertions)]
-        {
-            audit.epoch.cross_check(self.registry.system());
-            audit.cross_checked += 1;
-        }
-        audit.epoch.clear();
-    }
-
-    /// Runs one admitted instance (its chunk holds the gate slot and an
-    /// epoch seat, after `gate_wait`, and logged its first `Begin`) to
-    /// commit: attempts until one completes, dying and backing off in
-    /// between.
+    /// Runs one admitted instance (its chunk holds the gate slot, after
+    /// `gate_wait`, and logged its first `Begin`) to commit: attempts
+    /// until one completes, dying and backing off in between.
     fn execute_instance(
         &self,
         inst: Instance,
@@ -973,7 +730,7 @@ impl Core {
         let tel = &self.cfg.telemetry;
         let started = Instant::now();
         let tmpl = self.registry.template(inst.template);
-        let t = self.registry.system().txn(inst.template);
+        let t = self.sys.txn(inst.template);
         let gid = inst.gid;
         // Whole instances are trace-sampled by gid, so a captured
         // instance's span events are complete end to end and no two
@@ -1005,9 +762,10 @@ impl Core {
             }
             let bufs = std::mem::take(&mut scratch.attempt);
             let mut a = Attempt::new(&self.store, t, &tmpl.program, ctx, bufs);
+            #[cfg(debug_assertions)]
+            scratch.stamped.clear();
             let t_exec = tel.timer();
-            let (ready, queued) = (&mut scratch.ready, &mut scratch.queued);
-            let rolled_back = (!self.drive(&mut a, t, tracer, ready, queued)).then(|| {
+            let rolled_back = (!self.drive(&mut a, t, tracer, scratch)).then(|| {
                 // One undo sample per dying attempt: lock release plus
                 // every exposed-write rollback.
                 let t_undo = tel.timer();
@@ -1036,17 +794,6 @@ impl Core {
                     w.log_commit(gid, inst.template, attempt, ts.ts());
                 }
                 self.store.publish_commit(ts, gid, a.take_exposed());
-                // The decision reaches the auditor only after every
-                // event of the attempt did (each release batch is fed
-                // synchronously under this same lock), so the merge sees
-                // the complete attempt.
-                let (nodes, arcs) = {
-                    let epoch = &mut self.audit.lock().epoch;
-                    epoch.commit(gid, attempt);
-                    let au = &epoch.auditor;
-                    (au.node_count() as u64, au.arc_count() as u64)
-                };
-                tel.set_auditor(nodes, arcs);
                 tel.record_since(Phase::Commit, t_commit);
                 if let Some(tt) = ttable {
                     tt.commit(inst.template.index());
@@ -1054,11 +801,14 @@ impl Core {
                 if let Some(tr) = tracer {
                     let dur = t_commit.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                     tr.emit(attempt, SpanKind::Commit, u32::MAX, dur, 0);
-                    tr.emit(attempt, SpanKind::AuditArc, u32::MAX, 0, arcs);
                 }
                 out.committed_attempt = Some(attempt);
                 out.reads += a.reads;
                 out.writes += a.writes;
+                #[cfg(debug_assertions)]
+                {
+                    out.stamped = std::mem::take(&mut scratch.stamped);
+                }
                 scratch.attempt = a.into_bufs();
                 break;
             };
@@ -1066,9 +816,6 @@ impl Core {
             if let Some(w) = &self.wal {
                 w.append([WalRecord::Abort { gid, attempt }]);
             }
-            // The attempt's locks were released and its writes rolled
-            // back: its buffered events leave the committed projection.
-            self.audit.lock().epoch.auditor.abort(gid, attempt);
             if let Some(tt) = ttable {
                 // Every engine-path abort is a wait-die death (the
                 // requester self-aborted).
@@ -1107,15 +854,23 @@ impl Core {
     ///   [`wait_die`] against the holder of that moment, and an older
     ///   requester sleeps [`POLL`] and asks again — for that lock first.
     ///
-    /// `ready` and `queued` are the job's reused buffers.
+    /// Every release batch is logged as `Event` frames from the unlock's
+    /// sink, while the entity is still held. `scratch` holds the job's
+    /// reused buffers.
     fn drive(
         &self,
         a: &mut Attempt<'_>,
         t: &Transaction,
         tracer: Option<Tracer<'_>>,
-        ready: &mut Vec<NodeId>,
-        queued: &mut Vec<bool>,
+        scratch: &mut Scratch<'_>,
     ) -> bool {
+        let Scratch {
+            ready,
+            queued,
+            #[cfg(debug_assertions)]
+            stamped,
+            ..
+        } = scratch;
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
         let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
@@ -1158,8 +913,20 @@ impl Core {
                 let op = t.op(n);
                 if op.is_unlock() {
                     a.unlock(n, |nodes| {
-                        let mut audit = self.audit.lock();
-                        audit.epoch.record(self.wal.as_deref(), ctx, nodes)
+                        if let Some(w) = &self.wal {
+                            let (gid, attempt) = (ctx.gid, ctx.attempt);
+                            w.append(nodes.iter().map(|&node| WalRecord::Event {
+                                gid,
+                                attempt,
+                                node,
+                            }));
+                        }
+                        #[cfg(debug_assertions)]
+                        {
+                            let first =
+                                self.stamps.fetch_add(nodes.len() as u64, Ordering::Relaxed);
+                            stamped.extend((first..).zip(nodes.iter().copied()));
+                        }
                     });
                     if let Some(tr) = tracer {
                         tr.emit(attempt, SpanKind::Write, op.entity.0, 0, 0);
@@ -1221,13 +988,7 @@ impl Core {
         }
     }
 
-    fn build_report(
-        &self,
-        instances: &[Instance],
-        outcomes: &[Outcome],
-        wall: Duration,
-        seen: Option<bool>,
-    ) -> Report {
+    fn build_report(&self, instances: &[Instance], outcomes: &[Outcome], wall: Duration) -> Report {
         let sys = self.registry.system();
         let failed: Vec<u32> = instances
             .iter()
@@ -1236,15 +997,15 @@ impl Core {
             .map(|(i, _)| i.gid)
             .collect();
 
-        // Audit: one transaction per instance, so `D(S)` sees each
-        // instance as its own node set. The verdict was maintained
-        // *during* the run by the epoch's streaming auditor — `seen` is
-        // what the run's chunks observed leaving it — so nothing is
-        // re-projected or rebuilt per report. Every abort is clean — its
-        // writes were undone, so dropping its buffered events is sound —
-        // and wait-die runs audit like certified ones.
+        // A run that committed everything is serializable by the theorem
+        // behind its plan (see `crate::template`). Release builds report
+        // that; debug builds check it with the batch oracle.
         let serializable = if failed.is_empty() && !instances.is_empty() {
-            seen
+            #[cfg(debug_assertions)]
+            let verdict = oracle(&self.sys, instances, outcomes);
+            #[cfg(not(debug_assertions))]
+            let verdict = Some(true);
+            verdict
         } else {
             None
         };
@@ -1306,6 +1067,30 @@ impl Core {
             per_template,
         }
     }
+}
+
+/// Debug builds: the batch `D(S)` oracle over one run's committed
+/// projection, one transaction per instance, its events in stamp order.
+/// `None` when an instance did not commit or the events are no legal
+/// schedule.
+#[cfg(debug_assertions)]
+fn oracle(sys: &TransactionSystem, instances: &[Instance], outcomes: &[Outcome]) -> Option<bool> {
+    let mut events = Vec::new();
+    let mut committed = Vec::with_capacity(instances.len());
+    for (inst, out) in instances.iter().zip(outcomes) {
+        let attempt = out.committed_attempt?;
+        committed.push((inst.gid, inst.template, attempt));
+        events.extend(out.stamped.iter().map(|&(stamp, node)| {
+            let id = inst.gid;
+            (stamp, HistoryEvent { id, attempt, node })
+        }));
+    }
+    events.sort_unstable_by_key(|&(stamp, _)| stamp);
+    let mut history = History::new();
+    for (_, ev) in events {
+        history.record(ev);
+    }
+    history.committed_projection(sys, committed).audit().ok()
 }
 
 #[cfg(test)]
@@ -1420,67 +1205,29 @@ mod tests {
         assert_eq!(r.serializable, Some(true));
     }
 
-    /// Epochs that share the registry's templates are still re-audited
-    /// by the batch oracle at every close: three one-chunk runs are
-    /// three epochs.
+    /// The debug oracle audits a run in stamp order: two
+    /// `L x U x L y U y` instances run one after the other serialize,
+    /// and two that cross on x and y do not.
     #[cfg(debug_assertions)]
     #[test]
-    fn every_closed_epoch_is_cross_checked() {
-        let engine = ordered_pair_with(EngineConfig {
-            threads: 2,
-            instances: 64,
-            admission_batch: 64,
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            assert_eq!(engine.run().serializable, Some(true));
-        }
-        assert_eq!(engine.core.audit.lock().cross_checked, 3);
-    }
-
-    /// An epoch closes when its last chunk leaves, not when its run
-    /// ends: one run of three sequential chunks on one thread is three
-    /// epochs, each cross-checked.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn each_chunk_that_leaves_an_empty_epoch_closes_it() {
-        let engine = ordered_pair_with(EngineConfig {
-            threads: 1,
-            instances: 24,
-            admission_batch: 8,
-            ..Default::default()
-        });
-        let r = engine.run();
-        assert!(r.all_committed(), "{r:?}");
-        assert_eq!(r.serializable, Some(true));
-        assert_eq!(engine.core.audit.lock().cross_checked, 3);
-    }
-
-    /// Two chunks that together cross [`EPOCH_CAP`] never share an
-    /// epoch: on k = 2 gates both are admitted at once, and the one that
-    /// finds the epoch full waits out the other (which the per-lock
-    /// `work` keeps seated), or the closing debug check fails the run.
-    /// Each chunk's departure closes its epoch, each cross-checked.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn a_full_epoch_closes_only_when_no_chunk_is_seated() {
-        let k2 = AdmissionOptions {
-            inflate: Inflation::Uniform(2),
-            ..Default::default()
+    fn the_debug_oracle_audits_a_run_in_stamp_order() {
+        let db = Database::one_entity_per_site(2);
+        let (x, y) = (EntityId(0), EntityId(1));
+        let ops = [Op::lock(x), Op::unlock(x), Op::lock(y), Op::unlock(y)];
+        let t = Transaction::from_total_order("T", &ops, &db).unwrap();
+        let sys = TransactionSystem::new(db, vec![t]).unwrap();
+        let template = TxnId(0);
+        let instances = [0, 1].map(|gid| Instance { gid, template });
+        let run = |stamps: [[u64; 4]; 2]| {
+            let outcomes = stamps.map(|s| Outcome {
+                committed_attempt: Some(0),
+                stamped: s.into_iter().zip((0..4).map(NodeId)).collect(),
+                ..Default::default()
+            });
+            oracle(&sys, &instances, &outcomes)
         };
-        let cfg = EngineConfig {
-            threads: 2,
-            instances: EPOCH_CAP + 1,
-            admission_batch: EPOCH_CAP / 2 + 1,
-            work: Duration::from_micros(100),
-            ..Default::default()
-        };
-        let engine = Engine::try_with_admission(ordered_pair_system(), k2, cfg).unwrap();
-        let r = engine.run();
-        assert!(r.all_committed(), "{r:?}");
-        assert_eq!(r.serializable, Some(true));
-        assert_eq!(engine.pool.spawned(), 1, "one job per chunk");
-        assert_eq!(engine.core.audit.lock().cross_checked, 2);
+        assert_eq!(run([[0, 1, 2, 3], [4, 5, 6, 7]]), Some(true));
+        assert_eq!(run([[0, 1, 6, 7], [2, 3, 4, 5]]), Some(false));
     }
 
     #[test]

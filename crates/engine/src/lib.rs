@@ -15,18 +15,19 @@
 //!   TransactionSystem ──register_with(inflation)──▶ TemplateRegistry
 //!                             │ certify_inflated / max_certified_inflation
 //!                             │ (Thm 3/4 on the inflated system; Thm 5 ⇒ k = ∞;
-//!                             │  exhaustive DF-only fallback; floor k = 1)
+//!                             │  a plan not certified safe floors; a system
+//!                             │  that never certifies is closed two-phase)
 //!                             ▼
 //!                      AdmissionPlan: k_t slots per template
 //!                             │ sizes one SlotGate (counting
 //!                             │ semaphore) per template
 //!              ┌──────────────┴────────────────────┐
-//!       Certified / CertifiedDeadlockFree     Fallback
+//!          Certified                       Fallback (two-phase closure)
 //!        a refused lock queues FIFO,      a refused lock queues nowhere:
 //!        the worker parks; no             wait-die vs the current holder
-//!        detector, no timeout,            on every poll; the loser dies,
-//!        zero aborts possible             its exposed writes leave their
-//!              │                          value chains, it backs off
+//!        detector, no timeout,            on every poll; the loser dies
+//!        zero aborts possible             before its first unlock and
+//!        (safe by Thm 3–5)                backs off (safe by 2PL)
 //!              └──────────────┬────────────────────┘
 //!                        Executor — one path per instance
 //!                             │ a run splits into ≤ threads jobs: the
@@ -39,7 +40,9 @@
 //!                             │ certified inflated system; one batched
 //!                             │ Begin append
 //!                             │ Attempt: granted / unlock / die, stepped
-//!                             │ in partial order until it completes
+//!                             │ in partial order until it completes;
+//!                             │ an unlock logs its events while the
+//!                             │ entity is held
 //!                             │ commit: reserve ts ▶ Commit frame
 //!                             │ (sync: wait for an fsync to cover it) ▶
 //!                             │ stamp chains ▶ close ts
@@ -54,16 +57,11 @@
 //!                             │                  │
 //!                             │        wal::recover(dir): replay committed
 //!                             │        ops ▶ fresh Store ▶ re-run D(S)
-//!                             ▼
-//!                          events ──▶ streaming D(S) audit
-//!                             │        (one engine.auditor section per
-//!                             │         release batch: log + live verdict
-//!                             │         of the audit epoch every run in
-//!                             │         flight shares; batch audit is the
-//!                             │         debug oracle)
+//!                             ▼        (the release build's referee)
 //!                          Report: certified k vs achieved peak,
-//!                          aborts and rolled-back writes, latency,
-//!                          per-phase histograms, per template
+//!                          aborts, latency, per template;
+//!                          serializable by theorem (debug builds:
+//!                          the batch D(S) oracle, per run)
 //! ```
 //!
 //! Every stage above also emits into a shared [`Telemetry`] handle
@@ -76,9 +74,9 @@
 //! and stops.
 //!
 //! The engine's *own* mutexes follow a fixed global hierarchy —
-//! `shard.state` / `engine.auditor` ▷ `wal.log`, the only two order
-//! edges: a log append made while holding the lock whose order the log
-//! must keep (`template.slot_gate`, `engine.cumulative`,
+//! `shard.state` ▷ `wal.log`, the only order edge: the write-ahead
+//! append made while holding the lock whose order the log must keep
+//! (`template.slot_gate`, `engine.cumulative`,
 //! `wal.group_state` and `store.clock` are leaves never held with any
 //! other lock, `engine.pool` is a leaf never held while a job runs, the
 //! server's `server.engine` is held across nothing, and no fsync runs
@@ -104,7 +102,8 @@
 //!   inflation is requested) is cached as an [`AdmissionPlan`] of
 //!   certified slots per template, enforced by counting [`SlotGate`]s.
 //!   Certified inflations run under the `Nothing` policy; uncertified
-//!   systems fall back to wait-die. Templates carry data [`Program`]s
+//!   systems fall back to wait-die over their two-phase closure, so
+//!   every plan is serializable by a theorem. Templates carry data [`Program`]s
 //!   (reads on every lock; `Add`/`Put` writes applied at unlock under
 //!   the lock).
 //! * [`executor`] — the calling thread, joined on a wider run by
@@ -118,19 +117,16 @@
 //!   cooperatively). An instance is one `gid` from the engine's
 //!   lifetime-long id space — lock holder, wait-die timestamp, chain,
 //!   audit and WAL key alike — and its effective lock/unlock events take
-//!   one path: each release batch is logged and fed live to an
-//!   incremental
-//!   [`StreamingAuditor`](ddlf_model::incremental::StreamingAuditor)
-//!   under the `engine.auditor` lock, so the `D(S)` serializability
-//!   verdict is already known when the run drains. Concurrent runs
-//!   share that auditor through one *audit epoch*, closed only at
-//!   quiescence (debug builds cross-check each closed epoch against the
-//!   batch [`ddlf_model::History`] oracle).
+//!   one path: each release batch is logged while its entity is still
+//!   held, so the log keeps each entity's lock order. Nothing audits a
+//!   run while it runs: debug builds audit each run's committed
+//!   projection afterwards with the batch [`ddlf_model::History`]
+//!   oracle.
 //! * [`report`] — throughput / latency / abort metrics, in the
 //!   simulator's `SimReport` vocabulary.
 //! * [`wal`] — the optional write-ahead file sink: one append-only
-//!   log in which file order is chain order, audit order and
-//!   data-before-decision at once; [`wal::recover`] rebuilds the
+//!   log in which file order is chain order, each entity's event order
+//!   and data-before-decision at once; [`wal::recover`] rebuilds the
 //!   committed chains from it and re-audits the recovered history
 //!   after a crash.
 //! * [`wire`] — the binary conventions every byte stream shares: the
@@ -172,7 +168,7 @@
 //! let report = engine.run();
 //! assert!(report.all_committed());
 //! assert_eq!(report.aborted_attempts, 0);     // the paper's payoff
-//! assert_eq!(report.serializable, Some(true)); // audited, not assumed
+//! assert_eq!(report.serializable, Some(true)); // by theorem; debug builds audit it
 //! ```
 
 #![warn(missing_docs)]
@@ -189,7 +185,7 @@ pub mod template;
 pub mod wal;
 pub mod wire;
 
-pub use executor::{Engine, EngineConfig, EPOCH_CAP};
+pub use executor::{Engine, EngineConfig};
 pub use mvcc::{RoEntry, RoSnapshot};
 pub use replay::{replay_schedule, ReplayError, ReplayReport};
 pub use report::{summary_line, LatencyStats, Report, TemplateReport};

@@ -2,9 +2,9 @@
 //! (`throughput_per_sec`, `all_committed`, a `serializable` audit slot)
 //! but measured in wall-clock time on real threads.
 //!
-//! An abort never voids the audit: every write a dying attempt exposed
-//! is rolled back ([`Report::rolled_back`] counts them), so a run's
-//! `serializable` is `None` only when some instance failed.
+//! A run's `serializable` is `None` only when some instance failed:
+//! every plan the engine runs is serializable by a theorem, and an
+//! abort leaves nothing behind.
 
 use crate::template::{AdmissionVerdict, Slots};
 use std::sync::Arc;
@@ -89,8 +89,8 @@ pub struct TemplateReport {
 pub struct Report {
     /// The admission verdict the run executed under.
     pub verdict: AdmissionVerdict,
-    /// Whether a requested inflation failed to certify and the admission
-    /// plan fell back to the `k = 1` floor.
+    /// Whether a requested inflation failed to certify safe and the
+    /// admission plan fell back to a floor ([`crate::AdmissionPlan::floored`]).
     pub plan_floored: bool,
     /// Whether the run was forced onto the wait-die path despite a
     /// certificate (for apples-to-apples comparisons).
@@ -103,8 +103,9 @@ pub struct Report {
     /// the certified path cannot abort, so this is always 0 there.
     pub aborted_attempts: usize,
     /// Exposed writes of dying attempts that were rolled back (their
-    /// chain entries removed, successors re-folded) — every one of
-    /// them, so no abort voids the audit.
+    /// chain entries removed, successors re-folded). Wait-die runs
+    /// two-phase templates, whose victims die before any unlock, so
+    /// this stays 0.
     pub rolled_back: u64,
     /// Instance ids that exhausted their attempt budget.
     pub failed: Vec<u32>,
@@ -115,10 +116,12 @@ pub struct Report {
     pub writes: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
-    /// `D(S)` audit of the committed schedule: the conjunction of the
-    /// audit-epoch verdicts this run's chunks observed (an epoch shared
-    /// with overlapping runs covers their instances too); `None` when
-    /// not every instance committed.
+    /// Whether the committed schedule is serializable; `None` when not
+    /// every instance committed. Release builds answer by the theorem
+    /// behind the plan the run executed — Theorems 3–5 for a certified
+    /// plan, two-phase locking for wait-die — so a complete run reads
+    /// `Some(true)`. Debug builds answer with the batch `D(S)` oracle
+    /// over this run's committed projection.
     pub serializable: Option<bool>,
     /// Lock/unlock events this run's instances recorded, every
     /// attempt's.

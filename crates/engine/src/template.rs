@@ -7,28 +7,37 @@
 //! each template — its certified *k-inflation* — may be in flight on the
 //! no-detector path.
 //!
+//! Every plan the engine runs is serializable by a theorem, in one of
+//! two regimes:
+//!
 //! * **Certified** — the admitted inflation of the system is safe and
 //!   deadlock-free ([`ddlf_core::certify_inflated`]); instances execute
 //!   under the `Nothing` policy: no deadlock detector, no lock-wait
 //!   timeouts, no aborts. Theorems 3/4 (or Theorem 5 for a single
 //!   template, which certifies *unbounded* copies) guarantee every
 //!   interleaving commits and serializes.
-//! * **CertifiedDeadlockFree** — the admitted inflation was exhaustively
-//!   verified deadlock-free without being certified safe (the Fig. 6
-//!   regime): same no-detector execution and zero aborts, but
-//!   serializability is only established by the post-hoc `D(S)` audit.
-//! * **Fallback** — certification failed even at `k = 1`; instances
-//!   execute under wait-die with bounded retries, the pragmatic scheme
-//!   uncertified systems need.
+//! * **Fallback** — no inflation of the system certifies; instances
+//!   execute each template's two-phase closure
+//!   ([`ddlf_core::two_phase_closure`]) under wait-die with bounded
+//!   retries. Two-phase locking serializes every schedule, and a
+//!   wait-die death strikes only an attempt that has not unlocked yet.
 //!
-//! When a *requested* inflation fails to certify, admission does not give
-//! up: it floors the plan back to the certified base system (`k_t = 1`),
-//! so the engine degrades to the old one-instance-per-template gate
-//! instead of deadlocking or rejecting the workload.
+//! A system that does not certify as written is closed first: when the
+//! closure certifies, it runs on the no-detector path, else under
+//! wait-die. A two-phase template is its own closure, so a system of
+//! them is certified once. Forcing wait-die on a certified system
+//! ([`crate::EngineConfig::force_fallback`]) runs its closure too.
+//!
+//! A deadlock-freedom-only certificate (the Fig. 6 regime) runs
+//! nothing: when a requested inflation fails to certify safe, admission
+//! floors the plan — `Inflation::Auto` to the largest `k` certified
+//! safe, an explicit request to `k = 1` — so the engine degrades to a
+//! smaller gate instead of deadlocking, rejecting the workload, or
+//! committing an unserializable history.
 
 use ddlf_core::{
-    certify_inflated, certify_safe_and_deadlock_free, max_certified_inflation, InflateOptions,
-    InflationCertificate, InflationViolation,
+    certify_inflated, certify_safe_and_deadlock_free, is_two_phase, max_certified_inflation,
+    two_phase_closure, InflateOptions, InflationViolation,
 };
 use ddlf_model::{EntityId, ModelError, TransactionSystem, TxnId};
 use parking_lot::{Condvar, Mutex};
@@ -174,8 +183,9 @@ pub struct AdmissionOptions {
 pub struct AdmissionPlan {
     /// Per-template slot counts, template order.
     pub slots: Vec<Slots>,
-    /// `true` when a requested inflation failed to certify and the plan
-    /// fell back to the `k = 1` floor.
+    /// `true` when a requested inflation failed to certify safe and the
+    /// plan fell back to a uniform floor: `k = 1`, or under
+    /// [`Inflation::Auto`] the largest `k` certified safe.
     pub floored: bool,
     /// Human-readable justification (the certificate, or the rejection
     /// that forced the floor).
@@ -222,7 +232,12 @@ pub fn render_plan<'a>(
     rows: impl Iterator<Item = (&'a str, Slots)>,
 ) -> String {
     use std::fmt::Write as _;
-    let floor = if floored { " (floored to k=1)" } else { "" };
+    let mut rows = rows.peekable();
+    // A floored plan is uniform: its first row names the floor.
+    let floor = match rows.peek() {
+        Some((_, k)) if floored => format!(" (floored to k={k})"),
+        _ => String::new(),
+    };
     let mut out = format!("admission plan{floor}: {rationale}\n");
     for (name, slots) in rows {
         let _ = writeln!(out, "  {name:<24} k = {slots}");
@@ -236,12 +251,9 @@ pub enum AdmissionVerdict {
     /// The certifier proved the admitted inflation safe and
     /// deadlock-free: run with no detector and no timeouts.
     Certified,
-    /// The admitted inflation is exhaustively deadlock-free but not
-    /// certified safe (Fig. 6 regime): no-detector execution, with the
-    /// `D(S)` audit as the serializability arbiter.
-    CertifiedDeadlockFree,
-    /// Certification failed even at `k = 1`; run under wait-die. Carries
-    /// the certifier's rejection, verbatim.
+    /// Certification failed even at `k = 1`, for the system and for its
+    /// two-phase closure; run the closure under wait-die. Carries the
+    /// certifier's rejection, verbatim.
     Fallback {
         /// Why certification rejected the system.
         reason: String,
@@ -251,12 +263,6 @@ pub enum AdmissionVerdict {
 impl AdmissionVerdict {
     /// Whether the no-detector path is admitted.
     pub fn is_certified(&self) -> bool {
-        !matches!(self, AdmissionVerdict::Fallback { .. })
-    }
-
-    /// Whether the verdict also guarantees every schedule serializes
-    /// (not just deadlock-freedom).
-    pub fn guarantees_safety(&self) -> bool {
         matches!(self, AdmissionVerdict::Certified)
     }
 }
@@ -265,10 +271,6 @@ impl fmt::Display for AdmissionVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdmissionVerdict::Certified => write!(f, "certified (no detector, no timeouts)"),
-            AdmissionVerdict::CertifiedDeadlockFree => write!(
-                f,
-                "certified deadlock-free (no detector; serializability by audit)"
-            ),
             AdmissionVerdict::Fallback { reason } => write!(f, "fallback to wait-die: {reason}"),
         }
     }
@@ -395,7 +397,12 @@ impl Template {
 /// The template registry: a certified-or-not transaction system, its
 /// admission plan, and per-template programs.
 pub struct TemplateRegistry {
+    /// The system admission certified, or the two-phase closure it
+    /// falls back to.
     sys: Arc<TransactionSystem>,
+    /// The two-phase closure of `sys`: what wait-die executes. The same
+    /// system when every template of `sys` is two-phase.
+    two_phase: Arc<TransactionSystem>,
     verdict: AdmissionVerdict,
     plan: AdmissionPlan,
     templates: Vec<Template>,
@@ -412,7 +419,9 @@ impl TemplateRegistry {
     /// [`register`](Self::register) with explicit certifier options and a
     /// requested inflation. The computed [`AdmissionPlan`] sizes every
     /// template's [`SlotGate`]; a requested inflation that fails to
-    /// certify floors back to `k = 1` rather than rejecting the system.
+    /// certify safe floors rather than rejecting the system, and a
+    /// system that does not certify at all registers its two-phase
+    /// closure (see the module docs).
     ///
     /// # Panics
     /// Panics with a descriptive message when the request itself is
@@ -420,7 +429,37 @@ impl TemplateRegistry {
     /// [`Inflation::PerTemplate`] vector with a zero entry or the wrong
     /// arity. (Certification *failures* floor; caller bugs do not.)
     pub fn register_with(sys: TransactionSystem, admission: AdmissionOptions) -> Self {
-        let (verdict, plan) = Self::certify(&sys, &admission);
+        let (mut verdict, mut plan) = Self::certify(&sys, &admission);
+        let open: Vec<&str> = sys
+            .txns()
+            .iter()
+            .filter(|t| !is_two_phase(t))
+            .map(|t| t.name())
+            .collect();
+        let (sys, two_phase) = if open.is_empty() {
+            let sys = Arc::new(sys);
+            (Arc::clone(&sys), sys)
+        } else {
+            let closed = sys
+                .txns()
+                .iter()
+                .map(|t| two_phase_closure(t, sys.db()))
+                .collect();
+            let closed = TransactionSystem::new(sys.db().clone(), closed)
+                .expect("closures of a valid system form a valid system");
+            if verdict.is_certified() {
+                (Arc::new(sys), Arc::new(closed))
+            } else {
+                (verdict, plan) = Self::certify(&closed, &admission);
+                plan.rationale = format!(
+                    "two-phase closure of {}: {}",
+                    open.join(", "),
+                    plan.rationale
+                );
+                let closed = Arc::new(closed);
+                (Arc::clone(&closed), closed)
+            }
+        };
         let templates = sys
             .iter()
             .map(|(t, txn)| Template {
@@ -431,51 +470,70 @@ impl TemplateRegistry {
             })
             .collect();
         Self {
-            sys: Arc::new(sys),
+            sys,
+            two_phase,
             verdict,
             plan,
             templates,
         }
     }
 
+    /// The safe plan for `sys`, or its wait-die floor. A certificate
+    /// that is not safe is a rejection here: `Auto` floors to the
+    /// largest `k` certified safe, an explicit request to `k = 1`.
     fn certify(
         sys: &TransactionSystem,
         admission: &AdmissionOptions,
     ) -> (AdmissionVerdict, AdmissionPlan) {
         let n = sys.len();
         let one = Slots::Bounded(1);
+        let safe_only = InflateOptions {
+            explore_states: 0,
+            ..admission.opts
+        };
+        let fallback = |reason: String, floored: bool, rationale: String| {
+            (
+                AdmissionVerdict::Fallback { reason },
+                AdmissionPlan::uniform(n, one, floored, rationale),
+            )
+        };
         // Resolve the request to a concrete vector (or run the search).
         let requested: Option<Vec<usize>> = match &admission.inflate {
             Inflation::None => None,
             Inflation::Uniform(k) => Some(vec![*k; n]),
             Inflation::PerTemplate(v) => Some(v.clone()),
             Inflation::Auto { cap } => {
-                return match max_certified_inflation(sys, admission.opts, *cap) {
-                    Ok(max) => {
+                // A deadlock-free-only maximum floors to the largest k
+                // whose certificate is safe.
+                let found = max_certified_inflation(sys, admission.opts, *cap).and_then(|max| {
+                    if max.certificate.guarantees_safety() {
+                        return Ok((max, None));
+                    }
+                    let safe = max_certified_inflation(sys, safe_only, max.k)?;
+                    Ok((safe, Some(max.certificate)))
+                });
+                return match found {
+                    Ok((max, unsafe_max)) => {
                         let slots = if max.unbounded {
                             Slots::Unbounded
                         } else {
                             Slots::Bounded(max.k)
                         };
+                        let rationale = match &unsafe_max {
+                            None => format!("auto search: {}", max.certificate),
+                            Some(df) => {
+                                format!("auto search: {df}; floored to {}", max.certificate)
+                            }
+                        };
                         (
-                            Self::verdict_of(&max.certificate),
-                            AdmissionPlan::uniform(
-                                n,
-                                slots,
-                                false,
-                                format!("auto search: {}", max.certificate),
-                            ),
+                            AdmissionVerdict::Certified,
+                            AdmissionPlan::uniform(n, slots, unsafe_max.is_some(), rationale),
                         )
                     }
-                    // Even the base system failed to certify: like the
-                    // explicit-k path, the granted plan (k = 1,
+                    // Even the base system failed to certify safe: like
+                    // the explicit-k path, the granted plan (k = 1,
                     // wait-die) is a floor of what was asked for.
-                    Err(v) => (
-                        AdmissionVerdict::Fallback {
-                            reason: v.to_string(),
-                        },
-                        AdmissionPlan::uniform(n, one, true, v.to_string()),
-                    ),
+                    Err(v) => fallback(v.to_string(), true, v.to_string()),
                 };
             }
         };
@@ -486,16 +544,11 @@ impl TemplateRegistry {
                     AdmissionVerdict::Certified,
                     AdmissionPlan::uniform(n, one, false, "base system certified (k = 1)"),
                 ),
-                Err(v) => (
-                    AdmissionVerdict::Fallback {
-                        reason: v.to_string(),
-                    },
-                    AdmissionPlan::uniform(n, one, false, v.to_string()),
-                ),
+                Err(v) => fallback(v.to_string(), false, v.to_string()),
             };
         };
-        match certify_inflated(sys, &k, admission.opts) {
-            Ok(cert) => {
+        let rejection = match certify_inflated(sys, &k, admission.opts) {
+            Ok(cert) if cert.guarantees_safety() => {
                 // An explicit request is a *ceiling*, even when the
                 // Theorem 5 certificate would allow more: ∞ slots are
                 // only granted when the caller asked us to search
@@ -506,51 +559,39 @@ impl TemplateRegistry {
                 } else {
                     cert.to_string()
                 };
-                (
-                    Self::verdict_of(&cert),
+                return (
+                    AdmissionVerdict::Certified,
                     AdmissionPlan {
                         slots,
                         floored: false,
                         rationale,
                     },
-                )
+                );
             }
+            // Deadlock-free but not safe: not run as is.
+            Ok(cert) => cert.to_string(),
             // A malformed request (zero copies, wrong arity) is a caller
             // bug, not a certification failure — surface it instead of
             // silently degrading concurrency.
             Err(InflationViolation::Model(e)) => {
                 panic!("malformed inflation request {:?}: {e}", admission.inflate)
             }
-            // The requested inflation is inadmissible: floor to k = 1,
-            // re-certified exactly as an explicit k = 1 request would be
-            // (DF-only fallback included), so the engine degrades
-            // instead of deadlocking — and degrades to the same path a
-            // smaller request would get.
-            Err(rejection) => match certify_inflated(sys, &vec![1; n], admission.opts) {
-                Ok(cert) => (
-                    Self::verdict_of(&cert),
-                    AdmissionPlan::uniform(
-                        n,
-                        one,
-                        true,
-                        format!("{rejection}; floored to k = 1 ({cert})"),
-                    ),
+            Err(rejection) => rejection.to_string(),
+        };
+        // The requested inflation is inadmissible: floor to k = 1,
+        // certified safe, so the engine degrades instead of deadlocking
+        // — and degrades to the same path a smaller request would get.
+        match certify_inflated(sys, &vec![1; n], safe_only) {
+            Ok(cert) => (
+                AdmissionVerdict::Certified,
+                AdmissionPlan::uniform(
+                    n,
+                    one,
+                    true,
+                    format!("{rejection}; floored to k = 1 ({cert})"),
                 ),
-                Err(v) => (
-                    AdmissionVerdict::Fallback {
-                        reason: v.to_string(),
-                    },
-                    AdmissionPlan::uniform(n, one, true, format!("{rejection}; base: {v}")),
-                ),
-            },
-        }
-    }
-
-    fn verdict_of(cert: &InflationCertificate) -> AdmissionVerdict {
-        if cert.guarantees_safety() {
-            AdmissionVerdict::Certified
-        } else {
-            AdmissionVerdict::CertifiedDeadlockFree
+            ),
+            Err(v) => fallback(v.to_string(), true, format!("{rejection}; base: {v}")),
         }
     }
 
@@ -578,9 +619,18 @@ impl TemplateRegistry {
         &self.plan
     }
 
-    /// The registered system.
+    /// The registered system: the system as given when it certifies,
+    /// else its two-phase closure. Every `NodeId` of the given system
+    /// names the same operation here.
     pub fn system(&self) -> &Arc<TransactionSystem> {
         &self.sys
+    }
+
+    /// The two-phase closure of [`system`](Self::system): what wait-die
+    /// executes, a forced fallback included. The same system when
+    /// every registered template is two-phase.
+    pub fn two_phase(&self) -> &Arc<TransactionSystem> {
+        &self.two_phase
     }
 
     /// The template for transaction `t`.
@@ -661,6 +711,52 @@ mod tests {
         assert!(!reason.is_empty());
     }
 
+    /// `L a U a L b U b` against `L b U b L a U a`: neither certifies,
+    /// so the registry holds their closures, which wait-die runs.
+    #[test]
+    fn a_rejected_non_two_phase_pair_registers_its_closure() {
+        let db = Database::one_entity_per_site(2);
+        let (a, b) = (EntityId(0), EntityId(1));
+        let ab = [Op::lock(a), Op::unlock(a), Op::lock(b), Op::unlock(b)];
+        let ba = [Op::lock(b), Op::unlock(b), Op::lock(a), Op::unlock(a)];
+        let txns = vec![
+            Transaction::from_total_order("AB", &ab, &db).unwrap(),
+            Transaction::from_total_order("BA", &ba, &db).unwrap(),
+        ];
+        let reg = TemplateRegistry::register(TransactionSystem::new(db, txns).unwrap());
+        assert!(!reg.verdict().is_certified(), "{}", reg.verdict());
+        assert!(Arc::ptr_eq(reg.system(), reg.two_phase()));
+        assert!(reg.system().txns().iter().all(is_two_phase));
+        let rationale = &reg.plan().rationale;
+        assert!(
+            rationale.starts_with("two-phase closure of AB, BA: "),
+            "{rationale}"
+        );
+    }
+
+    /// A certified system runs as written; only a forced fallback runs
+    /// its closure. A two-phase system is its own closure.
+    #[test]
+    fn a_certified_system_keeps_its_closure_for_wait_die() {
+        let db = Database::one_entity_per_site(3);
+        let [a, b, c] = [0, 1, 2].map(EntityId);
+        let chain = [
+            Op::lock(a),
+            Op::lock(b),
+            Op::unlock(a),
+            Op::lock(c),
+            Op::unlock(b),
+            Op::unlock(c),
+        ];
+        let t = Transaction::from_total_order("chain", &chain, &db).unwrap();
+        let reg = TemplateRegistry::register(TransactionSystem::new(db, vec![t]).unwrap());
+        assert!(reg.verdict().is_certified(), "{}", reg.verdict());
+        assert!(!is_two_phase(reg.system().txn(TxnId(0))));
+        assert!(is_two_phase(reg.two_phase().txn(TxnId(0))));
+        let reg = TemplateRegistry::register(two_phase_pair(false));
+        assert!(Arc::ptr_eq(reg.system(), reg.two_phase()));
+    }
+
     #[test]
     fn uniform_inflation_certifies_strict_pair() {
         let reg = TemplateRegistry::register_with(
@@ -670,7 +766,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(reg.verdict().guarantees_safety(), "{}", reg.verdict());
+        assert!(reg.verdict().is_certified(), "{}", reg.verdict());
         assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Bounded(4));
         assert_eq!(reg.plan().slots_of(TxnId(1)), Slots::Bounded(4));
         assert!(!reg.plan().floored);
@@ -715,7 +811,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(reg.verdict().guarantees_safety());
+        assert!(reg.verdict().is_certified());
         assert_eq!(reg.plan().slots_of(TxnId(0)), Slots::Unbounded);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! With a WAL attached, every write is appended to the log *before* the
 //! in-memory chain mutates and under the shard's mutex, and every
-//! release batch of history events under the auditor's, so file order
-//! is at once chain order per entity and audit order for events, and a
+//! release batch of history events while its entity is still held, so
+//! file order is at once chain order and lock order per entity, and a
 //! crashed process can be replayed (a rollback logs nothing: the
 //! victim's `Write`s simply never get a `Commit`): the committing
 //! attempts' operations re-enter fresh chains in file order, stamped
@@ -104,8 +104,8 @@
 //! waiter. Decisions appended while an fsync is in flight ride the next
 //! one, so an fsync serves every committer that appended before it
 //! started. Because the fsync runs outside `wal.log`, other appenders —
-//! a shard under `shard.state`, an event batch under `engine.auditor`,
-//! another run's `Begin`s — keep filling the buffer meanwhile. Fsyncs
+//! a shard under `shard.state`, an unlock's event batch, another run's
+//! `Begin`s — keep filling the buffer meanwhile. Fsyncs
 //! never overlap: the `syncing` flag admits one at a time. A synced
 //! decision is in the kernel and on disk before its commit is
 //! published.
@@ -450,8 +450,8 @@ struct Durable {
 pub struct Wal {
     dir: PathBuf,
     /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
-    /// (under `shard.state`) for `Write`s, by the event path (under
-    /// `engine.auditor`) for `Event`s, by workers for `Begin`/`Abort`
+    /// (under `shard.state`) for `Write`s, by an unlock, holding
+    /// nothing else, for `Event`s, by workers for `Begin`/`Abort`
     /// and their `Commit`, by a `sync` committer to push the buffer
     /// before its fsync, and by a snapshot reader, holding
     /// nothing else, to push a decision it may have observed — never
@@ -638,8 +638,8 @@ impl Wal {
     /// acquisition: an admission chunk's `Begin`s, a retry's `Begin`, an
     /// `Abort`, a shard's write-ahead `Write` (the caller holds
     /// `shard.state`, so file order is chain order), or one release
-    /// batch of `Event`s (the caller holds `engine.auditor`, so file
-    /// order is audit order).
+    /// batch of `Event`s (the caller still holds the unlocked entity in
+    /// its lock table, so file order is that entity's lock order).
     pub(crate) fn append(&self, recs: impl IntoIterator<Item = WalRecord>) {
         let mut f = self.log.lock();
         for rec in recs {

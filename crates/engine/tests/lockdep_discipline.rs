@@ -1,14 +1,14 @@
 //! Lockdep regression tests for the engine's run path: the `wal_sync`
 //! committer that fsyncs pushes the log and fsyncs *outside*
-//! `wal.group_state`, and waiters park holding only that lock; the audit
-//! epoch is one lock, `engine.auditor`, taken under nothing; and a
+//! `wal.group_state`, and waiters park holding only that lock; an
+//! unlock appends its events to the log holding no lock; and a
 //! one-chunk run takes an exact number of locks, however many templates
 //! are registered — machine-checked here
 //! by the instrumented shim. Only meaningful with `--features lockdep`;
 //! without it the validator observes nothing.
 #![cfg(feature = "lockdep")]
 
-use ddlf_engine::{AdmissionOptions, Engine, EngineConfig, EPOCH_CAP};
+use ddlf_engine::{AdmissionOptions, Engine, EngineConfig};
 use ddlf_model::{SystemSpec, TxnId};
 use std::path::PathBuf;
 
@@ -96,41 +96,35 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// An epoch's bookkeeping and its auditor sit behind the one
-/// `engine.auditor` mutex, so nothing is ever acquired *before* it:
-/// after two concurrent WAL'd runs whose chunks together cross
-/// [`EPOCH_CAP`] — chunks waiting out the cap, closing the full epoch
-/// and opening the next — no order edge ends at `engine.auditor`, and
-/// there is no separate epoch class at all.
+/// An unlock appends its release batch's `Event` frames while its
+/// entity is held in the lock table, which is no mutex: after two
+/// concurrent WAL'd runs, the only order edge into `wal.log` is the
+/// write-ahead append under `shard.state`, and no audit lock exists.
 #[test]
-fn the_epoch_bookkeeping_is_the_auditor_lock() {
-    let dir = temp_dir("epoch");
+fn an_event_append_holds_no_lock() {
+    let dir = temp_dir("events");
     let engine = engine(2, Some(dir.clone()));
-    let per_run = EPOCH_CAP / 2 + 8;
     std::thread::scope(|s| {
-        let runs = [0, 1].map(|_| s.spawn(|| engine.run_mix(&engine.uniform_mix(per_run))));
+        let runs = [0, 1].map(|_| s.spawn(|| engine.run_mix(&engine.uniform_mix(64))));
         for run in runs {
             let report = run.join().unwrap();
-            assert_eq!(report.committed, per_run);
+            assert_eq!(report.committed, 64);
             assert_eq!(report.serializable, Some(true));
         }
     });
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let into_auditor: Vec<_> = ddlf_lockdep::edges()
+    let mut into_log: Vec<String> = ddlf_lockdep::edges()
         .into_iter()
-        .filter(|(_, to)| to == "engine.auditor")
+        .filter(|(_, to)| to == "wal.log")
+        .map(|(from, _)| from)
         .collect();
-    assert!(
-        into_auditor.is_empty(),
-        "a lock is held while taking engine.auditor: {into_auditor:?}"
-    );
+    into_log.dedup();
+    assert_eq!(into_log, ["shard.state"]);
     let classes = ddlf_lockdep::classes();
-    assert!(classes.iter().any(|c| c == "engine.auditor"), "{classes:?}");
     assert!(
-        !classes.iter().any(|c| c == "engine.epoch"),
-        "the epoch bookkeeping has a lock of its own again: {classes:?}"
+        !classes.iter().any(|c| c.starts_with("engine.a")),
+        "an audit lock is back: {classes:?}"
     );
 }
 
@@ -156,12 +150,10 @@ fn disjoint_spec(n: usize) -> String {
 /// A one-chunk run (what every count=1 Submit is) runs on its caller's
 /// thread, so every lock it takes is counted there. The count is exact:
 /// a lock added to (or dropped from) the one-instance path shows here.
-/// The epoch takes one `engine.auditor` acquisition each to join and
-/// leave (reading the verdict on the way out and, as the last chunk
-/// out, closing it, the debug-build cross-check included), so debug and
-/// release builds count the same. A run touches only its own
-/// templates' gates, so the count does not grow with the registered
-/// templates: a 16-template system counts the same.
+/// The debug-build oracle takes no lock, so debug and release builds
+/// count the same. A run touches only its own templates' gates, so the
+/// count does not grow with the registered templates: a 16-template
+/// system counts the same.
 /// With a (non-sync) WAL the run also appends its `Begin`, `Write`,
 /// `Event` and `Commit` frames and pushes the log at its end.
 #[test]
@@ -176,9 +168,9 @@ fn a_one_chunk_run_takes_an_exact_number_of_locks() {
         Engine::new(sys, EngineConfig::default())
     };
     let cases = [
-        (engine(2, None), 15),
-        (engine(2, Some(dir.clone())), 22),
-        (wide(), 15),
+        (engine(2, None), 10),
+        (engine(2, Some(dir.clone())), 17),
+        (wide(), 10),
     ];
     for (engine, expected) in cases {
         let templates = engine.registry().len();

@@ -164,11 +164,6 @@ mod imp {
     ///   `write(2)` on a capacity boundary; the holder never issues an
     ///   fsync, and since no one holds `wal.log` across one, it never
     ///   waits one out either.
-    /// * `engine.auditor` — the one event critical section appends each
-    ///   release batch to the log (buffered) while feeding the
-    ///   auditor, by design, so durable history order equals audit
-    ///   order; like `shard.state`, it neither issues nor waits out an
-    ///   fsync.
     /// * `wal.log` — the one writer lock serializes append and
     ///   `write(2)`, never an fsync: a `sync` committer releases it
     ///   before its `fdatasync`.
@@ -182,8 +177,7 @@ mod imp {
     /// handle: a `Submit` runs, a `ReadOnly` scans, and a registration
     /// builds its engine and rotates the WAL directory, holding no
     /// server lock.
-    const BLOCKING_ALLOW: &[(&str, u8)] =
-        &[("shard.state", 1), ("engine.auditor", 1), ("wal.log", 1)];
+    const BLOCKING_ALLOW: &[(&str, u8)] = &[("shard.state", 1), ("wal.log", 1)];
 
     /// First-witness record for a class-order edge.
     struct EdgeWitness {

@@ -9,17 +9,19 @@
 //! [`History::committed_projection`] builds it once — one transaction per
 //! committed instance, in id order, plus the committing attempts' events
 //! in recorded order — and [`CommittedProjection::audit`] runs
-//! [`Schedule::validate`] and [`Schedule::conflict_digraph`] on it.
+//! [`Schedule::validate`] on it and checks `D(S)` for a cycle.
 //!
-//! The batch audit is `Θ(instances²)` (the full `D(S)` carries an arc per
-//! ordered locker pair). It is not the live path: the engine and
-//! `wal::recover` keep the verdict incrementally in a
+//! The full `D(S)` ([`CommittedProjection::conflict_digraph`]) carries an
+//! arc per ordered locker pair, `Θ(instances²)`; the audit checks its
+//! per-entity transitive reduction, which has the same cycles. It is not
+//! `wal::recover`'s path, which keeps the verdict incrementally in a
 //! [`StreamingAuditor`](crate::incremental::StreamingAuditor). The batch
 //! form is that auditor's independent *oracle* — the model proptests
-//! drive random histories through both, and engine debug builds
-//! cross-check every closed audit epoch.
+//! drive random histories through both — and engine debug builds audit
+//! every run with it.
 
 use crate::error::ModelError;
+use crate::graph::DiGraph;
 use crate::ids::{GlobalNode, NodeId, TxnId};
 use crate::schedule::{ConflictGraph, Schedule};
 use crate::system::TransactionSystem;
@@ -132,9 +134,30 @@ impl CommittedProjection {
     }
 
     /// The batch `D(S)` verdict: `Ok(serializable)`, or the validation
-    /// error of [`conflict_digraph`](Self::conflict_digraph).
+    /// error of [`conflict_digraph`](Self::conflict_digraph). Per
+    /// entity it keeps only the transitive reduction of `D(S)`'s arcs —
+    /// each locker to the next, and the last locker to every accessor
+    /// that never locked the entity — which has the same cycles, so the
+    /// audit is linear in the history, not quadratic in the lockers.
     pub fn audit(&self) -> Result<bool, ModelError> {
-        Ok(self.conflict_digraph()?.is_acyclic())
+        let sched = Schedule::from_steps(self.steps.clone());
+        let v = sched.validate(&self.sys)?;
+        let mut g = DiGraph::new(self.sys.len());
+        let mut locked = vec![false; self.sys.len()];
+        for (&e, lockers) in &v.lock_order {
+            for pair in lockers.windows(2) {
+                g.add_arc(pair[0].index(), pair[1].index());
+            }
+            let Some(last) = lockers.last() else { continue };
+            lockers.iter().for_each(|t| locked[t.index()] = true);
+            for (t, txn) in self.sys.iter() {
+                if txn.accesses(e) && !locked[t.index()] {
+                    g.add_arc(last.index(), t.index());
+                }
+            }
+            lockers.iter().for_each(|t| locked[t.index()] = false);
+        }
+        Ok(!g.has_cycle())
     }
 }
 

@@ -289,6 +289,8 @@ proptest! {
         let streaming = auditor.seal();
         let projection = run.projection();
         let batch = projection.audit().ok();
+        let full = projection.conflict_digraph().ok().map(|g| g.is_acyclic());
+        prop_assert_eq!(batch, full, "seed {}: the reduced audit disagrees with D(S)", seed);
         prop_assert_eq!(
             streaming, batch,
             "seed {}: streaming {:?} != batch {:?} ({} committed, {} calls)",

@@ -48,12 +48,12 @@
 //!
 //! | opcode | response        | payload                                                        |
 //! |-------:|-----------------|----------------------------------------------------------------|
-//! | `1`    | `Registered`    | certified/safety/floored bools, verdict str, rationale str, plan: `u32` count × (name str, `0` = ∞ ∣ `1 k:u64`) |
+//! | `1`    | `Registered`    | certified/safety/floored bools (safety: the certificate's own; equal to certified), verdict str, rationale str, plan: `u32` count × (name str, `0` = ∞ ∣ `1 k:u64`) |
 //! | `2`    | `Submitted`     | [`RunStats`]: 9 × `u64` counters, serializable byte (`0` none ∣ `1` false ∣ `2` true) |
 //! | `3`    | `Report`        | same [`RunStats`] layout, cumulative over every submission     |
 //! | `4`    | `ShuttingDown`  | —                                                              |
 //! | `5`    | `Error`         | kind byte (`1` bad-request ∣ `2` no-system ∣ `3` unknown-template ∣ `4` bad-spec), message str |
-//! | `6`    | `Stats`         | [`StatsSnapshot`]: 7 × `u64` gauges, phases: `u32` count × [`PhaseStat`] (name str, 6 × `u64`), templates: `u32` count × [`TemplateStat`] (name str, 4 × `u64`) |
+//! | `6`    | `Stats`         | [`StatsSnapshot`]: 10 × 8-byte gauges and counters (uptime, inflight `i64`, WAL bytes, trace captured/dropped, group flushes/commits, chain versions/max length/watermark), phases: `u32` count × [`PhaseStat`] (name str, 6 × `u64`), templates: `u32` count × [`TemplateStat`] (name str, 4 × `u64`) |
 //!
 //! Any malformed request frame is answered with `Error(bad-request)`;
 //! any malformed *response* decodes to `None` on the client and

@@ -450,11 +450,13 @@ record! {
     pub struct Registered {
         /// Whether the no-detector path is admitted.
         certified: bool,
-        /// Whether the certificate also guarantees serializability (not
-        /// just deadlock-freedom).
+        /// Whether the certificate itself guarantees serializability. It
+        /// does exactly when the plan is certified: a wait-die plan is
+        /// serializable by two-phase locking instead, and a plan that is
+        /// only deadlock-free is never admitted.
         guarantees_safety: bool,
-        /// Whether a requested inflation failed to certify and the plan was
-        /// floored back to `k = 1`.
+        /// Whether a requested inflation failed to certify safe and the
+        /// plan was floored (see `AdmissionPlan::floored`).
         floored: bool,
         /// Human rendering of the admission verdict.
         verdict: String,
@@ -478,7 +480,7 @@ impl Registered {
             .collect();
         Registered {
             certified: reg.verdict().is_certified(),
-            guarantees_safety: reg.verdict().guarantees_safety(),
+            guarantees_safety: reg.verdict().is_certified(),
             floored: reg.plan().floored,
             verdict: reg.verdict().to_string(),
             rationale: reg.plan().rationale.clone(),
@@ -649,10 +651,6 @@ record! {
         uptime_us: u64 => Micros,
         /// Instances currently admitted and executing.
         inflight: i64,
-        /// Committed-transaction nodes in the streaming auditor's graph.
-        auditor_nodes: u64,
-        /// Conflict arcs in the streaming auditor's graph.
-        auditor_arcs: u64,
         /// Bytes appended to WAL log files (payload + frame headers).
         wal_bytes: u64 => Counter,
         /// Lifecycle events currently held in the trace ring.
@@ -699,8 +697,6 @@ impl StatsSnapshot {
         StatsSnapshot {
             uptime_us: s.uptime_us,
             inflight: s.inflight,
-            auditor_nodes: s.auditor_nodes,
-            auditor_arcs: s.auditor_arcs,
             wal_bytes: s.wal_bytes,
             trace_captured: s.trace_captured,
             trace_dropped: s.trace_dropped,
@@ -915,8 +911,6 @@ mod tests {
         let stats = StatsSnapshot {
             uptime_us: 1_234_567,
             inflight: -1, // torn gauge read: decrement raced the snapshot
-            auditor_nodes: 42,
-            auditor_arcs: 99,
             wal_bytes: 1 << 30,
             trace_captured: 512,
             trace_dropped: 7,

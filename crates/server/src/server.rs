@@ -14,7 +14,7 @@
 //! multiprogramming. Nothing else needs them apart: the engine mints
 //! every gid (lock holder, wait-die timestamp) from one id space that
 //! lasts its lifetime, so instances of different submissions never
-//! collide, and overlapping runs share one `D(S)` audit epoch. A
+//! collide. A
 //! `Submit` runs on its connection's thread — the run's first worker —
 //! holding no server lock: the engine slot is a mutex held only to pin
 //! the engine (clone its `Arc` and count the run in) and to unpin it. A

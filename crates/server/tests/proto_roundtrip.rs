@@ -67,8 +67,6 @@ fn stats_snapshot_of(fields: &[u64], rows: &[(Vec<u8>, u64, bool)]) -> StatsSnap
     StatsSnapshot {
         uptime_us: fields[0],
         inflight: fields[1] as i64,
-        auditor_nodes: fields[2],
-        auditor_arcs: fields[3],
         wal_bytes: fields[4],
         trace_captured: fields[5],
         trace_dropped: fields[6],
@@ -374,8 +372,6 @@ fn golden_wire_bytes() {
             Response::Stats(StatsSnapshot {
                 uptime_us: 1_234_567,
                 inflight: -1,
-                auditor_nodes: 42,
-                auditor_arcs: 99,
                 wal_bytes: 1 << 30,
                 trace_captured: 512,
                 trace_dropped: 7,
@@ -401,13 +397,12 @@ fn golden_wire_bytes() {
                 }],
             }),
             concat!(
-                "0687d6120000000000ffffffffffffffff2a0000000000000063000000000000",
-                "000000004000000000000200000000000007000000000000007d000000000000",
-                "00a00f000000000000001900000000000040000000000000009f0f0000000000",
-                "0001000000090000006c6f636b5f77616974e803000000000000404b4c000000",
-                "0000a00f000000000000204e000000000000803801000000000040420f000000",
-                "000001000000080000007472616e73666572204e000000000000030000000000",
-                "00000300000000000000",
+                "0687d6120000000000ffffffffffffffff000000400000000000020000000000",
+                "0007000000000000007d00000000000000a00f00000000000000190000000000",
+                "0040000000000000009f0f00000000000001000000090000006c6f636b5f7761",
+                "6974e803000000000000404b4c0000000000a00f000000000000204e00000000",
+                "0000803801000000000040420f000000000001000000080000007472616e7366",
+                "6572204e00000000000003000000000000000300000000000000",
             ),
         ),
         (

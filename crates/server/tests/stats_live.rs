@@ -32,8 +32,7 @@ fn telemetry_server(work: Duration, admission_batch: usize) -> (Server, Telemetr
 
 #[test]
 fn stats_digest_a_completed_run() {
-    // One 64-instance chunk: the run is one audit epoch, so the auditor
-    // gauge (the last closed epoch's size) counts all of it.
+    // One 64-instance chunk.
     let (server, _tel) = telemetry_server(Duration::ZERO, 64);
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
@@ -67,7 +66,6 @@ fn stats_digest_a_completed_run() {
         .templates
         .iter()
         .all(|t| t.dies == 0 && t.aborted == 0));
-    assert_eq!(stats.auditor_nodes, 64);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

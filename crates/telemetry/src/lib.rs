@@ -65,7 +65,7 @@ pub enum Phase {
     WalAppend,
     /// An `fsync` (data sync) of WAL log files.
     Fsync,
-    /// Commit: store publish + durable commit record + auditor merge.
+    /// Commit: durable commit record + store publish.
     Commit,
     /// One read-only snapshot scan over the version chains (cut
     /// registration through last entity read; no lock-table entry, no
@@ -203,10 +203,6 @@ pub struct TelemetrySnapshot {
     pub uptime_us: u64,
     /// Instances currently admitted and executing.
     pub inflight: i64,
-    /// Committed-transaction nodes in the streaming auditor's graph.
-    pub auditor_nodes: u64,
-    /// Conflict arcs in the streaming auditor's graph.
-    pub auditor_arcs: u64,
     /// Bytes appended to WAL log files (payload + frame headers).
     pub wal_bytes: u64,
     /// Committed versions currently retained across all entity version
@@ -265,14 +261,7 @@ macro_rules! gauges {
     };
 }
 
-gauges!(
-    auditor_nodes,
-    auditor_arcs,
-    wal_bytes,
-    chain_versions,
-    chain_max_len,
-    chain_watermark
-);
+gauges!(wal_bytes, chain_versions, chain_max_len, chain_watermark);
 
 #[derive(Debug)]
 struct Inner {
@@ -382,15 +371,6 @@ impl Telemetry {
     pub fn inflight_dec(&self) {
         if let Some(i) = &self.inner {
             i.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the streaming auditor's current graph size.
-    #[inline]
-    pub fn set_auditor(&self, nodes: u64, arcs: u64) {
-        if let Some(i) = &self.inner {
-            i.gauges.auditor_nodes.store(nodes, Ordering::Relaxed);
-            i.gauges.auditor_arcs.store(arcs, Ordering::Relaxed);
         }
     }
 
@@ -572,13 +552,10 @@ mod tests {
         t.inflight_inc();
         t.inflight_inc();
         t.inflight_dec();
-        t.set_auditor(12, 34);
         t.add_wal_bytes(100);
         t.add_wal_bytes(28);
         let s = t.snapshot();
         assert_eq!(s.inflight, 1);
-        assert_eq!(s.auditor_nodes, 12);
-        assert_eq!(s.auditor_arcs, 34);
         assert_eq!(s.wal_bytes, 128);
     }
 

@@ -30,9 +30,6 @@ pub enum SpanKind {
     Commit,
     /// One attempt aborted (wait-die); `dur_ns` is the undo duration.
     Abort,
-    /// The streaming auditor merged this instance; `n` is the arc
-    /// count of the conflict graph afterwards.
-    AuditArc,
 }
 
 impl SpanKind {
@@ -44,7 +41,6 @@ impl SpanKind {
             SpanKind::Write => "write",
             SpanKind::Commit => "commit",
             SpanKind::Abort => "abort",
-            SpanKind::AuditArc => "audit_arc",
         }
     }
 }
@@ -66,7 +62,7 @@ pub struct SpanEvent {
     pub entity: u32,
     /// Duration in nanoseconds where the kind defines one, else 0.
     pub dur_ns: u64,
-    /// Kind-specific count (auditor arcs for [`SpanKind::AuditArc`]).
+    /// Kind-specific count (rolled-back writes for [`SpanKind::Abort`]).
     pub n: u64,
 }
 
@@ -202,7 +198,7 @@ mod tests {
             entity: 3,
             dur_ns: 42,
             n: 9,
-            ..ev(7, SpanKind::AuditArc)
+            ..ev(7, SpanKind::Abort)
         });
         let dump = ring.dump_jsonl();
         let lines: Vec<&str> = dump.lines().collect();

@@ -4,7 +4,7 @@
 //! typed client, registers the ordered-transfer banking system (the
 //! same spec the CI wire-smoke step ships between two OS processes),
 //! submits transfers, and verifies the paper's payoff end to end:
-//! **zero aborts** and an **audited-serializable** history, with the
+//! **zero aborts** and a **serializable** history, with the
 //! certification decision made once, server-side, at registration.
 //!
 //! ```text
@@ -38,7 +38,7 @@ fn main() {
         stats.aborted_attempts, 0,
         "certified ⇒ zero aborts over TCP"
     );
-    assert_eq!(stats.serializable, Some(true), "audited, not assumed");
+    assert_eq!(stats.serializable, Some(true), "serializable by theorem");
 
     println!("== re-register with Theorem 5 inflation (pipelined single template)");
     let (_, sys) = bank_uniform_transfer();

@@ -1,24 +1,16 @@
 //! Concurrent runs on one engine — the wire server's Submits from two
-//! or more connections — share one audit epoch. Two contracts:
-//!
-//! * **Soundness, refereed by recovery.** The live reports of
-//!   overlapping runs, each a conjunction of the epoch verdicts its
-//!   chunks observed, must agree with the single whole-log auditor of
-//!   `wal::recover`, which knows nothing of epochs; and every commit a
-//!   report acknowledged is a commit the log recovers.
-//! * **Bounded state.** Overlapping runs keep an epoch open, but never
-//!   past [`EPOCH_CAP`] instances plus one chunk: the auditor's live
-//!   node count (the telemetry gauge) stays under that bound however
-//!   long the overlap lasts.
+//! or more connections. Every plan the engine runs is serializable by a
+//! theorem, so every report of overlapping runs must say so, refereed
+//! by recovery: `wal::recover`'s single whole-log auditor must agree,
+//! and every commit a report acknowledged is a commit the log recovers.
 
 use ddlf::engine::{
     recover, AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program, Report,
-    Telemetry, TelemetryConfig, TemplateRegistry, WriteOp, EPOCH_CAP,
+    TemplateRegistry, WriteOp,
 };
 use ddlf::model::{Database, EntityId, Op, Transaction, TransactionSystem, TxnId};
 use ddlf::workloads::{bank_ordered_pair, bank_uniform_transfer};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 fn wal_dir(tag: &str) -> PathBuf {
@@ -30,19 +22,8 @@ fn wal_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The three-valued conjunction the cumulative report also uses.
-fn conjunction(reports: &[Report]) -> Option<bool> {
-    if reports.iter().any(|r| r.serializable == Some(false)) {
-        Some(false)
-    } else if reports.iter().all(|r| r.serializable == Some(true)) {
-        Some(true)
-    } else {
-        None
-    }
-}
-
-/// Two *opposite* non-two-phase chains: rejected by the certifier, so
-/// every run takes the wait-die path for real.
+/// Two *opposite* chains: rejected by the certifier, so every run takes
+/// the wait-die path for real.
 fn opposite_chains() -> TemplateRegistry {
     let db = Database::one_entity_per_site(2);
     let (a, b) = (EntityId(0), EntityId(1));
@@ -65,8 +46,9 @@ fn opposite_chains() -> TemplateRegistry {
     reg
 }
 
-/// The hand-over-hand (non-two-phase) transfer forced onto wait-die:
-/// the `banking_uniform --force-fallback` shape.
+/// The hand-over-hand (non-two-phase) transfer forced onto wait-die —
+/// over its two-phase closure: the `banking_uniform --force-fallback`
+/// shape.
 fn forced_uniform_transfer() -> TemplateRegistry {
     let (bank, sys) = bank_uniform_transfer();
     let mut reg = TemplateRegistry::register_with(
@@ -85,8 +67,9 @@ fn forced_uniform_transfer() -> TemplateRegistry {
 }
 
 /// Four submitters each make `runs` runs of `count` instances,
-/// concurrently, on one WAL'd engine; recovery's whole-log audit
-/// referees the live verdicts and the acknowledged commits.
+/// concurrently, on one WAL'd engine; every run must serialize, and
+/// recovery's whole-log audit referees that and the acknowledged
+/// commits.
 fn submit_concurrently(
     tag: &str,
     reg: TemplateRegistry,
@@ -120,15 +103,16 @@ fn submit_concurrently(
     assert_eq!(reports.len(), 4 * runs, "{tag}: every run completes");
     for r in &reports {
         assert!(r.all_committed(), "{tag}: {r:?}");
+        assert_eq!(r.serializable, Some(true), "{tag}: {r:?}");
     }
-    let live = conjunction(&reports);
-    assert_eq!(engine.report_snapshot().serializable, live, "{tag}");
+    assert_eq!(engine.report_snapshot().serializable, Some(true), "{tag}");
     drop(engine);
 
     let rec = recover(&dir).unwrap();
     assert_eq!(
-        rec.serializable, live,
-        "{tag}: the epoch audit disagrees with recovery's whole-log audit ({:?})",
+        rec.serializable,
+        Some(true),
+        "{tag}: recovery's whole-log audit ({:?})",
         rec.audit_error
     );
     assert_eq!(
@@ -192,44 +176,30 @@ fn count_one_runs_from_four_submitters_all_complete() {
     }
 }
 
+/// Two overlapping runs share one engine, and each report counts its
+/// own instances' events alone.
 #[test]
-fn overlapping_runs_keep_the_epoch_bounded() {
-    const CHUNK: usize = 4;
+fn overlapping_runs_each_count_their_own_events() {
+    const COUNT: usize = 256;
     let (_, sys) = bank_ordered_pair();
-    let telemetry = Telemetry::new(TelemetryConfig::default());
     let engine = Engine::new(
         sys,
         EngineConfig {
             threads: 4,
-            admission_batch: CHUNK,
-            telemetry: telemetry.clone(),
+            admission_batch: 4,
             ..Default::default()
         },
     );
-    let bound = (EPOCH_CAP + CHUNK) as u64;
-    let peak = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-    // Two overlapping runs of a full cap each: twice what one epoch may
-    // hold, so the shared epoch must close at the cap and reopen.
     let reports: Vec<Report> = std::thread::scope(|s| {
-        s.spawn(|| {
-            while !done.load(Ordering::Relaxed) {
-                peak.fetch_max(telemetry.snapshot().auditor_nodes, Ordering::Relaxed);
-                std::thread::yield_now();
-            }
-        });
         let runs: Vec<_> = (0..2)
-            .map(|_| s.spawn(|| engine.run_mix(&engine.uniform_mix(EPOCH_CAP))))
+            .map(|_| s.spawn(|| engine.run_mix(&engine.uniform_mix(COUNT))))
             .collect();
-        let reports = runs.into_iter().map(|h| h.join().unwrap()).collect();
-        done.store(true, Ordering::Relaxed);
-        reports
+        runs.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    // Every committed instance recorded each of its nodes once, and the
-    // count is the run's own although the epoch was shared.
+    // Every committed instance recorded each of its nodes once.
     let sys = engine.registry().system();
     let events: usize = engine
-        .uniform_mix(EPOCH_CAP)
+        .uniform_mix(COUNT)
         .iter()
         .map(|&(t, n)| n * sys.txn(t).node_count())
         .sum();
@@ -238,14 +208,4 @@ fn overlapping_runs_keep_the_epoch_bounded() {
         assert_eq!(r.serializable, Some(true), "{r:?}");
         assert_eq!(r.history_len, events, "per-run event count");
     }
-    let last_epoch = telemetry.snapshot().auditor_nodes;
-    assert!(
-        last_epoch > 0 && last_epoch <= bound,
-        "the last epoch held {last_epoch} nodes, bound {bound}"
-    );
-    let peak = peak.into_inner();
-    assert!(
-        peak <= bound,
-        "the live auditor reached {peak} nodes, bound {bound}"
-    );
 }

@@ -17,7 +17,7 @@
 //! the commit never returns before the decision reached the kernel —
 //! and the negative-space contracts that make the path "read-only":
 //! RO transactions append **nothing** to the WAL, the committed
-//! history, or the streaming auditor's `D(S)` graph — so no snapshot
+//! history, or the `D(S)` graph recovery audits — so no snapshot
 //! read can ever appear in a `D(S)` cycle (cycles are built solely
 //! from committed lock-writer arcs), and the serializability audit of
 //! a run is byte-identical with or without concurrent scanners.
@@ -384,47 +384,42 @@ fn read_only_transactions_write_nothing_to_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Snapshot reads never appear in any `D(S)` cycle — structurally: the
-/// streaming auditor's graph is built from committed history events,
-/// and RO transactions append none. Hammering the read path (including
-/// concurrently with a second writer run) leaves the history length,
-/// the auditor's node/arc counts, and the serializability verdict
-/// exactly where the writers alone put them. Each writer run is one
-/// 20-instance chunk, so one audit epoch: the auditor gauge, which
-/// reads the last closed epoch, counts the whole run.
+/// Snapshot reads never appear in any `D(S)` cycle — structurally:
+/// `D(S)` is built from committed history events, and RO transactions
+/// append none. Hammering the read path (including concurrently with a
+/// second writer run) leaves the history length and the serializability
+/// verdict exactly where the writers alone put them, and recovery's
+/// whole-log audit of the WAL sees exactly the committed writers.
 #[test]
 fn snapshot_reads_never_enter_the_ds_graph() {
-    let telemetry = Telemetry::new(TelemetryConfig::default());
+    let dir = wal_dir("ds-graph");
     let engine = transfer_engine(
         20,
         EngineConfig {
             threads: 4,
             admission_batch: 20,
-            telemetry: telemetry.clone(),
+            wal_dir: Some(dir.clone()),
             ..Default::default()
         },
     );
     let entities = all_entities(&engine);
 
-    // First writer run, no readers: the baseline D(S) graph.
-    assert!(engine.run().all_committed());
-    let base = telemetry.snapshot();
+    // First writer run, no readers: the baseline history.
+    let first = engine.run();
+    assert!(first.all_committed(), "{first:?}");
+    assert_eq!(first.serializable, Some(true));
     let base_history = engine.report_snapshot().history_len;
-    assert_eq!(base.auditor_nodes, 20, "one D(S) node per committed txn");
 
     // Read-only storm against the quiescent store: nothing moves.
     for _ in 0..500 {
         let _ = engine.run_read_only(&entities);
     }
-    let after_reads = telemetry.snapshot();
-    assert_eq!(after_reads.auditor_nodes, base.auditor_nodes);
-    assert_eq!(after_reads.auditor_arcs, base.auditor_arcs);
     assert_eq!(engine.report_snapshot().history_len, base_history);
 
     // Second writer run with scanners hammering concurrently: the
-    // D(S) graph grows by exactly the writers' contribution, and the
-    // audit still certifies — scanner reads contributed no node, no
-    // arc, and so can close no cycle.
+    // history grows by exactly the writers' contribution, and the run
+    // still serializes — scanner reads contributed no node, no arc,
+    // and so can close no cycle.
     let done = AtomicBool::new(false);
     let report = std::thread::scope(|s| {
         let handles: Vec<_> = (0..3)
@@ -446,17 +441,22 @@ fn snapshot_reads_never_enter_the_ds_graph() {
     });
     assert!(report.all_committed(), "{report:?}");
     assert_eq!(report.serializable, Some(true));
-    // The auditor gauge reports the *last epoch's* graph, here the last
-    // run's: exactly the 20
-    // second-run writers — had any scanner read entered D(S), the node
-    // count would exceed the committed writer count.
-    let after = telemetry.snapshot();
-    assert_eq!(after.auditor_nodes, 20, "20 writers, 0 readers");
+    let history_len = engine.report_snapshot().history_len;
     assert_eq!(
-        engine.report_snapshot().history_len,
+        history_len,
         base_history + report.history_len,
         "history grew by the second run's writer events alone"
     );
+    drop(engine);
+
+    // Recovery audits the whole log: had any scanner read entered
+    // D(S), it would count an instance or an event more than the 20 + 20
+    // committed writers.
+    let rec = recover(&dir).unwrap();
+    assert_eq!(rec.committed, 40, "20 + 20 writers, 0 readers");
+    assert_eq!(rec.history_len, history_len);
+    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `snapshot()` doc contract (satellite 1), asserted under active

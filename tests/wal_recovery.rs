@@ -91,9 +91,9 @@ fn recovery_replays_committed_state_and_reaudits() {
         "recovered history must pass D(S): {:?}",
         rec.audit_error
     );
-    // Live order = logged order under four worker threads: the log and
-    // the live auditor were fed inside one critical section, so replaying
-    // the log reaches the live verdict over the same number of events.
+    // The log keeps each entity's lock order under four worker threads,
+    // so replaying it reaches the live verdict over the same number of
+    // events.
     assert_eq!(rec.serializable, live.serializable.and(live2.serializable));
     assert_eq!(rec.history_len, live.history_len + live2.history_len);
     // The recovered store is byte-for-byte the live one: same values,

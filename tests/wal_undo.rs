@@ -1,8 +1,7 @@
-//! Wait-die victims that die *after* an unlock has exposed a write are
-//! rolled back — their chain entries removed — so non-two-phase
-//! fallback runs keep their conservation invariants **and** their
-//! `D(S)` audit; once such runs reported `serializable: None` (audit
-//! voided) and could silently violate conservation.
+//! Wait-die runs keep their conservation invariants **and** their
+//! `D(S)` audit. Wait-die executes each template's two-phase closure,
+//! so a victim dies before its first unlock, with no write exposed:
+//! nothing is left to roll back, even for non-two-phase templates.
 
 use ddlf::engine::{
     AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program, Report,
@@ -12,10 +11,9 @@ use ddlf::model::{Database, EntityId, Op, Transaction, TransactionSystem, TxnId}
 use ddlf::workloads::bank_uniform_transfer;
 use std::time::Duration;
 
-/// The certified hand-over-hand transfer forced onto wait-die: the
-/// non-two-phase shape means victims can die mid-chain with their first
-/// write already exposed. With rollback, the run must stay conserving
-/// and auditable.
+/// The certified hand-over-hand transfer forced onto wait-die: wait-die
+/// runs its two-phase closure, so no victim dies mid-chain with a write
+/// exposed, and the run stays conserving and serializable.
 fn pipelined_wait_die_run(seed: u64) -> (Report, u128, u64) {
     let (bank, sys) = bank_uniform_transfer();
     let mut reg = TemplateRegistry::register_with(
@@ -55,9 +53,6 @@ fn forced_wait_die_on_non_two_phase_chain_conserves_and_audits() {
     for seed in [11, 42, 77] {
         let (report, total, versions) = pipelined_wait_die_run(seed);
         assert!(report.all_committed(), "seed {seed}: {report:?}");
-        // The heart of the fix: every exposed write of a victim was
-        // taken back, so the audit runs — and passes — instead of being
-        // voided to None.
         assert_eq!(
             report.serializable,
             Some(true),
@@ -72,13 +67,11 @@ fn forced_wait_die_on_non_two_phase_chain_conserves_and_audits() {
         aborts += report.aborted_attempts;
         rolled_back += report.rolled_back;
     }
-    // Across seeds the fallback path was genuinely exercised, including
-    // deaths past the first unlock (the previously-dirty regime).
+    // Across seeds the fallback path was genuinely exercised, and no
+    // victim died after an unlock: the closure holds every lock until
+    // the last one is granted.
     assert!(aborts > 0, "contended wait-die must abort somewhere");
-    assert!(
-        rolled_back > 0,
-        "some victim must have died after an unlock (else this test lost its subject)"
-    );
+    assert_eq!(rolled_back, 0, "a victim died with a write exposed");
 }
 
 /// Two *opposite* non-two-phase chains: uncertifiable (real fallback,

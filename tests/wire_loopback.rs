@@ -3,10 +3,10 @@
 //!
 //! The headline assertion is the paper's Fig. 6 regime *observed over
 //! TCP*: the Fig. 6 transaction admits exactly two concurrent copies
-//! (deadlock-free, exhaustively — never safe), so a remote registration
-//! asking for auto inflation must come back with a k = 2 admission
-//! ceiling and `guarantees_safety = false`, and submissions must still
-//! run abort-free under that ceiling.
+//! deadlock-free (exhaustively — never safe), and only one safely, so a
+//! remote registration asking for auto inflation must come back floored
+//! to the safe k = 1, naming the k = 2 certificate it refused, and
+//! submissions must run abort-free under that ceiling.
 
 use ddlf::model::SystemSpec;
 use ddlf::server::{Client, ClientError, ErrorKind, InflateSpec, ServeConfig, Server};
@@ -32,30 +32,29 @@ fn fig6_k2_admission_ceiling_observed_over_tcp() {
     let reg = client
         .register(&spec_json_of(&sys), InflateSpec::Auto { cap: 8 })
         .expect("register fig6");
-    assert!(reg.certified, "{}", reg.verdict);
+    assert!(reg.certified && reg.guarantees_safety, "{}", reg.verdict);
+    assert!(reg.floored, "{reg:?}");
     assert!(
-        !reg.guarantees_safety,
-        "Fig. 6 is deadlock-free but never safe: {}",
-        reg.verdict
+        reg.rationale.contains("inflation [2] deadlock-free"),
+        "two copies are deadlock-free but not safe — the wire must say what it refused: {reg:?}"
     );
     assert_eq!(reg.plan.len(), 1);
     assert_eq!(
         reg.plan[0].slots,
-        Some(2),
-        "two copies certify, three deadlock — the wire must report the ceiling: {reg:?}"
+        Some(1),
+        "only one copy is safe — the wire must report the floored ceiling: {reg:?}"
     );
 
     // Under the certified ceiling the no-detector path holds: every
-    // instance commits, nothing aborts. (Submit by the name the plan
-    // reported — the wire is the source of truth here.)
+    // instance commits, nothing aborts, and the run serializes. (Submit
+    // by the name the plan reported — the wire is the source of truth
+    // here.)
     let name = reg.plan[0].template.clone();
     let stats = client.submit(&name, 30).expect("submit under the ceiling");
     assert!(stats.all_committed(), "{stats:?}");
     assert_eq!(stats.aborted_attempts, 0, "{stats:?}");
-    assert!(
-        stats.peak_inflight <= 2,
-        "gate must cap at k = 2: {stats:?}"
-    );
+    assert_eq!(stats.serializable, Some(true), "{stats:?}");
+    assert_eq!(stats.peak_inflight, 1, "gate must cap at k = 1: {stats:?}");
 
     client.shutdown().expect("shutdown");
     handle.join().unwrap();

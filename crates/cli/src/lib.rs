@@ -72,8 +72,9 @@ pub struct EngineFlags {
     /// ([`InflateSpec::None`]: not given); for `serve`, the default
     /// applied when a registration requests none.
     pub inflate: InflateSpec,
-    /// Simulated per-lock work in microseconds (widens contention
-    /// windows so fallback runs really exercise aborts).
+    /// Busy CPU time per held lock in microseconds: the holding thread
+    /// spins, not sleeps, for this long after each grant (widens
+    /// contention windows so fallback runs really exercise aborts).
     pub work_us: u64,
     /// Write-ahead log directory (rotated at engine creation). `serve`
     /// first recovers a WAL it finds there and starts with the replayed

@@ -108,8 +108,10 @@ pub struct EngineConfig {
     /// lifetime total would pass `u32::MAX` (gids double as wait-die
     /// timestamps).
     pub instances: usize,
-    /// Simulated per-lock work while holding the grant (widens contention
-    /// windows; keep zero for raw throughput).
+    /// Busy CPU time spent on the holding thread per granted lock: the
+    /// thread spins (it does not sleep) until `work` has passed, so a
+    /// grant holds its lock for this long. Widens contention windows;
+    /// keep zero for raw throughput.
     pub work: Duration,
     /// RNG seed for jitter.
     pub seed: u64,
@@ -771,6 +773,9 @@ impl Core {
                 let t_undo = tel.timer();
                 let rolled_back = a.die();
                 tel.record_since(Phase::Undo, t_undo);
+                // Wait-die runs two-phase closures, so a victim dies
+                // before its first unlock: it exposed nothing to undo.
+                debug_assert_eq!(rolled_back, 0, "a wait-die victim had unlocked");
                 rolled_back
             });
             tel.record_since(Phase::Execute, t_exec);
@@ -886,7 +891,7 @@ impl Core {
         // refused — one lock-wait sample covers all its rounds.
         let mut refused_at: Option<Instant> = None;
         // The lock of node `n` is ours after `waited`: the read, the
-        // simulated work, the (deferred) event.
+        // per-lock work (busy, on this thread), the (deferred) event.
         let hold = |a: &mut Attempt<'_>, n: NodeId, waited: Duration| {
             if let Some(tr) = tracer {
                 let e = t.op(n).entity.0;
@@ -899,7 +904,7 @@ impl Core {
                 );
             }
             if !self.cfg.work.is_zero() {
-                std::thread::sleep(self.cfg.work);
+                spin_for(self.cfg.work);
             }
             a.granted(n);
         };
@@ -1066,6 +1071,16 @@ impl Core {
             group_commits: 0,
             per_template,
         }
+    }
+}
+
+/// Per-lock work: spins on the holding thread until `work` has passed.
+/// A sleep would hold the lock for the kernel timer's slack instead
+/// (tens of µs whatever `work` says), so it would time the timer.
+fn spin_for(work: Duration) {
+    let deadline = Instant::now() + work;
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
     }
 }
 

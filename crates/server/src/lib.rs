@@ -48,7 +48,7 @@
 //!
 //! | opcode | response        | payload                                                        |
 //! |-------:|-----------------|----------------------------------------------------------------|
-//! | `1`    | `Registered`    | certified/safety/floored bools (safety: the certificate's own; equal to certified), verdict str, rationale str, plan: `u32` count × (name str, `0` = ∞ ∣ `1 k:u64`) |
+//! | `1`    | `Registered`    | certified/floored bools, verdict str, rationale str, plan: `u32` count × (name str, `0` = ∞ ∣ `1 k:u64`) |
 //! | `2`    | `Submitted`     | [`RunStats`]: 9 × `u64` counters, serializable byte (`0` none ∣ `1` false ∣ `2` true) |
 //! | `3`    | `Report`        | same [`RunStats`] layout, cumulative over every submission     |
 //! | `4`    | `ShuttingDown`  | —                                                              |

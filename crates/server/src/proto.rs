@@ -450,11 +450,6 @@ record! {
     pub struct Registered {
         /// Whether the no-detector path is admitted.
         certified: bool,
-        /// Whether the certificate itself guarantees serializability. It
-        /// does exactly when the plan is certified: a wait-die plan is
-        /// serializable by two-phase locking instead, and a plan that is
-        /// only deadlock-free is never admitted.
-        guarantees_safety: bool,
         /// Whether a requested inflation failed to certify safe and the
         /// plan was floored (see `AdmissionPlan::floored`).
         floored: bool,
@@ -480,7 +475,6 @@ impl Registered {
             .collect();
         Registered {
             certified: reg.verdict().is_certified(),
-            guarantees_safety: reg.verdict().is_certified(),
             floored: reg.plan().floored,
             verdict: reg.verdict().to_string(),
             rationale: reg.plan().rationale.clone(),
@@ -1010,7 +1004,7 @@ mod tests {
 
     #[test]
     fn hostile_plan_count_rejected() {
-        let mut b = vec![RESP_REGISTERED, 1, 1, 0];
+        let mut b = vec![RESP_REGISTERED, 1, 0];
         put_str(&mut b, "verdict");
         put_str(&mut b, "rationale");
         put_u32(&mut b, u32::MAX); // claims 4 billion plan entries

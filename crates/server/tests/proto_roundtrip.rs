@@ -105,14 +105,13 @@ fn response_of(
     plan_raw: Vec<(Vec<u8>, u64, bool)>,
     stats_fields: Vec<u64>,
     serializable: usize,
-    flags: (bool, bool, bool),
+    flags: (bool, bool),
     err_kind: usize,
 ) -> Response {
     match variant {
         0 => Response::Registered(Registered {
             certified: flags.0,
-            guarantees_safety: flags.1,
-            floored: flags.2,
+            floored: flags.1,
             verdict: s.clone(),
             rationale: s,
             plan: plan_raw
@@ -178,7 +177,7 @@ proptest! {
         ),
         stats_fields in prop::collection::vec(any::<u64>(), 12..13),
         serializable in 0usize..3,
-        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        flags in (any::<bool>(), any::<bool>()),
         err_kind in 0usize..4,
     ) {
         let resp = response_of(variant, ascii(raw), plan_raw, stats_fields, serializable, flags, err_kind);
@@ -323,7 +322,6 @@ fn golden_wire_bytes() {
         (
             Response::Registered(Registered {
                 certified: true,
-                guarantees_safety: true,
                 floored: false,
                 verdict: "certified".into(),
                 rationale: "Thm 3/4".into(),
@@ -339,8 +337,8 @@ fn golden_wire_bytes() {
                 ],
             }),
             concat!(
-                "01010100090000006365727469666965640700000054686d20332f3402000000",
-                "080000007472616e7366657201050000000000000005000000617564697400",
+                "010100090000006365727469666965640700000054686d20332f340200000008",
+                "0000007472616e7366657201050000000000000005000000617564697400",
             ),
         ),
         (

@@ -35,6 +35,7 @@ use ddlf::workloads::{self as wl, LockDiscipline, SystemGen};
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::path::Path;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -892,14 +893,38 @@ fn admitted(mut r: Row, reg: &TemplateRegistry) {
     admission(&mut r, reg.verdict(), slots, reg.plan().floored);
 }
 
+/// How long one engine run of the ledger may take. A plan that
+/// deadlocks parks its workers for ever; past this the row fails
+/// instead of hanging the test.
+const RUN_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Admits `reg` and runs it: only the facts no schedule can change. Every
 /// run commits all it was given and serializes, whatever its path. A
 /// run on the certified path aborts nothing and never holds more
 /// instances of a template than its slots, and an `exact` one's
 /// counters and total are exact.
 fn run(mut r: Row, reg: TemplateRegistry, cfg: EngineConfig, exact: bool) {
+    // The run on its own thread, which hands the engine back with the
+    // report; a run past the deadline is left hanging and fails.
     let engine = Engine::with_registry(reg, cfg);
-    let report = engine.run();
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let report = engine.run();
+        let _ = tx.send((engine, report));
+    });
+    let (engine, report) = match rx.recv_timeout(RUN_DEADLINE) {
+        Ok(done) => {
+            handle.join().expect("the run's thread sent its report");
+            done
+        }
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the run's thread ended without a report"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{}: no report within {RUN_DEADLINE:?}", r.name)
+        }
+    };
     let slots = report.per_template.iter().map(|t| t.certified_slots);
     admission(
         &mut r,

@@ -300,9 +300,12 @@ proptest! {
 /// returns, the log file — read through a fresh descriptor, with the
 /// engine not flushed — holds the decision of every commit at or below
 /// the snapshot's cut (a fresh engine's commit timestamps are exactly
-/// `1..=closed`).
+/// `1..=closed`). A run can end before the scanner is first scheduled,
+/// so the writer runs again, up to `RUNS` times, until a scan has seen
+/// a commit.
 #[test]
 fn a_snapshot_never_returns_a_decision_the_kernel_has_not_seen() {
+    const RUNS: usize = 50;
     let dir = wal_dir("visible");
     let engine = transfer_engine(
         1_024,
@@ -314,9 +317,9 @@ fn a_snapshot_never_returns_a_decision_the_kernel_has_not_seen() {
     );
     let entities = all_entities(&engine);
     let done = AtomicBool::new(false);
-    let scans = std::thread::scope(|s| {
+    let scans = AtomicUsize::new(0);
+    std::thread::scope(|s| {
         let scanner = s.spawn(|| {
-            let mut scans = 0u32;
             while !done.load(Ordering::Relaxed) {
                 let snap = engine.run_read_only(&entities);
                 let decided = decided_on_disk(&dir);
@@ -326,16 +329,23 @@ fn a_snapshot_never_returns_a_decision_the_kernel_has_not_seen() {
                         snap.ts
                     );
                 }
-                scans += u32::from(snap.ts > 0);
+                scans.fetch_add(usize::from(snap.ts > 0), Ordering::Relaxed);
             }
-            scans
         });
         let stop = StopOnDrop(&done);
-        assert!(engine.run().all_committed());
+        for _ in 0..RUNS {
+            assert!(engine.run().all_committed());
+            if scans.load(Ordering::Relaxed) > 0 {
+                break;
+            }
+        }
         drop(stop);
         scanner.join().unwrap()
     });
-    assert!(scans > 0, "no scan saw a commit");
+    assert!(
+        scans.into_inner() > 0,
+        "no scan saw a commit in {RUNS} runs"
+    );
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -462,32 +472,41 @@ fn snapshot_reads_never_enter_the_ds_graph() {
 /// The `snapshot()` doc contract (satellite 1), asserted under active
 /// churn: a chain-backed snapshot taken while writers run is a
 /// committed cut — exact conservation — where the old shard-peek
-/// implementation could read half a transfer.
+/// implementation could read half a transfer. A run can end before the
+/// sampler is first scheduled, so the check is repeated on a fresh
+/// engine (the transfers drain their accounts, so one engine cannot run
+/// twice), up to 50 times, until the sampler has taken a cut.
 #[test]
 fn store_snapshot_is_a_committed_cut_under_churn() {
-    let engine = transfer_engine(
-        120,
-        EngineConfig {
-            threads: 4,
-            ..Default::default()
-        },
+    let cut_while_running = || {
+        let engine = transfer_engine(
+            120,
+            EngineConfig {
+                threads: 4,
+                ..Default::default()
+            },
+        );
+        let expected: u128 = 1_000 * all_entities(&engine).len() as u128;
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut samples = 0u32;
+                while !done.load(Ordering::Relaxed) {
+                    let cut = engine.store().snapshot();
+                    let sum: u128 = cut.iter().map(|(_, v)| u128::from(v.value)).sum();
+                    assert_eq!(sum, expected, "snapshot() split a transfer");
+                    samples += 1;
+                }
+                samples
+            });
+            let stop = StopOnDrop(&done);
+            assert!(engine.run().all_committed());
+            drop(stop);
+            sampler.join().unwrap() > 0
+        })
+    };
+    assert!(
+        (0..50).any(|_| cut_while_running()),
+        "no cut was taken in 50 runs"
     );
-    let expected: u128 = 1_000 * all_entities(&engine).len() as u128;
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let sampler = s.spawn(|| {
-            let mut samples = 0u32;
-            while !done.load(Ordering::Relaxed) {
-                let cut = engine.store().snapshot();
-                let sum: u128 = cut.iter().map(|(_, v)| u128::from(v.value)).sum();
-                assert_eq!(sum, expected, "snapshot() split a transfer");
-                samples += 1;
-            }
-            samples
-        });
-        let stop = StopOnDrop(&done);
-        assert!(engine.run().all_committed());
-        drop(stop);
-        assert!(sampler.join().unwrap() > 0);
-    });
 }

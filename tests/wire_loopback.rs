@@ -32,7 +32,7 @@ fn fig6_k2_admission_ceiling_observed_over_tcp() {
     let reg = client
         .register(&spec_json_of(&sys), InflateSpec::Auto { cap: 8 })
         .expect("register fig6");
-    assert!(reg.certified && reg.guarantees_safety, "{}", reg.verdict);
+    assert!(reg.certified, "{}", reg.verdict);
     assert!(reg.floored, "{reg:?}");
     assert!(
         reg.rationale.contains("inflation [2] deadlock-free"),
@@ -69,7 +69,7 @@ fn certified_banking_register_submit_report_over_tcp() {
     let reg = client
         .register(&spec_json_of(&sys), InflateSpec::Uniform(2))
         .expect("register banking");
-    assert!(reg.certified && reg.guarantees_safety, "{}", reg.verdict);
+    assert!(reg.certified, "{}", reg.verdict);
     assert!(!reg.floored);
     assert_eq!(reg.plan.len(), 2);
     assert!(reg.plan.iter().all(|p| p.slots == Some(2)), "{reg:?}");

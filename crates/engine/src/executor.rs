@@ -129,7 +129,9 @@ pub struct EngineConfig {
     /// A commit decision is always one buffered `Commit` frame. With
     /// `wal_sync` its committer also waits for an `fsync` that covers it
     /// — one fsync per group of decisions appended before it started,
-    /// covering their data too (see [`WalOptions::sync`]). Without it
+    /// covering their data too, and up to two fsyncs in flight at once,
+    /// so a decision the running fsync cannot cover starts the second
+    /// (see [`WalOptions::sync`]). Without it
     /// the frame reaches the kernel before anyone can observe the
     /// commit: before the run returns (and so before its Submit
     /// replies), and before a snapshot showing it returns.

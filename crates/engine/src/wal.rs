@@ -96,18 +96,22 @@
 //!
 //! **Under `sync`** the committer then waits for a **durable mark**:
 //! an fsync covers the prefix it flushed, so a decision is durable once
-//! the `synced` mark has reached its ordinal among decision frames. The
-//! first waiter that finds no fsync in flight runs one: it takes
+//! the `synced` mark has reached its ordinal among decision frames. Up
+//! to **two fsyncs run at once**, one per fsync slot, and each slot
+//! `fdatasync`s its own descriptor of `log.wal`. A waiter that no
+//! fsync in flight covers takes a free slot at once: it takes
 //! `wal.log`, pushes the buffer and reads how many decisions it holds,
-//! **releases `wal.log`**, issues **one** `fdatasync` on a cloned
-//! descriptor, then advances `synced` to that count and wakes every
-//! waiter. Decisions appended while an fsync is in flight ride the next
-//! one, so an fsync serves every committer that appended before it
-//! started. Because the fsync runs outside `wal.log`, other appenders —
-//! a shard under `shard.state`, an unlock's event batch, another run's
-//! `Begin`s — keep filling the buffer meanwhile. Fsyncs
-//! never overlap: the `syncing` flag admits one at a time. A synced
-//! decision is in the kernel and on disk before its commit is
+//! **releases `wal.log`**, records that count in its slot, issues
+//! **one** `fdatasync`, then advances `synced` to at least that count
+//! and wakes every waiter. A waiter waits only while a busy slot
+//! already covers it or both slots are busy, so a decision appended
+//! while one fsync is in flight starts the second instead of waiting
+//! the first out. Overlapping fsyncs may finish in either order; the
+//! mark only grows, because an `fdatasync` covers everything pushed
+//! before it was called. Because the fsync runs outside `wal.log`,
+//! other appenders — a shard under `shard.state`, an unlock's event
+//! batch, another run's `Begin`s — keep filling the buffer meanwhile. A
+//! synced decision is in the kernel and on disk before its commit is
 //! published.
 
 use crate::store::Store;
@@ -312,7 +316,9 @@ pub struct WalOptions {
     /// `fdatasync` that started after its `Commit` frame was pushed has
     /// finished — one fsync, issued with `wal.log` released, covers every
     /// decision appended before it and, being a prefix of the same file,
-    /// every record they decide over. Off by default: file order already
+    /// every record they decide over. Up to two such fsyncs run at once,
+    /// so a decision the running fsync cannot cover starts its own
+    /// instead of waiting that one out. Off by default: file order already
     /// survives process death, the crash model the tests exercise is
     /// `SIGKILL`, not power loss, and a non-sync decision is simply
     /// buffered until someone can observe it (see the module docs).
@@ -385,12 +391,16 @@ struct LogMarks {
 /// it crosses [`LOG_BUFFER`] or on an explicit [`LogWriter::flush`]. One
 /// buffer in front of one file cannot reorder: whatever prefix of the
 /// appended frames has reached the kernel is a prefix of the file. It
-/// never fsyncs: durability is [`Wal::sync_decided`]'s, on a cloned
-/// descriptor, outside the lock that guards this writer.
+/// never fsyncs: durability is [`Wal::log_commit`]'s, on a fsync
+/// slot's own descriptor, outside the lock that guards this writer.
 pub(crate) struct LogWriter {
     file: File,
     buf: Vec<u8>,
     marks: Arc<LogMarks>,
+    /// Decisions a `sync` committer has pushed for its fsync
+    /// ([`Wal::push_for_fsync`]): each is covered by an fsync that is
+    /// in flight or done.
+    fsync_pushed: u64,
 }
 
 impl LogWriter {
@@ -399,6 +409,7 @@ impl LogWriter {
             file,
             buf: Vec::with_capacity(LOG_BUFFER),
             marks,
+            fsync_pushed: 0,
         }
     }
 
@@ -433,15 +444,23 @@ impl LogWriter {
     }
 }
 
-/// The durable mark of a `sync` WAL, behind `wal.group_state` — a leaf
-/// held across no I/O.
+/// How many fsyncs a `sync` WAL runs at once: one per descriptor in
+/// `Wal::fsync_files`.
+const FSYNC_SLOTS: usize = 2;
+
+/// The durable mark of a `sync` WAL and its fsync slots, behind
+/// `wal.group_state` — a leaf held across no I/O. Two fsyncs may be in
+/// flight at once and finish in either order: `synced` only grows.
 #[derive(Default)]
 struct Durable {
     /// Decision ordinals `≤ synced` are on disk (or abandoned to a
     /// poisoned WAL — either way their committer must not wait).
     synced: u64,
-    /// Whether a committer is pushing and fsyncing the log right now.
-    syncing: bool,
+    /// One entry per fsync slot: `Some(upto)` while a committer holds
+    /// it, whose fsync will cover every decision ordinal `≤ upto`
+    /// (until its push, a lower bound: `decided` when it took the
+    /// slot); `None` when free.
+    slots: [Option<u64>; FSYNC_SLOTS],
 }
 
 /// The file-backed sink of one engine: the one log every record is
@@ -459,10 +478,14 @@ pub struct Wal {
     log: Mutex<LogWriter>,
     /// The writer's decision marks, read here without `wal.log`.
     marks: Arc<LogMarks>,
-    /// A second descriptor of `log.wal` (`try_clone` of the writer's),
-    /// which a `sync` committer `fdatasync`s *after* releasing `wal.log`:
-    /// `fdatasync` covers the file, whichever descriptor asks.
-    syncer: File,
+    /// One descriptor of `log.wal` per fsync slot, which the slot's
+    /// committer `fdatasync`s *after* releasing `wal.log` (`fdatasync`
+    /// covers the file, whichever descriptor asks). Each is opened, not
+    /// `try_clone`d: the kernel reports a writeback error once per open
+    /// file description, so two overlapping fsyncs on one shared
+    /// description could let one of them miss an `EIO` and call a
+    /// range durable that is not.
+    fsync_files: [File; FSYNC_SLOTS],
     sync: bool,
     /// The durable mark (`sync` only), `wal.group_state`.
     durable: Mutex<Durable>,
@@ -507,13 +530,14 @@ fn old_layout(dir: &Path) -> Option<String> {
 
 /// Builds the shared `Wal` state over an existing directory.
 fn build_wal(dir: PathBuf, opts: WalOptions) -> io::Result<Arc<Wal>> {
-    let file = append_mode(&dir.join(LOG_FILE))?;
-    let syncer = file.try_clone()?;
+    let path = dir.join(LOG_FILE);
+    let file = append_mode(&path)?;
+    let fsync_files = [append_mode(&path)?, append_mode(&path)?];
     let marks = Arc::new(LogMarks::default());
     Ok(Arc::new(Wal {
         log: Mutex::new_named("wal.log", LogWriter::new(file, Arc::clone(&marks))),
         marks,
-        syncer,
+        fsync_files,
         sync: opts.sync,
         durable: Mutex::new_named("wal.group_state", Durable::default()),
         synced: Condvar::new(),
@@ -656,11 +680,13 @@ impl Wal {
     /// — and counts as a group of one.
     ///
     /// Under `sync` it returns once the durable mark covers the frame's
-    /// decision ordinal. The first waiter that finds no fsync in flight
-    /// runs one ([`Wal::sync_decided`]) for everyone appended so far;
-    /// the rest wait on the condvar. A failed fsync poisons the WAL, and
-    /// the syncer still advances the mark and `notify_all`s, so every
-    /// waiter wakes to observe the failure.
+    /// decision ordinal. A waiter that no fsync in flight covers takes a
+    /// free fsync slot at once and runs one fsync for everyone appended
+    /// so far ([`Wal::push_for_fsync`], then [`Wal::fsync`]); it waits on
+    /// the condvar only while both slots are busy or a busy slot covers
+    /// it. A failed fsync poisons the WAL, and its committer still
+    /// advances the mark and `notify_all`s, so every waiter wakes to
+    /// observe the failure.
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
         let decision = WalRecord::Commit {
             gid,
@@ -679,59 +705,84 @@ impl Wal {
         }
         let mut st = self.durable.lock();
         while st.synced < mine && !self.poisoned() {
-            if st.syncing {
+            let covered = st.slots.iter().flatten().any(|&upto| upto >= mine);
+            let free = st.slots.iter().position(Option::is_none);
+            let Some(slot) = free.filter(|_| !covered) else {
                 self.synced.wait(&mut st);
                 continue;
-            }
-            st.syncing = true;
-            let from = st.synced;
+            };
+            // Its push comes later, so it covers everything decided now.
+            st.slots[slot] = Some(self.marks.decided.load(Ordering::Acquire));
             drop(st);
-            let upto = self.sync_decided();
+            let pushed = self.push_for_fsync(mine);
             st = self.durable.lock();
-            st.synced = upto;
-            st.syncing = false;
-            self.count_group(upto - from);
+            let Some(upto) = pushed else {
+                // The other slot's push took `mine`: hand this slot back
+                // and wait for that fsync, which wakes everyone.
+                st.slots[slot] = None;
+                self.synced.notify_all();
+                if st.synced < mine && !self.poisoned() {
+                    self.synced.wait(&mut st);
+                }
+                continue;
+            };
+            st.slots[slot] = Some(upto);
+            drop(st);
+            self.fsync(slot);
+            st = self.durable.lock();
+            // An fsync overtaken by the other slot's covers nothing new
+            // and counts a group of 0.
+            self.count_group(upto.saturating_sub(st.synced));
+            st.synced = st.synced.max(upto);
+            st.slots[slot] = None;
             // notify_all, never notify_one: one fsync served many
-            // committers, and on a poisoned WAL every waiter — served or
-            // not — must wake to observe the failure.
+            // committers, a freed slot may serve another, and on a
+            // poisoned WAL every waiter — served or not — must wake to
+            // observe the failure.
             self.synced.notify_all();
         }
     }
 
-    /// Makes every decision appended so far durable (the `sync` path
-    /// only) and returns how many that is: under one `wal.log`
-    /// acquisition, push the buffer to the kernel and read `decided`;
-    /// then, with `wal.log` released, issue one `fdatasync` on the
-    /// cloned descriptor. Every committer appended its `Write`/`Event`
-    /// records to this same log before its `Commit`, so the push put all
-    /// of them in the kernel before the fsync began: a decision durable
-    /// after power loss implies the records it decides over are too.
-    /// Appenders that take `wal.log` meanwhile only fill the buffer
-    /// behind the pushed prefix, and their decisions wait for the next
-    /// fsync. A failed fsync poisons the WAL: otherwise the engine would
-    /// report a durable commit that power loss can still take back.
-    fn sync_decided(&self) -> u64 {
-        let upto = {
-            let mut f = self.log.lock();
-            self.flush_locked(&mut f);
-            self.marks.decided.load(Ordering::Relaxed)
-        };
-        if !self.poisoned() {
-            // One sample per `fdatasync` issued.
-            let t0 = self.telemetry.timer();
-            let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
-                Err(io::Error::other("injected fsync failure"))
-            } else {
-                // Durability wait: no WAL lock is held across it.
-                let _io = blocking_region(BlockingKind::Fsync);
-                self.syncer.sync_data()
-            };
-            if let Err(e) = synced {
-                self.fail("fsync", &e);
-            }
-            self.telemetry.record_since(Phase::Fsync, t0);
+    /// Pushes the buffer for a `sync` committer about to fsync and
+    /// returns how many decisions that fsync will cover — or `None` if
+    /// another slot's push already took decision `mine`, so that slot's
+    /// fsync covers it. Every committer appended its `Write`/`Event`
+    /// records to this same log before its `Commit`, so the push puts
+    /// all of them in the kernel before the fsync begins: a decision
+    /// durable after power loss implies the records it decides over are
+    /// too. Appenders that take `wal.log` after it only fill the buffer
+    /// behind the pushed prefix.
+    fn push_for_fsync(&self, mine: u64) -> Option<u64> {
+        let mut f = self.log.lock();
+        if f.fsync_pushed >= mine {
+            return None;
         }
-        upto
+        self.flush_locked(&mut f);
+        f.fsync_pushed = self.marks.decided.load(Ordering::Relaxed);
+        Some(f.fsync_pushed)
+    }
+
+    /// Issues one `fdatasync` on fsync slot `slot`'s descriptor, holding
+    /// no lock. A failed fsync poisons the WAL: otherwise the engine
+    /// would report a durable commit that power loss can still take
+    /// back.
+    fn fsync(&self, slot: usize) {
+        if self.poisoned() {
+            return;
+        }
+        // One sample per `fdatasync` issued.
+        let t0 = self.telemetry.timer();
+        let synced = if self.inject_fsync_fail.swap(false, Ordering::SeqCst) {
+            Err(io::Error::other("injected fsync failure"))
+        } else {
+            // Durability wait: no WAL lock is held across it.
+            let _io = blocking_region(BlockingKind::Fsync);
+            self.fsync_files[slot].sync_data()
+        };
+        if let Err(e) = synced {
+            self.fail("fsync", &e);
+        }
+        self.telemetry.record_since(Phase::Fsync, t0);
     }
 
     /// Counts one group of `size` decisions: one fsync under `sync`, one
@@ -1090,6 +1141,8 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn roundtrip(rec: WalRecord) {
         assert_eq!(WalRecord::decode(&rec.encode()), Some(rec));
@@ -1333,19 +1386,30 @@ mod tests {
         recs
     }
 
-    /// An fsync covers the prefix it pushed: eight committers that
-    /// append while an fsync is in flight (`syncing` held) all ride the
-    /// next one — one group of eight, one push, eight `Commit` frames.
-    #[test]
-    fn one_fsync_covers_every_decision_appended_while_another_was_in_flight() {
-        let w = bare_wal_with(
-            "durable-mark",
+    fn sync_wal(tag: &str) -> Arc<Wal> {
+        bare_wal_with(
+            tag,
             WalOptions {
                 sync: true,
                 ..WalOptions::default()
             },
-        );
-        w.durable.lock().syncing = true;
+        )
+    }
+
+    /// Frees fsync slot `slot`, as its committer does when its fsync
+    /// returns, and wakes every waiter.
+    fn free_slot(w: &Wal, slot: usize) {
+        w.durable.lock().slots[slot] = None;
+        w.synced.notify_all();
+    }
+
+    /// An fsync covers the prefix it pushed: eight committers that
+    /// append while both fsync slots are busy all ride the next fsync —
+    /// one group of eight, one push, eight `Commit` frames.
+    #[test]
+    fn one_fsync_covers_every_decision_appended_while_another_was_in_flight() {
+        let w = sync_wal("durable-mark");
+        w.durable.lock().slots = [Some(0); FSYNC_SLOTS];
         std::thread::scope(|s| {
             for gid in 0..8u32 {
                 let w = &w;
@@ -1354,8 +1418,7 @@ mod tests {
             while w.marks.decided.load(Ordering::Acquire) < 8 {
                 std::thread::yield_now();
             }
-            w.durable.lock().syncing = false;
-            w.synced.notify_all();
+            (0..FSYNC_SLOTS).for_each(|slot| free_slot(&w, slot));
         });
         assert!(!w.poisoned());
         assert_eq!(w.group_counters(), (1, 8));
@@ -1363,6 +1426,33 @@ mod tests {
         let recs = decisions_of(w.dir());
         assert_eq!(recs.len(), 8);
         assert!(recs.iter().all(|r| matches!(r, WalRecord::Commit { .. })));
+    }
+
+    /// A committer that the fsync in flight cannot cover (its slot's
+    /// `upto` is 0, below decision 1) starts its own fsync on the free
+    /// slot instead of waiting that one out.
+    #[test]
+    fn a_committer_the_running_fsync_cannot_cover_starts_its_own() {
+        let w = sync_wal("second-slot");
+        w.durable.lock().slots[0] = Some(0);
+        let (done, finished) = mpsc::channel();
+        let committer = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || {
+                w.log_commit(0, TxnId(0), 0, 1);
+                done.send(()).unwrap();
+            })
+        };
+        let returned = finished.recv_timeout(Duration::from_secs(10));
+        free_slot(&w, 0);
+        committer.join().unwrap();
+        assert!(
+            returned.is_ok(),
+            "log_commit waited out the fsync in flight (upto 0) instead of fsyncing decision 1 itself"
+        );
+        assert!(!w.poisoned());
+        assert_eq!(w.group_counters(), (1, 1));
+        assert_eq!(w.durable.lock().synced, 1);
     }
 
     #[test]
@@ -1406,6 +1496,43 @@ mod tests {
                 });
             }
         });
+        assert!(w.poisoned(), "a failed fsync must poison the WAL");
+    }
+
+    /// One of two overlapping fsyncs fails: slot 0 stands for an fsync
+    /// in flight that covers none of the new decisions, and the
+    /// committer that takes slot 1 gets the injected failure. Every
+    /// committer must return while slot 0 is still busy, and the WAL
+    /// reads poisoned.
+    #[test]
+    fn a_failure_in_one_of_two_overlapping_fsyncs_wakes_every_committer() {
+        let w = sync_wal("two-slot-poison");
+        w.durable.lock().slots[0] = Some(0);
+        w.inject_fsync_failure();
+        let (done, finished) = mpsc::channel();
+        let committers: Vec<_> = (0..8u32)
+            .map(|t| {
+                let (w, done) = (Arc::clone(&w), done.clone());
+                std::thread::spawn(move || {
+                    for i in 0..4 {
+                        let gid = t * 4 + i;
+                        w.log_commit(gid, TxnId(0), 0, u64::from(gid) + 1);
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let returned = (0..committers.len())
+            .take_while(|_| {
+                finished
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .is_ok()
+            })
+            .count();
+        free_slot(&w, 0);
+        committers.into_iter().for_each(|c| c.join().unwrap());
+        assert_eq!(returned, 8, "a committer still waited with slot 0 busy");
         assert!(w.poisoned(), "a failed fsync must poison the WAL");
     }
 

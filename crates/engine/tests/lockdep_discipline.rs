@@ -21,12 +21,14 @@ const SPEC: &str = r#"{
 }"#;
 
 /// A contended `wal_sync` run: many committers park on the durable
-/// mark's condvar while one pushes and fsyncs. The condvar checker
-/// asserts no waiter waits holding a second class; the blocking checker
-/// asserts no flush/fsync ever runs under `wal.group_state` (it is
-/// deliberately absent from the allowlist); the order graph must show
-/// `wal.group_state` as a *leaf* — the syncer sets `syncing` and
-/// releases it before touching any other lock.
+/// mark's condvar while up to two push and fsync, one per fsync slot,
+/// their fsyncs overlapping. The condvar checker asserts no waiter
+/// waits holding a second class; the blocking checker asserts no
+/// flush/fsync ever runs under `wal.group_state` (it is deliberately
+/// absent from the allowlist); the order graph must show
+/// `wal.group_state` as a *leaf* — a committer takes its slot and
+/// releases it before touching any other lock, and records its slot's
+/// `upto` only after releasing `wal.log`.
 #[test]
 fn group_commit_park_and_flush_hold_no_extra_locks() {
     let sys = serde_json::from_str::<SystemSpec>(SPEC)
@@ -64,7 +66,7 @@ fn group_commit_park_and_flush_hold_no_extra_locks() {
         .collect();
     assert!(
         offenders.is_empty(),
-        "the syncer must flush outside wal.group_state: {offenders:?}"
+        "a sync committer must flush outside wal.group_state: {offenders:?}"
     );
     let bad: Vec<_> = ddlf_lockdep::violations()
         .into_iter()

@@ -169,8 +169,9 @@ mod imp {
     ///   before its `fdatasync`.
     ///
     /// `wal.group_state` is deliberately absent: the durable mark is a
-    /// leaf, and the committer that fsyncs sets `syncing` and releases
-    /// it first. So are
+    /// leaf, and a committer that fsyncs takes one of its two fsync
+    /// slots and releases it first (two fsyncs may overlap, each
+    /// holding nothing). So are
     /// `template.slot_gate`, `engine.cumulative`, `engine.pool`,
     /// `store.clock` and `server.conns` — and `server.engine`, which is
     /// held only to pin, unpin or swap the engine or to clone its store

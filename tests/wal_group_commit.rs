@@ -191,9 +191,9 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The syncer fsyncs *outside* `wal.log`, so appends of other workers
-/// and of a concurrent run land in the buffer while an fsync is in
-/// flight. File order must still put every decision after the data it
+/// A sync committer fsyncs *outside* `wal.log`, so appends of other
+/// workers and of a concurrent run land in the buffer while an fsync
+/// (or two, one per fsync slot) is in flight. File order must still put every decision after the data it
 /// decides over: under `wal_sync`, two concurrent 4-thread runs, every
 /// `Commit` is preceded by all of its
 /// attempt's `Event` frames (one per template node) and both transfer
@@ -309,7 +309,7 @@ fn a_non_sync_run_pushes_the_log_once_per_buffer_not_per_commit() {
 }
 
 /// Under `wal_sync` the buffer still reaches the kernel once per commit
-/// group — the syncer's push before its fsync — plus the run's end.
+/// group — a sync committer's push before its fsync — plus the run's end.
 #[test]
 fn a_sync_run_pushes_the_log_once_per_group() {
     let dir = wal_dir("sync-pushes");

@@ -449,8 +449,8 @@ fn run_lockgraph(dot: bool) -> Outcome {
         .map_err(|e| format!("built-in lockgraph spec failed to load: {e}"))?;
     // Engine legs: slot_gate, shard.state, store.clock, engine.* and the
     // wal.* classes (fsync regions and the durable mark via `wal_sync`,
-    // an unlock's event append — wal.log, holding nothing — and the
-    // write-ahead append — shard.state over wal.log — on every write). Snapshot reads race both runs; in the
+    // and an unlock's write-ahead append of its events and write —
+    // shard.state over wal.log). Snapshot reads race both runs; in the
     // second, without `wal_sync`, a read that finds a decision still in
     // the log buffer pushes it, taking wal.log holding nothing.
     let wal_dir = std::env::temp_dir().join(format!("ddlf-lockgraph-{}", std::process::id()));

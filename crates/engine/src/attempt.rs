@@ -17,13 +17,15 @@
 //! grant channel (certified), or put the refusal to [`wait_die`].
 //!
 //! **Deferred grant events.** A lock grant is buffered and handed to
-//! the driver's event sink together with the next unlock, *before* that
+//! the event sink together with the next unlock — and, with a WAL,
+//! logged in that unlock's one `Unlock` frame — *before* that
 //! unlock releases anything. Sound because the events' order against
 //! other transactions is pinned by the locks themselves: no conflicting
 //! grant can happen on a held entity until it is released, and
 //! everything buffered is flushed before every release — so per-entity
-//! event order at the sink is exactly the effective lock order (the
-//! debug batch-oracle cross-check re-verifies this on every run). Every
+//! event order at the sink and in the log is exactly the effective lock
+//! order (the debug batch-oracle cross-check re-verifies this on every
+//! run, recovery's audit on every log). Every
 //! transaction ends in an unlock, so a complete attempt has nothing
 //! buffered; a dying attempt's unflushed grants are dropped — they
 //! belong to no committed projection.
@@ -141,20 +143,21 @@ impl<'a> Attempt<'a> {
     }
 
     /// Executes unlock node `n`: every deferred grant plus this unlock
-    /// goes through one `sink` call, then the entity's write (if any) is
-    /// applied under the still-held lock and the lock released.
+    /// goes through one `sink` call, then the shard logs them with the
+    /// entity's write (if any) as one `Unlock` frame, applies the write
+    /// under the still-held lock and releases the lock.
     pub(crate) fn unlock(&mut self, n: NodeId, sink: impl FnOnce(&[NodeId])) {
         let entity = self.txn.op(n).entity;
         let bufs = &mut self.bufs;
         bufs.pending.push(n);
         sink(&bufs.pending);
         self.events += bufs.pending.len() as u64;
-        bufs.pending.clear();
         bufs.executed.push(n);
         let write = self.program.write_for(entity).copied();
         self.store
             .shard_of(entity)
-            .write_and_release(&self.ctx, entity, write);
+            .write_and_release(&self.ctx, entity, write, &bufs.pending);
+        bufs.pending.clear();
         if write.is_some() {
             self.writes += 1;
             self.bufs.exposed.push(entity);

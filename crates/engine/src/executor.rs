@@ -789,7 +789,7 @@ impl Core {
                 // it (unwind-safe: if `log_commit` panics, the
                 // reservation's drop closes the timestamp so the closed
                 // clock skips the gap). The decision is appended after
-                // every `Write`/`Event` record of the attempt, so a
+                // every `Unlock` record of the attempt, so a
                 // recovered `Commit` implies a complete instance — and
                 // the stamp happens only after `log_commit` returns.
                 // Under `sync` the decision is then durable; without,
@@ -861,9 +861,9 @@ impl Core {
     ///   [`wait_die`] against the holder of that moment, and an older
     ///   requester sleeps [`POLL`] and asks again — for that lock first.
     ///
-    /// Every release batch is logged as `Event` frames from the unlock's
-    /// sink, while the entity is still held. `scratch` holds the job's
-    /// reused buffers.
+    /// Every unlock logs its release batch and its write as one `Unlock`
+    /// frame under its shard's mutex, while the entity is still held.
+    /// `scratch` holds the job's reused buffers.
     fn drive(
         &self,
         a: &mut Attempt<'_>,
@@ -880,7 +880,7 @@ impl Core {
         } = scratch;
         let tel = &self.cfg.telemetry;
         let park = self.certified_path();
-        let (ctx, me, attempt) = (a.ctx, a.ctx.holder(), a.ctx.attempt);
+        let (me, attempt) = (a.ctx.holder(), a.ctx.attempt);
         // Built only when a request queues: the releasing thread hands
         // the lock over on it. A queued attempt keeps its own, so a
         // grant sent to an attempt that is gone bounces onward.
@@ -919,20 +919,13 @@ impl Core {
             for &n in ready.iter() {
                 let op = t.op(n);
                 if op.is_unlock() {
-                    a.unlock(n, |nodes| {
-                        if let Some(w) = &self.wal {
-                            let (gid, attempt) = (ctx.gid, ctx.attempt);
-                            w.append(nodes.iter().map(|&node| WalRecord::Event {
-                                gid,
-                                attempt,
-                                node,
-                            }));
-                        }
+                    a.unlock(n, |_nodes| {
                         #[cfg(debug_assertions)]
                         {
-                            let first =
-                                self.stamps.fetch_add(nodes.len() as u64, Ordering::Relaxed);
-                            stamped.extend((first..).zip(nodes.iter().copied()));
+                            let first = self
+                                .stamps
+                                .fetch_add(_nodes.len() as u64, Ordering::Relaxed);
+                            stamped.extend((first..).zip(_nodes.iter().copied()));
                         }
                     });
                     if let Some(tr) = tracer {

@@ -41,8 +41,8 @@
 //!                             │ Begin append
 //!                             │ Attempt: granted / unlock / die, stepped
 //!                             │ in partial order until it completes;
-//!                             │ an unlock logs its events while the
-//!                             │ entity is held
+//!                             │ an unlock logs its events and write
+//!                             │ as one frame while the entity is held
 //!                             │ commit: reserve ts ▶ Commit frame
 //!                             │ (sync: wait for an fsync to cover it) ▶
 //!                             │ stamp chains ▶ close ts
@@ -51,7 +51,7 @@
 //!                             │                  │
 //!                             │   Wal (optional file sink, framed records)
 //!                             │     log.wal   every record, append order:
-//!                             │               Begin / Write / Event /
+//!                             │               Begin / Unlock /
 //!                             │               Commit / Abort
 //!                             │     (every record keyed by the one gid)
 //!                             │                  │

@@ -15,10 +15,11 @@
 //! tip; an in-flight write is an unstamped entry; commit stamps it; a
 //! wait-die victim that dies *after* an unlock exposed its write has
 //! the entry removed again; a snapshot read folds the entries stamped
-//! `≤` its cut. With a WAL attached, every write is also appended to
-//! the log under the same mutex, so file order is chain order and
+//! `≤` its cut. With a WAL attached, every unlock appends its `Unlock`
+//! frame — its release batch of events and its write — to the log under
+//! the same mutex, so file order is chain order and
 //! [`crate::wal::recover`] rebuilds the same chains in one pass (a
-//! rollback logs nothing — the removed entry's `Write` never gets a
+//! rollback logs nothing — the removed entry's `Unlock` never gets a
 //! `Commit`).
 //!
 //! An instance has one identity, its engine-lifetime `gid`: it is the
@@ -28,8 +29,8 @@
 use crate::lockmgr::{Acquire, LockTable};
 use crate::mvcc::{Chain, Clock, RoEntry, RoSnapshot};
 use crate::template::WriteOp;
-use crate::wal::{Wal, WalRecord};
-use ddlf_model::{Database, EntityId, IntBuild, SiteId, TxnId};
+use crate::wal::Wal;
+use ddlf_model::{Database, EntityId, IntBuild, NodeId, SiteId, TxnId};
 use ddlf_telemetry::{Phase, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -155,19 +156,19 @@ impl Shard {
         }
     }
 
-    /// Applies `write` (if any) under the still-held lock — logging it
-    /// first — then releases `entity`, handing the lock to the next FIFO
-    /// waiter.
+    /// Unlocks `entity`: logs the unlock's release batch `events` and
+    /// its `write` (if any) as one `Unlock` frame, applies the write
+    /// under the still-held lock, then releases `entity`, handing the
+    /// lock to the next FIFO waiter.
     pub(crate) fn write_and_release(
         &self,
         ctx: &WriteCtx,
         entity: EntityId,
         write: Option<WriteOp>,
+        events: &[NodeId],
     ) {
         let mut st = self.state.lock();
-        if let Some(w) = write {
-            st.apply_logged(ctx, self.slot(entity), w);
-        }
+        st.apply_logged(ctx, self.slot(entity), write, events);
         st.release_and_promote(ctx.holder(), entity);
     }
 
@@ -194,19 +195,23 @@ impl Shard {
 }
 
 impl ShardState {
-    /// Applies one write: appends the record to the log (write-ahead),
-    /// then the undecided entry to the entity's chain.
-    fn apply_logged(&mut self, ctx: &WriteCtx, slot: usize, write: WriteOp) {
+    /// Logs one unlock's `Unlock` frame (write-ahead), then applies its
+    /// write, if any, as an undecided entry of the entity's chain.
+    fn apply_logged(
+        &mut self,
+        ctx: &WriteCtx,
+        slot: usize,
+        write: Option<WriteOp>,
+        events: &[NodeId],
+    ) {
         let chain = &mut self.chains[slot];
         if let Some(wal) = &self.sink {
-            wal.append([WalRecord::Write {
-                gid: ctx.gid,
-                attempt: ctx.attempt,
-                entity: chain.entity(),
-                op: write,
-            }]);
+            let written = write.map(|op| (chain.entity(), op));
+            wal.append_unlock(ctx.gid, ctx.attempt, events, written);
         }
-        chain.push(ctx.gid, write, None);
+        if let Some(op) = write {
+            chain.push(ctx.gid, op, None);
+        }
     }
 
     /// Releases and hands the lock to the next FIFO waiter, delivering
@@ -570,7 +575,10 @@ mod tests {
     /// table — most tests below drive chains and clock directly.
     fn write(s: &Store, c: &WriteCtx, e: EntityId, op: WriteOp) {
         let shard = s.shard_of(e);
-        shard.state.lock().apply_logged(c, shard.slot(e), op);
+        shard
+            .state
+            .lock()
+            .apply_logged(c, shard.slot(e), Some(op), &[]);
     }
 
     fn chain_len(s: &Store, e: EntityId) -> usize {
@@ -611,7 +619,7 @@ mod tests {
         assert!(s.shard_of(e).request(TxnId(0), e, || tx.clone()));
         assert_eq!(s.shard_of(e).peek(e).value, 100);
         s.shard_of(e)
-            .write_and_release(&ctx(0), e, Some(WriteOp::Add(-30)));
+            .write_and_release(&ctx(0), e, Some(WriteOp::Add(-30)), &[]);
         let after = s.shard_of(e).peek(e);
         assert_eq!(after.value, 70);
         assert_eq!(after.version, 1);
@@ -625,7 +633,7 @@ mod tests {
         let (tx1, rx1) = channel();
         assert!(s.shard_of(e).request(TxnId(0), e, || tx0.clone()));
         assert!(!s.shard_of(e).request(TxnId(1), e, || tx1.clone()));
-        s.shard_of(e).write_and_release(&ctx(0), e, None);
+        s.shard_of(e).write_and_release(&ctx(0), e, None, &[]);
         assert_eq!(rx1.try_recv(), Ok(e));
         // T1 now holds it.
         assert_eq!(s.shard_of(e).state.lock().locks.holder(e), Some(TxnId(1)));
@@ -645,7 +653,7 @@ mod tests {
         }
         let (tx2, rx2) = channel();
         assert!(!s.shard_of(e).request(TxnId(2), e, || tx2.clone()));
-        s.shard_of(e).write_and_release(&ctx(0), e, None);
+        s.shard_of(e).write_and_release(&ctx(0), e, None, &[]);
         // T1's grant bounced; T2 must receive it.
         assert_eq!(rx2.try_recv(), Ok(e));
     }
@@ -657,7 +665,7 @@ mod tests {
         assert_eq!(s.shard_of(e).try_acquire(TxnId(0), e), Ok(()));
         assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Err(TxnId(0)));
         assert!(s.shard_of(e).state.lock().locks.waiters(e).is_empty());
-        s.shard_of(e).write_and_release(&ctx(0), e, None);
+        s.shard_of(e).write_and_release(&ctx(0), e, None, &[]);
         assert_eq!(s.shard_of(e).state.lock().locks.holder(e), None);
         assert_eq!(s.shard_of(e).try_acquire(TxnId(1), e), Ok(()));
     }
@@ -1227,7 +1235,7 @@ mod tests {
                     let e = EntityId(*e);
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)), &[]);
                     commit(&s, &c, e);
                 }
                 let pre = s.live_snapshot();
@@ -1242,7 +1250,7 @@ mod tests {
                         continue;
                     }
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)), &[]);
                     touched.push(e);
                 }
                 for e in touched.iter().rev() {
@@ -1274,7 +1282,7 @@ mod tests {
                 for (i, raw) in live_raws.iter().enumerate() {
                     let c = ctx(1 + i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)), &[]);
                     commit(&s, &c, e);
                     expected = expected.apply(op_of(*raw));
                 }
@@ -1309,7 +1317,7 @@ mod tests {
                     let op = op_of((*kind, *n));
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(op));
+                    s.shard_of(e).write_and_release(&c, e, Some(op), &[]);
                     // The first two writers are always victims, so every
                     // case has overlapping doomed attempts.
                     if *doom || i < 2 {
@@ -1345,7 +1353,7 @@ mod tests {
                 for (i, raw) in raws.iter().enumerate() {
                     let c = ctx(i as u32);
                     s.shard_of(e).request(c.holder(), e, || tx.clone());
-                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)));
+                    s.shard_of(e).write_and_release(&c, e, Some(op_of(*raw)), &[]);
                     doomed.push(c);
                 }
                 let mut order: Vec<usize> = (0..doomed.len()).collect();

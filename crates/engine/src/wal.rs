@@ -1,20 +1,20 @@
 //! The write-ahead log — one append-only file — and crash-recovery
 //! replay through the `D(S)` audit.
 //!
-//! With a WAL attached, every write is appended to the log *before* the
-//! in-memory chain mutates and under the shard's mutex, and every
-//! release batch of history events while its entity is still held, so
-//! file order is at once chain order and lock order per entity, and a
-//! crashed process can be replayed (a rollback logs nothing: the
-//! victim's `Write`s simply never get a `Commit`): the committing
-//! attempts' operations re-enter fresh chains in file order, stamped
-//! from their decisions, and the recovered lock/unlock history is
-//! re-audited with the model's `D(S)` test — streamed through the
-//! incremental [`StreamingAuditor`], so recovery stays linear in log
-//! size. Commit is a **durable decision** (Gray & Lamport, *Consensus
-//! on Transaction Commit*): an instance is recovered if and only if its
-//! `Commit` record is in the log, never because its data writes happen
-//! to be present.
+//! With a WAL attached, every unlock appends one `Unlock` frame — its
+//! release batch of history events and its write, if any — under the
+//! shard's mutex, *before* the in-memory chain mutates and while the
+//! entity is still held, so file order is at once chain order and lock
+//! order per entity, and a crashed process can be replayed (a rollback
+//! logs nothing: the victim's `Unlock`s simply never get a `Commit`):
+//! the committing attempts' operations re-enter fresh chains in file
+//! order, stamped from their decisions, and the recovered lock/unlock
+//! history is re-audited with the model's `D(S)` test — streamed
+//! through the incremental [`StreamingAuditor`], so recovery stays
+//! linear in log size. Commit is a **durable decision** (Gray &
+//! Lamport, *Consensus on Transaction Commit*): an instance is
+//! recovered if and only if its `Commit` record is in the log, never
+//! because its data writes happen to be present.
 //!
 //! ## On-disk layout
 //!
@@ -32,32 +32,37 @@
 //! ```
 //!
 //! `meta.json` is `{"spec": <SystemSpec>, "initial_value": <u64>}`,
-//! written and read by hand through `serde_json`'s `ToJson`/`FromJson`
-//! (both fields required, unknown keys ignored, `spec` in
-//! [`SystemSpec`]'s own JSON form).
+//! written compact (one line, no indentation) and read by hand through
+//! `serde_json`'s `ToJson`/`FromJson` (both fields required, unknown
+//! keys ignored, `spec` in [`SystemSpec`]'s own JSON form).
 //!
 //! `log.wal` is a sequence of length-prefixed frames in the [`frame`]
 //! codec (u32 LE length + payload); each payload is one binary
 //! [`WalRecord`]:
 //!
 //! ```text
-//!  Begin   := 0x01 gid:u32 template:u32 attempt:u32
-//!  Write   := 0x02 gid:u32 attempt:u32 entity:u32 op:WriteOp
-//!  Commit  := 0x04 gid:u32 template:u32 attempt:u32 commit_ts:u64
-//!  Abort   := 0x05 gid:u32 attempt:u32
-//!  Event   := 0x06 gid:u32 attempt:u32 node:u32
+//!  Begin   := 0x11 gid:var template:var attempt:var
+//!  Unlock  := 0x12 gid:var attempt:var n:var node:var{n} Written
+//!  Commit  := 0x14 gid:var template:var attempt:var commit_ts:var
+//!  Abort   := 0x15 gid:var attempt:var
 //!
-//!  WriteOp := 0x00 delta:i64  |  0x01 value:u64
-//!               (all integers LE; record tags 0x03, 0x07 and op tag 0x02 are retired)
+//!  Written := 0x00  |  0x01 entity:var delta:zigzag  |  0x02 entity:var value:var
+//!               (var: an LEB128 varint, zigzag: the varint of a zigzag-encoded
+//!                i64; record tags 0x01-0x07 are retired)
 //! ```
 //!
 //! The grammar holds exactly what [`recover`] reads — no value images,
 //! no event times (file order *is* event order) — and decoding is
-//! strict, so a directory written in an older grammar is refused with
-//! [`WalError::Record`] rather than misread. Op tag `0x02` wrote a byte
-//! string; an entity's value is a `u64`, so no op can fail to apply
-//! and recovery replays every committed write. A directory written in the
-//! older *multi-file* layout (`commit.wal` + `history.wal` +
+//! strict (an unknown tag, a varint cut short, longer than 10 bytes or
+//! not minimal, a value too wide for its field, a node count that runs
+//! past the payload, trailing bytes), so a directory written in an
+//! older grammar — every fixed-width record of the tags `0x01`-`0x07`
+//! included — is refused with [`WalError::Record`] rather than misread;
+//! no reader for it is kept. An entity's value is a `u64`, so no op
+//! can fail to apply and recovery replays every committed write. An
+//! unlock is one frame, events and write together: a transfer over
+//! two entities logs `Begin`, two `Unlock`s and its `Commit`. A
+//! directory written in the older *multi-file* layout (`commit.wal` + `history.wal` +
 //! `shard-<k>.wal`) is refused by name; no reader for it is kept.
 //!
 //! Every decision is one `Commit` frame of one instance, so a torn tail
@@ -76,7 +81,7 @@
 //! one buffered write replacing one `write(2)` per record) behind one
 //! mutex, `wal.log`, so the file is a single total order and **data
 //! before decision is its prefix property, not a protocol**: an
-//! attempt appends its `Write`/`Event` records before it asks for its
+//! attempt appends its `Unlock` records before it asks for its
 //! decision, so a `Commit` frame in the file implies every record it
 //! decides over is in the file before it. That holds
 //! after process death (`SIGKILL` — the page cache survives), which is
@@ -109,8 +114,8 @@
 //! the first out. Overlapping fsyncs may finish in either order; the
 //! mark only grows, because an `fdatasync` covers everything pushed
 //! before it was called. Because the fsync runs outside `wal.log`,
-//! other appenders — a shard under `shard.state`, an unlock's event
-//! batch, another run's `Begin`s — keep filling the buffer meanwhile. A
+//! other appenders — an unlock under `shard.state`, another run's
+//! `Begin`s — keep filling the buffer meanwhile. A
 //! synced decision is in the kernel and on disk before its commit is
 //! published.
 
@@ -131,8 +136,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One log record. See the module docs for the binary layout.
+///
+/// `N` holds an `Unlock`'s nodes: a `Vec` in a record the caller owns
+/// ([`WalRecord::decode`]), a slice on the engine's own paths — the
+/// unlocking attempt's release batch when appending, recovery's one
+/// reused buffer when reading — so neither allocates per frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub enum WalRecord<N = Vec<NodeId>> {
     /// An attempt of instance `gid` started executing.
     Begin {
         /// Global instance id.
@@ -142,19 +152,24 @@ pub enum WalRecord {
         /// Attempt number (wait-die retries bump it).
         attempt: u32,
     },
-    /// A write was applied to `entity` (logged *before* the in-memory
-    /// apply).
-    Write {
+    /// One unlock of an attempt: its release batch of lock/unlock
+    /// history events (the `D(S)` audit's input) and the write it
+    /// applied to the unlocked entity, if any — appended under the
+    /// entity's shard mutex, *before* the in-memory apply and while the
+    /// entity is still held.
+    Unlock {
         /// Global instance id.
         gid: u32,
-        /// Attempt that performed the write.
+        /// Attempt that unlocked.
         attempt: u32,
-        /// Written entity.
-        entity: EntityId,
-        /// The operation — recovery replays the *operation*, never an
-        /// image, so interleaved rolled-back writes of other instances
-        /// cannot corrupt the replay.
-        op: WriteOp,
+        /// The batch's operation nodes within the template: every grant
+        /// deferred since the attempt's previous unlock, then this
+        /// unlock. File order is event order.
+        nodes: N,
+        /// The written entity and the operation — recovery replays the
+        /// *operation*, never an image, so interleaved rolled-back
+        /// writes of other instances cannot corrupt the replay.
+        written: Option<(EntityId, WriteOp)>,
     },
     /// The durable commit decision for one instance.
     Commit {
@@ -176,42 +191,41 @@ pub enum WalRecord {
         /// The dying attempt.
         attempt: u32,
     },
-    /// One lock/unlock history event (the `D(S)` audit's input); file
-    /// order is event order.
-    Event {
-        /// Global instance id.
-        gid: u32,
-        /// Attempt the event belongs to.
-        attempt: u32,
-        /// Operation node within the template.
-        node: NodeId,
-    },
 }
 
-const TAG_BEGIN: u8 = 1;
-const TAG_WRITE: u8 = 2;
-const TAG_COMMIT: u8 = 4;
-const TAG_ABORT: u8 = 5;
-const TAG_EVENT: u8 = 6;
+const TAG_BEGIN: u8 = 0x11;
+const TAG_UNLOCK: u8 = 0x12;
+const TAG_COMMIT: u8 = 0x14;
+const TAG_ABORT: u8 = 0x15;
 
-const OP_ADD: u8 = 0;
-const OP_PUT: u8 = 1;
+const WRITTEN_NONE: u8 = 0;
+const WRITTEN_ADD: u8 = 1;
+const WRITTEN_PUT: u8 = 2;
 
-fn put_op(b: &mut Vec<u8>, op: WriteOp) {
-    let (tag, word) = match op {
-        WriteOp::Add(delta) => (OP_ADD, delta as u64),
-        WriteOp::Put(v) => (OP_PUT, v),
-    };
-    b.push(tag);
-    codec::put_u64(b, word);
-}
-
-fn get_op(buf: &mut &[u8]) -> Option<WriteOp> {
-    match codec::get_u8(buf)? {
-        OP_ADD => Some(WriteOp::Add(codec::get_u64(buf)? as i64)),
-        OP_PUT => Some(WriteOp::Put(codec::get_u64(buf)?)),
-        _ => None,
+fn put_written(b: &mut Vec<u8>, written: Option<(EntityId, WriteOp)>) {
+    match written {
+        None => b.push(WRITTEN_NONE),
+        Some((entity, WriteOp::Add(delta))) => {
+            b.push(WRITTEN_ADD);
+            codec::put_var(b, entity.0.into());
+            codec::put_zigzag(b, delta);
+        }
+        Some((entity, WriteOp::Put(value))) => {
+            b.push(WRITTEN_PUT);
+            codec::put_var(b, entity.0.into());
+            codec::put_var(b, value);
+        }
     }
+}
+
+fn get_written(buf: &mut &[u8]) -> Option<Option<(EntityId, WriteOp)>> {
+    let entity = |buf: &mut &[u8]| codec::get_var_u32(buf).map(EntityId);
+    Some(match codec::get_u8(buf)? {
+        WRITTEN_NONE => None,
+        WRITTEN_ADD => Some((entity(buf)?, WriteOp::Add(codec::get_zigzag(buf)?))),
+        WRITTEN_PUT => Some((entity(buf)?, WriteOp::Put(codec::get_var(buf)?))),
+        _ => return None,
+    })
 }
 
 impl WalRecord {
@@ -222,6 +236,15 @@ impl WalRecord {
         b
     }
 
+    /// Decodes one record; `None` on malformed input.
+    pub fn decode(buf: &[u8]) -> Option<WalRecord> {
+        let mut nodes = Vec::new();
+        let rec = WalRecord::<&[NodeId]>::decode_into(buf, &mut nodes)?;
+        Some(rec.map_nodes(<[NodeId]>::to_vec))
+    }
+}
+
+impl<N: AsRef<[NodeId]>> WalRecord<N> {
     /// Appends the record's encoding to `b` — the one encoder behind
     /// [`WalRecord::encode`] and the log's in-place framing.
     fn encode_into(&self, b: &mut Vec<u8>) {
@@ -232,21 +255,25 @@ impl WalRecord {
                 attempt,
             } => {
                 b.push(TAG_BEGIN);
-                codec::put_u32(b, *gid);
-                codec::put_u32(b, *template);
-                codec::put_u32(b, *attempt);
+                for v in [gid, template, attempt] {
+                    codec::put_var(b, (*v).into());
+                }
             }
-            WalRecord::Write {
+            WalRecord::Unlock {
                 gid,
                 attempt,
-                entity,
-                op,
+                nodes,
+                written,
             } => {
-                b.push(TAG_WRITE);
-                codec::put_u32(b, *gid);
-                codec::put_u32(b, *attempt);
-                codec::put_u32(b, entity.0);
-                put_op(b, *op);
+                let nodes = nodes.as_ref();
+                b.push(TAG_UNLOCK);
+                codec::put_var(b, (*gid).into());
+                codec::put_var(b, (*attempt).into());
+                codec::put_var(b, nodes.len() as u64);
+                for n in nodes {
+                    codec::put_var(b, n.0.into());
+                }
+                put_written(b, *written);
             }
             WalRecord::Commit {
                 gid,
@@ -255,53 +282,98 @@ impl WalRecord {
                 commit_ts,
             } => {
                 b.push(TAG_COMMIT);
-                codec::put_u32(b, *gid);
-                codec::put_u32(b, *template);
-                codec::put_u32(b, *attempt);
-                codec::put_u64(b, *commit_ts);
+                for v in [gid, template, attempt] {
+                    codec::put_var(b, (*v).into());
+                }
+                codec::put_var(b, *commit_ts);
             }
             WalRecord::Abort { gid, attempt } => {
                 b.push(TAG_ABORT);
-                codec::put_u32(b, *gid);
-                codec::put_u32(b, *attempt);
-            }
-            WalRecord::Event { gid, attempt, node } => {
-                b.push(TAG_EVENT);
-                codec::put_u32(b, *gid);
-                codec::put_u32(b, *attempt);
-                codec::put_u32(b, node.0);
+                codec::put_var(b, (*gid).into());
+                codec::put_var(b, (*attempt).into());
             }
         }
     }
 
-    /// Decodes one record; `None` on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Option<WalRecord> {
+    /// The same record with its `Unlock` nodes passed through `f`.
+    fn map_nodes<M>(self, f: impl FnOnce(N) -> M) -> WalRecord<M> {
+        match self {
+            WalRecord::Begin {
+                gid,
+                template,
+                attempt,
+            } => WalRecord::Begin {
+                gid,
+                template,
+                attempt,
+            },
+            WalRecord::Unlock {
+                gid,
+                attempt,
+                nodes,
+                written,
+            } => WalRecord::Unlock {
+                gid,
+                attempt,
+                nodes: f(nodes),
+                written,
+            },
+            WalRecord::Commit {
+                gid,
+                template,
+                attempt,
+                commit_ts,
+            } => WalRecord::Commit {
+                gid,
+                template,
+                attempt,
+                commit_ts,
+            },
+            WalRecord::Abort { gid, attempt } => WalRecord::Abort { gid, attempt },
+        }
+    }
+}
+
+impl<'n> WalRecord<&'n [NodeId]> {
+    /// Decodes one record; `None` on malformed input. An `Unlock`'s
+    /// nodes are decoded into `nodes` (cleared first), which the record
+    /// then borrows, so a reader of many frames reuses one buffer.
+    fn decode_into(mut buf: &[u8], nodes: &'n mut Vec<NodeId>) -> Option<Self> {
+        let var = codec::get_var_u32;
         let rec = match codec::get_u8(&mut buf)? {
             TAG_BEGIN => WalRecord::Begin {
-                gid: codec::get_u32(&mut buf)?,
-                template: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
+                gid: var(&mut buf)?,
+                template: var(&mut buf)?,
+                attempt: var(&mut buf)?,
             },
-            TAG_WRITE => WalRecord::Write {
-                gid: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
-                entity: EntityId(codec::get_u32(&mut buf)?),
-                op: get_op(&mut buf)?,
-            },
+            TAG_UNLOCK => {
+                let (gid, attempt) = (var(&mut buf)?, var(&mut buf)?);
+                let n = codec::get_var(&mut buf)?;
+                // Every node takes at least one byte: a count that runs
+                // past the payload is refused before any node is read.
+                if n > buf.len() as u64 {
+                    return None;
+                }
+                nodes.clear();
+                for _ in 0..n {
+                    nodes.push(NodeId(var(&mut buf)?));
+                }
+                WalRecord::Unlock {
+                    gid,
+                    attempt,
+                    nodes: nodes.as_slice(),
+                    written: get_written(&mut buf)?,
+                }
+            }
             TAG_COMMIT => WalRecord::Commit {
-                gid: codec::get_u32(&mut buf)?,
-                template: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
-                commit_ts: codec::get_u64(&mut buf)?,
+                gid: var(&mut buf)?,
+                template: var(&mut buf)?,
+                attempt: var(&mut buf)?,
+                commit_ts: codec::get_var(&mut buf)?,
             },
             TAG_ABORT => WalRecord::Abort {
-                gid: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
-            },
-            TAG_EVENT => WalRecord::Event {
-                gid: codec::get_u32(&mut buf)?,
-                attempt: codec::get_u32(&mut buf)?,
-                node: NodeId(codec::get_u32(&mut buf)?),
+                gid: var(&mut buf)?,
+                attempt: var(&mut buf)?,
             },
             _ => return None,
         };
@@ -415,7 +487,7 @@ impl LogWriter {
 
     /// Frames `rec` into the buffer through [`frame::put_frame`] and
     /// pushes the buffer once it is full. Returns the frame's size.
-    fn append(&mut self, rec: &WalRecord) -> io::Result<usize> {
+    fn append<N: AsRef<[NodeId]>>(&mut self, rec: &WalRecord<N>) -> io::Result<usize> {
         let framed = frame::put_frame(&mut self.buf, |b| rec.encode_into(b))?;
         if matches!(rec, WalRecord::Commit { .. }) {
             // Counted before a full-buffer push, so that push covers it.
@@ -469,9 +541,8 @@ struct Durable {
 pub struct Wal {
     dir: PathBuf,
     /// `log.wal` behind the one WAL mutex, `wal.log`: taken by shards
-    /// (under `shard.state`) for `Write`s, by an unlock, holding
-    /// nothing else, for `Event`s, by workers for `Begin`/`Abort`
-    /// and their `Commit`, by a `sync` committer to push the buffer
+    /// (under `shard.state`) for `Unlock`s, by workers for
+    /// `Begin`/`Abort` and their `Commit`, by a `sync` committer to push the buffer
     /// before its fsync, and by a snapshot reader, holding
     /// nothing else, to push a decision it may have observed — never
     /// across an fsync.
@@ -593,7 +664,7 @@ impl Wal {
             spec: SystemSpec::from_system(sys),
             initial_value,
         };
-        let json = serde_json::to_string_pretty(&meta)
+        let json = serde_json::to_string(&meta)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("meta: {e}")))?;
         std::fs::write(dir.join(META_FILE), json)?;
         build_wal(dir, opts)
@@ -638,7 +709,7 @@ impl Wal {
 
     /// Appends one frame to the locked log (buffered), poisoning the WAL
     /// on I/O failure.
-    fn append_record(&self, w: &mut LogWriter, rec: &WalRecord) {
+    fn append_record<N: AsRef<[NodeId]>>(&self, w: &mut LogWriter, rec: &WalRecord<N>) {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
@@ -658,17 +729,35 @@ impl Wal {
         self.inject_fsync_fail.store(true, Ordering::SeqCst);
     }
 
-    /// Appends `recs` — anything but a decision — under one `wal.log`
+    /// Appends `recs` — `Begin`s and `Abort`s — under one `wal.log`
     /// acquisition: an admission chunk's `Begin`s, a retry's `Begin`, an
-    /// `Abort`, a shard's write-ahead `Write` (the caller holds
-    /// `shard.state`, so file order is chain order), or one release
-    /// batch of `Event`s (the caller still holds the unlocked entity in
-    /// its lock table, so file order is that entity's lock order).
+    /// `Abort`.
     pub(crate) fn append(&self, recs: impl IntoIterator<Item = WalRecord>) {
         let mut f = self.log.lock();
         for rec in recs {
             self.append_record(&mut f, &rec);
         }
+    }
+
+    /// Appends one unlock's `Unlock` frame: its release batch `nodes` and
+    /// its `written` entity and operation. The caller holds the
+    /// entity's `shard.state` and, in its lock table, the entity itself
+    /// and every entity `nodes` locks, so file order is at once chain
+    /// order and each entity's lock order.
+    pub(crate) fn append_unlock(
+        &self,
+        gid: u32,
+        attempt: u32,
+        nodes: &[NodeId],
+        written: Option<(EntityId, WriteOp)>,
+    ) {
+        let rec = WalRecord::Unlock {
+            gid,
+            attempt,
+            nodes,
+            written,
+        };
+        self.append_record(&mut self.log.lock(), &rec);
     }
 
     /// Logs the commit decision of instance `gid`: one buffered `Commit`
@@ -688,7 +777,7 @@ impl Wal {
     /// advances the mark and `notify_all`s, so every waiter wakes to
     /// observe the failure.
     pub(crate) fn log_commit(&self, gid: u32, template: TxnId, attempt: u32, commit_ts: u64) {
-        let decision = WalRecord::Commit {
+        let decision: WalRecord = WalRecord::Commit {
             gid,
             template: template.0,
             attempt,
@@ -746,7 +835,7 @@ impl Wal {
     /// Pushes the buffer for a `sync` committer about to fsync and
     /// returns how many decisions that fsync will cover — or `None` if
     /// another slot's push already took decision `mine`, so that slot's
-    /// fsync covers it. Every committer appended its `Write`/`Event`
+    /// fsync covers it. Every committer appended its `Unlock`
     /// records to this same log before its `Commit`, so the push puts
     /// all of them in the kernel before the fsync begins: a decision
     /// durable after power loss implies the records it decides over are
@@ -932,13 +1021,15 @@ impl Recovered {
 
 /// Frames an attempt appends before its decision; pass 2 of
 /// [`recover`] replays them.
-const DATA_TAGS: [u8; 2] = [TAG_WRITE, TAG_EVENT];
+const DATA_TAGS: [u8; 1] = [TAG_UNLOCK];
 /// Frames pass 1 of [`recover`] reads: who began, died and committed.
 const DECISION_TAGS: [u8; 3] = [TAG_BEGIN, TAG_COMMIT, TAG_ABORT];
 
 /// Streams every complete frame of `path` (missing file = empty log)
 /// through `visit`, one decoded record at a time, except frames whose
-/// tag byte is in `skip` — the caller's other pass decodes those.
+/// tag byte is in `skip` — the caller's other pass decodes those. The
+/// payload and an `Unlock`'s nodes are decoded into two buffers reused
+/// for the whole log, so the scan allocates nothing per frame.
 /// Returns whether the log ends in a torn frame (`UnexpectedEof` — the
 /// crash point); a corrupt length prefix (`InvalidData`) or a fully
 /// framed record that does not decode is real corruption and errors — a
@@ -951,7 +1042,7 @@ const DECISION_TAGS: [u8; 3] = [TAG_BEGIN, TAG_COMMIT, TAG_ABORT];
 fn scan_log(
     path: &Path,
     skip: &[u8],
-    mut visit: impl FnMut(WalRecord) -> Result<(), WalError>,
+    mut visit: impl FnMut(WalRecord<&[NodeId]>) -> Result<(), WalError>,
 ) -> Result<bool, WalError> {
     let file = match File::open(path) {
         Ok(f) => f,
@@ -959,12 +1050,12 @@ fn scan_log(
         Err(e) => return Err(e.into()),
     };
     let mut r = io::BufReader::new(file);
-    let mut payload = Vec::new();
+    let (mut payload, mut nodes) = (Vec::new(), Vec::new());
     for n in 0usize.. {
         match frame::read_frame_into(&mut r, &mut payload) {
             Ok(false) => break,
             Ok(true) if payload.first().is_some_and(|t| skip.contains(t)) => {}
-            Ok(true) => match WalRecord::decode(&payload) {
+            Ok(true) => match WalRecord::decode_into(&payload, &mut nodes) {
                 Some(rec) => visit(rec)?,
                 None => {
                     return Err(WalError::Record(format!(
@@ -995,7 +1086,7 @@ fn scan_log(
 /// through the incremental `D(S)` auditor. The log is read in two
 /// streaming passes — decisions first, so every data record of a
 /// committing attempt is replayed the moment the second pass meets it —
-/// and no collection grows with the number of `Write`/`Event` records:
+/// and no collection grows with the number of `Unlock` records:
 /// recovery is linear in log size and holds only the committed map.
 /// Uncommitted instances — in-flight at the crash, or wait-die victims —
 /// contribute nothing: commit is decided solely by a decision frame.
@@ -1048,7 +1139,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
                 committed.insert(gid, (TxnId(template), attempt, commit_ts));
                 saw(gid);
             }
-            WalRecord::Write { .. } | WalRecord::Event { .. } => unreachable!("skipped by tag"),
+            WalRecord::Unlock { .. } => unreachable!("skipped by tag"),
         }
         Ok(())
     })?;
@@ -1067,9 +1158,10 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         auditor.commit(*g, attempt);
     }
 
-    // Pass 2, data frames only, in file order — which is chain (lock)
-    // order per entity and audit order for events. Only the *committing*
-    // attempt's records replay: an instance that died on an earlier
+    // Pass 2, `Unlock` frames only, in file order — which is chain
+    // (lock) order per entity and audit order for events: each one feeds
+    // its events to the auditor, then replays its write. Only the
+    // *committing* attempt's records replay: an instance that died on an earlier
     // attempt and committed on a retry must not replay the rolled-back
     // write too. Every write re-enters its entity's chain
     // already stamped; gaps in the timestamps are expected (a ts
@@ -1085,32 +1177,30 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, WalError> {
         (a == attempt).then_some(commit_ts)
     };
     scan_log(&log, &DECISION_TAGS, |rec| {
-        match rec {
-            WalRecord::Write {
-                gid,
-                attempt,
-                entity,
-                op,
-            } => {
-                saw(gid);
-                let Some(commit_ts) = committing(gid, attempt) else {
-                    return Ok(());
-                };
-                if entity.index() >= db.entity_count() {
-                    return Err(WalError::Record(format!(
-                        "write to unknown entity {entity}"
-                    )));
-                }
-                store.recover_write(entity, gid, op, commit_ts);
-                replayed += 1;
+        let WalRecord::Unlock {
+            gid,
+            attempt,
+            nodes,
+            written,
+        } = rec
+        else {
+            unreachable!("skipped by tag")
+        };
+        saw(gid);
+        let Some(commit_ts) = committing(gid, attempt) else {
+            return Ok(());
+        };
+        for &node in nodes {
+            auditor.event(gid, attempt, node);
+        }
+        if let Some((entity, op)) = written {
+            if entity.index() >= db.entity_count() {
+                return Err(WalError::Record(format!(
+                    "write to unknown entity {entity}"
+                )));
             }
-            WalRecord::Event { gid, attempt, node } => {
-                saw(gid);
-                if committing(gid, attempt).is_some() {
-                    auditor.event(gid, attempt, node);
-                }
-            }
-            _ => unreachable!("skipped by tag"),
+            store.recover_write(entity, gid, op, commit_ts);
+            replayed += 1;
         }
         Ok(())
     })?;
@@ -1164,11 +1254,11 @@ mod tests {
     /// format change — old directories stop recovering.
     #[test]
     fn record_format_is_pinned() {
-        let write = |op| WalRecord::Write {
+        let unlock = |nodes: &[u32], written| WalRecord::Unlock {
             gid: u32::MAX,
             attempt: 2,
-            entity: EntityId(5),
-            op,
+            nodes: nodes.iter().map(|&n| NodeId(n)).collect(),
+            written,
         };
         let pins = [
             (
@@ -1177,16 +1267,17 @@ mod tests {
                     template: 1,
                     attempt: 3,
                 },
-                "01070000000100000003000000",
+                "11070103",
             ),
             (
-                write(WriteOp::Add(-42)),
-                "02ffffffff020000000500000000d6ffffffffffffff",
+                unlock(&[0, 1, 300], Some((EntityId(5), WriteOp::Add(-42)))),
+                "12ffffffff0f02030001ac02010553",
             ),
             (
-                write(WriteOp::Put(258)),
-                "02ffffffff0200000005000000010201000000000000",
+                unlock(&[6], Some((EntityId(5), WriteOp::Put(258)))),
+                "12ffffffff0f02010602058202",
             ),
+            (unlock(&[6], None), "12ffffffff0f02010600"),
             (
                 WalRecord::Commit {
                     gid: 1,
@@ -1194,20 +1285,9 @@ mod tests {
                     attempt: 1,
                     commit_ts: u64::MAX - 1,
                 },
-                "04010000000000000001000000feffffffffffffff",
+                "14010001feffffffffffffffff01",
             ),
-            (
-                WalRecord::Abort { gid: 2, attempt: 0 },
-                "050200000000000000",
-            ),
-            (
-                WalRecord::Event {
-                    gid: 1,
-                    attempt: 0,
-                    node: NodeId(6),
-                },
-                "06010000000000000006000000",
-            ),
+            (WalRecord::Abort { gid: 2, attempt: 0 }, "150200"),
         ];
         for (rec, pinned) in pins {
             assert_eq!(hex(&rec.encode()), pinned, "{rec:?}");
@@ -1261,27 +1341,22 @@ mod tests {
         let ops = [Op::lock(EntityId(0)), Op::unlock(EntityId(0))];
         let t = Transaction::from_total_order("T", &ops, &db).unwrap();
         let sys = TransactionSystem::new(db, vec![t]).unwrap();
-        let current = WalRecord::Write {
+        let current = WalRecord::Unlock {
             gid: 0,
             attempt: 0,
-            entity: EntityId(0),
-            op: WriteOp::Add(1),
+            nodes: vec![NodeId(0), NodeId(1)],
+            written: Some((EntityId(0), WriteOp::Add(1))),
         };
-        let current_event = WalRecord::Event {
-            gid: 0,
-            attempt: 0,
-            node: NodeId(0),
-        };
-        for (tag, first, old) in [
-            ("old-write", &current, old_write),
-            ("old-undo", &current, old_undo),
-            ("old-event", &current_event, old_event),
-            ("old-commit-group", &current, old_group),
+        for (tag, old) in [
+            ("old-write", old_write),
+            ("old-undo", old_undo),
+            ("old-event", old_event),
+            ("old-commit-group", old_group),
         ] {
             let dir = unit_dir(tag);
             drop(Wal::create(&dir, &sys, 1000, WalOptions::default()).unwrap());
             let mut f = append_mode(&dir.join(LOG_FILE)).unwrap();
-            f.write_all(&framed(&first.encode())).unwrap();
+            f.write_all(&framed(&current.encode())).unwrap();
             f.write_all(&framed(&old)).unwrap();
             drop(f);
             match recover(&dir) {
@@ -1301,12 +1376,56 @@ mod tests {
     fn malformed_records_rejected() {
         assert_eq!(WalRecord::decode(&[]), None);
         assert_eq!(WalRecord::decode(&[99]), None);
-        // Truncated Write.
-        assert_eq!(WalRecord::decode(&[TAG_WRITE, 1]), None);
+        // Truncated Unlock.
+        assert_eq!(WalRecord::decode(&[TAG_UNLOCK, 1]), None);
         // Trailing garbage after a valid Abort.
         let mut enc = WalRecord::Abort { gid: 2, attempt: 0 }.encode();
         enc.push(0xFF);
         assert_eq!(WalRecord::decode(&enc), None);
+        // An Unlock of one node with no write: gid 1, attempt 0, n 1,
+        // node 6, Written 0x00.
+        let unlock = [TAG_UNLOCK, 1, 0, 1, 6, WRITTEN_NONE];
+        assert!(WalRecord::decode(&unlock).is_some());
+        // A node count past the payload, a huge one included.
+        for n in [2, 0x7F] {
+            let mut bad = unlock;
+            bad[3] = n;
+            assert_eq!(WalRecord::decode(&bad), None, "n = {n}");
+        }
+        // An unknown Written tag, a write with no operation after it.
+        for tail in [&[3, 0, 0][..], &[WRITTEN_ADD, 0]] {
+            let bad = [&unlock[..5], tail].concat();
+            assert_eq!(WalRecord::decode(&bad), None, "{tail:?}");
+        }
+        // A u32 field (the gid) above u32::MAX.
+        let mut wide = vec![TAG_ABORT];
+        codec::put_var(&mut wide, u64::from(u32::MAX) + 1);
+        wide.push(0);
+        assert_eq!(WalRecord::decode(&wide), None);
+    }
+
+    /// Recovery decodes every `Unlock` into one reused node buffer: a
+    /// buffer that has held the widest batch is never reallocated.
+    #[test]
+    fn unlock_nodes_decode_into_the_reused_buffer() {
+        let unlock = |n: u32| WalRecord::Unlock {
+            gid: n,
+            attempt: 0,
+            nodes: (0..n).map(NodeId).collect(),
+            written: None,
+        };
+        let mut nodes = Vec::new();
+        let wide = unlock(8).encode();
+        WalRecord::decode_into(&wide, &mut nodes).unwrap();
+        let (ptr, cap) = (nodes.as_ptr(), nodes.capacity());
+        for n in (0..=8).rev() {
+            let rec = WalRecord::decode_into(&unlock(n).encode(), &mut nodes);
+            assert_eq!(
+                rec.map(|r| r.map_nodes(<[NodeId]>::to_vec)),
+                Some(unlock(n))
+            );
+            assert_eq!((nodes.as_ptr(), nodes.capacity()), (ptr, cap));
+        }
     }
 
     fn unit_dir(tag: &str) -> PathBuf {
@@ -1325,7 +1444,7 @@ mod tests {
     fn read_log(path: &Path) -> Result<(Vec<WalRecord>, bool), WalError> {
         let mut out = Vec::new();
         let torn = scan_log(path, &[], |rec| {
-            out.push(rec);
+            out.push(rec.map_nodes(<[NodeId]>::to_vec));
             Ok(())
         })?;
         Ok((out, torn))
@@ -1577,11 +1696,11 @@ mod tests {
             attempt: 1,
             commit_ts: u64::from(gid) << 33,
         };
-        let write = |op| WalRecord::Write {
+        let unlock = |written| WalRecord::Unlock {
             gid: 4,
             attempt: 0,
-            entity: EntityId(3),
-            op,
+            nodes: vec![NodeId(0), NodeId(11)],
+            written,
         };
         let recs = [
             WalRecord::Begin {
@@ -1589,15 +1708,11 @@ mod tests {
                 template: 0,
                 attempt: 2,
             },
-            write(WriteOp::Add(-7)),
-            write(WriteOp::Put(u64::MAX)),
+            unlock(Some((EntityId(3), WriteOp::Add(-7)))),
+            unlock(Some((EntityId(3), WriteOp::Put(u64::MAX)))),
+            unlock(None),
             commit(5),
             WalRecord::Abort { gid: 6, attempt: 3 },
-            WalRecord::Event {
-                gid: 7,
-                attempt: 0,
-                node: NodeId(11),
-            },
         ];
         let (mut w, _) = log_writer("inplace");
         let mut want = Vec::new();
@@ -1669,17 +1784,20 @@ mod tests {
     }
 
     #[test]
-    fn op_exhaustive_roundtrip() {
-        for op in [
-            WriteOp::Add(i64::MIN),
-            WriteOp::Add(i64::MAX),
-            WriteOp::Put(u64::MAX),
+    fn written_exhaustive_roundtrip() {
+        for written in [
+            None,
+            Some((EntityId(u32::MAX), WriteOp::Add(i64::MIN))),
+            Some((EntityId(0), WriteOp::Add(i64::MAX))),
+            Some((EntityId(1), WriteOp::Put(u64::MAX))),
         ] {
             let mut b = Vec::new();
-            put_op(&mut b, op);
-            assert_eq!(get_op(&mut b.as_slice()), Some(op));
+            put_written(&mut b, written);
+            let mut r = b.as_slice();
+            assert_eq!(get_written(&mut r), Some(written));
+            assert!(r.is_empty());
         }
-        // The retired byte-string op decodes to nothing, however long.
-        assert_eq!(get_op(&mut [2u8, 0, 0, 0, 0].as_slice()), None);
+        // An unknown tag decodes to nothing, however long.
+        assert_eq!(get_written(&mut [3u8, 0, 0, 0, 0].as_slice()), None);
     }
 }

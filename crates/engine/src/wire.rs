@@ -9,8 +9,8 @@
 pub mod codec {
     //! Checked binary-codec primitives shared by every consumer of the
     //! binary conventions (1-byte tags, little-endian fixed-width
-    //! integers, length-prefixed strings/byte vectors): the wire
-    //! protocol in `ddlf-server` and the WAL record format in
+    //! integers, LEB128 varints, length-prefixed strings/byte vectors):
+    //! the wire protocol in `ddlf-server` and the WAL record format in
     //! [`wal`](crate::wal). Readers take a `&mut &[u8]` cursor and
     //! advance it past what they consume; writers append to a
     //! `Vec<u8>`. One implementation means one place to harden — every
@@ -47,6 +47,57 @@ pub mod codec {
     /// Writes a little-endian `u64`.
     pub fn put_u64(b: &mut Vec<u8>, v: u64) {
         b.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes `v` as an LEB128 varint: seven bits a byte, low group
+    /// first, the high bit set on every byte but the last — 1 byte below
+    /// 128, at most 10 for a `u64`.
+    pub fn put_var(b: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            b.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        b.push(v as u8);
+    }
+
+    /// Reads an LEB128 varint as [`put_var`] writes it. Strict, so every
+    /// value has exactly one encoding: a varint cut short, one longer
+    /// than 10 bytes, one whose value overflows a `u64`, or one ending
+    /// in a redundant zero byte (a value that fits fewer bytes) is
+    /// malformed.
+    pub fn get_var(b: &mut &[u8]) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = get_u8(b)?;
+            let bits = u64::from(byte & 0x7F);
+            // The tenth byte holds the `u64`'s top bit alone.
+            if (shift == 63 && bits > 1) || (shift > 0 && byte == 0) {
+                return None;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Reads a varint into a `u32` field; a value above `u32::MAX` is
+    /// malformed.
+    pub fn get_var_u32(b: &mut &[u8]) -> Option<u32> {
+        u32::try_from(get_var(b)?).ok()
+    }
+
+    /// Writes `v` zigzag-encoded as a varint (0, -1, 1, -2, … become
+    /// 0, 1, 2, 3, …), so a small negative number is short too.
+    pub fn put_zigzag(b: &mut Vec<u8>, v: i64) {
+        put_var(b, ((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Reads a zigzag varint as [`put_zigzag`] writes it.
+    pub fn get_zigzag(b: &mut &[u8]) -> Option<i64> {
+        let z = get_var(b)?;
+        Some((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
     /// Reads a `0`/`1` boolean; any other byte is malformed.
@@ -102,6 +153,7 @@ pub mod codec {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use proptest::prelude::{any, prop_assert_eq, proptest};
 
         #[test]
         fn primitives_roundtrip_and_reject_short_buffers() {
@@ -122,6 +174,75 @@ pub mod codec {
             assert_eq!(get_bytes(&mut &100u32.to_le_bytes()[..]), None);
             assert_eq!(get_u64(&mut &[][..]), None);
             assert_eq!(get_bool(&mut &[2][..]), None);
+        }
+
+        proptest! {
+            /// Every width, not only full-width words: each value is
+            /// shifted right by a random amount.
+            #[test]
+            fn varints_roundtrip(
+                (a, b, c) in (any::<u32>(), any::<u64>(), any::<i64>()),
+                shift in 0u32..64,
+            ) {
+                let (a, b, c) = (a >> (shift % 32), b >> shift, c >> shift);
+                let mut buf = Vec::new();
+                put_var(&mut buf, a.into());
+                put_var(&mut buf, b);
+                put_zigzag(&mut buf, c);
+                let mut r = buf.as_slice();
+                prop_assert_eq!(get_var_u32(&mut r), Some(a));
+                prop_assert_eq!(get_var(&mut r), Some(b));
+                prop_assert_eq!(get_zigzag(&mut r), Some(c));
+                prop_assert_eq!(finished(r, ()), Some(()));
+            }
+        }
+
+        #[test]
+        fn varint_edges_are_pinned() {
+            let enc = |v: u64| {
+                let mut b = Vec::new();
+                put_var(&mut b, v);
+                b
+            };
+            assert_eq!(enc(0), [0]);
+            assert_eq!(enc(127), [0x7F]);
+            assert_eq!(enc(128), [0x80, 0x01]);
+            assert_eq!(enc(u64::MAX).len(), 10);
+            let zig = |v: i64| {
+                let mut b = Vec::new();
+                put_zigzag(&mut b, v);
+                b
+            };
+            assert_eq!([zig(0), zig(-1), zig(1), zig(-2)], [[0], [1], [2], [3]]);
+            assert_eq!(zig(i64::MIN), enc(u64::MAX));
+        }
+
+        #[test]
+        fn malformed_varints_reject() {
+            // Cut short: a continuation byte with nothing after it.
+            assert_eq!(get_var(&mut &[0x80][..]), None);
+            assert_eq!(get_var(&mut &[][..]), None);
+            // Eleven bytes: longer than any u64 needs.
+            let mut long = vec![0x80; 10];
+            long.push(0x01);
+            assert_eq!(get_var(&mut long.as_slice()), None);
+            // Ten bytes whose last carries more than the top bit.
+            let mut over = vec![0xFF; 9];
+            over.push(0x02);
+            assert_eq!(get_var(&mut over.as_slice()), None);
+            // A redundant zero byte: 1 written in two bytes.
+            assert_eq!(get_var(&mut &[0x81, 0x00][..]), None);
+            // u32::MAX + 1 in a u32 field; u32::MAX itself fits.
+            let mut b = Vec::new();
+            put_var(&mut b, u64::from(u32::MAX) + 1);
+            assert_eq!(get_var_u32(&mut b.as_slice()), None);
+            b.clear();
+            put_var(&mut b, u32::MAX.into());
+            assert_eq!(get_var_u32(&mut b.as_slice()), Some(u32::MAX));
+            // Trailing bytes after a whole varint.
+            let mut r = &[0x05, 0x00][..];
+            assert_eq!(get_var(&mut r), Some(5));
+            assert_eq!(finished(r, ()), None);
         }
 
         #[test]

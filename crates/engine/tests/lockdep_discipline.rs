@@ -98,12 +98,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// An unlock appends its release batch's `Event` frames while its
-/// entity is held in the lock table, which is no mutex: after two
-/// concurrent WAL'd runs, the only order edge into `wal.log` is the
-/// write-ahead append under `shard.state`, and no audit lock exists.
+/// An unlock appends its one `Unlock` frame — release batch and write —
+/// under `shard.state`: after two concurrent WAL'd runs, the only order
+/// edge into `wal.log` is that write-ahead append, and no audit lock
+/// exists.
 #[test]
-fn an_event_append_holds_no_lock() {
+fn an_unlock_appends_under_its_shard_alone() {
     let dir = temp_dir("events");
     let engine = engine(2, Some(dir.clone()));
     std::thread::scope(|s| {
@@ -156,8 +156,9 @@ fn disjoint_spec(n: usize) -> String {
 /// count the same. A run touches only its own templates' gates, so the
 /// count does not grow with the registered templates: a 16-template
 /// system counts the same.
-/// With a (non-sync) WAL the run also appends its `Begin`, `Write`,
-/// `Event` and `Commit` frames and pushes the log at its end.
+/// With a (non-sync) WAL the run also appends its `Begin`, one `Unlock`
+/// frame per unlock (release batch and write together) and its
+/// `Commit`, and pushes the log at its end.
 #[test]
 fn a_one_chunk_run_takes_an_exact_number_of_locks() {
     let dir = temp_dir("one-chunk");
@@ -171,7 +172,7 @@ fn a_one_chunk_run_takes_an_exact_number_of_locks() {
     };
     let cases = [
         (engine(2, None), 10),
-        (engine(2, Some(dir.clone())), 17),
+        (engine(2, Some(dir.clone())), 15),
         (wide(), 10),
     ];
     for (engine, expected) in cases {

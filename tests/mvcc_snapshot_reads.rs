@@ -4,9 +4,9 @@
 //!
 //!   1. be a whole-transaction cut — conserving Σint exactly under
 //!      transfer programs,
-//!   2. equal an **independent reference model**: the log's `Write`
-//!      records replayed in file order, restricted to the instances
-//!      whose decision record's timestamp is `≤` the cut — for
+//!   2. equal an **independent reference model**: the writes of the
+//!      log's `Unlock` records replayed in file order, restricted to the
+//!      instances whose decision record's timestamp is `≤` the cut — for
 //!      absolute writes on a non-two-phase template under wait-die, the
 //!      case where commit order and write order disagree,
 //!   3. never run backwards — a scanner's snapshot timestamps are
@@ -124,8 +124,8 @@ fn decided_on_disk(dir: &Path) -> HashSet<u64> {
 }
 
 /// The reference model, sharing no code with the store: per entity, the
-/// log's `Write` ops in file order, restricted to the committing
-/// attempts whose decision record's timestamp is `≤ cut`.
+/// write ops of the log's `Unlock`s in file order, restricted to the
+/// committing attempts whose decision record's timestamp is `≤ cut`.
 fn model_at(dir: &Path, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> {
     let records = wal_records(dir);
     let mut decided = HashMap::new();
@@ -147,11 +147,10 @@ fn model_at(dir: &Path, entities: &[EntityId], cut: u64) -> Vec<VersionedValue> 
     let mut state: HashMap<EntityId, VersionedValue> =
         entities.iter().map(|&e| (e, seed)).collect();
     for rec in records {
-        let WalRecord::Write {
+        let WalRecord::Unlock {
             gid,
             attempt,
-            entity,
-            op,
+            written: Some((entity, op)),
             ..
         } = rec
         else {

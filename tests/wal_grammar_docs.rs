@@ -11,7 +11,7 @@ fn grammar_block(doc: &str) -> Vec<String> {
         .collect();
     let begin = lines
         .iter()
-        .position(|l| l.starts_with("Begin") && l.contains(":= 0x01"))
+        .position(|l| l.starts_with("Begin") && l.contains(":= 0x11"))
         .expect("a grammar block defines Begin");
     let fence = |l: &&str| l.starts_with("```");
     let open = begin - lines[..begin].iter().rev().position(fence).unwrap();
@@ -24,16 +24,14 @@ fn wal_grammar_in_architecture_and_rustdoc_agree() {
     let canonical = grammar_block(include_str!("../ARCHITECTURE.md"));
     let mirror = grammar_block(include_str!("../crates/engine/src/wal.rs"));
     // Exactly these definitions, in this order: a decision is one
-    // `Commit` frame of one instance, and no multi-entry decision record
-    // is left in either copy.
+    // `Commit` frame of one instance, no multi-entry decision record is
+    // left in either copy, and an unlock's events and write are one
+    // `Unlock` frame.
     let defined: Vec<&str> = canonical
         .iter()
         .filter_map(|l| l.split_once(":= 0x"))
         .map(|(name, _)| name.trim())
         .collect();
-    assert_eq!(
-        defined,
-        ["Begin", "Write", "Commit", "Abort", "Event", "WriteOp"]
-    );
+    assert_eq!(defined, ["Begin", "Unlock", "Commit", "Abort", "Written"]);
     assert_eq!(canonical, mirror);
 }

@@ -129,7 +129,7 @@ proptest! {
 /// `wal_sync` run: cut `log.wal` at every byte offset after its third-
 /// to-last `Commit` frame. Every cut recovers; what it recovers is
 /// exactly the whole `Commit` frames before the cut — never an instance
-/// whose `Write`s are missing (each transfer writes twice) — the bytes
+/// whose writes are missing (each transfer writes twice) — the bytes
 /// after the last whole decision change nothing in the store, and the
 /// recovered history audits.
 #[test]
@@ -195,9 +195,9 @@ fn every_cut_inside_the_last_two_groups_recovers_the_last_whole_decision() {
 /// workers and of a concurrent run land in the buffer while an fsync
 /// (or two, one per fsync slot) is in flight. File order must still put every decision after the data it
 /// decides over: under `wal_sync`, two concurrent 4-thread runs, every
-/// `Commit` is preceded by all of its
-/// attempt's `Event` frames (one per template node) and both transfer
-/// `Write`s — and no data frame of a decided attempt follows it.
+/// `Commit` is preceded by all of its attempt's `Unlock` frames — every
+/// template node's event and both transfer writes — and no data frame
+/// of a decided attempt follows it.
 #[test]
 fn concurrent_sync_runs_log_every_decision_after_its_data() {
     let dir = wal_dir("sync-order");
@@ -243,11 +243,15 @@ fn concurrent_sync_runs_log_every_decision_after_its_data() {
         let body = at + 4;
         let end = body + u32::from_le_bytes(log[at..body].try_into().unwrap()) as usize;
         match WalRecord::decode(&log[body..end]).unwrap() {
-            WalRecord::Event { gid, attempt, .. } => {
-                data_of(&mut data, &decided, (gid, attempt)).0 += 1;
-            }
-            WalRecord::Write { gid, attempt, .. } => {
-                data_of(&mut data, &decided, (gid, attempt)).1 += 1;
+            WalRecord::Unlock {
+                gid,
+                attempt,
+                nodes,
+                written,
+            } => {
+                let seen = data_of(&mut data, &decided, (gid, attempt));
+                seen.0 += nodes.len();
+                seen.1 += usize::from(written.is_some());
             }
             WalRecord::Commit {
                 gid,

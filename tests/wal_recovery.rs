@@ -5,13 +5,16 @@
 //! decision: uncommitted work — including rolled-back wait-die victims
 //! and torn log tails — contributes nothing.
 
-use ddlf::engine::wire::frame::put_frame;
+use ddlf::engine::wire::frame::{put_frame, read_frame_into};
 use ddlf::engine::{
     recover, AdmissionOptions, Engine, EngineConfig, Inflation, Phase, Program, Telemetry,
     TemplateRegistry, Wal, WalError, WalOptions, WalRecord, WriteOp,
 };
-use ddlf::model::{EntityId, NodeId, TxnId};
+use ddlf::model::{
+    Database, EntityId, NodeId, Op, SystemSpec, Transaction, TransactionSystem, TxnId,
+};
 use ddlf::workloads::{bank_ordered_pair, bank_uniform_transfer};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -182,16 +185,17 @@ fn next_base_covers_gids_missing_from_the_decision_log() {
     // run would reuse an id the log already holds records of.
     let attempt = 0;
     let in_flight = [
-        WalRecord::Write {
+        WalRecord::Unlock {
             gid: 27,
             attempt,
-            entity: EntityId(0),
-            op: WriteOp::Add(-5),
+            nodes: vec![NodeId(0), NodeId(2)],
+            written: Some((EntityId(0), WriteOp::Add(-5))),
         },
-        WalRecord::Event {
+        WalRecord::Unlock {
             gid: 31,
             attempt,
-            node: NodeId(0),
+            nodes: vec![NodeId(0)],
+            written: None,
         },
     ];
     let mut rec = recover(&dir).unwrap();
@@ -254,9 +258,10 @@ fn corrupt_frame_length_mid_log_is_a_typed_record_error() {
     }
 }
 
-/// Op tag `0x02` wrote a byte string and is retired: a log holding a
-/// committed `Write` frame with it is refused with a typed record error,
-/// never replayed or skipped.
+/// Op tag `0x02` wrote a byte string and is retired, and so is the
+/// fixed-width `Write` record (tag `0x02`) that carried it: a log
+/// holding a committed one is refused with a typed record error, never
+/// replayed or skipped.
 #[test]
 fn a_write_with_the_retired_op_tag_is_refused() {
     let dir = wal_dir("retired-op");
@@ -299,6 +304,191 @@ fn a_write_with_the_retired_op_tag_is_refused() {
         Ok(rec) => panic!("the retired op recovered: {}", rec.summary()),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(frames, bytes)` of each record kind in `dir`'s log, the 4-byte
+/// length prefix counted in each frame's bytes.
+fn frames_by_kind(dir: &Path) -> BTreeMap<&'static str, (usize, usize)> {
+    let log = std::fs::File::open(dir.join("log.wal")).unwrap();
+    let mut file = std::io::BufReader::new(log);
+    let (mut payload, mut kinds) = (Vec::new(), BTreeMap::new());
+    while read_frame_into(&mut file, &mut payload).unwrap() {
+        let kind = match WalRecord::decode(&payload).unwrap() {
+            WalRecord::Begin { .. } => "Begin",
+            WalRecord::Unlock { .. } => "Unlock",
+            WalRecord::Commit { .. } => "Commit",
+            WalRecord::Abort { .. } => "Abort",
+        };
+        let (frames, bytes) = kinds.entry(kind).or_insert((0, 0));
+        *frames += 1;
+        *bytes += 4 + payload.len();
+    }
+    kinds
+}
+
+/// The log's size is a cost every commit pays, counted exactly: a
+/// count=1 run of a two-lock transfer (`L a, L b, U a, U b`, writing
+/// both) logs one `Begin`, one `Unlock` per unlock — its release batch
+/// and its write in one frame — and one `Commit`, 43 bytes in all.
+/// (The fixed-width grammar it replaced logged the same run in 162
+/// bytes: `Begin` 17, `Write` 2 × 26, `Event` 4 × 17, `Commit` 25.)
+#[test]
+fn a_count_one_transfer_logs_an_exact_number_of_bytes_per_kind() {
+    let dir = wal_dir("bytes-per-kind");
+    let db = Database::one_entity_per_site(2);
+    let (a, b) = (EntityId(0), EntityId(1));
+    let ops = [Op::lock(a), Op::lock(b), Op::unlock(a), Op::unlock(b)];
+    let t = Transaction::from_total_order("transfer", &ops, &db).unwrap();
+    let mut reg = TemplateRegistry::register(TransactionSystem::new(db, vec![t]).unwrap());
+    reg.set_program(TxnId(0), Program::transfer(a, b, 5))
+        .unwrap();
+    let engine = Engine::with_registry(
+        reg,
+        EngineConfig {
+            instances: 1,
+            wal_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    );
+    assert!(engine.run().all_committed());
+    drop(engine);
+    let kinds = frames_by_kind(&dir);
+    assert_eq!(
+        kinds,
+        BTreeMap::from([("Begin", (1, 8)), ("Unlock", (2, 26)), ("Commit", (1, 9))]),
+    );
+    let log_bytes = std::fs::metadata(dir.join("log.wal")).unwrap().len();
+    assert_eq!(log_bytes, 43);
+    assert_eq!(
+        recover(&dir).unwrap().history_len,
+        4,
+        "every event is logged"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fixtures/banking_ordered.json` (8-node transfers writing 4
+/// entities, k = 2) logs an exact number of bytes: zero aborts, so one
+/// `Begin`, four `Unlock`s and one `Commit` per instance, with gids and
+/// commit timestamps 0..N and 1..=N whatever the interleaving. The
+/// fixed-width grammar logged 282 bytes per commit, 136 of them events.
+#[test]
+fn banking_ordered_logs_an_exact_number_of_bytes_per_commit() {
+    let dir = wal_dir("bytes-banking-ordered");
+    let json = include_str!("../fixtures/banking_ordered.json");
+    let sys = serde_json::from_str::<SystemSpec>(json)
+        .unwrap()
+        .build()
+        .unwrap();
+    let instances = 1_000;
+    let engine = Engine::try_with_admission(
+        sys,
+        AdmissionOptions {
+            inflate: Inflation::Uniform(2),
+            ..Default::default()
+        },
+        EngineConfig {
+            threads: 2,
+            instances,
+            wal_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let report = engine.run();
+    assert!(
+        report.all_committed() && report.aborted_attempts == 0,
+        "{report:?}"
+    );
+    drop(engine);
+    let kinds = frames_by_kind(&dir);
+    let frames: Vec<_> = kinds.iter().map(|(k, &(n, _))| (*k, n)).collect();
+    assert_eq!(
+        frames,
+        [
+            ("Begin", instances),
+            ("Commit", instances),
+            ("Unlock", 4 * instances)
+        ]
+    );
+    let log_bytes = std::fs::metadata(dir.join("log.wal")).unwrap().len();
+    // 75.1 bytes per commit: Begin 8.9, Unlock 4 × 13.9, Commit 10.7.
+    assert_eq!(log_bytes, 75_105, "{kinds:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends `payloads` as frames to `dir`'s log.
+fn append_frames(dir: &Path, payloads: &[Vec<u8>]) {
+    let mut log = Vec::new();
+    for payload in payloads {
+        put_frame(&mut log, |b| b.extend_from_slice(payload)).unwrap();
+    }
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("log.wal"))
+        .unwrap();
+    f.write_all(&log).unwrap();
+}
+
+fn expect_undecodable(dir: &Path, what: &str) {
+    match recover(dir) {
+        Err(WalError::Record(m)) => assert!(m.contains("did not decode"), "{what}: {m}"),
+        Err(other) => panic!("{what}: expected a Record error, got {other}"),
+        Ok(rec) => panic!("{what} recovered: {}", rec.summary()),
+    }
+}
+
+/// Every record of the fixed-width grammar is retired with its tag: a
+/// log holding one — here the old `Begin` (`0x01`) and `Event` (`0x06`),
+/// gid, template/attempt and node as u32 LE words — is refused with a
+/// typed record error, never misread as a varint record.
+#[test]
+fn retired_fixed_width_frames_are_refused() {
+    for tag in [0x01u8, 0x06] {
+        let dir = wal_dir(&format!("retired-{tag}"));
+        let engine = banking_engine(&dir, 4);
+        assert!(engine.run().all_committed());
+        drop(engine);
+        let mut old = vec![tag];
+        for word in [1_000u32, 0, 0] {
+            old.extend(word.to_le_bytes());
+        }
+        append_frames(&dir, &[old]);
+        expect_undecodable(&dir, &format!("tag {tag:#04x}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An `Unlock` is decoded strictly: a node count that runs past the
+/// frame's payload, or a whole record followed by trailing bytes, is
+/// refused with a typed record error.
+#[test]
+fn an_unlock_with_a_bad_node_count_or_trailing_bytes_is_refused() {
+    let unlock = WalRecord::Unlock {
+        gid: 1_000,
+        attempt: 0,
+        nodes: vec![NodeId(0), NodeId(1)],
+        written: Some((EntityId(0), WriteOp::Add(1))),
+    }
+    .encode();
+    // Tag, the gid in two varint bytes, the attempt: the count is byte 4.
+    assert_eq!(unlock[4], 2);
+    let mut overrun = unlock.clone();
+    overrun[4] = 9;
+    let mut trailing = unlock;
+    trailing.push(0);
+    for (what, bad) in [
+        ("node count overrun", overrun),
+        ("trailing bytes", trailing),
+    ] {
+        let dir = wal_dir(&format!("bad-unlock-{}", what.len()));
+        let engine = banking_engine(&dir, 4);
+        assert!(engine.run().all_committed());
+        drop(engine);
+        append_frames(&dir, &[bad]);
+        expect_undecodable(&dir, what);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
